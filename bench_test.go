@@ -122,7 +122,7 @@ func BenchmarkLatency1Study(b *testing.B) {
 		"bitcnt_speedup", "mmul_speedup", "zoom_speedup")
 }
 
-// --- Ablations (DESIGN.md) ---
+// --- Ablations (EXPERIMENTS.md "Ablations") ---
 
 func BenchmarkAblationVirtualFP(b *testing.B) {
 	runExperiment(b, "ablation-vfp", "blocking16_cycles", "vfp16_cycles")

@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (plus the ablations documented in DESIGN.md) on the CellDTA
+// evaluation (plus the ablations documented in EXPERIMENTS.md) on the CellDTA
 // reproduction.
 //
 // Usage:

@@ -11,8 +11,7 @@ import (
 // PPE is the Power Processing Element stand-in: it offloads the TLP
 // activity (allocates the root thread's frame and stores its arguments)
 // and collects completion tokens from the mailbox. The paper's PPE does
-// exactly this for DTA workloads; no PowerPC pipeline is modelled (see
-// DESIGN.md substitutions).
+// exactly this for DTA workloads; no PowerPC pipeline is modelled.
 type PPE struct {
 	id     int
 	dseID  int

@@ -11,8 +11,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// Ablations beyond the paper: each probes one design choice called out
-// in DESIGN.md.
+// Ablations beyond the paper: each probes one design choice; the
+// questions and expected shapes are tabulated in EXPERIMENTS.md.
 func init() {
 	register(&Experiment{
 		ID:    "ablation-vfp",

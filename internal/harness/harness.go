@@ -1,6 +1,6 @@
 // Package harness defines one runnable experiment per table and figure
 // of the paper's evaluation (§4), plus the ablations listed in
-// DESIGN.md. Each experiment prints the same rows/series the paper
+// EXPERIMENTS.md. Each experiment prints the same rows/series the paper
 // reports and returns machine-readable metrics so the benchmark suite
 // and EXPERIMENTS.md generation can assert on shapes.
 package harness

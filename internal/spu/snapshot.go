@@ -49,7 +49,7 @@ func (s *SPU) Snapshot(w *snap.Writer, index func(*dta.Thread) int32) {
 	w.I64(int64(s.accounted))
 	w.I64(int64(s.nextIssueAt))
 	w.I64(int64(s.resumeAt))
-	w.I64(int64(s.stallUntil))
+	w.I64(0) // reserved: keeps the layout of blobs written before the burst kernel
 	w.U8(s.readDst)
 	w.I64(s.reqSeq)
 	w.U8(s.fallocRd)
@@ -85,7 +85,7 @@ func (s *SPU) Restore(r *snap.Reader, lookup func(int32) *dta.Thread) error {
 	s.accounted = sim.Cycle(r.I64())
 	s.nextIssueAt = sim.Cycle(r.I64())
 	s.resumeAt = sim.Cycle(r.I64())
-	s.stallUntil = sim.Cycle(r.I64())
+	r.I64() // reserved
 	s.readDst = r.U8()
 	s.reqSeq = r.I64()
 	s.fallocRd = r.U8()
@@ -107,6 +107,6 @@ func (s *SPU) Restore(r *snap.Reader, lookup func(int32) *dta.Thread) error {
 			return fmt.Errorf("spu%d: snapshot pc %d beyond block of %d", s.spe, s.pc, len(s.uops))
 		}
 	}
-	s.hzn, s.hznStamp, s.hznDirty = 0, 0, true
+	s.hzn, s.hznStamp = 0, 0
 	return r.Err()
 }

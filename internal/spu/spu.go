@@ -11,6 +11,21 @@
 // local-store reads (6 cycles) stall only dependent instructions —
 // exactly the property that makes prefetched data cheap to access
 // compared to blocking main-memory READs (~memory latency per access).
+//
+// A pipeline cycle is simulated by one of two paths that must agree on
+// every register, cycle and counter:
+//
+//   - the reference cycle (tick → issueCycle → execute, spu.go): one
+//     cycle on the engine clock, every opcode, every block transition.
+//     It is all that runs when Config.BurstMax is 1, which is what the
+//     burst differentials (synth corpus, paper experiments, dtafuzz
+//     -diffburst, the kernel edge tests here) compare against;
+//   - the kernel window (burst, burst.go): after each reference cycle,
+//     one loop pre-executes the following cycles for as long as they
+//     are invisible outside the pipeline — bubbles, scoreboard stalls,
+//     register-only compute, and local-store accesses below the
+//     engine's quiescence horizon — and hands the engine the first
+//     cycle it could not take.
 package spu
 
 import (
@@ -108,8 +123,6 @@ const (
 	uopBranch                     // control transfer (JMP / conditional branches)
 	uopBurstReg                   // this and the next instruction are isa.BurstReg
 	uopBurstLS                    // this and the next instruction are isa.BurstReg, isa.BurstLSRead or isa.BurstLSWrite
-	uopExtern                     // isa.BurstNone: executing this op may wake another component
-	uopALU                        // register-only compute: issueCycle evaluates inline, skipping execute's opcode dispatch
 )
 
 // uop is the decoded, SPU-resident form of one instruction: the
@@ -124,7 +137,7 @@ const (
 type uop struct {
 	ins   isa.Instruction
 	lat   int32    // cfg-resolved result latency of the executing unit
-	srcs  [3]uint8 // registers the scoreboard must clear before issue
+	srcs  [3]uint8 // registers the scoreboard must clear before issue; slots past nsrc stay RegZero (always ready)
 	nsrc  uint8
 	flags uint8
 	cls   uint8 // instruction-mix class for stats.InstrCounts (icls*)
@@ -183,18 +196,13 @@ type SPU struct {
 	nextIssueAt sim.Cycle   // branch bubbles / dispatch refill
 	burstLimit  sim.Cycle   // resolved Config.BurstMax (>= 1)
 	resumeAt    sim.Cycle   // burst horizon: cycles below are already simulated
-	stallUntil  sim.Cycle   // ready cycle of the register that blocked issue
 
 	// hzn caches the engine's quiescence horizon (the earliest cycle
 	// any other component is scheduled to run — the window in which
-	// local-store reads may be simulated ahead of the engine clock).
-	// hznDirty marks moments the cache may have moved: set at Tick
-	// entry (other components ran since the last tick) and whenever an
-	// instruction that can wake another component executes (uopExtern);
-	// lsHorizon then revalidates against the engine's schedule stamp.
+	// local-store accesses may be simulated ahead of the engine clock),
+	// valid for the engine schedule stamp hznStamp; see lsHorizon.
 	hzn      sim.Cycle
 	hznStamp uint64
-	hznDirty bool
 
 	// lsw is the machine's wiring declaration for the LS-read burst
 	// window (SetLSWiring); lsWired gates the refined horizon — without
@@ -300,12 +308,6 @@ func (s *SPU) buildUops(code []isa.Instruction) []uop {
 		if info.Branch {
 			u.flags |= uopBranch
 		}
-		if isa.ClassOf(ins.Op) == isa.BurstNone {
-			u.flags |= uopExtern
-		}
-		if aluOp(ins.Op) {
-			u.flags |= uopALU
-		}
 		u.lat = int32(s.latFor(info.Unit))
 	}
 	for i := 0; i+1 < len(code); i++ {
@@ -338,22 +340,6 @@ func (s *SPU) buildUops(code []isa.Instruction) []uop {
 		}
 	}
 	return us
-}
-
-// aluOp reports whether op is pure register compute — exactly the ops
-// execute handles as evaluate + setReg + pc advance, with no faults, no
-// sleeps and no side effects on other components — so issueCycle may
-// evaluate them inline (uopALU) without the opcode dispatch.
-func aluOp(op isa.Op) bool {
-	switch op {
-	case isa.MOVI, isa.MOVHI, isa.MOV,
-		isa.ADD, isa.ADDI, isa.SUB, isa.SUBI, isa.MUL, isa.MULI, isa.DIV,
-		isa.REM, isa.AND, isa.ANDI, isa.OR, isa.ORI, isa.XOR, isa.XORI,
-		isa.SHL, isa.SHLI, isa.SHR, isa.SHRI, isa.SRA, isa.SRAI,
-		isa.CMPEQ, isa.CMPLT, isa.CMPLTU:
-		return true
-	}
-	return false
 }
 
 // secondCannotJoin reports whether the instruction decoded as sec can
@@ -484,7 +470,6 @@ func (s *SPU) Reset(prog *program.Program) {
 	s.accounted = 0
 	s.nextIssueAt = 0
 	s.resumeAt = 0
-	s.stallUntil = 0
 	s.hzn = 0
 	s.hznStamp = 0
 	s.readDst = 0
@@ -524,22 +509,6 @@ func (s *SPU) chargeCycle(now sim.Cycle, c stats.Cause, loc stats.Loc) {
 		s.st.Charge(c, 1)
 		s.Prof.Add(loc, c, 1)
 		s.accounted = now + 1
-	}
-}
-
-// chargeCycles attributes n consecutive cycles starting at t to cause c
-// at loc — the bulk form of chargeCycle used by the burst fast path to
-// batch pipeline bubbles (dispatch refill, branch penalty, MFC channel
-// busy) and scoreboard stalls: one profile Add covers the whole window.
-func (s *SPU) chargeCycles(t sim.Cycle, n int64, c stats.Cause, loc stats.Loc) {
-	if n <= 0 {
-		return
-	}
-	s.account(t)
-	if s.accounted == t {
-		s.st.Charge(c, n)
-		s.Prof.Add(loc, c, n)
-		s.accounted = t + sim.Cycle(n)
 	}
 }
 
@@ -671,39 +640,37 @@ func (s *SPU) curLoc() stats.Loc {
 	return stats.Loc{Template: int32(s.cur.Template), Block: uint8(s.block), PC: int32(s.pc)}
 }
 
-// Tick executes one or more pipeline cycles. The burst fast path: when
-// the upcoming instructions are straight-line register-only compute
-// (isa.BurstReg — no load/store/DMA/sync and nothing another component
-// can observe), the SPU simulates up to burstLimit cycles in one call
-// and returns the horizon, so the engine skips the dead cycles
-// entirely. Local-store reads (isa.BurstLSRead: LSRD*/LOAD*) and
-// direct local-store writes (isa.BurstLSWrite: LSWR*) burst too, for
-// simulated cycles t strictly below the engine's quiescence horizon
-// (sim.Engine.HorizonExcluding): until t, no other component runs, so
-// nothing — no MFC write-back, LSE frame delivery, or network delivery
-// — can write this SPE's local store, and nothing — no MFC PUT
-// streaming, no LSE frame read — can observe a write landed early; an
-// access simulated at engine-time now is byte- and cycle-identical to
-// one executed at t.
-// The horizon is revalidated against the engine's schedule stamp, so
-// anything the SPU itself schedules mid-burst (a wake posted by the
-// first, unrestricted cycle of the window) shrinks the window
-// immediately. Every simulated cycle goes through the exact same
-// issueCycle/chargeCycle path as single-step execution, so cycle
-// counts, stall attribution and instruction statistics are identical.
+// Tick simulates the pipeline cycle at now through the reference path
+// and then, unless Config.BurstMax is 1, a kernel window of up to
+// burstLimit-1 further cycles (see burst), and returns the first cycle
+// not yet simulated so the engine skips the pre-executed ones.
+//
+// What may run ahead of the engine clock is decided per cycle from the
+// decoded instruction pair at pc: straight-line register-only compute
+// (isa.BurstReg — nothing another component can observe) always;
+// local-store reads (isa.BurstLSRead: LSRD*/LOAD*) and direct
+// local-store writes (isa.BurstLSWrite: LSWR*) for simulated cycles t
+// strictly below the quiescence horizon (lsHorizon): until t, no other
+// component runs, so nothing — no MFC write-back, LSE frame delivery,
+// or network delivery — can write this SPE's local store, and nothing —
+// no MFC PUT streaming, no LSE frame read — can observe a write landed
+// early; an access simulated at engine-time now is byte- and
+// cycle-identical to one executed at t. Anything the reference cycle
+// itself scheduled (a wake posted by an MFC, LSE or network op) is
+// already in the schedule when the window reads the horizon.
 //
 // Caveat (documented, not observable in well-formed DTA activities):
-// burst cycles are simulated eagerly, so if the whole activity
-// completes while this SPU is inside a burst window, the final
-// statistics include the window's cycles beyond the stop cycle. DTA
-// programs end with a join — every SPU is quiescent when the last
-// token posts — and the differential suite asserts exact burst ==
-// single-step identity across the synth corpus, the paper experiments
-// and the machine tests. Similarly, a Config.MaxCycles abort may be
-// detected up to burstLimit cycles later than in single-step mode, and
-// a fault raised by a pre-executed instruction (e.g. a LOADX slot
-// taken from data) aborts the run at the engine cycle the burst
-// started rather than the simulated cycle of the instruction.
+// window cycles are simulated eagerly, so if the whole activity
+// completes while this SPU is inside a window, the final statistics
+// include the window's cycles beyond the stop cycle. DTA programs end
+// with a join — every SPU is quiescent when the last token posts — and
+// the differential suite asserts exact burst == single-step identity
+// across the synth corpus, the paper experiments and the machine tests.
+// Similarly, a Config.MaxCycles abort may be detected up to burstLimit
+// cycles later than in single-step mode, and a fault raised by a
+// pre-executed instruction (e.g. a LOADX slot taken from data) aborts
+// the run at the engine cycle the window started rather than the
+// simulated cycle of the instruction.
 func (s *SPU) Tick(now sim.Cycle) sim.Cycle {
 	if now < s.resumeAt {
 		// An early wake (e.g. the LSE's OnWork) landed inside a burst
@@ -711,12 +678,10 @@ func (s *SPU) Tick(now sim.Cycle) sim.Cycle {
 		// horizon. Running-thread execution never depends on wakes.
 		return s.resumeAt
 	}
-	s.hznDirty = true // other components may have run since the last tick
 	next := s.tick(now)
 	if s.Rec != nil && s.accounted > now+1 {
 		// More than one pipeline cycle was simulated inside this engine
-		// tick: a burst window (compute burst, LS-read/write burst, or a
-		// bulk bubble/stall charge).
+		// tick: a kernel window.
 		s.Rec.SPUBurst(s.spe, now, s.accounted)
 	}
 	if next == sim.Never {
@@ -748,121 +713,52 @@ func (s *SPU) tick(now sim.Cycle) sim.Cycle {
 			return sim.Never
 		}
 	}
-	limit := now + s.burstLimit
-	t := now
-	// Per-PC attribution only matters when the guest profiler is on;
-	// without it, skip building Loc values — the zero Loc is fine for
-	// the nil-profile sink, and curLoc per cycle is measurable at burst
-	// rates.
-	profiled := s.Prof != nil
+	// The reference cycle: the one pipeline cycle on the engine clock,
+	// where anything may execute. It attributes to the PC it started at —
+	// the first instruction considered (issued or blocked); per-PC
+	// attribution only matters when the guest profiler is on, and the
+	// zero Loc is fine for the nil-profile sink.
 	var loc stats.Loc
-	for {
-		if t < s.nextIssueAt {
-			// Dispatch refill, branch bubble, or MFC channel busy:
-			// charge the dead cycles in bulk. Bubble cycles are
-			// engine-invisible — the SPU accepts no deliveries in
-			// phRun and mutates nothing another component reads — so
-			// batching them is exactly single-step behaviour.
-			end := s.nextIssueAt
-			if end > limit {
-				end = limit
-			}
-			if profiled {
-				loc = s.curLoc()
-			}
-			s.chargeCycles(t, int64(end-t), s.causeFor(stats.CauseBubble), loc)
-			t = end
-			if t >= limit || !s.burstableAt(t) {
-				return t
-			}
-		}
-		// The cycle attributes to the PC it started at: the first
-		// instruction considered (issued or blocked) this cycle.
-		if profiled {
-			loc = s.curLoc()
-		}
-		cause, issued, sleep := s.issueCycle(t)
+	if s.Prof != nil {
+		loc = s.curLoc()
+	}
+	if now < s.nextIssueAt {
+		// Dispatch refill, branch bubble, or MFC channel busy.
+		s.chargeCycle(now, s.causeFor(stats.CauseBubble), loc)
+	} else {
+		cause, sleep := s.issueCycle(now)
+		s.chargeCycle(now, cause, loc)
 		if sleep {
-			s.chargeCycle(t, cause, loc)
 			return sim.Never
 		}
-		if issued == 0 && s.stallUntil > t+1 {
-			// Pure scoreboard stall: no instruction issued because a
-			// source register's result is pending. Nothing in the
-			// machine can change the outcome before the producer's
-			// ready cycle — the scoreboard is pipeline-local — so
-			// charge the whole wait in bulk and jump to its end.
-			end := s.stallUntil
-			if end > limit {
-				end = limit
-			}
-			s.chargeCycles(t, int64(end-t), cause, loc)
-			t = end
-		} else {
-			s.chargeCycle(t, cause, loc)
-			t++
-		}
-		if t >= limit || s.cur == nil {
-			// At the limit, or the work unit ended (STOP or PF
-			// completion): the next cycle dispatches, which resets the
-			// pipeline refill — hand back to the engine exactly as
-			// single-step execution does.
-			return t
-		}
-		if t >= s.nextIssueAt && !s.burstableAt(t) {
-			return t
-		}
 	}
-}
-
-// burstableAt reports whether pipeline cycle t — always a cycle the
-// burst loop would simulate ahead of the engine clock, t > Now — can
-// run without returning to the engine: the SPU is running a PL/EX/PS
-// block and the next two sequential instructions — the only ones one
-// cycle can reach — are register-only compute (always burstable), or
-// local-store reads/writes mixed with compute (burstable while t is
-// inside the engine-proved quiescence window, t < lsHorizon).
-// Everything else (frame stores, main memory, the LSE, the MFC) must
-// execute on the engine clock, where the rest of the machine has
-// caught up. PF blocks are excluded because falling off their end
-// notifies the LSE.
-func (s *SPU) burstableAt(t sim.Cycle) bool {
-	if s.cur == nil || s.curKind != dta.WorkThread || s.pc >= len(s.uops) {
-		return false
+	t := now + 1
+	if limit := now + s.burstLimit; t < limit && s.cur != nil {
+		// A work unit is still resident (after STOP or PF completion the
+		// next cycle dispatches, which resets the pipeline refill — that
+		// runs on the engine clock): pre-execute what nothing else can
+		// observe.
+		t = s.burst(t, limit)
 	}
-	f := s.uops[s.pc].flags
-	if f&uopBurstReg != 0 {
-		return true
-	}
-	return f&uopBurstLS != 0 && t < s.lsHorizon()
+	return t
 }
 
 // lsHorizon returns the engine's quiescence horizon for this SPU — the
 // earliest cycle at which any other component is scheduled to run, and
-// hence the first cycle at which the local store could be written by
-// someone else. The cache is revalidated only at hznDirty moments
-// (tick entry, after a uopExtern instruction): those are the only
-// points the schedule can have gained entries, because nothing else
-// runs during this SPU's Tick. Revalidation compares the engine's
-// schedule stamp — insertions bump it and force a re-read, while a
-// stale cache under an unchanged stamp can only be earlier than the
-// true horizon, i.e. conservative.
+// hence the first cycle at which the local store could be touched by
+// someone else. The kernel reads it at most once per window: nothing
+// else runs during this SPU's Tick and no instruction that can wake
+// another component executes inside a window, so the schedule cannot
+// gain entries in between. The cached value is revalidated against the
+// engine's schedule stamp — insertions bump it and force a re-read,
+// while a stale cache under an unchanged stamp can only be earlier than
+// the true horizon, i.e. conservative.
 func (s *SPU) lsHorizon() sim.Cycle {
-	if s.hznDirty {
-		s.revalidateHorizon()
-	}
-	return s.hzn
-}
-
-// revalidateHorizon is lsHorizon's slow path, kept out of line so the
-// per-burst-cycle lsHorizon/burstableAt pair stays within the inlining
-// budget.
-func (s *SPU) revalidateHorizon() {
-	s.hznDirty = false
 	if st := s.handle.SchedStamp(); st != s.hznStamp {
 		s.hznStamp = st
 		s.hzn = s.computeHorizon()
 	}
+	return s.hzn
 }
 
 // computeHorizon derives the first cycle at which this SPE's local
@@ -918,14 +814,16 @@ func (s *SPU) computeHorizon() sim.Cycle {
 	return h
 }
 
-// issueCycle attempts to issue up to two instructions at cycle now. It
-// returns the stall cause for this cycle, how many instructions issued,
-// and whether the SPU should sleep (blocking wait entered).
-func (s *SPU) issueCycle(now sim.Cycle) (stats.Cause, int, bool) {
+// issueCycle is the reference implementation of one pipeline cycle: it
+// attempts to issue up to two instructions at cycle now and returns the
+// cycle's cause and whether the SPU should sleep (blocking wait
+// entered). It handles every opcode and every block transition; the
+// burst kernel covers a subset of the same cycles and is held to this
+// path by the burst differentials.
+func (s *SPU) issueCycle(now sim.Cycle) (stats.Cause, bool) {
 	issued := 0
 	memUsed, cmpUsed := false, false
 	cycleCause := s.causeFor(stats.CauseIssue)
-	s.stallUntil = 0
 
 	for issued < 2 && s.cur != nil {
 		if s.pc >= len(s.uops) {
@@ -945,31 +843,6 @@ func (s *SPU) issueCycle(now sim.Cycle) (stats.Cause, int, bool) {
 			}
 			break
 		}
-		if u.flags&uopALU != 0 {
-			// Register-only compute — the dominant class in unrolled
-			// kernels: evaluate inline (same effect as execute's ALU
-			// cases) and skip the full opcode dispatch. These ops never
-			// fault, sleep, branch, end the unit or wake another
-			// component, so none of the post-issue checks below apply.
-			var v int64
-			switch ins.Op {
-			case isa.MOVI:
-				v = int64(ins.Imm)
-			case isa.MOVHI:
-				v = int64(ins.Imm) << 32
-			case isa.MOV:
-				v = s.regs[ins.Ra]
-			default:
-				v = isa.EvalALU(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb], int64(ins.Imm))
-			}
-			s.setReg(ins.Rd, v, now+sim.Cycle(u.lat), prodALU)
-			s.pc++
-			issued++
-			s.st.IssuedSlots++
-			s.st.Instr.Total++
-			cmpUsed = true
-			continue
-		}
 		ok, sleep, cause := s.execute(now, ins, u)
 		if !ok {
 			// Structural stall outside the pipeline (LSE/MFC full).
@@ -981,19 +854,13 @@ func (s *SPU) issueCycle(now sim.Cycle) (stats.Cause, int, bool) {
 		issued++
 		s.st.IssuedSlots++
 		s.countInstr(u.cls)
-		if u.flags&uopExtern != 0 {
-			// The op may have scheduled another component (a wake posted
-			// to the LSE, MFC, or network): revalidate the horizon
-			// before pre-executing anything.
-			s.hznDirty = true
-		}
 		if isMem {
 			memUsed = true
 		} else {
 			cmpUsed = true
 		}
 		if sleep {
-			return s.causeFor(stats.CauseIssue), issued, true
+			return s.causeFor(stats.CauseIssue), true
 		}
 		if u.flags&uopBranch != 0 && s.nextIssueAt > now {
 			break // taken branch ends the issue group
@@ -1002,7 +869,7 @@ func (s *SPU) issueCycle(now sim.Cycle) (stats.Cause, int, bool) {
 			break // STOP or PF completion inside execute
 		}
 	}
-	return cycleCause, issued, false
+	return cycleCause, false
 }
 
 // operandsBlocked checks the scoreboard for the instruction's
@@ -1011,21 +878,22 @@ func (s *SPU) issueCycle(now sim.Cycle) (stats.Cause, int, bool) {
 func (s *SPU) operandsBlocked(now sim.Cycle, u *uop) (bool, stats.Cause) {
 	for i := uint8(0); i < u.nsrc; i++ {
 		if r := u.srcs[i]; s.ready[r] > now {
-			// Record when this register's result lands so the burst
-			// fast path can batch the whole wait; re-checking at that
-			// cycle reproduces single-step behaviour exactly (a later
-			// source may then block in turn).
-			s.stallUntil = s.ready[r]
-			switch s.prod[r] {
-			case prodLS:
-				return true, stats.CauseLSWait
-			case prodMFC:
-				return true, stats.CauseMFCWait
-			}
-			return true, stats.CauseDepStall
+			return true, stallCause(s.prod[r])
 		}
 	}
 	return false, stats.CauseIssue
+}
+
+// stallCause maps the producer class of a pending register to the raw
+// cause of a scoreboard wait on it.
+func stallCause(p prodClass) stats.Cause {
+	switch p {
+	case prodLS:
+		return stats.CauseLSWait
+	case prodMFC:
+		return stats.CauseMFCWait
+	}
+	return stats.CauseDepStall
 }
 
 func (s *SPU) countInstr(cls uint8) {

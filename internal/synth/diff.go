@@ -358,10 +358,11 @@ func CheckScenario(sc Scenario, opt CheckOptions) (*Report, error) {
 			pf.Cycles, limit, orig.Cycles, opt.GuardRatio, opt.GuardSlack)
 	}
 
-	// All comparisons done: the machines (and their memory images) may
-	// go back to the pool.
+	// All comparisons done: the machines and the memory images (theirs
+	// and the oracle's) may be reused.
 	opt.Pool.Put(origM)
 	opt.Pool.Put(pfM)
+	oracleRes.Release()
 
 	st := prefetch.Analyze(prog, pfProg)
 	return &Report{

@@ -3,6 +3,7 @@ package synth
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/dta"
 	"repro/internal/isa"
@@ -51,6 +52,20 @@ type OracleResult struct {
 // Reader returns the final memory image as a program.MemReader.
 func (r *OracleResult) Reader() program.MemReader { return mem.Reader{S: r.Mem} }
 
+// oracleMems holds memory images handed back by Release: a fresh
+// mem.Sparse allocates its 64 KiB pages again for every program, which
+// was most of what a differential check allocated.
+var oracleMems sync.Pool
+
+// Release hands the memory image back for the next RunOracle to reuse;
+// r.Mem and Reader must not be used afterwards. Optional: a result that
+// is never released is simply collected.
+func (r *OracleResult) Release() {
+	r.Mem.Reset()
+	oracleMems.Put(r.Mem)
+	r.Mem = nil
+}
+
 type oThread struct {
 	id    int
 	tmpl  int
@@ -82,9 +97,13 @@ func RunOracle(p *program.Program, maxSteps int64) (*OracleResult, error) {
 	if maxSteps <= 0 {
 		maxSteps = 50_000_000
 	}
+	image, _ := oracleMems.Get().(*mem.Sparse)
+	if image == nil {
+		image = mem.NewSparse(oracleMemCap)
+	}
 	o := &oracle{
 		prog:     p,
-		mem:      mem.NewSparse(oracleMemCap),
+		mem:      image,
 		tokens:   make(map[int64]int64),
 		maxSteps: maxSteps,
 	}

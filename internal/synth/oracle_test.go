@@ -54,6 +54,9 @@ func TestOracleAgainstWorkloadChecks(t *testing.T) {
 			if res.Threads == 0 || res.Steps == 0 {
 				t.Fatalf("implausible oracle accounting: %+v", res)
 			}
+			// The next workload's oracle runs on this recycled image and
+			// must still satisfy its own check.
+			res.Release()
 		})
 	}
 }
