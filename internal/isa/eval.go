@@ -7,11 +7,18 @@ package isa
 // branch decision, or the differential checker would report phantom
 // divergences that are really interpreter skew.
 
-// EvalALU computes the result of a register-writing compute instruction.
-// a and b are the values of Ra and Rb; imm is the sign-extended
-// immediate. Ops outside the ALU set return 0.
+// EvalALU computes the result of a register-writing compute instruction:
+// it is total over the opcodes of units FX, SH, MUL and DIV other than
+// NOP (TestEvalALUTotal). a and b are the values of Ra and Rb; imm is
+// the sign-extended immediate. Ops outside that set return 0.
 func EvalALU(op Op, a, b, imm int64) int64 {
 	switch op {
+	case MOVI:
+		return imm
+	case MOVHI:
+		return imm << 32
+	case MOV:
+		return a
 	case ADD:
 		return a + b
 	case ADDI:

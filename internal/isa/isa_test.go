@@ -242,3 +242,68 @@ func TestBurstClasses(t *testing.T) {
 		t.Error("undefined opcode must be BurstNone")
 	}
 }
+
+// EvalALU is the one evaluator behind the SPU's reference path, its burst
+// kernel and the functional oracle, so a differential between them cannot
+// see an opcode it gets wrong or lacks: its values are pinned here, and
+// every register-writing compute opcode must have a row with a non-zero
+// result (a missing case returns 0).
+func TestEvalALUTotal(t *testing.T) {
+	rows := []struct {
+		op        Op
+		a, b, imm int64
+		want      int64
+	}{
+		{MOVI, -37, 5, 3, 3},
+		{MOVI, -37, 5, -3, -3},
+		{MOVHI, -37, 5, 3, 3 << 32},
+		{MOVHI, -37, 5, -1, -1 << 32},
+		{MOV, -37, 5, 3, -37},
+		{ADD, -37, 5, 3, -32},
+		{ADDI, -37, 5, 3, -34},
+		{SUB, -37, 5, 3, -42},
+		{SUBI, -37, 5, 3, -40},
+		{MUL, -37, 5, 3, -185},
+		{MULI, -37, 5, 3, -111},
+		{DIV, -37, 5, 3, -7},
+		{DIV, -37, 0, 3, 0},
+		{REM, -37, 5, 3, -2},
+		{REM, -37, 0, 3, 0},
+		{AND, -37, 5, 3, 1},
+		{ANDI, -37, 5, 3, 3},
+		{OR, -37, 5, 3, -33},
+		{ORI, -37, 5, 3, -37},
+		{XOR, -37, 5, 3, -34},
+		{XORI, -37, 5, 3, -40},
+		{SHL, -37, 5, 3, -1184},
+		{SHL, 1, 64 + 5, 3, 32},
+		{SHLI, -37, 5, 3, -296},
+		{SHR, -37, 5, 3, 1<<59 - 2},
+		{SHRI, -37, 5, 3, 1<<61 - 5},
+		{SRA, -37, 5, 3, -2},
+		{SRAI, -37, 5, 3, -5},
+		{CMPEQ, 9, 9, 3, 1},
+		{CMPEQ, -37, 5, 3, 0},
+		{CMPLT, -37, 5, 3, 1},
+		{CMPLT, 5, -37, 3, 0},
+		{CMPLTU, 5, -37, 3, 1},
+		{CMPLTU, -37, 5, 3, 0},
+	}
+	nonZero := map[Op]bool{}
+	for _, r := range rows {
+		if got := EvalALU(r.op, r.a, r.b, r.imm); got != r.want {
+			t.Errorf("EvalALU(%s, %d, %d, %d) = %d, want %d", r.op, r.a, r.b, r.imm, got, r.want)
+		}
+		if r.want != 0 {
+			nonZero[r.op] = true
+		}
+	}
+	for op := Op(0); int(op) < OpCount; op++ {
+		switch MustInfo(op).Unit {
+		case UnitFX, UnitSH, UnitMUL, UnitDIV:
+			if op != NOP && !nonZero[op] {
+				t.Errorf("%s: no row with a non-zero result", op)
+			}
+		}
+	}
+}

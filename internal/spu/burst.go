@@ -136,26 +136,6 @@ cycle:
 		var v int64
 		pc++
 		switch ins.Op {
-		case isa.MOVI:
-			v = int64(ins.Imm)
-		case isa.MOV:
-			v = s.regs[ins.Ra]
-		case isa.ADD:
-			v = s.regs[ins.Ra] + s.regs[ins.Rb]
-		case isa.ADDI:
-			v = s.regs[ins.Ra] + int64(ins.Imm)
-		case isa.SUB:
-			v = s.regs[ins.Ra] - s.regs[ins.Rb]
-		case isa.AND:
-			v = s.regs[ins.Ra] & s.regs[ins.Rb]
-		case isa.ANDI:
-			v = s.regs[ins.Ra] & int64(ins.Imm)
-		case isa.SHLI:
-			v = s.regs[ins.Ra] << (uint64(ins.Imm) & 63)
-		case isa.SHRI:
-			v = int64(uint64(s.regs[ins.Ra]) >> (uint64(ins.Imm) & 63))
-		case isa.MUL:
-			v = s.regs[ins.Ra] * s.regs[ins.Rb]
 		case isa.NOP:
 			rd = isa.RegZero
 		case isa.JMP, isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:

@@ -1,11 +1,13 @@
 package spu_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/isa"
 	"repro/internal/program"
 )
 
@@ -24,7 +26,8 @@ type kernelEdge struct {
 	pf      func(*program.Asm) // hand-written PF block fetching 64 bytes, if any
 	pl      func(*program.Asm) // defaults to a lone LOAD r9
 	ex      func(*program.Asm)
-	wantErr string // the run must fail with this at every window size
+	tokens  []int64 // the expected r1..r4, if set
+	wantErr string  // the run must fail with this at every window size
 }
 
 var kernelEdges = []kernelEdge{
@@ -146,6 +149,17 @@ var kernelEdges = []kernelEdge{
 		},
 	},
 	{
+		name: "Li of 64-bit constants",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 1)
+			ex.Li(program.R(1), 5<<32|7) // MOVHI + ORI, pre-executed
+			ex.Li(program.R(3), -3<<32|9)
+			ex.Li(program.R(4), 0x7fff_ffff_7fff_ffff)
+			ex.Add(program.R(2), program.R(2), program.R(1))
+		},
+		tokens: []int64{5<<32 | 7, 5<<32 | 8, -3<<32 | 9, 0x7fff_ffff_7fff_ffff},
+	},
+	{
 		name: "LSRD to a bad address",
 		arg:  1 << 40, // far outside the local store
 		ex: func(ex *program.Asm) {
@@ -212,39 +226,102 @@ func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, error) {
 	return m.Run()
 }
 
+// check runs e at every window size against the single-step reference.
+func (e kernelEdge) check(t *testing.T) {
+	ref, refErr := e.run(t, 1)
+	if e.wantErr == "" && refErr != nil {
+		t.Fatalf("single-step: %v", refErr)
+	}
+	if e.tokens != nil && !reflect.DeepEqual(ref.Tokens, e.tokens) {
+		t.Errorf("single-step: r1..r4 = %v, want %v", ref.Tokens, e.tokens)
+	}
+	for _, w := range edgeWindows {
+		got, err := e.run(t, w)
+		if e.wantErr != "" {
+			for _, err := range []error{refErr, err} {
+				if err == nil || !strings.Contains(err.Error(), e.wantErr) {
+					t.Fatalf("BurstMax %d: err = %v, want %q", w, err, e.wantErr)
+				}
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("BurstMax %d: %v", w, err)
+		}
+		if got.Cycles != ref.Cycles {
+			t.Errorf("BurstMax %d: end cycle %d, single-step %d", w, got.Cycles, ref.Cycles)
+		}
+		if !reflect.DeepEqual(got.Tokens, ref.Tokens) {
+			t.Errorf("BurstMax %d: r1..r4 = %v, single-step %v", w, got.Tokens, ref.Tokens)
+		}
+		if !reflect.DeepEqual(got.SPUs, ref.SPUs) {
+			t.Errorf("BurstMax %d: stats\n got %+v\nwant %+v", w, got.SPUs, ref.SPUs)
+		}
+		if !got.Prof.Equal(ref.Prof) {
+			t.Errorf("BurstMax %d: guest profile differs from single-step", w)
+		}
+	}
+}
+
 func TestBurstKernelEdges(t *testing.T) {
 	for _, e := range kernelEdges {
-		t.Run(e.name, func(t *testing.T) {
-			ref, refErr := e.run(t, 1)
-			if e.wantErr == "" && refErr != nil {
-				t.Fatalf("single-step: %v", refErr)
+		t.Run(e.name, e.check)
+	}
+}
+
+// Every register-writing compute opcode, executed inside a window. The
+// instruction under test is issued twice back to back behind leading
+// compute, so at every window size above 1 at least one of the two
+// copies is a pre-executed cycle (the compute slot issues one per cycle
+// and a reference cycle is never followed by another); trailing compute
+// keeps its pair register-only. Both copies must produce isa.EvalALU's
+// value, which TestEvalALUTotal pins to literals, and the usual
+// single-step identity must hold. The operand sets make every opcode
+// produce a non-zero result at least once.
+func TestBurstKernelOpcodes(t *testing.T) {
+	operands := []struct{ a, b, imm int32 }{{-37, 5, 3}, {9, 9, 2}, {5, -37, 3}}
+	for op := isa.Op(0); int(op) < isa.OpCount; op++ {
+		info := isa.MustInfo(op)
+		switch info.Unit {
+		case isa.UnitFX, isa.UnitSH, isa.UnitMUL, isa.UnitDIV:
+		default:
+			continue
+		}
+		if op == isa.NOP {
+			continue
+		}
+		for _, o := range operands {
+			ins := isa.Instruction{Op: op, Rd: 1, Imm: o.imm}
+			var a, b int64
+			switch info.Fmt {
+			case isa.FmtRdImm:
+			case isa.FmtRdRa, isa.FmtRdRaImm:
+				ins.Ra, a = 2, int64(o.a)
+			case isa.FmtRdRaRb:
+				ins.Ra, a, ins.Rb, b = 2, int64(o.a), 3, int64(o.b)
+			default:
+				t.Fatalf("%s: unexpected format %d", op, info.Fmt)
 			}
-			for _, w := range edgeWindows {
-				got, err := e.run(t, w)
-				if e.wantErr != "" {
-					for _, err := range []error{refErr, err} {
-						if err == nil || !strings.Contains(err.Error(), e.wantErr) {
-							t.Fatalf("BurstMax %d: err = %v, want %q", w, err, e.wantErr)
-						}
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("BurstMax %d: %v", w, err)
-				}
-				if got.Cycles != ref.Cycles {
-					t.Errorf("BurstMax %d: end cycle %d, single-step %d", w, got.Cycles, ref.Cycles)
-				}
-				if !reflect.DeepEqual(got.Tokens, ref.Tokens) {
-					t.Errorf("BurstMax %d: r1..r4 = %v, single-step %v", w, got.Tokens, ref.Tokens)
-				}
-				if !reflect.DeepEqual(got.SPUs, ref.SPUs) {
-					t.Errorf("BurstMax %d: stats\n got %+v\nwant %+v", w, got.SPUs, ref.SPUs)
-				}
-				if !got.Prof.Equal(ref.Prof) {
-					t.Errorf("BurstMax %d: guest profile differs from single-step", w)
-				}
+			if info.Fmt == isa.FmtRdRa || info.Fmt == isa.FmtRdRaRb {
+				ins.Imm = 0
 			}
-		})
+			want := isa.EvalALU(op, a, b, int64(ins.Imm))
+			e := kernelEdge{
+				ex: func(ex *program.Asm) {
+					ex.Movi(program.R(2), o.a)
+					ex.Movi(program.R(3), o.b)
+					ex.Addi(program.R(5), program.R(2), 1)
+					ex.Addi(program.R(6), program.R(3), 1)
+					ex.Emit(ins)
+					ins4 := ins
+					ins4.Rd = 4
+					ex.Emit(ins4)
+					ex.Add(program.R(5), program.R(5), program.R(6))
+					ex.Addi(program.R(6), program.R(5), 1)
+				},
+				tokens: []int64{want, int64(o.a), int64(o.b), want},
+			}
+			t.Run(fmt.Sprintf("%s/%d,%d,%d", op, o.a, o.b, o.imm), e.check)
+		}
 	}
 }

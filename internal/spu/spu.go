@@ -965,17 +965,8 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 	case isa.NOP:
 		adv()
 
-	case isa.MOVI:
-		s.setReg(ins.Rd, int64(ins.Imm), now+sim.Cycle(u.lat), prodALU)
-		adv()
-	case isa.MOVHI:
-		s.setReg(ins.Rd, int64(ins.Imm)<<32, now+sim.Cycle(u.lat), prodALU)
-		adv()
-	case isa.MOV:
-		s.setReg(ins.Rd, r(ins.Ra), now+sim.Cycle(u.lat), prodALU)
-		adv()
-
-	case isa.ADD, isa.ADDI, isa.SUB, isa.SUBI, isa.MUL, isa.MULI, isa.DIV,
+	case isa.MOVI, isa.MOVHI, isa.MOV,
+		isa.ADD, isa.ADDI, isa.SUB, isa.SUBI, isa.MUL, isa.MULI, isa.DIV,
 		isa.REM, isa.AND, isa.ANDI, isa.OR, isa.ORI, isa.XOR, isa.XORI,
 		isa.SHL, isa.SHLI, isa.SHR, isa.SHRI, isa.SRA, isa.SRAI,
 		isa.CMPEQ, isa.CMPLT, isa.CMPLTU:

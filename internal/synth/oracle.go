@@ -249,14 +249,8 @@ func (o *oracle) runThread(th *oThread) error {
 			switch ins.Op {
 			case isa.NOP:
 
-			case isa.MOVI:
-				set(ins.Rd, int64(ins.Imm))
-			case isa.MOVHI:
-				set(ins.Rd, int64(ins.Imm)<<32)
-			case isa.MOV:
-				set(ins.Rd, a)
-
-			case isa.ADD, isa.ADDI, isa.SUB, isa.SUBI, isa.MUL, isa.MULI,
+			case isa.MOVI, isa.MOVHI, isa.MOV,
+				isa.ADD, isa.ADDI, isa.SUB, isa.SUBI, isa.MUL, isa.MULI,
 				isa.DIV, isa.REM, isa.AND, isa.ANDI, isa.OR, isa.ORI,
 				isa.XOR, isa.XORI, isa.SHL, isa.SHLI, isa.SHR, isa.SHRI,
 				isa.SRA, isa.SRAI, isa.CMPEQ, isa.CMPLT, isa.CMPLTU:
