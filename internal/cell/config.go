@@ -83,6 +83,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cell: local store (%d B) cannot hold %d frames",
 			c.LS.SizeBytes, c.LSE.NumFrames)
 	}
+	// A negative latency would let an effect land before its cause; the
+	// network in particular relies on a delivery lying after its Send.
+	for _, lat := range []struct {
+		field string
+		v     int
+	}{
+		{"Mem.Latency", c.Mem.Latency},
+		{"Noc.HopLatency", c.Noc.HopLatency},
+		{"MFC.CmdLatency", c.MFC.CmdLatency},
+		{"LS.Latency", c.LS.Latency},
+	} {
+		if lat.v < 0 {
+			return fmt.Errorf("cell: negative %s = %d", lat.field, lat.v)
+		}
+	}
 	return nil
 }
 

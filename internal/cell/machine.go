@@ -107,6 +107,12 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 	m.net = noc.New(cfg.Noc)
 	m.net.Rec = m.rec
 	netHandle := m.eng.Register(m.net)
+	if netHandle.ID() != 0 {
+		// noc.Network.Send reads the arbitration-queue depth off the send
+		// cycle, which is exact only if the network has ticked before any
+		// sender in a cycle.
+		panic("cell: the network must be the engine's first component")
+	}
 	m.net.Attach(netHandle)
 
 	m.memory = mem.New(cfg.Mem, cfg.memEP(), m.net)
@@ -163,11 +169,9 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		// addressed to this SPE's MFC or LSE matter.
 		m.net.DeclareTouchGroup(i, cfg.mfcEP(i), lseEP(i))
 		pipe.SetLSWiring(spu.LSWiring{
-			NetID: netHandle.ID(), LSEID: lseHandle.ID(), MFCID: mfcHandle.ID(),
-			MemID:      memHandle.ID(),
+			LSEID: lseHandle.ID(), MFCID: mfcHandle.ID(), MemID: memHandle.ID(),
 			TouchGroup: i,
 			ChainLat:   cfg.Noc.MinDeliveryLatency(),
-			GrantLag:   m.net.DeliveryLagLB(),
 		})
 
 		// Cross-wiring.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/program"
@@ -418,6 +419,27 @@ func TestConfigValidation(t *testing.T) {
 	cfg.LS.SizeBytes = 1024
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("accepted tiny local store")
+	}
+	for field, set := range map[string]func(*Config){
+		"Mem.Latency":    func(c *Config) { c.Mem.Latency = -5 },
+		"Noc.HopLatency": func(c *Config) { c.Noc.HopLatency = -1 },
+		"MFC.CmdLatency": func(c *Config) { c.MFC.CmdLatency = -30 },
+		"LS.Latency":     func(c *Config) { c.LS.Latency = -6 },
+	} {
+		cfg = DefaultConfig()
+		set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("negative %s: error %v does not name the field", field, err)
+		}
+		if _, err := New(cfg, progForkJoin(t, 2)); err == nil {
+			t.Fatalf("New accepted a negative %s", field)
+		}
+	}
+	// Zero latencies stay legal (the lat1 study runs memory at 1).
+	cfg = DefaultConfig()
+	cfg.Mem.Latency, cfg.Noc.HopLatency, cfg.MFC.CmdLatency, cfg.LS.Latency = 0, 0, 0, 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("zero latencies rejected: %v", err)
 	}
 }
 

@@ -128,11 +128,11 @@ func TestRecordedSpansMatchStats(t *testing.T) {
 		}
 	}
 
-	// Spans are recorded at bus grant with the scheduled delivery time;
-	// stats count actual deliveries. The run stops the moment the result
-	// mailbox fills, so a handful of trailing messages (final acks) can
-	// be granted but still in flight — spans may exceed deliveries by
-	// that small tail, never the reverse.
+	// Spans are recorded at send with the delivery cycle the network
+	// fixed there; stats count actual deliveries. The run stops the
+	// moment the result mailbox fills, so a handful of trailing messages
+	// (final acks) can be sent but still in flight — spans may exceed
+	// deliveries by that small tail, never the reverse.
 	got := int64(len(rec.NoCSpans()))
 	if got < res.Net.Messages {
 		t.Fatalf("NoC spans = %d < %d delivered messages (missed spans)", got, res.Net.Messages)

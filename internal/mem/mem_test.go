@@ -179,6 +179,63 @@ func TestScalarReadLatency(t *testing.T) {
 	}
 }
 
+// TestServiceCycleRule pins when a delivered request is serviced (see
+// Memory.Deliver): the cycle after its delivery when the memory is idle,
+// the delivery cycle itself when the memory was already due on it — and
+// then the delivery's own wake for the next cycle is dropped by the
+// engine, so no tick follows it.
+func TestServiceCycleRule(t *testing.T) {
+	// The harness network delivers a request 7 cycles after its Send
+	// (grant +1, 2 cycles on the bus, 4 hops) and a read response 8
+	// cycles after the memory sends it. Two ports, so that two requests
+	// serviced on one cycle do not serialise and hide the rule.
+	const reqLag, respLag, lat = 7, 8, 10
+	read := noc.Message{Src: 1, Dst: 100, Kind: noc.KindMemRead32, A: 0x40}
+	for _, tc := range []struct {
+		name      string
+		sends     []sim.Cycle // Send cycles of the requests
+		at        sim.Cycle   // delivery cycle of the last request
+		servedAt  int64       // requests serviced once cycle `at` has run
+		nextTick  sim.Cycle   // the memory's next scheduled cycle after it
+		responses []sim.Cycle // cycles the client receives the responses
+	}{
+		// Idle memory: delivered at 7, serviced at 8.
+		{"idle", []sim.Cycle{0}, reqLag, 0, reqLag + 1,
+			[]sim.Cycle{reqLag + 1 + lat + respLag}},
+		// A response to send on the delivery cycle: the first request is
+		// serviced at 8, so its response is due at 18; the second is
+		// delivered at 18, serviced at 18, and nothing runs at 19.
+		{"response due", []sim.Cycle{0, 1 + lat}, reqLag + 1 + lat, 2, reqLag + 1 + 2*lat,
+			[]sim.Cycle{reqLag + 1 + lat + respLag, reqLag + 1 + 2*lat + respLag}},
+		// A service tick owed from a delivery on the cycle before:
+		// delivered at 7 and 8, both serviced at 8, and nothing runs at 9.
+		{"owed tick", []sim.Cycle{0, 1}, reqLag + 1, 2, reqLag + 1 + lat,
+			[]sim.Cycle{reqLag + 1 + lat + respLag, reqLag + 1 + lat + respLag}},
+	} {
+		cfg := Config{SizeBytes: 1 << 20, Latency: lat, Ports: 2, PortWidth: 32, PacketBytes: 128}
+		h := newMemHarness(t, cfg)
+		for _, s := range tc.sends {
+			h.net.Send(s, read)
+		}
+		h.e.RunUntil(tc.at + 1) // runs every cycle up to and including at
+		if got := h.m.Stats().ScalarReads; got != tc.servedAt {
+			t.Errorf("%s: %d requests serviced by cycle %d, want %d", tc.name, got, tc.at, tc.servedAt)
+		}
+		if got := h.e.NextScheduled(h.m.handle.ID()); got != tc.nextTick {
+			t.Errorf("%s: memory next scheduled at %d after cycle %d, want %d", tc.name, got, tc.at, tc.nextTick)
+		}
+		h.runUntilQuiet(t, 1000)
+		if len(h.at) != len(tc.responses) {
+			t.Fatalf("%s: %d responses, want %d", tc.name, len(h.at), len(tc.responses))
+		}
+		for i, want := range tc.responses {
+			if h.at[i] != want {
+				t.Errorf("%s: response %d at cycle %d, want %d", tc.name, i, h.at[i], want)
+			}
+		}
+	}
+}
+
 func TestScalarWriteIsFunctional(t *testing.T) {
 	h := newMemHarness(t, DefaultConfig())
 	h.net.Send(0, noc.Message{Src: 1, Dst: 100, Kind: noc.KindMemWrite32, A: 0x80, B: -123})

@@ -126,7 +126,18 @@ func (m *Memory) Reset() {
 	m.stats = Stats{}
 }
 
-// Deliver implements noc.Endpoint.
+// Deliver implements noc.Endpoint: it queues the request and asks for a
+// tick on the next cycle. When the request is serviced follows from how
+// the engine merges that wake, and the timing of every run depends on
+// it (TestServiceCycleRule pins the cases):
+//
+//   - the memory is not due at now: the request is serviced at now+1;
+//   - the memory is already due at now — a response to send, or the
+//     service tick owed to a delivery at now-1 — and, ticking after the
+//     network in the pass, services the request at now with the rest of
+//     its inbox. The wake for now+1 is dropped (sim.Engine.wake ignores
+//     a wake for a component still pending in the current pass), so the
+//     delivery earns no tick of its own at now+1.
 func (m *Memory) Deliver(now sim.Cycle, msg noc.Message) {
 	m.inbox = append(m.inbox, msg)
 	if m.handle != nil {
@@ -178,7 +189,9 @@ func (m *Memory) occupancyFor(n int) sim.Cycle {
 	return occ
 }
 
-// Tick services queued requests and sends due responses.
+// Tick services every queued request — all of them at now, including
+// one delivered earlier in this same pass (see Deliver) — and sends the
+// responses due. It asks to run again only for the next response.
 func (m *Memory) Tick(now sim.Cycle) sim.Cycle {
 	for _, msg := range m.inbox {
 		m.service(now, msg)

@@ -3,6 +3,13 @@
 // cycle each, 32 bytes per cycle aggregate) carrying both the DTA
 // scheduler protocol (FALLOC/FFREE/remote stores) and all memory traffic
 // (blocking READ/WRITE accesses and DMA block transfers).
+//
+// Arbitration is FIFO in send order over identical buses, so a message's
+// bus, grant cycle and delivery cycle are fixed the moment it is sent:
+// Network.Send works them out and the network costs the engine one event
+// per message, the tick that delivers it. The tick-driven arbiter this
+// replaced — one tick to grant a bus, one to deliver — lives on as the
+// reference model of the package's tests.
 package noc
 
 import "fmt"

@@ -26,27 +26,25 @@ func DefaultConfig() Config {
 	return Config{Buses: 4, BytesPerCyc: 8, HopLatency: 4}
 }
 
-// minOccupancy returns the fewest bus cycles any message can occupy:
-// even an empty payload carries the HeaderBytes wire header.
-func (c Config) minOccupancy() sim.Cycle {
-	occ := sim.Cycle((HeaderBytes + c.BytesPerCyc - 1) / c.BytesPerCyc)
-	if occ < 1 {
-		occ = 1
-	}
-	return occ
+// occupancy returns the bus cycles a message of wire bytes occupies.
+func (c Config) occupancy(wire int) sim.Cycle {
+	return sim.Cycle(max(1, (wire+c.BytesPerCyc-1)/c.BytesPerCyc))
 }
 
+// minOccupancy returns the fewest bus cycles any message can occupy:
+// even an empty payload carries the HeaderBytes wire header.
+func (c Config) minOccupancy() sim.Cycle { return c.occupancy(HeaderBytes) }
+
 // MinDeliveryLatency returns a lower bound on the cycles between a Send
-// at cycle c and that message's delivery: arbitration starts the cycle
-// after injection (Tick skips messages with arrival >= now), the bus
-// transfer occupies at least minOccupancy cycles (every message carries
-// the HeaderBytes header), and HopLatency is added on top. The SPU's
-// local-store burst window leans on this bound: an effect another
-// component originates at or after the component-agnostic quiescence
-// horizon cannot reach a local-store-writing endpoint any sooner. A
-// change to the arbitration rules or wire format that lets a message
-// deliver faster must update this bound (TestMinDeliveryLatency pins
-// it).
+// at cycle c and that message's delivery: a bus is granted no earlier
+// than the cycle after injection, the bus transfer occupies at least
+// minOccupancy cycles (every message carries the HeaderBytes header),
+// and HopLatency is added on top. The SPU's local-store burst window
+// leans on this bound: an effect another component originates at or
+// after the component-agnostic quiescence horizon cannot reach a
+// local-store-writing endpoint any sooner. A change to the arbitration
+// rules or wire format that lets a message deliver faster must update
+// this bound (TestMinDeliveryLatency pins it).
 func (c Config) MinDeliveryLatency() sim.Cycle {
 	return 1 + c.minOccupancy() + sim.Cycle(c.HopLatency)
 }
@@ -59,15 +57,17 @@ type Stats struct {
 	MaxQueue   int   // high-water mark of the arbitration queue
 }
 
-type pending struct {
-	msg     Message
-	arrival sim.Cycle // when the sender handed the message over
-	seq     int64     // tiebreak for deterministic FIFO ordering
+// grant is the bus booking of one sent message whose grant cycle a
+// sender has not yet seen pass (see Network.settle).
+type grant struct {
+	at   sim.Cycle // cycle the message gets its bus
+	occ  int32     // bus cycles it occupies
+	wire int32     // bytes it puts on the bus
 }
 
-// delRef is one in-flight transfer in the delivery heap. The payload
-// Message lives in a slab (delSlab) so heap sifts move 24-byte refs
-// instead of ~100-byte messages, and the touch-group scan
+// delRef is one sent, undelivered message in the delivery heap. The
+// payload Message lives in a slab (delSlab) so heap sifts move 24-byte
+// refs instead of ~100-byte messages, and the touch-group scan
 // (EarliestDeliveryTo) reads only this compact array.
 type delRef struct {
 	at   sim.Cycle
@@ -85,9 +85,11 @@ func (d delRef) Before(o delRef) bool {
 	return d.seq < o.seq
 }
 
-// Network is the interconnect component. Senders call Send; the network
-// arbitrates the queued messages onto buses in FIFO order and calls the
-// destination Endpoint when the transfer completes.
+// Network is the interconnect component. Arbitration is FIFO in send
+// order and a grant never frees a bus, so everything about a message's
+// transit — grant cycle, bus, occupancy, delivery cycle — is already
+// decided when it is sent. Send computes it and files the delivery; the
+// network's only engine event per message is the Tick that delivers it.
 type Network struct {
 	cfg    Config
 	handle *sim.Handle
@@ -95,19 +97,21 @@ type Network struct {
 	// small consecutive ids, and endpoint lookup is on the per-message
 	// hot path.
 	eps []Endpoint
-	// queue is a FIFO with an explicit head cursor: arbitration consumes
-	// from qHead instead of rebuilding the slice every tick. Arrivals
-	// are non-decreasing and granting never frees a bus, so the first
-	// blocked message blocks every later one and head-order consumption
-	// is exactly the old full-scan behaviour.
-	queue   []pending
-	qHead   int
+	// busFree[i] is the cycle bus i finishes its last booked transfer.
 	busFree []sim.Cycle
-	dels    []delRef
-	delSlab []Message
-	delFree []int32
-	seq     int64
-	stats   Stats
+	// grants is a ring (power-of-two capacity, gLen entries from gHead)
+	// of the bookings whose grant cycle no sender has seen pass yet, in
+	// send order — which is also grant order, since grant cycles never
+	// decrease along the FIFO. It exists for the statistics alone: its
+	// length is the arbitration-queue depth a sender sees, and a booking
+	// enters BusyCycles/Bytes when it leaves the ring (settle).
+	grants      []grant
+	gHead, gLen int
+	dels        []delRef
+	delSlab     []Message
+	delFree     []int32
+	seq         int64
+	stats       Stats
 
 	// bufs is the machine's packet-buffer free list: DMA data packets
 	// (memory block reads, MFC PUT streams) borrow buffers here instead
@@ -118,19 +122,17 @@ type Network struct {
 	bufs [][]byte
 
 	// Touch groups (DeclareTouchGroup): epGroup maps an endpoint id to
-	// its group (-1 when unwatched); queuedTo counts the messages
-	// addressed to each group that still await arbitration and
-	// flightTo the ones on a bus awaiting delivery. The SPU's
-	// local-store burst window uses them to ask when the network could
+	// its group (-1 when unwatched) and flightTo counts the sent,
+	// undelivered messages addressed to each group. The SPU's
+	// local-store burst window uses them to ask when the network will
 	// next deliver into one SPE's local store, without being clamped by
-	// traffic for every other endpoint; flightTo lets the in-flight
-	// scan short-circuit in the common no-traffic case.
+	// traffic for every other endpoint; flightTo lets the scan
+	// short-circuit in the common no-traffic case.
 	epGroup  []int16
-	queuedTo []int32
 	flightTo []int32
 
-	// Rec, when non-nil, receives one message-transit span per granted
-	// message (arrival at the queue -> delivery at the destination).
+	// Rec, when non-nil, receives one message-transit span per message
+	// (send -> delivery at the destination), recorded at Send.
 	Rec *trace.Recorder
 }
 
@@ -211,20 +213,19 @@ func (n *Network) endpoint(id int) Endpoint {
 }
 
 // DeclareTouchGroup associates endpoints with a small group id so the
-// per-group message state (QueuedTo, EarliestDeliveryTo) is tracked.
-// The CellDTA machine declares one group per SPE, holding the SPE's
-// MFC and LSE endpoints — the only endpoints whose deliveries can
-// mutate that SPE's local store. An endpoint belongs to at most one
-// group, declared once at machine construction: moving an endpoint
-// whose messages are already queued or in flight would corrupt the
-// per-group counters (and with them the SPU burst window), so
-// re-declaring an endpoint into a different group panics.
+// per-group message state (EarliestDeliveryTo) is tracked. The CellDTA
+// machine declares one group per SPE, holding the SPE's MFC and LSE
+// endpoints — the only endpoints whose deliveries can mutate that SPE's
+// local store. An endpoint belongs to at most one group, declared once
+// at machine construction: moving an endpoint whose messages are
+// already in flight would corrupt the per-group counters (and with them
+// the SPU burst window), so re-declaring an endpoint into a different
+// group panics.
 func (n *Network) DeclareTouchGroup(group int, eps ...int) {
 	if group < 0 {
 		panic(fmt.Sprintf("noc: negative touch group %d", group))
 	}
-	for group >= len(n.queuedTo) {
-		n.queuedTo = append(n.queuedTo, 0)
+	for group >= len(n.flightTo) {
 		n.flightTo = append(n.flightTo, 0)
 	}
 	for _, ep := range eps {
@@ -249,19 +250,11 @@ func (n *Network) groupOf(dst int) int16 {
 	return n.epGroup[dst]
 }
 
-// QueuedTo reports whether any message addressed to the group is still
-// waiting for arbitration. While true, a delivery to the group can
-// follow as soon as DeliveryLagLB cycles after the network's next tick
-// (the earliest a grant can happen).
-func (n *Network) QueuedTo(group int) bool {
-	return group >= 0 && group < len(n.queuedTo) && n.queuedTo[group] > 0
-}
-
-// EarliestDeliveryTo returns the earliest in-flight delivery cycle to
-// any endpoint of the group, or sim.Never when nothing addressed to
-// the group is on a bus. In-flight transfers deliver exactly at their
-// recorded cycle, so the result is exact, not a bound. The per-group
-// in-flight count makes the common no-traffic case O(1).
+// EarliestDeliveryTo returns the cycle of the earliest delivery to any
+// endpoint of the group among the messages sent so far, or sim.Never
+// when none is under way. Every sent message has its delivery cycle
+// fixed at Send, so the result is exact, not a bound. The per-group
+// count makes the common no-traffic case O(1).
 func (n *Network) EarliestDeliveryTo(group int) sim.Cycle {
 	if group < 0 || group >= len(n.flightTo) || n.flightTo[group] == 0 {
 		return sim.Never
@@ -275,25 +268,57 @@ func (n *Network) EarliestDeliveryTo(group int) sim.Cycle {
 	return min
 }
 
-// DeliveryLagLB returns a lower bound on the cycles between a bus
-// grant (which happens during a network tick) and the corresponding
-// delivery: the minimum bus occupancy plus the hop latency.
-func (n *Network) DeliveryLagLB() sim.Cycle {
-	return n.cfg.minOccupancy() + sim.Cycle(n.cfg.HopLatency)
+// settle retires the bookings whose grant cycle is at or before now:
+// they leave the arbitration queue and enter BusyCycles and Bytes. The
+// statistics count a message from its grant, not from its Send, so a
+// run that stops with messages still waiting for a bus does not report
+// transfers that never started.
+func (n *Network) settle(now sim.Cycle) {
+	for n.gLen > 0 {
+		g := &n.grants[n.gHead]
+		if g.at > now {
+			return
+		}
+		n.stats.BusyCycles += int64(g.occ)
+		n.stats.Bytes += int64(g.wire)
+		n.gHead = (n.gHead + 1) & (len(n.grants) - 1)
+		n.gLen--
+	}
 }
 
-// Stats returns a copy of the accumulated statistics.
-func (n *Network) Stats() Stats { return n.stats }
+// settleToClock settles against the engine clock, for the readers that
+// have no cycle of their own to pass.
+func (n *Network) settleToClock() {
+	if e := n.handle.Engine(); e != nil {
+		n.settle(e.Now())
+	}
+}
+
+// pushGrant appends a booking to the ring, doubling it when full.
+func (n *Network) pushGrant(g grant) {
+	if n.gLen == len(n.grants) {
+		grown := make([]grant, max(8, 2*len(n.grants)))
+		for i := 0; i < n.gLen; i++ {
+			grown[i] = n.grants[(n.gHead+i)&(len(n.grants)-1)]
+		}
+		n.grants, n.gHead = grown, 0
+	}
+	n.grants[(n.gHead+n.gLen)&(len(n.grants)-1)] = g
+	n.gLen++
+}
+
+// Stats returns a copy of the statistics as of the engine's current
+// cycle.
+func (n *Network) Stats() Stats {
+	n.settleToClock()
+	return n.stats
+}
 
 // Reset clears all in-flight traffic, bus bookings and statistics for
 // machine reuse. Endpoint registrations and the packet-buffer pool are
 // kept.
 func (n *Network) Reset() {
-	for i := n.qHead; i < len(n.queue); i++ {
-		n.queue[i] = pending{}
-	}
-	n.queue = n.queue[:0]
-	n.qHead = 0
+	n.gHead, n.gLen = 0, 0
 	n.dels = n.dels[:0]
 	for i := range n.delSlab {
 		n.delSlab[i] = Message{} // release payload references
@@ -303,9 +328,6 @@ func (n *Network) Reset() {
 	for i := range n.busFree {
 		n.busFree[i] = 0
 	}
-	for i := range n.queuedTo {
-		n.queuedTo[i] = 0
-	}
 	for i := range n.flightTo {
 		n.flightTo[i] = 0
 	}
@@ -313,89 +335,73 @@ func (n *Network) Reset() {
 	n.stats = Stats{}
 }
 
-// Send queues a message for transfer. The message starts arbitration on
-// the next cycle (a sender cannot inject and transfer in the same cycle).
+// Send hands a message to the network at cycle now and decides its whole
+// transit on the spot. The rule is that of a tick-driven FIFO arbiter
+// (the reference model in network_test.go): the head of the queue gets
+// a bus on the first cycle after its injection on which one is free —
+// the earliest-free bus, lowest index on ties — and a blocked head
+// blocks the rest. Send cycles never decrease and a grant only pushes a
+// bus's free cycle out, so that decision depends on nothing sent later:
+//
+//	grant    = max(now+1, free cycle of the earliest-free bus)
+//	delivery = grant + occupancy + HopLatency
+//
+// Queue depth is what such an arbiter's sender sees: this message plus
+// the earlier ones whose grant cycle is still ahead of now. That is
+// exact because the network is the engine's first component — by the
+// time anything sends at cycle now, the grants of cycle now have
+// happened (the machine asserts the registration index).
 func (n *Network) Send(now sim.Cycle, m Message) {
 	if n.endpoint(m.Dst) == nil {
 		panic(fmt.Sprintf("noc: send to unregistered endpoint: %s", m))
 	}
+	n.settle(now)
+	bus := 0
+	for i := 1; i < len(n.busFree); i++ {
+		if n.busFree[i] < n.busFree[bus] {
+			bus = i
+		}
+	}
+	granted := max(now+1, n.busFree[bus])
+	wire := m.WireSize()
+	occ := n.cfg.occupancy(wire)
+	n.busFree[bus] = granted + occ
+	n.pushGrant(grant{at: granted, occ: int32(occ), wire: int32(wire)})
+	if n.gLen > n.stats.MaxQueue {
+		n.stats.MaxQueue = n.gLen
+	}
+	at := granted + occ + sim.Cycle(n.cfg.HopLatency)
+	if n.Rec != nil {
+		n.Rec.NoC(m.Src, m.Dst, uint8(m.Kind), wire, now, at)
+	}
+
+	g := n.groupOf(m.Dst)
+	if g >= 0 {
+		n.flightTo[g]++
+	}
+	var slot int32
+	if k := len(n.delFree); k > 0 {
+		slot = n.delFree[k-1]
+		n.delFree = n.delFree[:k-1]
+	} else {
+		n.delSlab = append(n.delSlab, Message{})
+		slot = int32(len(n.delSlab) - 1)
+	}
+	n.delSlab[slot] = m
+	// The network is always scheduled for its earliest delivery (Tick
+	// returns it), so only a new earliest needs a wake.
+	if len(n.dels) == 0 || at < n.dels[0].at {
+		n.handle.Wake(at)
+	}
 	n.seq++
-	if g := n.groupOf(m.Dst); g >= 0 {
-		n.queuedTo[g]++
-	}
-	n.queue = append(n.queue, pending{msg: m, arrival: now, seq: n.seq})
-	if q := len(n.queue) - n.qHead; q > n.stats.MaxQueue {
-		n.stats.MaxQueue = q
-	}
-	if n.handle != nil {
-		n.handle.Wake(now + 1)
-	}
+	sim.HeapPush(&n.dels, delRef{at: at, seq: n.seq, slot: slot, grp: g})
 }
 
-// Tick arbitrates queued messages onto buses and completes deliveries.
+// Tick completes the deliveries due at now, in (delivery cycle, send
+// order) — a Send made by an endpoint from inside Deliver lands at least
+// MinDeliveryLatency cycles ahead and never joins the loop that made it
+// — and returns the next delivery cycle.
 func (n *Network) Tick(now sim.Cycle) sim.Cycle {
-	// Grant buses to queued messages in FIFO order. A message may start
-	// once it has been queued for at least one cycle and some bus is
-	// free. Arrivals are non-decreasing and a grant never frees a bus,
-	// so the first message that cannot start blocks the rest: consume
-	// from the head and stop at the first blocked entry.
-	for n.qHead < len(n.queue) {
-		p := &n.queue[n.qHead]
-		if p.arrival >= now {
-			break
-		}
-		// Earliest-free bus; deterministic tiebreak by index.
-		best := -1
-		for i := range n.busFree {
-			if n.busFree[i] <= now && (best == -1 || n.busFree[i] < n.busFree[best]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		occ := sim.Cycle((p.msg.WireSize() + n.cfg.BytesPerCyc - 1) / n.cfg.BytesPerCyc)
-		if occ < 1 {
-			occ = 1
-		}
-		if n.Rec != nil {
-			n.Rec.NoC(p.msg.Src, p.msg.Dst, uint8(p.msg.Kind), p.msg.WireSize(),
-				p.arrival, now+occ+sim.Cycle(n.cfg.HopLatency))
-		}
-		n.busFree[best] = now + occ
-		n.stats.BusyCycles += int64(occ)
-		n.stats.Bytes += int64(p.msg.WireSize())
-		n.seq++
-		g := n.groupOf(p.msg.Dst)
-		if g >= 0 {
-			n.queuedTo[g]-- // granted: now visible to EarliestDeliveryTo
-			n.flightTo[g]++
-		}
-		var slot int32
-		if k := len(n.delFree); k > 0 {
-			slot = n.delFree[k-1]
-			n.delFree = n.delFree[:k-1]
-		} else {
-			n.delSlab = append(n.delSlab, Message{})
-			slot = int32(len(n.delSlab) - 1)
-		}
-		n.delSlab[slot] = p.msg
-		sim.HeapPush(&n.dels, delRef{at: now + occ + sim.Cycle(n.cfg.HopLatency), seq: p.seq, slot: slot, grp: g})
-		n.queue[n.qHead] = pending{} // release Data for the GC
-		n.qHead++
-	}
-	if n.qHead == len(n.queue) {
-		n.queue = n.queue[:0]
-		n.qHead = 0
-	} else if n.qHead > 256 && n.qHead*2 >= len(n.queue) {
-		// Compact once the dead prefix dominates so the slice does not
-		// grow without bound on a persistently backlogged network.
-		kept := copy(n.queue, n.queue[n.qHead:])
-		n.queue = n.queue[:kept]
-		n.qHead = 0
-	}
-
-	// Complete due deliveries.
 	for len(n.dels) > 0 && n.dels[0].at <= now {
 		d := sim.HeapPop(&n.dels)
 		if d.grp >= 0 {
@@ -407,35 +413,14 @@ func (n *Network) Tick(now sim.Cycle) sim.Cycle {
 		n.stats.Messages++
 		n.eps[msg.Dst].Deliver(now, msg)
 	}
-
-	return n.nextEvent(now)
-}
-
-func (n *Network) nextEvent(now sim.Cycle) sim.Cycle {
-	next := sim.Never
-	if n.qHead < len(n.queue) {
-		// Either waiting for a bus or for the injection delay.
-		earliest := now + 1
-		busAt := sim.Never
-		for _, f := range n.busFree {
-			if f < busAt {
-				busAt = f
-			}
-		}
-		if busAt > earliest {
-			earliest = busAt
-		}
-		if earliest < next {
-			next = earliest
-		}
+	if len(n.dels) > 0 {
+		return n.dels[0].at
 	}
-	if len(n.dels) > 0 && n.dels[0].at < next {
-		next = n.dels[0].at
-	}
-	return next
+	return sim.Never
 }
 
 // DumpState implements sim.StateDumper.
 func (n *Network) DumpState() string {
-	return fmt.Sprintf("queued=%d in-flight=%d", len(n.queue)-n.qHead, len(n.dels))
+	n.settleToClock()
+	return fmt.Sprintf("queued=%d in-flight=%d", n.gLen, len(n.dels)-n.gLen)
 }

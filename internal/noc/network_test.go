@@ -1,9 +1,11 @@
 package noc
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/snap"
 )
 
 // sink records deliveries.
@@ -259,55 +261,406 @@ func TestMinDeliveryLatency(t *testing.T) {
 	}
 }
 
-// Touch groups: queued/in-flight message state per endpoint group, the
-// network's half of the SPU's local-store burst window.
+// Touch groups: the per-group delivery cycles, the network's half of the
+// SPU's local-store burst window. A message has its exact delivery
+// cycle from the moment it is sent.
 func TestTouchGroupTracking(t *testing.T) {
-	n := New(DefaultConfig())
+	n := New(Config{Buses: 1, BytesPerCyc: 8, HopLatency: 4})
 	watched := &sink{}
 	other := &sink{}
 	n.Register(1, watched)
 	n.Register(2, other)
 	n.DeclareTouchGroup(0, 1)
 
-	if n.QueuedTo(0) {
-		t.Fatal("QueuedTo true with no traffic")
-	}
 	if got := n.EarliestDeliveryTo(0); got != sim.Never {
 		t.Fatalf("EarliestDeliveryTo with no traffic = %d, want Never", got)
 	}
 
 	e := sim.NewEngine()
-	h := e.Register(n)
-	n.Attach(h)
-	n.Send(0, Message{Src: 2, Dst: 1, Kind: KindMemRead32})
+	n.Attach(e.Register(n))
+	// One bus, 2-cycle occupancy, hop 4: the unwatched message is granted
+	// at 1 and holds the bus until 3; the two watched ones behind it are
+	// granted at 3 and 5 and deliver at 9 and 11.
 	n.Send(0, Message{Src: 1, Dst: 2, Kind: KindMemRead32})
-	if !n.QueuedTo(0) {
-		t.Fatal("QueuedTo false after Send to watched endpoint")
+	if got := n.EarliestDeliveryTo(0); got != sim.Never {
+		t.Fatalf("traffic to an unwatched endpoint shows up: %d", got)
+	}
+	n.Send(0, Message{Src: 2, Dst: 1, Kind: KindMemRead32})
+	n.Send(0, Message{Src: 2, Dst: 1, Kind: KindMemRead32})
+	if got := n.EarliestDeliveryTo(0); got != 9 {
+		t.Fatalf("EarliestDeliveryTo right after Send = %d, want 9", got)
+	}
+	if got := n.EarliestDeliveryTo(5); got != sim.Never {
+		t.Fatalf("EarliestDeliveryTo(undeclared group) = %d, want Never", got)
 	}
 
-	// Drive one tick past injection: the watched message moves from the
-	// queue to an in-flight delivery with an exact cycle.
-	e.Register(&stopAt{e: e, when: 1})
+	// Past the first watched delivery the second one is the answer; past
+	// both, nothing is.
+	e.Register(&stopAt{e: e, when: 9})
 	if _, err := e.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if n.QueuedTo(0) && n.EarliestDeliveryTo(0) == sim.Never {
-		t.Fatal("message to watched endpoint in neither queue nor flight")
+	if len(watched.at) != 1 || watched.at[0] != 9 {
+		t.Fatalf("watched deliveries by cycle 9: %v, want [9]", watched.at)
 	}
-	if d := n.EarliestDeliveryTo(0); d != sim.Never {
-		if lb := n.DeliveryLagLB() + 1; d < lb {
-			t.Fatalf("in-flight delivery at %d beats grant-lag bound %d", d, lb)
+	if got := n.EarliestDeliveryTo(0); got != 11 {
+		t.Fatalf("EarliestDeliveryTo after the first delivery = %d, want 11", got)
+	}
+
+	// Reset clears the per-group state.
+	n.Reset()
+	if got := n.EarliestDeliveryTo(0); got != sim.Never {
+		t.Fatalf("touch state survived Reset: %d", got)
+	}
+}
+
+// refNet is the tick-driven FIFO arbiter the network used before it
+// moved arbitration into Send, kept as the reference model: messages
+// wait in a queue, and every cycle the head is granted the earliest-free
+// bus (lowest index on ties) if it was sent on an earlier cycle and a
+// bus is free; a blocked head blocks the rest. Statistics are counted
+// at the grant, queue depth at the send. It must be ticked every cycle,
+// before that cycle's sends.
+type refNet struct {
+	cfg     Config
+	queue   []refMsg
+	busFree []sim.Cycle
+	dels    []refMsg // granted, undelivered; at is the delivery cycle
+	seq     int64
+	stats   Stats
+}
+
+type refMsg struct {
+	m   Message
+	at  sim.Cycle // send cycle while queued, delivery cycle once granted
+	seq int64
+}
+
+func (r *refNet) send(now sim.Cycle, m Message) {
+	r.seq++
+	r.queue = append(r.queue, refMsg{m: m, at: now, seq: r.seq})
+	r.stats.MaxQueue = max(r.stats.MaxQueue, len(r.queue))
+}
+
+func (r *refNet) tick(now sim.Cycle, deliver func(now sim.Cycle, m Message)) {
+	for len(r.queue) > 0 && r.queue[0].at < now {
+		best := -1
+		for i, f := range r.busFree {
+			if f <= now && (best == -1 || f < r.busFree[best]) {
+				best = i
+			}
+		}
+		if best == -1 {
+			break
+		}
+		p := r.queue[0]
+		r.queue = r.queue[1:]
+		occ := sim.Cycle(max(1, (p.m.WireSize()+r.cfg.BytesPerCyc-1)/r.cfg.BytesPerCyc))
+		r.busFree[best] = now + occ
+		r.stats.BusyCycles += int64(occ)
+		r.stats.Bytes += int64(p.m.WireSize())
+		p.at = now + occ + sim.Cycle(r.cfg.HopLatency)
+		r.dels = append(r.dels, p)
+	}
+	for {
+		due := -1
+		for i, d := range r.dels {
+			if d.at <= now && (due == -1 || d.at < r.dels[due].at ||
+				d.at == r.dels[due].at && d.seq < r.dels[due].seq) {
+				due = i
+			}
+		}
+		if due == -1 {
+			return
+		}
+		m := r.dels[due].m
+		r.dels = append(r.dels[:due], r.dels[due+1:]...)
+		r.stats.Messages++
+		deliver(now, m)
+	}
+}
+
+// delivery is one logged delivery; the position in the log is the order.
+type delivery struct {
+	at  sim.Cycle
+	id  int64 // the message's B field
+	dst int
+}
+
+const (
+	diffEcho  = 4 // endpoint that sends from inside Deliver, as the PPE does
+	diffSinks = 4 // endpoints 0..3 only log; 0 and 1 form touch group 0, 2 group 1
+	diffTail  = 15
+)
+
+// diffGroup is the touch group of a diff endpoint (-1 when unwatched).
+var diffGroup = [diffSinks + 1]int{0, 0, 1, -1, -1}
+
+// diffDriver feeds one random schedule to the network (through the
+// engine, registered behind it like every real sender) and to the
+// reference model, and compares them after every cycle. It ticks every
+// cycle from 0, so cycle c is also the index of its c-th record.
+type diffDriver struct {
+	t     *testing.T
+	e     *sim.Engine
+	n     *Network
+	ref   *refNet
+	rng   *sim.Rand
+	until sim.Cycle
+	burst int // cycles left in the current run of back-to-back sends
+
+	nextID   int64
+	gotNet   []delivery
+	gotRef   []delivery
+	answers  [][2]sim.Cycle      // per cycle, after its sends: EarliestDeliveryTo(0), (1)
+	sentAt   map[int64]sim.Cycle // message id -> send cycle
+	backlog  int                 // compared cycles on which the model still had a queue
+	payloads [129][]byte         // shared zero payloads by length
+}
+
+func (d *diffDriver) Name() string { return "driver" }
+
+// message builds the next message of the schedule: header-only up to a
+// 128-byte payload, to a random endpoint.
+func (d *diffDriver) message() Message {
+	d.nextID++
+	size := 0
+	if d.rng.Intn(3) > 0 {
+		size = d.rng.Intn(129)
+	}
+	return Message{Src: 9, Dst: d.rng.Intn(diffSinks + 1), Kind: KindFrameStore,
+		B: d.nextID, Data: d.payloads[size]}
+}
+
+// echoes are the follow-ups the echo endpoint sends from inside Deliver
+// for message id: up to three, derived from the id so the network's and
+// the model's copies agree without sharing the generator.
+func echoes(id int64) []Message {
+	if id >= 1<<32 {
+		return nil // an echo is not echoed again
+	}
+	out := make([]Message, id%4)
+	for k := range out {
+		out[k] = Message{Src: diffEcho, Dst: int(id+int64(k)) % diffSinks, Kind: KindFrameStore,
+			B: id<<32 | int64(k+1), Pad: int32(id % 64)}
+	}
+	return out
+}
+
+// Deliver is the network's side: every endpoint logs, the echo endpoint
+// also sends.
+func (d *diffDriver) Deliver(now sim.Cycle, m Message) {
+	d.gotNet = append(d.gotNet, delivery{now, m.B, m.Dst})
+	if m.Dst == diffEcho {
+		for _, f := range echoes(m.B) {
+			d.sentAt[f.B] = now
+			d.n.Send(now, f)
 		}
 	}
+}
 
-	// Unwatched endpoints never show up.
-	if n.QueuedTo(5) {
-		t.Fatal("QueuedTo(undeclared group) = true")
+// refDeliver is the model's side of the same endpoints.
+func (d *diffDriver) refDeliver(now sim.Cycle, m Message) {
+	d.gotRef = append(d.gotRef, delivery{now, m.B, m.Dst})
+	if m.Dst == diffEcho {
+		for _, f := range echoes(m.B) {
+			d.ref.send(now, f)
+		}
 	}
+}
 
-	// Reset clears the queued counts.
-	n.Reset()
-	if n.QueuedTo(0) || n.EarliestDeliveryTo(0) != sim.Never {
-		t.Fatal("touch state survived Reset")
+func (d *diffDriver) Tick(now sim.Cycle) sim.Cycle {
+	// The network (component 0) has already ticked at now if it had a
+	// delivery due; the model ticks every cycle.
+	d.ref.tick(now, d.refDeliver)
+	sends := 0
+	switch {
+	case now+diffTail >= d.until:
+		sends = 3 // end on a backlog: the stop finds messages waiting for a bus
+	case d.burst > 0:
+		d.burst--
+		sends = 1 + d.rng.Intn(3)
+	case d.rng.Intn(40) == 0:
+		d.burst = 5 + d.rng.Intn(30)
+	case d.rng.Intn(4) == 0:
+		sends = 1
+	}
+	for i := 0; i < sends; i++ {
+		m := d.message()
+		d.sentAt[m.B] = now
+		d.n.Send(now, m)
+		d.ref.send(now, m)
+	}
+	if got, want := d.n.Stats(), d.ref.stats; got != want {
+		d.t.Fatalf("cycle %d: stats %+v, model %+v", now, got, want)
+	}
+	if len(d.ref.queue) > 0 {
+		d.backlog++
+	}
+	d.answers = append(d.answers, [2]sim.Cycle{d.n.EarliestDeliveryTo(0), d.n.EarliestDeliveryTo(1)})
+	if now >= d.until {
+		d.e.Stop()
+		return sim.Never
+	}
+	return now + 1
+}
+
+// TestSendTimeArbitrationMatchesTickDrivenModel drives random schedules
+// through the network and the reference arbiter. The three facts the
+// equivalence rests on each fail it when broken: queue depth read off
+// the send cycle (Stats.MaxQueue, every cycle), BusyCycles/Bytes counted
+// from the grant and not from the Send (Stats, every cycle, and once
+// more after a stop that leaves messages ungranted), and deliveries in
+// (delivery cycle, send order), also for a Send made during Deliver.
+func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := sim.NewRand(seed)
+		cfg := Config{Buses: 1 + rng.Intn(4), BytesPerCyc: 8, HopLatency: rng.Intn(5)}
+		d := &diffDriver{t: t, e: sim.NewEngine(), n: New(cfg), rng: rng,
+			ref:    &refNet{cfg: cfg, busFree: make([]sim.Cycle, cfg.Buses)},
+			until:  sim.Cycle(300 + rng.Intn(300)),
+			sentAt: make(map[int64]sim.Cycle)}
+		for i := range d.payloads {
+			d.payloads[i] = make([]byte, i)
+		}
+		for ep := 0; ep <= diffEcho; ep++ {
+			d.n.Register(ep, d)
+			if g := diffGroup[ep]; g >= 0 {
+				d.n.DeclareTouchGroup(g, ep)
+			}
+		}
+		d.n.Attach(d.e.Register(d.n))
+		d.e.Register(d)
+
+		stopped, err := d.e.Run(0)
+		if err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if len(d.ref.queue) == 0 || d.backlog < diffTail {
+			t.Fatalf("seed %d: stopped at %d with no ungranted messages", seed, stopped)
+		}
+		if got, want := d.n.Stats(), d.ref.stats; got != want {
+			t.Fatalf("seed %d: stopped at %d with %d ungranted: stats %+v, model %+v",
+				seed, stopped, len(d.ref.queue), got, want)
+		}
+
+		// Drain both (the only further sends are the echoes) and compare
+		// the delivery logs: same cycles, same order.
+		d.e.Resume()
+		if _, err := d.e.Run(0); err == nil {
+			t.Fatalf("seed %d: the drain did not run dry", seed)
+		}
+		for now := stopped + 1; len(d.ref.queue)+len(d.ref.dels) > 0; now++ {
+			d.ref.tick(now, d.refDeliver)
+		}
+		if len(d.gotNet) != len(d.gotRef) || len(d.gotNet) < 100 {
+			t.Fatalf("seed %d: %d deliveries, model %d", seed, len(d.gotNet), len(d.gotRef))
+		}
+		for i := range d.gotNet {
+			if d.gotNet[i] != d.gotRef[i] {
+				t.Fatalf("seed %d: delivery %d is %+v, model %+v", seed, i, d.gotNet[i], d.gotRef[i])
+			}
+		}
+		if got, want := d.n.Stats(), d.ref.stats; got != want {
+			t.Fatalf("seed %d: drained: stats %+v, model %+v", seed, got, want)
+		}
+
+		// EarliestDeliveryTo, asked after every cycle's sends, against
+		// the model's exact answer: the earliest delivery the model went
+		// on to make to the group among the messages sent by then.
+		for c, got := range d.answers {
+			want := [2]sim.Cycle{sim.Never, sim.Never}
+			for _, del := range d.gotRef {
+				g := diffGroup[del.dst]
+				if g >= 0 && d.sentAt[del.id] <= sim.Cycle(c) && del.at > sim.Cycle(c) && del.at < want[g] {
+					want[g] = del.at
+				}
+			}
+			if got != want {
+				t.Fatalf("seed %d cycle %d: EarliestDeliveryTo = %v, model %v", seed, c, got, want)
+			}
+		}
+	}
+}
+
+// TestSnapshotRoundTripWithFutureGrants snapshots a backlogged network —
+// some messages on their bus, some whose grant cycle is still ahead,
+// none of which the tick-driven arbiter would have looked at yet — and
+// requires the restored copy to finish exactly like the original:
+// deliveries, statistics, and the statistics on the way (the ungranted
+// ones must not be counted early on either side).
+func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
+	build := func() (*Network, *sink, *sim.Engine) {
+		n := New(Config{Buses: 1, BytesPerCyc: 8, HopLatency: 2})
+		dst := &sink{}
+		n.Register(1, dst)
+		n.DeclareTouchGroup(0, 1)
+		e := sim.NewEngine()
+		n.Attach(e.Register(n))
+		return n, dst, e
+	}
+	orig, origDst, e := build()
+	for i := 0; i < 6; i++ { // 8-cycle occupancy each: grants at 1, 9, 17, 25, 33, 41
+		orig.Send(0, Message{Src: 2, Dst: 1, Kind: KindMemBlockData, B: int64(i), Data: make([]byte, 48)})
+	}
+	if at, st := e.RunUntil(20); st != sim.RunBudget || at != 27 {
+		t.Fatalf("RunUntil(20) = %d, %v; want the third delivery's cycle 27", at, st)
+	}
+	mid := Stats{Messages: 2, Bytes: 4 * 64, BusyCycles: 4 * 8, MaxQueue: 6}
+	if got := orig.Stats(); got != mid {
+		t.Fatalf("stats at the snapshot = %+v, want %+v (grants at 33 and 41 lie ahead)", got, mid)
+	}
+	var w snap.Writer
+	if err := e.Snapshot(&w); err != nil {
+		t.Fatal(err)
+	}
+	orig.Snapshot(&w)
+
+	cp, cpDst, e2 := build()
+	r := snap.NewReader(w.Bytes())
+	if err := e2.Restore(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Restore(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ExpectEOF(); err != nil {
+		t.Fatal(err)
+	}
+	var w2 snap.Writer
+	if err := e2.Snapshot(&w2); err != nil {
+		t.Fatal(err)
+	}
+	cp.Snapshot(&w2)
+	if !bytes.Equal(w.Bytes(), w2.Bytes()) {
+		t.Fatal("a restored network snapshots differently")
+	}
+	if got := cp.Stats(); got != mid {
+		t.Fatalf("restored stats = %+v, want %+v", got, mid)
+	}
+	if got, want := cp.EarliestDeliveryTo(0), orig.EarliestDeliveryTo(0); got != want || got != 27 {
+		t.Fatalf("restored EarliestDeliveryTo = %d, original %d, want 27", got, want)
+	}
+	// A send after the restore queues behind the restored bookings.
+	late := Message{Src: 2, Dst: 1, Kind: KindMemRead32, B: 6}
+	orig.Send(27, late)
+	cp.Send(27, late)
+	if st := cp.Stats(); st.MaxQueue != 6 || st != orig.Stats() {
+		t.Fatalf("after a late send: restored %+v, original %+v", st, orig.Stats())
+	}
+	e.RunUntil(sim.Never)
+	e2.RunUntil(sim.Never)
+	want := []sim.Cycle{27, 35, 43, 51, 53} // the late one: granted at 49, 2 cycles, hop 2
+	if len(cpDst.at) != len(want) || len(origDst.at) != 2+len(want) {
+		t.Fatalf("deliveries after the snapshot: restored %v, original %v", cpDst.at, origDst.at)
+	}
+	for i, at := range want {
+		if cpDst.at[i] != at || origDst.at[2+i] != at || cpDst.got[i].B != origDst.got[2+i].B {
+			t.Fatalf("delivery %d: restored %d (id %d), original %d (id %d), want cycle %d",
+				i, cpDst.at[i], cpDst.got[i].B, origDst.at[2+i], origDst.got[2+i].B, at)
+		}
+	}
+	if cp.Stats() != orig.Stats() {
+		t.Fatalf("final stats: restored %+v, original %+v", cp.Stats(), orig.Stats())
 	}
 }

@@ -40,22 +40,26 @@ func restoreMessage(r *snap.Reader) Message {
 func SnapshotMessage(w *snap.Writer, m Message) { snapshotMessage(w, m) }
 func RestoreMessage(r *snap.Reader) Message     { return restoreMessage(r) }
 
-// Snapshot serialises the interconnect's mutable state: the arbitration
-// queue, bus bookings, in-flight deliveries and statistics. Endpoint
-// registrations, touch-group declarations and the packet-buffer pool
-// are construction-time wiring and perf caches, not state. The
-// per-group queued/in-flight counters are recomputed on restore.
+// Snapshot serialises the interconnect's mutable state: bus bookings,
+// the bookings whose grant lies beyond the engine clock, every sent,
+// undelivered message with its delivery cycle, and the statistics.
+// Endpoint registrations, touch-group declarations and the
+// packet-buffer pool are construction-time wiring and perf caches, not
+// state. The per-group in-flight counters are recomputed on restore.
 func (n *Network) Snapshot(w *snap.Writer) {
-	w.Int(len(n.queue) - n.qHead)
-	for i := n.qHead; i < len(n.queue); i++ {
-		p := &n.queue[i]
-		snapshotMessage(w, p.msg)
-		w.I64(int64(p.arrival))
-		w.I64(p.seq)
-	}
 	w.Int(len(n.busFree))
 	for _, f := range n.busFree {
 		w.I64(int64(f))
+	}
+	// Settling first makes the blob a function of the traffic and the
+	// clock alone, whenever Stats was or was not read along the way.
+	n.settleToClock()
+	w.Int(n.gLen)
+	for i := 0; i < n.gLen; i++ {
+		g := n.grants[(n.gHead+i)&(len(n.grants)-1)]
+		w.I64(int64(g.at))
+		w.I64(int64(g.occ))
+		w.I64(int64(g.wire))
 	}
 	// Live deliveries in heap-pop order would mutate the heap; the slab
 	// layout is arbitrary, so emit refs in slice order — restore re-pushes
@@ -78,25 +82,20 @@ func (n *Network) Snapshot(w *snap.Writer) {
 // one that produced the snapshot.
 func (n *Network) Restore(r *snap.Reader) error {
 	n.Reset()
-	nq := r.Int()
-	for i := 0; i < nq; i++ {
-		msg := restoreMessage(r)
-		arrival := sim.Cycle(r.I64())
-		seq := r.I64()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if g := n.groupOf(msg.Dst); g >= 0 {
-			n.queuedTo[g]++
-		}
-		n.queue = append(n.queue, pending{msg: msg, arrival: arrival, seq: seq})
-	}
 	nb := r.Int()
 	if r.Err() == nil && nb != len(n.busFree) {
 		return fmt.Errorf("noc: snapshot has %d buses, network has %d", nb, len(n.busFree))
 	}
 	for i := 0; i < nb; i++ {
 		n.busFree[i] = sim.Cycle(r.I64())
+	}
+	ng := r.Int()
+	for i := 0; i < ng; i++ {
+		g := grant{at: sim.Cycle(r.I64()), occ: int32(r.I64()), wire: int32(r.I64())}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		n.pushGrant(g)
 	}
 	nd := r.Int()
 	for i := 0; i < nd; i++ {

@@ -391,20 +391,19 @@ func (s *SPU) Attach(h *sim.Handle) {
 // scheduled: the engine requires a component with pending work to be
 // scheduled no later than that work's cycle (an unscheduled one would
 // deadlock the machine today), so NextScheduled over the ids below,
-// plus the network's per-group message state, bounds the next possible
+// plus the network's per-group delivery cycles, bounds the next possible
 // local-store mutation.
 type LSWiring struct {
-	// NetID, LSEID, MFCID are the engine identities (Handle.ID) of the
-	// interconnect, this SPE's LSE and this SPE's MFC — the only
-	// components whose Ticks read or write this local store: the LSE
-	// performs frame stores, the MFC streams PUT data out, and DMA/frame
-	// traffic from everywhere else lands via a network delivery. MemID
-	// is main memory's engine identity: memory is the only sender of
-	// DMA data (the messages whose delivery writes the store with no
-	// further tick), which earns every other component one extra cycle
-	// in the chain bound — their effects land in the LSE's inbox and
-	// wait for an LSE service tick after delivery.
-	NetID, LSEID, MFCID, MemID int32
+	// LSEID, MFCID are the engine identities (Handle.ID) of this SPE's
+	// LSE and MFC — the only components whose Ticks read or write this
+	// local store: the LSE performs frame stores, the MFC streams PUT
+	// data out, and DMA/frame traffic from everywhere else lands via a
+	// network delivery. MemID is main memory's engine identity: memory
+	// is the only sender of DMA data (the messages whose delivery writes
+	// the store with no further tick), which earns every other component
+	// one extra cycle in the chain bound — their effects land in the
+	// LSE's inbox and wait for an LSE service tick after delivery.
+	LSEID, MFCID, MemID int32
 	// TouchGroup is the network touch group (noc.DeclareTouchGroup)
 	// holding this SPE's MFC and LSE endpoints: the network's tick
 	// touches this local store only when it delivers to one of them.
@@ -414,10 +413,6 @@ type LSWiring struct {
 	// path crosses the interconnect, so the machine passes
 	// noc.Config.MinDeliveryLatency.
 	ChainLat sim.Cycle
-	// GrantLag is a lower bound on the cycles between a network tick
-	// that grants a queued message and the resulting delivery
-	// (noc.Network.DeliveryLagLB).
-	GrantLag sim.Cycle
 }
 
 // SetLSWiring declares the machine wiring the LS-read burst path leans
@@ -766,10 +761,9 @@ func (s *SPU) lsHorizon() sim.Cycle {
 // declaration (SetLSWiring) it is the earliest of:
 //
 //   - the next scheduled cycle of this SPE's LSE or MFC;
-//   - the exact cycle of the earliest in-flight network delivery to
-//     this SPE's MFC/LSE endpoints, and — while a message to them is
-//     still queued for arbitration — the network's next tick plus the
-//     grant-to-delivery lag;
+//   - the exact cycle of the earliest network delivery to this SPE's
+//     MFC/LSE endpoints among the messages already sent (the network
+//     fixes a message's delivery cycle when it is sent);
 //   - the component-agnostic quiescence horizon plus the
 //     interconnect's minimum delivery latency: any component outside
 //     the set above (another SPE, a DSE, the PPE, main memory) first
@@ -805,11 +799,6 @@ func (s *SPU) computeHorizon() sim.Cycle {
 	}
 	if d := s.net.EarliestDeliveryTo(s.lsw.TouchGroup); d < h {
 		h = d
-	}
-	if s.net.QueuedTo(s.lsw.TouchGroup) {
-		if n := s.eng.NextScheduled(s.lsw.NetID); n != sim.Never && n+s.lsw.GrantLag < h {
-			h = n + s.lsw.GrantLag
-		}
 	}
 	return h
 }
