@@ -19,7 +19,7 @@
 //
 // The benchmark set is the six end-to-end BenchmarkRun* benchmarks of
 // the root package (bitcnt/mmul/zoom × original/prefetch), the serial,
-// batched and checkpoint/cold phase-sweep benchmarks of
+// shared-context, batched and checkpoint/cold phase-sweep benchmarks of
 // internal/harness, and the internal/cell batch-scheduler A/B
 // (round-robin vs horizon-aware at widths 4/16/64, with slices and
 // switches metrics), all with -benchmem, so the JSON carries ns/op,
@@ -123,7 +123,7 @@ type suite struct {
 
 var suites = []suite{
 	{pkg: ".", pattern: "^BenchmarkRun(Mmul|Zoom|Bitcnt)(Original|Prefetch)$"},
-	{pkg: "./internal/harness", pattern: "^BenchmarkHarness(Serial|Batched|Checkpoint|ColdPhase)Sweep$"},
+	{pkg: "./internal/harness", pattern: "^BenchmarkHarness(Serial|Shared|Batched|Checkpoint|ColdPhase)Sweep$"},
 	// The batch-scheduler A/B: the same 64-scenario stream under
 	// round-robin and horizon-aware scheduling at three widths, with
 	// slices/switches quantifying the scheduling-overhead difference.

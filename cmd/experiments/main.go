@@ -24,10 +24,17 @@
 // point (8 SPEs, 150-cycle memory, full problem sizes) followed by the
 // pinned synth corpus: generated scenarios (synth/0001..synth/0032,
 // see FUZZING.md) are first-class experiments — they appear in -list,
-// run by name through -only, and sweep like any paper figure. -parallel n
-// fans the selected experiments out over n workers (n < 0 means one per
-// CPU); each experiment then runs in its own isolated context and the
-// output is printed in the usual order once results are in. -batch k
+// run by name through -only, and sweep like any paper figure. By default
+// (-parallel 0) the experiments run in order on ONE shared context:
+// repeated configurations hit its run cache, each experiment declares
+// the simulations it needs, and the mutually independent ones — distinct
+// machine configurations — are simulated on every core, each
+// single-threaded on a machine of its own; results stream as experiments
+// complete (-trace and -profile keep this runner serial: one simulation
+// at a time). -parallel n instead fans whole experiments out over n workers
+// (n < 0 means one per CPU); each experiment then runs in its own
+// isolated context, without the shared run cache, and the output is
+// printed in the usual order once results are in. -batch k
 // with k > 1 interleaves up to k experiments per worker cooperatively
 // (simulations advance in bounded slices and the worker's run cache is
 // shared across its batch), producing byte-identical results to the
@@ -66,7 +73,7 @@ func main() {
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		metrics   = flag.Bool("metrics", false, "also print machine-readable metrics")
 		seed      = flag.Uint64("seed", 42, "workload input seed")
-		parallel  = flag.Int("parallel", 0, "run experiments on n workers (0 = serial shared-cache, <0 = one per CPU)")
+		parallel  = flag.Int("parallel", 0, "run experiments on n isolated workers (0 = one shared run cache, each experiment's runs spread over all cores; <0 = one worker per CPU)")
 		batchW    = flag.Int("batch", 1, "experiments interleaved per worker (>1 enables the batched runner)")
 		jsonOut   = flag.Bool("json", false, "emit NDJSON outcomes (one object per experiment) instead of tables")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event timeline of every simulation to this file (serial mode only)")
@@ -149,9 +156,11 @@ func main() {
 			report(r)
 		}
 	} else {
-		// Serial mode shares one context so repeated configurations hit
-		// the in-process run cache, and reports each experiment as it
-		// completes (full-size sweeps take hours — output must stream).
+		// Default mode shares one context: repeated configurations hit
+		// its run cache, each experiment's independent runs spread over
+		// the cores (recording and profiling keep them one at a time),
+		// and each experiment is reported as it completes (full-size
+		// sweeps take hours — output must stream).
 		ctx := harness.NewContext(opt)
 		if *tracePath != "" {
 			ctx.EnableRecording(0)

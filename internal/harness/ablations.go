@@ -78,38 +78,7 @@ func ablationVFP(ctx *Context) (*Outcome, error) {
 		return nil, err
 	}
 
-	runMode := func(vfp bool, frames int) (string, string, float64) {
-		cfg := cell.DefaultConfig()
-		cfg.SPEs = ctx.Opt.SPEs
-		cfg.Mem.Latency = ctx.Opt.Latency
-		cfg.LSE.VirtualFP = vfp
-		cfg.LSE.NumFrames = frames
-		m, err := cell.New(cfg, prog)
-		if err != nil {
-			return "error", err.Error(), 0
-		}
-		res, err := m.Run()
-		if err != nil {
-			var dl *sim.ErrDeadlock
-			if errors.As(err, &dl) {
-				return "DEADLOCK", "-", 0
-			}
-			return "error", err.Error(), 0
-		}
-		if res.CheckErr != nil {
-			return "error", res.CheckErr.Error(), 0
-		}
-		return fmt.Sprintf("%d", res.Cycles),
-			stats.Pct(res.AvgBreakdownPct()[stats.LSEStall]),
-			float64(res.Cycles)
-	}
-
-	t := &stats.Table{
-		Title:   "A1 — blocking FALLOC vs virtual frame pointers (bitcnt, 8 spawner chains)",
-		Headers: []string{"mode", "frames/LSE", "cycles", "LSE stalls"},
-	}
-	metrics := map[string]float64{}
-	for _, row := range []struct {
+	rows := []struct {
 		label  string
 		vfp    bool
 		frames int
@@ -119,8 +88,40 @@ func ablationVFP(ctx *Context) (*Outcome, error) {
 		{"virtual frame pointers", true, 64, "vfp64"},
 		{"blocking FALLOC", false, 16, "blocking16"},
 		{"virtual frame pointers", true, 16, "vfp16"},
-	} {
-		cycles, lse, val := runMode(row.vfp, row.frames)
+	}
+	// Four hand-built machines, one per row, outside the pool and the
+	// run cache: the four rows simulate side by side.
+	specs := make([]runSpec, len(rows))
+	for i, row := range rows {
+		cfg := cell.DefaultConfig()
+		cfg.SPEs = ctx.Opt.SPEs
+		cfg.Mem.Latency = ctx.Opt.Latency
+		cfg.LSE.VirtualFP = row.vfp
+		cfg.LSE.NumFrames = row.frames
+		specs[i] = runSpec{prog: prog, cfg: &cfg}
+	}
+	runs, errs := ctx.runAll(specs)
+
+	t := &stats.Table{
+		Title:   "A1 — blocking FALLOC vs virtual frame pointers (bitcnt, 8 spawner chains)",
+		Headers: []string{"mode", "frames/LSE", "cycles", "LSE stalls"},
+	}
+	metrics := map[string]float64{}
+	for i, row := range rows {
+		// A failed row is a table value, not a failed experiment: under
+		// deeper fork trees blocking FALLOC deadlocks, and the table says so.
+		cycles, lse, val := "error", "", 0.0
+		var dl *sim.ErrDeadlock
+		switch res, err := runs[i], errs[i]; {
+		case errors.As(err, &dl):
+			cycles, lse = "DEADLOCK", "-"
+		case err != nil:
+			lse = err.Error()
+		default:
+			cycles = fmt.Sprintf("%d", res.Cycles)
+			lse = stats.Pct(res.AvgBreakdownPct()[stats.LSEStall])
+			val = float64(res.Cycles)
+		}
 		t.AddRow(row.label, fmt.Sprintf("%d", row.frames), cycles, lse)
 		metrics[row.key+"_cycles"] = val
 	}
@@ -138,18 +139,23 @@ func ablationVFP(ctx *Context) (*Outcome, error) {
 }
 
 func ablationDMALat(ctx *Context) (*Outcome, error) {
+	lats := []int{0, 15, 30, 60, 120}
+	specs := make([]runSpec, len(lats))
+	for i, lat := range lats {
+		specs[i] = benchSpec("mmul", ctx.Opt.SPEs, true)
+		specs[i].v.dmaLat = lat
+	}
+	runs, err := ctx.runList(specs)
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{
 		Title:   "A2 — MFC command latency sweep (mmul, prefetching)",
 		Headers: []string{"command latency", "cycles", "prefetch overhead"},
 	}
 	metrics := map[string]float64{}
-	for _, lat := range []int{0, 15, 30, 60, 120} {
-		v := defaultVariant()
-		v.dmaLat = lat
-		res, err := ctx.run("mmul", ctx.Opt.SPEs, true, v)
-		if err != nil {
-			return nil, err
-		}
+	for i, lat := range lats {
+		res := runs[i]
 		t.AddRow(fmt.Sprintf("%d", lat),
 			fmt.Sprintf("%d", res.Cycles),
 			stats.Pct(res.AvgBreakdownPct()[stats.Prefetch]))
@@ -159,18 +165,23 @@ func ablationDMALat(ctx *Context) (*Outcome, error) {
 }
 
 func ablationBuses(ctx *Context) (*Outcome, error) {
+	busCounts := []int{1, 2, 4, 8}
+	specs := make([]runSpec, len(busCounts))
+	for i, buses := range busCounts {
+		specs[i] = benchSpec("mmul", ctx.Opt.SPEs, true)
+		specs[i].v.buses = buses
+	}
+	runs, err := ctx.runList(specs)
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{
 		Title:   "A3 — bus count sweep (mmul, prefetching)",
 		Headers: []string{"buses", "aggregate BW", "cycles"},
 	}
 	metrics := map[string]float64{}
-	for _, buses := range []int{1, 2, 4, 8} {
-		v := defaultVariant()
-		v.buses = buses
-		res, err := ctx.run("mmul", ctx.Opt.SPEs, true, v)
-		if err != nil {
-			return nil, err
-		}
+	for i, buses := range busCounts {
+		res := runs[i]
 		t.AddRow(fmt.Sprintf("%d", buses),
 			fmt.Sprintf("%d B/cy", buses*8),
 			fmt.Sprintf("%d", res.Cycles))
@@ -180,21 +191,29 @@ func ablationBuses(ctx *Context) (*Outcome, error) {
 }
 
 func ablationMemLat(ctx *Context) (*Outcome, error) {
+	lats := []int{1, 25, 75, 150, 300, 600}
+	// One private context per latency, as a standalone study of that
+	// operating point would have: nothing is shared with the sweep's run
+	// cache or pool (it shows in harness.runs_executed), but the six
+	// contexts' runs are declared together so they simulate side by side.
+	var specs []runSpec
+	for _, lat := range lats {
+		sub := NewContext(Options{SPEs: ctx.Opt.SPEs, Latency: lat, Quick: ctx.Opt.Quick, Seed: ctx.Opt.Seed})
+		orig, pf := benchSpec("mmul", sub.Opt.SPEs, false), benchSpec("mmul", sub.Opt.SPEs, true)
+		orig.on, pf.on = sub, sub
+		specs = append(specs, orig, pf)
+	}
+	runs, err := ctx.runList(specs)
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{
 		Title:   "A4 — memory latency sweep (mmul, 8 SPUs)",
 		Headers: []string{"latency", "original", "prefetching", "speedup"},
 	}
 	metrics := map[string]float64{}
-	for _, lat := range []int{1, 25, 75, 150, 300, 600} {
-		sub := NewContext(Options{SPEs: ctx.Opt.SPEs, Latency: lat, Quick: ctx.Opt.Quick, Seed: ctx.Opt.Seed})
-		orig, err := sub.run("mmul", sub.Opt.SPEs, false, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
-		pf, err := sub.run("mmul", sub.Opt.SPEs, true, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
+	for i, lat := range lats {
+		orig, pf := runs[2*i], runs[2*i+1]
 		speedup := float64(orig.Cycles) / float64(pf.Cycles)
 		t.AddRow(fmt.Sprintf("%d", lat),
 			fmt.Sprintf("%d", orig.Cycles),
@@ -209,18 +228,23 @@ func ablationNodes(ctx *Context) (*Outcome, error) {
 	if ctx.Opt.SPEs%2 != 0 {
 		return nil, fmt.Errorf("ablation-nodes needs an even SPE count, got %d", ctx.Opt.SPEs)
 	}
+	nodeCounts := []int{1, 2}
+	specs := make([]runSpec, len(nodeCounts))
+	for i, nodes := range nodeCounts {
+		specs[i] = benchSpec("mmul", ctx.Opt.SPEs, true)
+		specs[i].v.nodes = nodes
+	}
+	runs, err := ctx.runList(specs)
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{
 		Title:   "A5 — node organisation (mmul, prefetching)",
 		Headers: []string{"organisation", "cycles", "DSE falloc forwards"},
 	}
 	metrics := map[string]float64{}
-	for _, nodes := range []int{1, 2} {
-		v := defaultVariant()
-		v.nodes = nodes
-		res, err := ctx.run("mmul", ctx.Opt.SPEs, true, v)
-		if err != nil {
-			return nil, err
-		}
+	for i, nodes := range nodeCounts {
+		res := runs[i]
 		var forwards int64
 		for _, d := range res.DSEs {
 			forwards += d.Forwards
@@ -234,17 +258,16 @@ func ablationNodes(ctx *Context) (*Outcome, error) {
 }
 
 func ablationGranularity(ctx *Context) (*Outcome, error) {
+	wholeSpec := benchSpec("mmul", ctx.Opt.SPEs, true)
+	wholeSpec.unchunked = true
+	runs, err := ctx.runList([]runSpec{benchSpec("mmul", ctx.Opt.SPEs, true), wholeSpec})
+	if err != nil {
+		return nil, err
+	}
+	perRow, whole := runs[0], runs[1]
 	t := &stats.Table{
 		Title:   "A6 — DMA granularity (mmul, prefetching)",
 		Headers: []string{"granularity", "cycles", "prefetch overhead", "DMA commands"},
-	}
-	perRow, err := ctx.run("mmul", ctx.Opt.SPEs, true, defaultVariant())
-	if err != nil {
-		return nil, err
-	}
-	whole, err := ctx.runUnchunked("mmul", ctx.Opt.SPEs, true)
-	if err != nil {
-		return nil, err
 	}
 	var perRowCmds, wholeCmds int64
 	for _, m := range perRow.MFCs {
@@ -270,19 +293,18 @@ func ablationGranularity(ctx *Context) (*Outcome, error) {
 }
 
 func ablationWriteback(ctx *Context) (*Outcome, error) {
-	t := &stats.Table{
-		Title:   "A7 — write handling (mmul, prefetching, 8 SPUs)",
-		Headers: []string{"mode", "cycles", "posted WRITEs", "DMA PUTs", "bus messages"},
-	}
-	metrics := map[string]float64{}
-	for _, row := range []struct {
+	rows := []struct {
 		label     string
 		writeBack bool
 		key       string
 	}{
 		{"posted WRITEs (paper)", false, "posted"},
 		{"DMA write-back (A7)", true, "writeback"},
-	} {
+	}
+	// Both programs are this experiment's own transforms, so the runs
+	// stay outside the run cache and the cycle accounting.
+	specs := make([]runSpec, len(rows))
+	for i, row := range rows {
 		w, _ := workloads.Get("mmul")
 		prog, err := w.Build(ctx.benchParams("mmul", ctx.Opt.SPEs))
 		if err != nil {
@@ -292,10 +314,19 @@ func ablationWriteback(ctx *Context) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := ctx.execute(prog, ctx.Opt.SPEs, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
+		specs[i] = runSpec{spes: ctx.Opt.SPEs, v: defaultVariant(), prog: prog}
+	}
+	runs, err := ctx.runList(specs)
+	if err != nil {
+		return nil, err
+	}
+	t := &stats.Table{
+		Title:   "A7 — write handling (mmul, prefetching, 8 SPUs)",
+		Headers: []string{"mode", "cycles", "posted WRITEs", "DMA PUTs", "bus messages"},
+	}
+	metrics := map[string]float64{}
+	for i, row := range rows {
+		res := runs[i]
 		var puts int64
 		for _, m := range res.MFCs {
 			puts += m.Puts

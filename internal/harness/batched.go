@@ -62,6 +62,17 @@ func (s *BatchState) SetCheckpointCache(cc *CheckpointCache) {
 	}
 }
 
+// SetPool replaces the state's machine pool, so a caller owning a
+// longer-lived one (the dtad worker keeps one per worker: a machine's
+// shape depends on its configuration, never on Quick or Seed) shares it
+// across states instead of building machines anew for every state. The
+// pool must be confined to the goroutine that runs the state's fibers.
+func (s *BatchState) SetPool(pool *cell.Pool) {
+	if pool != nil {
+		s.pool = pool
+	}
+}
+
 // Options returns the normalised Options the state was built for.
 func (s *BatchState) Options() Options { return s.opt }
 
@@ -182,7 +193,7 @@ func putWorkerKit(k *workerKit) {
 
 // attach points the state's pool and program cache at the kit's.
 func (k *workerKit) attach(s *BatchState) {
-	s.pool = k.pool
+	s.SetPool(k.pool)
 	s.progs = k.progs
 }
 

@@ -12,7 +12,7 @@ import (
 // reporting how many cores the runner occupies and the simulated
 // cycles the sweep represents per iteration — cmd/benchjson combines
 // the three numbers into sim-cycles/sec/core, the throughput measure
-// the batched runner is judged by.
+// the runners are judged by.
 func benchmarkSweep(b *testing.B, cores float64, run func(Options, []*Experiment) []RunResult) {
 	exps := sweepExperiments(b)
 	b.ResetTimer()
@@ -40,6 +40,24 @@ func benchmarkSweep(b *testing.B, cores float64, run func(Options, []*Experiment
 // isolation as the parallel runner, executed on one goroutine.
 func BenchmarkHarnessSerialSweep(b *testing.B) {
 	benchmarkSweep(b, 1, Serial)
+}
+
+// BenchmarkHarnessSharedSweep is what cmd/experiments does by default and
+// the benchmark's paper-sweep measures: ONE NewContext for the sweep and
+// RunOn per experiment, so the run cache is shared across experiments
+// (as in Batched) and each experiment's declared runs spread over the
+// cores (runAll). It is the comparator ROADMAP's "collapse the execution
+// stack" item wants measured against Batched. "cores" is the ceiling —
+// experiments with one machine configuration occupy a single core.
+func BenchmarkHarnessSharedSweep(b *testing.B) {
+	benchmarkSweep(b, float64(runtime.GOMAXPROCS(0)), func(opt Options, exps []*Experiment) []RunResult {
+		ctx := NewContext(opt)
+		results := make([]RunResult, len(exps))
+		for i, e := range exps {
+			results[i] = RunOn(ctx, e)
+		}
+		return results
+	})
 }
 
 // BenchmarkHarnessParallelSweep exercises the worker-pool runner at

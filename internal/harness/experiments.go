@@ -203,18 +203,32 @@ func singleRunExperiment(ctx *Context, bench string, pf bool) (*Outcome, error) 
 	return &Outcome{Tables: []*stats.Table{t, ct}, Metrics: metrics}, nil
 }
 
+// benchmarkSpecs declares one run per paper benchmark for each of the
+// given prefetch settings, benchmark-major: with (false, true) the list
+// reads bitcnt orig, bitcnt pf, mmul orig, ...
+func benchmarkSpecs(spes int, prefetch ...bool) []runSpec {
+	var specs []runSpec
+	for _, bench := range benchmarks {
+		for _, pf := range prefetch {
+			specs = append(specs, benchSpec(bench, spes, pf))
+		}
+	}
+	return specs
+}
+
 func breakdownExperiment(ctx *Context, pf bool) (*Outcome, error) {
 	title := "Figure 5a — breakdown of average SPU execution time (no prefetching)"
 	if pf {
 		title = "Figure 5b — breakdown of average SPU execution time (with prefetching)"
 	}
+	runs, err := ctx.runList(benchmarkSpecs(ctx.Opt.SPEs, pf))
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{Title: title, Headers: breakdownHeaders}
 	metrics := map[string]float64{}
-	for _, bench := range benchmarks {
-		res, err := ctx.run(bench, ctx.Opt.SPEs, pf, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
+	for i, bench := range benchmarks {
+		res := runs[i]
 		t.AddRow(breakdownRow(ctx.benchLabel(bench), res)...)
 		bd := res.AvgBreakdownPct()
 		metrics[bench+"_mem_pct"] = bd[stats.MemStall]
@@ -227,17 +241,17 @@ func breakdownExperiment(ctx *Context, pf bool) (*Outcome, error) {
 }
 
 func table5(ctx *Context) (*Outcome, error) {
+	runs, err := ctx.runList(benchmarkSpecs(ctx.Opt.SPEs, false))
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{
 		Title:   "Table 5 — executed instructions (original DTA, 8 SPUs)",
 		Headers: []string{"benchmark", "Total", "LOAD", "STORE", "READ", "WRITE"},
 	}
 	metrics := map[string]float64{}
-	for _, bench := range benchmarks {
-		res, err := ctx.run(bench, ctx.Opt.SPEs, false, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
-		ic := res.Agg.Instr
+	for i, bench := range benchmarks {
+		ic := runs[i].Agg.Instr
 		t.AddRow(ctx.benchLabel(bench),
 			fmt.Sprintf("%d", ic.Total),
 			fmt.Sprintf("%d", ic.Load),
@@ -261,6 +275,17 @@ func scalabilityExperiment(ctx *Context, bench string) (*Outcome, error) {
 			spesList = append(spesList, s)
 		}
 	}
+	// Each SPE count is a machine configuration of its own: the counts
+	// simulate side by side, original and prefetched back to back on the
+	// count's machine.
+	var specs []runSpec
+	for _, spes := range spesList {
+		specs = append(specs, benchSpec(bench, spes, false), benchSpec(bench, spes, true))
+	}
+	runs, err := ctx.runList(specs)
+	if err != nil {
+		return nil, err
+	}
 	exec := &stats.Table{
 		Title:   fmt.Sprintf("(a) execution time (cycles), %s", ctx.benchLabel(bench)),
 		Headers: []string{"SPUs", "original", "prefetching", "speedup"},
@@ -272,14 +297,7 @@ func scalabilityExperiment(ctx *Context, bench string) (*Outcome, error) {
 	metrics := map[string]float64{}
 	var base [2]float64
 	for i, spes := range spesList {
-		orig, err := ctx.run(bench, spes, false, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
-		pf, err := ctx.run(bench, spes, true, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
+		orig, pf := runs[2*i], runs[2*i+1]
 		if i == 0 {
 			base[0], base[1] = float64(orig.Cycles), float64(pf.Cycles)
 		}
@@ -302,20 +320,17 @@ func scalabilityExperiment(ctx *Context, bench string) (*Outcome, error) {
 }
 
 func fig9(ctx *Context) (*Outcome, error) {
+	runs, err := ctx.runList(benchmarkSpecs(ctx.Opt.SPEs, false, true))
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{
 		Title:   "Figure 9 — pipeline usage (fraction of cycles issuing instructions)",
 		Headers: []string{"benchmark", "original", "prefetching", "slot-util orig", "slot-util pf"},
 	}
 	metrics := map[string]float64{}
-	for _, bench := range benchmarks {
-		orig, err := ctx.run(bench, ctx.Opt.SPEs, false, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
-		pf, err := ctx.run(bench, ctx.Opt.SPEs, true, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
+	for i, bench := range benchmarks {
+		orig, pf := runs[2*i], runs[2*i+1]
 		ow := orig.AvgBreakdownPct()[stats.Working]
 		pw := pf.AvgBreakdownPct()[stats.Working]
 		t.AddRow(ctx.benchLabel(bench),
@@ -330,6 +345,10 @@ func fig9(ctx *Context) (*Outcome, error) {
 
 func lat1(ctx *Context) (*Outcome, error) {
 	sub := ctx.Sub(Options{SPEs: ctx.Opt.SPEs, Latency: 1, Quick: ctx.Opt.Quick, Seed: ctx.Opt.Seed})
+	runs, err := sub.runList(benchmarkSpecs(sub.Opt.SPEs, false, true))
+	if err != nil {
+		return nil, err
+	}
 	exec := &stats.Table{
 		Title:   "Section 4.3 — all memory latencies set to 1 cycle (8 SPUs)",
 		Headers: []string{"benchmark", "original", "prefetching", "speedup"},
@@ -339,15 +358,8 @@ func lat1(ctx *Context) (*Outcome, error) {
 		Headers: breakdownHeaders,
 	}
 	metrics := map[string]float64{}
-	for _, bench := range benchmarks {
-		orig, err := sub.run(bench, sub.Opt.SPEs, false, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
-		pf, err := sub.run(bench, sub.Opt.SPEs, true, defaultVariant())
-		if err != nil {
-			return nil, err
-		}
+	for i, bench := range benchmarks {
+		orig, pf := runs[2*i], runs[2*i+1]
 		speedup := float64(orig.Cycles) / float64(pf.Cycles)
 		exec.AddRow(sub.benchLabel(bench),
 			fmt.Sprintf("%d", orig.Cycles),

@@ -161,9 +161,16 @@ type Context struct {
 	// identical either way (the byte-identity the snapshot tests
 	// enforce); the cold baseline exists for benchmarking the sharing.
 	NoCheckpoint bool
-	cache        map[runKey]*cell.Result
-	progs        map[progKey]*program.Program
-	pool         *cell.Pool
+	// spread marks a context that schedules its own simulations: nothing
+	// above it spreads work over the cores, so runAll may (see runAll).
+	// Set by NewContext alone and inherited by Sub. Contexts handed to an
+	// outer scheduler — NewContextWithPool for Serial/Parallel workers,
+	// BatchState.ContextFor for fibers and dtad workers — run their specs
+	// one by one on the caller's goroutine.
+	spread bool
+	cache  map[runKey]*cell.Result
+	progs  map[progKey]*program.Program
+	pool   *cell.Pool
 	// ckpts shares warm-up-prefix snapshots across fork calls (see
 	// Context.fork). Shared by Sub contexts and batch fibers exactly
 	// like the run cache.
@@ -206,10 +213,9 @@ type RecordedRun struct {
 }
 
 type recState struct {
-	on    bool
-	cap   int
-	label string // set by run()/runUnchunked around execute()
-	runs  []RecordedRun
+	on   bool
+	cap  int
+	runs []RecordedRun
 }
 
 // ProfiledRun is one machine run's guest cycle profile plus the program
@@ -222,20 +228,26 @@ type ProfiledRun struct {
 }
 
 type profState struct {
-	on    bool
-	label string // set by run()/runUnchunked around execute()
-	runs  []ProfiledRun
+	on   bool
+	runs []ProfiledRun
 }
 
-// NewContext prepares a context with its own machine pool.
+// NewContext prepares a context with its own machine pool — the one
+// context of a sweep (cmd/experiments' default mode, the benchmark's
+// paper-sweep). It owns its goroutine budget too: experiments declare
+// their runs (runAll) and the mutually independent ones are simulated
+// on every core, each on a machine of its own.
 func NewContext(opt Options) *Context {
-	return NewContextWithPool(opt, cell.NewPool())
+	c := NewContextWithPool(opt, cell.NewPool())
+	c.spread = true
+	return c
 }
 
 // NewContextWithPool prepares a context that recycles machines through
 // pool (shared across the contexts of one worker to amortise machine
 // construction over a sweep). The pool must not be shared across
-// goroutines.
+// goroutines. The context simulates on the caller's goroutine only: it
+// is meant to sit under a scheduler that already occupies the cores.
 func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 	return &Context{
 		Opt:       opt.WithDefaults(),
@@ -313,6 +325,7 @@ func (c *Context) Sub(opt Options) *Context {
 		Opt:          opt.WithDefaults(),
 		SingleStep:   c.SingleStep,
 		NoCheckpoint: c.NoCheckpoint,
+		spread:       c.spread,
 		cache:        c.cache,
 		progs:        c.progs,
 		pool:         c.pool,
@@ -428,12 +441,10 @@ func (c *Context) memoRun(key runKey, compute func() (*cell.Result, error)) (*ce
 	waited := false
 	for {
 		if r, ok := c.cache[key]; ok {
-			RunCacheHits.Add(1)
 			if waited {
 				InflightDedupHits.Add(1)
 			}
-			*c.simCycles += int64(r.Cycles)
-			addCauseCycles(r)
+			c.bill(key, r, true)
 			return r, nil
 		}
 		if c.sched == nil || !c.inflight[key] {
@@ -454,58 +465,28 @@ func (c *Context) memoRun(key runKey, compute func() (*cell.Result, error)) (*ce
 	if err != nil {
 		return nil, err
 	}
-	RunsExecuted.Add(1)
-	c.cache[key] = res
-	*c.simCycles += int64(res.Cycles)
-	addCauseCycles(res)
+	c.bill(key, res, false)
 	return res, nil
 }
 
-// addCauseCycles bills one result's per-cause cycle totals to the
-// process-wide counters (memoRun's two accounting points).
-func addCauseCycles(res *cell.Result) {
+// bill accounts one served cache request — the single accounting point
+// of memoRun and runAll. A miss lands the freshly simulated result in
+// the run cache; hit or miss, the request bills the result's cycle
+// total and per-cause cycles, so the counters track the workloads
+// served, not which runner computed them.
+func (c *Context) bill(key runKey, res *cell.Result, hit bool) {
+	if hit {
+		RunCacheHits.Add(1)
+	} else {
+		RunsExecuted.Add(1)
+		c.cache[key] = res
+	}
+	*c.simCycles += int64(res.Cycles)
 	for cs := stats.Cause(0); cs < stats.NumCauses; cs++ {
 		if n := res.Agg.Causes[cs]; n != 0 {
 			CauseCycles[cs].Add(n)
 		}
 	}
-}
-
-// run executes (with caching) one benchmark configuration.
-func (c *Context) run(bench string, spes int, prefetchOn bool, v variant) (*cell.Result, error) {
-	chunked := true
-	key := runKey{bench, spes, c.Opt.Latency, prefetchOn, v.nodes, v.dmaLat, v.buses, v.vfp, v.frames, chunked, 0, 0, 0}
-	return c.memoRun(key, func() (*cell.Result, error) {
-		prog, err := c.buildProgram(bench, spes, prefetchOn, chunked)
-		if err != nil {
-			return nil, err
-		}
-		if c.recs.on || c.profs.on {
-			label := fmt.Sprintf("%s spes=%d pf=%v lat=%d", bench, spes, prefetchOn, c.Opt.Latency)
-			c.recs.label, c.profs.label = label, label
-		}
-		res, err := c.execute(prog, spes, v)
-		if err != nil {
-			return nil, fmt.Errorf("%s spes=%d pf=%v: %w", bench, spes, prefetchOn, err)
-		}
-		return res, nil
-	})
-}
-
-// runUnchunked is run() with single-command region fetches (A6).
-func (c *Context) runUnchunked(bench string, spes int, prefetchOn bool) (*cell.Result, error) {
-	key := runKey{bench, spes, c.Opt.Latency, prefetchOn, 0, -1, 0, false, 0, false, 0, 0, 0}
-	return c.memoRun(key, func() (*cell.Result, error) {
-		prog, err := c.buildProgram(bench, spes, prefetchOn, false)
-		if err != nil {
-			return nil, err
-		}
-		if c.recs.on || c.profs.on {
-			label := fmt.Sprintf("%s spes=%d pf=%v lat=%d unchunked", bench, spes, prefetchOn, c.Opt.Latency)
-			c.recs.label, c.profs.label = label, label
-		}
-		return c.execute(prog, spes, variant{dmaLat: -1})
-	})
 }
 
 // machineConfig derives the machine configuration for one run from
@@ -543,7 +524,12 @@ func (c *Context) machineConfig(spes int, v variant) cell.Config {
 	return cfg
 }
 
-func (c *Context) execute(prog *program.Program, spes int, v variant) (*cell.Result, error) {
+// execute simulates prog on a pooled machine of the context's
+// configuration for (spes, v) — the one-run-at-a-time path: fibers
+// advance in scheduler slices here, and recording/profiling runs keep
+// their machine out of the pool. label names the run in exported
+// timelines and profiles.
+func (c *Context) execute(prog *program.Program, spes int, v variant, label string) (*cell.Result, error) {
 	cfg := c.machineConfig(spes, v)
 	recording := c.recs != nil && c.recs.on
 	if recording {
@@ -566,33 +552,34 @@ func (c *Context) execute(prog *program.Program, spes int, v variant) (*cell.Res
 	} else {
 		res, err = m.Run()
 	}
+	if !recording && !profiling {
+		// Safe to release immediately, failed run included: Result copies
+		// all statistics, the trace buffer is replaced (not cleared) on
+		// reuse, harness experiments never read the machine's memory
+		// image, and the next Get resets whatever state the run left.
+		c.pool.Put(m)
+	}
 	if err != nil {
 		return nil, err
+	}
+	if label == "" {
+		label = fmt.Sprintf("run spes=%d", spes)
 	}
 	if recording {
 		// Keep the recording alive: a pooled machine's recorder is reset
 		// on reuse, so recorded machines are not returned to the pool.
-		label := c.recs.label
-		if label == "" {
-			label = fmt.Sprintf("run spes=%d", spes)
-		}
 		c.recs.runs = append(c.recs.runs, RecordedRun{Label: label, SPEs: spes, Rec: res.Rec})
 	}
 	if profiling {
 		// Same lifetime rule as recordings: a pooled machine's profile is
 		// cleared on reuse, so profiled machines stay out of the pool.
-		label := c.profs.label
-		if label == "" {
-			label = fmt.Sprintf("run spes=%d", spes)
-		}
 		c.profs.runs = append(c.profs.runs, ProfiledRun{Label: label, SPEs: spes, Prog: prog, Prof: res.Prof})
 	}
-	if !recording && !profiling {
-		// Safe to release immediately: Result copies all statistics, the
-		// trace buffer is replaced (not cleared) on reuse, and harness
-		// experiments never read the machine's memory image.
-		c.pool.Put(m)
-	}
+	return checked(res)
+}
+
+// checked turns a completed run's failed functional check into an error.
+func checked(res *cell.Result) (*cell.Result, error) {
 	if res.CheckErr != nil {
 		return nil, fmt.Errorf("functional check: %w", res.CheckErr)
 	}

@@ -29,10 +29,14 @@ type RunResult struct {
 // Each experiment gets its own Context built from opt, so no run cache,
 // program cache, or machine state is shared across goroutines: every
 // simulation remains single-threaded and deterministic, and only the
-// cross-simulation fan-out is concurrent. The price is losing the
-// cross-experiment run cache a shared serial Context provides — worth it
-// whenever more than one core is available, since the big experiments
-// dominate wall time and do not overlap much anyway.
+// cross-simulation fan-out is concurrent. The price is the
+// cross-experiment run cache: the committed sweep re-requests the same
+// simulations across experiments, and isolated contexts recompute them.
+// One shared NewContext keeps that cache and uses the cores as well —
+// it spreads each experiment's declared runs (Context.runAll) instead
+// of whole experiments — so Parallel pays only where experiments share
+// little and outnumber the cores; BenchmarkHarnessSharedSweep and
+// BenchmarkHarnessParallelSweep are the two sides of that comparison.
 //
 // workers <= 0 selects runtime.NumCPU(). A panic inside an experiment is
 // contained to its worker and reported as that experiment's Err.
@@ -88,8 +92,10 @@ func Serial(opt Options, exps []*Experiment) []RunResult {
 // RunOn executes one experiment on the given context, converting panics
 // into errors so one bad experiment cannot take down a sweep. It is the
 // shared containment primitive: the pool runners use it with isolated
-// contexts, cmd/experiments uses it with its shared-cache serial
-// context, and the dtad service inherits it through Serial.
+// contexts, cmd/experiments uses it with its one shared context, and
+// the dtad service calls it per job. A panic inside a simulation that
+// runAll moved to a goroutine of its own never reaches this recover:
+// runAll carries it back as that run's error.
 func RunOn(ctx *Context, exp *Experiment) (res RunResult) {
 	start := time.Now()
 	base := *ctx.simCycles

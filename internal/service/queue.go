@@ -387,7 +387,8 @@ func (s *Service) Close() {
 // worker executes queued jobs until the queue closes. Each worker owns
 // a registry of shared BatchStates keyed by the program-shaping Options
 // fields (Quick, Seed): every job joining an existing state reuses its
-// machine pool, program cache and — decisively — its RUN CACHE, so a
+// program cache and — decisively — its RUN CACHE (the machine pool is
+// the worker's, shared by every state), so a
 // sweep whose jobs overlap in simulations computes each one once per
 // worker instead of once per job. With BatchWidth > 1 the worker
 // interleaves that many jobs cooperatively under the horizon-aware

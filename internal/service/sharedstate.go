@@ -3,6 +3,7 @@ package service
 import (
 	"sync/atomic"
 
+	"repro/internal/cell"
 	"repro/internal/harness"
 )
 
@@ -23,7 +24,7 @@ type stateKey struct {
 }
 
 // stateIdleCap bounds how many zero-ref states a registry keeps warm.
-// A state holds a machine pool and every result its jobs computed, so
+// A state holds the compiled programs and every result its jobs computed, so
 // the cap trades memory for the chance that the next sweep rejoins a
 // warm cache; sweeps target one operating point at a time, so a few
 // entries cover the realistic churn.
@@ -36,14 +37,18 @@ type stateEntry struct {
 
 // stateRegistry hands out refcounted BatchStates keyed by stateKey, so
 // every job of one worker whose Options agree on the program-shaping
-// fields shares run/program caches, inflight dedup marks and a machine
-// pool — concurrently for the fibers of a batched worker, generation
-// after generation for a sequential one. Per-worker and lock-free like
-// the caches it manages: the fibers of one worker never execute
-// simultaneously. Zero-ref states idle in LRU order up to stateIdleCap
-// before eviction.
+// fields shares run/program caches and inflight dedup marks —
+// concurrently for the fibers of a batched worker, generation after
+// generation for a sequential one. The machine pool (like the
+// checkpoint cache) is the worker's, shared by all its states: a
+// machine's shape depends on its configuration, not on Quick or Seed,
+// so a never-seen seed resets a pooled machine instead of building a
+// 1.5 MB one. Per-worker and lock-free like the caches it manages: the
+// fibers of one worker never execute simultaneously. Zero-ref states
+// idle in LRU order up to stateIdleCap before eviction.
 type stateRegistry struct {
 	width  int
+	pool   *cell.Pool
 	ckpts  *harness.CheckpointCache
 	states map[stateKey]*stateEntry
 	idle   []stateKey // zero-ref states, coldest first
@@ -53,7 +58,12 @@ func newStateRegistry(width int, ckpts *harness.CheckpointCache) *stateRegistry 
 	if width < 1 {
 		width = 1
 	}
-	return &stateRegistry{width: width, ckpts: ckpts, states: make(map[stateKey]*stateEntry)}
+	return &stateRegistry{
+		width:  width,
+		pool:   cell.NewBatchPool(width),
+		ckpts:  ckpts,
+		states: make(map[stateKey]*stateEntry),
+	}
 }
 
 // acquire returns the shared state for opt's program-shaping fields,
@@ -64,6 +74,7 @@ func (r *stateRegistry) acquire(opt harness.Options) *harness.BatchState {
 	e := r.states[k]
 	if e == nil {
 		st := harness.NewBatchState(opt, 0, r.width)
+		st.SetPool(r.pool)
 		st.SetCheckpointCache(r.ckpts)
 		e = &stateEntry{state: st}
 		r.states[k] = e

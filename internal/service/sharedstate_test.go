@@ -3,6 +3,7 @@ package service
 import (
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/harness"
 )
 
@@ -77,5 +78,28 @@ func TestStateRegistryConcurrentRefs(t *testing.T) {
 	}
 	if got := r.acquire(opt); got != a {
 		t.Fatal("referenced state was evicted")
+	}
+}
+
+// TestWorkerPoolSharedAcrossSeeds: a worker's machine pool belongs to
+// the worker, not to a (Quick, Seed) state — a machine's shape does not
+// depend on the seed — so three jobs with three never-seen seeds on one
+// worker build one machine between them, not one each.
+func TestWorkerPoolSharedAcrossSeeds(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	misses := cell.PoolMisses.Load()
+	for seed := uint64(1); seed <= 3; seed++ {
+		job, err := s.Submit("mmul-pf", harness.Options{Quick: true, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, job)
+		if job.State != JobDone {
+			t.Fatalf("seed %d: job = %s (%s)", seed, job.State, job.Err)
+		}
+	}
+	if got := cell.PoolMisses.Load() - misses; got != 1 {
+		t.Fatalf("three seeds on one worker built %d machines, want 1", got)
 	}
 }
