@@ -118,7 +118,7 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 	m.memory = mem.New(cfg.Mem, cfg.memEP(), m.net)
 	memHandle := m.eng.Register(m.memory)
 	m.memory.Attach(memHandle)
-	m.net.Register(cfg.memEP(), m.memory)
+	m.net.RegisterTimed(cfg.memEP(), m.memory)
 	m.memory.Fault = m.fail
 
 	lseEP := cfg.lseEP
@@ -154,7 +154,7 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		pipe := spu.New(cfg.SPU, cfg.spuEP(i), i, cfg.memEP(), m.net, lseUnit,
 			dmaEng, store, prog)
 		pipe.Attach(m.eng.Register(pipe))
-		m.net.Register(cfg.spuEP(i), pipe)
+		m.net.RegisterTimed(cfg.spuEP(i), pipe)
 		pipe.Fault = m.fail
 		pipe.Rec = m.rec
 		pipe.Prof = m.prof
@@ -548,6 +548,26 @@ func (m *Machine) RunScheduled(floor sim.Cycle, sched func(next sim.Cycle) sim.C
 			return m.Finish()
 		}
 	}
+}
+
+// ComponentTicks is one engine component's event count for a run.
+type ComponentTicks struct {
+	Name  string // sim.Component.Name: "noc", "memory", "lse0", "spu0", ...
+	Ticks int64
+}
+
+// ComponentTicks returns, in engine registration order, how many times
+// each component was ticked since the machine was built, Reset or
+// restored. It is what a run cost the host in engine events — the
+// measure the perf ledger in EXPERIMENTS.md is kept in — and says
+// nothing about the simulated machine, so it stays out of Result and of
+// every encoded form of it.
+func (m *Machine) ComponentTicks() []ComponentTicks {
+	out := make([]ComponentTicks, m.eng.NumComponents())
+	for i := range out {
+		out[i] = ComponentTicks{Name: m.eng.ComponentName(int32(i)), Ticks: m.eng.Ticks(int32(i))}
+	}
+	return out
 }
 
 // MemReader exposes the post-run memory image.

@@ -102,7 +102,12 @@ func TestLoopComputesSum(t *testing.T) {
 
 // progForkJoin: root forks k workers; each worker doubles its argument
 // and stores it to the joiner; the joiner sums its k inputs and posts.
-func progForkJoin(t testing.TB, k int) *program.Program {
+func progForkJoin(t testing.TB, k int) *program.Program { return progForkJoinEX(t, k, nil) }
+
+// progForkJoinEX is progForkJoin with extra code appended to each
+// worker's EX block. It may use r5 and up; the result does not depend on
+// it.
+func progForkJoinEX(t testing.TB, k int, workerEX func(ex *program.Asm)) *program.Program {
 	b := program.NewBuilder("forkjoin")
 
 	joiner := b.Template("joiner")
@@ -130,6 +135,9 @@ func progForkJoin(t testing.TB, k int) *program.Program {
 		pl.Load(program.R(3), 2) // result slot in joiner
 		ex := worker.EX()
 		ex.Shli(program.R(4), program.R(1), 1) // value*2
+		if workerEX != nil {
+			workerEX(ex)
+		}
 		ps := worker.PS()
 		ps.Storex(program.R(4), program.R(2), program.R(3))
 		ps.Ffree()

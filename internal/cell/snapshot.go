@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is bumped whenever the machine snapshot layout
 // changes; restores of a mismatched version fail with
 // snap.VersionError instead of misdecoding.
-const SnapshotVersion = 2
+const SnapshotVersion = 3
 
 // SnapshotKey derives the content-addressed checkpoint key for (cfg,
 // prog, divergence cycle): two runs with equal keys have byte-identical

@@ -140,8 +140,103 @@ func TestSnapshotRoundTripStable(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionMismatch: a future-version envelope must be
-// rejected with a typed error, not misdecoded.
+// TestSnapshotRoundTripReadInFlight captures with a blocking READ under
+// way in each leg — the request handed to the memory, or the response
+// handed to the SPU, short of its delivery cycle. Such a message is in
+// neither the network's delivery heap nor the engine's pending work: it
+// lives with the timed endpoint that holds it, and the network's message
+// count at the capture leaves it out. The restored machine must hold it,
+// count like the donor, re-capture to the same bytes and finish like a
+// cold run.
+func TestSnapshotRoundTripReadInFlight(t *testing.T) {
+	cfg := smallConfig(2)
+	p := progForkJoinEX(t, 6, func(ex *program.Asm) {
+		ex.Movi(program.R(6), 0x100000)
+		ex.Movi(program.R(7), 0)
+		ex.Movi(program.R(8), 5)
+		ex.Label("rd")
+		// A delay of `value` iterations, different per worker, so that one
+		// SPU computes (and the engine has events) while another's READ
+		// is in the interconnect.
+		ex.Movi(program.R(10), 0)
+		ex.Label("delay")
+		ex.Addi(program.R(10), program.R(10), 1)
+		ex.Blt(program.R(10), program.R(1), "delay")
+		ex.Read(program.R(5), program.R(6), 0)
+		ex.Add(program.R(9), program.R(9), program.R(5))
+		ex.Addi(program.R(6), program.R(6), 4)
+		ex.Addi(program.R(7), program.R(7), 1)
+		ex.Blt(program.R(7), program.R(8), "rd")
+	})
+	want := run(t, cfg, p)
+	for _, leg := range []struct {
+		name     string
+		inFlight func(m *Machine) int
+	}{
+		{"request", func(m *Machine) int { return m.memory.Undelivered(m.Now()) }},
+		{"response", func(m *Machine) int {
+			k := 0
+			for _, spe := range m.spes {
+				k += spe.SPU.Undelivered(m.Now())
+			}
+			return k
+		}},
+	} {
+		// Walk the donor pass by pass to the first boundary with the leg
+		// occupied.
+		donor, err := New(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for leg.inFlight(donor) == 0 {
+			if st, err := donor.StepUntil(donor.Now() + 1); err != nil || st == StepDone {
+				t.Fatalf("%s: the run ended with no boundary inside the leg: %v", leg.name, err)
+			}
+		}
+		key := SnapshotKey(cfg, p, donor.Now())
+		blob, err := donor.EncodeSnapshot(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forked, err := New(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := forked.RestoreSnapshot(blob, key); err != nil {
+			t.Fatalf("%s: RestoreSnapshot: %v", leg.name, err)
+		}
+		if got, want := leg.inFlight(forked), leg.inFlight(donor); got != want {
+			t.Fatalf("%s: restored machine has %d messages in the leg, donor %d", leg.name, got, want)
+		}
+		if got, want := forked.net.Stats(), donor.net.Stats(); got != want {
+			t.Fatalf("%s: restored network stats %+v, donor %+v", leg.name, got, want)
+		}
+		if got, want := forked.net.DumpState(), donor.net.DumpState(); got != want {
+			t.Fatalf("%s: restored network dumps %q, donor %q", leg.name, got, want)
+		}
+		again, err := forked.EncodeSnapshot(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, again) {
+			t.Fatalf("%s: re-captured snapshot differs: %d vs %d bytes", leg.name, len(blob), len(again))
+		}
+		got, err := forked.Run()
+		if err != nil {
+			t.Fatalf("%s: forked Run: %v", leg.name, err)
+		}
+		resultsIdentical(t, want, got, leg.name+"/forked")
+		donorRes, err := donor.Run()
+		if err != nil {
+			t.Fatalf("%s: donor Run: %v", leg.name, err)
+		}
+		resultsIdentical(t, want, donorRes, leg.name+"/donor")
+	}
+}
+
+// TestSnapshotVersionMismatch: an envelope of another version — a future
+// one, or the previous layout, which kept in-flight READs in the network
+// — must be rejected with a typed error, not misdecoded.
 func TestSnapshotVersionMismatch(t *testing.T) {
 	cfg := smallConfig(1)
 	p := progMinimal(t)
@@ -157,19 +252,19 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := SnapshotKey(cfg, p, 10)
-	blob := snap.Encode(SnapshotVersion+1, key, w.Bytes())
-
 	fresh, err := New(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = fresh.RestoreSnapshot(blob, key)
-	var verr *snap.VersionError
-	if !errors.As(err, &verr) {
-		t.Fatalf("RestoreSnapshot = %v, want snap.VersionError", err)
-	}
-	if verr.Got != SnapshotVersion+1 || verr.Want != SnapshotVersion {
-		t.Fatalf("VersionError = %+v", verr)
+	for _, version := range []uint32{SnapshotVersion + 1, SnapshotVersion - 1} {
+		err = fresh.RestoreSnapshot(snap.Encode(version, key, w.Bytes()), key)
+		var verr *snap.VersionError
+		if !errors.As(err, &verr) {
+			t.Fatalf("RestoreSnapshot of version %d = %v, want snap.VersionError", version, err)
+		}
+		if verr.Got != version || verr.Want != SnapshotVersion {
+			t.Fatalf("VersionError = %+v", verr)
+		}
 	}
 
 	// Wrong identity is rejected too.

@@ -140,7 +140,7 @@ func newMemHarness(t *testing.T, cfg Config) *memHarness {
 	h.net.Attach(h.e.Register(h.net))
 	h.m = New(cfg, 100, h.net)
 	h.m.Attach(h.e.Register(h.m))
-	h.net.Register(100, h.m)
+	h.net.RegisterTimed(100, h.m)
 	h.net.Register(1, h)
 	h.e.Register(h)
 	h.m.Fault = func(err error) { t.Fatalf("memory fault: %v", err) }
@@ -179,11 +179,12 @@ func TestScalarReadLatency(t *testing.T) {
 	}
 }
 
-// TestServiceCycleRule pins when a delivered request is serviced (see
-// Memory.Deliver): the cycle after its delivery when the memory is idle,
-// the delivery cycle itself when the memory was already due on it — and
-// then the delivery's own wake for the next cycle is dropped by the
-// engine, so no tick follows it.
+// TestServiceCycleRule pins when a request is serviced, in terms of its
+// delivery cycle (see Memory): the cycle after when the memory is idle,
+// the delivery cycle itself when the memory is due on it for another
+// reason — and then no tick of its own follows on the cycle after. The
+// memory holds the request from the cycle it was sent, so every cycle
+// here is one the memory chose from its own state.
 func TestServiceCycleRule(t *testing.T) {
 	// The harness network delivers a request 7 cycles after its Send
 	// (grant +1, 2 cycles on the bus, 4 hops) and a read response 8
@@ -211,18 +212,34 @@ func TestServiceCycleRule(t *testing.T) {
 		// delivered at 7 and 8, both serviced at 8, and nothing runs at 9.
 		{"owed tick", []sim.Cycle{0, 1}, reqLag + 1, 2, reqLag + 1 + lat,
 			[]sim.Cycle{reqLag + 1 + lat + respLag, reqLag + 1 + lat + respLag}},
+		// Due on the cycle before the delivery: the memory sends the first
+		// response at 18 with the second request in its inbox since 12 and
+		// not delivered until 19. It leaves it alone — serviced at 20.
+		{"due a cycle early", []sim.Cycle{0, 2 + lat}, reqLag + 2 + lat, 1, reqLag + 3 + lat,
+			[]sim.Cycle{reqLag + 1 + lat + respLag, reqLag + 3 + 2*lat + respLag}},
 	} {
 		cfg := Config{SizeBytes: 1 << 20, Latency: lat, Ports: 2, PortWidth: 32, PacketBytes: 128}
 		h := newMemHarness(t, cfg)
 		for _, s := range tc.sends {
 			h.net.Send(s, read)
 		}
+		if got := h.m.Undelivered(0); got != len(tc.sends) {
+			t.Errorf("%s: the memory holds %d undelivered requests after the sends, want %d", tc.name, got, len(tc.sends))
+		}
 		h.e.RunUntil(tc.at + 1) // runs every cycle up to and including at
 		if got := h.m.Stats().ScalarReads; got != tc.servedAt {
 			t.Errorf("%s: %d requests serviced by cycle %d, want %d", tc.name, got, tc.at, tc.servedAt)
 		}
+		if got := h.m.Undelivered(tc.at); got != 0 {
+			t.Errorf("%s: %d requests still undelivered at cycle %d", tc.name, got, tc.at)
+		}
 		if got := h.e.NextScheduled(h.m.handle.ID()); got != tc.nextTick {
 			t.Errorf("%s: memory next scheduled at %d after cycle %d, want %d", tc.name, got, tc.at, tc.nextTick)
+		}
+		// The network is the harness's first component; every component
+		// gets one tick at cycle 0, from its registration.
+		if got := h.e.Ticks(0); got != 1 {
+			t.Errorf("%s: the network was ticked %d times, want only its registration tick: requests into a timed endpoint cost it none", tc.name, got)
 		}
 		h.runUntilQuiet(t, 1000)
 		if len(h.at) != len(tc.responses) {
@@ -233,6 +250,55 @@ func TestServiceCycleRule(t *testing.T) {
 				t.Errorf("%s: response %d at cycle %d, want %d", tc.name, i, h.at[i], want)
 			}
 		}
+	}
+}
+
+// TestInboxOrderedByDeliveryCycle: requests reach the memory in send
+// order but count in delivery order. A 128-byte block write sent at 0
+// spends 18 cycles on its bus and is delivered at 23; a header-only READ
+// sent at 1 takes another bus and is delivered at 8. The READ is
+// serviced at 9, with the write still on its way; the write is serviced
+// at 24 — each on the cycle after its own delivery.
+func TestInboxOrderedByDeliveryCycle(t *testing.T) {
+	const lat, readResp, ackLag = 10, 8, 7
+	h := newMemHarness(t, Config{SizeBytes: 1 << 20, Latency: lat, Ports: 2, PortWidth: 32, PacketBytes: 128})
+	if err := h.m.Store().Write32(0x40, 77); err != nil {
+		t.Fatal(err)
+	}
+	h.net.Send(0, noc.Message{Src: 1, Dst: 100, Kind: noc.KindMemBlockWrite, A: 0x1000, B: 1, C: 5,
+		Data: bytes.Repeat([]byte{0xab}, 128)})
+	h.net.Send(1, noc.Message{Src: 1, Dst: 100, Kind: noc.KindMemRead32, A: 0x40})
+
+	h.e.RunUntil(10) // every cycle up to and including 9
+	st := h.m.Stats()
+	if st.ScalarReads != 1 || st.BytesWritten != 0 {
+		t.Fatalf("by cycle 9: %d reads serviced, %d bytes written; want the READ serviced and the write not", st.ScalarReads, st.BytesWritten)
+	}
+	if got := h.m.Undelivered(9); got != 1 {
+		t.Fatalf("at cycle 9 the memory holds %d undelivered requests, want the block write", got)
+	}
+	if dump := h.m.DumpState(); !strings.Contains(dump, "mem-block-write from 1 at 23") {
+		t.Fatalf("DumpState does not show the block write under way: %s", dump)
+	}
+	if got, want := h.net.Stats().Messages, int64(1); got != want {
+		t.Fatalf("at cycle %d the network counts %d messages delivered, want %d", h.e.Now(), got, want)
+	}
+	// Next: the READ's response at 9+lat, before the write's service tick.
+	if got := h.e.NextScheduled(h.m.handle.ID()); got != 9+lat {
+		t.Fatalf("memory next scheduled at %d, want %d", got, 9+lat)
+	}
+
+	h.runUntilQuiet(t, 1000)
+	if len(h.got) != 2 || h.got[0].Kind != noc.KindMemReadResp || h.got[0].B != 77 ||
+		h.got[1].Kind != noc.KindMemBlockAck || h.got[1].C != 5 {
+		t.Fatalf("responses = %v", h.got)
+	}
+	if h.at[0] != 9+lat+readResp || h.at[1] != 24+lat+ackLag {
+		t.Fatalf("READ response at %d, write ack at %d; want %d (serviced at 9) and %d (serviced at 24)",
+			h.at[0], h.at[1], 9+lat+readResp, 24+lat+ackLag)
+	}
+	if got := h.net.Stats().Messages; got != 4 {
+		t.Fatalf("%d messages delivered in all, want 4", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -38,28 +39,84 @@ type Stats struct {
 	PortBusy     int64 // cycles of port occupancy, summed over ports
 }
 
-// outEvent is a pending-response heap entry. The message payload lives
-// in Memory.outSlab (indexed by slot) so heap sifts move 24-byte refs
-// instead of whole Messages — the same slab indirection the network's
-// delivery heap uses.
-type outEvent struct {
+// timedRef is one entry of a msgHeap. The message itself lives in the
+// heap's slab (indexed by slot) so sifts move 24-byte refs instead of
+// whole Messages — the same slab indirection the network's delivery heap
+// uses.
+type timedRef struct {
 	at   sim.Cycle
 	seq  int64
 	slot int32
 }
 
-// Before orders response events by (ready cycle, service order) for the
-// typed min-heap.
-func (e outEvent) Before(o outEvent) bool {
+// Before orders entries by (cycle, sequence) for the typed min-heap.
+func (e timedRef) Before(o timedRef) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
 	return e.seq < o.seq
 }
 
-// Memory is the main-memory component: a noc.Endpoint that services
-// scalar and block requests with port and latency modelling, backed by a
-// functional sparse store.
+// msgHeap holds messages that each become due at a cycle, earliest
+// first and in sequence order within a cycle. Both of the memory's
+// queues are one: requests by (delivery cycle, network send order),
+// responses by (ready cycle, service order).
+type msgHeap struct {
+	refs []timedRef
+	slab []noc.Message // payloads for refs, indexed by slot
+	free []int32       // recycled slab slots
+}
+
+func (q *msgHeap) len() int { return len(q.refs) }
+
+// due reports whether the earliest entry's cycle is at or before now.
+func (q *msgHeap) due(now sim.Cycle) bool { return len(q.refs) > 0 && q.refs[0].at <= now }
+
+func (q *msgHeap) push(at sim.Cycle, seq int64, msg noc.Message) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = msg
+	} else {
+		q.slab = append(q.slab, msg)
+		slot = int32(len(q.slab) - 1)
+	}
+	sim.HeapPush(&q.refs, timedRef{at: at, seq: seq, slot: slot})
+}
+
+// pop removes and returns the earliest message.
+func (q *msgHeap) pop() noc.Message {
+	ref := sim.HeapPop(&q.refs)
+	msg := q.slab[ref.slot]
+	q.slab[ref.slot] = noc.Message{} // release payload reference
+	q.free = append(q.free, ref.slot)
+	return msg
+}
+
+func (q *msgHeap) reset() {
+	q.refs = q.refs[:0]
+	clear(q.slab) // release payload references
+	q.slab = q.slab[:0]
+	q.free = q.free[:0]
+}
+
+// Memory is the main-memory component: it services scalar and block
+// requests with port and latency modelling, backed by a functional
+// sparse store. On the interconnect it is a timed endpoint
+// (noc.TimedEndpoint): a request reaches it when it is sent, stamped
+// with its delivery cycle, and waits in the inbox until a tick at or
+// after that cycle services it. When that tick comes — the service-cycle
+// rule every run's timing depends on, pinned by TestServiceCycleRule —
+// follows from the memory's own state:
+//
+//   - the memory ticks on the cycle after a request's delivery and on
+//     every cycle a response is ready to send, and on no other;
+//   - a tick services every request delivered by then. So a request is
+//     serviced on the cycle after its delivery, or on the delivery cycle
+//     itself when the memory is due on it anyway — a response to send,
+//     or the service tick owed to a request delivered one cycle earlier —
+//     and in that case earns no tick of its own on the next cycle.
 type Memory struct {
 	cfg    Config
 	id     int
@@ -67,12 +124,10 @@ type Memory struct {
 	handle *sim.Handle
 	store  *Sparse
 
-	inbox    []noc.Message
+	inbox    msgHeap // requests, by (delivery cycle, network send order)
 	portFree []sim.Cycle
-	out      []outEvent
-	outSlab  []noc.Message // payloads for out entries, indexed by slot
-	outFree  []int32       // recycled outSlab slots
-	seq      int64
+	out      msgHeap // responses, by (ready cycle, service order)
+	seq      int64   // service order of the responses
 	stats    Stats
 
 	// Fault receives functional errors (out-of-range accesses); the
@@ -112,37 +167,31 @@ func (m *Memory) Stats() Stats { return m.stats }
 // responses, port bookings and statistics for machine reuse.
 func (m *Memory) Reset() {
 	m.store.Reset()
-	m.inbox = m.inbox[:0]
-	for i := range m.portFree {
-		m.portFree[i] = 0
-	}
-	m.out = m.out[:0]
-	for i := range m.outSlab {
-		m.outSlab[i] = noc.Message{} // release payload references
-	}
-	m.outSlab = m.outSlab[:0]
-	m.outFree = m.outFree[:0]
+	m.inbox.reset()
+	clear(m.portFree)
+	m.out.reset()
 	m.seq = 0
 	m.stats = Stats{}
 }
 
-// Deliver implements noc.Endpoint: it queues the request and asks for a
-// tick on the next cycle. When the request is serviced follows from how
-// the engine merges that wake, and the timing of every run depends on
-// it (TestServiceCycleRule pins the cases):
-//
-//   - the memory is not due at now: the request is serviced at now+1;
-//   - the memory is already due at now — a response to send, or the
-//     service tick owed to a delivery at now-1 — and, ticking after the
-//     network in the pass, services the request at now with the rest of
-//     its inbox. The wake for now+1 is dropped (sim.Engine.wake ignores
-//     a wake for a component still pending in the current pass), so the
-//     delivery earns no tick of its own at now+1.
-func (m *Memory) Deliver(now sim.Cycle, msg noc.Message) {
-	m.inbox = append(m.inbox, msg)
-	if m.handle != nil {
-		m.handle.Wake(now + 1)
+// DeliverAt implements noc.TimedEndpoint: the request joins the inbox
+// under its delivery cycle, and the memory makes sure it ticks on the
+// cycle after.
+func (m *Memory) DeliverAt(at sim.Cycle, seq int64, msg noc.Message) {
+	m.inbox.push(at, seq, msg)
+	m.handle.Wake(at + 1)
+}
+
+// Undelivered implements noc.TimedEndpoint. Requests leave the inbox
+// when they are serviced, which is never before their delivery cycle.
+func (m *Memory) Undelivered(now sim.Cycle) int {
+	k := 0
+	for _, ref := range m.inbox.refs {
+		if ref.at > now {
+			k++
+		}
 	}
+	return k
 }
 
 // reservePort books occupancy cycles on the earliest-free port starting
@@ -163,21 +212,9 @@ func (m *Memory) reservePort(now sim.Cycle, occupancy sim.Cycle) sim.Cycle {
 	return start
 }
 
-// outAlloc parks a payload in the slab and returns its slot.
-func (m *Memory) outAlloc(msg noc.Message) int32 {
-	if n := len(m.outFree); n > 0 {
-		slot := m.outFree[n-1]
-		m.outFree = m.outFree[:n-1]
-		m.outSlab[slot] = msg
-		return slot
-	}
-	m.outSlab = append(m.outSlab, msg)
-	return int32(len(m.outSlab) - 1)
-}
-
 func (m *Memory) emit(at sim.Cycle, msg noc.Message) {
 	m.seq++
-	sim.HeapPush(&m.out, outEvent{at: at, seq: m.seq, slot: m.outAlloc(msg)})
+	m.out.push(at, m.seq, msg)
 }
 
 // occupancyFor returns the port cycles for an n-byte transfer.
@@ -189,27 +226,26 @@ func (m *Memory) occupancyFor(n int) sim.Cycle {
 	return occ
 }
 
-// Tick services every queued request — all of them at now, including
-// one delivered earlier in this same pass (see Deliver) — and sends the
-// responses due. It asks to run again only for the next response.
+// Tick services the requests delivered by now, in delivery order, and
+// sends the responses due. It asks to run again for the next response
+// or the cycle after the next delivery, whichever is first (see Memory
+// for the rule this makes).
 func (m *Memory) Tick(now sim.Cycle) sim.Cycle {
-	for _, msg := range m.inbox {
-		m.service(now, msg)
+	for m.inbox.due(now) {
+		m.service(now, m.inbox.pop())
 	}
-	m.inbox = m.inbox[:0]
-
-	for len(m.out) > 0 && m.out[0].at <= now {
-		ev := sim.HeapPop(&m.out)
-		msg := m.outSlab[ev.slot]
-		m.outSlab[ev.slot] = noc.Message{} // release payload reference
-		m.outFree = append(m.outFree, ev.slot)
-		m.net.Send(now, msg)
+	for m.out.due(now) {
+		m.net.Send(now, m.out.pop())
 	}
 
-	if len(m.out) > 0 {
-		return m.out[0].at
+	next := sim.Never
+	if m.out.len() > 0 {
+		next = m.out.refs[0].at
 	}
-	return sim.Never
+	if m.inbox.len() > 0 && m.inbox.refs[0].at+1 < next {
+		next = m.inbox.refs[0].at + 1
+	}
+	return next
 }
 
 func (m *Memory) service(now sim.Cycle, msg noc.Message) {
@@ -314,5 +350,13 @@ func (m *Memory) service(now sim.Cycle, msg noc.Message) {
 
 // DumpState implements sim.StateDumper.
 func (m *Memory) DumpState() string {
-	return fmt.Sprintf("inbox=%d pending-out=%d", len(m.inbox), len(m.out))
+	var b strings.Builder
+	fmt.Fprintf(&b, "inbox=%d pending-out=%d", m.inbox.len(), m.out.len())
+	// Heap order, not delivery order: a deadlock report wants to see
+	// every request under way, each with the cycle it is delivered.
+	for _, ref := range m.inbox.refs {
+		msg := m.inbox.slab[ref.slot]
+		fmt.Fprintf(&b, " [%s from %d at %d]", msg.Kind, msg.Src, ref.at)
+	}
+	return b.String()
 }

@@ -67,27 +67,45 @@ func (m *Memory) SetLatency(cycles int) {
 // Latency returns the current access latency (for tests).
 func (m *Memory) Latency() int { return m.cfg.Latency }
 
+// snapshot writes the heap in slice order; restore re-pushes, and pop
+// order is the (at, seq) total order, so the internal layout is
+// behaviour-invisible.
+func (q *msgHeap) snapshot(w *snap.Writer) {
+	w.Int(len(q.refs))
+	for _, ref := range q.refs {
+		w.I64(int64(ref.at))
+		w.I64(ref.seq)
+		noc.SnapshotMessage(w, q.slab[ref.slot])
+	}
+}
+
+func (q *msgHeap) restore(r *snap.Reader) error {
+	q.reset()
+	n := r.Int()
+	for i := 0; i < n; i++ {
+		at := sim.Cycle(r.I64())
+		seq := r.I64()
+		msg := noc.RestoreMessage(r)
+		if r.Err() != nil {
+			return r.Err()
+		}
+		q.push(at, seq, msg)
+	}
+	return r.Err()
+}
+
 // Snapshot serialises the memory component's mutable state: the
-// functional store, queued requests, port bookings and pending
+// functional store, the requests in the inbox — delivered or still on
+// their way, each with its delivery cycle — port bookings and pending
 // responses. Wiring (endpoint id, network, fault hook) is not state.
 func (m *Memory) Snapshot(w *snap.Writer) {
 	m.store.Snapshot(w)
-	w.Int(len(m.inbox))
-	for _, msg := range m.inbox {
-		noc.SnapshotMessage(w, msg)
-	}
+	m.inbox.snapshot(w)
 	w.Int(len(m.portFree))
 	for _, f := range m.portFree {
 		w.I64(int64(f))
 	}
-	// Response heap in slab order; restore re-pushes (pop order is the
-	// (at, seq) total order, so internal layout is behaviour-invisible).
-	w.Int(len(m.out))
-	for _, ev := range m.out {
-		w.I64(int64(ev.at))
-		w.I64(ev.seq)
-		noc.SnapshotMessage(w, m.outSlab[ev.slot])
-	}
+	m.out.snapshot(w)
 	w.I64(m.seq)
 	w.I64(m.stats.ScalarReads)
 	w.I64(m.stats.ScalarWrites)
@@ -104,10 +122,8 @@ func (m *Memory) Restore(r *snap.Reader) error {
 	if err := m.store.Restore(r); err != nil {
 		return err
 	}
-	m.inbox = m.inbox[:0]
-	ni := r.Int()
-	for i := 0; i < ni; i++ {
-		m.inbox = append(m.inbox, noc.RestoreMessage(r))
+	if err := m.inbox.restore(r); err != nil {
+		return err
 	}
 	np := r.Int()
 	if r.Err() == nil && np != len(m.portFree) {
@@ -116,21 +132,8 @@ func (m *Memory) Restore(r *snap.Reader) error {
 	for i := 0; i < np; i++ {
 		m.portFree[i] = sim.Cycle(r.I64())
 	}
-	m.out = m.out[:0]
-	for i := range m.outSlab {
-		m.outSlab[i] = noc.Message{}
-	}
-	m.outSlab = m.outSlab[:0]
-	m.outFree = m.outFree[:0]
-	no := r.Int()
-	for i := 0; i < no; i++ {
-		at := sim.Cycle(r.I64())
-		seq := r.I64()
-		msg := noc.RestoreMessage(r)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		sim.HeapPush(&m.out, outEvent{at: at, seq: seq, slot: m.outAlloc(msg)})
+	if err := m.out.restore(r); err != nil {
+		return err
 	}
 	m.seq = r.I64()
 	m.stats.ScalarReads = r.I64()

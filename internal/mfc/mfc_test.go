@@ -33,7 +33,7 @@ func newRig(t *testing.T, mfcCfg Config, memCfg mem.Config) *rig {
 	r.net.Attach(r.e.Register(r.net))
 	r.m = mem.New(memCfg, 100, r.net)
 	r.m.Attach(r.e.Register(r.m))
-	r.net.Register(100, r.m)
+	r.net.RegisterTimed(100, r.m)
 	r.store = ls.New(ls.DefaultConfig())
 	r.mfc = New(mfcCfg, 1, 100, r.net, r.store)
 	r.mfc.Attach(r.e.Register(r.mfc))

@@ -7,11 +7,46 @@ import (
 	"repro/internal/trace"
 )
 
-// Endpoint receives delivered messages. Deliver runs during the
-// network's tick; implementations should enqueue the message and wake
-// themselves rather than doing heavy work inline.
+// Endpoint is a ticked endpoint (Register): the network keeps its
+// messages and calls Deliver from its own Tick at the delivery cycle, in
+// (delivery cycle, send order). The network is the engine's first
+// component, so a Deliver runs before anything else on that cycle — which
+// is what an endpoint needs when its delivery acts: writes a local store,
+// moves an inbox high-water mark or a back-pressure threshold, or sends.
 type Endpoint interface {
 	Deliver(now sim.Cycle, m Message)
+}
+
+// TimedEndpoint is a timed endpoint (RegisterTimed): one whose delivery
+// would do nothing but queue the message and ask for a tick on the next
+// cycle. A message's delivery cycle is known when it is sent, so Send
+// hands such an endpoint the message on the spot and the network spends
+// no engine event on it; the endpoint must behave exactly as if
+// Deliver(at, m) had run first thing on cycle at, which comes to:
+//
+//   - keep the message, ordered by (at, seq) if it can hold several,
+//     and wake itself for at+1 — the tick a Deliver at cycle at would
+//     have asked for;
+//   - in any Tick(now), treat the messages with at <= now as delivered
+//     and the rest as not there yet (a tick on cycle at itself, due for
+//     some other reason, already sees the message: the network would
+//     have delivered it earlier in that pass);
+//   - never return a next-tick cycle beyond at+1 while it holds an
+//     undelivered message: a tick in between consumes the engine's one
+//     schedule slot for the component, the at+1 wake included.
+//
+// The kind is fixed at registration. An endpoint in a touch group must
+// be ticked: EarliestDeliveryTo reads the network's own delivery heap.
+type TimedEndpoint interface {
+	// DeliverAt takes a message at Send time. at is its delivery cycle
+	// (at least MinDeliveryLatency cycles ahead) and seq its position in
+	// the network's send order, the tie-break among equal cycles.
+	DeliverAt(at sim.Cycle, seq int64, m Message)
+	// Undelivered returns how many messages taken through DeliverAt have
+	// a delivery cycle beyond now. The network asks when its statistics
+	// are read, so that Stats.Messages counts a message from its delivery
+	// cycle on for both endpoint kinds.
+	Undelivered(now sim.Cycle) int
 }
 
 // Config holds interconnect parameters (paper Table 4).
@@ -85,18 +120,28 @@ func (d delRef) Before(o delRef) bool {
 	return d.seq < o.seq
 }
 
+// port is one registered endpoint; exactly one of the two is set.
+type port struct {
+	ticked Endpoint
+	timed  TimedEndpoint
+}
+
+func (p port) bound() bool { return p.ticked != nil || p.timed != nil }
+
 // Network is the interconnect component. Arbitration is FIFO in send
 // order and a grant never frees a bus, so everything about a message's
 // transit — grant cycle, bus, occupancy, delivery cycle — is already
-// decided when it is sent. Send computes it and files the delivery; the
-// network's only engine event per message is the Tick that delivers it.
+// decided when it is sent. Send computes it and then either hands the
+// message to a timed endpoint, which costs the network no engine event,
+// or files the delivery for a ticked one, whose only network event is
+// the Tick that delivers it.
 type Network struct {
 	cfg    Config
 	handle *sim.Handle
 	// eps is a dense slice indexed by endpoint id: the machine allocates
 	// small consecutive ids, and endpoint lookup is on the per-message
 	// hot path.
-	eps []Endpoint
+	eps []port
 	// busFree[i] is the cycle bus i finishes its last booked transfer.
 	busFree []sim.Cycle
 	// grants is a ring (power-of-two capacity, gLen entries from gHead)
@@ -187,27 +232,39 @@ func (n *Network) Name() string { return "noc" }
 // Attach stores the engine wake handle.
 func (n *Network) Attach(h *sim.Handle) { n.handle = h }
 
-// Register binds an endpoint id to a receiver.
+// Register binds an endpoint id to a ticked receiver.
 func (n *Network) Register(id int, ep Endpoint) {
+	n.bind(id, port{ticked: ep})
+}
+
+// RegisterTimed binds an endpoint id to a timed receiver.
+func (n *Network) RegisterTimed(id int, ep TimedEndpoint) {
+	if n.groupOf(id) >= 0 {
+		panic(fmt.Sprintf("noc: timed endpoint %d is in a touch group", id))
+	}
+	n.bind(id, port{timed: ep})
+}
+
+func (n *Network) bind(id int, p port) {
 	if id < 0 {
 		panic(fmt.Sprintf("noc: negative endpoint %d", id))
 	}
-	if ep == nil {
+	if !p.bound() {
 		panic(fmt.Sprintf("noc: nil endpoint %d", id))
 	}
 	for id >= len(n.eps) {
-		n.eps = append(n.eps, nil)
+		n.eps = append(n.eps, port{})
 	}
-	if n.eps[id] != nil {
+	if n.eps[id].bound() {
 		panic(fmt.Sprintf("noc: duplicate endpoint %d", id))
 	}
-	n.eps[id] = ep
+	n.eps[id] = p
 }
 
-// endpoint resolves an id, or nil when unregistered.
-func (n *Network) endpoint(id int) Endpoint {
+// endpoint resolves an id; the zero port when unregistered.
+func (n *Network) endpoint(id int) port {
 	if id < 0 || id >= len(n.eps) {
-		return nil
+		return port{}
 	}
 	return n.eps[id]
 }
@@ -237,6 +294,9 @@ func (n *Network) DeclareTouchGroup(group int, eps ...int) {
 		}
 		if g := n.epGroup[ep]; g >= 0 && g != int16(group) {
 			panic(fmt.Sprintf("noc: endpoint %d already in touch group %d", ep, g))
+		}
+		if n.endpoint(ep).timed != nil {
+			panic(fmt.Sprintf("noc: timed endpoint %d in touch group %d", ep, group))
 		}
 		n.epGroup[ep] = int16(group)
 	}
@@ -287,11 +347,26 @@ func (n *Network) settle(now sim.Cycle) {
 }
 
 // settleToClock settles against the engine clock, for the readers that
-// have no cycle of their own to pass.
-func (n *Network) settleToClock() {
+// have no cycle of their own to pass, and returns that cycle.
+func (n *Network) settleToClock() sim.Cycle {
+	var now sim.Cycle
 	if e := n.handle.Engine(); e != nil {
-		n.settle(e.Now())
+		now = e.Now()
+		n.settle(now)
 	}
+	return now
+}
+
+// undelivered counts the messages handed to timed endpoints whose
+// delivery cycle is beyond now.
+func (n *Network) undelivered(now sim.Cycle) int {
+	k := 0
+	for _, p := range n.eps {
+		if p.timed != nil {
+			k += p.timed.Undelivered(now)
+		}
+	}
+	return k
 }
 
 // pushGrant appends a booking to the ring, doubling it when full.
@@ -308,10 +383,15 @@ func (n *Network) pushGrant(g grant) {
 }
 
 // Stats returns a copy of the statistics as of the engine's current
-// cycle.
+// cycle: bookings granted and messages delivered at or before it. (On a
+// cycle the engine has reached but not run yet, the ticked deliveries of
+// that cycle are still to come and the timed ones already count; a run
+// is read at its stop cycle, which has run.)
 func (n *Network) Stats() Stats {
-	n.settleToClock()
-	return n.stats
+	now := n.settleToClock()
+	st := n.stats
+	st.Messages -= int64(n.undelivered(now))
+	return st
 }
 
 // Reset clears all in-flight traffic, bus bookings and statistics for
@@ -352,7 +432,8 @@ func (n *Network) Reset() {
 // time anything sends at cycle now, the grants of cycle now have
 // happened (the machine asserts the registration index).
 func (n *Network) Send(now sim.Cycle, m Message) {
-	if n.endpoint(m.Dst) == nil {
+	dst := n.endpoint(m.Dst)
+	if !dst.bound() {
 		panic(fmt.Sprintf("noc: send to unregistered endpoint: %s", m))
 	}
 	n.settle(now)
@@ -374,6 +455,14 @@ func (n *Network) Send(now sim.Cycle, m Message) {
 	if n.Rec != nil {
 		n.Rec.NoC(m.Src, m.Dst, uint8(m.Kind), wire, now, at)
 	}
+	n.seq++
+	if dst.timed != nil {
+		// Counted here, at the hand-over; Stats takes back the ones whose
+		// delivery cycle the clock has not reached.
+		n.stats.Messages++
+		dst.timed.DeliverAt(at, n.seq, m)
+		return
+	}
 
 	g := n.groupOf(m.Dst)
 	if g >= 0 {
@@ -393,14 +482,13 @@ func (n *Network) Send(now sim.Cycle, m Message) {
 	if len(n.dels) == 0 || at < n.dels[0].at {
 		n.handle.Wake(at)
 	}
-	n.seq++
 	sim.HeapPush(&n.dels, delRef{at: at, seq: n.seq, slot: slot, grp: g})
 }
 
-// Tick completes the deliveries due at now, in (delivery cycle, send
-// order) — a Send made by an endpoint from inside Deliver lands at least
-// MinDeliveryLatency cycles ahead and never joins the loop that made it
-// — and returns the next delivery cycle.
+// Tick completes the deliveries to ticked endpoints due at now, in
+// (delivery cycle, send order) — a Send made by an endpoint from inside
+// Deliver lands at least MinDeliveryLatency cycles ahead and never joins
+// the loop that made it — and returns the next delivery cycle.
 func (n *Network) Tick(now sim.Cycle) sim.Cycle {
 	for len(n.dels) > 0 && n.dels[0].at <= now {
 		d := sim.HeapPop(&n.dels)
@@ -411,7 +499,7 @@ func (n *Network) Tick(now sim.Cycle) sim.Cycle {
 		n.delSlab[d.slot] = Message{} // release Data for the GC
 		n.delFree = append(n.delFree, d.slot)
 		n.stats.Messages++
-		n.eps[msg.Dst].Deliver(now, msg)
+		n.eps[msg.Dst].ticked.Deliver(now, msg)
 	}
 	if len(n.dels) > 0 {
 		return n.dels[0].at
@@ -421,6 +509,6 @@ func (n *Network) Tick(now sim.Cycle) sim.Cycle {
 
 // DumpState implements sim.StateDumper.
 func (n *Network) DumpState() string {
-	n.settleToClock()
-	return fmt.Sprintf("queued=%d in-flight=%d", n.gLen, len(n.dels)-n.gLen)
+	now := n.settleToClock()
+	return fmt.Sprintf("queued=%d in-flight=%d", n.gLen, len(n.dels)+n.undelivered(now)-n.gLen)
 }

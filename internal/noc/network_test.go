@@ -2,6 +2,8 @@ package noc
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -388,13 +390,68 @@ type delivery struct {
 }
 
 const (
-	diffEcho  = 4 // endpoint that sends from inside Deliver, as the PPE does
-	diffSinks = 4 // endpoints 0..3 only log; 0 and 1 form touch group 0, 2 group 1
+	diffSinks = 6 // endpoints 0..5 only log; 0 and 1 form touch group 0, 2 group 1
+	diffEcho  = 6 // endpoint that sends from inside Deliver, as the PPE does
 	diffTail  = 15
 )
 
 // diffGroup is the touch group of a diff endpoint (-1 when unwatched).
-var diffGroup = [diffSinks + 1]int{0, 0, 1, -1, -1}
+// The unwatched sinks 3, 4 and 5 may be timed endpoints: 5 always is, 3
+// and 4 by the schedule's seed.
+var diffGroup = [diffSinks + 1]int{0, 0, 1, -1, -1, -1, -1}
+
+// handed is one message a timed endpoint was given at Send.
+type handed struct {
+	at   sim.Cycle // delivery cycle
+	seq  int64     // network send order
+	id   int64     // the message's B field
+	done bool      // a tick at or after `at` has consumed it
+}
+
+// timedSink is a timed endpoint that keeps what it is handed and follows
+// the TimedEndpoint contract the way the memory does: a wake for the
+// cycle after each delivery, every tick consuming what has been
+// delivered by then and re-arming for the rest. It fails the test if a
+// message waits past the cycle after its delivery.
+type timedSink struct {
+	t   *testing.T
+	h   *sim.Handle
+	got []handed
+}
+
+func (s *timedSink) Name() string { return "timed-sink" }
+
+func (s *timedSink) DeliverAt(at sim.Cycle, seq int64, m Message) {
+	s.got = append(s.got, handed{at: at, seq: seq, id: m.B})
+	s.h.Wake(at + 1)
+}
+
+func (s *timedSink) Undelivered(now sim.Cycle) int {
+	k := 0
+	for _, h := range s.got {
+		if h.at > now {
+			k++
+		}
+	}
+	return k
+}
+
+func (s *timedSink) Tick(now sim.Cycle) sim.Cycle {
+	next := sim.Never
+	for i := range s.got {
+		h := &s.got[i]
+		switch {
+		case h.done:
+		case h.at > now:
+			next = min(next, h.at+1)
+		case now > h.at+1:
+			s.t.Fatalf("message %d, delivered at %d, was still waiting at %d", h.id, h.at, now)
+		default:
+			h.done = true
+		}
+	}
+	return next
+}
 
 // diffDriver feeds one random schedule to the network (through the
 // engine, registered behind it like every real sender) and to the
@@ -410,12 +467,13 @@ type diffDriver struct {
 	burst int // cycles left in the current run of back-to-back sends
 
 	nextID   int64
-	gotNet   []delivery
-	gotRef   []delivery
-	answers  [][2]sim.Cycle      // per cycle, after its sends: EarliestDeliveryTo(0), (1)
-	sentAt   map[int64]sim.Cycle // message id -> send cycle
-	backlog  int                 // compared cycles on which the model still had a queue
-	payloads [129][]byte         // shared zero payloads by length
+	timed    [diffSinks]*timedSink // non-nil for the sinks registered as timed
+	gotNet   []delivery            // deliveries to the ticked endpoints
+	gotRef   []delivery            // the model's deliveries, to all endpoints
+	answers  [][2]sim.Cycle        // per cycle, after its sends: EarliestDeliveryTo(0), (1)
+	sentAt   map[int64]sim.Cycle   // message id -> send cycle
+	backlog  int                   // compared cycles on which the model still had a queue
+	payloads [129][]byte           // shared zero payloads by length
 }
 
 func (d *diffDriver) Name() string { return "driver" }
@@ -506,12 +564,18 @@ func (d *diffDriver) Tick(now sim.Cycle) sim.Cycle {
 }
 
 // TestSendTimeArbitrationMatchesTickDrivenModel drives random schedules
-// through the network and the reference arbiter. The three facts the
-// equivalence rests on each fail it when broken: queue depth read off
-// the send cycle (Stats.MaxQueue, every cycle), BusyCycles/Bytes counted
-// from the grant and not from the Send (Stats, every cycle, and once
-// more after a stop that leaves messages ungranted), and deliveries in
-// (delivery cycle, send order), also for a Send made during Deliver.
+// through the network and the reference arbiter, some of the endpoints
+// timed and the rest ticked. The facts the equivalence rests on each
+// fail it when broken: queue depth read off the send cycle
+// (Stats.MaxQueue, every cycle), BusyCycles/Bytes counted from the grant
+// and not from the Send (Stats, every cycle, and once more after a stop
+// that leaves messages ungranted), Messages counted from the delivery
+// cycle whether the network delivers the message or handed it over at
+// the Send (the same reads of Stats; the stop also leaves handed-over
+// messages short of their delivery cycle), and deliveries in (delivery
+// cycle, send order), also for a Send made during Deliver — for a timed
+// endpoint, the cycle and sequence number it is handed with each
+// message must sort its messages into the model's delivery order.
 func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := sim.NewRand(seed)
@@ -524,13 +588,22 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 			d.payloads[i] = make([]byte, i)
 		}
 		for ep := 0; ep <= diffEcho; ep++ {
-			d.n.Register(ep, d)
 			if g := diffGroup[ep]; g >= 0 {
 				d.n.DeclareTouchGroup(g, ep)
+			} else if ep == 5 || ep != diffEcho && rng.Intn(2) == 0 {
+				d.timed[ep] = &timedSink{t: t}
+				d.n.RegisterTimed(ep, d.timed[ep])
+				continue
 			}
+			d.n.Register(ep, d)
 		}
 		d.n.Attach(d.e.Register(d.n))
 		d.e.Register(d)
+		for _, sink := range d.timed {
+			if sink != nil {
+				sink.h = d.e.Register(sink)
+			}
+		}
 
 		stopped, err := d.e.Run(0)
 		if err != nil {
@@ -538,6 +611,9 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 		}
 		if len(d.ref.queue) == 0 || d.backlog < diffTail {
 			t.Fatalf("seed %d: stopped at %d with no ungranted messages", seed, stopped)
+		}
+		if d.n.undelivered(stopped) == 0 {
+			t.Fatalf("seed %d: stopped at %d with no handed-over message short of its delivery", seed, stopped)
 		}
 		if got, want := d.n.Stats(), d.ref.stats; got != want {
 			t.Fatalf("seed %d: stopped at %d with %d ungranted: stats %+v, model %+v",
@@ -553,12 +629,41 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 		for now := stopped + 1; len(d.ref.queue)+len(d.ref.dels) > 0; now++ {
 			d.ref.tick(now, d.refDeliver)
 		}
-		if len(d.gotNet) != len(d.gotRef) || len(d.gotNet) < 100 {
-			t.Fatalf("seed %d: %d deliveries, model %d", seed, len(d.gotNet), len(d.gotRef))
+		// The model's log splits into what the network delivered itself
+		// and, per timed endpoint, what it handed over.
+		var refTicked []delivery
+		var refTimed [diffSinks][]delivery
+		for _, del := range d.gotRef {
+			if del.dst < diffSinks && d.timed[del.dst] != nil {
+				refTimed[del.dst] = append(refTimed[del.dst], del)
+			} else {
+				refTicked = append(refTicked, del)
+			}
+		}
+		if len(d.gotNet) != len(refTicked) || len(d.gotNet) < 100 {
+			t.Fatalf("seed %d: %d deliveries, model %d", seed, len(d.gotNet), len(refTicked))
 		}
 		for i := range d.gotNet {
-			if d.gotNet[i] != d.gotRef[i] {
-				t.Fatalf("seed %d: delivery %d is %+v, model %+v", seed, i, d.gotNet[i], d.gotRef[i])
+			if d.gotNet[i] != refTicked[i] {
+				t.Fatalf("seed %d: delivery %d is %+v, model %+v", seed, i, d.gotNet[i], refTicked[i])
+			}
+		}
+		for ep, sink := range d.timed {
+			if sink == nil {
+				continue
+			}
+			got := slices.Clone(sink.got)
+			slices.SortFunc(got, func(a, b handed) int {
+				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+			})
+			if len(got) != len(refTimed[ep]) || len(got) < 20 {
+				t.Fatalf("seed %d: timed endpoint %d was handed %d messages, model delivered %d", seed, ep, len(got), len(refTimed[ep]))
+			}
+			for i, h := range got {
+				if want := refTimed[ep][i]; h.at != want.at || h.id != want.id || !h.done {
+					t.Fatalf("seed %d: timed endpoint %d: message %d in (cycle, send order) is id %d at %d (consumed: %v), model id %d at %d",
+						seed, ep, i, h.id, h.at, h.done, want.id, want.at)
+				}
 			}
 		}
 		if got, want := d.n.Stats(), d.ref.stats; got != want {
@@ -585,30 +690,43 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 
 // TestSnapshotRoundTripWithFutureGrants snapshots a backlogged network —
 // some messages on their bus, some whose grant cycle is still ahead,
-// none of which the tick-driven arbiter would have looked at yet — and
-// requires the restored copy to finish exactly like the original:
-// deliveries, statistics, and the statistics on the way (the ungranted
-// ones must not be counted early on either side).
+// none of which the tick-driven arbiter would have looked at yet, and one
+// handed to a timed endpoint (whose state is its own to save: the test
+// copies it) — and requires the restored copy to finish exactly like the
+// original: deliveries, statistics, and the statistics on the way (the
+// ungranted ones and the one short of its delivery cycle must not be
+// counted early on either side).
 func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
-	build := func() (*Network, *sink, *sim.Engine) {
+	build := func() (*Network, *sink, *timedSink, *sim.Engine) {
 		n := New(Config{Buses: 1, BytesPerCyc: 8, HopLatency: 2})
-		dst := &sink{}
+		dst, timed := &sink{}, &timedSink{t: t}
 		n.Register(1, dst)
+		n.RegisterTimed(3, timed)
 		n.DeclareTouchGroup(0, 1)
 		e := sim.NewEngine()
 		n.Attach(e.Register(n))
-		return n, dst, e
+		timed.h = e.Register(timed)
+		return n, dst, timed, e
 	}
-	orig, origDst, e := build()
+	orig, origDst, origTimed, e := build()
 	for i := 0; i < 6; i++ { // 8-cycle occupancy each: grants at 1, 9, 17, 25, 33, 41
 		orig.Send(0, Message{Src: 2, Dst: 1, Kind: KindMemBlockData, B: int64(i), Data: make([]byte, 48)})
+	}
+	orig.Send(0, Message{Src: 2, Dst: 3, Kind: KindMemRead32, B: 7}) // granted at 49, delivered at 53
+	if len(origTimed.got) != 1 || origTimed.got[0].at != 53 {
+		t.Fatalf("the timed endpoint was handed %+v at the Send, want one message for cycle 53", origTimed.got)
 	}
 	if at, st := e.RunUntil(20); st != sim.RunBudget || at != 27 {
 		t.Fatalf("RunUntil(20) = %d, %v; want the third delivery's cycle 27", at, st)
 	}
-	mid := Stats{Messages: 2, Bytes: 4 * 64, BusyCycles: 4 * 8, MaxQueue: 6}
+	mid := Stats{Messages: 2, Bytes: 4 * 64, BusyCycles: 4 * 8, MaxQueue: 7}
 	if got := orig.Stats(); got != mid {
-		t.Fatalf("stats at the snapshot = %+v, want %+v (grants at 33 and 41 lie ahead)", got, mid)
+		t.Fatalf("stats at the snapshot = %+v, want %+v (grants at 33, 41 and 49 lie ahead)", got, mid)
+	}
+	// Three wait for the bus — the handed-over one among them — and two
+	// are past their grant and short of their delivery.
+	if got := orig.DumpState(); got != "queued=3 in-flight=2" {
+		t.Fatalf("DumpState at the snapshot = %q", got)
 	}
 	var w snap.Writer
 	if err := e.Snapshot(&w); err != nil {
@@ -616,7 +734,8 @@ func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
 	}
 	orig.Snapshot(&w)
 
-	cp, cpDst, e2 := build()
+	cp, cpDst, cpTimed, e2 := build()
+	cpTimed.got = slices.Clone(origTimed.got)
 	r := snap.NewReader(w.Bytes())
 	if err := e2.Restore(r); err != nil {
 		t.Fatal(err)
@@ -645,12 +764,12 @@ func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
 	late := Message{Src: 2, Dst: 1, Kind: KindMemRead32, B: 6}
 	orig.Send(27, late)
 	cp.Send(27, late)
-	if st := cp.Stats(); st.MaxQueue != 6 || st != orig.Stats() {
+	if st := cp.Stats(); st.MaxQueue != 7 || st != orig.Stats() {
 		t.Fatalf("after a late send: restored %+v, original %+v", st, orig.Stats())
 	}
 	e.RunUntil(sim.Never)
 	e2.RunUntil(sim.Never)
-	want := []sim.Cycle{27, 35, 43, 51, 53} // the late one: granted at 49, 2 cycles, hop 2
+	want := []sim.Cycle{27, 35, 43, 51, 55} // the late one: granted at 51, 2 cycles, hop 2
 	if len(cpDst.at) != len(want) || len(origDst.at) != 2+len(want) {
 		t.Fatalf("deliveries after the snapshot: restored %v, original %v", cpDst.at, origDst.at)
 	}
@@ -660,7 +779,33 @@ func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
 				i, cpDst.at[i], cpDst.got[i].B, origDst.at[2+i], origDst.got[2+i].B, at)
 		}
 	}
-	if cp.Stats() != orig.Stats() {
-		t.Fatalf("final stats: restored %+v, original %+v", cp.Stats(), orig.Stats())
+	if !cpTimed.got[0].done || !origTimed.got[0].done {
+		t.Fatal("the handed-over message was never consumed")
+	}
+	if got := cp.Stats(); got != orig.Stats() || got.Messages != 8 {
+		t.Fatalf("final stats: restored %+v, original %+v, want 8 messages", got, orig.Stats())
+	}
+}
+
+// TestEndpointKindFixedAtRegistration: an id is ticked or timed, once,
+// and a timed endpoint cannot be in a touch group (EarliestDeliveryTo
+// reads the network's own delivery heap, which never holds its messages).
+func TestEndpointKindFixedAtRegistration(t *testing.T) {
+	for name, f := range map[string]func(n *Network){
+		"ticked then timed": func(n *Network) { n.Register(1, &sink{}); n.RegisterTimed(1, &timedSink{}) },
+		"timed then ticked": func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.Register(1, &sink{}) },
+		"timed twice":       func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.RegisterTimed(1, &timedSink{}) },
+		"timed into group":  func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.DeclareTouchGroup(0, 1) },
+		"group then timed":  func(n *Network) { n.DeclareTouchGroup(0, 1); n.RegisterTimed(1, &timedSink{}) },
+		"nil timed":         func(n *Network) { n.RegisterTimed(1, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f(New(DefaultConfig()))
+		}()
 	}
 }

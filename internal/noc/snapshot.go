@@ -42,7 +42,11 @@ func RestoreMessage(r *snap.Reader) Message     { return restoreMessage(r) }
 
 // Snapshot serialises the interconnect's mutable state: bus bookings,
 // the bookings whose grant lies beyond the engine clock, every sent,
-// undelivered message with its delivery cycle, and the statistics.
+// undelivered message to a ticked endpoint with its delivery cycle, and
+// the statistics. A message handed to a timed endpoint is that
+// endpoint's to save; of it the network keeps only the send sequence and
+// the Messages count, which took it in at the hand-over (Stats asks the
+// endpoints which of those the clock has not reached).
 // Endpoint registrations, touch-group declarations and the
 // packet-buffer pool are construction-time wiring and perf caches, not
 // state. The per-group in-flight counters are recomputed on restore.

@@ -142,6 +142,10 @@ type Engine struct {
 	heap []entry
 	pos  []int32
 	now  Cycle
+	// ticks[i] counts component i's Tick calls since the last Reset (or
+	// Restore): the engine events a run cost, by component. A host-side
+	// measure, not simulation state — nothing simulated reads it.
+	ticks []int64
 
 	// nextList is the uniform-cycle bucket: components whose Tick asked
 	// to re-run at the same upcoming cycle (nextAt — claimed by the
@@ -204,12 +208,26 @@ func (e *Engine) Register(c Component) *Handle {
 	e.comps = append(e.comps, c)
 	e.pos = append(e.pos, notQueued)
 	e.inNextSeq = append(e.inNextSeq, 0)
+	e.ticks = append(e.ticks, 0)
 	e.schedule(idx, e.now)
 	return &Handle{e: e, idx: idx}
 }
 
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
+
+// Ticks returns how many times component id has been ticked since the
+// engine was last Reset or Restored — the per-component event count that
+// host time moves with. It is not part of a snapshot: a restored run
+// counts from its restore point.
+func (e *Engine) Ticks(id int32) int64 { return e.ticks[id] }
+
+// NumComponents returns the number of registered components; their ids
+// are 0..NumComponents()-1 in registration order.
+func (e *Engine) NumComponents() int { return len(e.comps) }
+
+// ComponentName returns the Name of component id.
+func (e *Engine) ComponentName(id int32) string { return e.comps[id].Name() }
 
 // SchedStamp returns a monotonically increasing counter bumped whenever
 // the engine's schedule gains an entry or an existing entry moves to an
@@ -314,6 +332,7 @@ func (e *Engine) Reset() {
 	e.passCursor = 0
 	e.ticking = notQueued
 	e.running = false
+	clear(e.ticks)
 	for i := range e.comps {
 		e.schedule(int32(i), 0)
 	}
@@ -477,6 +496,7 @@ func (e *Engine) runPass() {
 		i := e.passList[e.passCursor]
 		e.ticking = i
 		e.selfWake = Never
+		e.ticks[i]++
 		nxt := e.comps[i].Tick(e.now)
 		if e.selfWake < nxt {
 			nxt = e.selfWake

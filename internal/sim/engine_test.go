@@ -293,3 +293,41 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	}()
 	NewRand(1).Intn(0)
 }
+
+// TestTicksCountPerComponent: Ticks is the number of Tick calls a
+// component received since the last Reset, whatever scheduled them.
+func TestTicksCountPerComponent(t *testing.T) {
+	e := NewEngine()
+	a := &recorder{name: "a", plan: []Cycle{1, 2, 10, Never}} // ticks at 0, 1, 2, 10
+	b := &recorder{name: "b", plan: []Cycle{Never, Never}}    // at 0, then once when woken
+	ha := e.Register(a)
+	hb := e.Register(b)
+	a.onRun = func(now Cycle) {
+		if now == 2 {
+			hb.Wake(5)
+		}
+	}
+	stop := &recorder{name: "stop", plan: []Cycle{20}}
+	stop.onRun = func(now Cycle) {
+		if now >= 20 {
+			e.Stop()
+		}
+	}
+	e.Register(stop)
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Ticks(ha.ID()); got != 4 || int(got) != len(a.runs) {
+		t.Errorf("a: Ticks = %d, ticked %d times, want 4", got, len(a.runs))
+	}
+	if got := e.Ticks(hb.ID()); got != 2 || int(got) != len(b.runs) {
+		t.Errorf("b: Ticks = %d, ticked %d times, want 2", got, len(b.runs))
+	}
+	if e.NumComponents() != 3 || e.ComponentName(hb.ID()) != "b" {
+		t.Errorf("NumComponents = %d, ComponentName(b) = %q", e.NumComponents(), e.ComponentName(hb.ID()))
+	}
+	e.Reset()
+	if got := e.Ticks(ha.ID()); got != 0 {
+		t.Errorf("Ticks after Reset = %d, want 0", got)
+	}
+}

@@ -59,6 +59,7 @@ func (e *Engine) Restore(r *snap.Reader) error {
 	e.stopped = false
 	e.stopAt = 0
 	e.now = now
+	clear(e.ticks)
 	for i := 0; i < n; i++ {
 		at := Cycle(r.I64())
 		if at != Never {

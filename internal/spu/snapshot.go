@@ -53,6 +53,9 @@ func (s *SPU) Snapshot(w *snap.Writer, index func(*dta.Thread) int32) {
 	w.U8(s.readDst)
 	w.I64(s.reqSeq)
 	w.U8(s.fallocRd)
+	w.Bool(s.resp.held)
+	w.I64(int64(s.resp.at))
+	w.I64(s.resp.val)
 	w.I64(int64(s.unitStart))
 	s.st.Snapshot(w)
 }
@@ -89,6 +92,7 @@ func (s *SPU) Restore(r *snap.Reader, lookup func(int32) *dta.Thread) error {
 	s.readDst = r.U8()
 	s.reqSeq = r.I64()
 	s.fallocRd = r.U8()
+	s.resp = readResp{held: r.Bool(), at: sim.Cycle(r.I64()), val: r.I64()}
 	s.unitStart = sim.Cycle(r.I64())
 	if err := s.st.Restore(r); err != nil {
 		return err

@@ -214,6 +214,10 @@ type SPU struct {
 	readDst  uint8
 	reqSeq   int64
 	fallocRd uint8
+	// resp is the READ response in hand (see DeliverAt): taken from the
+	// network when memory sent it, applied by the first tick at or after
+	// its delivery cycle.
+	resp readResp
 
 	st stats.SPU
 
@@ -237,6 +241,14 @@ type SPU struct {
 	// Magic is the ideal-cache backdoor used when PerfectCacheLat > 0:
 	// it reads/writes main memory functionally without traffic.
 	Magic MagicMem
+}
+
+// readResp is a blocking READ's response between its hand-over and the
+// tick that applies it.
+type readResp struct {
+	held bool
+	at   sim.Cycle // delivery cycle
+	val  int64
 }
 
 // MagicMem is the functional memory access used by the perfect-cache
@@ -470,6 +482,7 @@ func (s *SPU) Reset(prog *program.Program) {
 	s.readDst = 0
 	s.reqSeq = 0
 	s.fallocRd = 0
+	s.resp = readResp{}
 	s.unitStart = 0
 	s.st = stats.SPU{}
 }
@@ -518,15 +531,28 @@ func (s *SPU) OnFallocResp(now sim.Cycle, reqID, fp int64) {
 	s.Wake(now + 1)
 }
 
-// Deliver implements noc.Endpoint (memory read responses).
-func (s *SPU) Deliver(now sim.Cycle, m noc.Message) {
-	if m.Kind != noc.KindMemReadResp || s.ph != phWaitRead {
+// DeliverAt implements noc.TimedEndpoint. The only message an SPU
+// receives is the response to its one outstanding blocking READ; the SPU
+// keeps it with its delivery cycle and wakes for the cycle after, and
+// Tick applies it (see there). Anything else — a second response, a
+// response with no READ outstanding, another kind — is a machine bug and
+// faults, now at the hand-over (the cycle memory sends) instead of at
+// the delivery cycle.
+func (s *SPU) DeliverAt(at sim.Cycle, _ int64, m noc.Message) {
+	if m.Kind != noc.KindMemReadResp || s.ph != phWaitRead || s.resp.held {
 		s.Fault(fmt.Errorf("spu%d: unexpected %s in phase %d", s.spe, m, s.ph))
 		return
 	}
-	s.setReg(s.readDst, m.B, now+1, prodALU)
-	s.ph = phRun
-	s.Wake(now + 1)
+	s.resp = readResp{held: true, at: at, val: m.B}
+	s.Wake(at + 1)
+}
+
+// Undelivered implements noc.TimedEndpoint.
+func (s *SPU) Undelivered(now sim.Cycle) int {
+	if s.resp.held && s.resp.at > now {
+		return 1
+	}
+	return 0
 }
 
 func (s *SPU) setReg(r uint8, v int64, ready sim.Cycle, p prodClass) {
@@ -673,6 +699,26 @@ func (s *SPU) Tick(now sim.Cycle) sim.Cycle {
 		// horizon. Running-thread execution never depends on wakes.
 		return s.resumeAt
 	}
+	if s.ph == phWaitRead {
+		// Blocked on a READ; gap accounting happens on resumption. The
+		// response is delivered at resp.at, so its value is ready the cycle
+		// after and the pipeline normally resumes then, on the wake
+		// DeliverAt posted. A tick at resp.at itself (the LSE's OnWork
+		// landed in the delivery cycle) already finds the response
+		// delivered and resumes there: instructions that do not read the
+		// destination issue a cycle early, as they always have. A tick
+		// before resp.at must re-arm that wake — the engine keeps one slot
+		// per component, and this tick just used it up.
+		if !s.resp.held {
+			return sim.Never
+		}
+		if now < s.resp.at {
+			return s.resp.at + 1
+		}
+		s.setReg(s.readDst, s.resp.val, s.resp.at+1, prodALU)
+		s.resp = readResp{}
+		s.ph = phRun
+	}
 	next := s.tick(now)
 	if s.Rec != nil && s.accounted > now+1 {
 		// More than one pipeline cycle was simulated inside this engine
@@ -689,8 +735,9 @@ func (s *SPU) Tick(now sim.Cycle) sim.Cycle {
 
 func (s *SPU) tick(now sim.Cycle) sim.Cycle {
 	switch s.ph {
-	case phWaitRead, phWaitFalloc:
-		// Sleeping on a response; gap accounting happens on wake.
+	case phWaitFalloc:
+		// Sleeping on the LSE's response; gap accounting happens on wake.
+		// (A READ wait never gets here: Tick resolves it first.)
 		return sim.Never
 	case phIdle:
 		s.account(now)
@@ -1192,5 +1239,11 @@ func (s *SPU) DumpState() string {
 	if s.cur != nil {
 		cur = s.cur.String()
 	}
-	return fmt.Sprintf("phase=%d work=%s block=%s pc=%d", s.ph, cur, s.block, s.pc)
+	read := ""
+	if s.resp.held {
+		read = fmt.Sprintf(" read-response at %d", s.resp.at)
+	} else if s.ph == phWaitRead {
+		read = " read under way"
+	}
+	return fmt.Sprintf("phase=%d work=%s block=%s pc=%d%s", s.ph, cur, s.block, s.pc, read)
 }
