@@ -70,7 +70,18 @@ func main() {
 		CheckpointDiskBytes: *ckptBytes,
 		Logger:              logger,
 	})
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	// Bound what a client can hold open without sending: headers, a
+	// request body (at most 1 MiB, see service.Handler), an idle
+	// keep-alive connection. No WriteTimeout: a synchronous run replies
+	// when its simulation ends and a sweep streams NDJSON for as long as
+	// it runs.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	if *debugAddr != "" {
 		// The pprof handlers register on http.DefaultServeMux at import

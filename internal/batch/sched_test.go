@@ -39,9 +39,9 @@ func TestRunScheduledOrdersByKey(t *testing.T) {
 		mk("b", 20, 25),
 	}))
 	want := []string{
-		"a0@10 h=20", // a leads (key 10), may run until b is due at 20
-		"b0@20 h=30", // b next; a re-queued at 30
-		"b1@25 h=30", // b still leads: two consecutive slices, no switch
+		"a0@10 h=20",                     // a leads (key 10), may run until b is due at 20
+		"b0@20 h=30",                     // b next; a re-queued at 30
+		"b1@25 h=30",                     // b still leads: two consecutive slices, no switch
 		"a1@30 h=" + fmt.Sprint(Waiting), // a alone: run to completion
 	}
 	if !reflect.DeepEqual(trace, want) {

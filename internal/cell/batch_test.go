@@ -294,4 +294,3 @@ func BenchmarkBatchSweepW64(b *testing.B) { benchmarkBatchSweep(b, 64, false) }
 func BenchmarkBatchHorizonSweepW4(b *testing.B)  { benchmarkBatchSweep(b, 4, true) }
 func BenchmarkBatchHorizonSweepW16(b *testing.B) { benchmarkBatchSweep(b, 16, true) }
 func BenchmarkBatchHorizonSweepW64(b *testing.B) { benchmarkBatchSweep(b, 64, true) }
-

@@ -465,7 +465,9 @@ func (m *Machine) StepUntil(until sim.Cycle) (StepStatus, error) {
 func (m *Machine) Finish() (*Result, error) {
 	end := m.endAt
 	res := &Result{Cycles: end, Tokens: m.ppe.Tokens(), Mem: m.memory.Stats(),
-		Net: m.net.Stats(), Trace: m.tracer, Rec: m.rec, Prof: m.prof}
+		Net: m.net.Stats(), Trace: m.tracer, Rec: m.rec, Prof: m.prof,
+		SPUs: make([]stats.SPU, 0, len(m.spes)), LSEs: make([]dta.LSEStats, 0, len(m.spes)),
+		MFCs: make([]mfc.Stats, 0, len(m.spes)), DSEs: make([]dta.DSEStats, 0, len(m.dses))}
 	for _, spe := range m.spes {
 		spe.SPU.Finalize(end)
 		st := spe.SPU.Stats()

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -144,4 +145,110 @@ func TestPoolRecyclesMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	nilPool.Put(m4)
+}
+
+// progFootprint dirties main memory widely: a non-zero image from just
+// below one 64 KiB page boundary to just above the third one after it
+// (footprintBytes from footprintBase), and a word written five pages
+// further on.
+const (
+	footprintBase  = 0x100000 - 100
+	footprintBytes = 3<<16 + 200
+	footprintWrite = 5 << 16
+)
+
+func progFootprint(t testing.TB) *program.Program {
+	b := program.NewBuilder("footprint")
+	root := b.Template("root")
+	root.PL().Load(program.R(1), 0)
+	ex := root.EX()
+	ex.Read(program.R(2), program.R(1), 0)
+	ex.Write(program.R(2), program.R(1), footprintWrite)
+	root.PS().
+		StoreMailbox(program.R(2), program.R(3), 0).
+		Ffree().
+		Stop()
+	b.Entry(root, footprintBase)
+	b.Segment(footprintBase, bytes.Repeat([]byte{0xa5}, footprintBytes))
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestPooledMachineForgetsLargerFootprint: main memory is reset and
+// compared by written extent, so the case to prove is a machine that
+// dirtied many pages widely and is then handed a program that touches a
+// few bytes of one of them. The pooled machine must match a fresh one in
+// its results, its memory image and, captured halfway, its snapshot blob
+// byte for byte — and, read back without consulting any extent, hold
+// nothing of the first program.
+func TestPooledMachineForgetsLargerFootprint(t *testing.T) {
+	cfg := smallConfig(1)
+	pool := NewPool()
+	big, err := pool.Get(cfg, progFootprint(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := big.Run(); err != nil || res.Tokens[0] != int64(int32(-0x5a5a5a5b)) {
+		t.Fatalf("footprint run: %v, %v", res, err)
+	}
+	pool.Put(big)
+
+	small := progMemory(t) // reads and writes 12 bytes at 0x100000
+	reused, err := pool.Get(cfg, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused != big {
+		t.Fatal("the pool built a machine instead of recycling the used one")
+	}
+	fresh, err := New(cfg, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const half = 150 // the first of progMemory's two READs is under way
+	key := SnapshotKey(cfg, small, half)
+	var blobs [2][]byte
+	for i, m := range []*Machine{fresh, reused} {
+		if _, st, err := m.RunTo(half); err != nil || st != StepBudget {
+			t.Fatalf("RunTo(%d): status %v, %v", half, st, err)
+		}
+		if blobs[i], err = m.EncodeSnapshot(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Errorf("snapshot of the reused machine (%d bytes) differs from the fresh machine's (%d bytes)", len(blobs[1]), len(blobs[0]))
+	}
+
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := reused.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CheckErr != nil {
+		t.Fatalf("reused machine: functional check: %v", got.CheckErr)
+	}
+	resultsIdentical(t, want, got, "after a larger footprint")
+	if addr, equal := mem.FirstDiff(fresh.MemSparse(), reused.MemSparse()); !equal {
+		t.Errorf("memory image diverges at %#x", addr)
+	}
+	// FirstDiff and Snapshot trust the extents on both sides; a plain read
+	// does not. Everything the first program left must read as zero, bar
+	// the 12 bytes at 0x100000 the second one owns.
+	image := make([]byte, footprintWrite+8)
+	if err := reused.MemSparse().ReadInto(footprintBase, image); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range image {
+		if addr := int64(footprintBase + i); v != 0 && (addr < 0x100000 || addr >= 0x100000+12) {
+			t.Fatalf("byte %#x of the reused machine reads %#x: left over from the larger program", addr, v)
+		}
+	}
 }

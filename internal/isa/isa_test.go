@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -305,5 +306,84 @@ func TestEvalALUTotal(t *testing.T) {
 				t.Errorf("%s: no row with a non-zero result", op)
 			}
 		}
+	}
+}
+
+// usesFields restates, format by format, which operand fields an
+// instruction uses — the reference TestValidateFieldsOfEveryOpcode holds
+// Validate's table against.
+func usesFields(f Format) (rd, ra, rb, imm bool) {
+	switch f {
+	case FmtRd:
+		return true, false, false, false
+	case FmtRa:
+		return false, true, false, false
+	case FmtImm:
+		return false, false, false, true
+	case FmtRdImm:
+		return true, false, false, true
+	case FmtRdRa:
+		return true, true, false, false
+	case FmtRdRaRb:
+		return true, true, true, false
+	case FmtRdRaImm:
+		return true, true, false, true
+	case FmtRaRbImm:
+		return false, true, true, true
+	case FmtRdRaRbIm:
+		return true, true, true, true
+	}
+	return false, false, false, false
+}
+
+// TestValidateFieldsOfEveryOpcode: for every defined opcode, a register
+// field the format uses must be in range, and a field it does not use
+// must be zero.
+func TestValidateFieldsOfEveryOpcode(t *testing.T) {
+	for op := Op(0); int(op) < OpCount; op++ {
+		info, ok := Lookup(op)
+		if !ok {
+			continue
+		}
+		rd, ra, rb, imm := usesFields(info.Fmt)
+		set := func(used bool, v uint8) uint8 {
+			if used {
+				return v
+			}
+			return 0
+		}
+		good := Instruction{Op: op, Rd: set(rd, NumRegs-1), Ra: set(ra, NumRegs-1), Rb: set(rb, NumRegs-1)}
+		if imm {
+			good.Imm = 3
+		}
+		if err := good.Validate(); err != nil {
+			t.Errorf("Validate(%s) = %v, want nil", good, err)
+		}
+		for _, f := range []struct {
+			name string
+			used bool
+			reg  *uint8
+		}{{"rd", rd, &good.Rd}, {"ra", ra, &good.Ra}, {"rb", rb, &good.Rb}} {
+			bad, want := uint8(1), ErrNonZero
+			if f.used {
+				bad, want = NumRegs, ErrBadReg
+			}
+			old := *f.reg
+			*f.reg = bad
+			if err := good.Validate(); !errors.Is(err, want) {
+				t.Errorf("%s with %s=%d: Validate = %v, want %v", info.Name, f.name, bad, err, want)
+			}
+			*f.reg = old
+		}
+		if !imm {
+			bad := good
+			bad.Imm = 1
+			if err := bad.Validate(); !errors.Is(err, ErrNonZero) {
+				t.Errorf("%s with imm=1: Validate = %v, want %v", info.Name, err, ErrNonZero)
+			}
+		}
+	}
+	if err := (Instruction{Op: Op(OpCount)}).Validate(); !errors.Is(err, ErrUnknownOp) {
+		t.Errorf("first undefined opcode: Validate = %v, want %v", err, ErrUnknownOp)
 	}
 }

@@ -235,9 +235,14 @@ var infos = [opCount]Info{
 // OpCount is the number of defined opcodes.
 const OpCount = int(opCount)
 
+// defined reports whether op is an opcode of the ISA.
+func defined(op Op) bool {
+	return int(op) < OpCount && infos[op].Name != ""
+}
+
 // Lookup returns the metadata for op, or ok=false for undefined opcodes.
 func Lookup(op Op) (Info, bool) {
-	if int(op) >= OpCount || infos[op].Name == "" {
+	if !defined(op) {
 		return Info{}, false
 	}
 	return infos[op], true

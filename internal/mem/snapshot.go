@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -11,14 +10,15 @@ import (
 )
 
 // Snapshot serialises the sparse image: allocated, non-zero pages in
-// ascending page order. All-zero pages are skipped — an unallocated
-// page reads as zero, so dropping them loses nothing and keeps warm-up
-// snapshots proportional to the bytes actually written.
+// ascending page order, each written whole. All-zero pages are skipped —
+// an unallocated page reads as zero, so dropping them loses nothing and
+// keeps warm-up snapshots proportional to the pages actually written;
+// whether a page is all zero is read off its written extent.
 func (s *Sparse) Snapshot(w *snap.Writer) {
 	w.I64(s.size)
 	idxs := make([]int64, 0, len(s.pages))
 	for i, p := range s.pages {
-		if !bytes.Equal(p, zeroPage) {
+		if !p.zero() {
 			idxs = append(idxs, i)
 		}
 	}
@@ -26,7 +26,7 @@ func (s *Sparse) Snapshot(w *snap.Writer) {
 	w.Int(len(idxs))
 	for _, i := range idxs {
 		w.I64(i)
-		w.WriteBytes(s.pages[i])
+		w.WriteBytes(s.pages[i].buf)
 	}
 }
 
@@ -47,7 +47,9 @@ func (s *Sparse) Restore(r *snap.Reader) error {
 		if len(data) != pageSize {
 			return fmt.Errorf("mem: snapshot page %d has %d bytes", idx, len(data))
 		}
-		copy(s.newPage(idx), data)
+		p := s.newPage(idx)
+		p.touch(0, pageSize)
+		copy(p.buf, data)
 	}
 	return r.Err()
 }

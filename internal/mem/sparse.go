@@ -9,15 +9,45 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // pageBits selects a 64 KiB sparse page.
 const pageBits = 16
 const pageSize = 1 << pageBits
 
+// page is one mapped page: its backing bytes and the extent written
+// since it was mapped. The extent sits beside the slice, not in front of
+// an array, so the backing stays exactly pageSize bytes — a 64 KiB
+// allocation, where 16 more bytes would take a 72 KiB span.
+type page struct {
+	buf    []byte // len == cap == pageSize
+	lo, hi int    // written extent [lo,hi); empty when lo == hi
+}
+
+// touch grows the written extent to cover [lo,hi).
+func (p *page) touch(lo, hi int) {
+	if p.lo == p.hi {
+		p.lo, p.hi = lo, hi
+		return
+	}
+	if lo < p.lo {
+		p.lo = lo
+	}
+	if hi > p.hi {
+		p.hi = hi
+	}
+}
+
 // Sparse is a byte-addressable sparse backing store. Reads of unwritten
 // memory return zeros without allocating pages.
+//
+// The extent invariant: every page, mapped or pooled, is zero outside
+// the extent [lo,hi) its writes have covered since it was mapped (the
+// main-memory twin of ls.LocalStore's dirty high-water mark). Every
+// write path grows the extent before it stores, so Reset, FirstDiff and
+// Snapshot look at the extent only and cost what the program wrote, not
+// what the pages could hold. TestSparseModel proves it against a flat
+// byte slice.
 //
 // A one-entry page cache remembers the last page touched: DMA streams
 // and scalar loops walk memory sequentially, so nearly every access
@@ -25,46 +55,49 @@ const pageSize = 1 << pageBits
 // freed, so the cache can never go stale.
 type Sparse struct {
 	size  int64
-	pages map[int64][]byte
-	// pool holds zeroed pages released by Reset for reuse, so a pooled
-	// machine does not re-allocate its working set every run.
-	pool [][]byte
+	pages map[int64]*page
+	// pool holds zeroed pages (empty extent) released by Reset for reuse,
+	// so a pooled machine does not re-allocate its working set every run.
+	pool []*page
 
-	lastPage int64
-	lastBuf  []byte
+	lastIdx int64
+	last    *page
 }
 
 // NewSparse returns a store of the given size in bytes.
 func NewSparse(size int64) *Sparse {
-	return &Sparse{size: size, pages: make(map[int64][]byte), lastPage: -1}
+	return &Sparse{size: size, pages: make(map[int64]*page), lastIdx: -1}
 }
 
-// page returns the backing page and whether it is allocated, consulting
-// the one-entry cache first.
-func (s *Sparse) page(idx int64) ([]byte, bool) {
-	if idx == s.lastPage {
-		return s.lastBuf, true
+// page returns the mapped page idx, or nil, consulting the one-entry
+// cache first.
+func (s *Sparse) page(idx int64) *page {
+	if idx == s.lastIdx {
+		return s.last
 	}
-	p, ok := s.pages[idx]
-	if ok {
-		s.lastPage, s.lastBuf = idx, p
+	p := s.pages[idx]
+	if p != nil {
+		s.lastIdx, s.last = idx, p
 	}
-	return p, ok
+	return p
 }
 
 // Size returns the addressable size in bytes.
 func (s *Sparse) Size() int64 { return s.size }
 
-// Reset forgets every written byte. The backing pages are zeroed and
-// kept in a free pool, so a reused store serves its next run from the
-// same memory instead of re-allocating its working set.
+// Reset forgets every written byte. Each page's written extent is
+// zeroed — the rest of it is zero already — and the page is kept in a
+// free pool, so a reused store serves its next run from the same memory
+// instead of re-allocating its working set, at a cost proportional to
+// what the last run wrote.
 func (s *Sparse) Reset() {
 	for _, p := range s.pages {
-		clear(p)
+		clear(p.buf[p.lo:p.hi])
+		p.lo, p.hi = 0, 0
 		s.pool = append(s.pool, p)
 	}
 	clear(s.pages)
-	s.lastPage, s.lastBuf = -1, nil
+	s.lastIdx, s.last = -1, nil
 }
 
 func (s *Sparse) check(addr int64, n int) error {
@@ -88,8 +121,8 @@ func (s *Sparse) ReadInto(addr int64, buf []byte) error {
 		if n > len(buf)-done {
 			n = len(buf) - done
 		}
-		if p, ok := s.page(page); ok {
-			copy(buf[done:done+n], p[off:off+n])
+		if p := s.page(page); p != nil {
+			copy(buf[done:done+n], p.buf[off:off+n])
 		} else {
 			clear(buf[done : done+n])
 		}
@@ -116,11 +149,12 @@ func (s *Sparse) WriteFrom(addr int64, data []byte) error {
 		if n > len(data)-done {
 			n = len(data) - done
 		}
-		p, ok := s.page(page)
-		if !ok {
+		p := s.page(page)
+		if p == nil {
 			p = s.newPage(page)
 		}
-		copy(p[off:off+n], data[done:done+n])
+		p.touch(off, off+n)
+		copy(p.buf[off:off+n], data[done:done+n])
 		done += n
 		addr += int64(n)
 	}
@@ -132,17 +166,18 @@ func (s *Sparse) WriteBytes(addr int64, data []byte) error {
 	return s.WriteFrom(addr, data)
 }
 
-// newPage allocates (or recycles) the zeroed backing for page idx.
-func (s *Sparse) newPage(idx int64) []byte {
-	var p []byte
+// newPage maps page idx onto a zeroed backing with an empty extent,
+// recycled from the pool when there is one.
+func (s *Sparse) newPage(idx int64) *page {
+	var p *page
 	if n := len(s.pool); n > 0 {
 		p = s.pool[n-1]
 		s.pool = s.pool[:n-1]
 	} else {
-		p = make([]byte, pageSize)
+		p = &page{buf: make([]byte, pageSize)}
 	}
 	s.pages[idx] = p
-	s.lastPage, s.lastBuf = idx, p
+	s.lastIdx, s.last = idx, p
 	return p
 }
 
@@ -201,44 +236,61 @@ func (r Reader) Read64(addr int64) int64 {
 	return v
 }
 
-// zeroPage is the comparison image of an unallocated page.
-var zeroPage = make([]byte, pageSize)
+// unmapped stands in for a page a store has not mapped: all zero, with
+// an empty extent.
+var unmapped = &page{buf: make([]byte, pageSize)}
 
-// FirstDiff compares two sparse stores (unallocated pages read as zero)
+// zero reports whether the page holds no non-zero byte. Only the written
+// extent can.
+func (p *page) zero() bool {
+	return bytes.Equal(p.buf[p.lo:p.hi], unmapped.buf[p.lo:p.hi])
+}
+
+// firstDiff returns the lowest offset at which two pages differ, or -1.
+// Both are zero outside their extents (see Sparse), so only the span of
+// the two extents is compared.
+func (p *page) firstDiff(q *page) int {
+	span := page{lo: p.lo, hi: p.hi}
+	if q.lo != q.hi {
+		span.touch(q.lo, q.hi)
+	}
+	lo, hi := span.lo, span.hi
+	if bytes.Equal(p.buf[lo:hi], q.buf[lo:hi]) {
+		return -1
+	}
+	for p.buf[lo] == q.buf[lo] {
+		lo++
+	}
+	return lo
+}
+
+// FirstDiff compares two sparse stores (unmapped pages read as zero)
 // and returns the lowest differing address. equal=true means the images
-// are identical. Pages are compared with bulk bytes.Equal and only a
-// mismatching page is scanned for the first differing byte, so the
-// whole-image comparison the synth differential checker performs after
-// every run costs O(pages) memcmp instead of a per-byte loop.
+// are identical. It walks the two page sets as they are and, by the
+// extent invariant (see Sparse), compares of each page only the span of
+// the two sides' written extents — bytes outside both are zero on both
+// sides — so the whole-image comparison the synth differential checker
+// performs after every run costs a memcmp of what the two runs wrote.
 func FirstDiff(a, b *Sparse) (addr int64, equal bool) {
-	idxs := make(map[int64]struct{}, len(a.pages)+len(b.pages))
-	for i := range a.pages {
-		idxs[i] = struct{}{}
-	}
-	for i := range b.pages {
-		idxs[i] = struct{}{}
-	}
-	sorted := make([]int64, 0, len(idxs))
-	for i := range idxs {
-		sorted = append(sorted, i)
-	}
-	sort.Slice(sorted, func(x, y int) bool { return sorted[x] < sorted[y] })
-	for _, i := range sorted {
-		pa, pb := a.pages[i], b.pages[i]
-		if pa == nil {
-			pa = zeroPage
-		}
-		if pb == nil {
-			pb = zeroPage
-		}
-		if bytes.Equal(pa, pb) {
-			continue
-		}
-		for off := 0; off < pageSize; off++ {
-			if pa[off] != pb[off] {
-				return i<<pageBits + int64(off), false
+	addr, equal = 0, true
+	diff := func(idx int64, pa, pb *page) {
+		if off := pa.firstDiff(pb); off >= 0 {
+			if at := idx<<pageBits + int64(off); equal || at < addr {
+				addr, equal = at, false
 			}
 		}
 	}
-	return 0, true
+	for i, pa := range a.pages {
+		pb := b.pages[i]
+		if pb == nil {
+			pb = unmapped
+		}
+		diff(i, pa, pb)
+	}
+	for i, pb := range b.pages {
+		if a.pages[i] == nil {
+			diff(i, unmapped, pb)
+		}
+	}
+	return addr, equal
 }

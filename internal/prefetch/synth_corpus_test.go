@@ -5,10 +5,13 @@ package prefetch_test
 // boundary.
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/cell"
 	"repro/internal/prefetch"
+	"repro/internal/program"
 	"repro/internal/synth"
 )
 
@@ -50,6 +53,57 @@ func TestTransformDeterministicOverCorpus(t *testing.T) {
 		}
 		if asm.Format(a) != asm.Format(b) {
 			t.Fatalf("seed %d: Transform not deterministic", seed)
+		}
+	}
+}
+
+// TestTransformSharesTheMemoryImage: Transform rewrites code and never
+// the initial memory image, so the transformed program's segments are
+// the original's (program.Segment.Data is immutable once built, and
+// Clone shares it). For every corpus seed the segments must alias, and
+// the bytes must still be what Generate made them after Transform and a
+// run of each program.
+func TestTransformSharesTheMemoryImage(t *testing.T) {
+	for _, seed := range synth.CorpusSeeds() {
+		sc := synth.FromSeed(seed).Normalize()
+		prog, err := synth.Generate(sc)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		before := make([][]byte, len(prog.Segments))
+		for i, seg := range prog.Segments {
+			before[i] = bytes.Clone(seg.Data)
+		}
+		pf, err := prefetch.Transform(prog)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		cfg := cell.DefaultConfig()
+		cfg.SPEs = sc.SPEs
+		for _, p := range []*program.Program{prog, pf} {
+			m, err := cell.New(cfg, p)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			res, err := m.Run()
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if res.CheckErr != nil {
+				t.Fatalf("seed %d: functional check: %v", seed, res.CheckErr)
+			}
+		}
+		if len(pf.Segments) != len(prog.Segments) {
+			t.Fatalf("seed %d: %d segments became %d", seed, len(prog.Segments), len(pf.Segments))
+		}
+		for i, seg := range prog.Segments {
+			got := pf.Segments[i]
+			if got.Addr != seg.Addr || len(got.Data) != len(seg.Data) || &got.Data[0] != &seg.Data[0] {
+				t.Errorf("seed %d: segment %d of the transformed program does not alias the original's", seed, i)
+			}
+			if !bytes.Equal(seg.Data, before[i]) {
+				t.Errorf("seed %d: segment %d changed under Transform and the two runs", seed, i)
+			}
 		}
 	}
 }

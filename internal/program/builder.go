@@ -60,7 +60,7 @@ func (b *Builder) Template(name string) *TB {
 		tmpl: &Template{Name: name, ID: len(b.tbs)},
 	}
 	for k := BlockKind(0); k < NumBlocks; k++ {
-		t.asms[k] = &Asm{tb: t, kind: k, labels: map[string]int{}}
+		t.asms[k] = &Asm{tb: t, kind: k}
 	}
 	b.tbs = append(b.tbs, t)
 	return t
@@ -171,6 +171,9 @@ func (a *Asm) Label(name string) *Asm {
 	if _, dup := a.labels[name]; dup {
 		a.tb.b.errf("program: duplicate label %q in %s/%s", name, a.tb.tmpl.Name, a.kind)
 		return a
+	}
+	if a.labels == nil {
+		a.labels = map[string]int{} // most blocks define none
 	}
 	a.labels[name] = len(a.ins)
 	return a

@@ -6,7 +6,10 @@ import (
 )
 
 // Segment is a chunk of the initial main-memory image (global input
-// data placed by the host before the TLP activity starts).
+// data placed by the host before the TLP activity starts). Data is
+// immutable once Build returns: machines, the oracle and the formatter
+// only read it, and Clone shares it, so a program and its transformed
+// clone load the same bytes.
 type Segment struct {
 	Addr int64
 	Data []byte
@@ -117,19 +120,20 @@ func (p *Program) MaxPrefetchBytes() int {
 	return max
 }
 
-// Clone returns a deep copy of the program. The prefetch transformer
-// operates on a clone so that a single built program can be run both ways
-// (with and without prefetching) from the same in-memory object.
+// Clone returns a copy of the program that shares nothing mutable with
+// it: code, regions, access tags and entry arguments are copied, the
+// segments' immutable Data (see Segment) is shared. The prefetch
+// transformer operates on a clone so that a single built program can be
+// run both ways (with and without prefetching) from the same in-memory
+// object.
 func (p *Program) Clone() *Program {
 	q := &Program{
 		Name:         p.Name,
 		Entry:        p.Entry,
 		EntryArgs:    append([]int64(nil), p.EntryArgs...),
 		ExpectTokens: p.ExpectTokens,
+		Segments:     append([]Segment(nil), p.Segments...),
 		Check:        p.Check,
-	}
-	for _, s := range p.Segments {
-		q.Segments = append(q.Segments, Segment{Addr: s.Addr, Data: append([]byte(nil), s.Data...)})
 	}
 	for _, t := range p.Templates {
 		nt := &Template{

@@ -268,3 +268,71 @@ func TestFallocSCWithinFrame(t *testing.T) {
 		t.Fatalf("Build err = %v, want ErrBadSlot", err)
 	}
 }
+
+// wellFormed returns an instruction of op that isa.Instruction.Validate
+// accepts and whose immediate is a legal branch target, frame slot and
+// FALLOC packing at once: every register the format uses is r1, the
+// immediate 0.
+func wellFormed(t *testing.T, op isa.Op) isa.Instruction {
+	t.Helper()
+	ins := isa.Instruction{Op: op}
+	switch isa.MustInfo(op).Fmt {
+	case isa.FmtRd, isa.FmtRdImm:
+		ins.Rd = 1
+	case isa.FmtRa:
+		ins.Ra = 1
+	case isa.FmtRdRa, isa.FmtRdRaImm:
+		ins.Rd, ins.Ra = 1, 1
+	case isa.FmtRaRbImm:
+		ins.Ra, ins.Rb = 1, 1
+	case isa.FmtRdRaRb, isa.FmtRdRaRbIm:
+		ins.Rd, ins.Ra, ins.Rb = 1, 1, 1
+	}
+	if err := ins.Validate(); err != nil {
+		t.Fatalf("%s: %v", ins, err)
+	}
+	return ins
+}
+
+// TestBlockDisciplineMatchesSwitch holds Validate and the table it reads
+// against legalIn, the statement of the block discipline, for every
+// defined opcode in every kind of block.
+func TestBlockDisciplineMatchesSwitch(t *testing.T) {
+	for op := isa.Op(0); int(op) < isa.OpCount; op++ {
+		if _, ok := isa.Lookup(op); !ok {
+			continue
+		}
+		ins := wellFormed(t, op)
+		for k := BlockKind(0); k < NumBlocks; k++ {
+			want := legalIn(op, k)
+			if legal[op][k] != want {
+				t.Errorf("legal[%s][%s] = %v, the switch says %v", op, k, legal[op][k], want)
+			}
+			tmpl := &Template{Name: "t"}
+			tmpl.Blocks[PS] = []isa.Instruction{{Op: isa.STOP}}
+			tmpl.Blocks[k] = append([]isa.Instruction{ins}, tmpl.Blocks[k]...)
+			err := tmpl.Validate([]*Template{tmpl})
+			if want && err != nil {
+				t.Errorf("%s in a %s block: Validate = %v, the switch allows it", op, k, err)
+			}
+			if !want && !errors.Is(err, ErrBlockDiscipline) {
+				t.Errorf("%s in a %s block: Validate = %v, want ErrBlockDiscipline", op, k, err)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsUndefinedOpcode: an opcode past the defined range
+// is reported as such, in any block, before the legality table (which
+// has no row for it) is consulted.
+func TestValidateRejectsUndefinedOpcode(t *testing.T) {
+	for _, op := range []isa.Op{isa.Op(isa.OpCount), 255} {
+		for k := BlockKind(0); k < NumBlocks; k++ {
+			p := buildMinimal(t)
+			p.Templates[0].Blocks[k] = append([]isa.Instruction{{Op: op}}, p.Templates[0].Blocks[k]...)
+			if err := p.Validate(); !errors.Is(err, isa.ErrUnknownOp) {
+				t.Errorf("opcode %d in a %s block: Validate = %v, want isa.ErrUnknownOp", op, k, err)
+			}
+		}
+	}
+}

@@ -150,8 +150,9 @@ func (t *Template) CodeLen() int {
 	return n
 }
 
-// Block-legality table. See the package comment; "original DTA" rules
-// with the prefetch extensions:
+// legalIn is the block discipline, and its only statement (Validate
+// reads the legal table, which init fills from it). See the package
+// comment; "original DTA" rules with the prefetch extensions:
 //
 //	PF: frame loads, compute, branches, MFC channel ops
 //	PL: frame loads, compute, branches, direct LS reads
@@ -189,6 +190,21 @@ func legalIn(op isa.Op, k BlockKind) bool {
 	return false
 }
 
+// legal[op][k] is legalIn(op, k) for every defined opcode, tabulated so
+// that validating an instruction costs an index, not two switches.
+var legal [isa.OpCount][NumBlocks]bool
+
+func init() {
+	for op := range legal {
+		if _, ok := isa.Lookup(isa.Op(op)); !ok {
+			continue
+		}
+		for k := range legal[op] {
+			legal[op][k] = legalIn(isa.Op(op), BlockKind(k))
+		}
+	}
+}
+
 // Validation errors.
 var (
 	ErrBlockDiscipline = errors.New("program: instruction not allowed in code block")
@@ -210,11 +226,10 @@ func (t *Template) Validate(templates []*Template) error {
 			if err := ins.Validate(); err != nil {
 				return fmt.Errorf("%s/%s[%d] %s: %w", t.Name, k, i, ins, err)
 			}
-			info := isa.MustInfo(ins.Op)
-			if !legalIn(ins.Op, k) {
+			if !legal[ins.Op][k] {
 				return fmt.Errorf("%w: %s in %s block of %s", ErrBlockDiscipline, ins, k, t.Name)
 			}
-			if info.Branch {
+			if isa.InfoOf(ins.Op).Branch {
 				if int(ins.Imm) < 0 || int(ins.Imm) >= len(block) {
 					return fmt.Errorf("%w: %s/%s[%d] %s targets %d (block len %d)",
 						ErrBranchTarget, t.Name, k, i, ins, ins.Imm, len(block))
@@ -246,7 +261,7 @@ func (t *Template) Validate(templates []*Template) error {
 	if ps := t.Blocks[PS]; len(ps) == 0 || ps[len(ps)-1].Op != isa.STOP {
 		return fmt.Errorf("%w: template %s", ErrNoStop, t.Name)
 	}
-	for i, r := range t.Regions {
+	for _, r := range t.Regions {
 		if r.MaxBytes <= 0 {
 			return fmt.Errorf("%w: region %q has MaxBytes %d", ErrBadRegion, r.Name, r.MaxBytes)
 		}
@@ -262,7 +277,6 @@ func (t *Template) Validate(templates []*Template) error {
 		if r.Size.Slot >= MaxFrameSlots {
 			return fmt.Errorf("%w: region %q size slot %d", ErrBadRegion, r.Name, r.Size.Slot)
 		}
-		_ = i
 	}
 	for _, a := range t.Accesses {
 		if a.Block < 0 || a.Block >= NumBlocks || a.Index < 0 || a.Index >= len(t.Blocks[a.Block]) {

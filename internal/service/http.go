@@ -219,6 +219,27 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds a request body. The largest legitimate one — a
+// sweep naming every experiment — is a few kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads a JSON request body of at most maxBodyBytes into v.
+// On failure it has written the error response — 413 for an oversized
+// body, 400 for a malformed one — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // jobDoc snapshots a job under the service lock.
 func (s *Service) jobDoc(job *Job, includeResult bool) JobDoc {
 	s.mu.Lock()
@@ -308,8 +329,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Experiment == "" {
@@ -486,8 +506,7 @@ func (s *Service) handleGetResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ids := req.Experiments

@@ -207,6 +207,42 @@ func TestRunBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRefused: both endpoints that read a body stop at
+// maxBodyBytes and answer 413 in the JSON error shape, whether the excess
+// is inside the JSON value or the value never ends.
+func TestOversizedBodyRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	pad := strings.Repeat("x", maxBodyBytes)
+	for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+		for _, body := range []string{
+			`{"experiment":"fig7","experiments":["fig7"],"options":{"quick":true},"pad":"` + pad + `"}`,
+			`{"pad":"` + pad + pad,
+		} {
+			resp := postJSON(t, ts.URL+path, body)
+			data := readAll(t, resp)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s with %d bytes: status %d, want 413", path, len(body), resp.StatusCode)
+			}
+			var doc map[string]string
+			if err := json.Unmarshal(data, &doc); err != nil || doc["error"] == "" {
+				t.Fatalf("%s: 413 body %q is not the JSON error shape (%v)", path, data, err)
+			}
+		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 {
+		t.Fatalf("%d jobs were submitted from refused bodies", jobs)
+	}
+	// A body just under the limit still decodes (unknown fields are ignored).
+	resp := postJSON(t, ts.URL+"/v1/runs", `{"experiment":"no-such-experiment","pad":"`+pad[:maxBodyBytes-100]+`"}`)
+	readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("body under the limit: status %d, want 400 for the unknown experiment", resp.StatusCode)
+	}
+}
+
 // TestSweepStream submits a sweep of cheap experiments and reads the
 // NDJSON stream: one line per experiment, in submission order, each a
 // valid RunLine.

@@ -30,6 +30,7 @@ package spu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dta"
 	"repro/internal/isa"
@@ -185,9 +186,13 @@ type SPU struct {
 	// plus everything the per-cycle issue path would otherwise re-derive
 	// from isa.Info on every visit — scoreboard sources, issue slot,
 	// branchness, the configured result latency — and the dual burst
-	// masks of the instruction pair starting at pc (see uop).
-	uops   []uop
-	uopTab [][]uop
+	// masks of the instruction pair starting at pc (see uop). The tables
+	// are carved from uopArena, which a Reset to another program rewinds
+	// and does not free: a pooled machine decodes program after program
+	// into the same memory.
+	uops     []uop
+	uopTab   [][]uop
+	uopArena []uop
 
 	ph          phase
 	gapCause    stats.Cause // cause for cycles while sleeping
@@ -296,12 +301,11 @@ func (s *SPU) uopsFor(tmpl int, blk program.BlockKind) []uop {
 // class) is consulted; the per-cycle paths read only the resulting
 // uops.
 func (s *SPU) buildUops(code []isa.Instruction) []uop {
-	us := make([]uop, len(code))
+	us := s.carveUops(len(code))
 	for i, ins := range code {
 		info := isa.InfoOf(ins.Op)
 		u := &us[i]
-		u.ins = ins
-		u.cls = instrClass(ins.Op)
+		*u = uop{ins: ins, cls: instrClass(ins.Op)} // recycled memory: set every field
 		switch info.Fmt {
 		case isa.FmtRa, isa.FmtRdRa, isa.FmtRdRaImm:
 			u.srcs[0], u.nsrc = ins.Ra, 1
@@ -352,6 +356,15 @@ func (s *SPU) buildUops(code []isa.Instruction) []uop {
 		}
 	}
 	return us
+}
+
+// carveUops takes n uops off the arena's tail. When the arena has to
+// grow it moves to a new backing array; tables carved before keep the
+// old one, which nothing writes again.
+func (s *SPU) carveUops(n int) []uop {
+	used := len(s.uopArena)
+	s.uopArena = slices.Grow(s.uopArena, n)[:used+n]
+	return s.uopArena[used:]
 }
 
 // secondCannotJoin reports whether the instruction decoded as sec can
@@ -452,7 +465,8 @@ func (s *SPU) Stats() stats.SPU { return s.st }
 func (s *SPU) Reset(prog *program.Program) {
 	if prog != s.prog {
 		// The uop cache is keyed by template block; it stays valid when
-		// the same program is re-run.
+		// the same program is re-run. For another program every table is
+		// dropped, and the arena they were carved from starts over.
 		n := len(prog.Templates) * int(program.NumBlocks)
 		if n <= cap(s.uopTab) {
 			s.uopTab = s.uopTab[:n]
@@ -462,6 +476,7 @@ func (s *SPU) Reset(prog *program.Program) {
 		} else {
 			s.uopTab = make([][]uop, n)
 		}
+		s.uopArena = s.uopArena[:0]
 	}
 	s.prog = prog
 	for i := range s.regs {

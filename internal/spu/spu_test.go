@@ -2,6 +2,7 @@ package spu_test
 
 import (
 	"math/bits"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,9 +19,23 @@ import (
 // single-thread programs and assert on pipeline-level observables
 // (instruction counts, cycle costs, stall buckets, register semantics).
 
-// runEX builds a program whose root runs the given EX body and posts
-// r1's final value to the mailbox, then returns the result. A nil t is
-// allowed inside property functions (failures panic instead).
+// progEX builds a program whose root runs the given EX body and posts
+// r1's final value to the mailbox.
+func progEX(build func(ex *program.Asm)) (*program.Program, error) {
+	b := program.NewBuilder("sputest")
+	root := b.Template("root")
+	root.PL().Load(program.R(9), 0)
+	build(root.EX())
+	root.PS().
+		StoreMailbox(program.R(1), program.R(99), 0).
+		Ffree().
+		Stop()
+	b.Entry(root, 7)
+	return b.Build()
+}
+
+// runEX runs progEX's program on a new machine and returns the result. A
+// nil t is allowed inside property functions (failures panic instead).
 func runEX(t *testing.T, cfg cell.Config, build func(ex *program.Asm)) *cell.Result {
 	if t != nil {
 		t.Helper()
@@ -32,16 +47,7 @@ func runEX(t *testing.T, cfg cell.Config, build func(ex *program.Asm)) *cell.Res
 			panic(err)
 		}
 	}
-	b := program.NewBuilder("sputest")
-	root := b.Template("root")
-	root.PL().Load(program.R(9), 0)
-	build(root.EX())
-	root.PS().
-		StoreMailbox(program.R(1), program.R(99), 0).
-		Ffree().
-		Stop()
-	b.Entry(root, 7)
-	p, err := b.Build()
+	p, err := progEX(build)
 	if err != nil {
 		fatal(err)
 	}
@@ -425,4 +431,57 @@ func TestShiftCountMasking(t *testing.T) {
 		t.Fatalf("1 << 65 = %d, want 2 (masked shift)", res.Tokens[0])
 	}
 	_ = bits.UintSize
+}
+
+// TestReusedMachineDecodesEachProgram: an SPU decodes into memory it
+// keeps across Reset, so a machine handed one program after another must
+// decode each as a new machine would — nothing of a longer program left
+// behind in a shorter one, no table of the current program overwritten
+// by a later block. Each run must report exactly what a fresh machine
+// reports. Two machines do it side by side: the arenas are per SPU, and
+// the race detector would see anything they shared.
+func TestReusedMachineDecodesEachProgram(t *testing.T) {
+	bodies := []func(ex *program.Asm){
+		mulChain(300), // one long block
+		loopBody(50),  // a short one with a branch, over the long one's memory
+		func(ex *program.Asm) { // memory-slot instructions and stores
+			ex.Movi(program.R(1), 77)
+			ex.Movi(program.R(2), 0x1000)
+			ex.Write(program.R(1), program.R(2), 0)
+			ex.Read(program.R(3), program.R(2), 0)
+			ex.Add(program.R(1), program.R(1), program.R(3))
+		},
+		mulChain(700), // longer than anything before: the arena has to move
+		loopBody(3),
+	}
+	for _, name := range []string{"one", "two"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var reused *cell.Machine
+			for i, body := range bodies {
+				p, err := progEX(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reused == nil {
+					reused, err = cell.New(oneSPE(), p)
+				} else {
+					err = reused.Reset(p)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := reused.Run()
+				if err != nil {
+					t.Fatalf("program %d on the reused machine: %v", i, err)
+				}
+				want := runEX(t, oneSPE(), body)
+				if got.Cycles != want.Cycles || !reflect.DeepEqual(got.Tokens, want.Tokens) ||
+					!reflect.DeepEqual(got.SPUs, want.SPUs) {
+					t.Errorf("program %d: the reused machine reports %d cycles, tokens %v, SPU stats %+v; a fresh one %d, %v, %+v",
+						i, got.Cycles, got.Tokens, got.SPUs, want.Cycles, want.Tokens, want.SPUs)
+				}
+			}
+		})
+	}
 }
