@@ -66,45 +66,62 @@ func TestPaperSizeCyclePins(t *testing.T) {
 	}
 }
 
-// TestPaperSizeEventPins pins, beside the cycles, what one of those runs
-// costs the host in engine events (cell.Machine.ComponentTicks): mmul(32)
+// TestPaperSizeEventPins pins, beside the cycles, what two of those runs
+// cost the host in engine events (cell.Machine.ComponentTicks): mmul(32)
 // without prefetching, the blocking-READ machine every figure divides
-// by. A READ is a request and a response, both into timed endpoints, so
-// the network spends no event on either and is ticked only for the few
-// hundred scheduler messages; the memory's count is the service-cycle
-// rule at work (one tick per request, one per response) and moves only
-// with the model.
+// by, and with it. A READ is a request and a response, both into timed
+// endpoints, so the network spends no event on either and is ticked only
+// for the few hundred scheduler messages; the memory's count is the
+// service-cycle rule at work (one tick per request, one per response) and
+// moves only with the model. The prefetched total is where the SPU's
+// burst horizon shows: a stale, too-early horizon changes no result,
+// only how many ticks the SPUs take.
 func TestPaperSizeEventPins(t *testing.T) {
 	prog, err := BuildWorkload("mmul", Params{N: 32, Seed: 42, Workers: AutoWorkers(8, 32)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := Transform(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.SPEs = 8
 	cfg.Mem.Latency = 150
-	m, err := cell.New(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticks := make(map[string]int64)
-	var total int64
-	for _, c := range m.ComponentTicks() {
-		ticks[c.Name] = c.Ticks
-		total += c.Ticks
-	}
-	if got := ticks["memory"]; got != 132086 {
-		t.Errorf("memory ticked %d times, pinned 132086", got)
-	}
-	if got := ticks["noc"]; got*100 >= res.Net.Messages {
-		t.Errorf("noc ticked %d times for %d messages, want under 1%%", got, res.Net.Messages)
-	}
-	// 3.55 events per READ where the ticked path took 5.56 (364,429).
-	if total > 240000 {
-		t.Errorf("%d component ticks in all (%.2f per READ), want at most 240000",
-			total, float64(total)/float64(res.Agg.Instr.Read))
+	for _, tc := range []struct {
+		name     string
+		prog     *Program
+		memory   int64
+		maxTotal int64
+	}{
+		// 3.55 events per READ where the ticked path took 5.56 (364,429).
+		{"original", prog, 132086, 240000},
+		{"prefetched", pf, 2104, 42317},
+	} {
+		m, err := cell.New(cfg, tc.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ticks := make(map[string]int64)
+		var total int64
+		for _, c := range m.ComponentTicks() {
+			ticks[c.Name] = c.Ticks
+			total += c.Ticks
+		}
+		if got := ticks["memory"]; got != tc.memory {
+			t.Errorf("%s: memory ticked %d times, pinned %d", tc.name, got, tc.memory)
+		}
+		// The prefetched run's DMA data goes to ticked endpoints.
+		if got := ticks["noc"]; tc.prog == prog && got*100 >= res.Net.Messages {
+			t.Errorf("%s: noc ticked %d times for %d messages, want under 1%%", tc.name, got, res.Net.Messages)
+		}
+		if total > tc.maxTotal {
+			t.Errorf("%s: %d component ticks in all (%.2f per READ), want at most %d",
+				tc.name, total, float64(total)/float64(res.Agg.Instr.Read), tc.maxTotal)
+		}
 	}
 }

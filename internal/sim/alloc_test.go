@@ -2,8 +2,8 @@ package sim
 
 import "testing"
 
-// mixed exercises the bucket fast path, the heap (distinct strides) and
-// self-wakes, covering every steady-state scheduling structure.
+// mixed exercises shared and distinct strides and self-wakes, covering
+// every steady-state scheduling path.
 type mixed struct {
 	stride Cycle
 	until  Cycle

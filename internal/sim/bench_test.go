@@ -5,39 +5,6 @@ import (
 	"testing"
 )
 
-// counter is a minimal always-busy component.
-type counter struct {
-	n     int64
-	until Cycle
-	e     *Engine
-}
-
-func (c *counter) Name() string { return "counter" }
-func (c *counter) Tick(now Cycle) Cycle {
-	c.n++
-	if now >= c.until {
-		c.e.Stop()
-		return Never
-	}
-	return now + 1
-}
-
-// BenchmarkEngineDenseTicks measures raw cycle-loop throughput with 16
-// always-busy components (the dense phase of a machine simulation).
-func BenchmarkEngineDenseTicks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 16; j++ {
-			c := &counter{until: 10_000, e: e}
-			e.Register(c)
-		}
-		if _, err := e.Run(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(16*10_000, "component-ticks/op")
-}
-
 // sleeper wakes itself sparsely.
 type sleeper struct {
 	stride Cycle
@@ -52,20 +19,6 @@ func (s *sleeper) Tick(now Cycle) Cycle {
 		return Never
 	}
 	return now + s.stride
-}
-
-// BenchmarkEngineSparseSkipping measures dead-time skipping: components
-// that sleep 1000 cycles between ticks must not cost 1000 iterations.
-func BenchmarkEngineSparseSkipping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 16; j++ {
-			e.Register(&sleeper{stride: 1000, until: 10_000_000, e: e})
-		}
-		if _, err := e.Run(0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // dormant sleeps forever; it only exists to inflate the component count

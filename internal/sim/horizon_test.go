@@ -2,8 +2,8 @@ package sim
 
 import "testing"
 
-// The quiescence-horizon API (HorizonExcluding, NextScheduled,
-// SchedStamp) backs the SPU's local-store read bursts: a component may
+// The quiescence-horizon API (HorizonExcluding, NextScheduled) backs
+// the SPU's local-store read bursts: a component may
 // simulate work for cycles strictly below its horizon, so every edge
 // case here is a soundness case there.
 
@@ -97,9 +97,8 @@ func TestHorizonTwoComponentsSameCycle(t *testing.T) {
 	}
 }
 
-// A same-cycle insertion during a component's Tick — the moment the
-// burst fast path must notice — bumps the schedule stamp, and the
-// recomputed horizon reflects the insertion.
+// A wake posted during a component's Tick — the moment the burst fast
+// path must notice — shows in the horizon that component reads next.
 func TestHorizonInvalidatedBySameCycleInsertion(t *testing.T) {
 	e := NewEngine()
 	sleeper := &probe{name: "sleeper", plan: []Cycle{Never}}
@@ -111,13 +110,9 @@ func TestHorizonInvalidatedBySameCycleInsertion(t *testing.T) {
 			return -1 // sentinel for cycles we don't probe
 		}
 		before := e.HorizonExcluding(hw.ID())
-		stamp := e.SchedStamp()
 		// Mid-"burst": wake the sleeper for a nearby cycle, as a STORE
 		// executed in the first cycle of a burst window wakes the LSE.
 		hs.Wake(7)
-		if e.SchedStamp() == stamp {
-			t.Errorf("SchedStamp unchanged by a wake that scheduled a sleeping component")
-		}
 		after := e.HorizonExcluding(hw.ID())
 		if before != Never {
 			t.Errorf("horizon before insertion = %d, want Never (sleeper asleep)", before)
@@ -138,7 +133,7 @@ func TestHorizonInvalidatedBySameCycleInsertion(t *testing.T) {
 // the horizon cycle and no earlier, so work the burster simulated for
 // cycles strictly below the horizon stays untouched — and a wake can
 // never move a component to a cycle below an already-computed horizon
-// (time never rewinds past now, and earlier wakes bump the stamp).
+// that the waker does not see (time never rewinds past now).
 func TestWakeExactlyAtHorizon(t *testing.T) {
 	e := NewEngine()
 	sleeper := &probe{name: "sleeper", plan: []Cycle{Never, Never}}
@@ -171,8 +166,8 @@ func TestWakeExactlyAtHorizon(t *testing.T) {
 }
 
 // NextScheduled distinguishes every scheduling state the horizon code
-// reads: ticking now, pending in the current pass, bucketed, heaped,
-// and asleep.
+// reads: ticking now, pending in the current pass, scheduled later, and
+// asleep.
 func TestNextScheduledStates(t *testing.T) {
 	e := NewEngine()
 	a := &probe{name: "a"}
@@ -191,7 +186,7 @@ func TestNextScheduledStates(t *testing.T) {
 				t.Errorf("NextScheduled(pending in pass) = %d, want 0", got)
 			}
 		case 2:
-			// b rescheduled itself for 4 (heap or bucket), c sleeps.
+			// b rescheduled itself for 4, c sleeps.
 			if got := e.NextScheduled(hb.ID()); got != 4 {
 				t.Errorf("NextScheduled(b at cycle 2) = %d, want 4", got)
 			}

@@ -34,7 +34,7 @@ func buildChatter(e *Engine, seed uint64) *[]Cycle {
 }
 
 // TestRunUntilSlicesMatchRun is the slicing-fidelity contract: driving
-// an engine through arbitrary RunFor budgets must reproduce an
+// an engine through arbitrary RunUntil budgets must reproduce an
 // uninterrupted Run tick for tick, ending on the same cycle.
 func TestRunUntilSlicesMatchRun(t *testing.T) {
 	ref := NewEngine()
@@ -51,7 +51,7 @@ func TestRunUntilSlicesMatchRun(t *testing.T) {
 		slices := 0
 		for {
 			var st RunStatus
-			end, st = e.RunFor(budget)
+			end, st = e.RunUntil(e.Now() + budget)
 			if st == RunStopped {
 				break
 			}
@@ -120,9 +120,9 @@ func TestRunUntilBudgetLandsOnNextEvent(t *testing.T) {
 	}
 }
 
-// TestRunForDegenerate covers zero/negative budgets and the stopped
-// return value.
-func TestRunForDegenerate(t *testing.T) {
+// TestRunUntilDegenerate covers bounds at or before the clock and the
+// stopped return value.
+func TestRunUntilDegenerate(t *testing.T) {
 	e := NewEngine()
 	stopper := &recorder{name: "stop", plan: []Cycle{7}}
 	stopper.onRun = func(now Cycle) {
@@ -132,14 +132,17 @@ func TestRunForDegenerate(t *testing.T) {
 	}
 	e.Register(stopper)
 
-	if end, st := e.RunFor(0); st != RunBudget || end != 0 {
-		t.Fatalf("RunFor(0) = (%d, %d), want (0, RunBudget)", end, st)
+	if end, st := e.RunUntil(0); st != RunBudget || end != 0 {
+		t.Fatalf("RunUntil(0) = (%d, %d), want (0, RunBudget)", end, st)
 	}
-	if end, st := e.RunFor(-5); st != RunBudget || end != 0 {
-		t.Fatalf("RunFor(-5) = (%d, %d), want (0, RunBudget)", end, st)
+	if end, st := e.RunUntil(-5); st != RunBudget || end != 0 {
+		t.Fatalf("RunUntil(-5) = (%d, %d), want (0, RunBudget)", end, st)
 	}
-	end, st := e.RunFor(Never) // saturates, no overflow
+	if len(stopper.runs) != 0 {
+		t.Fatalf("ticked at %v under a bound at the clock", stopper.runs)
+	}
+	end, st := e.RunUntil(Never)
 	if st != RunStopped || end != 7 {
-		t.Fatalf("RunFor(Never) = (%d, %d), want (7, RunStopped)", end, st)
+		t.Fatalf("RunUntil(Never) = (%d, %d), want (7, RunStopped)", end, st)
 	}
 }

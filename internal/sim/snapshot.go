@@ -7,16 +7,16 @@ import (
 )
 
 // Snapshot serialises the engine's scheduling state: the clock and each
-// component's next due cycle. The internal layout — which entries sit
-// in the uniform-cycle bucket versus the heap, tombstones, slice
-// capacities — is performance-only: scheduling behaviour depends solely
-// on the {(component, due cycle)} multiset plus the (cycle,
-// registration index) total order, so the multiset is the whole state.
+// component's next due cycle. The heap's layout and slice capacities are
+// performance-only: between Runs every entry's pass is 0, so scheduling
+// behaviour depends solely on the {(component, due cycle)} multiset plus
+// the (cycle, registration index) total order, and the multiset is the
+// whole state.
 //
 // The engine must be idle (between passes, as it always is between
 // Machine.Step calls); snapshotting from inside a Tick is an error.
 func (e *Engine) Snapshot(w *snap.Writer) error {
-	if e.running {
+	if e.ticking != notQueued {
 		return fmt.Errorf("sim: snapshot inside a pass")
 	}
 	if e.stopped {
@@ -43,27 +43,12 @@ func (e *Engine) Restore(r *snap.Reader) error {
 	if n != len(e.comps) {
 		return fmt.Errorf("sim: snapshot has %d components, engine has %d", n, len(e.comps))
 	}
-	// Clear the schedule the way Reset does, keeping backing arrays.
-	e.heap = e.heap[:0]
-	for i := range e.pos {
-		e.pos[i] = notQueued
-	}
-	e.nextList = e.nextList[:0]
-	e.nextLive = 0
-	e.nextSorted = true
-	e.bucketSeq++ // invalidates every inNextSeq entry
-	e.passList = e.passList[:0]
-	e.passCursor = 0
-	e.ticking = notQueued
-	e.running = false
-	e.stopped = false
-	e.stopAt = 0
-	e.now = now
-	clear(e.ticks)
+	e.rewind(now)
 	for i := 0; i < n; i++ {
-		at := Cycle(r.I64())
-		if at != Never {
-			e.schedule(int32(i), at)
+		if at := Cycle(r.I64()); at != Never {
+			// A due cycle before the clock runs on the clock, as a wake
+			// in the past does.
+			e.schedule(entry{at: max(at, now), idx: int32(i)})
 		}
 	}
 	return r.Err()

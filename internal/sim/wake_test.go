@@ -2,7 +2,7 @@ package sim
 
 // Edge-case coverage for Handle.Wake under the heap scheduler: clamping,
 // already-due targets, self-wakes during Tick, wakes after Stop, and
-// wakes that tombstone uniform-cycle bucket entries.
+// wakes that move a strided component's scheduled cycle earlier.
 
 import "testing"
 
@@ -18,16 +18,16 @@ func cyclesEqual(t *testing.T, got, want []Cycle, label string) {
 	}
 }
 
-// TestWakePastClampsBucketEntry wakes a component that sits in the
-// uniform-cycle bucket (it re-ticks on a fixed stride) with a cycle in
-// the past: the wake must clamp to the current cycle, pull the entry out
-// of the bucket, and not run the component twice.
+// TestWakePastClampsBucketEntry wakes a component that re-ticks on a
+// fixed stride with a cycle in the past: the wake must clamp to the
+// current cycle, move the scheduled entry earlier, and not run the
+// component twice.
 func TestWakePastClampsBucketEntry(t *testing.T) {
 	e := NewEngine()
 	b := &recorder{name: "b"}
 	b.onRun = func(now Cycle) {
 		if now < 20 {
-			b.plan = []Cycle{now + 5} // keeps claiming the bucket
+			b.plan = []Cycle{now + 5}
 		}
 	}
 	bh := e.Register(b)
@@ -172,7 +172,7 @@ func TestStopMidPassRequeuesRemainder(t *testing.T) {
 }
 
 // TestWakeEarlierThanBucketSlot wakes a strided component to a nearer
-// future cycle: the bucket entry must be superseded, not duplicated.
+// future cycle: the scheduled entry must be superseded, not duplicated.
 func TestWakeEarlierThanBucketSlot(t *testing.T) {
 	e := NewEngine()
 	b := &recorder{name: "b"}
@@ -185,7 +185,7 @@ func TestWakeEarlierThanBucketSlot(t *testing.T) {
 	w := &recorder{name: "w", plan: []Cycle{12, 35}}
 	w.onRun = func(now Cycle) {
 		if now == 12 {
-			bh.Wake(14) // b's bucket slot is 20; 14 must win, 20 must vanish
+			bh.Wake(14) // b's slot is 20; 14 must win, 20 must vanish
 		}
 		if now >= 35 {
 			e.Stop()

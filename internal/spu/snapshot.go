@@ -111,6 +111,5 @@ func (s *SPU) Restore(r *snap.Reader, lookup func(int32) *dta.Thread) error {
 			return fmt.Errorf("spu%d: snapshot pc %d beyond block of %d", s.spe, s.pc, len(s.uops))
 		}
 	}
-	s.hzn, s.hznStamp = 0, 0
 	return r.Err()
 }

@@ -202,13 +202,6 @@ type SPU struct {
 	burstLimit  sim.Cycle   // resolved Config.BurstMax (>= 1)
 	resumeAt    sim.Cycle   // burst horizon: cycles below are already simulated
 
-	// hzn caches the engine's quiescence horizon (the earliest cycle
-	// any other component is scheduled to run — the window in which
-	// local-store accesses may be simulated ahead of the engine clock),
-	// valid for the engine schedule stamp hznStamp; see lsHorizon.
-	hzn      sim.Cycle
-	hznStamp uint64
-
 	// lsw is the machine's wiring declaration for the LS-read burst
 	// window (SetLSWiring); lsWired gates the refined horizon — without
 	// it the SPU falls back to the component-agnostic horizon.
@@ -492,8 +485,6 @@ func (s *SPU) Reset(prog *program.Program) {
 	s.accounted = 0
 	s.nextIssueAt = 0
 	s.resumeAt = 0
-	s.hzn = 0
-	s.hznStamp = 0
 	s.readDst = 0
 	s.reqSeq = 0
 	s.fallocRd = 0
@@ -800,26 +791,11 @@ func (s *SPU) tick(now sim.Cycle) sim.Cycle {
 	return t
 }
 
-// lsHorizon returns the engine's quiescence horizon for this SPU — the
-// earliest cycle at which any other component is scheduled to run, and
-// hence the first cycle at which the local store could be touched by
-// someone else. The kernel reads it at most once per window: nothing
-// else runs during this SPU's Tick and no instruction that can wake
-// another component executes inside a window, so the schedule cannot
-// gain entries in between. The cached value is revalidated against the
-// engine's schedule stamp — insertions bump it and force a re-read,
-// while a stale cache under an unchanged stamp can only be earlier than
-// the true horizon, i.e. conservative.
-func (s *SPU) lsHorizon() sim.Cycle {
-	if st := s.handle.SchedStamp(); st != s.hznStamp {
-		s.hznStamp = st
-		s.hzn = s.computeHorizon()
-	}
-	return s.hzn
-}
-
-// computeHorizon derives the first cycle at which this SPE's local
-// store could be touched by someone else. With the machine's wiring
+// lsHorizon derives the first cycle at which this SPE's local store
+// could be touched by someone else. The kernel reads it at most once per
+// window: nothing else runs during this SPU's Tick and no instruction
+// that can wake another component executes inside a window, so the
+// schedule cannot gain entries in between. With the machine's wiring
 // declaration (SetLSWiring) it is the earliest of:
 //
 //   - the next scheduled cycle of this SPE's LSE or MFC;
@@ -835,7 +811,7 @@ func (s *SPU) lsHorizon() sim.Cycle {
 // Network ticks that only serve other endpoints' traffic — including
 // this SPU's own posted WRITEs to main memory — no longer clamp the
 // window. Without wiring it degrades to the quiescence horizon alone.
-func (s *SPU) computeHorizon() sim.Cycle {
+func (s *SPU) lsHorizon() sim.Cycle {
 	h := s.handle.Horizon()
 	if s.eng == nil || !s.lsWired {
 		return h
