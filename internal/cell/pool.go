@@ -33,29 +33,19 @@ var (
 // deterministic with zero locking.
 type Pool struct {
 	free map[Config][]*Machine
-	cap  int // max idle machines retained per configuration (0 = unbounded)
 }
 
-// DefaultPoolCap bounds the idle machines retained per configuration by
-// NewPool. A sweep worker cycles through a handful of configurations
-// with at most a few machines of each in flight, so a small cap keeps
-// reuse intact while a long-lived worker (a dtad worker, a fuzz worker)
-// cannot accumulate retired 156 kB local-store images without bound.
+// DefaultPoolCap bounds the idle machines a pool retains per
+// configuration. A sweep worker cycles through a handful of
+// configurations with at most a few machines of each in flight, so a
+// small cap keeps reuse intact while a long-lived worker (a dtad worker,
+// a fuzz worker) cannot accumulate retired 156 kB local-store images
+// without bound.
 const DefaultPoolCap = 16
 
-// NewPool returns an empty machine pool with the default per-config
-// free-list cap.
+// NewPool returns an empty machine pool.
 func NewPool() *Pool {
-	return NewPoolCap(DefaultPoolCap)
-}
-
-// NewPoolCap returns an empty machine pool retaining at most perConfig
-// idle machines per configuration; perConfig <= 0 means unbounded.
-func NewPoolCap(perConfig int) *Pool {
-	if perConfig < 0 {
-		perConfig = 0
-	}
-	return &Pool{free: make(map[Config][]*Machine), cap: perConfig}
+	return &Pool{free: make(map[Config][]*Machine)}
 }
 
 // Get returns a machine for cfg ready to run prog: a pooled machine
@@ -88,7 +78,7 @@ func (p *Pool) Put(m *Machine) {
 	if p == nil || m == nil {
 		return
 	}
-	if p.cap > 0 && len(p.free[m.cfg]) >= p.cap {
+	if len(p.free[m.cfg]) >= DefaultPoolCap {
 		PoolDrops.Add(1)
 		return
 	}

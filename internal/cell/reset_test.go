@@ -147,43 +147,27 @@ func TestPoolRecyclesMachines(t *testing.T) {
 	nilPool.Put(m4)
 }
 
-// TestPoolCap checks the free list stops growing at the per-config cap
-// and that NewPoolCap(0) stays unbounded.
+// TestPoolCap checks the free list stops growing at DefaultPoolCap per
+// configuration.
 func TestPoolCap(t *testing.T) {
 	cfg := smallConfig(1)
 	prog := progMinimal(t)
-	fill := func(p *Pool, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			m, err := New(cfg, prog)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			p.Put(m)
+	p := NewPool()
+	for i := 0; i < DefaultPoolCap+5; i++ {
+		m, err := New(cfg, prog)
+		if err != nil {
+			t.Fatalf("New: %v", err)
 		}
+		p.Put(m)
 	}
-	p := NewPoolCap(3)
-	fill(p, 5)
-	if got := p.Idle(cfg); got != 3 {
-		t.Fatalf("capped pool retains %d machines, want 3", got)
+	if got := p.Idle(cfg); got != DefaultPoolCap {
+		t.Fatalf("pool retains %d machines, want %d", got, DefaultPoolCap)
 	}
 	if m, err := p.Get(cfg, prog); err != nil || m == nil {
-		t.Fatalf("Get from capped pool: %v", err)
+		t.Fatalf("Get from a full pool: %v", err)
 	}
-	if got := p.Idle(cfg); got != 2 {
-		t.Fatalf("after Get: %d idle, want 2", got)
-	}
-
-	unbounded := NewPoolCap(0)
-	fill(unbounded, DefaultPoolCap+2)
-	if got := unbounded.Idle(cfg); got != DefaultPoolCap+2 {
-		t.Fatalf("unbounded pool retains %d machines, want %d", got, DefaultPoolCap+2)
-	}
-
-	def := NewPool()
-	fill(def, DefaultPoolCap+5)
-	if got := def.Idle(cfg); got != DefaultPoolCap {
-		t.Fatalf("default pool retains %d machines, want %d", got, DefaultPoolCap)
+	if got := p.Idle(cfg); got != DefaultPoolCap-1 {
+		t.Fatalf("after Get: %d idle, want %d", got, DefaultPoolCap-1)
 	}
 }
 

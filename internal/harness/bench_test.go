@@ -75,7 +75,9 @@ func benchmarkPhaseSweep(b *testing.B, cold bool) {
 		m0 := CheckpointMisses.Load()
 		s0 := CheckpointCyclesSaved.Load()
 		ctx := NewContext(quickOpts())
-		ctx.NoCheckpoint = cold
+		if cold {
+			ctx.SetCheckpointCache(nil)
+		}
 		for _, bench := range benchmarks {
 			base, err := ctx.run(bench, ctx.Opt.SPEs, true, defaultVariant())
 			if err != nil {
@@ -111,8 +113,8 @@ func BenchmarkHarnessCheckpointSweep(b *testing.B) {
 	benchmarkPhaseSweep(b, false)
 }
 
-// BenchmarkHarnessColdPhaseSweep: the identical sweep with
-// Context.NoCheckpoint set — every variant re-simulates its warm-up
+// BenchmarkHarnessColdPhaseSweep: the identical sweep with the
+// checkpoint cache removed (SetCheckpointCache(nil)) — every variant re-simulates its warm-up
 // prefix. The ns/op gap to BenchmarkHarnessCheckpointSweep is the
 // checkpoint machinery's end-to-end gain on a warm-up-heavy sweep.
 func BenchmarkHarnessColdPhaseSweep(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cell"
+	"repro/internal/lru"
 	"repro/internal/program"
 	"repro/internal/sim"
 )
@@ -32,8 +33,8 @@ var (
 )
 
 // DefaultCheckpointCacheBytes bounds the in-memory snapshot bytes a
-// cache retains by default. A machine snapshot is dominated by the
-// touched local-store and sparse-memory pages — hundreds of kB to a
+// cache retains. A machine snapshot is dominated by the touched
+// local-store and sparse-memory pages — hundreds of kB to a
 // few MB for the paper's workloads — so this holds the warm-up
 // prefixes of a full sweep with room to spare.
 const DefaultCheckpointCacheBytes = 256 << 20
@@ -53,24 +54,25 @@ type CheckpointSpill interface {
 }
 
 // CheckpointCache holds encoded machine snapshots keyed by
-// cell.SnapshotKey, evicting least-recently-used entries beyond a byte
-// cap. Like the run cache it is confined to one worker — no locking —
-// and a context shares it with its Sub contexts.
+// cell.SnapshotKey, evicting least-recently-used entries beyond
+// DefaultCheckpointCacheBytes; the entry just stored is never evicted,
+// even when it alone exceeds the cap. Like the run cache it is confined
+// to one worker — no locking — and a context shares it with its Sub
+// contexts.
 type CheckpointCache struct {
-	capBytes int64
-	bytes    int64
-	blobs    map[string][]byte
-	order    []string // LRU order, coldest first
-	spill    CheckpointSpill
+	blobs *lru.Cache[string, []byte]
+	spill CheckpointSpill
 }
 
-// NewCheckpointCache returns an empty cache retaining at most capBytes
-// of snapshots in memory (<= 0 selects DefaultCheckpointCacheBytes).
-func NewCheckpointCache(capBytes int64) *CheckpointCache {
-	if capBytes <= 0 {
-		capBytes = DefaultCheckpointCacheBytes
-	}
-	return &CheckpointCache{capBytes: capBytes, blobs: make(map[string][]byte)}
+// NewCheckpointCache returns an empty cache.
+func NewCheckpointCache() *CheckpointCache {
+	return newCheckpointCache(DefaultCheckpointCacheBytes)
+}
+
+func newCheckpointCache(capBytes int64) *CheckpointCache {
+	size := func(blob []byte) int64 { return int64(len(blob)) }
+	evicted := func(string, []byte) { CheckpointEvictions.Add(1) }
+	return &CheckpointCache{blobs: lru.New(capBytes, size, evicted)}
 }
 
 // SetSpill attaches a second-level store: Put writes through to it and
@@ -84,8 +86,7 @@ func (cc *CheckpointCache) Get(key string) ([]byte, bool) {
 		CheckpointMisses.Add(1)
 		return nil, false
 	}
-	if blob, ok := cc.blobs[key]; ok {
-		cc.touch(key)
+	if blob, ok := cc.blobs.Get(key); ok {
 		CheckpointHits.Add(1)
 		return blob, true
 	}
@@ -101,9 +102,7 @@ func (cc *CheckpointCache) Get(key string) ([]byte, bool) {
 }
 
 // Put stores a snapshot under key, writes it through to the spill and
-// evicts the coldest entries beyond the byte cap. The entry just
-// inserted is never evicted, even when it alone exceeds the cap —
-// otherwise an oversized snapshot would thrash forever.
+// evicts the coldest entries beyond the byte cap.
 func (cc *CheckpointCache) Put(key string, blob []byte) {
 	if cc == nil {
 		return
@@ -120,27 +119,17 @@ func (cc *CheckpointCache) Drop(key string) {
 	if cc == nil {
 		return
 	}
-	blob, ok := cc.blobs[key]
-	if !ok {
-		return
-	}
-	delete(cc.blobs, key)
-	cc.bytes -= int64(len(blob))
-	CheckpointBytes.Add(-int64(len(blob)))
-	for i, k := range cc.order {
-		if k == key {
-			cc.order = append(cc.order[:i], cc.order[i+1:]...)
-			break
-		}
+	if blob, ok := cc.blobs.Remove(key); ok {
+		CheckpointBytes.Add(-int64(len(blob)))
 	}
 }
 
-// Len reports the resident entry count; Bytes the resident byte total.
+// Len reports the resident entry count.
 func (cc *CheckpointCache) Len() int {
 	if cc == nil {
 		return 0
 	}
-	return len(cc.blobs)
+	return cc.blobs.Len()
 }
 
 // Bytes reports this cache's resident snapshot bytes.
@@ -148,39 +137,15 @@ func (cc *CheckpointCache) Bytes() int64 {
 	if cc == nil {
 		return 0
 	}
-	return cc.bytes
+	return cc.blobs.Cost()
 }
 
+// insert stores blob as the most recent entry and moves the bytes gauge
+// by what the store and any evictions changed.
 func (cc *CheckpointCache) insert(key string, blob []byte) {
-	if old, ok := cc.blobs[key]; ok {
-		cc.bytes -= int64(len(old))
-		CheckpointBytes.Add(-int64(len(old)))
-		cc.touch(key)
-	} else {
-		cc.order = append(cc.order, key)
-	}
-	cc.blobs[key] = blob
-	cc.bytes += int64(len(blob))
-	CheckpointBytes.Add(int64(len(blob)))
-	for cc.bytes > cc.capBytes && len(cc.order) > 1 {
-		cold := cc.order[0]
-		cc.order = cc.order[1:]
-		dropped := cc.blobs[cold]
-		delete(cc.blobs, cold)
-		cc.bytes -= int64(len(dropped))
-		CheckpointBytes.Add(-int64(len(dropped)))
-		CheckpointEvictions.Add(1)
-	}
-}
-
-func (cc *CheckpointCache) touch(key string) {
-	for i, k := range cc.order {
-		if k == key {
-			cc.order = append(cc.order[:i], cc.order[i+1:]...)
-			cc.order = append(cc.order, key)
-			return
-		}
-	}
+	before := cc.blobs.Cost()
+	cc.blobs.Put(key, blob)
+	CheckpointBytes.Add(cc.blobs.Cost() - before)
 }
 
 // fork executes prog with knobs taking effect at the first event
@@ -202,7 +167,7 @@ func (c *Context) fork(prog *program.Program, spes int, knobs cell.Knobs, div si
 	if err != nil {
 		return nil, err
 	}
-	useCkpt := c.ckpts != nil && !c.NoCheckpoint
+	useCkpt := c.ckpts != nil
 	restored := false
 	var key string
 	if useCkpt {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/sim"
 )
 
 // resultView is the comparable projection of a cell.Result: everything
@@ -30,11 +31,11 @@ func view(r *cell.Result) resultView {
 // TestCheckpointForkMatchesCold is the harness-level fork contract:
 // a phase run served through the checkpoint cache must be identical —
 // cycles and every statistic — to the same phase run simulated cold
-// from cycle 0 (NoCheckpoint). Every benchmark, two knob kinds.
+// from cycle 0 (no checkpoint cache). Every benchmark, two knob kinds.
 func TestCheckpointForkMatchesCold(t *testing.T) {
 	warm := NewContext(Options{Quick: true})
 	cold := NewContext(Options{Quick: true})
-	cold.NoCheckpoint = true
+	cold.SetCheckpointCache(nil)
 	for _, bench := range benchmarks {
 		base, err := warm.run(bench, warm.Opt.SPEs, true, defaultVariant())
 		if err != nil {
@@ -72,9 +73,6 @@ func TestCheckpointForkMatchesCold(t *testing.T) {
 	if warm.ckpts.Len() == 0 {
 		t.Error("warm context cached no checkpoints")
 	}
-	if cold.ckpts.Len() != 0 {
-		t.Errorf("NoCheckpoint context cached %d checkpoints", cold.ckpts.Len())
-	}
 }
 
 // TestCheckpointForkEarlyCompletion: a divergence cycle past the end
@@ -97,40 +95,78 @@ func TestCheckpointForkEarlyCompletion(t *testing.T) {
 	}
 }
 
-// TestCheckpointCacheLRU exercises the byte-cap eviction order: the
-// least recently used entry goes first, a Get refreshes recency, and
-// the entry just inserted is never evicted even when oversized.
+// TestCheckpointCacheLRU: the process counters follow the cache's LRU
+// bookkeeping (its order is internal/lru's, tested there) — an eviction
+// counts once and leaves the bytes gauge, a replacement moves the gauge
+// by the size difference, and a Drop is not an eviction.
 func TestCheckpointCacheLRU(t *testing.T) {
-	cc := NewCheckpointCache(100)
-	blob := func(n int) []byte { return make([]byte, n) }
-	cc.Put("a", blob(40))
-	cc.Put("b", blob(40))
-	if _, ok := cc.Get("a"); !ok { // refresh a: b is now coldest
-		t.Fatal("a missing")
+	cc := newCheckpointCache(100)
+	ev, gauge := CheckpointEvictions.Load(), CheckpointBytes.Load()
+	check := func(what string, evictions, bytes int64) {
+		t.Helper()
+		if got := CheckpointEvictions.Load() - ev; got != evictions {
+			t.Errorf("%s: %d evictions counted, want %d", what, got, evictions)
+		}
+		if got := CheckpointBytes.Load() - gauge; got != bytes || cc.Bytes() != bytes {
+			t.Errorf("%s: gauge moved %d, cache holds %d bytes, want %d", what, got, cc.Bytes(), bytes)
+		}
 	}
-	cc.Put("c", blob(40)) // 120 > 100: evicts b
-	if _, ok := cc.Get("b"); ok {
-		t.Error("b survived eviction despite being coldest")
+	cc.Put("a", make([]byte, 40))
+	cc.Put("b", make([]byte, 40))
+	cc.Put("c", make([]byte, 40)) // 120 > 100: evicts a
+	check("third put", 1, 80)
+	if _, ok := cc.Get("a"); ok {
+		t.Error("a survived eviction")
 	}
-	if _, ok := cc.Get("a"); !ok {
-		t.Error("a was evicted despite a refreshing Get")
-	}
-	if cc.Len() != 2 || cc.Bytes() != 80 {
-		t.Errorf("cache = %d entries / %d bytes, want 2 / 80", cc.Len(), cc.Bytes())
-	}
-
-	cc.Put("huge", blob(500)) // oversized: evicts everything else, stays itself
-	if _, ok := cc.Get("huge"); !ok {
-		t.Error("oversized entry was evicted on insert")
-	}
-	if cc.Len() != 1 {
-		t.Errorf("cache holds %d entries after oversized insert, want 1", cc.Len())
-	}
-
-	before := cc.Bytes()
+	cc.Put("b", make([]byte, 10))
+	check("replacement", 1, 50)
+	cc.Put("huge", make([]byte, 500)) // kept alone
+	check("oversized put", 3, 500)
 	cc.Drop("huge")
-	if cc.Len() != 0 || cc.Bytes() != 0 {
-		t.Errorf("Drop left %d entries / %d bytes (had %d)", cc.Len(), cc.Bytes(), before)
+	check("drop", 3, 0)
+	if cc.Len() != 0 {
+		t.Errorf("Drop left %d entries", cc.Len())
+	}
+}
+
+// TestCheckpointPoisonBlobDropped: a cached blob that fails to restore
+// is dropped and the run simulates its prefix cold, with the result of
+// a run that never had a cache. Mid-run, the recaptured snapshot takes
+// the poison's place; past the end of the run nothing is captured, so
+// the key is gone.
+func TestCheckpointPoisonBlobDropped(t *testing.T) {
+	ctx := NewContext(Options{Quick: true})
+	cold := NewContext(Options{Quick: true})
+	cold.SetCheckpointCache(nil)
+	spes := ctx.Opt.SPEs
+	prog, err := ctx.buildProgram("mmul", spes, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := ctx.run("mmul", spes, true, defaultVariant())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, div := range []sim.Cycle{base.Cycles / 2, base.Cycles * 2} {
+		key := cell.SnapshotKey(ctx.machineConfig(spes, defaultVariant()), prog, div)
+		ctx.ckpts.Put(key, []byte("poison"))
+		knobs := cell.Knobs{MemLatency: ctx.Opt.Latency * 2}
+		got, err := ctx.runPhase("mmul", spes, knobs, div)
+		if err != nil {
+			t.Fatalf("div %d: %v", div, err)
+		}
+		want, err := cold.runPhase("mmul", spes, knobs, div)
+		if err != nil {
+			t.Fatalf("div %d cold: %v", div, err)
+		}
+		if !reflect.DeepEqual(view(got), view(want)) {
+			t.Errorf("div %d: run after a poison blob differs from cold (cycles %d vs %d)",
+				div, got.Cycles, want.Cycles)
+		}
+		blob, ok := ctx.ckpts.blobs.Peek(key)
+		if midRun := div < base.Cycles; ok != midRun || string(blob) == "poison" {
+			t.Errorf("div %d: key present %v after the run, want %v and no poison", div, ok, midRun)
+		}
 	}
 }
 
@@ -151,14 +187,14 @@ func (s *memSpill) Store(key string, blob []byte) {
 // same spill — a restarted process — serves the snapshot as a hit.
 func TestCheckpointSpill(t *testing.T) {
 	spill := &memSpill{m: make(map[string][]byte)}
-	cc := NewCheckpointCache(1 << 20)
+	cc := NewCheckpointCache()
 	cc.SetSpill(spill)
 	cc.Put("k", []byte("snapshot"))
 	if spill.stores != 1 {
 		t.Fatalf("Put wrote through %d times, want 1", spill.stores)
 	}
 
-	fresh := NewCheckpointCache(1 << 20)
+	fresh := NewCheckpointCache()
 	fresh.SetSpill(spill)
 	hits := CheckpointHits.Load()
 	blob, ok := fresh.Get("k")

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cell"
+	"repro/internal/lru"
 	"repro/internal/prefetch"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -152,11 +153,6 @@ type Context struct {
 	// — the slow path the burst differential tests compare against.
 	// Results are identical either way; only wall-clock time differs.
 	SingleStep bool
-	// NoCheckpoint disables checkpoint sharing on the fork path: every
-	// phase run simulates its warm-up prefix from cycle 0. Results are
-	// identical either way (the byte-identity the snapshot tests
-	// enforce); the cold baseline exists for benchmarking the sharing.
-	NoCheckpoint bool
 	// spread marks a context that schedules its own simulations: nothing
 	// above it spreads work over the cores, so runAll may (see runAll).
 	// Set by NewContext alone and inherited by Sub. A context under an
@@ -164,7 +160,7 @@ type Context struct {
 	// siblings already occupy the cores — runs its specs one by one on
 	// the caller's goroutine.
 	spread bool
-	cache  map[runKey]*cell.Result
+	cache  *lru.Cache[runKey, *cell.Result] // the run cache; see runCacheCap
 	progs  map[progKey]*program.Program
 	pool   *cell.Pool
 	// ckpts shares warm-up-prefix snapshots across fork calls (see
@@ -232,10 +228,10 @@ func NewContext(opt Options) *Context {
 func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 	return &Context{
 		Opt:       opt.WithDefaults(),
-		cache:     make(map[runKey]*cell.Result),
+		cache:     lru.New[runKey, *cell.Result](runCacheCap, nil, nil),
 		progs:     make(map[progKey]*program.Program),
 		pool:      pool,
-		ckpts:     NewCheckpointCache(0),
+		ckpts:     NewCheckpointCache(),
 		simCycles: new(int64),
 		recs:      &recState{},
 		profs:     &profState{},
@@ -300,19 +296,24 @@ func (c *Context) Profiled() []ProfiledRun {
 // variant.
 func (c *Context) Sub(opt Options) *Context {
 	return &Context{
-		Opt:          opt.WithDefaults(),
-		SingleStep:   c.SingleStep,
-		NoCheckpoint: c.NoCheckpoint,
-		spread:       c.spread,
-		cache:        c.cache,
-		progs:        c.progs,
-		pool:         c.pool,
-		ckpts:        c.ckpts,
-		simCycles:    c.simCycles,
-		recs:         c.recs,
-		profs:        c.profs,
+		Opt:        opt.WithDefaults(),
+		SingleStep: c.SingleStep,
+		spread:     c.spread,
+		cache:      c.cache,
+		progs:      c.progs,
+		pool:       c.pool,
+		ckpts:      c.ckpts,
+		simCycles:  c.simCycles,
+		recs:       c.recs,
+		profs:      c.profs,
 	}
 }
+
+// runCacheCap bounds a run cache, which keeps its most recently used
+// results. A sweep never reaches it — the whole registry executes 63
+// runs — but a dtad worker's base context lives as long as the worker
+// while clients choose the latency that goes into every run key.
+const runCacheCap = 4096
 
 type runKey struct {
 	bench    string
@@ -407,7 +408,7 @@ type variant struct {
 // failed computation is not cached: a later request recomputes it and
 // meets the same deterministic error.
 func (c *Context) memoRun(key runKey, compute func() (*cell.Result, error)) (*cell.Result, error) {
-	if r, ok := c.cache[key]; ok {
+	if r, ok := c.cache.Get(key); ok {
 		c.bill(key, r, true)
 		return r, nil
 	}
@@ -429,7 +430,7 @@ func (c *Context) bill(key runKey, res *cell.Result, hit bool) {
 		RunCacheHits.Add(1)
 	} else {
 		RunsExecuted.Add(1)
-		c.cache[key] = res
+		c.cache.Put(key, res)
 	}
 	*c.simCycles += int64(res.Cycles)
 	for cs := stats.Cause(0); cs < stats.NumCauses; cs++ {

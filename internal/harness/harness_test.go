@@ -2,9 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cell"
+	"repro/internal/lru"
 	"repro/internal/synth"
 )
 
@@ -204,10 +207,10 @@ func TestAblationShapes(t *testing.T) {
 func TestContextCachesRuns(t *testing.T) {
 	ctx := quickCtx()
 	runExp(t, ctx, "fig5a")
-	before := len(ctx.cache)
+	before := ctx.cache.Len()
 	runExp(t, ctx, "fig5a") // same runs: cache hits only
-	if len(ctx.cache) != before {
-		t.Fatalf("cache grew on repeat: %d -> %d", before, len(ctx.cache))
+	if ctx.cache.Len() != before {
+		t.Fatalf("cache grew on repeat: %d -> %d", before, ctx.cache.Len())
 	}
 }
 
@@ -246,5 +249,40 @@ func TestOutcomePrintIncludesNotes(t *testing.T) {
 	out.Print(&buf)
 	if !strings.Contains(buf.String(), "hello shape") {
 		t.Fatalf("notes missing: %q", buf.String())
+	}
+}
+
+// TestRunCacheBounded: a long-lived base context — a dtad worker's —
+// fed more distinct latencies than its run cache holds keeps at most
+// the cap, its Sub contexts share that one bounded cache, and every
+// result, a recomputed evicted one included, matches a fresh context's.
+func TestRunCacheBounded(t *testing.T) {
+	const limit = 3
+	base := NewContextWithPool(Options{Quick: true, SPEs: 2}, cell.NewPool())
+	base.cache = lru.New[runKey, *cell.Result](limit, nil, nil)
+	exp, _ := ByID("mmul-orig")
+	lats := []int{100, 120, 140, 160, 180, 100} // the last was evicted
+	for i, lat := range lats {
+		opt := Options{Quick: true, SPEs: 2, Latency: lat}
+		sub := base.Sub(opt)
+		if sub.cache != base.cache {
+			t.Fatal("Sub does not share its base's run cache")
+		}
+		before := RunsExecuted.Load()
+		got := RunOn(sub, exp)
+		executed := RunsExecuted.Load() - before
+		want := RunOn(NewContext(opt), exp)
+		if got.Err != nil || want.Err != nil {
+			t.Fatalf("latency %d: %v / %v", lat, got.Err, want.Err)
+		}
+		if executed != 1 {
+			t.Errorf("step %d latency %d: %d simulations, want 1", i, lat, executed)
+		}
+		if !reflect.DeepEqual(got.Outcome.Metrics, want.Outcome.Metrics) || got.SimCycles != want.SimCycles {
+			t.Errorf("latency %d: base context differs from a fresh one", lat)
+		}
+		if n := base.cache.Len(); n > limit {
+			t.Fatalf("run cache holds %d results, cap %d", n, limit)
+		}
 	}
 }

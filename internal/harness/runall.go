@@ -171,7 +171,7 @@ func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
 		sameAs[i] = -1
 		if s.prog == nil {
 			key := s.key(o)
-			if r, ok := o.cache[key]; ok {
+			if r, ok := o.cache.Get(key); ok {
 				results[i], hit[i] = r, true
 				continue
 			}

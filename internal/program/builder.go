@@ -247,18 +247,10 @@ func (a *Asm) Rem(rd, ra, rb Reg) *Asm         { return a.op3(isa.REM, rd, ra, r
 func (a *Asm) And(rd, ra, rb Reg) *Asm         { return a.op3(isa.AND, rd, ra, rb) }
 func (a *Asm) Andi(rd, ra Reg, imm int32) *Asm { return a.opImm(isa.ANDI, rd, ra, imm) }
 func (a *Asm) Or(rd, ra, rb Reg) *Asm          { return a.op3(isa.OR, rd, ra, rb) }
-func (a *Asm) Ori(rd, ra Reg, imm int32) *Asm  { return a.opImm(isa.ORI, rd, ra, imm) }
-func (a *Asm) Xor(rd, ra, rb Reg) *Asm         { return a.op3(isa.XOR, rd, ra, rb) }
-func (a *Asm) Xori(rd, ra Reg, imm int32) *Asm { return a.opImm(isa.XORI, rd, ra, imm) }
 func (a *Asm) Shl(rd, ra, rb Reg) *Asm         { return a.op3(isa.SHL, rd, ra, rb) }
 func (a *Asm) Shli(rd, ra Reg, imm int32) *Asm { return a.opImm(isa.SHLI, rd, ra, imm) }
-func (a *Asm) Shr(rd, ra, rb Reg) *Asm         { return a.op3(isa.SHR, rd, ra, rb) }
 func (a *Asm) Shri(rd, ra Reg, imm int32) *Asm { return a.opImm(isa.SHRI, rd, ra, imm) }
-func (a *Asm) Sra(rd, ra, rb Reg) *Asm         { return a.op3(isa.SRA, rd, ra, rb) }
 func (a *Asm) Srai(rd, ra Reg, imm int32) *Asm { return a.opImm(isa.SRAI, rd, ra, imm) }
-func (a *Asm) Cmpeq(rd, ra, rb Reg) *Asm       { return a.op3(isa.CMPEQ, rd, ra, rb) }
-func (a *Asm) Cmplt(rd, ra, rb Reg) *Asm       { return a.op3(isa.CMPLT, rd, ra, rb) }
-func (a *Asm) Cmpltu(rd, ra, rb Reg) *Asm      { return a.op3(isa.CMPLTU, rd, ra, rb) }
 func (a *Asm) Nop() *Asm                       { return a.Emit(isa.Instruction{Op: isa.NOP}) }
 
 // ---- control flow ----
@@ -269,12 +261,10 @@ func (a *Asm) Jmp(label string) *Asm {
 	return a.Emit(isa.Instruction{Op: isa.JMP})
 }
 
-func (a *Asm) Beq(ra, rb Reg, label string) *Asm  { return a.branch(isa.BEQ, ra, rb, label) }
-func (a *Asm) Bne(ra, rb Reg, label string) *Asm  { return a.branch(isa.BNE, ra, rb, label) }
-func (a *Asm) Blt(ra, rb Reg, label string) *Asm  { return a.branch(isa.BLT, ra, rb, label) }
-func (a *Asm) Bge(ra, rb Reg, label string) *Asm  { return a.branch(isa.BGE, ra, rb, label) }
-func (a *Asm) Bltu(ra, rb Reg, label string) *Asm { return a.branch(isa.BLTU, ra, rb, label) }
-func (a *Asm) Bgeu(ra, rb Reg, label string) *Asm { return a.branch(isa.BGEU, ra, rb, label) }
+func (a *Asm) Beq(ra, rb Reg, label string) *Asm { return a.branch(isa.BEQ, ra, rb, label) }
+func (a *Asm) Bne(ra, rb Reg, label string) *Asm { return a.branch(isa.BNE, ra, rb, label) }
+func (a *Asm) Blt(ra, rb Reg, label string) *Asm { return a.branch(isa.BLT, ra, rb, label) }
+func (a *Asm) Bge(ra, rb Reg, label string) *Asm { return a.branch(isa.BGE, ra, rb, label) }
 
 // ---- frame memory ----
 
@@ -348,17 +338,6 @@ func (a *Asm) WriteRegion(region RegionRef, rv, ra Reg, off int32) *Asm {
 	return a.Write(rv, ra, off)
 }
 
-// Write8Region is WriteRegion for 8-byte writes.
-func (a *Asm) Write8Region(region RegionRef, rv, ra Reg, off int32) *Asm {
-	a.tagAccess(region)
-	return a.Write8(rv, ra, off)
-}
-
-// Write8 posts an 8-byte main-memory write.
-func (a *Asm) Write8(rv, ra Reg, off int32) *Asm {
-	return a.opImm(isa.WRITE8, rv, ra, off)
-}
-
 // ---- local store ----
 
 func (a *Asm) Lsrd(rd, ra Reg, off int32) *Asm  { return a.opImm(isa.LSRD, rd, ra, off) }
@@ -401,7 +380,3 @@ func (a *Asm) Mfcea(ra Reg) *Asm  { return a.Emit(isa.Instruction{Op: isa.MFCEA,
 func (a *Asm) Mfcsz(ra Reg) *Asm  { return a.Emit(isa.Instruction{Op: isa.MFCSZ, Ra: uint8(ra)}) }
 func (a *Asm) Mfctag(ra Reg) *Asm { return a.Emit(isa.Instruction{Op: isa.MFCTAG, Ra: uint8(ra)}) }
 func (a *Asm) Mfcget() *Asm       { return a.Emit(isa.Instruction{Op: isa.MFCGET}) }
-func (a *Asm) Mfcput() *Asm       { return a.Emit(isa.Instruction{Op: isa.MFCPUT}) }
-func (a *Asm) Mfcstat(rd Reg) *Asm {
-	return a.Emit(isa.Instruction{Op: isa.MFCSTAT, Rd: uint8(rd)})
-}

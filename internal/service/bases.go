@@ -3,6 +3,7 @@ package service
 import (
 	"repro/internal/cell"
 	"repro/internal/harness"
+	"repro/internal/lru"
 )
 
 // baseCap bounds the base contexts a worker keeps. A base holds the
@@ -21,19 +22,18 @@ type baseKey struct {
 	seed  uint64
 }
 
-// bases is one worker's base contexts, least recently used first. The
-// machine pool and checkpoint cache are the worker's and every base
-// shares them: a machine's shape and a snapshot's key never depend on
-// Quick or Seed. Confined to the worker's goroutine, like the contexts.
+// bases is one worker's base contexts in recency order. The machine
+// pool and checkpoint cache are the worker's and every base shares them:
+// a machine's shape and a snapshot's key never depend on Quick or Seed.
+// Confined to the worker's goroutine, like the contexts.
 type bases struct {
 	pool  *cell.Pool
 	ckpts *harness.CheckpointCache
-	lru   []base
+	lru   *lru.Cache[baseKey, *harness.Context]
 }
 
-type base struct {
-	key baseKey
-	ctx *harness.Context
+func newBases(pool *cell.Pool, ckpts *harness.CheckpointCache) *bases {
+	return &bases{pool: pool, ckpts: ckpts, lru: lru.New[baseKey, *harness.Context](baseCap, nil, nil)}
 }
 
 // context returns the context a job with options opt runs on: a Sub of
@@ -44,18 +44,11 @@ type base struct {
 func (b *bases) context(opt harness.Options) *harness.Context {
 	opt = opt.WithDefaults()
 	k := baseKey{opt.Quick, opt.Seed}
-	for i, e := range b.lru {
-		if e.key == k {
-			copy(b.lru[i:], b.lru[i+1:])
-			b.lru[len(b.lru)-1] = e
-			return e.ctx.Sub(opt)
-		}
+	ctx, ok := b.lru.Get(k)
+	if !ok {
+		ctx = harness.NewContextWithPool(opt, b.pool)
+		ctx.SetCheckpointCache(b.ckpts)
+		b.lru.Put(k, ctx)
 	}
-	ctx := harness.NewContextWithPool(opt, b.pool)
-	ctx.SetCheckpointCache(b.ckpts)
-	if len(b.lru) == baseCap {
-		b.lru = append(b.lru[:0], b.lru[1:]...)
-	}
-	b.lru = append(b.lru, base{k, ctx})
 	return ctx.Sub(opt)
 }

@@ -117,7 +117,7 @@ func executedOn(t *testing.T, ctx *harness.Context, id string) int64 {
 }
 
 func newTestBases() *bases {
-	return &bases{pool: cell.NewPool(), ckpts: harness.NewCheckpointCache(0)}
+	return newBases(cell.NewPool(), harness.NewCheckpointCache())
 }
 
 // probe asks ctx's caches for the one simulation of mmul-pf at quick
@@ -150,8 +150,9 @@ func TestStateRegistrySharing(t *testing.T) {
 
 // TestStateRegistryRefcountAndIdle: a base outlives the job that built
 // it and is rejoined warm while it is among the baseCap most recently
-// used; once baseCap other keys have been used since, it is evicted and
-// the next job of its key starts from a fresh cache.
+// used, a rejoin refreshing its recency; once baseCap other keys have
+// been used since, it is evicted and the next job of its key starts
+// from a fresh cache.
 func TestStateRegistryRefcountAndIdle(t *testing.T) {
 	b := newTestBases()
 	opt := harness.Options{Quick: true}
@@ -163,6 +164,11 @@ func TestStateRegistryRefcountAndIdle(t *testing.T) {
 	}
 	if n := probe(t, b.context(opt)); n != 0 {
 		t.Fatal("base not rejoined warm within the cap")
+	}
+	// Rejoining made it the most recently used: a new key evicts another.
+	b.context(harness.Options{Quick: true, Seed: 300})
+	if n := probe(t, b.context(opt)); n != 0 {
+		t.Fatal("rejoining a base did not refresh its recency")
 	}
 	for i := 0; i < baseCap; i++ {
 		b.context(harness.Options{Quick: true, Seed: uint64(200 + i)})

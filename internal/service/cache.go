@@ -1,8 +1,9 @@
 package service
 
 import (
-	"container/list"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // Cache is a bounded, thread-safe LRU mapping run keys to encoded
@@ -15,17 +16,11 @@ import (
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
-	order   *list.List               // front = most recently used
-	entries map[string]*list.Element // key -> element whose Value is *cacheEntry
+	entries *lru.Cache[string, []byte]
 
 	hits      int64
 	misses    int64
 	evictions int64
-}
-
-type cacheEntry struct {
-	key  string
-	data []byte
 }
 
 // DefaultCacheSize bounds the cache when the caller does not.
@@ -37,25 +32,22 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	return &Cache{
-		cap:     capacity,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
-	}
+	c := &Cache{cap: capacity}
+	c.entries = lru.New(int64(capacity), nil, func(string, []byte) { c.evictions++ })
+	return c
 }
 
 // Get returns the cached document for key and records a hit or miss.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	data, ok := c.entries.Get(key)
+	if ok {
+		c.hits++
+	} else {
 		c.misses++
-		return nil, false
 	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).data, true
+	return data, ok
 }
 
 // peek is Get without touching the hit/miss counters or recency order —
@@ -64,33 +56,16 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 func (c *Cache) peek(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry).data, true
+	return c.entries.Peek(key)
 }
 
 // Put stores data under key, evicting the least recently used entry if
 // the cache is full. Re-putting an existing key refreshes its recency
-// (the data is identical by content addressing, so it is not replaced).
+// (the data is identical by content addressing).
 func (c *Cache) Put(key string, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	for len(c.entries) >= c.cap {
-		oldest := c.order.Back()
-		if oldest == nil {
-			break
-		}
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, data: data})
+	c.entries.Put(key, data)
 }
 
 // CacheStats is a point-in-time counter snapshot.
@@ -110,7 +85,7 @@ func (c *Cache) Stats() CacheStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Len:       len(c.entries),
+		Len:       c.entries.Len(),
 		Cap:       c.cap,
 	}
 }

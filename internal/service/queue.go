@@ -395,11 +395,11 @@ func (s *Service) worker() {
 	// sweep's variants fork from each other's warm-up prefixes even
 	// across Quick/Seed boundaries (snapshot keys are content-addressed);
 	// the spill underneath is process-wide and survives restarts.
-	ckpts := harness.NewCheckpointCache(0)
+	ckpts := harness.NewCheckpointCache()
 	if s.spill != nil {
 		ckpts.SetSpill(s.spill)
 	}
-	b := &bases{pool: cell.NewPool(), ckpts: ckpts}
+	b := newBases(cell.NewPool(), ckpts)
 	for job := range s.queue {
 		s.runJob(job, b.context)
 	}

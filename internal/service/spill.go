@@ -2,12 +2,15 @@ package service
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // DefaultCheckpointDiskBytes bounds the checkpoint spill directory
@@ -19,19 +22,25 @@ const DefaultCheckpointDiskBytes = 1 << 30
 // implements harness.CheckpointSpill.
 //
 // Layout: <dir>/<key>.snap, where key is the hex SnapshotKey (already
-// filesystem-safe). Writes go to a .tmp file in the same directory and
-// rename into place, so a crash mid-write never leaves a torn snapshot
-// a later Load could serve (the envelope checksum would catch it, but
-// the entry would be poison until evicted). When the directory exceeds
-// the byte cap, the oldest files by modification time go first — Load
-// refreshes mtime, making eviction least-recently-used.
+// filesystem-safe). Writes go to <key>.snap.tmp in the same directory
+// and rename into place, so a crash mid-write never leaves a torn
+// snapshot a later Load could serve (the envelope checksum would catch
+// it, but the entry would be poison until evicted); a .tmp file such a
+// crash leaves behind is removed when the spill next opens.
+//
+// An in-memory LRU index of the files, priced by their sizes, bounds
+// the directory: a Store beyond the byte cap removes the least recently
+// used files, never the one just written. The index is seeded at open
+// from the files' modification times, oldest first (removing the oldest
+// of a directory already beyond the cap), and Load refreshes a file's
+// mtime, so the order survives a restart.
 //
 // Unlike the in-memory caches, one spill is shared by every worker in
 // the process, so all operations take an internal lock.
 type DiskSpill struct {
-	mu  sync.Mutex
-	dir string
-	cap int64
+	mu    sync.Mutex
+	dir   string
+	index *lru.Cache[string, int64] // key -> file size
 }
 
 // NewDiskSpill opens (creating if needed) a spill directory bounded to
@@ -43,7 +52,29 @@ func NewDiskSpill(dir string, capBytes int64) (*DiskSpill, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint spill: %w", err)
 	}
-	return &DiskSpill{dir: dir, cap: capBytes}, nil
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint spill: %w", err)
+	}
+	var files []fs.FileInfo
+	for _, de := range ents {
+		switch name := de.Name(); {
+		case strings.HasSuffix(name, ".snap.tmp"):
+			_ = os.Remove(filepath.Join(dir, name))
+		case strings.HasSuffix(name, ".snap"):
+			if info, err := de.Info(); err == nil {
+				files = append(files, info)
+			}
+		}
+	}
+	sort.SliceStable(files, func(i, j int) bool { return files[i].ModTime().Before(files[j].ModTime()) })
+	s := &DiskSpill{dir: dir}
+	size := func(n int64) int64 { return n }
+	s.index = lru.New(capBytes, size, func(key string, _ int64) { _ = os.Remove(s.path(key)) })
+	for _, f := range files {
+		s.index.Put(strings.TrimSuffix(f.Name(), ".snap"), f.Size())
+	}
+	return s, nil
 }
 
 func (s *DiskSpill) path(key string) string {
@@ -51,12 +82,17 @@ func (s *DiskSpill) path(key string) string {
 }
 
 // Load returns the snapshot stored under key, refreshing its
-// modification time so recently used entries survive eviction.
+// modification time and its place in the index so recently used
+// entries survive eviction.
 func (s *DiskSpill) Load(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, ok := s.index.Get(key); !ok {
+		return nil, false
+	}
 	blob, err := os.ReadFile(s.path(key))
 	if err != nil {
+		s.index.Remove(key)
 		return nil, false
 	}
 	now := time.Now()
@@ -65,9 +101,9 @@ func (s *DiskSpill) Load(key string) ([]byte, bool) {
 }
 
 // Store persists blob under key atomically (tmp file + rename), then
-// evicts the oldest entries beyond the byte cap. Errors are swallowed
-// — the spill is an optimisation; a failed write only costs the next
-// restart its warm start.
+// evicts the least recently used entries beyond the byte cap. Errors
+// are swallowed — the spill is an optimisation; a failed write only
+// costs the next restart its warm start.
 func (s *DiskSpill) Store(key string, blob []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -79,65 +115,12 @@ func (s *DiskSpill) Store(key string, blob []byte) {
 		_ = os.Remove(tmp)
 		return
 	}
-	s.evictLocked(key)
+	s.index.Put(key, int64(len(blob)))
 }
 
-// evictLocked removes the oldest .snap files until the directory fits
-// the cap; keep is never removed (it was just written).
-func (s *DiskSpill) evictLocked(keep string) {
-	type entry struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var entries []entry
-	var total int64
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, de := range ents {
-		if !strings.HasSuffix(de.Name(), ".snap") {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		entries = append(entries, entry{filepath.Join(s.dir, de.Name()), info.Size(), info.ModTime()})
-		total += info.Size()
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
-	keepPath := s.path(keep)
-	for _, e := range entries {
-		if total <= s.cap {
-			return
-		}
-		if e.path == keepPath {
-			continue
-		}
-		if os.Remove(e.path) == nil {
-			total -= e.size
-		}
-	}
-}
-
-// Bytes reports the spill directory's current .snap byte total.
+// Bytes reports the indexed .snap byte total.
 func (s *DiskSpill) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var total int64
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	for _, de := range ents {
-		if !strings.HasSuffix(de.Name(), ".snap") {
-			continue
-		}
-		if info, err := de.Info(); err == nil {
-			total += info.Size()
-		}
-	}
-	return total
+	return s.index.Cost()
 }

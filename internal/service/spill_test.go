@@ -37,27 +37,54 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskSpillEviction: the byte cap evicts oldest-by-mtime first,
-// never the entry just written.
+// TestDiskSpillEviction: a Store beyond the byte cap removes the least
+// recently used file from disk, never the one just written; a reopened
+// spill takes that order from the files' mtimes, a Load refreshes it,
+// and opening over a directory already beyond the cap trims it.
 func TestDiskSpillEviction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewDiskSpill(dir, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Store("old", make([]byte, 60))
-	// Age the first entry so mtime ordering is unambiguous on coarse
-	// filesystem clocks.
-	past := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(filepath.Join(dir, "old.snap"), past, past); err != nil {
+	age := func(key string, d time.Duration) {
+		t.Helper()
+		at := time.Now().Add(-d)
+		if err := os.Chtimes(filepath.Join(dir, key+".snap"), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	onDisk := func(key string) bool {
+		_, err := os.Stat(filepath.Join(dir, key+".snap"))
+		return err == nil
+	}
+	s.Store("a", make([]byte, 40))
+	s.Store("b", make([]byte, 40))
+	age("a", 2*time.Hour)
+	age("b", time.Hour)
+
+	// Restart: a is the oldest file, and the Load makes b the coldest.
+	s, err = NewDiskSpill(dir, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Store("new", make([]byte, 60)) // 120 > 100: "old" must go
-	if _, ok := s.Load("old"); ok {
-		t.Error("oldest entry survived eviction")
+	if _, ok := s.Load("a"); !ok {
+		t.Fatal("a not served after a restart")
 	}
-	if _, ok := s.Load("new"); !ok {
-		t.Error("just-written entry was evicted")
+	s.Store("c", make([]byte, 40)) // 120 > 100: b goes
+	if onDisk("b") || !onDisk("a") || !onDisk("c") {
+		t.Errorf("on disk after eviction: a %v, b %v, c %v; want a and c", onDisk("a"), onDisk("b"), onDisk("c"))
+	}
+	if got := s.Bytes(); got != 80 {
+		t.Errorf("Bytes = %d, want 80", got)
+	}
+
+	age("a", time.Hour)
+	if _, err := NewDiskSpill(dir, 50); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk("a") || !onDisk("c") {
+		t.Errorf("opening under a smaller cap kept a %v, c %v; want c alone", onDisk("a"), onDisk("c"))
 	}
 
 	// An oversized single entry is kept (evicting it would thrash).
@@ -68,6 +95,35 @@ func TestDiskSpillEviction(t *testing.T) {
 	s2.Store("huge", make([]byte, 500))
 	if _, ok := s2.Load("huge"); !ok {
 		t.Error("oversized entry was evicted on insert")
+	}
+}
+
+// TestDiskSpillRemovesLeftoverTmp: a crash between the write and the
+// rename leaves <key>.snap.tmp behind; the next open removes it, so it
+// neither sits outside the cap nor counts in Bytes, and leaves every
+// other file alone.
+func TestDiskSpillRemovesLeftoverTmp(t *testing.T) {
+	dir := t.TempDir()
+	for name, n := range map[string]int{"torn.snap.tmp": 1000, "kept.snap": 10, "notes.txt": 3} {
+		if err := os.WriteFile(filepath.Join(dir, name), make([]byte, n), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewDiskSpill(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "torn.snap.tmp")); !os.IsNotExist(err) {
+		t.Errorf("leftover tmp file survived the open (stat: %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
+		t.Errorf("unrelated file removed: %v", err)
+	}
+	if got := s.Bytes(); got != 10 {
+		t.Errorf("Bytes = %d, want 10", got)
+	}
+	if _, ok := s.Load("kept"); !ok {
+		t.Error("existing snapshot not served")
 	}
 }
 

@@ -100,7 +100,7 @@ func TestReplayerBisection(t *testing.T) {
 		t.Fatalf("scenario too short to bisect: %d cycles", total)
 	}
 
-	rp, err := NewReplayer(sc, CheckOptions{}, false, nil)
+	rp, err := NewReplayer(sc, CheckOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,23 +34,6 @@ func (r *Replay) Rewind() error {
 	return r.Machine.RestoreSnapshot(r.Snapshot, r.Key)
 }
 
-// SnapshotStore is where a Replayer keeps the boundary snapshots it
-// captures, so later probes restore instead of re-simulating.
-// *harness.CheckpointCache satisfies it (byte-capped, LRU, optional
-// disk spill); a plain map wrapper works for self-contained sessions.
-type SnapshotStore interface {
-	// Get returns the blob stored under key, if still present.
-	Get(key string) ([]byte, bool)
-	// Put stores blob under key (the store may evict it later).
-	Put(key string, blob []byte)
-}
-
-// mapStore is the Replayer's default store: unbounded, session-local.
-type mapStore map[string][]byte
-
-func (s mapStore) Get(key string) ([]byte, bool) { b, ok := s[key]; return b, ok }
-func (s mapStore) Put(key string, blob []byte)   { s[key] = blob }
-
 // Replayer is a bisection session over one scenario's simulation: it
 // owns one machine and a store of boundary snapshots accumulated across
 // ReplayTo probes, so probing cycle T costs re-simulation only from the
@@ -67,16 +50,13 @@ type Replayer struct {
 	cfg   cell.Config
 	prog  *program.Program
 	m     *cell.Machine
-	store SnapshotStore
-	marks []sim.Cycle // boundary cycles captured so far, ascending
+	snaps map[string][]byte // boundary snapshots by cell.SnapshotKey
+	marks []sim.Cycle       // boundary cycles captured so far, ascending
 }
 
 // NewReplayer prepares a replay session for sc — the original program,
-// or the prefetch-transformed one when transformed is set. store keeps
-// the boundary snapshots; nil selects an unbounded session-local map
-// (pass a *harness.CheckpointCache to bound bytes or share captures
-// with the fork machinery — keys are cell.SnapshotKey either way).
-func NewReplayer(sc Scenario, opt CheckOptions, transformed bool, store SnapshotStore) (*Replayer, error) {
+// or the prefetch-transformed one when transformed is set.
+func NewReplayer(sc Scenario, opt CheckOptions, transformed bool) (*Replayer, error) {
 	sc = sc.Normalize()
 	opt = opt.withDefaults()
 	prog, err := Generate(sc)
@@ -92,16 +72,13 @@ func NewReplayer(sc Scenario, opt CheckOptions, transformed bool, store Snapshot
 	cfg.SPEs = sc.SPEs
 	cfg.Mem.Latency = opt.Latency
 	cfg.MaxCycles = opt.MaxCycles
-	if store == nil {
-		store = make(mapStore)
-	}
 	// The machine deliberately bypasses the pool: the caller keeps it
 	// (and its memory image) alive for interactive inspection.
 	m, err := cell.New(cfg, prog)
 	if err != nil {
 		return nil, err
 	}
-	rp := &Replayer{sc: sc, cfg: cfg, prog: prog, m: m, store: store}
+	rp := &Replayer{sc: sc, cfg: cfg, prog: prog, m: m, snaps: make(map[string][]byte)}
 	if err := rp.capture(nil); err != nil {
 		return nil, err
 	}
@@ -117,7 +94,7 @@ func (rp *Replayer) capture(r *Replay) error {
 	if err != nil {
 		return fmt.Errorf("synth: replay capture at %d: %w", at, err)
 	}
-	rp.store.Put(key, blob)
+	rp.snaps[key] = blob
 	i := sort.Search(len(rp.marks), func(i int) bool { return rp.marks[i] >= at })
 	if i == len(rp.marks) || rp.marks[i] != at {
 		rp.marks = append(rp.marks, 0)
@@ -132,19 +109,16 @@ func (rp *Replayer) capture(r *Replay) error {
 
 // seek restores the machine to the warmest captured boundary strictly
 // below target, falling back to earlier marks (or a fresh machine) when
-// the store has evicted a blob.
+// a snapshot fails to restore.
 func (rp *Replayer) seek(target sim.Cycle) error {
 	i := sort.Search(len(rp.marks), func(i int) bool { return rp.marks[i] >= target })
 	for i > 0 {
 		at := rp.marks[i-1]
 		key := cell.SnapshotKey(rp.cfg, rp.prog, at)
-		if blob, ok := rp.store.Get(key); ok {
-			if err := rp.m.RestoreSnapshot(blob, key); err == nil {
-				return nil
-			}
+		if err := rp.m.RestoreSnapshot(rp.snaps[key], key); err == nil {
+			return nil
 		}
-		// Evicted or unrestorable: forget the mark and try the next
-		// boundary down.
+		// Unrestorable: forget the mark and try the next boundary down.
 		rp.marks = append(rp.marks[:i-1], rp.marks[i:]...)
 		i--
 	}
@@ -211,7 +185,7 @@ func (rp *Replayer) Marks() []sim.Cycle {
 // of a Replayer session (fresh machine, private snapshot store). Use a
 // Replayer directly when probing the same scenario repeatedly.
 func ReplayTo(sc Scenario, opt CheckOptions, transformed bool, target sim.Cycle) (*Replay, error) {
-	rp, err := NewReplayer(sc, opt, transformed, nil)
+	rp, err := NewReplayer(sc, opt, transformed)
 	if err != nil {
 		return nil, err
 	}
