@@ -1,12 +1,13 @@
 // Command dtasm assembles, disassembles and runs DTA programs in the
 // textual assembly format (see internal/asm).
 //
-// Usage:
+// Usage (flags go before the file: flag parsing stops at the first
+// operand):
 //
-//	dtasm -run prog.dta [-spes 8] [-latency 150] [-prefetch]
-//	dtasm -check prog.dta          # assemble and validate only
-//	dtasm -roundtrip prog.dta      # assemble, format, print
-//	dtasm -dump-workload mmul      # print a builder workload as assembly
+//	dtasm -run [-spes 8] [-latency 150] [-prefetch] prog.dta
+//	dtasm -check [-prefetch] prog.dta       # assemble and validate only
+//	dtasm -roundtrip [-prefetch] prog.dta   # assemble, format, print
+//	dtasm [-n 8] [-prefetch] -dump-workload mmul  # print a builder workload as assembly
 package main
 
 import (
@@ -17,7 +18,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cell"
 	"repro/internal/prefetch"
-	"repro/internal/program"
 	"repro/internal/workloads"
 )
 
@@ -53,7 +53,7 @@ func main() {
 	}
 
 	if flag.NArg() != 1 {
-		fatal("need exactly one .dta file (or -dump-workload)")
+		fatal("need exactly one .dta file, after the flags (or -dump-workload); got %q", flag.Args())
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -92,7 +92,6 @@ func main() {
 	default:
 		fatal("choose one of -run, -check, -roundtrip")
 	}
-	_ = program.MaxFrameSlots
 }
 
 func fatal(format string, args ...any) {

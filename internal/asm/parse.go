@@ -28,7 +28,7 @@ import (
 	"repro/internal/program"
 )
 
-// Parse assembles source text into a validated program.
+// Parse assembles source text into a sealed program.
 func Parse(src string) (*program.Program, error) {
 	p := &parser{
 		prog:      &program.Program{ExpectTokens: 1},
@@ -604,7 +604,7 @@ func (p *parser) finish() (*program.Program, error) {
 		return nil, fmt.Errorf("asm: entry template %q not defined", p.entryName)
 	}
 	p.prog.Entry = entry.t.ID
-	if err := p.prog.Validate(); err != nil {
+	if err := program.Seal(p.prog); err != nil {
 		return nil, fmt.Errorf("asm: %w", err)
 	}
 	return p.prog, nil

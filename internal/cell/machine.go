@@ -29,6 +29,7 @@ type SPE struct {
 type Machine struct {
 	cfg    Config
 	prog   *program.Program
+	code   *spu.Code // prog decoded once, read by every SPU
 	eng    *sim.Engine
 	net    *noc.Network
 	memory *mem.Memory
@@ -78,21 +79,22 @@ func (m magicMem) MagicWrite(addr int64, v int64, width int) error {
 	return m.s.Write64(addr, v)
 }
 
-// New builds a machine for prog. The program must already be validated
+// New validates cfg and builds a machine for prog, which must be sealed
 // (and transformed, when prefetching is wanted).
 func New(cfg Config, prog *program.Program) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
+	if !prog.Sealed() {
+		return nil, program.ErrNotSealed
 	}
 	layout, err := planLayout(cfg, prog)
 	if err != nil {
 		return nil, err
 	}
 
-	m := &Machine{cfg: cfg, prog: prog, eng: sim.NewEngine()}
+	m := &Machine{cfg: cfg, prog: prog, code: spu.NewCode(cfg.SPU), eng: sim.NewEngine()}
+	m.code.Bind(prog)
 	if cfg.Record {
 		m.rec = trace.NewRecorder(cfg.RecordCap)
 		m.tracer = m.rec.Threads
@@ -151,8 +153,8 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		dmaEng.Rec = m.rec
 		dmaEng.RecSPE = i
 
-		pipe := spu.New(cfg.SPU, cfg.spuEP(i), i, cfg.memEP(), m.net, lseUnit,
-			dmaEng, store, prog)
+		pipe := spu.New(m.code, cfg.spuEP(i), i, cfg.memEP(), m.net, lseUnit,
+			dmaEng, store)
 		pipe.Attach(m.eng.Register(pipe))
 		m.net.RegisterTimed(cfg.spuEP(i), pipe)
 		pipe.Fault = m.fail
@@ -181,12 +183,12 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		dmaEng.OnTagIdle = lseUnit.TagIdle
 		pipe.Magic = magicMem{m.memory.Store()}
 
-		if err := loadCode(store, prog); err != nil {
-			return nil, err
-		}
 		m.spes = append(m.spes, &SPE{
 			Index: i, SPU: pipe, LSE: lseUnit, MFC: dmaEng, LS: store, Alloc: alloc,
 		})
+	}
+	if err := m.loadCode(); err != nil {
+		return nil, err
 	}
 
 	// DSEs (one per node) with a forwarding ring between nodes.
@@ -232,16 +234,18 @@ func (m *Machine) Config() Config { return m.cfg }
 // are loaded, and the engine reschedules everything at cycle 0. The
 // configuration is fixed at construction; only the program may change.
 // A Reset machine is indistinguishable from a newly built one — the
-// differential tests in internal/cell assert run-for-run identity.
+// differential tests in internal/cell assert run-for-run identity. A
+// program New would refuse is refused before anything is reset.
 func (m *Machine) Reset(prog *program.Program) error {
-	if err := prog.Validate(); err != nil {
-		return err
+	if !prog.Sealed() {
+		return program.ErrNotSealed
 	}
 	layout, err := planLayout(m.cfg, prog)
 	if err != nil {
 		return err
 	}
 	m.prog = prog
+	m.code.Bind(prog)
 	m.faultErr = nil
 	m.drained = false
 	m.endAt = 0
@@ -272,10 +276,10 @@ func (m *Machine) Reset(prog *program.Program) error {
 		spe.LSE.Reset(prog, int64(layout.FrameBase))
 		spe.LSE.Trace = m.tracer
 		spe.MFC.Reset()
-		spe.SPU.Reset(prog)
-		if err := loadCode(spe.LS, prog); err != nil {
-			return err
-		}
+		spe.SPU.Reset()
+	}
+	if err := m.loadCode(); err != nil {
+		return err
 	}
 	for _, d := range m.dses {
 		d.Reset(m.cfg.LSE.NumFrames)
@@ -311,18 +315,24 @@ func planLayout(cfg Config, prog *program.Program) (Layout, error) {
 }
 
 // loadCode materialises the program's encoded instructions in the LS
-// code region (the SPU fetches from the template structures; the bytes
-// make the layout faithful and debuggable).
-func loadCode(store *ls.LocalStore, prog *program.Program) error {
+// code region (the SPUs fetch from m.code; the bytes make the layout
+// faithful and debuggable), encoding into SPE 0's and copying from it.
+func (m *Machine) loadCode() error {
+	first := m.spes[0].LS
 	addr := int64(0)
-	for _, t := range prog.Templates {
+	for _, t := range m.prog.Templates {
 		for k := program.BlockKind(0); k < program.NumBlocks; k++ {
 			for _, ins := range t.Blocks[k] {
-				if err := store.Write64(addr, int64(ins.Encode())); err != nil {
+				if err := first.Write64(addr, int64(ins.Encode())); err != nil {
 					return fmt.Errorf("cell: code overflows local store at %#x", addr)
 				}
 				addr += 8
 			}
+		}
+	}
+	for _, spe := range m.spes[1:] {
+		if err := spe.LS.CopyFrom(first, int(addr)); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -49,7 +49,9 @@ func NewPool() *Pool {
 }
 
 // Get returns a machine for cfg ready to run prog: a pooled machine
-// reset to the program, or a newly built one when none is available.
+// reset to the program, or a newly built one when none is available. A
+// program Reset refuses, New would refuse too: the machine, untouched,
+// stays pooled.
 func (p *Pool) Get(cfg Config, prog *program.Program) (*Machine, error) {
 	PoolGets.Add(1)
 	if p == nil {
@@ -58,12 +60,10 @@ func (p *Pool) Get(cfg Config, prog *program.Program) (*Machine, error) {
 	}
 	if ms := p.free[cfg]; len(ms) > 0 {
 		m := ms[len(ms)-1]
-		p.free[cfg] = ms[:len(ms)-1]
 		if err := m.Reset(prog); err != nil {
-			// The program does not fit this configuration; a fresh
-			// build reports the same validation error.
-			return New(cfg, prog)
+			return nil, err
 		}
+		p.free[cfg] = ms[:len(ms)-1]
 		return m, nil
 	}
 	PoolMisses.Add(1)

@@ -171,6 +171,58 @@ func TestPoolCap(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsMachineOnRefusedProgram: a pooled machine whose Reset
+// refuses a program (here code that does not fit the configured local
+// store) stays in the pool. Get returns the error New returns for the
+// same program, builds nothing, and the machine serves the next Get.
+func TestPoolKeepsMachineOnRefusedProgram(t *testing.T) {
+	cfg := smallConfig(1)
+	cfg.LS.SizeBytes = 64 << 10
+	b := program.NewBuilder("toolarge")
+	root := b.Template("root")
+	root.PL().Load(program.R(1), 0)
+	for i := 0; i < cfg.LS.SizeBytes/8; i++ {
+		root.EX().Nop()
+	}
+	root.PS().StoreMailbox(program.R(1), program.R(2), 0).Ffree().Stop()
+	b.Entry(root, 1)
+	tooLarge, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantErr := New(cfg, tooLarge)
+	if wantErr == nil {
+		t.Fatal("New accepted code larger than the local store")
+	}
+
+	pool := NewPool()
+	m, err := pool.Get(cfg, progMinimal(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(m)
+	misses := PoolMisses.Load()
+	if got, err := pool.Get(cfg, tooLarge); got != nil || err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("Get = %v, %v; want the error New returns: %v", got, err, wantErr)
+	}
+	if n := pool.Idle(cfg); n != 1 {
+		t.Fatalf("%d idle machines after a refused Get, want 1", n)
+	}
+	if PoolMisses.Load() != misses {
+		t.Fatal("a refused Get counted a pool miss")
+	}
+	again, err := pool.Get(cfg, progLoop(t, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != m {
+		t.Fatal("the machine kept by the refused Get did not serve the next one")
+	}
+	if res, err := again.Run(); err != nil || res.Tokens[0] != 55 {
+		t.Fatalf("run after a refused Get: %v, %v", res, err)
+	}
+}
+
 // progFootprint dirties main memory widely: a non-zero image from just
 // below one 64 KiB page boundary to just above the third one after it
 // (footprintBytes from footprintBase), and a word written five pages

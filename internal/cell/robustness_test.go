@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -157,6 +158,30 @@ func TestMachineRejectsInvalidProgram(t *testing.T) {
 	if _, err := New(smallConfig(1), p); err == nil ||
 		!strings.Contains(err.Error(), "exceeds heap") {
 		t.Fatalf("err = %v, want heap-exceeded rejection", err)
+	}
+}
+
+// TestMachineRejectsUnsealedProgram: New and Reset take sealed programs
+// only, and say so rather than validate what they were given. A copy of a
+// sealed program is a program no Seal has marked.
+func TestMachineRejectsUnsealedProgram(t *testing.T) {
+	p := progMinimal(t)
+	unsealed := *p
+	if _, err := New(smallConfig(1), &unsealed); !errors.Is(err, program.ErrNotSealed) {
+		t.Fatalf("New = %v, want program.ErrNotSealed", err)
+	}
+	m, err := New(smallConfig(1), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reset(&unsealed); !errors.Is(err, program.ErrNotSealed) {
+		t.Fatalf("Reset = %v, want program.ErrNotSealed", err)
+	}
+	if err := program.Seal(&unsealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reset(&unsealed); err != nil {
+		t.Fatalf("Reset after Seal: %v", err)
 	}
 }
 

@@ -136,6 +136,9 @@ func TestRunAllErrorContainment(t *testing.T) {
 				}
 				bad := *good
 				bad.Check = mode.check
+				if err := program.Seal(&bad); err != nil { // a copy is a program of its own
+					t.Fatal(err)
+				}
 				specs := []runSpec{
 					benchSpec("mmul", 2, false),
 					{spes: 2, v: defaultVariant(), prog: &bad}, // same machine as its neighbours

@@ -377,16 +377,9 @@ func (c *Context) buildProgram(bench string, spes int, pf, chunked bool) (*progr
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", bench, err)
 	}
-	if !chunked {
-		// Ablation A6: fetch whole regions with single DMA commands.
-		for _, t := range prog.Templates {
-			for i := range t.Regions {
-				t.Regions[i].ChunkBytes = 0
-			}
-		}
-	}
 	if pf {
-		prog, err = prefetch.Transform(prog)
+		// Ablation A6 (unchunked): fetch whole regions with single DMA commands.
+		prog, err = prefetch.TransformWithOptions(prog, prefetch.Options{WholeRegions: !chunked})
 		if err != nil {
 			return nil, fmt.Errorf("transform %s: %w", bench, err)
 		}

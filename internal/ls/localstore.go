@@ -150,6 +150,9 @@ func (l *LocalStore) WriteBytes(addr int64, data []byte) error {
 	return nil
 }
 
+// CopyFrom copies the first n bytes of src to the same addresses of l.
+func (l *LocalStore) CopyFrom(src *LocalStore, n int) error { return l.WriteBytes(0, src.data[:n]) }
+
 // Read32 returns the sign-extended 32-bit word at addr.
 func (l *LocalStore) Read32(addr int64) (int64, error) {
 	if err := l.check(addr, 4); err != nil {

@@ -60,7 +60,7 @@ func TestTransformDeterministicOverCorpus(t *testing.T) {
 // TestTransformSharesTheMemoryImage: Transform rewrites code and never
 // the initial memory image, so the transformed program's segments are
 // the original's (program.Segment.Data is immutable once built, and
-// Clone shares it). For every corpus seed the segments must alias, and
+// Transform shares it). For every corpus seed the segments must alias, and
 // the bytes must still be what Generate made them after Transform and a
 // run of each program.
 func TestTransformSharesTheMemoryImage(t *testing.T) {
@@ -105,5 +105,54 @@ func TestTransformSharesTheMemoryImage(t *testing.T) {
 				t.Errorf("seed %d: segment %d changed under Transform and the two runs", seed, i)
 			}
 		}
+	}
+}
+
+// digestOf recomputes p's digest: a copy of a sealed program is not
+// sealed, so it has no memoised digest to return.
+func digestOf(p *program.Program) [32]byte {
+	q := *p
+	return q.Digest()
+}
+
+// TestTransformSharesUntouchedTemplates: Transform copies only the
+// templates it rewrites — those with tagged accesses — and shares every
+// other one with its input, which it leaves as it was. Over the corpus,
+// an untouched template is the input's, pointer for pointer; a rewritten
+// one is a new template; and the input's digest, recomputed, is what it
+// was before Transform.
+func TestTransformSharesUntouchedTemplates(t *testing.T) {
+	var shared, copied int
+	for _, seed := range synth.CorpusSeeds() {
+		prog, err := synth.Generate(synth.FromSeed(seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		before := digestOf(prog)
+		pf, err := prefetch.Transform(prog)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !pf.Sealed() {
+			t.Fatalf("seed %d: Transform returned an unsealed program", seed)
+		}
+		for i, orig := range prog.Templates {
+			switch got := pf.Templates[i]; {
+			case len(orig.Accesses) == 0 && got != orig:
+				t.Errorf("seed %d: untouched template %q was copied", seed, orig.Name)
+			case len(orig.Accesses) == 0:
+				shared++
+			case got == orig:
+				t.Errorf("seed %d: template %q was rewritten in place", seed, orig.Name)
+			default:
+				copied++
+			}
+		}
+		if digestOf(prog) != before {
+			t.Errorf("seed %d: Transform changed its input", seed)
+		}
+	}
+	if shared == 0 || copied == 0 {
+		t.Fatalf("the corpus gave %d untouched and %d rewritten templates; the test needs both", shared, copied)
 	}
 }

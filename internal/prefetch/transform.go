@@ -21,6 +21,7 @@ package prefetch
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/ls"
@@ -52,30 +53,36 @@ type Options struct {
 	// regions must be fully written by the thread, or also read-tagged
 	// so the PF block populates the staging buffer first.
 	WriteBack bool
+	// WholeRegions fetches (and writes back) every region with a single
+	// DMA command, ignoring Region.ChunkBytes (ablation A6).
+	WholeRegions bool
 }
 
-// Transform returns a prefetching clone of p: templates with tagged
-// region accesses gain PF blocks and local-store rewrites; everything
-// else is untouched. The input program is not modified.
+// Transform returns a sealed prefetching variant of p: copies of the
+// templates with tagged region accesses gain PF blocks and local-store
+// rewrites, and share everything else with p, which is not modified.
 func Transform(p *program.Program) (*program.Program, error) {
 	return TransformWithOptions(p, Options{})
 }
 
 // TransformWithOptions is Transform with extension knobs.
 func TransformWithOptions(p *program.Program, opt Options) (*program.Program, error) {
-	q := p.Clone()
-	for _, t := range q.Templates {
+	q := *p
+	q.Templates = slices.Clone(p.Templates)
+	for i, t := range q.Templates {
 		if len(t.Accesses) == 0 {
 			continue
 		}
-		if err := transformTemplate(t, opt); err != nil {
+		nt, err := transformTemplate(t, opt)
+		if err != nil {
 			return nil, fmt.Errorf("prefetch: template %q: %w", t.Name, err)
 		}
+		q.Templates[i] = nt
 	}
-	if err := q.Validate(); err != nil {
+	if err := program.Seal(&q); err != nil {
 		return nil, fmt.Errorf("prefetch: transformed program invalid: %w", err)
 	}
-	return q, nil
+	return &q, nil
 }
 
 // Stats summarises what the transformation did (the paper reports the
@@ -119,7 +126,20 @@ func Analyze(before, after *program.Program) Stats {
 	return st
 }
 
-func transformTemplate(t *program.Template, opt Options) error {
+// transformTemplate returns a rewritten copy of orig.
+func transformTemplate(orig *program.Template, opt Options) (*program.Template, error) {
+	nt := *orig
+	t := &nt
+	for k := range t.Blocks {
+		t.Blocks[k] = slices.Clone(t.Blocks[k])
+	}
+	if opt.WholeRegions {
+		t.Regions = slices.Clone(t.Regions)
+		for i := range t.Regions {
+			t.Regions[i].ChunkBytes = 0
+		}
+	}
+
 	// Classify accesses: reads are the paper's mechanism; writes are
 	// handled only in write-back mode (otherwise their tags are dropped
 	// and the WRITEs stay posted, as in the paper).
@@ -143,7 +163,7 @@ func transformTemplate(t *program.Template, opt Options) error {
 	}
 	if len(accesses) == 0 {
 		t.Accesses = nil
-		return nil
+		return t, nil
 	}
 	var regions []int
 	for i := range t.Regions {
@@ -152,7 +172,7 @@ func transformTemplate(t *program.Template, opt Options) error {
 		}
 	}
 	if len(regions) > MaxRegions {
-		return fmt.Errorf("%d regions referenced, max %d", len(regions), MaxRegions)
+		return nil, fmt.Errorf("%d regions referenced, max %d", len(regions), MaxRegions)
 	}
 
 	// Assign buffer offsets (16-byte aligned, as the MFC requires) and
@@ -176,11 +196,11 @@ func transformTemplate(t *program.Template, opt Options) error {
 		var err error
 		pf, err = emitRegionXfer(pf, t.Regions[ri], offsets[ri], isa.MFCGET)
 		if err != nil {
-			return fmt.Errorf("region %q: %w", t.Regions[ri].Name, err)
+			return nil, fmt.Errorf("region %q: %w", t.Regions[ri].Name, err)
 		}
 	}
 	if len(t.Blocks[program.PF]) > 0 && len(pf) > 0 {
-		return fmt.Errorf("template already has a PF block")
+		return nil, fmt.Errorf("template already has a PF block")
 	}
 	if len(pf) > 0 {
 		t.Blocks[program.PF] = pf
@@ -194,7 +214,7 @@ func transformTemplate(t *program.Template, opt Options) error {
 			var err error
 			puts, err = emitRegionPut(puts, t.Regions[ri], offsets[ri], deltaFor[ri])
 			if err != nil {
-				return fmt.Errorf("region %q put: %w", t.Regions[ri].Name, err)
+				return nil, fmt.Errorf("region %q put: %w", t.Regions[ri].Name, err)
 			}
 		}
 		if len(puts) > 0 {
@@ -208,7 +228,7 @@ func transformTemplate(t *program.Template, opt Options) error {
 		r := t.Regions[ri]
 		code, err := emitAddr(r.Base, regTmpA, regTmpB)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		prologue = append(prologue, code...)
 		delta := uint8(regDelta0 + n)
@@ -232,10 +252,10 @@ func transformTemplate(t *program.Template, opt Options) error {
 		case isa.WRITE8:
 			ins.Op = isa.LSWRX8
 		default:
-			return fmt.Errorf("access tags non-memory op %s", ins.Op)
+			return nil, fmt.Errorf("access tags non-memory op %s", ins.Op)
 		}
 		if ins.Rb != 0 {
-			return fmt.Errorf("tagged access uses rb: %s", ins)
+			return nil, fmt.Errorf("tagged access uses rb: %s", ins)
 		}
 		ins.Rb = deltaFor[a.Region]
 	}
@@ -247,7 +267,7 @@ func transformTemplate(t *program.Template, opt Options) error {
 		t.RegionOffsets = append(t.RegionOffsets, offsets[ri])
 	}
 	t.Transformed = true
-	return nil
+	return t, nil
 }
 
 // prependWithFixups inserts a prologue before a block, shifting the

@@ -85,8 +85,8 @@ func (b *Builder) ExpectTokens(n int) { b.prog.ExpectTokens = n }
 // Check installs the functional verification hook.
 func (b *Builder) Check(fn func(mem MemReader, tokens []int64) error) { b.prog.Check = fn }
 
-// Build finalises all templates (resolving labels), validates the
-// program and returns it.
+// Build finalises all templates (resolving labels) and returns the
+// sealed program (see Seal).
 func (b *Builder) Build() (*Program, error) {
 	for _, t := range b.tbs {
 		for k := BlockKind(0); k < NumBlocks; k++ {
@@ -100,7 +100,7 @@ func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, errors.Join(b.errs...)
 	}
-	if err := b.prog.Validate(); err != nil {
+	if err := Seal(b.prog); err != nil {
 		return nil, err
 	}
 	return b.prog, nil

@@ -11,8 +11,17 @@ import (
 // run identically on identically configured machines, which makes the
 // digest a sound component of a checkpoint cache key. The functional
 // Check hook is deliberately excluded — it runs after the simulation
-// and cannot influence it.
+// and cannot influence it. A sealed program computes it once, on first
+// use; most are never asked.
 func (p *Program) Digest() [32]byte {
+	if !p.Sealed() {
+		return p.hash()
+	}
+	p.seal.once.Do(func() { p.seal.digest = p.hash() })
+	return p.seal.digest
+}
+
+func (p *Program) hash() [32]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "prog:%s entry:%d args:%v tokens:%d\n",
 		p.Name, p.Entry, p.EntryArgs, p.ExpectTokens)

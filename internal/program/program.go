@@ -3,13 +3,14 @@ package program
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Segment is a chunk of the initial main-memory image (global input
 // data placed by the host before the TLP activity starts). Data is
-// immutable once Build returns: machines, the oracle and the formatter
-// only read it, and Clone shares it, so a program and its transformed
-// clone load the same bytes.
+// immutable once Build returns, like the rest of a sealed program:
+// machines, the oracle and the formatter only read it, and a program and
+// its prefetch-transformed variant share it.
 type Segment struct {
 	Addr int64
 	Data []byte
@@ -50,19 +51,53 @@ type Program struct {
 	// Check verifies the functional result after the run: tokens are the
 	// mailbox values in slot order. It may be nil.
 	Check func(mem MemReader, tokens []int64) error
+
+	seal *seal // set by Seal
 }
 
-// Errors returned by Program.Validate.
+// Errors returned by Seal, and by the consumers of a program that was
+// not sealed.
 var (
 	ErrNoTemplates = errors.New("program: no templates")
 	ErrBadEntry    = errors.New("program: entry template out of range")
 	ErrBadID       = errors.New("program: template ID mismatch")
 	ErrTooManyArgs = errors.New("program: entry args exceed frame slots")
 	ErrSegOverlap  = errors.New("program: memory segments overlap")
+	ErrNotSealed   = errors.New("program: not sealed (Builder.Build, asm.Parse and prefetch.Transform seal what they return)")
 )
 
-// Validate checks the whole program, including every template.
-func (p *Program) Validate() error {
+// seal marks a program sealed at its address (a copy of the struct is
+// not sealed) and memoises its digest.
+type seal struct {
+	prog   *Program
+	once   sync.Once
+	digest [32]byte
+}
+
+var onSeal func(*Program) // observes every program sealed (tests only)
+
+// Seal validates p and marks it sealed, the state cell.New,
+// Machine.Reset and synth.RunOracle require in place of validating it
+// again. Builder.Build, asm.Parse and prefetch.Transform end in Seal, and
+// nothing may change a program after it.
+func Seal(p *Program) error {
+	if err := p.validate(); err != nil {
+		return err
+	}
+	p.seal = &seal{prog: p}
+	if onSeal != nil {
+		onSeal(p)
+	}
+	return nil
+}
+
+// Sealed reports whether Seal marked p.
+func (p *Program) Sealed() bool { return p.seal != nil && p.seal.prog == p }
+
+// validate checks the program header and the templates no Seal has
+// validated in a program of as many templates, and marks those: sealing
+// what prefetch.Transform returns checks only the templates it rewrote.
+func (p *Program) validate() error {
 	if len(p.Templates) == 0 {
 		return ErrNoTemplates
 	}
@@ -70,9 +105,13 @@ func (p *Program) Validate() error {
 		if t.ID != i {
 			return fmt.Errorf("%w: template %q has ID %d at index %d", ErrBadID, t.Name, t.ID, i)
 		}
+		if t.checked == t && t.checkedIn == len(p.Templates) {
+			continue // shared with a sealed program, which only reads it
+		}
 		if err := t.Validate(p.Templates); err != nil {
 			return err
 		}
+		t.checked, t.checkedIn = t, len(p.Templates)
 	}
 	if p.Entry < 0 || p.Entry >= len(p.Templates) {
 		return fmt.Errorf("%w: %d", ErrBadEntry, p.Entry)
@@ -118,37 +157,4 @@ func (p *Program) MaxPrefetchBytes() int {
 		}
 	}
 	return max
-}
-
-// Clone returns a copy of the program that shares nothing mutable with
-// it: code, regions, access tags and entry arguments are copied, the
-// segments' immutable Data (see Segment) is shared. The prefetch
-// transformer operates on a clone so that a single built program can be
-// run both ways (with and without prefetching) from the same in-memory
-// object.
-func (p *Program) Clone() *Program {
-	q := &Program{
-		Name:         p.Name,
-		Entry:        p.Entry,
-		EntryArgs:    append([]int64(nil), p.EntryArgs...),
-		ExpectTokens: p.ExpectTokens,
-		Segments:     append([]Segment(nil), p.Segments...),
-		Check:        p.Check,
-	}
-	for _, t := range p.Templates {
-		nt := &Template{
-			Name:          t.Name,
-			ID:            t.ID,
-			Regions:       append([]Region(nil), t.Regions...),
-			Accesses:      append([]Access(nil), t.Accesses...),
-			PrefetchBytes: t.PrefetchBytes,
-			RegionOffsets: append([]int(nil), t.RegionOffsets...),
-			Transformed:   t.Transformed,
-		}
-		for k := range t.Blocks {
-			nt.Blocks[k] = append(nt.Blocks[k][:0:0], t.Blocks[k]...)
-		}
-		q.Templates = append(q.Templates, nt)
-	}
-	return q
 }

@@ -238,24 +238,42 @@ func TestRPanicsOutsideUserRange(t *testing.T) {
 	R(120)
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// TestSealMarksByAddress: Seal marks the program and its templates at
+// their own addresses. A copy of a sealed program is unsealed, and
+// sealing a copy that shares the original's templates but replaces one
+// with an edited copy of it validates the copy — what prefetch.Transform
+// relies on.
+func TestSealMarksByAddress(t *testing.T) {
 	p := buildMinimal(t)
-	q := p.Clone()
-	q.Templates[0].Blocks[PS][0].Imm = 99
-	q.EntryArgs[0] = 7
-	if p.Templates[0].Blocks[PS][0].Imm == 99 {
-		t.Fatal("clone shares instruction storage")
+	if !p.Sealed() {
+		t.Fatal("Build returned an unsealed program")
 	}
-	if p.EntryArgs[0] == 7 {
-		t.Fatal("clone shares entry args")
+	q := *p
+	if q.Sealed() {
+		t.Fatal("a copy of a sealed program is sealed")
+	}
+	q.Templates = append([]*Template(nil), p.Templates...)
+	edited := *p.Templates[0]
+	edited.Blocks[EX] = []isa.Instruction{{Op: isa.STOP}} // not allowed in EX
+	q.Templates[0] = &edited
+	if err := Seal(&q); !errors.Is(err, ErrBlockDiscipline) {
+		t.Fatalf("Seal of a program with an edited template copy = %v, want ErrBlockDiscipline", err)
+	}
+	if q.Sealed() {
+		t.Fatal("a program that failed Seal is sealed")
+	}
+
+	q.Templates[0] = p.Templates[0]
+	if err := Seal(&q); err != nil || !q.Sealed() {
+		t.Fatalf("Seal of a copy sharing every template = %v", err)
 	}
 }
 
 func TestValidateChecksTemplateIDs(t *testing.T) {
 	p := buildMinimal(t)
 	p.Templates[0].ID = 5
-	if err := p.Validate(); !errors.Is(err, ErrBadID) {
-		t.Fatalf("Validate = %v, want ErrBadID", err)
+	if err := Seal(p); !errors.Is(err, ErrBadID) {
+		t.Fatalf("Seal = %v, want ErrBadID", err)
 	}
 }
 
@@ -329,9 +347,11 @@ func TestValidateRejectsUndefinedOpcode(t *testing.T) {
 	for _, op := range []isa.Op{isa.Op(isa.OpCount), 255} {
 		for k := BlockKind(0); k < NumBlocks; k++ {
 			p := buildMinimal(t)
-			p.Templates[0].Blocks[k] = append([]isa.Instruction{{Op: op}}, p.Templates[0].Blocks[k]...)
-			if err := p.Validate(); !errors.Is(err, isa.ErrUnknownOp) {
-				t.Errorf("opcode %d in a %s block: Validate = %v, want isa.ErrUnknownOp", op, k, err)
+			tmpl := *p.Templates[0] // a copy: Seal trusts the sealed original
+			tmpl.Blocks[k] = append([]isa.Instruction{{Op: op}}, tmpl.Blocks[k]...)
+			p.Templates[0] = &tmpl
+			if err := Seal(p); !errors.Is(err, isa.ErrUnknownOp) {
+				t.Errorf("opcode %d in a %s block: Seal = %v, want isa.ErrUnknownOp", op, k, err)
 			}
 		}
 	}

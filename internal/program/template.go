@@ -139,6 +139,12 @@ type Template struct {
 	RegionOffsets []int
 	// Transformed marks templates rewritten by the prefetch transformer.
 	Transformed bool
+
+	// checked is the template's own address once Seal has validated it
+	// in a program of checkedIn templates: a copy of the struct, such as
+	// prefetch.Transform makes of a template it rewrites, is not checked.
+	checked   *Template
+	checkedIn int
 }
 
 // CodeLen returns the total number of instructions across all blocks.

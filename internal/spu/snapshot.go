@@ -103,10 +103,10 @@ func (s *SPU) Restore(r *snap.Reader, lookup func(int32) *dta.Thread) error {
 		if s.cur == nil {
 			return fmt.Errorf("spu%d: snapshot thread ref %d unresolved", s.spe, curRef)
 		}
-		if s.cur.Template < 0 || s.cur.Template >= len(s.prog.Templates) {
+		if s.cur.Template < 0 || s.cur.Template >= len(s.code.prog.Templates) {
 			return fmt.Errorf("spu%d: snapshot thread template %d out of range", s.spe, s.cur.Template)
 		}
-		s.uops = s.uopsFor(s.cur.Template, s.block)
+		s.uops = s.code.block(s.cur.Template, s.block)
 		if s.pc > len(s.uops) {
 			return fmt.Errorf("spu%d: snapshot pc %d beyond block of %d", s.spe, s.pc, len(s.uops))
 		}

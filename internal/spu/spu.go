@@ -168,7 +168,7 @@ type SPU struct {
 	lse   *dta.LSE
 	dma   *mfc.Engine
 	store *ls.LocalStore
-	prog  *program.Program
+	code  *Code
 
 	handle *sim.Handle
 
@@ -181,18 +181,13 @@ type SPU struct {
 	block   program.BlockKind
 	pc      int
 
-	// uops is the decoded form of the current code block (uopTab caches
-	// one table per template block): uops[pc] carries the instruction
-	// plus everything the per-cycle issue path would otherwise re-derive
-	// from isa.Info on every visit — scoreboard sources, issue slot,
-	// branchness, the configured result latency — and the dual burst
-	// masks of the instruction pair starting at pc (see uop). The tables
-	// are carved from uopArena, which a Reset to another program rewinds
-	// and does not free: a pooled machine decodes program after program
-	// into the same memory.
-	uops     []uop
-	uopTab   [][]uop
-	uopArena []uop
+	// uops is the current code block's table in code: uops[pc] carries
+	// the instruction plus everything the per-cycle issue path would
+	// otherwise re-derive from isa.Info on every visit — scoreboard
+	// sources, issue slot, branchness, the configured result latency —
+	// and the dual burst masks of the instruction pair starting at pc
+	// (see uop).
+	uops []uop
 
 	ph          phase
 	gapCause    stats.Cause // cause for cycles while sleeping
@@ -256,12 +251,13 @@ type MagicMem interface {
 	MagicWrite(addr int64, v int64, width int) error
 }
 
-// New creates the SPU for SPE spe.
-func New(cfg Config, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
-	dma *mfc.Engine, store *ls.LocalStore, prog *program.Program) *SPU {
+// New creates the SPU for SPE spe, configured and programmed by code.
+func New(code *Code, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
+	dma *mfc.Engine, store *ls.LocalStore) *SPU {
+	cfg := code.cfg
 	s := &SPU{
 		cfg: cfg, id: id, spe: spe, memID: memID,
-		net: net, lse: lseUnit, dma: dma, store: store, prog: prog,
+		net: net, lse: lseUnit, dma: dma, store: store, code: code,
 		ph:       phIdle,
 		gapCause: stats.CauseIdle,
 		gapLoc:   stats.IdleLoc,
@@ -273,28 +269,54 @@ func New(cfg Config, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
 	} else if cfg.BurstMax < 1 {
 		s.burstLimit = 1
 	}
-	s.uopTab = make([][]uop, len(prog.Templates)*int(program.NumBlocks))
 	return s
 }
 
-// uopsFor returns (decoding on first use) the uop table of one template
+// Code is a program decoded for one pipeline configuration, a uop table
+// per template block decoded when an SPU first reaches it. A machine's
+// SPUs share one. The tables are carved from an arena that binding
+// another program rewinds and does not free.
+type Code struct {
+	cfg   Config
+	prog  *program.Program
+	tab   [][]uop // by tmpl*NumBlocks + block; nil until decoded
+	arena []uop
+}
+
+// NewCode returns an empty decode table for pipelines configured by cfg.
+func NewCode(cfg Config) *Code { return &Code{cfg: cfg} }
+
+// Bind readies the table for prog. Binding the program it already holds
+// keeps every block decoded so far.
+func (c *Code) Bind(prog *program.Program) {
+	if prog == c.prog {
+		return
+	}
+	c.prog = prog
+	n := len(prog.Templates) * int(program.NumBlocks)
+	c.tab = slices.Grow(c.tab[:0], n)[:n]
+	clear(c.tab)
+	c.arena = c.arena[:0]
+}
+
+// block returns (decoding on first use) the uop table of one template
 // code block.
-func (s *SPU) uopsFor(tmpl int, blk program.BlockKind) []uop {
+func (c *Code) block(tmpl int, blk program.BlockKind) []uop {
 	idx := tmpl*int(program.NumBlocks) + int(blk)
-	if u := s.uopTab[idx]; u != nil {
+	if u := c.tab[idx]; u != nil {
 		return u
 	}
-	u := s.buildUops(s.prog.Templates[tmpl].Blocks[blk])
-	s.uopTab[idx] = u
+	u := c.decode(c.prog.Templates[tmpl].Blocks[blk])
+	c.tab[idx] = u
 	return u
 }
 
-// buildUops decodes one code block. It is the single place the static
+// decode decodes one code block. It is the single place the static
 // instruction metadata (operand format, issue slot, unit latency, burst
 // class) is consulted; the per-cycle paths read only the resulting
 // uops.
-func (s *SPU) buildUops(code []isa.Instruction) []uop {
-	us := s.carveUops(len(code))
+func (c *Code) decode(code []isa.Instruction) []uop {
+	us := c.carve(len(code))
 	for i, ins := range code {
 		info := isa.InfoOf(ins.Op)
 		u := &us[i]
@@ -317,7 +339,7 @@ func (s *SPU) buildUops(code []isa.Instruction) []uop {
 		if info.Branch {
 			u.flags |= uopBranch
 		}
-		u.lat = int32(s.latFor(info.Unit))
+		u.lat = int32(c.cfg.latFor(info.Unit))
 	}
 	for i := 0; i+1 < len(code); i++ {
 		a, b := isa.ClassOf(code[i].Op), isa.ClassOf(code[i+1].Op)
@@ -351,13 +373,13 @@ func (s *SPU) buildUops(code []isa.Instruction) []uop {
 	return us
 }
 
-// carveUops takes n uops off the arena's tail. When the arena has to
-// grow it moves to a new backing array; tables carved before keep the
-// old one, which nothing writes again.
-func (s *SPU) carveUops(n int) []uop {
-	used := len(s.uopArena)
-	s.uopArena = slices.Grow(s.uopArena, n)[:used+n]
-	return s.uopArena[used:]
+// carve takes n uops off the arena's tail. When the arena has to grow it
+// moves to a new backing array; tables carved before keep the old one,
+// which nothing writes again.
+func (c *Code) carve(n int) []uop {
+	used := len(c.arena)
+	c.arena = slices.Grow(c.arena, n)[:used+n]
+	return c.arena[used:]
 }
 
 // secondCannotJoin reports whether the instruction decoded as sec can
@@ -453,25 +475,9 @@ func (s *SPU) Wake(now sim.Cycle) {
 func (s *SPU) Stats() stats.SPU { return s.st }
 
 // Reset returns the pipeline to its post-construction state for
-// machine reuse, rebinding it to prog (the uop cache is sized by the
-// program's template count). Wiring (Fault, Magic, handle) is kept.
-func (s *SPU) Reset(prog *program.Program) {
-	if prog != s.prog {
-		// The uop cache is keyed by template block; it stays valid when
-		// the same program is re-run. For another program every table is
-		// dropped, and the arena they were carved from starts over.
-		n := len(prog.Templates) * int(program.NumBlocks)
-		if n <= cap(s.uopTab) {
-			s.uopTab = s.uopTab[:n]
-			for i := range s.uopTab {
-				s.uopTab[i] = nil
-			}
-		} else {
-			s.uopTab = make([][]uop, n)
-		}
-		s.uopArena = s.uopArena[:0]
-	}
-	s.prog = prog
+// machine reuse; the machine rebinds the shared Code to the next
+// program. Wiring (Fault, Magic, handle) is kept.
+func (s *SPU) Reset() {
 	for i := range s.regs {
 		s.regs[i], s.ready[i], s.prod[i] = 0, 0, prodNone
 	}
@@ -591,7 +597,7 @@ func (s *SPU) dispatch(now sim.Cycle) bool {
 	} else {
 		s.block = program.PL
 	}
-	s.uops = s.uopsFor(th.Template, s.block)
+	s.uops = s.code.block(th.Template, s.block)
 	s.pc = 0
 	s.skipEmptyBlocks(now)
 	s.nextIssueAt = now + sim.Cycle(s.cfg.DispatchCost)
@@ -634,7 +640,7 @@ func (s *SPU) advanceBlock(now sim.Cycle) bool {
 		s.cur = nil
 		return false
 	}
-	s.uops = s.uopsFor(s.cur.Template, s.block)
+	s.uops = s.code.block(s.cur.Template, s.block)
 	s.pc = 0
 	return true
 }
@@ -967,16 +973,16 @@ func instrClass(op isa.Op) uint8 {
 	return iclsOther
 }
 
-func (s *SPU) latFor(u isa.Unit) sim.Cycle {
+func (c Config) latFor(u isa.Unit) sim.Cycle {
 	switch u {
 	case isa.UnitSH:
-		return sim.Cycle(s.cfg.LatSH)
+		return sim.Cycle(c.LatSH)
 	case isa.UnitMUL:
-		return sim.Cycle(s.cfg.LatMUL)
+		return sim.Cycle(c.LatMUL)
 	case isa.UnitDIV:
-		return sim.Cycle(s.cfg.LatDIV)
+		return sim.Cycle(c.LatDIV)
 	}
-	return sim.Cycle(s.cfg.LatFX)
+	return sim.Cycle(c.LatFX)
 }
 
 // execute performs one instruction. ok=false means a structural stall

@@ -1,6 +1,7 @@
 package spu_test
 
 import (
+	"fmt"
 	"math/bits"
 	"reflect"
 	"strings"
@@ -433,13 +434,13 @@ func TestShiftCountMasking(t *testing.T) {
 	_ = bits.UintSize
 }
 
-// TestReusedMachineDecodesEachProgram: an SPU decodes into memory it
+// TestReusedMachineDecodesEachProgram: a machine decodes into memory it
 // keeps across Reset, so a machine handed one program after another must
 // decode each as a new machine would — nothing of a longer program left
 // behind in a shorter one, no table of the current program overwritten
 // by a later block. Each run must report exactly what a fresh machine
-// reports. Two machines do it side by side: the arenas are per SPU, and
-// the race detector would see anything they shared.
+// reports. Two machines do it side by side: the arenas are per machine,
+// and the race detector would see anything they shared.
 func TestReusedMachineDecodesEachProgram(t *testing.T) {
 	bodies := []func(ex *program.Asm){
 		mulChain(300), // one long block
@@ -483,5 +484,110 @@ func TestReusedMachineDecodesEachProgram(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// forkProgram builds a root that forks one worker per body, worker i
+// running body i in its EX block and posting r1 to mailbox slot i, so
+// the workers' blocks run on every SPE of a small machine.
+func forkProgram(bodies ...func(ex *program.Asm)) (*program.Program, error) {
+	b := program.NewBuilder("fork")
+	root := b.Template("root")
+	root.PL().Load(program.R(1), 0)
+	ps := root.PS()
+	for i, body := range bodies {
+		w := b.Template(fmt.Sprintf("w%d", i))
+		w.PL().Load(program.R(9), 0)
+		body(w.EX())
+		w.PS().StoreMailbox(program.R(1), program.R(99), i).Ffree().Stop()
+		ps.Falloc(program.R(2), w, 1).Store(program.R(1), program.R(2), 0)
+	}
+	ps.Ffree().Stop()
+	b.Entry(root, 7)
+	b.ExpectTokens(len(bodies))
+	return b.Build()
+}
+
+// TestMachineSharesOneDecode: a machine decodes its program once, into
+// one table every SPU reads, and keeps the table's arena across Reset. A
+// machine runs a small program, a larger one and the small one again,
+// then re-runs it. After each run every SPU reads the same table, every
+// decoded block equals a decode into new memory, the arena holds each
+// block once, and the run reports what a fresh machine reports. The
+// smaller program after the larger is decoded into the larger's memory,
+// and a re-run of a program decodes nothing.
+func TestMachineSharesOneDecode(t *testing.T) {
+	small, err := forkProgram(loopBody(3), mulChain(10), loopBody(5), mulChain(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := forkProgram(mulChain(300), loopBody(50), mulChain(700), loopBody(20),
+		mulChain(100), loopBody(7), mulChain(40), loopBody(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cell.DefaultConfig()
+	cfg.SPEs = 4
+	cfg.MaxCycles = 10_000_000
+
+	var m *cell.Machine
+	var arenaStart any // the large program's first uop
+	for i, p := range []*program.Program{small, large, small, small} {
+		if m == nil {
+			m, err = cell.New(cfg, p)
+		} else {
+			err = m.Reset(p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodedBefore := len(m.SPEs()[0].SPU.DecodedCode().Arena())
+		got, err := m.Run()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+
+		code := m.SPEs()[0].SPU.DecodedCode()
+		for _, spe := range m.SPEs() {
+			if spe.SPU.DecodedCode() != code {
+				t.Fatalf("run %d: SPU %d reads a decode table of its own", i, spe.Index)
+			}
+			if got.SPUs[spe.Index].Threads == 0 {
+				t.Fatalf("run %d: SPU %d ran no thread; the test needs every SPU to decode", i, spe.Index)
+			}
+		}
+		uops, err := code.CheckTables()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if arena := code.Arena(); len(arena) != uops {
+			t.Errorf("run %d: the arena holds %d uops for tables of %d: a block was decoded twice, or the arena was not rewound", i, len(arena), uops)
+		}
+		switch i {
+		case 1:
+			arenaStart = &code.Arena()[0]
+		case 2:
+			if &code.Arena()[0] != arenaStart {
+				t.Error("the small program after the large one was decoded into new memory")
+			}
+		case 3:
+			if len(code.Arena()) != decodedBefore {
+				t.Errorf("a re-run of the same program decoded %d uops again", len(code.Arena())-decodedBefore)
+			}
+		}
+
+		fresh, err := cell.New(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cycles != want.Cycles || !reflect.DeepEqual(got.Tokens, want.Tokens) ||
+			!reflect.DeepEqual(got.SPUs, want.SPUs) {
+			t.Errorf("run %d: the reused machine reports %d cycles, tokens %v; a fresh one %d, %v",
+				i, got.Cycles, got.Tokens, want.Cycles, want.Tokens)
+		}
 	}
 }

@@ -1,11 +1,9 @@
 package spu
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/program"
 )
 
 // Internal tests for the decode-time half of the burst fast path: the
@@ -15,13 +13,13 @@ import (
 // enforced end-to-end by the burst differential suites; here we pin
 // the static classification itself.
 
-func testSPU() *SPU {
-	return &SPU{cfg: DefaultConfig()}
+func decodeNew(code []isa.Instruction) []uop {
+	return NewCode(DefaultConfig()).decode(code)
 }
 
 func flagsOf(t *testing.T, code []isa.Instruction, pc int) uint8 {
 	t.Helper()
-	us := testSPU().buildUops(code)
+	us := decodeNew(code)
 	return us[pc].flags
 }
 
@@ -122,7 +120,7 @@ func TestUopOperandAndSlotMetadata(t *testing.T) {
 		{Op: isa.STORE, Rd: 7, Ra: 8, Imm: 2}, // stores read Rd too
 		{Op: isa.MULI, Rd: 2, Ra: 1, Imm: 3},
 	}
-	us := testSPU().buildUops(code)
+	us := decodeNew(code)
 	if us[0].nsrc != 2 || us[0].srcs[0] != 8 || us[0].srcs[1] != 7 {
 		t.Errorf("store sources = %v x%d, want [8 7]", us[0].srcs, us[0].nsrc)
 	}
@@ -138,90 +136,4 @@ func TestUopOperandAndSlotMetadata(t *testing.T) {
 	if us[0].cls != iclsStore || us[1].cls != iclsOther {
 		t.Errorf("instruction classes = %d,%d, want %d,%d", us[0].cls, us[1].cls, iclsStore, iclsOther)
 	}
-}
-
-// TestUopArenaReuse drives the decode arena the way a pooled machine
-// does — Reset to a program, decode its blocks as they are reached — and
-// holds every table against a decode into new memory, after everything
-// that could have clobbered it: tables carved earlier survive the arena
-// growing, a re-run of the same program keeps its tables and carves the
-// blocks it reaches for the first time behind them, and a Reset to a
-// smaller program decodes over the old tables, in place, with nothing of
-// them showing through.
-func TestUopArenaReuse(t *testing.T) {
-	block := func(n int, ins ...isa.Instruction) []isa.Instruction {
-		var code []isa.Instruction
-		for len(code) < n {
-			code = append(code, ins...)
-		}
-		return code
-	}
-	prog := func(blocks ...[]isa.Instruction) *program.Program {
-		p := &program.Program{}
-		for i := 0; i < len(blocks); i += int(program.NumBlocks) {
-			tmpl := &program.Template{ID: len(p.Templates)}
-			copy(tmpl.Blocks[:], blocks[i:])
-			p.Templates = append(p.Templates, tmpl)
-		}
-		return p
-	}
-	stores := block(40, isa.Instruction{Op: isa.STORE, Rd: 7, Ra: 8, Imm: 2}, isa.Instruction{Op: isa.LSWRX, Rd: 3, Ra: 4, Rb: 5})
-	compute := block(9, isa.Instruction{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1}, isa.Instruction{Op: isa.NOP})
-	reads := block(24, isa.Instruction{Op: isa.LSRD, Rd: 1, Ra: 2}, isa.Instruction{Op: isa.BEQ, Ra: 1, Rb: 2})
-	big := prog(compute, stores, reads, block(200, isa.Instruction{Op: isa.MUL, Rd: 1, Ra: 1, Rb: 2}),
-		stores, nil, compute, reads)
-	small := prog(nil, compute[:3], reads[:5], block(2, isa.Instruction{Op: isa.STOP}))
-
-	s := testSPU()
-	type table struct {
-		tmpl int
-		k    program.BlockKind
-		uops []uop
-	}
-	var live []table // tables of the current program, as uopsFor returned them
-	decode := func(tmpl int) {
-		for k := program.BlockKind(0); k < program.NumBlocks; k++ {
-			live = append(live, table{tmpl, k, s.uopsFor(tmpl, k)})
-		}
-	}
-	verify := func(p *program.Program, when string) {
-		t.Helper()
-		for _, tb := range live {
-			want := testSPU().buildUops(p.Templates[tb.tmpl].Blocks[tb.k])
-			if !slices.Equal(tb.uops, want) {
-				t.Errorf("%s: template %d %s block differs from a decode into new memory", when, tb.tmpl, tb.k)
-			}
-			if again := s.uopsFor(tb.tmpl, tb.k); len(want) > 0 && &again[0] != &tb.uops[0] {
-				t.Errorf("%s: template %d %s block was decoded a second time", when, tb.tmpl, tb.k)
-			}
-		}
-	}
-
-	// From nothing: the arena grows under the tables already carved.
-	s.Reset(big)
-	decode(0)
-	decode(1)
-	verify(big, "first program")
-
-	// A smaller program: over the old tables, in the same memory.
-	chunk := &s.uopArena[:1][0]
-	s.Reset(small)
-	live = nil
-	decode(0)
-	verify(small, "smaller program")
-	if &s.uopArena[:1][0] != chunk {
-		t.Error("a program that fits the arena was decoded into new memory")
-	}
-	if want := small.CodeLen(); len(s.uopArena) != want {
-		t.Errorf("arena holds %d uops after a %d-instruction program: Reset did not rewind it", len(s.uopArena), want)
-	}
-
-	// The same program twice, the second run reaching a template the first
-	// did not: its tables are kept, so the arena under them must be too.
-	s.Reset(big)
-	live = nil
-	decode(0)
-	s.Reset(big)
-	decode(1)
-	verify(big, "second run of the same program")
 }

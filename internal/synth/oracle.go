@@ -87,12 +87,12 @@ type oracle struct {
 	threadsN int
 }
 
-// RunOracle interprets p (which must be an original, untransformed
-// program) and returns its functional result. maxSteps bounds total
-// interpreted instructions (<= 0 selects a 50M default).
+// RunOracle interprets p (which must be a sealed, original,
+// untransformed program) and returns its functional result. maxSteps
+// bounds total interpreted instructions (<= 0 selects a 50M default).
 func RunOracle(p *program.Program, maxSteps int64) (*OracleResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("synth: oracle input invalid: %w", err)
+	if !p.Sealed() {
+		return nil, program.ErrNotSealed
 	}
 	if maxSteps <= 0 {
 		maxSteps = 50_000_000
@@ -237,7 +237,6 @@ func (o *oracle) runThread(th *oThread) error {
 				return fmt.Errorf("%w (%d)", ErrOracleSteps, o.maxSteps)
 			}
 			ins := code[pc]
-			info := isa.MustInfo(ins.Op)
 			a, bv := regs[ins.Ra], regs[ins.Rb]
 
 			set := func(r uint8, v int64) {
@@ -332,7 +331,6 @@ func (o *oracle) runThread(th *oThread) error {
 				return nil
 
 			default:
-				_ = info
 				return fmt.Errorf("synth: oracle cannot interpret %s (op %s in %s/%s): transformed or LS/MFC code is outside the untimed model",
 					ins, ins.Op, tmpl.Name, kind)
 			}

@@ -80,6 +80,23 @@ func TestOracleRejectsTransformed(t *testing.T) {
 	}
 }
 
+// TestOracleRejectsUnsealedProgram: the oracle trusts its input to be
+// sealed, so it refuses one that is not (a copy of a sealed program)
+// instead of interpreting opcodes nobody checked.
+func TestOracleRejectsUnsealedProgram(t *testing.T) {
+	prog, err := synth.Generate(synth.FromSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsealed := *prog
+	if _, err := synth.RunOracle(&unsealed, 0); !errors.Is(err, program.ErrNotSealed) {
+		t.Fatalf("got %v, want program.ErrNotSealed", err)
+	}
+	if _, err := synth.RunOracle(prog, 0); err != nil {
+		t.Fatalf("the sealed original: %v", err)
+	}
+}
+
 // TestOracleDeadlock: a thread whose synchronisation count is never
 // satisfied must surface as a deadlock, not a hang or a pass.
 func TestOracleDeadlock(t *testing.T) {
