@@ -403,11 +403,43 @@ func TestDeterministicStats(t *testing.T) {
 	}
 }
 
+// progReads is progForkJoin whose k workers each make n blocking READs
+// down one array, each after a pause as long as the worker's value, so
+// that requests reach the memory alone and together, on quiet and on
+// contended buses.
+func progReads(t testing.TB, k, n int) *program.Program {
+	return progForkJoinEX(t, k, func(ex *program.Asm) {
+		ex.Movi(program.R(6), 0x100000)
+		ex.Movi(program.R(7), 0)
+		ex.Movi(program.R(8), int32(n))
+		ex.Label("rd")
+		ex.Movi(program.R(10), 0)
+		ex.Label("pause")
+		ex.Addi(program.R(10), program.R(10), 1)
+		ex.Blt(program.R(10), program.R(1), "pause")
+		ex.Read(program.R(5), program.R(6), 0)
+		ex.Add(program.R(9), program.R(9), program.R(5))
+		ex.Addi(program.R(6), program.R(6), 4)
+		ex.Addi(program.R(7), program.R(7), 1)
+		ex.Blt(program.R(7), program.R(8), "rd")
+	})
+}
+
 // TestMachineStepMatchesRun is the slice-fidelity contract at the
 // machine level: driving a machine with Step slices of any size must
-// produce a Result identical to Run in every reported number.
+// produce a Result identical to Run in every reported number. The
+// READ-heavy runs at short memory latencies take budgets of 1-8 cycles,
+// around the interconnect's minimum delivery latency, so that the READs
+// the memory services at hand-over meet every kind of slice end: one
+// before their service cycle, on it, and after.
 func TestMachineStepMatchesRun(t *testing.T) {
-	cfg := smallConfig(2)
+	type tc struct {
+		name    string
+		cfg     Config
+		prog    *program.Program
+		budgets []sim.Cycle
+	}
+	var cases []tc
 	for _, p := range []struct {
 		name string
 		prog *program.Program
@@ -417,31 +449,40 @@ func TestMachineStepMatchesRun(t *testing.T) {
 		{"memory", progMemory(t)},
 		{"dma", progManualDMA(t)},
 	} {
-		want := run(t, cfg, p.prog)
-		for _, budget := range []sim.Cycle{1, 17, 1000, 1 << 16} {
-			m, err := New(cfg, p.prog)
+		cases = append(cases, tc{p.name, smallConfig(2), p.prog, []sim.Cycle{1, 17, 1000, 1 << 16}})
+	}
+	reads := progReads(t, 6, 40)
+	for _, lat := range []int{0, 1, 150} {
+		cfg := smallConfig(2)
+		cfg.Mem.Latency = lat
+		cases = append(cases, tc{fmt.Sprintf("reads lat=%d", lat), cfg, reads, []sim.Cycle{1, 2, 3, 4, 5, 6, 7, 8}})
+	}
+	for _, c := range cases {
+		want := run(t, c.cfg, c.prog)
+		for _, budget := range c.budgets {
+			m, err := New(c.cfg, c.prog)
 			if err != nil {
-				t.Fatalf("%s: New: %v", p.name, err)
+				t.Fatalf("%s: New: %v", c.name, err)
 			}
 			steps := 0
 			for {
 				st, err := m.Step(budget)
 				if err != nil {
-					t.Fatalf("%s budget=%d: Step: %v", p.name, budget, err)
+					t.Fatalf("%s budget=%d: Step: %v", c.name, budget, err)
 				}
 				if st == StepDone {
 					break
 				}
 				steps++
 				if steps > 10_000_000 {
-					t.Fatalf("%s budget=%d: no progress", p.name, budget)
+					t.Fatalf("%s budget=%d: no progress", c.name, budget)
 				}
 			}
 			got, err := m.Finish()
 			if err != nil {
-				t.Fatalf("%s budget=%d: Finish: %v", p.name, budget, err)
+				t.Fatalf("%s budget=%d: Finish: %v", c.name, budget, err)
 			}
-			resultsIdentical(t, want, got, fmt.Sprintf("%s budget=%d", p.name, budget))
+			resultsIdentical(t, want, got, fmt.Sprintf("%s budget=%d", c.name, budget))
 		}
 	}
 }

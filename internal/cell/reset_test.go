@@ -93,6 +93,34 @@ func TestMachineResetIdentity(t *testing.T) {
 	}
 }
 
+// TestKnobbedResetAtLatencyZero: memory latency 0 is a legal
+// configuration, so a machine built with it, run with its latency
+// knobbed away and Reset must run like a fresh one — Reset restores the
+// construction latency, 0, not a clamped 1.
+func TestKnobbedResetAtLatencyZero(t *testing.T) {
+	cfg := smallConfig(2)
+	cfg.Mem.Latency = 0
+	prog := progReads(t, 4, 20)
+	want := run(t, cfg, prog)
+
+	reused, err := New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused.ApplyKnobs(Knobs{MemLatency: 5})
+	if _, err := reused.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reused.Reset(prog); err != nil {
+		t.Fatal(err)
+	}
+	got, err := reused.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsIdentical(t, want, got, "latency 0, knobbed to 5, then reset")
+}
+
 // TestPoolRecyclesMachines exercises Get/Put across configurations and
 // programs.
 func TestPoolRecyclesMachines(t *testing.T) {

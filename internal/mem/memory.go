@@ -108,6 +108,22 @@ func (q *msgHeap) release(slot int32) {
 	q.free = append(q.free, slot)
 }
 
+// has reports whether an entry is filed under cycle at. It visits only
+// the entries at or before at.
+func (q *msgHeap) has(at sim.Cycle) bool {
+	return len(q.refs) > 0 && q.refs[0].at <= at && q.hasFrom(0, at)
+}
+
+func (q *msgHeap) hasFrom(i int, at sim.Cycle) bool {
+	for i < len(q.refs) && q.refs[i].at <= at {
+		if q.refs[i].at == at || q.hasFrom(2*i+1, at) {
+			return true
+		}
+		i = 2*i + 2
+	}
+	return false
+}
+
 func (q *msgHeap) reset() {
 	q.refs = q.refs[:0]
 	clear(q.slab) // release payload references
@@ -131,12 +147,40 @@ func (q *msgHeap) reset() {
 //     itself when the memory is due on it anyway — a response to send,
 //     or the service tick owed to a request delivered one cycle earlier —
 //     and in that case earns no tick of its own on the next cycle.
+//
+// Most requests are blocking READs, and for most of them that service
+// tick is decided the moment the network hands them over, so the memory
+// services them there and spends no engine event on them (EXPERIMENTS.md
+// "Service at hand-over"). It does so for a scalar READ when
+//
+//   - its delivery cycle is the earliest any later Send can reach
+//     (at <= now + MinDeliveryLatency), and its inbox is empty: every
+//     request serviced before it in the rule above has been, and every
+//     later one comes after it;
+//   - its service cycle s — at when the memory is due on at (a response
+//     ready then, or an earlier READ serviced at hand-over for at), at+1
+//     otherwise — lies before the end of the engine's slice
+//     (sim.Engine.SliceEnd), so every Step boundary sees the state the
+//     rule above passes through;
+//   - the read would not fault.
+//
+// It then reads the store, books the port and files the response for s
+// as the tick would have. (The store cannot change in between: writes
+// reach it through the inbox, behind this READ, and the always-hit mode,
+// whose SPUs write it directly, sends the memory no READs.) Stats and
+// Undelivered count such a READ from s and from at, as they count one in
+// the inbox; a request later delivered on s joins that tick. Everything
+// else — writes, block requests, a READ behind queued requests or past
+// the slice end — takes the inbox.
+// refMemory in the tests is the inbox-only memory, and the differential
+// there holds the two to the same responses, cycles and statistics.
 type Memory struct {
 	cfg    Config
 	id     int32
 	net    *noc.Network
 	handle *sim.Handle
 	store  *Sparse
+	minLat sim.Cycle // the network's MinDeliveryLatency
 
 	inbox    msgHeap // requests, by (delivery cycle, network send order)
 	portFree []sim.Cycle
@@ -144,9 +188,24 @@ type Memory struct {
 	seq      int64   // service order of the responses
 	stats    Stats
 
+	// READs serviced at hand-over: the service cycle of the latest (0 for
+	// none; every delivery cycle is later), and the recent ones in service
+	// order — all whose service cycle the engine may not have passed yet,
+	// trimmed only when the slice is full. Neither is snapshot state: at a
+	// slice boundary every such service has passed.
+	lastHand sim.Cycle
+	ahead    []handOver
+
 	// Fault receives functional errors (out-of-range accesses); the
 	// machine wires it to abort the run with a diagnostic.
 	Fault func(error)
+}
+
+// handOver is one READ serviced at hand-over: its delivery and service
+// cycles and the bytes it read.
+type handOver struct {
+	at, s sim.Cycle
+	bytes int64
 }
 
 // New creates a memory with endpoint id on net.
@@ -159,6 +218,7 @@ func New(cfg Config, id int, net *noc.Network) *Memory {
 		id:       int32(id),
 		net:      net,
 		store:    NewSparse(cfg.SizeBytes),
+		minLat:   net.MinDeliveryLatency(),
 		portFree: make([]sim.Cycle, cfg.Ports),
 		Fault:    func(err error) { panic(err) },
 	}
@@ -174,8 +234,23 @@ func (m *Memory) Attach(h *sim.Handle) { m.handle = h }
 // result checking).
 func (m *Memory) Store() *Sparse { return m.store }
 
-// Stats returns a copy of the accumulated statistics.
-func (m *Memory) Stats() Stats { return m.stats }
+// Stats returns a copy of the accumulated statistics as of the engine's
+// position: a READ serviced at hand-over counts once the engine has
+// passed the memory's turn on its service cycle, as the tick that would
+// have serviced it would have (a Stop on that cycle before the memory's
+// turn, as the PPE's, leaves it out).
+func (m *Memory) Stats() Stats {
+	st := m.stats
+	e := m.handle.Engine()
+	for _, h := range m.ahead {
+		if !e.Passed(m.handle.ID(), h.s) {
+			st.ScalarReads--
+			st.BytesRead -= h.bytes
+			st.PortBusy--
+		}
+	}
+	return st
+}
 
 // Reset clears the functional store, all queued requests and pending
 // responses, port bookings and statistics for machine reuse.
@@ -186,22 +261,92 @@ func (m *Memory) Reset() {
 	m.out.reset()
 	m.seq = 0
 	m.stats = Stats{}
+	m.forgetHandOvers()
 }
 
-// DeliverAt implements noc.TimedEndpoint: the request joins the inbox
-// under its delivery cycle, and the memory makes sure it ticks on the
-// cycle after.
+func (m *Memory) forgetHandOvers() {
+	m.lastHand = 0
+	m.ahead = m.ahead[:0]
+}
+
+// DeliverAt implements noc.TimedEndpoint: a READ whose service cycle is
+// decided is serviced on the spot (see Memory); any other request joins
+// the inbox under its delivery cycle, and the memory makes sure it ticks
+// on the cycle after — or on the delivery cycle itself, when a READ
+// serviced at hand-over owns that cycle's tick.
 func (m *Memory) DeliverAt(at sim.Cycle, seq int64, msg noc.Message) {
+	if m.handOver(at, &msg) {
+		return
+	}
 	m.inbox.push(at, seq, msg)
-	m.handle.Wake(at + 1)
+	m.handle.Wake(m.serviceCycle(at))
+}
+
+// serviceCycle is the cycle an inbox request delivered at at is serviced
+// on, when no response falls due on at.
+func (m *Memory) serviceCycle(at sim.Cycle) sim.Cycle {
+	if at == m.lastHand {
+		return at
+	}
+	return at + 1
+}
+
+// handOver services a scalar READ when the network hands it over, if its
+// service cycle is already decided (see Memory), and reports whether it
+// did.
+func (m *Memory) handOver(at sim.Cycle, msg *noc.Message) bool {
+	if msg.Kind != noc.KindMemRead32 && msg.Kind != noc.KindMemRead64 || m.inbox.len() > 0 {
+		return false
+	}
+	e := m.handle.Engine()
+	if e == nil || at > e.Now()+m.minLat {
+		return false
+	}
+	s := m.serviceCycle(at)
+	if s > at && m.out.has(at) {
+		s = at
+	}
+	if s >= e.SliceEnd() {
+		return false
+	}
+	v, n, err := m.read(msg)
+	if err != nil {
+		return false // the inbox services it, and faults, on its tick
+	}
+	if len(m.ahead) == cap(m.ahead) {
+		// Make room by forgetting the services the clock has moved past.
+		k := 0
+		for k < len(m.ahead) && m.ahead[k].s < e.Now() {
+			k++
+		}
+		m.ahead = m.ahead[:copy(m.ahead, m.ahead[k:])]
+	}
+	m.ahead = append(m.ahead, handOver{at: at, s: s, bytes: int64(n)})
+	m.lastHand = s
+	// The memory is always scheduled for its earliest response (Tick
+	// returns it), so only a new earliest needs a wake.
+	earliest := sim.Never
+	if m.out.len() > 0 {
+		earliest = m.out.refs[0].at
+	}
+	if ready := m.serviceRead(s, msg, v, n); ready < earliest {
+		m.handle.Wake(ready)
+	}
+	return true
 }
 
 // Undelivered implements noc.TimedEndpoint. Requests leave the inbox
-// when they are serviced, which is never before their delivery cycle.
+// when they are serviced, which is never before their delivery cycle; a
+// READ serviced at hand-over counts until its delivery cycle likewise.
 func (m *Memory) Undelivered(now sim.Cycle) int {
 	k := 0
 	for _, ref := range m.inbox.refs {
 		if ref.at > now {
+			k++
+		}
+	}
+	for _, h := range m.ahead {
+		if h.at > now {
 			k++
 		}
 	}
@@ -244,8 +389,8 @@ func (m *Memory) occupancyFor(n int) sim.Cycle {
 
 // Tick services the requests delivered by now, in delivery order, and
 // sends the responses due. It asks to run again for the next response
-// or the cycle after the next delivery, whichever is first (see Memory
-// for the rule this makes).
+// or the service cycle of the next delivery, whichever is first (see
+// Memory for the rule this makes).
 func (m *Memory) Tick(now sim.Cycle) sim.Cycle {
 	for m.inbox.due(now) {
 		slot := m.inbox.popSlot()
@@ -262,10 +407,36 @@ func (m *Memory) Tick(now sim.Cycle) sim.Cycle {
 	if m.out.len() > 0 {
 		next = m.out.refs[0].at
 	}
-	if m.inbox.len() > 0 && m.inbox.refs[0].at+1 < next {
-		next = m.inbox.refs[0].at + 1
+	if m.inbox.len() > 0 {
+		next = min(next, m.serviceCycle(m.inbox.refs[0].at))
 	}
 	return next
+}
+
+// read performs a scalar READ's functional access, returning the value
+// and its width in bytes.
+func (m *Memory) read(msg *noc.Message) (int64, int, error) {
+	if msg.Kind == noc.KindMemRead64 {
+		v, err := m.store.Read64(msg.A)
+		return v, 8, err
+	}
+	v, err := m.store.Read32(msg.A)
+	return v, 4, err
+}
+
+// serviceRead books the port for a scalar READ of n bytes serviced at
+// cycle now, which read v, and files its response; it returns the cycle
+// the response is ready.
+func (m *Memory) serviceRead(now sim.Cycle, msg *noc.Message, v int64, n int) sim.Cycle {
+	start := m.reservePort(now, 1)
+	m.stats.ScalarReads++
+	m.stats.BytesRead += int64(n)
+	ready := start + sim.Cycle(m.cfg.Latency)
+	r := m.respond(ready)
+	r.Src, r.Dst, r.Kind = m.id, msg.Src, noc.KindMemReadResp
+	r.A, r.B, r.C = msg.A, v, msg.C
+	r.Pad = int32(n) // models the data payload on the wire
+	return ready
 }
 
 // service carries out one delivered request, read in its inbox slot.
@@ -274,28 +445,12 @@ func (m *Memory) service(now sim.Cycle, msg *noc.Message) {
 	lat := sim.Cycle(m.cfg.Latency)
 	switch msg.Kind {
 	case noc.KindMemRead32, noc.KindMemRead64:
-		n := 4
-		if msg.Kind == noc.KindMemRead64 {
-			n = 8
-		}
-		var v int64
-		var err error
-		if n == 4 {
-			v, err = m.store.Read32(msg.A)
-		} else {
-			v, err = m.store.Read64(msg.A)
-		}
+		v, n, err := m.read(msg)
 		if err != nil {
 			m.Fault(fmt.Errorf("scalar read from %d: %w", msg.Src, err))
 			return
 		}
-		start := m.reservePort(now, 1)
-		m.stats.ScalarReads++
-		m.stats.BytesRead += int64(n)
-		r := m.respond(start + lat)
-		r.Src, r.Dst, r.Kind = m.id, msg.Src, noc.KindMemReadResp
-		r.A, r.B, r.C = msg.A, v, msg.C
-		r.Pad = int32(n) // models the data payload on the wire
+		m.serviceRead(now, msg, v, n)
 
 	case noc.KindMemWrite32, noc.KindMemWrite64:
 		var err error

@@ -58,12 +58,10 @@ func (s *Sparse) Restore(r *snap.Reader) error {
 // checkpoint/fork harness's divergence knob. The latency is read per
 // request in service(), so a change between engine passes applies to
 // every request serviced afterwards, identically whether the prefix
-// was simulated or restored.
+// was simulated or restored. Zero is a legal latency (Config.Validate
+// accepts it), so only a negative value is clamped.
 func (m *Memory) SetLatency(cycles int) {
-	if cycles < 1 {
-		cycles = 1
-	}
-	m.cfg.Latency = cycles
+	m.cfg.Latency = max(cycles, 0)
 }
 
 // Latency returns the current access latency (for tests).
@@ -99,7 +97,9 @@ func (q *msgHeap) restore(r *snap.Reader) error {
 // Snapshot serialises the memory component's mutable state: the
 // functional store, the requests in the inbox — delivered or still on
 // their way, each with its delivery cycle — port bookings and pending
-// responses. Wiring (endpoint id, network, fault hook) is not state.
+// responses. Wiring (endpoint id, network, fault hook) is not state, and
+// neither are the READs serviced at hand-over: a snapshot is taken at a
+// slice boundary, and by then the engine has passed all of them.
 func (m *Memory) Snapshot(w *snap.Writer) {
 	m.store.Snapshot(w)
 	m.inbox.snapshot(w)
@@ -119,8 +119,11 @@ func (m *Memory) Snapshot(w *snap.Writer) {
 }
 
 // Restore rewinds the memory component to a snapshot taken on an
-// identically configured memory.
+// identically configured memory, forgetting the READs this memory
+// serviced at hand-over in whatever run it was in before: a stale latest
+// service cycle would make a delivery on that cycle look due.
 func (m *Memory) Restore(r *snap.Reader) error {
+	m.forgetHandOvers()
 	if err := m.store.Restore(r); err != nil {
 		return err
 	}

@@ -35,6 +35,13 @@ type Endpoint interface {
 //     undelivered message: a tick in between consumes the engine's one
 //     schedule slot for the component, the at+1 wake included.
 //
+// An endpoint may also act on a message at DeliverAt, ahead of the tick
+// that would have, when nothing can tell the two apart: what the tick
+// would do is already decided, it happens before the engine's slice
+// ends (sim.Engine.SliceEnd), and the endpoint's statistics and
+// Undelivered still count it from that tick's cycle. The memory services
+// a scalar READ this way (mem.Memory).
+//
 // The kind is fixed at registration. An endpoint in a touch group must
 // be ticked: EarliestDeliveryTo reads the network's own delivery heap.
 type TimedEndpoint interface {
@@ -239,6 +246,10 @@ func New(cfg Config) *Network {
 		busFree: make([]sim.Cycle, cfg.Buses),
 	}
 }
+
+// MinDeliveryLatency is the configuration's MinDeliveryLatency: no
+// message sent at cycle c or later is delivered before c plus it.
+func (n *Network) MinDeliveryLatency() sim.Cycle { return n.cfg.MinDeliveryLatency() }
 
 // occupancy returns the bus cycles a message of wire bytes occupies.
 func (n *Network) occupancy(wire int) sim.Cycle {

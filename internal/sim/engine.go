@@ -145,13 +145,21 @@ type Engine struct {
 	ticking  int32 // component currently inside Tick, notQueued outside
 	selfWake Cycle // earliest self-wake posted during the current Tick
 
+	// The engine's position, for components that do a future cycle's work
+	// ahead of time (SliceEnd, Passed): the bound of the RunUntil call in
+	// progress, and the key of the tick in progress — between ticks, of
+	// the last one run.
+	until Cycle
+	inRun bool
+	cur   entry
+
 	stopped bool
 	stopAt  Cycle
 }
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine {
-	return &Engine{ticking: notQueued}
+	return &Engine{ticking: notQueued, cur: entry{idx: notQueued}}
 }
 
 // Register adds a component to the engine and returns its wake handle.
@@ -175,6 +183,31 @@ func (e *Engine) Now() Cycle { return e.now }
 // host time moves with. It is not part of a snapshot: a restored run
 // counts from its restore point.
 func (e *Engine) Ticks(id int32) int64 { return e.ticks[id] }
+
+// SliceEnd returns the bound of the RunUntil call in progress: no event
+// at or past it runs before that call returns, so a component may do
+// work of an earlier cycle ahead of time and the state at the slice's
+// boundary is still the one an unsliced run passes through. Outside
+// RunUntil it is the clock: nothing may run ahead. A Resume after a Stop
+// continues the slice, so it must be followed by RunUntil with the same
+// bound (as Machine.StepUntil does).
+func (e *Engine) SliceEnd() Cycle {
+	if e.inRun {
+		return e.until
+	}
+	return e.now
+}
+
+// Passed reports whether the engine has reached component id's turn in
+// the first pass over cycle at: at is before the clock, or at is the
+// clock and the tick in progress — between RunUntil calls, the last tick
+// run — comes at or after that turn in (cycle, pass, registration
+// index) order. A component that did cycle at's work ahead of time asks
+// it to tell whether a tick of its own on that cycle would have run yet,
+// for instance at a Stop.
+func (e *Engine) Passed(id int32, at Cycle) bool {
+	return at < e.now || at == e.now && !e.cur.before(entry{at: at, idx: id})
+}
 
 // NumComponents returns the number of registered components; their ids
 // are 0..NumComponents()-1 in registration order.
@@ -256,6 +289,8 @@ func (e *Engine) rewind(now Cycle) {
 		e.pos[i] = notQueued
 	}
 	e.ticking = notQueued
+	e.inRun = false
+	e.cur = entry{at: now, idx: notQueued} // nothing has run on the clock's cycle
 	clear(e.ticks)
 }
 
@@ -328,6 +363,13 @@ const (
 // paused engine sees precisely the schedule it would see
 // run-to-completion, and slices cost nothing in fidelity.
 func (e *Engine) RunUntil(until Cycle) (Cycle, RunStatus) {
+	e.until, e.inRun = until, true
+	end, st := e.runUntil(until)
+	e.inRun = false
+	return end, st
+}
+
+func (e *Engine) runUntil(until Cycle) (Cycle, RunStatus) {
 	for !e.stopped {
 		if len(e.heap) == 0 {
 			return e.now, RunQuiescent
@@ -357,7 +399,8 @@ func (e *Engine) RunUntil(until Cycle) (Cycle, RunStatus) {
 // re-keys it in place: one siftDown to its next cycle, or a pop when it
 // sleeps until woken.
 func (e *Engine) tickRoot() {
-	i := e.heap[0].idx
+	e.cur = e.heap[0]
+	i := e.cur.idx
 	e.ticking = i
 	e.selfWake = Never
 	e.ticks[i]++

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -118,6 +119,80 @@ func TestRunUntilBudgetLandsOnNextEvent(t *testing.T) {
 	if st != RunBudget || end != 5000 {
 		t.Fatalf("resume: got (%d, %d), want (5000, RunBudget)", end, st)
 	}
+}
+
+// TestSliceEnd: inside RunUntil the slice end is the call's bound (Never
+// for an unbounded run), outside it is the clock.
+func TestSliceEnd(t *testing.T) {
+	e := NewEngine()
+	var seen []Cycle
+	a := &recorder{name: "a", plan: []Cycle{10, 20, Never}}
+	a.onRun = func(Cycle) { seen = append(seen, e.SliceEnd()) }
+	e.Register(a)
+	if got := e.SliceEnd(); got != 0 {
+		t.Fatalf("SliceEnd before any run = %d, want the clock, 0", got)
+	}
+	if end, st := e.RunUntil(15); st != RunBudget || end != 20 {
+		t.Fatalf("RunUntil(15) = (%d, %d), want (20, RunBudget)", end, st)
+	}
+	if got := e.SliceEnd(); got != 20 {
+		t.Fatalf("SliceEnd after the slice = %d, want the clock, 20", got)
+	}
+	if _, st := e.RunUntil(Never); st != RunQuiescent {
+		t.Fatalf("RunUntil(Never) status %d, want RunQuiescent", st)
+	}
+	if want := []Cycle{15, 15, Never}; !slices.Equal(seen, want) {
+		t.Fatalf("SliceEnd inside the ticks = %v, want %v", seen, want)
+	}
+	if got := e.SliceEnd(); got != 20 {
+		t.Fatalf("SliceEnd after the run = %d, want the clock, 20", got)
+	}
+}
+
+// TestPassed: the engine has passed a component's turn on a cycle once
+// the clock is beyond it, or on that cycle once it ticks (or, between
+// runs, last ticked) that component or one after it — at a Stop, at a
+// slice boundary, after the run.
+func TestPassed(t *testing.T) {
+	e := NewEngine()
+	type ask struct {
+		id int32
+		at Cycle
+	}
+	check := func(when string, want map[ask]bool) {
+		t.Helper()
+		for q, w := range want {
+			if got := e.Passed(q.id, q.at); got != w {
+				t.Errorf("%s: Passed(%d, %d) = %v, want %v", when, q.id, q.at, got, w)
+			}
+		}
+	}
+	a := &recorder{name: "a", plan: []Cycle{5, 12, Never}}
+	b := &recorder{name: "b", plan: []Cycle{5, Never}}
+	b.onRun = func(now Cycle) {
+		if now == 5 {
+			check("inside b's tick", map[ask]bool{{0, 5}: true, {1, 5}: true, {2, 5}: false, {2, 4}: true, {0, 6}: false})
+			e.Stop()
+		}
+	}
+	c := &recorder{name: "c", plan: []Cycle{5, Never}}
+	for _, r := range []*recorder{a, b, c} {
+		e.Register(r)
+	}
+	check("before the run", map[ask]bool{{0, 0}: false, {2, 0}: false})
+	if end, st := e.RunUntil(Never); st != RunStopped || end != 5 {
+		t.Fatalf("RunUntil = (%d, %d), want (5, RunStopped)", end, st)
+	}
+	check("stopped by b", map[ask]bool{{1, 5}: true, {2, 5}: false, {2, 4}: true})
+	e.Resume()
+	if end, st := e.RunUntil(10); st != RunBudget || end != 12 {
+		t.Fatalf("RunUntil(10) = (%d, %d), want (12, RunBudget)", end, st)
+	}
+	check("at the boundary", map[ask]bool{{0, 12}: false, {2, 11}: true})
+	if _, st := e.RunUntil(Never); st != RunQuiescent {
+		t.Fatalf("status %d, want RunQuiescent", st)
+	}
+	check("after the run", map[ask]bool{{0, 12}: true, {2, 12}: false, {0, 13}: false})
 }
 
 // TestRunUntilDegenerate covers bounds at or before the clock and the
