@@ -170,13 +170,14 @@ type RunOptions struct {
 	Workload string
 	Params   Params
 	Prefetch bool   // apply the DMA-prefetching transformation
-	Config   Config // zero value selects DefaultConfig
+	Config   Config // the zero Config selects DefaultConfig
 }
 
-// Run builds and executes a benchmark in one call.
+// Run builds and executes a benchmark in one call. A Config that is not
+// the zero value is used as given, so an invalid one is an error.
 func Run(opt RunOptions) (*Result, error) {
 	cfg := opt.Config
-	if cfg.SPEs == 0 {
+	if cfg == (Config{}) {
 		cfg = DefaultConfig()
 	}
 	p := opt.Params

@@ -2,7 +2,7 @@
 // thread templates with PF/PL/EX/PS code blocks, labels, region
 // declarations for the prefetch compiler, tagged reads, the entry
 // declaration and initial memory segments. The format round-trips
-// through Format/Parse, and cmd/dtasm exposes it on the command line.
+// through Format/Parse, and `dta asm` exposes it on the command line.
 //
 // Example:
 //

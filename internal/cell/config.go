@@ -33,10 +33,6 @@ type Config struct {
 	// MaxCycles aborts runaway simulations (0 = no limit).
 	MaxCycles sim.Cycle
 
-	// TraceCap enables thread-lifecycle tracing with the given event
-	// capacity (0 disables tracing).
-	TraceCap int
-
 	// Record enables full timeline recording (SPU dispatch/burst
 	// windows, MFC DMA lifetimes, NoC message spans, thread lifecycle)
 	// into a trace.Recorder surfaced as Result.Rec. RecordCap bounds

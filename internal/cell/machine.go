@@ -36,7 +36,6 @@ type Machine struct {
 	spes   []*SPE
 	dses   []*dta.DSE
 	ppe    *PPE
-	tracer *trace.Buffer
 	rec    *trace.Recorder // non-nil when cfg.Record
 	prof   *stats.Profile  // non-nil when cfg.Profile; shared by all SPUs
 
@@ -95,11 +94,10 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 
 	m := &Machine{cfg: cfg, prog: prog, code: spu.NewCode(cfg.SPU), eng: sim.NewEngine()}
 	m.code.Bind(prog)
+	var threads *trace.Buffer // the LSEs' lifecycle sink: nil unless recording
 	if cfg.Record {
 		m.rec = trace.NewRecorder(cfg.RecordCap)
-		m.tracer = m.rec.Threads
-	} else if cfg.TraceCap > 0 {
-		m.tracer = trace.NewBuffer(cfg.TraceCap)
+		threads = m.rec.Threads
 	}
 	if cfg.Profile {
 		// One shared store: the engine is single-threaded and the profile
@@ -143,7 +141,7 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		lseUnit.Attach(lseHandle)
 		m.net.Register(lseEP(i), lseUnit)
 		lseUnit.Fault = m.fail
-		lseUnit.Trace = m.tracer
+		lseUnit.Trace = threads
 
 		dmaEng := mfc.New(cfg.MFC, cfg.mfcEP(i), cfg.memEP(), m.net, store)
 		mfcHandle := m.eng.Register(dmaEng)
@@ -259,12 +257,7 @@ func (m *Machine) Reset(prog *program.Program) error {
 		}
 		m.knobbed = false
 	}
-	if m.cfg.Record {
-		m.rec.Reset()
-		m.tracer = m.rec.Threads
-	} else if m.cfg.TraceCap > 0 {
-		m.tracer = trace.NewBuffer(m.cfg.TraceCap)
-	}
+	m.rec.Reset() // clears the LSEs' lifecycle sink in place
 	// Pool safety: a reused machine must not leak the previous run's
 	// samples (Reset keeps the component wiring, clears the store).
 	m.prof.Reset()
@@ -274,7 +267,6 @@ func (m *Machine) Reset(prog *program.Program) error {
 		spe.LS.Reset()
 		spe.Alloc.Reset(layout.HeapBase, layout.HeapBytes)
 		spe.LSE.Reset(prog, int64(layout.FrameBase))
-		spe.LSE.Trace = m.tracer
 		spe.MFC.Reset()
 		spe.SPU.Reset()
 	}
@@ -367,7 +359,6 @@ type Result struct {
 	DSEs     []dta.DSEStats
 	Mem      mem.Stats
 	Net      noc.Stats
-	Trace    *trace.Buffer   // non-nil when Config.TraceCap > 0 or Config.Record
 	Rec      *trace.Recorder // non-nil when Config.Record
 	Prof     *stats.Profile  // non-nil when Config.Profile (guest cycle profile)
 	CheckErr error           // result of the program's functional check
@@ -474,7 +465,7 @@ func (m *Machine) StepUntil(until sim.Cycle) (StepStatus, error) {
 func (m *Machine) Finish() (*Result, error) {
 	end := m.endAt
 	res := &Result{Cycles: end, Tokens: m.ppe.Tokens(), Mem: m.memory.Stats(),
-		Net: m.net.Stats(), Trace: m.tracer, Rec: m.rec, Prof: m.prof,
+		Net: m.net.Stats(), Rec: m.rec, Prof: m.prof,
 		SPUs: make([]stats.SPU, 0, len(m.spes)), LSEs: make([]dta.LSEStats, 0, len(m.spes)),
 		MFCs: make([]mfc.Stats, 0, len(m.spes)), DSEs: make([]dta.DSEStats, 0, len(m.dses))}
 	for _, spe := range m.spes {

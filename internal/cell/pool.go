@@ -29,7 +29,7 @@ var (
 //
 // A Pool is NOT safe for concurrent use: it is deliberately a
 // per-worker object (one per harness sweep context, dtad worker or
-// dtafuzz goroutine), which keeps every simulation single-threaded and
+// `dta fuzz` goroutine), which keeps every simulation single-threaded and
 // deterministic with zero locking.
 type Pool struct {
 	free map[Config][]*Machine

@@ -84,11 +84,11 @@ func (m *Machine) RunTo(target sim.Cycle) (sim.Cycle, StepStatus, error) {
 }
 
 // CanSnapshot reports whether the machine is in a serialisable state:
-// trace/timeline recording buffers are not serialised, and a faulted or
+// timeline recording buffers are not serialised, and a faulted or
 // post-drain machine has nothing meaningful to capture.
 func (m *Machine) CanSnapshot() error {
-	if m.cfg.Record || m.cfg.TraceCap > 0 {
-		return fmt.Errorf("cell: snapshot with tracing or timeline recording enabled")
+	if m.cfg.Record {
+		return fmt.Errorf("cell: snapshot with timeline recording enabled")
 	}
 	if m.faultErr != nil {
 		return fmt.Errorf("cell: snapshot of a faulted machine: %w", m.faultErr)

@@ -274,14 +274,13 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotGatesUnserialisableState: recording and tracing buffers
-// are not serialised, so capture must refuse rather than silently drop
-// them.
+// TestSnapshotGatesUnserialisableState: recording buffers are not
+// serialised, so capture must refuse rather than silently drop them.
 func TestSnapshotGatesUnserialisableState(t *testing.T) {
 	p := progMinimal(t)
 	for _, mod := range []func(*Config){
 		func(c *Config) { c.Record = true },
-		func(c *Config) { c.TraceCap = 128 },
+		func(c *Config) { c.Record, c.RecordCap = true, 128 },
 	} {
 		cfg := smallConfig(1)
 		mod(&cfg)

@@ -306,7 +306,7 @@ func ablationWriteback(ctx *Context) (*Outcome, error) {
 	specs := make([]runSpec, len(rows))
 	for i, row := range rows {
 		w, _ := workloads.Get("mmul")
-		prog, err := w.Build(ctx.benchParams("mmul", ctx.Opt.SPEs))
+		prog, err := w.Build(ctx.Opt.benchParams("mmul", ctx.Opt.SPEs))
 		if err != nil {
 			return nil, err
 		}

@@ -24,7 +24,7 @@ func sweepExperiments(t testing.TB) []*Experiment {
 	return exps
 }
 
-// BenchmarkHarnessSharedSweep is what cmd/experiments does and the
+// BenchmarkHarnessSharedSweep is what `dta exp` does and the
 // benchmark's paper-sweep measures: the 8-experiment sweep on ONE
 // NewContext with RunOn per experiment, so the run cache is shared
 // across experiments and each experiment's declared runs spread over

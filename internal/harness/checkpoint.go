@@ -158,7 +158,7 @@ func (cc *CheckpointCache) insert(key string, blob []byte) {
 // div finishes un-knobbed, exactly as a cold run would.
 //
 // Recording and profiling are not supported on this path — snapshot
-// capture refuses machines with trace buffers, and the pre-divergence
+// capture refuses recording machines, and the pre-divergence
 // prefix of a restored run was never executed here, so there would be
 // nothing faithful to record.
 func (c *Context) fork(prog *program.Program, spes int, knobs cell.Knobs, div sim.Cycle) (*cell.Result, error) {

@@ -45,7 +45,7 @@ func errorSweep(t *testing.T) []*Experiment {
 }
 
 // checkErrorSweep runs the error sweep at GOMAXPROCS=procs through
-// RunOn on one shared NewContext, as cmd/experiments does, and asserts
+// RunOn on one shared NewContext, as `dta exp` does, and asserts
 // the contract on failing experiments: errors land on their own slot,
 // panics are converted to errors naming the experiment, healthy
 // experiments keep their outcome, and every result records its

@@ -210,7 +210,7 @@ type profState struct {
 }
 
 // NewContext prepares a context with its own machine pool — the one
-// context of a sweep (cmd/experiments, the benchmark's paper-sweep).
+// context of a sweep (`dta exp`, the benchmark's paper-sweep).
 // It owns its goroutine budget too: experiments declare their runs
 // (runAll) and the mutually independent ones are simulated on every
 // core, each on a machine of its own.
@@ -342,13 +342,13 @@ type progKey struct {
 }
 
 // benchParams returns the paper's problem sizes (or quick ones).
-func (c *Context) benchParams(bench string, spes int) workloads.Params {
+func (o Options) benchParams(bench string, spes int) workloads.Params {
 	w, ok := workloads.Get(bench)
 	if !ok {
 		panic("harness: unknown benchmark " + bench)
 	}
 	n := w.DefaultN
-	if c.Opt.Quick {
+	if o.Quick {
 		switch bench {
 		case "bitcnt":
 			n = 400
@@ -356,7 +356,7 @@ func (c *Context) benchParams(bench string, spes int) workloads.Params {
 			n = 16
 		}
 	}
-	p := workloads.Params{N: n, Seed: c.Opt.Seed}
+	p := workloads.Params{N: n, Seed: o.Seed}
 	switch bench {
 	case "bitcnt":
 		// chunking is fixed by the workload default
@@ -372,8 +372,17 @@ func (c *Context) buildProgram(bench string, spes int, pf, chunked bool) (*progr
 	if p, ok := c.progs[key]; ok {
 		return p, nil
 	}
+	prog, err := build(bench, c.Opt.benchParams(bench, spes), pf, chunked)
+	if err != nil {
+		return nil, err
+	}
+	c.progs[key] = prog
+	return prog, nil
+}
+
+func build(bench string, p workloads.Params, pf, chunked bool) (*program.Program, error) {
 	w, _ := workloads.Get(bench)
-	prog, err := w.Build(c.benchParams(bench, spes))
+	prog, err := w.Build(p)
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", bench, err)
 	}
@@ -384,8 +393,33 @@ func (c *Context) buildProgram(bench string, spes int, pf, chunked bool) (*progr
 			return nil, fmt.Errorf("transform %s: %w", bench, err)
 		}
 	}
-	c.progs[key] = prog
 	return prog, nil
+}
+
+// BenchProgram builds bench's program the way every experiment at opt
+// builds it for opt.SPEs SPEs: the paper's problem size, or the quick
+// one with opt.Quick, AutoWorkers guest workers and opt.Seed as the
+// input seed, prefetch-transformed when pf is set. n > 0 overrides the
+// problem size.
+func BenchProgram(opt Options, bench string, n int, pf bool) (*program.Program, error) {
+	if _, ok := workloads.Get(bench); !ok {
+		return nil, fmt.Errorf("unknown benchmark %q (have %v)", bench, workloads.Names())
+	}
+	opt = opt.WithDefaults()
+	p := opt.benchParams(bench, opt.SPEs)
+	if n > 0 {
+		p.N = n
+	}
+	return build(bench, p, pf, true)
+}
+
+// MachineConfig is the machine every experiment at opt runs its
+// benchmarks on: the paper's platform with opt.SPEs SPEs and an
+// opt.Latency-cycle memory, wired for the §4.3 always-hit study at
+// latency 1.
+func MachineConfig(opt Options) cell.Config {
+	opt = opt.WithDefaults()
+	return opt.machineConfig(opt.SPEs, defaultVariant())
 }
 
 // variant describes one machine configuration knob set for run().
@@ -438,10 +472,20 @@ func (c *Context) bill(key runKey, res *cell.Result, hit bool) {
 // fork path so checkpoint keys agree with what execute would build
 // (recording/profiling flags are layered on by execute alone).
 func (c *Context) machineConfig(spes int, v variant) cell.Config {
+	cfg := c.Opt.machineConfig(spes, v)
+	if c.SingleStep {
+		cfg.SPU.BurstMax = -1
+	}
+	return cfg
+}
+
+// machineConfig is the part of Context.machineConfig the options alone
+// decide.
+func (o Options) machineConfig(spes int, v variant) cell.Config {
 	cfg := cell.DefaultConfig()
 	cfg.SPEs = spes
-	cfg.Mem.Latency = c.Opt.Latency
-	if c.Opt.Latency == 1 {
+	cfg.Mem.Latency = o.Latency
+	if o.Latency == 1 {
 		// The paper's "all memory latencies set to one cycle" study
 		// (§4.3) models the best case "when cache accesses would always
 		// hit": READ/WRITE become 1-cycle ideal-cache accesses and the
@@ -461,9 +505,6 @@ func (c *Context) machineConfig(spes int, v variant) cell.Config {
 	cfg.LSE.VirtualFP = v.vfp
 	if v.frames > 0 {
 		cfg.LSE.NumFrames = v.frames
-	}
-	if c.SingleStep {
-		cfg.SPU.BurstMax = -1
 	}
 	return cfg
 }
@@ -490,9 +531,9 @@ func (c *Context) execute(prog *program.Program, spes int, v variant, label stri
 	res, err := m.Run()
 	if !recording && !profiling {
 		// Safe to release immediately, failed run included: Result copies
-		// all statistics, the trace buffer is replaced (not cleared) on
-		// reuse, harness experiments never read the machine's memory
-		// image, and the next Get resets whatever state the run left.
+		// all statistics, harness experiments never read the machine's
+		// memory image, and the next Get resets whatever state the run
+		// left.
 		c.pool.Put(m)
 	}
 	if err != nil {
@@ -530,7 +571,7 @@ var benchmarks = []string{"bitcnt", "mmul", "zoom"}
 
 // benchLabel renders "bitcnt(10000)"-style labels.
 func (c *Context) benchLabel(bench string) string {
-	return fmt.Sprintf("%s(%d)", bench, c.benchParams(bench, c.Opt.SPEs).N)
+	return fmt.Sprintf("%s(%d)", bench, c.Opt.benchParams(bench, c.Opt.SPEs).N)
 }
 
 // sortedKeys is a helper for deterministic metric listings.

@@ -44,7 +44,7 @@ type sweepFootprint struct {
 }
 
 // sharedSweep runs exps through RunOn on one NewContext — what
-// cmd/experiments and the benchmark's paper-sweep do — at the given
+// `dta exp` and the benchmark's paper-sweep do — at the given
 // GOMAXPROCS. serialLoop turns runAll's spreading off, so every spec
 // list runs one by one through memoRun: the reference loop.
 func sharedSweep(t *testing.T, exps []*Experiment, procs int, serialLoop bool) sweepFootprint {

@@ -22,7 +22,7 @@ type RunResult struct {
 // RunOn executes one experiment on the given context, converting panics
 // into errors so one bad experiment cannot take down a sweep. It is the
 // one way to run an experiment: a sweep calls it per experiment on one
-// NewContext (cmd/experiments, the benchmark's paper-sweep), and the
+// NewContext (`dta exp`, the benchmark's paper-sweep), and the
 // dtad service calls it per job. A panic inside a simulation that
 // runAll moved to a goroutine of its own never reaches this recover:
 // runAll carries it back as that run's error.

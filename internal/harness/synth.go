@@ -12,7 +12,7 @@ import (
 // functional oracle, simulated original, simulated prefetch-transformed
 // — and reports the scenario's cycle counts and decoupling. That makes
 // generated scenarios sweepable like any paper figure, listable and
-// selectable in cmd/experiments, and addressable through dtad run keys
+// selectable in `dta exp`, and addressable through dtad run keys
 // (which fold in the generator version) with zero extra plumbing.
 func init() {
 	for _, seed := range synth.CorpusSeeds() {

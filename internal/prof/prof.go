@@ -7,7 +7,7 @@
 // This is the *guest* side of the repo's two profiling layers: samples
 // are simulated SPU cycles attributed to (program, template block, PC,
 // stall cause). The *host* side — profiling the simulator process
-// itself — is internal/profiling (-cpuprofile/-memprofile) and dtad's
+// itself — is the -cpuprofile/-memprofile flags of cmd/dta and dtad's
 // -debug-addr (net/http/pprof).
 //
 // Profile shape:

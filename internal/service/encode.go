@@ -63,7 +63,7 @@ func EncodeResult(experimentID string, opt harness.Options, out *harness.Outcome
 }
 
 // RunLine is one NDJSON event: a completed (or failed) experiment with
-// its timing. It is emitted by `experiments -json` and by the dtad
+// its timing. It is emitted by `dta exp -json` and by the dtad
 // sweep stream, so batch and served paths produce the same shape.
 type RunLine struct {
 	Experiment string             `json:"experiment"`

@@ -72,7 +72,7 @@ func TestEncodeResultNilOutcome(t *testing.T) {
 }
 
 // TestEncodeRunResultGolden pins the NDJSON line shape shared by
-// `experiments -json` and the dtad sweep stream.
+// `dta exp -json` and the dtad sweep stream.
 func TestEncodeRunResultGolden(t *testing.T) {
 	opt := harness.Options{Quick: true}
 	exp := &harness.Experiment{ID: "goldexp"}

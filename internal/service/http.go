@@ -561,7 +561,7 @@ func (s *Service) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamLine renders a terminal job as a RunLine, reusing the result
-// document's tables/metrics so the stream matches `experiments -json`.
+// document's tables/metrics so the stream matches `dta exp -json`.
 func (s *Service) streamLine(job *Job) ([]byte, error) {
 	doc := s.jobDoc(job, true)
 	line := RunLine{

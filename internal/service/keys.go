@@ -3,7 +3,7 @@
 // addressable, a bounded LRU cache serves repeated runs without
 // re-simulating, a worker-pool job queue runs each worker's jobs one at
 // a time with every simulation single-threaded, and an HTTP/JSON API
-// (cmd/dtad) exposes submit/poll/stream over all of it.
+// (`dta serve`) exposes submit/poll/stream over all of it.
 //
 // The whole design leans on one property the harness test suite
 // enforces: simulations are byte-for-byte

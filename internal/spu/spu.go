@@ -18,7 +18,7 @@
 //   - the reference cycle (tick → issueCycle → execute, spu.go): one
 //     cycle on the engine clock, every opcode, every block transition.
 //     It is all that runs when Config.BurstMax is 1, which is what the
-//     burst differentials (synth corpus, paper experiments, dtafuzz
+//     burst differentials (synth corpus, paper experiments, dta fuzz
 //     -diffburst, the kernel edge tests here) compare against;
 //   - the kernel window (burst, burst.go): after each reference cycle,
 //     one loop pre-executes the following cycles for as long as they

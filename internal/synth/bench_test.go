@@ -13,7 +13,7 @@ import (
 // commits.
 const benchSeeds = 500
 
-// BenchmarkCheckSeed measures the differential check the way dtafuzz and
+// BenchmarkCheckSeed measures the differential check the way `dta fuzz` and
 // the benchmark's fuzz-corpus workload pay for it: consecutive seeds
 // through one cell.Pool, so machines are reset, not built. Most of a
 // check is fixed cost (generate, validate, reset, compare), not

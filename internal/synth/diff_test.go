@@ -62,7 +62,7 @@ func TestDifferentialDeterministic(t *testing.T) {
 }
 
 // TestCheckScenarioLatency: the checker honours a non-default memory
-// latency (used by dtafuzz -quick).
+// latency (the CI sweep's `dta fuzz -latency 60`).
 func TestCheckScenarioLatency(t *testing.T) {
 	slow, err := CheckSeed(9, CheckOptions{Latency: 300})
 	if err != nil {

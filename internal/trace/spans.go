@@ -185,6 +185,5 @@ func (r *Recorder) Reset() {
 	r.dropped = 0
 	if r.Threads != nil {
 		r.Threads.events = r.Threads.events[:0]
-		r.Threads.dropped = 0
 	}
 }

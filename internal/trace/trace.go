@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/sim"
 )
@@ -70,16 +69,16 @@ func (e Event) String() string {
 		e.At, e.SPE, e.Kind, e.Thread, e.Template)
 }
 
-// Buffer is a bounded event sink shared by all LSEs of a machine. A nil
-// *Buffer is a valid no-op sink, so tracing costs nothing when disabled.
+// Buffer is a bounded event sink shared by all LSEs of a machine: a
+// Recorder's Threads track. A nil *Buffer is a valid no-op sink, so
+// tracing costs nothing when disabled.
 type Buffer struct {
-	cap     int
-	events  []Event
-	dropped int64
+	cap    int
+	events []Event
 }
 
 // NewBuffer returns a sink holding at most capacity events (extra events
-// are counted as dropped).
+// are dropped).
 func NewBuffer(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 1024
@@ -92,11 +91,9 @@ func (b *Buffer) Emit(e Event) {
 	if b == nil {
 		return
 	}
-	if len(b.events) >= b.cap {
-		b.dropped++
-		return
+	if len(b.events) < b.cap {
+		b.events = append(b.events, e)
 	}
-	b.events = append(b.events, e)
 }
 
 // Events returns the recorded events in emission order.
@@ -105,22 +102,4 @@ func (b *Buffer) Events() []Event {
 		return nil
 	}
 	return b.events
-}
-
-// Dropped returns how many events exceeded the capacity.
-func (b *Buffer) Dropped() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.dropped
-}
-
-// Dump writes the recorded events to w.
-func (b *Buffer) Dump(w io.Writer) {
-	for _, e := range b.Events() {
-		fmt.Fprintln(w, e)
-	}
-	if d := b.Dropped(); d > 0 {
-		fmt.Fprintf(w, "(%d further events dropped; raise the trace capacity)\n", d)
-	}
 }

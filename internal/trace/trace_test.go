@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -13,7 +12,7 @@ import (
 func TestNilBufferIsNoOp(t *testing.T) {
 	var b *trace.Buffer
 	b.Emit(trace.Event{}) // must not panic
-	if b.Events() != nil || b.Dropped() != 0 {
+	if b.Events() != nil {
 		t.Fatal("nil buffer not empty")
 	}
 }
@@ -23,13 +22,9 @@ func TestBufferCapacityAndDrop(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Emit(trace.Event{Thread: int64(i)})
 	}
-	if len(b.Events()) != 2 || b.Dropped() != 3 {
-		t.Fatalf("events=%d dropped=%d", len(b.Events()), b.Dropped())
-	}
-	var out bytes.Buffer
-	b.Dump(&out)
-	if !strings.Contains(out.String(), "3 further events dropped") {
-		t.Fatalf("dump missing drop notice: %q", out.String())
+	got := b.Events()
+	if len(got) != 2 || got[0].Thread != 0 || got[1].Thread != 1 {
+		t.Fatalf("events = %+v, want the first two emitted", got)
 	}
 }
 
@@ -63,7 +58,8 @@ func TestLifecycleOrderMatchesFigure4(t *testing.T) {
 	cfg := cell.DefaultConfig()
 	cfg.SPEs = 1
 	cfg.MaxCycles = 1_000_000
-	cfg.TraceCap = 64
+	cfg.Record = true
+	cfg.RecordCap = 64
 	m, err := cell.New(cfg, p)
 	if err != nil {
 		t.Fatal(err)
@@ -72,12 +68,12 @@ func TestLifecycleOrderMatchesFigure4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
-		t.Fatal("no trace buffer on result")
+	if res.Rec == nil {
+		t.Fatal("no recorder on result")
 	}
 	var kinds []trace.Kind
 	var cycles []int64
-	for _, e := range res.Trace.Events() {
+	for _, e := range res.Rec.Threads.Events() {
 		if e.Thread != 1 { // the root thread on SPE 0
 			continue
 		}
@@ -132,8 +128,8 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace != nil {
-		t.Fatal("trace buffer allocated without TraceCap")
+	if res.Rec != nil {
+		t.Fatal("recorder allocated without Record")
 	}
 }
 
