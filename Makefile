@@ -1,27 +1,9 @@
 GO ?= go
 
-.PHONY: build test bench bench-baseline perf-smoke
+.PHONY: build test
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
-
-# bench runs the simulation-throughput benchmark set and writes
-# BENCH_simthroughput.json (ns/op, B/op, allocs/op, sim-cycles/sec).
-bench:
-	$(GO) run ./cmd/benchjson -benchtime 3x -count 3 -out BENCH_simthroughput.json
-
-# bench-baseline refreshes the committed baseline (run before landing a
-# perf change so the PR records a before/after pair).
-bench-baseline:
-	$(GO) run ./cmd/benchjson -benchtime 3x -count 3 -out BENCH_simthroughput.baseline.json
-
-# perf-smoke is the CI gate: a short, low-iteration pass compared
-# against the committed baseline. The gate is generous (>25% ns/op
-# regression) because CI hardware differs from the machine that
-# recorded the baseline; see EXPERIMENTS.md "Performance".
-perf-smoke:
-	$(GO) run ./cmd/benchjson -benchtime 2x -count 2 -out BENCH_simthroughput.json \
-		-compare BENCH_simthroughput.baseline.json -max-regress 25

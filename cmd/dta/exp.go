@@ -23,7 +23,8 @@ import (
 // run in order on ONE shared context: repeated configurations hit its
 // run cache, and each experiment's mutually independent simulations run
 // on every core, each single-threaded on a machine of its own (-trace
-// and -profile run them one at a time). Results stream as experiments
+// and -profile too: the recordings and profiles are kept in the order
+// the runs were declared). Results stream as experiments
 // complete; -json prints them as NDJSON in the shape the dtad sweep
 // stream serves, so piped consumers need only one decoder. A failed
 // experiment does not abort the sweep (it is reported on stderr and in

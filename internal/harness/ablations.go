@@ -100,7 +100,7 @@ func ablationVFP(ctx *Context) (*Outcome, error) {
 		cfg.LSE.NumFrames = row.frames
 		specs[i] = runSpec{prog: prog, cfg: &cfg}
 	}
-	runs, errs := ctx.runAll(specs)
+	runs, errs := declare(ctx, specs)
 
 	t := &stats.Table{
 		Title:   "A1 — blocking FALLOC vs virtual frame pointers (bitcnt, 8 spawner chains)",

@@ -31,8 +31,7 @@ func sweepExperiments(t testing.TB) []*Experiment {
 // the cores (runAll). It reports how many cores the sweep may occupy
 // ("cores" is the ceiling — experiments with one machine configuration
 // occupy a single core) and the simulated cycles it represents per
-// iteration; cmd/benchjson combines the numbers into
-// sim-cycles/sec/core.
+// iteration, from which sim-cycles/sec/core follows.
 func BenchmarkHarnessSharedSweep(b *testing.B) {
 	exps := sweepExperiments(b)
 	b.ResetTimer()
@@ -59,8 +58,8 @@ func BenchmarkHarnessSharedSweep(b *testing.B) {
 // run as their warm-up prefix. With checkpointing the prefix is
 // simulated once per benchmark and every sibling variant restores from
 // the snapshot; cold=true disables the cache so the same sweep
-// re-simulates every prefix — the before/after pair cmd/benchjson
-// records.
+// re-simulates every prefix — the before/after pair of the checkpoint
+// machinery.
 //
 // Both variants report identical "sim-cycles" (the cycles the sweep
 // REPRESENTS, the same accounting as the other sweep benchmarks), so

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/cell"
@@ -148,94 +147,78 @@ func (cc *CheckpointCache) insert(key string, blob []byte) {
 	CheckpointBytes.Add(cc.blobs.Cost() - before)
 }
 
-// fork executes prog with knobs taking effect at the first event
-// boundary at or beyond div, sharing the warm-up prefix across calls:
-// the prefix state is served from the checkpoint cache when a sibling
-// variant (same cfg, program and divergence cycle) already simulated
-// it, and simulated once then captured otherwise. Forked runs are
-// byte-identical to running cold and applying the knobs at the same
-// boundary (see cell.TestKnobDivergence); a run that completes before
-// div finishes un-knobbed, exactly as a cold run would.
-//
-// Recording and profiling are not supported on this path — snapshot
-// capture refuses recording machines, and the pre-divergence
-// prefix of a restored run was never executed here, so there would be
-// nothing faithful to record.
-func (c *Context) fork(prog *program.Program, spes int, knobs cell.Knobs, div sim.Cycle) (*cell.Result, error) {
-	cfg := c.machineConfig(spes, defaultVariant())
-	m, err := c.pool.Get(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	useCkpt := c.ckpts != nil
-	restored := false
-	var key string
-	if useCkpt {
-		key = cell.SnapshotKey(cfg, prog, div)
-		if blob, ok := c.ckpts.Get(key); ok {
-			if rerr := m.RestoreSnapshot(blob, key); rerr == nil {
-				CheckpointCyclesSaved.Add(int64(m.Now()))
-				restored = true
-			} else {
-				// A blob that fails to restore is poison: drop it and
-				// recover the half-written machine for the cold path.
-				c.ckpts.Drop(key)
-				if err := m.Reset(prog); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	st := cell.StepBudget
-	if !restored {
-		// The capture point is the first natural event boundary at or
-		// beyond div (see cell.Machine.RunTo).
-		_, st, err = m.RunTo(div)
-		if err != nil {
-			return nil, err
-		}
-		if useCkpt && st != cell.StepDone {
-			if blob, err := m.EncodeSnapshot(key); err == nil {
-				c.ckpts.Put(key, blob)
-			}
-		}
-	}
-	var res *cell.Result
-	if st == cell.StepDone {
-		res, err = m.Finish()
-	} else {
-		m.ApplyKnobs(knobs)
-		res, err = m.Run()
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Safe to release even when knobbed: Reset restores the
-	// construction-time latencies before the machine is reused.
-	c.pool.Put(m)
-	if res.CheckErr != nil {
-		return nil, fmt.Errorf("functional check: %w", res.CheckErr)
-	}
-	return res, nil
+// phase is a mid-run change of the machine's knobs: the machine runs
+// its configuration up to the first event boundary at or beyond div
+// (see cell.Machine.RunTo), then continues with knobs applied. A run
+// that completes before div finishes un-knobbed, exactly as a cold run
+// would.
+type phase struct {
+	knobs cell.Knobs
+	div   sim.Cycle
 }
 
-// runPhase executes (with run-cache memoisation) one benchmark whose
-// memory/DMA parameters change mid-run: the machine runs the paper
-// configuration up to divergence cycle div, then continues with knobs
-// applied. Sibling calls that differ only in knobs share the warm-up
-// prefix through the checkpoint cache.
+// runPhase executes (with run-cache memoisation) one prefetching
+// benchmark run whose memory/DMA parameters change mid-run. Sibling
+// calls that differ only in knobs share the warm-up prefix through the
+// checkpoint cache, and a forked run is byte-identical to a cold one
+// applying the knobs at the same boundary (see cell.TestKnobDivergence).
 func (c *Context) runPhase(bench string, spes int, knobs cell.Knobs, div sim.Cycle) (*cell.Result, error) {
-	key := runKey{bench, spes, c.Opt.Latency, true, 0, -1, 0, false, 0, true,
-		knobs.MemLatency, knobs.MFCCmdLatency, int64(div)}
-	return c.memoRun(key, func() (*cell.Result, error) {
-		prog, err := c.buildProgram(bench, spes, true, true)
-		if err != nil {
+	s := benchSpec(bench, spes, true)
+	s.phase = &phase{knobs, div}
+	return c.runOne(s)
+}
+
+// forkRun is one phase run's checkpoint traffic: runAll reads the cache
+// in step 1, the chain step restores or captures the prefix, and step 4
+// writes back — so only the calling goroutine touches the cache.
+type forkRun struct {
+	*phase
+	key      string // the prefix's cell.SnapshotKey; "" without a checkpoint cache
+	cached   []byte // the prefix snapshot step 1 found, if any
+	captured []byte // the prefix snapshot the chain step took, for step 4 to cache
+	drop     bool   // the cached snapshot failed to restore
+	saved    sim.Cycle
+}
+
+// run takes m, readied for prog, through the prefix — restored from the
+// cached snapshot, or simulated and captured — and on with the knobs.
+func (f *forkRun) run(m *cell.Machine, prog *program.Program) (*cell.Result, error) {
+	if f.cached != nil {
+		if err := m.RestoreSnapshot(f.cached, f.key); err == nil {
+			f.saved = m.Now()
+			m.ApplyKnobs(f.knobs)
+			return m.Run()
+		}
+		// A blob that fails to restore is poison: step 4 drops it, and
+		// the half-written machine is recovered for the cold path.
+		f.drop = true
+		if err := m.Reset(prog); err != nil {
 			return nil, err
 		}
-		res, err := c.fork(prog, spes, knobs, div)
-		if err != nil {
-			return nil, fmt.Errorf("%s spes=%d phase@%d: %w", bench, spes, div, err)
+	}
+	_, st, err := m.RunTo(f.div)
+	if err != nil {
+		return nil, err
+	}
+	if st == cell.StepDone {
+		return m.Finish()
+	}
+	if f.key != "" {
+		if blob, err := m.EncodeSnapshot(f.key); err == nil {
+			f.captured = blob
 		}
-		return res, nil
-	})
+	}
+	m.ApplyKnobs(f.knobs)
+	return m.Run()
+}
+
+// settle writes the run's checkpoint traffic back to cc.
+func (f *forkRun) settle(cc *CheckpointCache) {
+	if f.drop {
+		cc.Drop(f.key)
+	}
+	if f.captured != nil {
+		cc.Put(f.key, f.captured)
+	}
+	CheckpointCyclesSaved.Add(int64(f.saved))
 }

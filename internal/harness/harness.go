@@ -153,18 +153,15 @@ type Context struct {
 	// — the slow path the burst differential tests compare against.
 	// Results are identical either way; only wall-clock time differs.
 	SingleStep bool
-	// spread marks a context that schedules its own simulations: nothing
-	// above it spreads work over the cores, so runAll may (see runAll).
-	// Set by NewContext alone and inherited by Sub. A context under an
-	// outer scheduler — NewContextWithPool for a dtad worker, whose
-	// siblings already occupy the cores — runs its specs one by one on
-	// the caller's goroutine.
+	// spread marks a context that owns its cores, so runAll runs its
+	// chains on all of them; set by NewContext alone and inherited by Sub.
+	// Any other context runs its chains on the caller's goroutine.
 	spread bool
 	cache  *lru.Cache[runKey, *cell.Result] // the run cache; see runCacheCap
 	progs  map[progKey]*program.Program
 	pool   *cell.Pool
-	// ckpts shares warm-up-prefix snapshots across fork calls (see
-	// Context.fork). Shared by Sub contexts exactly like the run cache.
+	// ckpts shares warm-up-prefix snapshots across phase runs (see
+	// Context.runPhase). Shared by Sub contexts exactly like the run cache.
 	ckpts *CheckpointCache
 	// simCycles accumulates the simulated cycles this context's
 	// experiments represent — every cache request counts the result's
@@ -172,13 +169,11 @@ type Context struct {
 	// workload, not on whether the run cache served it. A pointer so
 	// Sub-derived contexts bill the same counter.
 	simCycles *int64
-	// recs, when enabled, collects one timeline recording per simulation
-	// this context (and its Sub contexts) actually computes. Shared by
-	// pointer so derived contexts feed the same trace.
-	recs *recState
-	// profs mirrors recs for the guest cycle profiler: one per-PC stall
-	// attribution per simulation actually computed (cell.Config.Profile).
-	profs *profState
+	// tr, once recording or profiling is enabled (nil before), collects
+	// a timeline recording and/or guest profile per simulation this
+	// context (and its Sub contexts) actually computes. Shared by pointer
+	// so derived contexts feed the same trace.
+	tr *tracing
 }
 
 // RecordedRun is one machine run's timeline recording plus the label it
@@ -187,12 +182,6 @@ type RecordedRun struct {
 	Label string
 	SPEs  int
 	Rec   *trace.Recorder
-}
-
-type recState struct {
-	on   bool
-	cap  int
-	runs []RecordedRun
 }
 
 // ProfiledRun is one machine run's guest cycle profile plus the program
@@ -204,9 +193,19 @@ type ProfiledRun struct {
 	Prof  *stats.Profile
 }
 
-type profState struct {
-	on   bool
-	runs []ProfiledRun
+// tracing is a context's recording and profiling state.
+type tracing struct {
+	record, profile bool
+	spanCap         int
+	recorded        []RecordedRun
+	profiled        []ProfiledRun
+}
+
+func (c *Context) tracing() *tracing {
+	if c.tr == nil {
+		c.tr = &tracing{}
+	}
+	return c.tr
 }
 
 // NewContext prepares a context with its own machine pool — the one
@@ -223,8 +222,10 @@ func NewContext(opt Options) *Context {
 // NewContextWithPool prepares a context that recycles machines through
 // pool (shared across the contexts of one worker to amortise machine
 // construction over a sweep). The pool must not be shared across
-// goroutines. The context simulates on the caller's goroutine only: it
-// is meant to sit under a scheduler that already occupies the cores.
+// goroutines. The context plans its runs exactly like NewContext's and
+// simulates them on the caller's goroutine only: it is meant to sit
+// under a scheduler that already occupies the cores, or to keep a debug
+// run on the goroutine that asked for it.
 func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 	return &Context{
 		Opt:       opt.WithDefaults(),
@@ -233,8 +234,6 @@ func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 		pool:      pool,
 		ckpts:     NewCheckpointCache(),
 		simCycles: new(int64),
-		recs:      &recState{},
-		profs:     &profState{},
 	}
 }
 
@@ -246,42 +245,41 @@ func (c *Context) SetCheckpointCache(cc *CheckpointCache) { c.ckpts = cc }
 
 // EnableRecording makes every simulation this context computes record a
 // full component timeline (SPU/DMA/NoC/thread spans; see cell.Config
-// .Record) with the given per-track span capacity (0 = default).
-// Recorded machines bypass the pool, so enable this only for dedicated
-// tracing runs.
+// .Record) with the given per-track span capacity (0 = default). Each
+// recorded run gets a machine built for it and never pooled, so enable
+// this only for dedicated tracing runs — and before deriving Sub
+// contexts, which share the recordings by pointer.
 func (c *Context) EnableRecording(spanCap int) {
-	c.recs.on = true
-	c.recs.cap = spanCap
+	t := c.tracing()
+	t.record, t.spanCap = true, spanCap
 }
 
 // Recorded returns the timeline recordings collected so far, one per
 // simulation computed while recording was enabled (cache hits replay
 // the already-recorded run and add nothing).
 func (c *Context) Recorded() []RecordedRun {
-	if c.recs == nil {
+	if c.tr == nil {
 		return nil
 	}
-	return c.recs.runs
+	return c.tr.recorded
 }
 
 // EnableProfiling makes every simulation this context computes collect
 // a guest cycle profile (per-PC stall attribution; see cell.Config
-// .Profile). Profiled machines bypass the pool — a pooled machine's
-// profile is cleared on reuse — so enable this only for dedicated
-// profiling runs.
-func (c *Context) EnableProfiling() {
-	c.profs.on = true
-}
+// .Profile). Like a recorded run, each profiled run gets a machine of
+// its own — a pooled machine's profile is cleared on reuse — so enable
+// this only for dedicated profiling runs, before deriving Sub contexts.
+func (c *Context) EnableProfiling() { c.tracing().profile = true }
 
 // Profiled returns the guest profiles collected so far, one per
 // simulation computed while profiling was enabled (cache hits reuse
 // the already-profiled run and add nothing). Export with
 // internal/prof.Write.
 func (c *Context) Profiled() []ProfiledRun {
-	if c.profs == nil {
+	if c.tr == nil {
 		return nil
 	}
-	return c.profs.runs
+	return c.tr.profiled
 }
 
 // Sub derives a context at a different operating point that shares this
@@ -304,8 +302,7 @@ func (c *Context) Sub(opt Options) *Context {
 		pool:       c.pool,
 		ckpts:      c.ckpts,
 		simCycles:  c.simCycles,
-		recs:       c.recs,
-		profs:      c.profs,
+		tr:         c.tr,
 	}
 }
 
@@ -431,24 +428,8 @@ type variant struct {
 	frames int // 0 = default frame count per LSE
 }
 
-// memoRun serves key from the run cache, computing it on a miss. A
-// failed computation is not cached: a later request recomputes it and
-// meets the same deterministic error.
-func (c *Context) memoRun(key runKey, compute func() (*cell.Result, error)) (*cell.Result, error) {
-	if r, ok := c.cache.Get(key); ok {
-		c.bill(key, r, true)
-		return r, nil
-	}
-	res, err := compute()
-	if err != nil {
-		return nil, err
-	}
-	c.bill(key, res, false)
-	return res, nil
-}
-
 // bill accounts one served cache request — the single accounting point
-// of memoRun and runAll. A miss lands the freshly simulated result in
+// of runAll. A miss lands the freshly simulated result in
 // the run cache; hit or miss, the request bills the result's cycle
 // total and per-cause cycles, so the counters track the workloads
 // served, not which runner computed them.
@@ -468,9 +449,8 @@ func (c *Context) bill(key runKey, res *cell.Result, hit bool) {
 }
 
 // machineConfig derives the machine configuration for one run from
-// the context options and variant knobs — shared by execute and the
-// fork path so checkpoint keys agree with what execute would build
-// (recording/profiling flags are layered on by execute alone).
+// the context options and variant knobs (runSpec.machine layers the
+// recording and profiling flags on top).
 func (c *Context) machineConfig(spes int, v variant) cell.Config {
 	cfg := c.Opt.machineConfig(spes, v)
 	if c.SingleStep {
@@ -507,60 +487,6 @@ func (o Options) machineConfig(spes int, v variant) cell.Config {
 		cfg.LSE.NumFrames = v.frames
 	}
 	return cfg
-}
-
-// execute simulates prog on a pooled machine of the context's
-// configuration for (spes, v) — the one-run-at-a-time path, where
-// recording/profiling runs keep their machine out of the pool. label
-// names the run in exported timelines and profiles.
-func (c *Context) execute(prog *program.Program, spes int, v variant, label string) (*cell.Result, error) {
-	cfg := c.machineConfig(spes, v)
-	recording := c.recs != nil && c.recs.on
-	if recording {
-		cfg.Record = true
-		cfg.RecordCap = c.recs.cap
-	}
-	profiling := c.profs != nil && c.profs.on
-	if profiling {
-		cfg.Profile = true
-	}
-	m, err := c.pool.Get(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	res, err := m.Run()
-	if !recording && !profiling {
-		// Safe to release immediately, failed run included: Result copies
-		// all statistics, harness experiments never read the machine's
-		// memory image, and the next Get resets whatever state the run
-		// left.
-		c.pool.Put(m)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if label == "" {
-		label = fmt.Sprintf("run spes=%d", spes)
-	}
-	if recording {
-		// Keep the recording alive: a pooled machine's recorder is reset
-		// on reuse, so recorded machines are not returned to the pool.
-		c.recs.runs = append(c.recs.runs, RecordedRun{Label: label, SPEs: spes, Rec: res.Rec})
-	}
-	if profiling {
-		// Same lifetime rule as recordings: a pooled machine's profile is
-		// cleared on reuse, so profiled machines stay out of the pool.
-		c.profs.runs = append(c.profs.runs, ProfiledRun{Label: label, SPEs: spes, Prog: prog, Prof: res.Prof})
-	}
-	return checked(res)
-}
-
-// checked turns a completed run's failed functional check into an error.
-func checked(res *cell.Result) (*cell.Result, error) {
-	if res.CheckErr != nil {
-		return nil, fmt.Errorf("functional check: %w", res.CheckErr)
-	}
-	return res, nil
 }
 
 // defaultVariant keeps all knobs at paper values.

@@ -34,8 +34,9 @@ func phaseMemLat(ctx *Context) (*Outcome, error) {
 	metrics := map[string]float64{}
 	for _, bench := range benchmarks {
 		// The cold baseline first: it fixes the divergence cycle and the
-		// identity reference. memoRun calls never nest, so it completes
-		// before the first fork below begins.
+		// identity reference. Each phase run below is declared on its own,
+		// after the one before it has written its prefix snapshot back, so
+		// the x2 and x4 runs restore what the x1 run captured.
 		base, err := ctx.run(bench, ctx.Opt.SPEs, true, defaultVariant())
 		if err != nil {
 			return nil, err

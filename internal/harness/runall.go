@@ -32,6 +32,9 @@ type runSpec struct {
 	// cfg, with prog, is a hand-built machine configuration: the machine
 	// is constructed for the run and never pooled (ablation-vfp).
 	cfg *cell.Config
+	// phase, when set, changes the machine's knobs mid-run
+	// (Context.runPhase).
+	phase *phase
 }
 
 // benchSpec is the common spec: one benchmark run at paper knobs.
@@ -39,7 +42,7 @@ func benchSpec(bench string, spes int, prefetchOn bool) runSpec {
 	return runSpec{bench: bench, spes: spes, prefetch: prefetchOn, v: defaultVariant()}
 }
 
-func (s runSpec) owner(c *Context) *Context {
+func (s *runSpec) owner(c *Context) *Context {
 	if s.on != nil {
 		return s.on
 	}
@@ -47,15 +50,19 @@ func (s runSpec) owner(c *Context) *Context {
 }
 
 // key is the spec's run-cache key on context c.
-func (s runSpec) key(c *Context) runKey {
-	return runKey{s.bench, s.spes, c.Opt.Latency, s.prefetch, s.v.nodes, s.v.dmaLat,
+func (s *runSpec) key(c *Context) runKey {
+	k := runKey{s.bench, s.spes, c.Opt.Latency, s.prefetch, s.v.nodes, s.v.dmaLat,
 		s.v.buses, s.v.vfp, s.v.frames, !s.unchunked, 0, 0, 0}
+	if p := s.phase; p != nil {
+		k.phaseMemLat, k.phaseMFCLat, k.phaseDiv = p.knobs.MemLatency, p.knobs.MFCCmdLatency, int64(p.div)
+	}
+	return k
 }
 
-// label names a keyed run in exported timelines and profiles.
-func (s runSpec) label(c *Context) string {
+// label names a run in exported timelines and profiles.
+func (s *runSpec) label(c *Context) string {
 	if s.prog != nil {
-		return ""
+		return fmt.Sprintf("run spes=%d", s.spes)
 	}
 	l := fmt.Sprintf("%s spes=%d pf=%v lat=%d", s.bench, s.spes, s.prefetch, c.Opt.Latency)
 	if s.unchunked {
@@ -65,28 +72,38 @@ func (s runSpec) label(c *Context) string {
 }
 
 // wrap names the failing run in a simulation error.
-func (s runSpec) wrap(err error) error {
-	if err == nil || s.prog != nil {
+func (s *runSpec) wrap(err error) error {
+	switch {
+	case err == nil || s.prog != nil:
 		return err
+	case s.phase != nil:
+		return fmt.Errorf("%s spes=%d phase@%d: %w", s.bench, s.spes, s.phase.div, err)
 	}
 	return fmt.Errorf("%s spes=%d pf=%v: %w", s.bench, s.spes, s.prefetch, err)
 }
 
-// program resolves the spec's program on c (cached benchmark build or
-// the experiment's own).
-func (c *Context) program(s runSpec) (*program.Program, error) {
-	if s.prog != nil {
-		return s.prog, nil
-	}
-	return c.buildProgram(s.bench, s.spes, s.prefetch, !s.unchunked)
+// traced reports whether the spec's run is recorded or profiled on its
+// owner o. Hand-built machines and phase runs never are: a restored
+// phase run's prefix was never executed here.
+func (s *runSpec) traced(o *Context) bool {
+	return s.cfg == nil && s.phase == nil && o.tr != nil
 }
 
-// config resolves the spec's machine configuration on c.
-func (c *Context) config(s runSpec) cell.Config {
+// machine returns the pool the spec's machine comes from on its owner o
+// and the machine's configuration. A nil pool means a machine built for
+// this one run and never pooled: a hand-built configuration, or a
+// traced run, whose recorder or profile a pooled machine's Reset would
+// clear.
+func (s *runSpec) machine(o *Context) (*cell.Pool, cell.Config) {
 	if s.cfg != nil {
-		return *s.cfg
+		return nil, *s.cfg
 	}
-	return c.machineConfig(s.spes, s.v)
+	cfg := o.machineConfig(s.spes, s.v)
+	if !s.traced(o) {
+		return o.pool, cfg
+	}
+	cfg.Record, cfg.RecordCap, cfg.Profile = o.tr.record, o.tr.spanCap, o.tr.profile
+	return nil, cfg
 }
 
 // run executes (with caching) one benchmark configuration.
@@ -103,7 +120,7 @@ func (c *Context) runOne(s runSpec) (*cell.Result, error) {
 // runList is runAll for experiments that cannot render anything unless
 // every run succeeded: it reports the first error in spec order.
 func (c *Context) runList(specs []runSpec) ([]*cell.Result, error) {
-	res, errs := c.runAll(specs)
+	res, errs := declare(c, specs)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -112,258 +129,276 @@ func (c *Context) runList(specs []runSpec) ([]*cell.Result, error) {
 	return res, nil
 }
 
-// spreads reports whether runAll may simulate on goroutines of its own:
-// the context owns its cores (see Context.spread) and is not recording
-// or profiling (those runs keep their machines and are collected in
-// execution order).
-func (c *Context) spreads() bool {
-	return c.spread && !c.recs.on && !c.profs.on
-}
+// declare hands an experiment's spec list to runAll; the identity test
+// swaps in a reference loop of one-spec calls. (runOne is one spec
+// already, and calling runAll directly keeps its spec on the stack.)
+var declare = (*Context).runAll
 
 // runAll simulates every spec and returns results and errors by spec
-// index. The outcome never depends on how it ran: each simulation is
-// single-threaded and deterministic on a machine of its own, and a
-// Reset machine is indistinguishable from a new one.
+// index. It is the one way the harness simulates, and its outcome never
+// depends on how it ran: each simulation is single-threaded and
+// deterministic on a machine of its own, and a Reset machine is
+// indistinguishable from a new one. Only step 3 leaves the calling
+// goroutine, and it touches nothing but its machines — there is no lock
+// anywhere:
 //
-// A context under an outer scheduler or a recording/profiling context
-// takes its specs one by one, each through memoRun exactly as a
-// loop of run calls would. A context that owns its cores (NewContext)
-// goes through four steps, and touches caches, pools and counters on
-// the calling goroutine only — there is no lock anywhere:
-//
-//  1. plan, on the caller: resolve run-cache hits and duplicate keys,
-//     build the missing runs' programs, and chain the missing runs by
-//     machine configuration — one machine per distinct configuration,
-//     driven through that configuration's runs with Machine.Reset, the
-//     very machine a serial loop would have reused through the pool;
-//  2. take each chain's machine from the pool, on the caller;
-//  3. run the chains on min(GOMAXPROCS, chains) goroutines (the caller
-//     is one of them) that touch nothing but their own machine; a panic
-//     inside a simulation is recovered there and carried back as that
+//  1. plan: resolve run-cache hits and duplicate keys (per owning
+//     context: the first is the miss, the others hit it), build the
+//     missing runs' programs, read a phase run's prefix snapshot from the
+//     checkpoint cache, and chain the missing runs by machine — one
+//     pooled machine per configuration, driven through its runs with
+//     Machine.Reset, and one never-pooled machine per hand-built or
+//     traced run;
+//  2. take each chain's machine from the pool (or build it);
+//  3. run the chains: on min(GOMAXPROCS, chains) goroutines, the caller
+//     one of them, for a context that owns its cores (NewContext), on
+//     the caller otherwise; a panic inside a simulation becomes that
 //     spec's error;
-//  4. back on the caller: return the machines, fill the run cache and
-//     bill RunsExecuted/RunCacheHits/simCycles/CauseCycles in spec order.
+//  4. return the machines, then in spec order write a phase run's
+//     snapshot back, keep a traced run's recording and profile, fill the
+//     run cache and bill RunsExecuted/RunCacheHits/simCycles/CauseCycles.
 //
-// Duplicate keys are recognised per owning context: the first is the
-// miss, the others are hits of it.
+// Phase runs sharing a prefix in one call all read the cache before any
+// of them captured it, so phaseMemLat declares them one at a time.
 func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
-	results := make([]*cell.Result, len(specs))
-	errs := make([]error, len(specs))
-	if !c.spreads() {
-		for i, s := range specs {
-			results[i], errs[i] = s.owner(c).simulateMemo(s)
-		}
-		return results, errs
+	p := plan{
+		runs:    make([]planned, len(specs)),
+		results: make([]*cell.Result, len(specs)),
+		errs:    make([]error, len(specs)),
 	}
+	var chains []chain
+	// Each chain's machine configuration, by chain index. The first sits
+	// on the stack, so a one-spec plan copies no cell.Config to the heap.
+	var cfg0 [1]cell.Config
+	cfgs := cfg0[:0]
 
 	// 1. Plan.
-	hit := make([]bool, len(specs))   // billed as a run-cache hit
-	sameAs := make([]int, len(specs)) // earlier spec with this spec's key, or -1
-	type ownedKey struct {
-		on  *Context
-		key runKey
-	}
-	firstOf := make(map[ownedKey]int)
-	var chains []*chain
-	chainOf := make(map[chainKey]*chain)
-	for i, s := range specs {
+	for i := range specs {
+		s, r := &specs[i], &p.runs[i]
 		o := s.owner(c)
-		sameAs[i] = -1
+		r.from, r.next = -1, -1
 		if s.prog == nil {
 			key := s.key(o)
-			if r, ok := o.cache.Get(key); ok {
-				results[i], hit[i] = r, true
+			if res, ok := o.cache.Get(key); ok {
+				p.results[i], r.from = res, i
 				continue
 			}
-			if j, ok := firstOf[ownedKey{o, key}]; ok {
-				sameAs[i], hit[i] = j, true
+			if r.from = p.simulatedBefore(c, specs[:i], o, key); r.from >= 0 {
 				continue
 			}
-			firstOf[ownedKey{o, key}] = i
 		}
-		prog, err := o.program(s)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		ck := chainKey{pool: o.pool, cfg: o.config(s)}
-		if s.cfg != nil {
-			ck.pool = nil
-		}
-		ch := chainOf[ck]
-		if ch == nil {
-			ch = &chain{chainKey: ck}
-			chainOf[ck] = ch
-			chains = append(chains, ch)
-		}
-		ch.runs = append(ch.runs, chainRun{i: i, spec: s, prog: prog})
-	}
-
-	// 2-3. Machines out, chains run, machines back.
-	runChains(chains)
-
-	// 4. Results, cache and counters, in spec order.
-	for _, ch := range chains {
-		for _, r := range ch.runs {
-			results[r.i], errs[r.i] = r.res, r.err
-		}
-	}
-	for i, s := range specs {
-		if j := sameAs[i]; j >= 0 {
-			results[i], errs[i] = results[j], errs[j]
-		}
-		if s.prog == nil && errs[i] == nil {
-			o := s.owner(c)
-			o.bill(s.key(o), results[i], hit[i])
-		}
-	}
-	return results, errs
-}
-
-// simulateMemo is the one-by-one path for one spec: through the run
-// cache when the spec is keyed, straight to the simulation otherwise.
-func (c *Context) simulateMemo(s runSpec) (*cell.Result, error) {
-	simulate := func() (*cell.Result, error) {
-		prog, err := c.program(s)
-		if err != nil {
-			return nil, err
-		}
-		if s.cfg != nil {
-			m, err := cell.New(*s.cfg, prog)
-			if err != nil {
-				return nil, err
+		if r.prog = s.prog; r.prog == nil {
+			if r.prog, p.errs[i] = o.buildProgram(s.bench, s.spes, s.prefetch, !s.unchunked); p.errs[i] != nil {
+				continue
 			}
-			return runMachine(m)
 		}
-		res, err := c.execute(prog, s.spes, s.v, s.label(c))
-		return res, s.wrap(err)
-	}
-	if s.prog != nil {
-		return simulate()
-	}
-	return c.memoRun(s.key(c), simulate)
-}
-
-// runMachine runs a ready machine to completion, functional check
-// included.
-func runMachine(m *cell.Machine) (*cell.Result, error) {
-	res, err := m.Run()
-	if err != nil {
-		return nil, err
-	}
-	return checked(res)
-}
-
-// runChains takes each chain's machine, runs the chains on
-// min(GOMAXPROCS, chains) goroutines — the caller is one of them, so a
-// single chain or a single core runs inline — and returns the machines
-// on every exit path.
-func runChains(chains []*chain) {
-	defer func() {
-		for _, ch := range chains {
-			ch.release()
+		pool, cfg := s.machine(o)
+		if s.phase != nil {
+			r.fork = &forkRun{phase: s.phase}
+			if o.ckpts != nil {
+				r.fork.key = cell.SnapshotKey(cfg, r.prog, s.phase.div)
+				r.fork.cached, _ = o.ckpts.Get(r.fork.key)
+			}
 		}
-	}()
-	work := make(chan *chain, len(chains))
-	for _, ch := range chains {
-		ch.acquire()
-		work <- ch
-	}
-	close(work)
-	drain := func() {
-		for ch := range work {
-			ch.run()
-		}
-	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(chains)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
-}
-
-// chainKey identifies the machine a chain runs on: the pool it comes
-// from (nil for a hand-built machine) and its configuration.
-type chainKey struct {
-	pool *cell.Pool
-	cfg  cell.Config
-}
-
-// chain is the missing runs of one runAll call that share a machine, in
-// spec order. It owns everything its goroutine touches: the machine and
-// its runs' programs, results and errors.
-type chain struct {
-	chainKey
-	m     *cell.Machine
-	runs  []chainRun
-	ready int // the run m was readied for by acquire
-}
-
-type chainRun struct {
-	i    int // index in runAll's spec list
-	spec runSpec
-	prog *program.Program
-	res  *cell.Result
-	err  error
-}
-
-// acquire readies the chain's machine for its first run. A run whose
-// program the machine rejects keeps the error and the next one is tried;
-// m stays nil when none fits.
-func (ch *chain) acquire() {
-	for n := range ch.runs {
-		r := &ch.runs[n]
-		if ch.pool != nil {
-			ch.m, r.err = ch.pool.Get(ch.cfg, r.prog)
+		if k := chainOf(chains, cfgs, pool, cfg); k >= 0 {
+			p.runs[chains[k].last].next, chains[k].last = i, i
 		} else {
-			ch.m, r.err = cell.New(ch.cfg, r.prog)
+			chains = append(chains, chain{pool: pool, first: i, last: i})
+			cfgs = append(cfgs, cfg)
 		}
-		if r.err == nil {
-			ch.ready = n
+	}
+
+	// 2. Machines out.
+	for k := range chains {
+		p.acquire(&chains[k], &cfgs[k])
+	}
+
+	// 3. Chains run, machines back.
+	workers := 1
+	if c.spread {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	runChains(p, chains, workers)
+
+	// 4. Results, caches and counters, in spec order.
+	for i := range specs {
+		s, r := &specs[i], &p.runs[i]
+		o := s.owner(c)
+		if r.from >= 0 {
+			p.results[i], p.errs[i] = p.results[r.from], p.errs[r.from]
+		} else if r.prog != nil {
+			p.results[i], p.errs[i] = o.settle(s, r, p.results[i], p.errs[i])
+		}
+		if s.prog == nil && p.errs[i] == nil {
+			o.bill(s.key(o), p.results[i], r.from >= 0)
+		}
+	}
+	return p.results, p.errs
+}
+
+// plan is runAll's working state, by spec index. Until step 4 settles
+// them, a simulating spec's result and error are what the chain step
+// left. The specs stay out of it, so the chain step's goroutines cannot
+// move them off the caller's stack.
+type plan struct {
+	runs    []planned
+	results []*cell.Result
+	errs    []error
+}
+
+// planned is runAll's record of one spec.
+type planned struct {
+	from int              // the spec whose result it takes (itself for a run-cache hit), or -1
+	prog *program.Program // the program a simulating spec runs
+	next int              // the next spec on the same machine, or -1
+	fork *forkRun         // a phase run's checkpoint traffic
+}
+
+// simulatedBefore returns the first of specs (the ones planned so far)
+// that simulates key on o, or -1.
+func (p plan) simulatedBefore(c *Context, specs []runSpec, o *Context, key runKey) int {
+	for j := range specs {
+		s := &specs[j]
+		if p.runs[j].from < 0 && s.prog == nil && s.owner(c) == o && s.key(o) == key {
+			return j
+		}
+	}
+	return -1
+}
+
+// chain is the missing runs of one runAll call that share a machine,
+// linked in spec order from first through planned.next.
+type chain struct {
+	pool        *cell.Pool // nil: the machine is built for the chain's one run
+	first, last int
+	m           *cell.Machine
+	ready       int // the spec m was readied for by acquire
+}
+
+// chainOf returns the index of the chain that runs a pooled machine of
+// cfg from pool, or -1; cfgs holds the chains' configurations.
+func chainOf(chains []chain, cfgs []cell.Config, pool *cell.Pool, cfg cell.Config) int {
+	if pool == nil {
+		return -1
+	}
+	for k := range chains {
+		if chains[k].pool == pool && cfgs[k] == cfg {
+			return k
+		}
+	}
+	return -1
+}
+
+// acquire readies the chain's machine, of configuration cfg, for its
+// first run. A run whose program the machine rejects keeps the error and
+// the next one is tried; m stays nil when none fits.
+func (p plan) acquire(ch *chain, cfg *cell.Config) {
+	for i := ch.first; i >= 0; i = p.runs[i].next {
+		if ch.pool != nil {
+			ch.m, p.errs[i] = ch.pool.Get(*cfg, p.runs[i].prog)
+		} else {
+			ch.m, p.errs[i] = cell.New(*cfg, p.runs[i].prog)
+		}
+		if p.errs[i] == nil {
+			ch.ready = i
 			return
 		}
 	}
 }
 
-// run drives the chain's machine through its runs. It is the only code
-// of runAll that may execute off the calling goroutine.
-func (ch *chain) run() {
+// runChains runs the chains on min(workers, chains) goroutines, the
+// caller one of them, and returns the pooled machines on every exit
+// path: the next Get resets whatever state the last run left.
+func runChains(p plan, chains []chain, workers int) {
+	defer func() {
+		for k := range chains {
+			if ch := &chains[k]; ch.pool != nil && ch.m != nil {
+				ch.pool.Put(ch.m)
+			}
+		}
+	}()
+	if workers = min(workers, len(chains)); workers <= 1 {
+		for k := range chains {
+			chains[k].run(p)
+		}
+		return
+	}
+	work := make(chan *chain, len(chains))
+	for k := range chains {
+		work <- &chains[k]
+	}
+	close(work)
+	var wg sync.WaitGroup
+	for ; workers > 1; workers-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ch := range work {
+				ch.run(p)
+			}
+		}()
+	}
+	for ch := range work {
+		ch.run(p)
+	}
+	wg.Wait()
+}
+
+// run drives the chain's machine through its runs, writing only their
+// results and errors. It is the only code of runAll that may execute
+// off the calling goroutine.
+func (ch *chain) run(p plan) {
 	if ch.m == nil {
 		return
 	}
-	for n := ch.ready; n < len(ch.runs); n++ {
-		r := &ch.runs[n]
-		if n > ch.ready {
-			if r.err = ch.m.Reset(r.prog); r.err != nil {
+	for i := ch.ready; i >= 0; i = p.runs[i].next {
+		r := &p.runs[i]
+		if i != ch.ready {
+			if p.errs[i] = ch.m.Reset(r.prog); p.errs[i] != nil {
 				continue
 			}
 		}
-		r.res, r.err = contained(ch.m)
-		r.err = r.spec.wrap(r.err)
+		p.results[i], p.errs[i] = r.simulate(ch.m)
 	}
 }
 
-// contained is runMachine with a panic inside the simulation converted
-// to an error: off the calling goroutine nothing else would recover it.
-func contained(m *cell.Machine) (res *cell.Result, err error) {
+// simulate runs m, readied for r's program, to the end (a phase run
+// through its prefix first), turning a panic into an error: off the
+// calling goroutine nothing else would recover it.
+func (r *planned) simulate(m *cell.Machine) (res *cell.Result, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("simulation panicked: %v", r)
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("simulation panicked: %v", p)
 		}
 	}()
-	return runMachine(m)
+	if r.fork != nil {
+		return r.fork.run(m, r.prog)
+	}
+	return m.Run()
 }
 
-// release returns a pooled machine; the next Get resets whatever state
-// the last run (finished, failed or panicked) left in it.
-func (ch *chain) release() {
-	if ch.pool != nil && ch.m != nil {
-		ch.pool.Put(ch.m)
+// settle turns the raw result or error the chain step left for spec s
+// into its outcome on o, the spec's owner: phase-run snapshot traffic,
+// a traced run's recording and profile, the functional check and the
+// error naming the run.
+func (o *Context) settle(s *runSpec, r *planned, res *cell.Result, err error) (*cell.Result, error) {
+	if r.fork != nil {
+		r.fork.settle(o.ckpts)
 	}
-	ch.m = nil
+	if err != nil {
+		return nil, s.wrap(err)
+	}
+	if s.traced(o) {
+		label := s.label(o)
+		if o.tr.record {
+			o.tr.recorded = append(o.tr.recorded, RecordedRun{Label: label, SPEs: s.spes, Rec: res.Rec})
+		}
+		if o.tr.profile {
+			o.tr.profiled = append(o.tr.profiled, ProfiledRun{Label: label, SPEs: s.spes, Prog: r.prog, Prof: res.Prof})
+		}
+	}
+	if res.CheckErr != nil {
+		return nil, s.wrap(fmt.Errorf("functional check: %w", res.CheckErr))
+	}
+	return res, nil
 }

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cell"
+	"repro/internal/program"
 )
 
 func quickOpts() Options {
@@ -43,15 +48,30 @@ type sweepFootprint struct {
 	poolMisses int64   // cell.PoolMisses delta
 }
 
+// oneByOne is the reference loop of the identity test: every spec list
+// runAll would take at once goes to it one spec at a time.
+func oneByOne(c *Context, specs []runSpec) ([]*cell.Result, []error) {
+	results := make([]*cell.Result, len(specs))
+	errs := make([]error, len(specs))
+	for i := range specs {
+		res, err := c.runAll(specs[i : i+1])
+		results[i], errs[i] = res[0], err[0]
+	}
+	return results, errs
+}
+
 // sharedSweep runs exps through RunOn on one NewContext — what
 // `dta exp` and the benchmark's paper-sweep do — at the given
-// GOMAXPROCS. serialLoop turns runAll's spreading off, so every spec
-// list runs one by one through memoRun: the reference loop.
+// GOMAXPROCS. serialLoop hands every spec list to runAll one spec at a
+// time: the reference loop.
 func sharedSweep(t *testing.T, exps []*Experiment, procs int, serialLoop bool) sweepFootprint {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	if serialLoop {
+		defer func(d func(*Context, []runSpec) ([]*cell.Result, []error)) { declare = d }(declare)
+		declare = oneByOne
+	}
 	ctx := NewContext(quickOpts())
-	ctx.spread = !serialLoop
 	executed, hits, misses := RunsExecuted.Load(), RunCacheHits.Load(), cell.PoolMisses.Load()
 	results := make([]RunResult, len(exps))
 	for i, e := range exps {
@@ -72,7 +92,8 @@ func sharedSweep(t *testing.T, exps []*Experiment, procs int, serialLoop bool) s
 // TestRunAllMatchesSerialLoop is the identity contract of the declared-
 // runs path: the whole registry on one shared context renders the same
 // bytes and moves every counter by the same amount whether runAll takes
-// its specs one by one or chains them over 1, 2 or 4 cores.
+// each experiment's specs one at a time or all at once, chained over 1,
+// 2 or 4 cores.
 func TestRunAllMatchesSerialLoop(t *testing.T) {
 	exps := All()
 	want := sharedSweep(t, exps, 1, true)
@@ -124,7 +145,8 @@ func TestSimCyclesRunnerIndependent(t *testing.T) {
 
 // TestRunAllDuplicateKeys: a key declared twice in one list is simulated
 // once and billed as one miss and one hit — what two run calls in a row
-// would have billed.
+// would have billed — whether the context spreads its chains or runs
+// them on the caller.
 func TestRunAllDuplicateKeys(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	specs := []runSpec{
@@ -132,72 +154,187 @@ func TestRunAllDuplicateKeys(t *testing.T) {
 		benchSpec("mmul", 4, true),
 		benchSpec("mmul", 2, true),
 	}
-	for _, serialLoop := range []bool{true, false} {
+	for _, spread := range []bool{false, true} {
 		ctx := NewContext(quickOpts())
-		ctx.spread = !serialLoop
+		ctx.spread = spread
 		executed, hits := RunsExecuted.Load(), RunCacheHits.Load()
 		runs, err := ctx.runList(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if runs[0] != runs[2] {
-			t.Fatalf("serialLoop=%v: duplicate key returned a second result", serialLoop)
+			t.Fatalf("spread=%v: duplicate key returned a second result", spread)
 		}
 		if e, h := RunsExecuted.Load()-executed, RunCacheHits.Load()-hits; e != 2 || h != 1 {
-			t.Fatalf("serialLoop=%v: billed %d misses and %d hits, want 2 and 1", serialLoop, e, h)
+			t.Fatalf("spread=%v: billed %d misses and %d hits, want 2 and 1", spread, e, h)
 		}
 		if want := int64(2*runs[0].Cycles + runs[1].Cycles); *ctx.simCycles != want {
-			t.Fatalf("serialLoop=%v: simCycles = %d, want %d", serialLoop, *ctx.simCycles, want)
+			t.Fatalf("spread=%v: simCycles = %d, want %d", spread, *ctx.simCycles, want)
 		}
 	}
 }
 
-// TestRunAllRecordingStaysSerial: a recording context takes its specs
-// one by one, so each simulation is recorded once, in spec order, and a
-// duplicate key adds nothing.
-func TestRunAllRecordingStaysSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+// tracedRuns is what a recording and profiling context kept of a spec
+// list, in a form two runs can compare.
+type tracedRuns struct {
+	labels   []string
+	spuSpans []int
+	nocSpans []int
+	profs    []ProfiledRun
+}
+
+// traceSpecs runs specs on a recording and profiling NewContext at the
+// given GOMAXPROCS.
+func traceSpecs(t *testing.T, specs []runSpec, procs int) tracedRuns {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	ctx := NewContext(quickOpts())
 	ctx.EnableRecording(0)
-	if ctx.spreads() {
-		t.Fatal("recording context still spreads its runs")
+	ctx.EnableProfiling()
+	if _, err := ctx.runList(specs); err != nil {
+		t.Fatal(err)
 	}
+	var tr tracedRuns
+	for _, r := range ctx.Recorded() {
+		tr.labels = append(tr.labels, r.Label)
+		tr.spuSpans = append(tr.spuSpans, len(r.Rec.SPUSpans()))
+		tr.nocSpans = append(tr.nocSpans, len(r.Rec.NoCSpans()))
+	}
+	tr.profs = ctx.Profiled()
+	return tr
+}
+
+// TestRunAllRecordingSpreads: a recording and profiling context runs
+// each traced spec on a machine of its own, spread over the cores like
+// any other chain, and keeps its recording and profile in spec order —
+// so one core and four give the same runs, and a duplicate key adds
+// nothing.
+func TestRunAllRecordingSpreads(t *testing.T) {
 	specs := []runSpec{
 		benchSpec("mmul", 2, true),
 		benchSpec("mmul", 4, false),
 		benchSpec("mmul", 2, true),
+		benchSpec("zoom", 1, false),
+		benchSpec("mmul", 4, true),
+	}
+	want := traceSpecs(t, specs, 1)
+	wantLabels := []string{
+		"mmul spes=2 pf=true lat=150",
+		"mmul spes=4 pf=false lat=150",
+		"zoom spes=1 pf=false lat=150",
+		"mmul spes=4 pf=true lat=150",
+	}
+	if !reflect.DeepEqual(want.labels, wantLabels) {
+		t.Fatalf("recorded %q, want the distinct specs in order %q", want.labels, wantLabels)
+	}
+	for i, n := range want.spuSpans {
+		if n == 0 || want.nocSpans[i] == 0 {
+			t.Fatalf("%s: empty recording", want.labels[i])
+		}
+	}
+	got := traceSpecs(t, specs, 4)
+	if !reflect.DeepEqual(got.labels, want.labels) || !reflect.DeepEqual(got.spuSpans, want.spuSpans) ||
+		!reflect.DeepEqual(got.nocSpans, want.nocSpans) {
+		t.Fatalf("GOMAXPROCS=4 recorded %q (SPU spans %v, NoC spans %v), one core %q (%v, %v)",
+			got.labels, got.spuSpans, got.nocSpans, want.labels, want.spuSpans, want.nocSpans)
+	}
+	if len(got.profs) != len(want.profs) {
+		t.Fatalf("GOMAXPROCS=4 profiled %d runs, one core %d", len(got.profs), len(want.profs))
+	}
+	for i, p := range got.profs {
+		if w := want.profs[i]; p.Label != w.Label || p.Label != wantLabels[i] || !p.Prof.Equal(w.Prof) {
+			t.Fatalf("profile %d: %q at GOMAXPROCS=4, %q on one core, equal=%v", i, p.Label, w.Label, p.Prof.Equal(w.Prof))
+		}
+	}
+}
+
+// goroutineID reads the calling goroutine's id from its stack header.
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// checkGoroutines runs four chains on ctx — four machine configurations
+// of mmul — at GOMAXPROCS 4 and returns the caller's goroutine and the
+// goroutines the four functional checks ran on. With hold, a check on
+// the caller waits up to ten seconds for one elsewhere, so a context
+// that spreads its chains shows it however the scheduler orders them.
+func checkGoroutines(t *testing.T, ctx *Context, hold bool) (caller string, ran []string) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	caller = goroutineID()
+	var mu sync.Mutex
+	elsewhere := make(chan struct{})
+	var once sync.Once
+	var specs []runSpec
+	for _, spes := range []int{1, 2, 4, 8} {
+		prog, err := ctx.buildProgram("mmul", spes, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := *prog
+		own.Check = func(m program.MemReader, tokens []int64) error {
+			id := goroutineID()
+			mu.Lock()
+			ran = append(ran, id)
+			mu.Unlock()
+			if id != caller {
+				once.Do(func() { close(elsewhere) })
+			} else if hold {
+				select {
+				case <-elsewhere:
+				case <-time.After(10 * time.Second):
+				}
+			}
+			return prog.Check(m, tokens)
+		}
+		if err := program.Seal(&own); err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, runSpec{spes: spes, v: defaultVariant(), prog: &own})
 	}
 	if _, err := ctx.runList(specs); err != nil {
 		t.Fatal(err)
 	}
-	rec := ctx.Recorded()
-	if len(rec) != 2 {
-		t.Fatalf("recorded %d runs, want 2", len(rec))
+	if len(ran) != len(specs) {
+		t.Fatalf("latency %d: %d functional checks ran, want %d", ctx.Opt.Latency, len(ran), len(specs))
 	}
-	if rec[0].Label != "mmul spes=2 pf=true lat=150" || rec[1].Label != "mmul spes=4 pf=false lat=150" {
-		t.Fatalf("recorded labels %q, %q: not the specs in order", rec[0].Label, rec[1].Label)
-	}
-	for _, r := range rec {
-		if r.Rec == nil || len(r.Rec.SPUSpans()) == 0 {
-			t.Fatalf("%s: empty recording", r.Label)
+	return caller, ran
+}
+
+// TestRunAllOwnedContextsSpread: a context that owns its cores
+// (NewContext), its Sub and a recording and profiling NewContext run
+// their chains on more goroutines than the caller's.
+func TestRunAllOwnedContextsSpread(t *testing.T) {
+	job := quickOpts()
+	job.Latency = 1
+	traced := NewContext(quickOpts())
+	traced.EnableRecording(0)
+	traced.EnableProfiling()
+	for _, ctx := range []*Context{NewContext(quickOpts()), NewContext(quickOpts()).Sub(job), traced} {
+		caller, ran := checkGoroutines(t, ctx, true)
+		if !slices.ContainsFunc(ran, func(id string) bool { return id != caller }) {
+			t.Fatalf("latency %d (recording %v): every simulation ran on the caller, goroutine %s",
+				ctx.Opt.Latency, ctx == traced, caller)
 		}
 	}
 }
 
 // TestRunAllOuterSchedulerContextsStaySerial: a dtad worker's base
 // context (NewContextWithPool) and the per-job Sub contexts it hands
-// out never spread — the worker's siblings already occupy the cores.
+// out start no chain goroutine — the worker's siblings already occupy
+// the cores — even with four chains and four cores on offer: every
+// simulation's functional check runs on the caller's goroutine.
 func TestRunAllOuterSchedulerContextsStaySerial(t *testing.T) {
-	if !NewContext(quickOpts()).spreads() || !NewContext(quickOpts()).Sub(quickOpts()).spreads() {
-		t.Fatal("a NewContext (or its Sub) does not spread")
-	}
 	base := NewContextWithPool(quickOpts(), cell.NewPool())
-	if base.spreads() {
-		t.Fatal("a pool-sharing worker context spreads")
-	}
 	job := quickOpts()
-	job.Latency, job.SPEs = 1, 4
-	if base.Sub(job).spreads() {
-		t.Fatal("a worker's per-job Sub context spreads")
+	job.Latency = 1
+	for _, ctx := range []*Context{base, base.Sub(job)} {
+		caller, ran := checkGoroutines(t, ctx, false)
+		for _, id := range ran {
+			if id != caller {
+				t.Fatalf("latency %d: a simulation ran on goroutine %s, the caller is %s", ctx.Opt.Latency, id, caller)
+			}
+		}
 	}
 }

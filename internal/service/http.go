@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/cell"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/prof"
@@ -363,8 +364,9 @@ func (s *Service) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraceRun serves POST /v1/runs?trace=1: the experiment runs
-// synchronously on the request goroutine with timeline recording
-// enabled and the response is a Chrome trace-event document for
+// synchronously on the request goroutine — a context with a pool of its
+// own, which spreads nothing over the cores the workers occupy — with
+// timeline recording enabled and the response is a Chrome trace-event document for
 // Perfetto, not a ResultDoc. The run bypasses the queue and the result
 // cache — recording is a debugging path, its output is not
 // content-addressed, and the simulations counter stays untouched so
@@ -380,7 +382,7 @@ func (s *Service) handleTraceRun(w http.ResponseWriter, r *http.Request, req run
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx := harness.NewContext(opt)
+	ctx := harness.NewContextWithPool(opt, cell.NewPool())
 	ctx.EnableRecording(0)
 	res := harness.RunOn(ctx, exp)
 	if res.Err != nil {
@@ -423,7 +425,7 @@ func (s *Service) handleProfileRun(w http.ResponseWriter, r *http.Request, req r
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx := harness.NewContext(opt)
+	ctx := harness.NewContextWithPool(opt, cell.NewPool())
 	ctx.EnableProfiling()
 	res := harness.RunOn(ctx, exp)
 	if res.Err != nil {

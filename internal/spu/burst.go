@@ -102,24 +102,27 @@ cycle:
 				break
 			}
 		}
-		if prof != nil {
-			loc.PC = int32(pc)
-			prof.Add(loc, stats.CauseIssue, 1)
-		}
-		cycles++
-		instrs++
 
-		// probe: the memory slot is still free for a second instruction.
-		probe := f&uopBurstReg == 0
-		if u.flags&uopMem != 0 {
+		// A cycle whose local-store access would fault is not simulated:
+		// the window ends before any of it executes or is counted, and
+		// the reference cycle raises the fault on the engine clock.
+		lsFirst := u.flags&uopMem != 0
+		if lsFirst {
 			// Local-store op first. Its pair bit guarantees a successor
 			// in this block; a compute op there joins the cycle when its
 			// operands are ready (compute-slot ops are all register-only).
-			mix[u.cls]++
-			if !s.lsAccess(t, u) {
-				t++ // as in execute: issued, pc unchanged
+			addr, ok := s.lsAddr(&u.ins, s.regs[u.ins.Ra], s.regs[u.ins.Rb])
+			if !ok {
 				break
 			}
+			if prof != nil {
+				loc.PC = int32(pc)
+				prof.Add(loc, stats.CauseIssue, 1)
+			}
+			cycles++
+			instrs++
+			mix[u.cls]++
+			s.lsAccess(t, u, addr)
 			pc++
 			u = &uops[pc]
 			if blocked, _ := s.operandsBlocked(t, u); blocked || u.flags&uopMem != 0 {
@@ -127,49 +130,70 @@ cycle:
 				continue
 			}
 			instrs++
-			probe = false
 		}
 
 		// Compute slot: ALU op, branch or NOP at pc.
 		ins := &u.ins
 		rd := ins.Rd
 		var v int64
-		pc++
+		taken := false
 		switch ins.Op {
 		case isa.NOP:
 			rd = isa.RegZero
 		case isa.JMP, isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
 			rd = isa.RegZero
-			if isa.BranchTaken(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb]) {
-				pc = int(ins.Imm)
-				bubbleEnd = t + penalty
-				s.nextIssueAt = bubbleEnd
-				probe = false // a taken branch ends the issue group
-			}
+			taken = isa.BranchTaken(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb])
 		default:
 			v = isa.EvalALU(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb], int64(ins.Imm))
+		}
+		var ls *uop // a local-store op that joins the compute op first
+		var lsAddr int64
+		if !lsFirst {
+			if f&uopBurstReg == 0 && !taken {
+				// Compute op first in a local-store pair, not a taken
+				// branch (which ends the issue group): a local-store op
+				// behind it takes the memory slot when its operands are
+				// ready, the compute result forwarded at latency 0. Any
+				// other memory-slot op there was proved unable to join at
+				// decode (secondCannotJoin).
+				if n := &uops[pc+1]; n.flags&uopMem != 0 && s.joins(t, n, rd, u.lat) {
+					ra, rb := s.regs[n.ins.Ra], s.regs[n.ins.Rb]
+					if rd != isa.RegZero && n.ins.Ra == rd {
+						ra = v
+					}
+					if rd != isa.RegZero && n.ins.Rb == rd {
+						rb = v
+					}
+					var ok bool
+					if lsAddr, ok = s.lsAddr(&n.ins, ra, rb); !ok {
+						break
+					}
+					ls = n
+				}
+			}
+			if prof != nil {
+				loc.PC = int32(pc)
+				prof.Add(loc, stats.CauseIssue, 1)
+			}
+			cycles++
+			instrs++
+		}
+		pc++
+		if taken {
+			pc = int(ins.Imm)
+			bubbleEnd = t + penalty
+			s.nextIssueAt = bubbleEnd
 		}
 		if rd != isa.RegZero {
 			s.regs[rd] = v
 			s.ready[rd] = t + sim.Cycle(u.lat)
 			s.prod[rd] = prodALU
 		}
-
-		if probe {
-			// Compute op first in a local-store pair: a local-store op
-			// behind it takes the memory slot when its operands are
-			// ready. Any other memory-slot op there was proved unable to
-			// join at decode (secondCannotJoin).
-			u = &uops[pc]
-			if blocked, _ := s.operandsBlocked(t, u); !blocked && u.flags&uopMem != 0 {
-				instrs++
-				mix[u.cls]++
-				if !s.lsAccess(t, u) {
-					t++
-					break
-				}
-				pc++
-			}
+		if ls != nil {
+			instrs++
+			mix[ls.cls]++
+			s.lsAccess(t, ls, lsAddr)
+			pc++
 		}
 		t++
 		if pc >= len(uops) {
@@ -201,52 +225,70 @@ cycle:
 	return t
 }
 
-// lsAccess executes the local-store or frame access u at cycle t for
-// the burst kernel, with execute's semantics for the same opcodes; it
-// does not advance pc. It returns false after raising a fault.
-func (s *SPU) lsAccess(t sim.Cycle, u *uop) bool {
-	ins := &u.ins
-	addr := s.regs[ins.Ra] + int64(ins.Imm)
-	write := false
-	var v int64
-	var err error
+// joins reports whether the memory-slot op n has its operands ready at
+// t behind a compute op that writes rd (RegZero: nothing) with latency
+// lat in the same cycle — what the scoreboard says once that op issued.
+func (s *SPU) joins(t sim.Cycle, n *uop, rd uint8, lat int32) bool {
+	for _, r := range n.srcs[:n.nsrc] {
+		if r == rd && rd != isa.RegZero {
+			if lat > 0 {
+				return false
+			}
+		} else if s.ready[r] > t {
+			return false
+		}
+	}
+	return true
+}
+
+// lsAddr resolves the local-store address of access ins from its
+// register operands ra and rb, and reports whether the access stays
+// inside the store (a frame load also inside the frame).
+func (s *SPU) lsAddr(ins *isa.Instruction, ra, rb int64) (addr int64, ok bool) {
+	addr, width := ra+int64(ins.Imm), int64(8)
 	switch ins.Op {
-	case isa.LSRD:
-		v, err = s.store.Read32(addr)
-	case isa.LSRDX:
-		v, err = s.store.Read32(addr + s.regs[ins.Rb])
-	case isa.LSRD8:
-		v, err = s.store.Read64(addr)
-	case isa.LSRDX8:
-		v, err = s.store.Read64(addr + s.regs[ins.Rb])
-	case isa.LSWR:
-		write, err = true, s.store.Write32(addr, s.regs[ins.Rd])
-	case isa.LSWRX:
-		write, err = true, s.store.Write32(addr+s.regs[ins.Rb], s.regs[ins.Rd])
-	case isa.LSWR8:
-		write, err = true, s.store.Write64(addr, s.regs[ins.Rd])
-	case isa.LSWRX8:
-		write, err = true, s.store.Write64(addr+s.regs[ins.Rb], s.regs[ins.Rd])
 	case isa.LOAD, isa.LOADX:
 		slot := int64(ins.Imm)
 		if ins.Op == isa.LOADX {
-			slot = s.regs[ins.Ra]
+			slot = ra
 		}
 		if slot < 0 || slot >= program.MaxFrameSlots {
-			err = fmt.Errorf("spu%d: frame load slot %d", s.spe, slot)
-		} else {
-			v, err = s.store.Read64(s.lse.FrameAddr(s.cur.Slot) + slot*8)
+			return 0, false
 		}
+		addr = s.lse.FrameAddr(s.cur.Slot) + slot*8
+	case isa.LSRD, isa.LSWR:
+		width = 4
+	case isa.LSRDX, isa.LSWRX:
+		addr, width = addr+rb, 4
+	case isa.LSRDX8, isa.LSWRX8:
+		addr += rb
+	}
+	return addr, addr >= 0 && addr+width <= int64(s.store.Size())
+}
+
+// lsAccess executes the local-store or frame access u to addr at cycle t
+// for the burst kernel, with execute's semantics for the same opcodes;
+// it does not advance pc. The kernel checked addr with lsAddr and ended
+// the window before any cycle whose access would fault, so an error
+// here is a kernel bug.
+func (s *SPU) lsAccess(t sim.Cycle, u *uop, addr int64) {
+	ins := &u.ins
+	var v int64
+	var err error
+	switch ins.Op {
+	case isa.LSWR, isa.LSWRX:
+		err = s.store.Write32(addr, s.regs[ins.Rd])
+	case isa.LSWR8, isa.LSWRX8:
+		err = s.store.Write64(addr, s.regs[ins.Rd])
+	case isa.LSRD, isa.LSRDX:
+		v, err = s.store.Read32(addr)
 	default:
-		panic(fmt.Sprintf("spu%d: %s inside a burst window", s.spe, ins.Op))
+		v, err = s.store.Read64(addr)
 	}
 	if err != nil {
-		s.Fault(err)
-		return false
+		panic(fmt.Sprintf("spu%d: burst %s past its address check: %v", s.spe, ins.Op, err))
 	}
-	ready := s.store.Access(ls.PortSPU, t, 8)
-	if !write {
+	if ready := s.store.Access(ls.PortSPU, t, 8); !isa.InfoOf(ins.Op).Store {
 		s.setReg(ins.Rd, v, ready, prodLS)
 	}
-	return true
 }

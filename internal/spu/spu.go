@@ -700,10 +700,7 @@ func (s *SPU) curLoc() stats.Loc {
 // the differential suite asserts exact burst == single-step identity
 // across the synth corpus, the paper experiments and the machine tests.
 // Similarly, a Config.MaxCycles abort may be detected up to burstLimit
-// cycles later than in single-step mode, and a fault raised by a
-// pre-executed instruction (e.g. a LOADX slot taken from data) aborts
-// the run at the engine cycle the window started rather than the
-// simulated cycle of the instruction.
+// cycles later than in single-step mode.
 func (s *SPU) Tick(now sim.Cycle) sim.Cycle {
 	if now < s.resumeAt {
 		// An early wake (e.g. the LSE's OnWork) landed inside a burst
