@@ -67,12 +67,12 @@ func (m *Memory) SetLatency(cycles int) {
 // Latency returns the current access latency (for tests).
 func (m *Memory) Latency() int { return m.cfg.Latency }
 
-// snapshot writes the heap in slice order; restore re-pushes, and pop
-// order is the (at, seq) total order, so the internal layout is
+// snapshot writes the heap in (at, seq) order; restore re-pushes, and
+// pop order is that same total order, so the internal layout is
 // behaviour-invisible.
 func (q *msgHeap) snapshot(w *snap.Writer) {
 	w.Int(len(q.refs))
-	for _, ref := range q.refs {
+	for _, ref := range snap.InKeyOrder(q.refs) {
 		w.I64(int64(ref.at))
 		w.I64(ref.seq)
 		noc.SnapshotMessage(w, q.slab[ref.slot])

@@ -61,10 +61,10 @@ func (e *Engine) Snapshot(w *snap.Writer) {
 		w.I64(t.tag)
 		w.I64(int64(t.n))
 	}
-	// Timer heap in slab order; restore re-pushes (pop order is the
-	// (at, seq) total order, so internal layout is behaviour-invisible).
+	// Timer heap in (at, seq) order; restore re-pushes (pop order is
+	// that total order, so internal layout is behaviour-invisible).
 	w.Int(len(e.events))
-	for _, ev := range e.events {
+	for _, ev := range snap.InKeyOrder(e.events) {
 		w.I64(int64(ev.at))
 		w.I64(ev.seq)
 		w.U8(uint8(ev.kind))

@@ -67,11 +67,10 @@ func (n *Network) Snapshot(w *snap.Writer) {
 		w.I64(int64(g.occ))
 		w.I64(int64(g.wire))
 	}
-	// Live deliveries in heap-pop order would mutate the heap; the slab
-	// layout is arbitrary, so emit refs in slice order — restore re-pushes
-	// them and the (at, seq) total order makes pop order layout-invariant.
+	// Live deliveries in (at, seq) order: restore re-pushes them, and
+	// that total order makes pop order layout-invariant.
 	w.Int(len(n.dels))
-	for _, d := range n.dels {
+	for _, d := range snap.InKeyOrder(n.dels) {
 		w.I64(int64(d.at))
 		w.I64(d.seq)
 		snapshotMessage(w, n.delSlab[d.slot])

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Writer accumulates a snapshot payload. The zero value is ready to use.
@@ -73,6 +74,22 @@ func (w *Writer) WriteBytes(b []byte) {
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
 	w.buf = append(w.buf, s...)
+}
+
+// InKeyOrder returns a copy of a heap's entries sorted by their key.
+// Every heap is written this way: two heaps holding the same entries
+// can differ in layout, and the sorted copy makes their bytes equal.
+// Restore pushes entries back one by one, so it accepts any order.
+func InKeyOrder[T interface{ Before(T) bool }](h []T) []T {
+	return slices.SortedFunc(slices.Values(h), func(a, b T) int {
+		switch {
+		case a.Before(b):
+			return -1
+		case b.Before(a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // Reader decodes a snapshot payload with a sticky error: after the
