@@ -99,169 +99,77 @@ func (m *Machine) CanSnapshot() error {
 	return nil
 }
 
-// snapshotPPE serialises the host processor's token state. Tokens are
-// written in arrival order, which restores both the map and the order
-// slice.
-func (p *PPE) snapshotPPE(w *snap.Writer) {
-	w.Bool(p.started)
-	w.I64(p.rootFP)
-	w.Int(len(p.order))
-	for _, slot := range p.order {
-		w.I64(slot)
-		w.I64(p.tokens[slot])
+// walk writes or reads the host processor's token state. Tokens go out
+// in arrival order, which restores both the map and the order slice.
+func (p *PPE) walk(c *snap.Codec) {
+	c.Bool(&p.started)
+	snap.Int(c, &p.rootFP)
+	if c.Reading() {
+		clear(p.tokens)
 	}
-	w.I64(int64(p.doneAt))
-	w.Bool(p.finished)
+	snap.Slice(c, &p.order, func(c *snap.Codec, slot *int64) {
+		snap.Int(c, slot)
+		v := p.tokens[*slot]
+		if snap.Int(c, &v); c.Reading() {
+			p.tokens[*slot] = v
+		}
+	})
+	snap.Int(c, &p.doneAt)
+	c.Bool(&p.finished)
 }
 
-func (p *PPE) restorePPE(r *snap.Reader) error {
-	p.started = r.Bool()
-	p.rootFP = r.I64()
-	clear(p.tokens)
-	p.order = p.order[:0]
-	n := r.Int()
-	for i := 0; i < n; i++ {
-		slot := r.I64()
-		v := r.I64()
-		p.tokens[slot] = v
-		p.order = append(p.order, slot)
-	}
-	p.doneAt = sim.Cycle(r.I64())
-	p.finished = r.Bool()
-	return r.Err()
-}
-
-// Snapshot serialises the complete machine state between Step calls:
+// walk writes or reads the complete machine state between Step calls:
 // engine schedule, a deduplicated thread registry, and every
 // component's mutable state. Call only at a cycle RunTo (or Step)
-// returned — the engine must be idle between passes.
-func (m *Machine) Snapshot(w *snap.Writer) error {
+// returned — the engine must be idle between passes. A read needs a
+// machine of the same configuration and program as the one that wrote
+// the snapshot (enforced end-to-end by the envelope identity — see
+// RestoreSnapshot); the component walks check the structural
+// invariants they can see locally.
+func (m *Machine) walk(c *snap.Codec) error {
 	if err := m.CanSnapshot(); err != nil {
 		return err
 	}
-	if err := m.eng.Snapshot(w); err != nil {
-		return err
-	}
-	// Thread registry: every thread reachable from an LSE or SPU, each
-	// serialised once; components refer to threads by registry index so
-	// shared identity (LSE slot + SPU.cur is the same object) survives
-	// the round trip.
-	var order []*dta.Thread
-	idx := make(map[*dta.Thread]int32)
-	visit := func(th *dta.Thread) {
-		if _, ok := idx[th]; !ok {
-			idx[th] = int32(len(order))
-			order = append(order, th)
+	m.eng.Walk(c)
+	var reg dta.Registry
+	if !c.Reading() {
+		// Every thread reachable from an LSE or SPU.
+		for _, spe := range m.spes {
+			spe.LSE.Threads(reg.Add)
+			spe.SPU.Threads(reg.Add)
 		}
 	}
+	reg.Walk(c)
+	m.net.Walk(c)
+	m.memory.Walk(c)
 	for _, spe := range m.spes {
-		spe.LSE.Threads(visit)
-		spe.SPU.Threads(visit)
-	}
-	w.Int(len(order))
-	for _, th := range order {
-		dta.SnapshotThread(w, th)
-	}
-	index := func(th *dta.Thread) int32 {
-		i, ok := idx[th]
-		if !ok {
-			panic("cell: snapshot found a thread outside the registry")
-		}
-		return i
-	}
-	m.net.Snapshot(w)
-	m.memory.Snapshot(w)
-	for _, spe := range m.spes {
-		spe.LS.Snapshot(w)
-		spe.Alloc.Snapshot(w)
-		spe.LSE.Snapshot(w, index)
-		spe.MFC.Snapshot(w)
-		spe.SPU.Snapshot(w, index)
+		spe.LS.Walk(c)
+		spe.Alloc.Walk(c)
+		spe.LSE.Walk(c, &reg)
+		spe.MFC.Walk(c)
+		spe.SPU.Walk(c, &reg)
 	}
 	for _, d := range m.dses {
-		d.Snapshot(w)
+		d.Walk(c)
 	}
-	m.ppe.snapshotPPE(w)
-	m.prof.Snapshot(w)
-	return nil
-}
-
-// Restore rewinds the machine to a snapshot. The machine must have the
-// same configuration and program as the one that produced it (enforced
-// end-to-end by the envelope identity — see RestoreSnapshot); component
-// restores check the structural invariants they can see locally.
-func (m *Machine) Restore(r *snap.Reader) error {
-	if err := m.CanSnapshot(); err != nil {
-		return err
+	m.ppe.walk(c)
+	m.prof.Walk(c)
+	if c.Reading() {
+		m.faultErr = nil
+		m.drained = false
+		m.endAt = 0
 	}
-	if err := m.eng.Restore(r); err != nil {
-		return err
-	}
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	threads := make([]*dta.Thread, n)
-	for i := range threads {
-		threads[i] = dta.RestoreThread(r)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	lookup := func(ref int32) *dta.Thread {
-		if ref < 0 || int(ref) >= len(threads) {
-			return nil
-		}
-		return threads[ref]
-	}
-	if err := m.net.Restore(r); err != nil {
-		return err
-	}
-	if err := m.memory.Restore(r); err != nil {
-		return err
-	}
-	for _, spe := range m.spes {
-		if err := spe.LS.Restore(r); err != nil {
-			return err
-		}
-		if err := spe.Alloc.Restore(r); err != nil {
-			return err
-		}
-		if err := spe.LSE.Restore(r, lookup); err != nil {
-			return err
-		}
-		if err := spe.MFC.Restore(r); err != nil {
-			return err
-		}
-		if err := spe.SPU.Restore(r, lookup); err != nil {
-			return err
-		}
-	}
-	for _, d := range m.dses {
-		if err := d.Restore(r); err != nil {
-			return err
-		}
-	}
-	if err := m.ppe.restorePPE(r); err != nil {
-		return err
-	}
-	if err := m.prof.Restore(r); err != nil {
-		return err
-	}
-	m.faultErr = nil
-	m.drained = false
-	m.endAt = 0
-	return r.Err()
+	return c.Err()
 }
 
 // EncodeSnapshot captures the machine into a self-describing,
 // checksummed envelope carrying key as its identity (use SnapshotKey).
 func (m *Machine) EncodeSnapshot(key string) ([]byte, error) {
-	var w snap.Writer
-	if err := m.Snapshot(&w); err != nil {
+	c := snap.NewEncoder()
+	if err := m.walk(c); err != nil {
 		return nil, err
 	}
-	return snap.Encode(SnapshotVersion, key, w.Bytes()), nil
+	return snap.Encode(SnapshotVersion, key, c.Payload()), nil
 }
 
 // RestoreSnapshot decodes an envelope produced by EncodeSnapshot and
@@ -277,9 +185,9 @@ func (m *Machine) RestoreSnapshot(data []byte, key string) error {
 	if env.Identity != key {
 		return fmt.Errorf("cell: snapshot identity mismatch: have %.16s…, want %.16s…", env.Identity, key)
 	}
-	r := snap.NewReader(env.Payload)
-	if err := m.Restore(r); err != nil {
+	c := snap.NewDecoder(env.Payload)
+	if err := m.walk(c); err != nil {
 		return err
 	}
-	return r.ExpectEOF()
+	return c.ExpectEOF()
 }

@@ -247,8 +247,8 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	if _, _, err := m.RunTo(10); err != nil {
 		t.Fatal(err)
 	}
-	var w snap.Writer
-	if err := m.Snapshot(&w); err != nil {
+	w := snap.NewEncoder()
+	if err := m.walk(w); err != nil {
 		t.Fatal(err)
 	}
 	key := SnapshotKey(cfg, p, 10)
@@ -257,7 +257,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, version := range []uint32{SnapshotVersion + 1, SnapshotVersion - 1} {
-		err = fresh.RestoreSnapshot(snap.Encode(version, key, w.Bytes()), key)
+		err = fresh.RestoreSnapshot(snap.Encode(version, key, w.Payload()), key)
 		var verr *snap.VersionError
 		if !errors.As(err, &verr) {
 			t.Fatalf("RestoreSnapshot of version %d = %v, want snap.VersionError", version, err)
@@ -268,7 +268,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 
 	// Wrong identity is rejected too.
-	good := snap.Encode(SnapshotVersion, key, w.Bytes())
+	good := snap.Encode(SnapshotVersion, key, w.Payload())
 	if err := fresh.RestoreSnapshot(good, "not-the-key"); err == nil {
 		t.Fatal("RestoreSnapshot accepted a mismatched identity")
 	}
@@ -288,8 +288,7 @@ func TestSnapshotGatesUnserialisableState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var w snap.Writer
-		if err := m.Snapshot(&w); err == nil {
+		if err := m.walk(snap.NewEncoder()); err == nil {
 			t.Errorf("Snapshot succeeded with cfg %+v", cfg)
 		}
 	}

@@ -1,317 +1,172 @@
 package dta
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 
 	"repro/internal/noc"
 	"repro/internal/snap"
 )
 
-// SnapshotThread serialises one thread record. Threads are shared by
-// pointer between the LSE structures and the SPU, so the machine-level
-// snapshot serialises each thread once in a registry and the component
-// snapshots refer to them by registry index.
-func SnapshotThread(w *snap.Writer, th *Thread) {
-	w.I64(th.Seq)
-	w.Int(th.Slot)
-	w.Int(th.SPE)
-	w.Int(th.Template)
-	w.U8(uint8(th.State))
-	w.Int(th.SC)
-	w.Int(th.BufAddr)
-	w.Int(th.BufBytes)
-	w.Int(th.VFPOwner)
-	w.Int(th.VFPIndex)
+// Registry is a machine snapshot's thread table. Threads are shared by
+// pointer between the LSE structures and the SPU, so a snapshot walks
+// each thread once, here, and the components refer to them by index
+// (Ref), which keeps shared identity across the round trip.
+type Registry struct {
+	threads []*Thread
+	index   map[*Thread]int32
 }
 
-// RestoreThread decodes one thread record into a fresh object.
-func RestoreThread(r *snap.Reader) *Thread {
-	th := &Thread{}
-	th.Seq = r.I64()
-	th.Slot = r.Int()
-	th.SPE = r.Int()
-	th.Template = r.Int()
-	th.State = ThreadState(r.U8())
-	th.SC = r.Int()
-	th.BufAddr = r.Int()
-	th.BufBytes = r.Int()
-	th.VFPOwner = r.Int()
-	th.VFPIndex = r.Int()
-	return th
+// Add registers th; adding a registered thread again is a no-op.
+func (g *Registry) Add(th *Thread) {
+	if g.index == nil {
+		g.index = make(map[*Thread]int32)
+	}
+	if _, ok := g.index[th]; !ok {
+		g.index[th] = int32(len(g.threads))
+		g.threads = append(g.threads, th)
+	}
+}
+
+// Walk writes the registered threads' records, or reads fresh threads
+// into the table.
+func (g *Registry) Walk(c *snap.Codec) {
+	snap.Slice(c, &g.threads, func(c *snap.Codec, th **Thread) {
+		if c.Reading() {
+			*th = new(Thread)
+		}
+		t := *th
+		snap.Int(c, &t.Seq)
+		for _, p := range []*int{&t.Slot, &t.SPE, &t.Template} {
+			snap.Int(c, p)
+		}
+		snap.Byte(c, &t.State)
+		for _, p := range []*int{&t.SC, &t.BufAddr, &t.BufBytes, &t.VFPOwner, &t.VFPIndex} {
+			snap.Int(c, p)
+		}
+	})
+}
+
+// Ref writes or reads a reference to a registered thread: its index, or
+// -1 for nil.
+func (g *Registry) Ref(c *snap.Codec, th **Thread) {
+	i := int64(-1)
+	if !c.Reading() && *th != nil {
+		j, ok := g.index[*th]
+		if !ok {
+			panic("dta: snapshot found a thread outside the registry")
+		}
+		i = int64(j)
+	}
+	if snap.Int(c, &i); !c.Reading() {
+		return
+	}
+	*th = nil
+	if i < -1 || i >= int64(len(g.threads)) {
+		c.Fail("dta: snapshot thread ref %d beyond a registry of %d", i, len(g.threads))
+	} else if i >= 0 {
+		*th = g.threads[i]
+	}
 }
 
 // Threads visits every thread the LSE holds a reference to, in a
 // deterministic order (may visit the same thread more than once — the
-// registry builder dedupes by pointer).
+// registry dedupes by pointer).
 func (l *LSE) Threads(visit func(*Thread)) {
 	for _, th := range l.slots {
 		if th != nil {
 			visit(th)
 		}
 	}
-	for _, th := range l.readyQ {
-		visit(th)
-	}
-	for _, th := range l.pfQ {
-		visit(th)
-	}
-	for _, th := range l.pfPending {
-		visit(th)
-	}
-	for _, k := range sortedI64ThreadKeys(l.waitDMA) {
-		visit(l.waitDMA[k])
-	}
-	for _, k := range sortedI64ThreadKeys(l.drainWait) {
-		visit(l.drainWait[k])
-	}
-	for i := l.inboxHead; i < len(l.inbox); i++ {
-		if th := l.inbox[i].th; th != nil {
+	for _, q := range [][]*Thread{l.readyQ, l.pfQ, l.pfPending} {
+		for _, th := range q {
 			visit(th)
 		}
 	}
-}
-
-func sortedI64ThreadKeys(m map[int64]*Thread) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func snapshotLSEItem(w *snap.Writer, it lseItem, index func(*Thread) int32) {
-	w.U8(uint8(it.kind))
-	noc.SnapshotMessage(w, it.msg)
-	if it.th == nil {
-		w.I64(-1)
-	} else {
-		w.I64(int64(index(it.th)))
-	}
-	w.I64(it.a)
-	w.I64(it.b)
-	w.I64(it.c)
-}
-
-func restoreLSEItem(r *snap.Reader, lookup func(int32) *Thread) lseItem {
-	var it lseItem
-	it.kind = itemKind(r.U8())
-	it.msg = noc.RestoreMessage(r)
-	if ref := r.I64(); ref >= 0 {
-		it.th = lookup(int32(ref))
-	}
-	it.a = r.I64()
-	it.b = r.I64()
-	it.c = r.I64()
-	return it
-}
-
-// Snapshot serialises the LSE's mutable state. Thread pointers are
-// written as registry indices via index; the caller owns the registry.
-// Wiring (endpoints, callbacks, store/allocator bindings, tracer) is
-// construction-time and not serialised.
-func (l *LSE) Snapshot(w *snap.Writer, index func(*Thread) int32) {
-	w.Int(len(l.slots))
-	for _, th := range l.slots {
-		if th == nil {
-			w.I64(-1)
-		} else {
-			w.I64(int64(index(th)))
-		}
-	}
-	w.Int(len(l.freeSlots))
-	for _, s := range l.freeSlots {
-		w.Int(s)
-	}
-	w.I64(l.threadSeq)
-	for _, q := range [][]*Thread{l.readyQ, l.pfQ, l.pfPending} {
-		w.Int(len(q))
-		for _, th := range q {
-			w.I64(int64(index(th)))
-		}
-	}
 	for _, m := range []map[int64]*Thread{l.waitDMA, l.drainWait} {
-		keys := sortedI64ThreadKeys(m)
-		w.Int(len(keys))
-		for _, k := range keys {
-			w.I64(k)
-			w.I64(int64(index(m[k])))
+		for _, k := range slices.Sorted(maps.Keys(m)) {
+			visit(m[k])
 		}
 	}
-	// Inbox rebased to the live window.
-	w.Int(len(l.inbox) - l.inboxHead)
-	for i := l.inboxHead; i < len(l.inbox); i++ {
-		snapshotLSEItem(w, l.inbox[i], index)
-	}
-	plKeys := make([]int64, 0, len(l.pendingLocal))
-	for k := range l.pendingLocal {
-		plKeys = append(plKeys, k)
-	}
-	sort.Slice(plKeys, func(i, j int) bool { return plKeys[i] < plKeys[j] })
-	w.Int(len(plKeys))
-	for _, k := range plKeys {
-		w.I64(k)
-	}
-	vfpKeys := make([]int, 0, len(l.vfps))
-	for k := range l.vfps {
-		vfpKeys = append(vfpKeys, k)
-	}
-	sort.Ints(vfpKeys)
-	w.Int(len(vfpKeys))
-	for _, k := range vfpKeys {
-		e := l.vfps[k]
-		w.Int(k)
-		w.Bool(e.bound)
-		w.I64(e.fp)
-		w.Int(len(e.buffered))
-		for _, it := range e.buffered {
-			snapshotLSEItem(w, it, index)
+	for _, it := range l.inbox[l.inboxHead:] {
+		if it.th != nil {
+			visit(it.th)
 		}
 	}
-	w.Int(l.vfpNext)
-	reqKeys := make([]int64, 0, len(l.vfpByReq))
-	for k := range l.vfpByReq {
-		reqKeys = append(reqKeys, k)
-	}
-	sort.Slice(reqKeys, func(i, j int) bool { return reqKeys[i] < reqKeys[j] })
-	w.Int(len(reqKeys))
-	for _, k := range reqKeys {
-		w.I64(k)
-		w.Int(l.vfpByReq[k])
-	}
-	w.I64(l.stats.Fallocs)
-	w.I64(l.stats.LocalStores)
-	w.I64(l.stats.RemoteStores)
-	w.I64(l.stats.MailboxPosts)
-	w.I64(l.stats.Frees)
-	w.I64(l.stats.Threads)
-	w.I64(l.stats.VFPBinds)
-	w.I64(l.stats.VFPBuffered)
-	w.Int(l.stats.MaxInbox)
-	w.Int(l.stats.MaxReady)
-	w.I64(l.stats.BufferWaits)
 }
 
-// Restore rewinds the LSE to a snapshot taken on an identically
-// configured LSE running the same program. lookup resolves registry
-// indices back to the freshly decoded thread objects.
-func (l *LSE) Restore(r *snap.Reader, lookup func(int32) *Thread) error {
-	ns := r.Int()
-	if r.Err() == nil && ns != len(l.slots) {
-		return fmt.Errorf("dta: snapshot has %d frame slots, lse%d has %d", ns, l.spe, len(l.slots))
-	}
-	for i := 0; i < ns; i++ {
-		if ref := r.I64(); ref >= 0 {
-			l.slots[i] = lookup(int32(ref))
-		} else {
-			l.slots[i] = nil
-		}
-	}
-	l.freeSlots = l.freeSlots[:0]
-	nf := r.Int()
-	for i := 0; i < nf; i++ {
-		l.freeSlots = append(l.freeSlots, r.Int())
-	}
-	l.threadSeq = r.I64()
+// Walk writes or reads the LSE's mutable state, threads as references
+// into reg. Wiring (endpoints, callbacks, store/allocator bindings,
+// tracer) is construction-time and not serialised; a read needs an
+// identically configured LSE running the same program.
+func (l *LSE) Walk(c *snap.Codec, reg *Registry) {
+	snap.Fixed(c, "dta: frame slots", l.slots, reg.Ref)
+	snap.Slice(c, &l.freeSlots, snap.Int[int])
+	snap.Int(c, &l.threadSeq)
 	for _, q := range []*[]*Thread{&l.readyQ, &l.pfQ, &l.pfPending} {
-		*q = (*q)[:0]
-		n := r.Int()
-		for i := 0; i < n; i++ {
-			*q = append(*q, lookup(int32(r.I64())))
-		}
+		snap.Slice(c, q, reg.Ref)
 	}
 	for _, m := range []map[int64]*Thread{l.waitDMA, l.drainWait} {
-		clear(m)
-		n := r.Int()
-		for i := 0; i < n; i++ {
-			k := r.I64()
-			m[k] = lookup(int32(r.I64()))
+		snap.Map(c, m, cmp.Compare[int64], func(c *snap.Codec, k *int64, th **Thread) {
+			snap.Int(c, k)
+			reg.Ref(c, th)
+		})
+	}
+	item := func(c *snap.Codec, it *lseItem) {
+		snap.Byte(c, &it.kind)
+		noc.WalkMessage(c, &it.msg)
+		reg.Ref(c, &it.th)
+		for _, p := range []*int64{&it.a, &it.b, &it.c} {
+			snap.Int(c, p)
 		}
 	}
-	for i := range l.inbox {
-		l.inbox[i] = lseItem{}
+	// The inbox goes out rebased to its live window.
+	if c.Reading() {
+		clear(l.inbox)
+		l.inbox, l.inboxHead = l.inbox[:0], 0
 	}
-	l.inbox = l.inbox[:0]
-	l.inboxHead = 0
-	ni := r.Int()
-	for i := 0; i < ni; i++ {
-		l.inbox = append(l.inbox, restoreLSEItem(r, lookup))
+	live := l.inbox[l.inboxHead:]
+	if snap.Slice(c, &live, item); c.Reading() {
+		l.inbox = live
 	}
-	clear(l.pendingLocal)
-	np := r.Int()
-	for i := 0; i < np; i++ {
-		l.pendingLocal[r.I64()] = true
-	}
-	clear(l.vfps)
-	nv := r.Int()
-	for i := 0; i < nv; i++ {
-		k := r.Int()
-		e := &vfpEntry{bound: r.Bool(), fp: r.I64()}
-		nb := r.Int()
-		for j := 0; j < nb; j++ {
-			e.buffered = append(e.buffered, restoreLSEItem(r, lookup))
+	snap.Map(c, l.pendingLocal, cmp.Compare[int64], func(c *snap.Codec, k *int64, v *bool) {
+		snap.Int(c, k)
+		*v = true
+	})
+	snap.Map(c, l.vfps, cmp.Compare[int], func(c *snap.Codec, k *int, e **vfpEntry) {
+		snap.Int(c, k)
+		if c.Reading() {
+			*e = new(vfpEntry)
 		}
-		l.vfps[k] = e
+		c.Bool(&(*e).bound)
+		snap.Int(c, &(*e).fp)
+		snap.Slice(c, &(*e).buffered, item)
+	})
+	snap.Int(c, &l.vfpNext)
+	snap.Map(c, l.vfpByReq, cmp.Compare[int64], func(c *snap.Codec, k *int64, v *int) {
+		snap.Int(c, k)
+		snap.Int(c, v)
+	})
+	st := &l.stats
+	for _, p := range []*int64{&st.Fallocs, &st.LocalStores, &st.RemoteStores, &st.MailboxPosts,
+		&st.Frees, &st.Threads, &st.VFPBinds, &st.VFPBuffered} {
+		snap.Int(c, p)
 	}
-	l.vfpNext = r.Int()
-	clear(l.vfpByReq)
-	nr := r.Int()
-	for i := 0; i < nr; i++ {
-		k := r.I64()
-		l.vfpByReq[k] = r.Int()
-	}
-	l.stats.Fallocs = r.I64()
-	l.stats.LocalStores = r.I64()
-	l.stats.RemoteStores = r.I64()
-	l.stats.MailboxPosts = r.I64()
-	l.stats.Frees = r.I64()
-	l.stats.Threads = r.I64()
-	l.stats.VFPBinds = r.I64()
-	l.stats.VFPBuffered = r.I64()
-	l.stats.MaxInbox = r.Int()
-	l.stats.MaxReady = r.Int()
-	l.stats.BufferWaits = r.I64()
-	return r.Err()
+	snap.Int(c, &st.MaxInbox)
+	snap.Int(c, &st.MaxReady)
+	snap.Int(c, &st.BufferWaits)
 }
 
-// Snapshot serialises the DSE's mutable state: the free-frame view, the
-// request queue, the round-robin cursor and statistics.
-func (d *DSE) Snapshot(w *snap.Writer) {
-	w.Int(len(d.freeCount))
-	for _, f := range d.freeCount {
-		w.Int(f)
-	}
-	w.Int(len(d.queue))
-	for _, msg := range d.queue {
-		noc.SnapshotMessage(w, msg)
-	}
-	w.Int(d.rr)
-	w.I64(d.stats.Requests)
-	w.I64(d.stats.Forwards)
-	w.Int(d.stats.MaxQueue)
-	w.I64(d.stats.StallsAll)
-}
-
-// Restore rewinds the DSE to a snapshot taken on an identically
-// configured DSE.
-func (d *DSE) Restore(r *snap.Reader) error {
-	nf := r.Int()
-	if r.Err() == nil && nf != len(d.freeCount) {
-		return fmt.Errorf("dta: snapshot has %d PEs, dse%d has %d", nf, d.node, len(d.freeCount))
-	}
-	for i := 0; i < nf; i++ {
-		d.freeCount[i] = r.Int()
-	}
-	d.queue = d.queue[:0]
-	nq := r.Int()
-	for i := 0; i < nq; i++ {
-		d.queue = append(d.queue, noc.RestoreMessage(r))
-	}
-	d.rr = r.Int()
-	d.stats.Requests = r.I64()
-	d.stats.Forwards = r.I64()
-	d.stats.MaxQueue = r.Int()
-	d.stats.StallsAll = r.I64()
-	return r.Err()
+// Walk writes or reads the DSE's mutable state: the free-frame view,
+// the request queue, the round-robin cursor and statistics. A read
+// needs an identically configured DSE.
+func (d *DSE) Walk(c *snap.Codec) {
+	snap.Fixed(c, "dta: DSE PEs", d.freeCount, snap.Int[int])
+	snap.Slice(c, &d.queue, noc.WalkMessage)
+	snap.Int(c, &d.rr)
+	snap.Int(c, &d.stats.Requests)
+	snap.Int(c, &d.stats.Forwards)
+	snap.Int(c, &d.stats.MaxQueue)
+	snap.Int(c, &d.stats.StallsAll)
 }

@@ -1,113 +1,58 @@
 package ls
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
 
-	"repro/internal/sim"
 	"repro/internal/snap"
 )
 
-// Snapshot serialises the local store: contents (trailing zeros
-// trimmed — the restore zeroes the array first, so only the written
-// prefix costs bytes), port bookings and statistics.
-func (l *LocalStore) Snapshot(w *snap.Writer) {
-	w.Int(len(l.data))
+// Walk writes or reads the local store: contents (trailing zeros
+// trimmed — a read zeroes the array first, so only the written prefix
+// costs bytes), port bookings and statistics. A read needs a store of
+// the same size.
+func (l *LocalStore) Walk(c *snap.Codec) {
+	size := len(l.data)
+	if snap.Int(c, &size); size != len(l.data) {
+		c.Fail("ls: snapshot store size %d, this store %d", size, len(l.data))
+	}
 	end := l.dirty // bytes beyond the high-water mark are known zero
 	for end > 0 && l.data[end-1] == 0 {
 		end--
 	}
-	w.WriteBytes(l.data[:end])
-	for _, f := range l.portFree {
-		w.I64(int64(f))
+	data := l.data[:end]
+	c.Bytes(&data)
+	if c.Reading() && c.Err() == nil {
+		if len(data) > len(l.data) {
+			c.Fail("ls: snapshot content %d bytes exceeds store %d", len(data), len(l.data))
+		} else {
+			clear(l.data[:l.dirty])
+			copy(l.data, data)
+			l.dirty = len(data)
+		}
 	}
-	for _, v := range l.stats.Accesses {
-		w.I64(v)
-	}
-	for _, v := range l.stats.Bytes {
-		w.I64(v)
-	}
-	for _, v := range l.stats.Contention {
-		w.I64(v)
-	}
+	snap.Ints(c, l.portFree[:])
+	snap.Ints(c, l.stats.Accesses[:])
+	snap.Ints(c, l.stats.Bytes[:])
+	snap.Ints(c, l.stats.Contention[:])
 }
 
-// Restore rewinds the local store to a snapshot taken on a store of the
-// same size.
-func (l *LocalStore) Restore(r *snap.Reader) error {
-	size := r.Int()
-	if r.Err() == nil && size != len(l.data) {
-		return fmt.Errorf("ls: snapshot store size %d, this store %d", size, len(l.data))
+// Walk writes or reads the allocator: region, free list and live
+// allocations (by address, for deterministic bytes). A read needs the
+// allocator's current layout (same program, same configuration).
+func (a *Allocator) Walk(c *snap.Codec) {
+	base, size := a.base, a.size
+	snap.Int(c, &base)
+	if snap.Int(c, &size); base != a.base || size != a.size {
+		c.Fail("ls: snapshot allocator region [%d,+%d), this allocator [%d,+%d)", base, size, a.base, a.size)
 	}
-	data := r.ReadBytes()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if len(data) > len(l.data) {
-		return fmt.Errorf("ls: snapshot content %d bytes exceeds store %d", len(data), len(l.data))
-	}
-	clear(l.data[:l.dirty])
-	copy(l.data, data)
-	l.dirty = len(data)
-	for i := range l.portFree {
-		l.portFree[i] = sim.Cycle(r.I64())
-	}
-	for i := range l.stats.Accesses {
-		l.stats.Accesses[i] = r.I64()
-	}
-	for i := range l.stats.Bytes {
-		l.stats.Bytes[i] = r.I64()
-	}
-	for i := range l.stats.Contention {
-		l.stats.Contention[i] = r.I64()
-	}
-	return r.Err()
-}
-
-// Snapshot serialises the allocator: region, free list and live
-// allocations (sorted by address for deterministic bytes).
-func (a *Allocator) Snapshot(w *snap.Writer) {
-	w.Int(a.base)
-	w.Int(a.size)
-	w.Int(len(a.free))
-	for _, s := range a.free {
-		w.Int(s.addr)
-		w.Int(s.size)
-	}
-	addrs := make([]int, 0, len(a.live))
-	for addr := range a.live {
-		addrs = append(addrs, addr)
-	}
-	sort.Ints(addrs)
-	w.Int(len(addrs))
-	for _, addr := range addrs {
-		w.Int(addr)
-		w.Int(a.live[addr])
-	}
-	w.Int(a.liveBytes)
-	w.Int(a.peakBytes)
-}
-
-// Restore rewinds the allocator to a snapshot. The region must match
-// the allocator's current layout (same program, same configuration).
-func (a *Allocator) Restore(r *snap.Reader) error {
-	base, size := r.Int(), r.Int()
-	if r.Err() == nil && (base != a.base || size != a.size) {
-		return fmt.Errorf("ls: snapshot allocator region [%d,+%d), this allocator [%d,+%d)",
-			base, size, a.base, a.size)
-	}
-	a.free = a.free[:0]
-	nf := r.Int()
-	for i := 0; i < nf; i++ {
-		a.free = append(a.free, span{addr: r.Int(), size: r.Int()})
-	}
-	clear(a.live)
-	nl := r.Int()
-	for i := 0; i < nl; i++ {
-		addr := r.Int()
-		a.live[addr] = r.Int()
-	}
-	a.liveBytes = r.Int()
-	a.peakBytes = r.Int()
-	return r.Err()
+	snap.Slice(c, &a.free, func(c *snap.Codec, s *span) {
+		snap.Int(c, &s.addr)
+		snap.Int(c, &s.size)
+	})
+	snap.Map(c, a.live, cmp.Compare[int], func(c *snap.Codec, addr, size *int) {
+		snap.Int(c, addr)
+		snap.Int(c, size)
+	})
+	snap.Int(c, &a.liveBytes)
+	snap.Int(c, &a.peakBytes)
 }

@@ -80,14 +80,15 @@ func TestMsgHeapModel(t *testing.T) {
 				// Snapshots are taken between ticks, when nothing is held.
 				// Restore into a heap with a history of its own, which must
 				// go; the reference carries on unchanged.
-				var w snap.Writer
-				q.snapshot(&w)
+				w := snap.NewEncoder()
+				q.walk(w)
 				var restored msgHeap
 				restored.push(3, 1, noc.Message{B: -1, Data: []byte{1}})
 				restored.release(restored.popSlot())
 				restored.pushNew(5, 2).B = -2
-				if err := restored.restore(snap.NewReader(w.Bytes())); err != nil {
-					t.Fatalf("%s: restore: %v", when, err)
+				r := snap.NewDecoder(w.Payload())
+				if restored.walk(r); r.ExpectEOF() != nil {
+					t.Fatalf("%s: restore: %v", when, r.Err())
 				}
 				q = restored
 			}

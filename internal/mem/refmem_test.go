@@ -411,21 +411,20 @@ func compareMemSides(t *testing.T, when string, a, b *memSide) {
 // would hold, bar the store.
 func compareMemBoundary(t *testing.T, when string, a, b *memSide) {
 	t.Helper()
-	var wa, wb snap.Writer
-	if err := a.e.Snapshot(&wa); err != nil {
+	wa, wb := snap.NewEncoder(), snap.NewEncoder()
+	a.e.Walk(wa)
+	b.e.Walk(wb)
+	if err := cmp.Or(wa.Err(), wb.Err()); err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
-	if err := b.e.Snapshot(&wb); err != nil {
-		t.Fatalf("%s: %v", when, err)
-	}
-	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+	if !bytes.Equal(wa.Payload(), wb.Payload()) {
 		t.Fatalf("%s: engine schedules differ: memory next at %d, reference %d",
 			when, a.e.NextScheduled(a.memID), b.e.NextScheduled(b.memID))
 	}
-	wa, wb = snap.Writer{}, snap.Writer{}
-	a.net.Snapshot(&wa)
-	b.net.Snapshot(&wb)
-	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+	wa, wb = snap.NewEncoder(), snap.NewEncoder()
+	a.net.Walk(wa)
+	b.net.Walk(wb)
+	if !bytes.Equal(wa.Payload(), wb.Payload()) {
 		t.Fatalf("%s: network states differ", when)
 	}
 	if got, want := memQueues(a.mem), memQueues(b.mem); got != want {
@@ -433,7 +432,7 @@ func compareMemBoundary(t *testing.T, when string, a, b *memSide) {
 	}
 }
 
-// memQueues renders everything Memory.Snapshot writes but the store, with
+// memQueues renders everything Memory.Walk writes but the store, with
 // each heap in pop order: the two models push and pop their heaps in
 // different orders, so they may hold the same entries in different
 // layouts (which a restore does not see either).
@@ -459,19 +458,20 @@ func memQueues(m *Memory) string {
 // carry on as if nothing happened.
 func restoreWithStaleHandOvers(t *testing.T, when string, s *memSide, stale sim.Cycle) {
 	t.Helper()
-	var w snap.Writer
-	s.mem.Snapshot(&w)
+	w := snap.NewEncoder()
+	s.mem.Walk(w)
 	s.mem.lastHand = stale
 	s.mem.ahead = append(s.mem.ahead, handOver{at: stale, s: stale, bytes: 8})
-	if err := s.mem.Restore(snap.NewReader(w.Bytes())); err != nil {
-		t.Fatalf("%s: restore: %v", when, err)
+	r := snap.NewDecoder(w.Payload())
+	if s.mem.Walk(r); r.ExpectEOF() != nil {
+		t.Fatalf("%s: restore: %v", when, r.Err())
 	}
 }
 
 func storeBytes(m *Memory) []byte {
-	var w snap.Writer
-	m.store.Snapshot(&w)
-	return w.Bytes()
+	w := snap.NewEncoder()
+	m.store.Walk(w)
+	return w.Payload()
 }
 
 // TestHandOverMatchesInboxModel is the differential for servicing READs

@@ -123,9 +123,9 @@ func modelWrite(t *testing.T, s *Sparse, ref []byte, rng *sim.Rand) {
 }
 
 func snapshotOf(s *Sparse) []byte {
-	var w snap.Writer
-	s.Snapshot(&w)
-	return w.Bytes()
+	w := snap.NewEncoder()
+	s.Walk(w)
+	return w.Payload()
 }
 
 // TestSparseModel drives random sequences of writes, Resets and Restores
@@ -151,12 +151,9 @@ func TestSparseModel(t *testing.T) {
 				when += "Snapshot"
 			case op == 2 && saved != nil:
 				// Into a used store: whatever it holds now must go.
-				r := snap.NewReader(saved)
-				if err := s.Restore(r); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.ExpectEOF(); err != nil {
-					t.Fatal(err)
+				r := snap.NewDecoder(saved)
+				if s.Walk(r); r.ExpectEOF() != nil {
+					t.Fatal(r.Err())
 				}
 				copy(ref, savedRef)
 				when += "Restore"
@@ -296,8 +293,9 @@ func TestSnapshotIgnoresHistory(t *testing.T) {
 		for k := 0; k < 10; k++ {
 			modelWrite(t, restored, scratch, rng) // restored over
 		}
-		if err := restored.Restore(snap.NewReader(want)); err != nil {
-			t.Fatal(err)
+		r := snap.NewDecoder(want)
+		if restored.Walk(r); r.ExpectEOF() != nil {
+			t.Fatal(r.Err())
 		}
 		if got := snapshotOf(restored); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: Snapshot, Restore, Snapshot is not the identity", seed)

@@ -1,10 +1,7 @@
 package mfc
 
 import (
-	"fmt"
-
 	"repro/internal/noc"
-	"repro/internal/sim"
 	"repro/internal/snap"
 )
 
@@ -23,148 +20,65 @@ func (e *Engine) SetCmdLatency(cycles int) {
 // CmdLatency returns the current command latency (for tests).
 func (e *Engine) CmdLatency() int { return e.cfg.CmdLatency }
 
-// Snapshot serialises the MFC's mutable state: staging channels, the
+// Walk writes or reads the MFC's mutable state: staging channels, the
 // command slab with its free-list and queue, tag groups, pending timer
 // events and statistics. Wiring (endpoints, callbacks, recorder) is
-// construction-time and not serialised.
-func (e *Engine) Snapshot(w *snap.Writer) {
-	w.I64(e.chLSA)
-	w.I64(e.chEA)
-	w.I64(e.chSize)
-	w.I64(e.chTag)
-	w.Int(len(e.cmds))
-	for i := range e.cmds {
-		c := &e.cmds[i]
-		w.I64(c.id)
-		w.I64(c.lsa)
-		w.I64(c.ea)
-		w.I64(c.size)
-		w.I64(c.tag)
-		w.U8(uint8(c.dir))
-		w.Bool(c.inflight)
-		w.I64(c.remaining)
-		w.I64(int64(c.issuedAt))
-		w.I64(int64(c.launchedAt))
-	}
-	w.Int(len(e.free))
-	for _, s := range e.free {
-		w.I64(int64(s))
-	}
-	w.Int(len(e.queue))
-	for _, s := range e.queue {
-		w.I64(int64(s))
-	}
-	w.Bool(e.headBusy)
-	w.Int(e.inflightN)
-	w.Int(len(e.tags))
-	for _, t := range e.tags {
-		w.I64(t.tag)
-		w.I64(int64(t.n))
-	}
-	// Timer heap in (at, seq) order; restore re-pushes (pop order is
-	// that total order, so internal layout is behaviour-invisible).
-	w.Int(len(e.events))
-	for _, ev := range snap.InKeyOrder(e.events) {
-		w.I64(int64(ev.at))
-		w.I64(ev.seq)
-		w.U8(uint8(ev.kind))
-		// Same wire layout as when events carried payloads inline: evSend
-		// writes a zero slot plus its slab payload, every other kind
-		// writes its command slot plus an empty message.
-		if ev.kind == evSend {
-			w.I64(0)
-			noc.SnapshotMessage(w, e.sendSlab[ev.slot])
-		} else {
-			w.I64(int64(ev.slot))
-			noc.SnapshotMessage(w, noc.Message{})
-		}
-	}
-	w.I64(e.nextGen)
-	w.I64(e.seq)
-	w.I64(e.stats.Gets)
-	w.I64(e.stats.Puts)
-	w.I64(e.stats.BytesIn)
-	w.I64(e.stats.BytesOut)
-	w.I64(e.stats.QueueFull)
-	w.I64(e.stats.TagWaits)
-	w.Int(e.stats.MaxQueueDepth)
-}
-
-// Restore rewinds the MFC to a snapshot taken on an identically
+// construction-time and not serialised; a read needs an identically
 // configured MFC.
-func (e *Engine) Restore(r *snap.Reader) error {
-	e.chLSA = r.I64()
-	e.chEA = r.I64()
-	e.chSize = r.I64()
-	e.chTag = r.I64()
-	e.cmds = e.cmds[:0]
-	nc := r.Int()
-	for i := 0; i < nc; i++ {
-		var c command
-		c.id = r.I64()
-		c.lsa = r.I64()
-		c.ea = r.I64()
-		c.size = r.I64()
-		c.tag = r.I64()
-		c.dir = Direction(r.U8())
-		c.inflight = r.Bool()
-		c.remaining = r.I64()
-		c.issuedAt = sim.Cycle(r.I64())
-		c.launchedAt = sim.Cycle(r.I64())
-		e.cmds = append(e.cmds, c)
+func (e *Engine) Walk(c *snap.Codec) {
+	for _, p := range []*int64{&e.chLSA, &e.chEA, &e.chSize, &e.chTag} {
+		snap.Int(c, p)
 	}
-	e.free = e.free[:0]
-	nf := r.Int()
-	for i := 0; i < nf; i++ {
-		e.free = append(e.free, int32(r.I64()))
-	}
-	e.queue = e.queue[:0]
-	nq := r.Int()
-	for i := 0; i < nq; i++ {
-		e.queue = append(e.queue, int32(r.I64()))
-	}
-	e.headBusy = r.Bool()
-	e.inflightN = r.Int()
-	e.tags = e.tags[:0]
-	nt := r.Int()
-	for i := 0; i < nt; i++ {
-		e.tags = append(e.tags, tagEntry{tag: r.I64(), n: int32(r.I64())})
-	}
-	e.events = e.events[:0]
-	for i := range e.sendSlab {
-		e.sendSlab[i] = noc.Message{}
-	}
-	e.sendSlab = e.sendSlab[:0]
-	e.sendFree = e.sendFree[:0]
-	ne := r.Int()
-	for i := 0; i < ne; i++ {
-		var ev timedEvent
-		ev.at = sim.Cycle(r.I64())
-		ev.seq = r.I64()
-		ev.kind = evKind(r.U8())
-		ev.slot = int32(r.I64())
-		msg := noc.RestoreMessage(r)
-		if r.Err() != nil {
-			return r.Err()
+	snap.Slice(c, &e.cmds, func(c *snap.Codec, cmd *command) {
+		for _, p := range []*int64{&cmd.id, &cmd.lsa, &cmd.ea, &cmd.size, &cmd.tag} {
+			snap.Int(c, p)
 		}
-		if ev.kind == evSend {
-			ev.slot = e.sendAlloc(msg)
-		}
-		sim.HeapPush(&e.events, ev)
+		snap.Byte(c, &cmd.dir)
+		c.Bool(&cmd.inflight)
+		snap.Int(c, &cmd.remaining)
+		snap.Int(c, &cmd.issuedAt)
+		snap.Int(c, &cmd.launchedAt)
+	})
+	snap.Slice(c, &e.free, snap.Int[int32])
+	snap.Slice(c, &e.queue, snap.Int[int32])
+	c.Bool(&e.headBusy)
+	snap.Int(c, &e.inflightN)
+	snap.Slice(c, &e.tags, func(c *snap.Codec, t *tagEntry) {
+		snap.Int(c, &t.tag)
+		snap.Int(c, &t.n)
+	})
+	if c.Reading() {
+		clear(e.sendSlab)
+		e.sendSlab, e.sendFree = e.sendSlab[:0], e.sendFree[:0]
 	}
-	e.nextGen = r.I64()
-	e.seq = r.I64()
-	e.stats.Gets = r.I64()
-	e.stats.Puts = r.I64()
-	e.stats.BytesIn = r.I64()
-	e.stats.BytesOut = r.I64()
-	e.stats.QueueFull = r.I64()
-	e.stats.TagWaits = r.I64()
-	e.stats.MaxQueueDepth = r.Int()
+	snap.Heap(c, &e.events, func(c *snap.Codec, ev *timedEvent) {
+		snap.Int(c, &ev.at)
+		snap.Int(c, &ev.seq)
+		snap.Byte(c, &ev.kind)
+		// An evSend's payload rides in the slab: it is written as a zero
+		// slot plus the message, every other kind as its command slot
+		// plus an empty message.
+		slot, msg := ev.slot, noc.Message{}
+		if !c.Reading() && ev.kind == evSend {
+			slot, msg = 0, e.sendSlab[ev.slot]
+		}
+		snap.Int(c, &slot)
+		noc.WalkMessage(c, &msg)
+		if c.Reading() {
+			ev.slot = slot
+			if ev.kind == evSend {
+				ev.slot = e.sendAlloc(msg)
+			}
+		}
+	})
+	st := &e.stats
+	for _, p := range []*int64{&e.nextGen, &e.seq, &st.Gets, &st.Puts, &st.BytesIn, &st.BytesOut, &st.QueueFull, &st.TagWaits} {
+		snap.Int(c, p)
+	}
+	snap.Int(c, &st.MaxQueueDepth)
 	for _, s := range e.queue {
-		if int(s) >= len(e.cmds) {
-			return fmt.Errorf("mfc%d: snapshot queue references slot %d beyond slab of %d", e.id, s, len(e.cmds))
+		if c.Reading() && int(s) >= len(e.cmds) {
+			c.Fail("mfc%d: snapshot queue references slot %d beyond slab of %d", e.id, s, len(e.cmds))
 		}
 	}
-	return r.Err()
 }

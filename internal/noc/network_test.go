@@ -728,30 +728,28 @@ func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
 	if got := orig.DumpState(); got != "queued=3 in-flight=2" {
 		t.Fatalf("DumpState at the snapshot = %q", got)
 	}
-	var w snap.Writer
-	if err := e.Snapshot(&w); err != nil {
+	w := snap.NewEncoder()
+	e.Walk(w)
+	orig.Walk(w)
+	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	orig.Snapshot(&w)
 
 	cp, cpDst, cpTimed, e2 := build()
 	cpTimed.got = slices.Clone(origTimed.got)
-	r := snap.NewReader(w.Bytes())
-	if err := e2.Restore(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Restore(r); err != nil {
-		t.Fatal(err)
-	}
+	r := snap.NewDecoder(w.Payload())
+	e2.Walk(r)
+	cp.Walk(r)
 	if err := r.ExpectEOF(); err != nil {
 		t.Fatal(err)
 	}
-	var w2 snap.Writer
-	if err := e2.Snapshot(&w2); err != nil {
+	w2 := snap.NewEncoder()
+	e2.Walk(w2)
+	cp.Walk(w2)
+	if err := w2.Err(); err != nil {
 		t.Fatal(err)
 	}
-	cp.Snapshot(&w2)
-	if !bytes.Equal(w.Bytes(), w2.Bytes()) {
+	if !bytes.Equal(w.Payload(), w2.Payload()) {
 		t.Fatal("a restored network snapshots differently")
 	}
 	if got := cp.Stats(); got != mid {

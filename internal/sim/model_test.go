@@ -107,12 +107,13 @@ func (s *engineSide) nextScheduled(id int32) Cycle            { return s.e.NextS
 // checkpoint round-trips the schedule through a snapshot: between Runs
 // the (component, due cycle) multiset must be the whole state.
 func (s *engineSide) checkpoint() {
-	var w snap.Writer
-	if err := s.e.Snapshot(&w); err != nil {
-		s.t.Fatalf("Snapshot: %v", err)
+	w := snap.NewEncoder()
+	if s.e.Walk(w); w.Err() != nil {
+		s.t.Fatalf("snapshot: %v", w.Err())
 	}
-	if err := s.e.Restore(snap.NewReader(w.Bytes())); err != nil {
-		s.t.Fatalf("Restore: %v", err)
+	r := snap.NewDecoder(w.Payload())
+	if s.e.Walk(r); r.ExpectEOF() != nil {
+		s.t.Fatalf("restore: %v", r.Err())
 	}
 }
 

@@ -1,21 +1,25 @@
 // Package snap is the binary serialisation layer of the checkpoint
-// subsystem: a small varint codec (Writer/Reader) every component's
-// Snapshot/Restore pair is written against, plus a versioned,
-// checksummed envelope that makes snapshots safe to cache on disk and
-// hand between processes.
+// subsystem: a Codec every component walks its state through, plus a
+// versioned, checksummed envelope that lets a restore refuse a stale or
+// foreign snapshot before touching machine state.
 //
-// Design rules, enforced by convention across the component snapshots:
+// Design rules, enforced by convention across the component walks:
 //
+//   - One walk per component: each field is named once, in a walk over
+//     a Codec that either writes the field or reads it back (the
+//     savestate pattern emulators use). Work that only happens on read —
+//     rebuilding slabs and free lists, resolving references, structural
+//     checks — sits under Reading.
 //   - Deterministic bytes: two snapshots of identical machine state are
-//     byte-identical. Map iteration is never serialised directly —
-//     callers sort keys first — and every slice is length-prefixed so
-//     the stream is self-delimiting.
-//   - No reflection, no interfaces: each component writes its fields
+//     byte-identical. Maps are walked in key order (Map), heaps in key
+//     order (Heap), and every slice is length-prefixed so the stream is
+//     self-delimiting.
+//   - No reflection, no interfaces: each component walks its fields
 //     explicitly, so the format is reviewable and version bumps are
 //     deliberate (see Envelope.Version).
-//   - Sticky errors: a Reader records the first failure and turns every
-//     subsequent read into a no-op returning zero values, so restore
-//     code reads an entire section and checks Err() once.
+//   - Sticky errors: the first failure is recorded and every later read
+//     becomes a no-op returning zero values, so a walk runs to its end
+//     and the caller checks Err once.
 package snap
 
 import (
@@ -23,188 +27,215 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 )
 
-// Writer accumulates a snapshot payload. The zero value is ready to use.
-type Writer struct {
-	buf []byte
+// Codec is one direction of a walk over a snapshot payload: an encoder
+// appends each field it is handed, a decoder overwrites each field with
+// the next value of its payload.
+type Codec struct {
+	reading bool
+	buf     []byte // the payload: appended to, or read from at off
+	off     int
+	err     error // the first failure; sticky
 }
 
-// Bytes returns the accumulated payload.
-func (w *Writer) Bytes() []byte { return w.buf }
+// NewEncoder returns a codec that writes a payload.
+func NewEncoder() *Codec { return &Codec{} }
 
-// Len returns the payload size so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// NewDecoder returns a codec that reads payload back.
+func NewDecoder(payload []byte) *Codec { return &Codec{reading: true, buf: payload} }
 
-// U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+// Reading reports whether the walk is decoding.
+func (c *Codec) Reading() bool { return c.reading }
 
-// Bool appends a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+// Payload returns the bytes an encoder has written.
+func (c *Codec) Payload() []byte { return c.buf }
+
+// Err returns the first failure of the walk, or nil.
+func (c *Codec) Err() error { return c.err }
+
+// Fail records a failure unless one is recorded already: a structural
+// mismatch found on read, or a state that cannot be written.
+func (c *Codec) Fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format+" (snapshot offset %d)", append(args, c.off)...)
 	}
 }
 
-// I64 appends a signed integer (zigzag varint).
-func (w *Writer) I64(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
+// ExpectEOF fails unless the whole payload was consumed — a restore's
+// final check that the walk read what it wrote.
+func (c *Codec) ExpectEOF() error {
+	if c.off != len(c.buf) {
+		c.Fail("snap: %d trailing bytes", len(c.buf)-c.off)
+	}
+	return c.err
+}
 
-// U64 appends an unsigned integer (varint).
-func (w *Writer) U64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-
-// Int appends an int (zigzag varint).
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// Bytes appends a length-prefixed byte slice. A nil slice round-trips
-// as nil, an empty one as empty (the distinction matters for buffers
-// whose nil-ness is load-bearing).
-func (w *Writer) WriteBytes(b []byte) {
-	if b == nil {
-		w.U64(0)
+// Int walks a signed integer of any width as a zigzag varint.
+func Int[T ~int | ~int32 | ~int64](c *Codec, p *T) {
+	if !c.reading {
+		c.buf = binary.AppendVarint(c.buf, int64(*p))
 		return
 	}
-	w.U64(uint64(len(b)) + 1)
-	w.buf = append(w.buf, b...)
+	if c.err != nil {
+		*p = 0
+		return
+	}
+	v, n := binary.Varint(c.buf[c.off:])
+	if n <= 0 {
+		c.Fail("snap: bad varint")
+	}
+	*p, c.off = T(v), c.off+max(n, 0)
 }
 
-// String appends a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
+// Ints walks a fixed-length run of integers, one Int each.
+func Ints[T ~int | ~int32 | ~int64](c *Codec, s []T) {
+	for i := range s {
+		Int(c, &s[i])
+	}
 }
 
-// InKeyOrder returns a copy of a heap's entries sorted by their key.
-// Every heap is written this way: two heaps holding the same entries
-// can differ in layout, and the sorted copy makes their bytes equal.
-// Restore pushes entries back one by one, so it accepts any order.
-func InKeyOrder[T interface{ Before(T) bool }](h []T) []T {
-	return slices.SortedFunc(slices.Values(h), func(a, b T) int {
-		switch {
-		case a.Before(b):
-			return -1
-		case b.Before(a):
-			return 1
+// Byte walks a one-byte value.
+func Byte[T ~uint8](c *Codec, p *T) {
+	switch {
+	case !c.reading:
+		c.buf = append(c.buf, uint8(*p))
+	case c.err == nil && c.off < len(c.buf):
+		*p = T(c.buf[c.off])
+		c.off++
+	default:
+		c.Fail("snap: truncated byte")
+		*p = 0
+	}
+}
+
+// Bool walks a bool as one byte.
+func (c *Codec) Bool(p *bool) {
+	var b uint8
+	if *p {
+		b = 1
+	}
+	if Byte(c, &b); c.reading {
+		*p = b != 0
+	}
+}
+
+// Bytes walks a length-prefixed byte slice. A nil slice round-trips as
+// nil, an empty one as empty (the distinction matters for buffers whose
+// nil-ness is load-bearing). A read allocates afresh, so restored state
+// never aliases the payload.
+func (c *Codec) Bytes(p *[]byte) {
+	if !c.reading {
+		if *p == nil {
+			c.buf = binary.AppendUvarint(c.buf, 0)
+			return
 		}
-		return 0
-	})
-}
-
-// Reader decodes a snapshot payload with a sticky error: after the
-// first failure every read returns a zero value and Err() reports the
-// original cause.
-type Reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewReader wraps payload for decoding.
-func NewReader(payload []byte) *Reader { return &Reader{buf: payload} }
-
-// Err returns the first decode error, or nil.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snap: "+format+" at offset %d", append(args, r.off)...)
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*p))+1)
+		c.buf = append(c.buf, *p...)
+		return
+	}
+	*p = nil
+	if c.err != nil {
+		return
+	}
+	n, k := binary.Uvarint(c.buf[c.off:])
+	switch {
+	case k <= 0:
+		c.Fail("snap: bad uvarint")
+	case n > uint64(len(c.buf)-c.off-k)+1:
+		c.Fail("snap: truncated bytes (%d wanted)", n-1)
+	case n > 0:
+		c.off += k
+		*p = append([]byte{}, c.buf[c.off:c.off+int(n-1)]...)
+		c.off += int(n - 1)
+	default:
+		c.off += k
 	}
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail("truncated byte")
+// Len walks the element count n of a sequence that follows. A read
+// fails on a count the rest of the payload cannot hold (every element
+// takes at least one byte), so a corrupt count never drives a huge
+// allocation or loop.
+func (c *Codec) Len(n int) int {
+	if Int(c, &n); c.reading && (n < 0 || n > len(c.buf)-c.off) {
+		c.Fail("snap: bad count %d", n)
 		return 0
 	}
-	v := r.buf[r.off]
-	r.off++
-	return v
+	return n
 }
 
-// Bool reads a bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// I64 reads a signed varint.
-func (r *Reader) I64() int64 {
-	if r.err != nil {
-		return 0
+// Slice walks a length-prefixed slice, each element through walk. A
+// read reuses the backing array and zeroes each element before its walk.
+func Slice[T any](c *Codec, s *[]T, walk func(*Codec, *T)) {
+	n := c.Len(len(*s))
+	if c.reading {
+		*s = slices.Grow((*s)[:0], n)[:n]
+		clear(*s)
 	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
+	for i := range *s {
+		walk(c, &(*s)[i])
 	}
-	r.off += n
-	return v
 }
 
-// U64 reads an unsigned varint.
-func (r *Reader) U64() uint64 {
-	if r.err != nil {
-		return 0
+// Fixed walks a slice whose length the machine's configuration fixes:
+// the length is written, and a read fails unless it matches. what names
+// the elements in the error ("noc: buses").
+func Fixed[T any](c *Codec, what string, s []T, walk func(*Codec, *T)) {
+	if n := c.Len(len(s)); n != len(s) {
+		c.Fail("%s: snapshot has %d, this machine %d", what, n, len(s))
+		return
 	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
+	for i := range s {
+		walk(c, &s[i])
 	}
-	r.off += n
-	return v
 }
 
-// Int reads an int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// ReadBytes reads a length-prefixed byte slice (a fresh allocation, so
-// restored state never aliases the snapshot buffer). Nil round-trips
-// as nil.
-func (r *Reader) ReadBytes() []byte {
-	n := r.U64()
-	if r.err != nil || n == 0 {
-		return nil
+// Heap walks a binary min-heap in key order. Two heaps holding the same
+// entries can differ in layout, so the entries are written sorted and
+// equal heaps give equal bytes. A read sorts what it read — a sorted
+// slice is a valid heap — so it accepts the entries in any order.
+func Heap[T interface{ Before(T) bool }](c *Codec, h *[]T, walk func(*Codec, *T)) {
+	if !c.reading {
+		sorted := slices.SortedFunc(slices.Values(*h), byKey[T])
+		Slice(c, &sorted, walk)
+		return
 	}
-	n--
-	if uint64(len(r.buf)-r.off) < n {
-		r.fail("truncated bytes (%d wanted)", n)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += int(n)
-	return out
+	Slice(c, h, walk)
+	slices.SortFunc(*h, byKey[T])
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.U64()
-	if r.err != nil {
-		return ""
+func byKey[T interface{ Before(T) bool }](a, b T) int {
+	switch {
+	case a.Before(b):
+		return -1
+	case b.Before(a):
+		return 1
 	}
-	if uint64(len(r.buf)-r.off) < n {
-		r.fail("truncated string (%d wanted)", n)
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	return 0
 }
 
-// ExpectEOF fails unless the whole payload was consumed — the restore
-// code's final sanity check that reads and writes stayed in lockstep.
-func (r *Reader) ExpectEOF() error {
-	if r.err != nil {
-		return r.err
+// Map walks a map's entries in ascending key order under compare
+// (cmp.Compare for an ordered key), so the bytes do not depend on
+// iteration order. A read clears the map and refills it.
+func Map[K comparable, V any](c *Codec, m map[K]V, compare func(K, K) int, walk func(*Codec, *K, *V)) {
+	n := c.Len(len(m))
+	if !c.reading {
+		for _, k := range slices.SortedFunc(maps.Keys(m), compare) {
+			v := m[k]
+			walk(c, &k, &v)
+		}
+		return
 	}
-	if r.off != len(r.buf) {
-		r.err = fmt.Errorf("snap: %d trailing bytes", len(r.buf)-r.off)
+	clear(m)
+	for range n {
+		var k K
+		var v V
+		walk(c, &k, &v)
+		m[k] = v
 	}
-	return r.err
 }
 
 // magic identifies a snapshot envelope. Bumping it (rather than

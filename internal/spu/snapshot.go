@@ -1,13 +1,10 @@
 package spu
 
 import (
-	"fmt"
-
 	"repro/internal/dta"
 	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/snap"
-	"repro/internal/stats"
 )
 
 // Threads visits the thread the pipeline currently holds a reference
@@ -18,98 +15,57 @@ func (s *SPU) Threads(visit func(*dta.Thread)) {
 	}
 }
 
-// Snapshot serialises the pipeline's mutable state. The current thread
-// is written as a registry index via index (-1 when idle). Derived
-// state — the decoded uop table, the quiescence-horizon cache — is not
-// serialised: the restore rebuilds the former from (template, block)
-// and conservatively invalidates the latter.
-func (s *SPU) Snapshot(w *snap.Writer, index func(*dta.Thread) int32) {
-	for i := range s.regs {
-		w.I64(s.regs[i])
-	}
-	for i := range s.ready {
-		w.I64(int64(s.ready[i]))
-	}
+// Walk writes or reads the pipeline's mutable state, the current thread
+// as a reference into reg. Derived state — the decoded uop table, the
+// quiescence-horizon cache — is not serialised. A read needs an
+// identically configured SPU running the same program: it rebuilds the
+// uop table from (template, block), and leaves the horizon cache to the
+// next Tick, which recomputes it from the restored engine schedule —
+// that can only shrink the first burst window, never change behaviour.
+func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
+	snap.Ints(c, s.regs[:])
+	snap.Ints(c, s.ready[:])
 	for i := range s.prod {
-		w.U8(uint8(s.prod[i]))
+		snap.Byte(c, &s.prod[i])
 	}
+	reg.Ref(c, &s.cur)
+	snap.Int(c, &s.curKind)
+	block := uint8(s.block)
+	if snap.Byte(c, &block); c.Reading() {
+		s.block = program.BlockKind(block)
+	}
+	snap.Int(c, &s.pc)
+	snap.Byte(c, &s.ph)
+	snap.Int(c, &s.gapCause)
+	snap.Int(c, &s.gapLoc.Template)
+	snap.Byte(c, &s.gapLoc.Block)
+	snap.Int(c, &s.gapLoc.PC)
+	for _, p := range []*sim.Cycle{&s.accounted, &s.nextIssueAt, &s.resumeAt} {
+		snap.Int(c, p)
+	}
+	var reserved int64 // keeps the layout of blobs written before the burst kernel
+	snap.Int(c, &reserved)
+	snap.Byte(c, &s.readDst)
+	snap.Int(c, &s.reqSeq)
+	snap.Byte(c, &s.fallocRd)
+	c.Bool(&s.resp.held)
+	snap.Int(c, &s.resp.at)
+	snap.Int(c, &s.resp.val)
+	snap.Int(c, &s.unitStart)
+	s.st.Walk(c)
+	if !c.Reading() || c.Err() != nil {
+		return
+	}
+	s.uops = nil
 	if s.cur == nil {
-		w.I64(-1)
-	} else {
-		w.I64(int64(index(s.cur)))
+		return
 	}
-	w.Int(int(s.curKind))
-	w.U8(uint8(s.block))
-	w.Int(s.pc)
-	w.U8(uint8(s.ph))
-	w.Int(int(s.gapCause))
-	w.I64(int64(s.gapLoc.Template))
-	w.U8(s.gapLoc.Block)
-	w.I64(int64(s.gapLoc.PC))
-	w.I64(int64(s.accounted))
-	w.I64(int64(s.nextIssueAt))
-	w.I64(int64(s.resumeAt))
-	w.I64(0) // reserved: keeps the layout of blobs written before the burst kernel
-	w.U8(s.readDst)
-	w.I64(s.reqSeq)
-	w.U8(s.fallocRd)
-	w.Bool(s.resp.held)
-	w.I64(int64(s.resp.at))
-	w.I64(s.resp.val)
-	w.I64(int64(s.unitStart))
-	s.st.Snapshot(w)
-}
-
-// Restore rewinds the pipeline to a snapshot taken on an identically
-// configured SPU running the same program. lookup resolves the current
-// thread's registry index. The uop cache is keyed by the program, which
-// is unchanged, so it survives; the horizon cache is invalidated — the
-// next Tick recomputes it from the restored engine schedule, which can
-// only shrink the first burst window, never change behaviour.
-func (s *SPU) Restore(r *snap.Reader, lookup func(int32) *dta.Thread) error {
-	for i := range s.regs {
-		s.regs[i] = r.I64()
+	if s.cur.Template < 0 || s.cur.Template >= len(s.code.prog.Templates) {
+		c.Fail("spu%d: snapshot thread template %d out of range", s.spe, s.cur.Template)
+		return
 	}
-	for i := range s.ready {
-		s.ready[i] = sim.Cycle(r.I64())
+	s.uops = s.code.block(s.cur.Template, s.block)
+	if s.pc > len(s.uops) {
+		c.Fail("spu%d: snapshot pc %d beyond block of %d", s.spe, s.pc, len(s.uops))
 	}
-	for i := range s.prod {
-		s.prod[i] = prodClass(r.U8())
-	}
-	curRef := r.I64()
-	s.curKind = dta.WorkKind(r.Int())
-	s.block = program.BlockKind(r.U8())
-	s.pc = r.Int()
-	s.ph = phase(r.U8())
-	s.gapCause = stats.Cause(r.Int())
-	s.gapLoc.Template = int32(r.I64())
-	s.gapLoc.Block = r.U8()
-	s.gapLoc.PC = int32(r.I64())
-	s.accounted = sim.Cycle(r.I64())
-	s.nextIssueAt = sim.Cycle(r.I64())
-	s.resumeAt = sim.Cycle(r.I64())
-	r.I64() // reserved
-	s.readDst = r.U8()
-	s.reqSeq = r.I64()
-	s.fallocRd = r.U8()
-	s.resp = readResp{held: r.Bool(), at: sim.Cycle(r.I64()), val: r.I64()}
-	s.unitStart = sim.Cycle(r.I64())
-	if err := s.st.Restore(r); err != nil {
-		return err
-	}
-	s.cur, s.uops = nil, nil
-	if curRef >= 0 {
-		s.cur = lookup(int32(curRef))
-		if s.cur == nil {
-			return fmt.Errorf("spu%d: snapshot thread ref %d unresolved", s.spe, curRef)
-		}
-		if s.cur.Template < 0 || s.cur.Template >= len(s.code.prog.Templates) {
-			return fmt.Errorf("spu%d: snapshot thread template %d out of range", s.spe, s.cur.Template)
-		}
-		s.uops = s.code.block(s.cur.Template, s.block)
-		if s.pc > len(s.uops) {
-			return fmt.Errorf("spu%d: snapshot pc %d beyond block of %d", s.spe, s.pc, len(s.uops))
-		}
-	}
-	return r.Err()
 }

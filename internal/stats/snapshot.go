@@ -1,106 +1,47 @@
 package stats
 
 import (
-	"sort"
+	"cmp"
 
 	"repro/internal/snap"
 )
 
-// Snapshot serialises one SPU's accumulated statistics.
-func (s *SPU) Snapshot(w *snap.Writer) {
-	for _, v := range s.Breakdown {
-		w.I64(v)
+// Walk writes or reads one SPU's accumulated statistics.
+func (s *SPU) Walk(c *snap.Codec) {
+	snap.Ints(c, s.Breakdown[:])
+	snap.Ints(c, s.Causes[:])
+	in := &s.Instr
+	for _, p := range []*int64{&in.Total, &in.Load, &in.Store, &in.Read, &in.Write, &in.LSDir, &in.DTA, &in.MFC,
+		&s.IssuedSlots, &s.Cycles, &s.Threads, &s.PFBlocks} {
+		snap.Int(c, p)
 	}
-	for _, v := range s.Causes {
-		w.I64(v)
-	}
-	w.I64(s.Instr.Total)
-	w.I64(s.Instr.Load)
-	w.I64(s.Instr.Store)
-	w.I64(s.Instr.Read)
-	w.I64(s.Instr.Write)
-	w.I64(s.Instr.LSDir)
-	w.I64(s.Instr.DTA)
-	w.I64(s.Instr.MFC)
-	w.I64(s.IssuedSlots)
-	w.I64(s.Cycles)
-	w.I64(s.Threads)
-	w.I64(s.PFBlocks)
 }
 
-// Restore rewinds the statistics to a snapshot.
-func (s *SPU) Restore(r *snap.Reader) error {
-	for i := range s.Breakdown {
-		s.Breakdown[i] = r.I64()
-	}
-	for i := range s.Causes {
-		s.Causes[i] = r.I64()
-	}
-	s.Instr.Total = r.I64()
-	s.Instr.Load = r.I64()
-	s.Instr.Store = r.I64()
-	s.Instr.Read = r.I64()
-	s.Instr.Write = r.I64()
-	s.Instr.LSDir = r.I64()
-	s.Instr.DTA = r.I64()
-	s.Instr.MFC = r.I64()
-	s.IssuedSlots = r.I64()
-	s.Cycles = r.I64()
-	s.Threads = r.I64()
-	s.PFBlocks = r.I64()
-	return r.Err()
-}
-
-// Snapshot serialises the profile's samples in deterministic
-// (template, block, pc, cause) order. A nil profile writes an empty
-// sample set, matching its no-op semantics.
-func (p *Profile) Snapshot(w *snap.Writer) {
+// Walk writes or reads the profile's samples in (template, block, pc,
+// cause) order. A nil profile has no samples, matching its no-op
+// semantics, and refuses a snapshot that has some.
+func (p *Profile) Walk(c *snap.Codec) {
 	if p == nil {
-		w.Int(0)
+		if c.Len(0) != 0 {
+			c.Fail("stats: snapshot has profile samples, this machine keeps no profile")
+		}
 		return
 	}
-	keys := make([]profKey, 0, len(p.m))
-	for k := range p.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Loc.Template != b.Loc.Template {
-			return a.Loc.Template < b.Loc.Template
+	snap.Map(c, p.m, func(a, b profKey) int {
+		switch {
+		case a.Loc.Template != b.Loc.Template:
+			return cmp.Compare(a.Loc.Template, b.Loc.Template)
+		case a.Loc.Block != b.Loc.Block:
+			return cmp.Compare(a.Loc.Block, b.Loc.Block)
+		case a.Loc.PC != b.Loc.PC:
+			return cmp.Compare(a.Loc.PC, b.Loc.PC)
 		}
-		if a.Loc.Block != b.Loc.Block {
-			return a.Loc.Block < b.Loc.Block
-		}
-		if a.Loc.PC != b.Loc.PC {
-			return a.Loc.PC < b.Loc.PC
-		}
-		return a.Cause < b.Cause
+		return cmp.Compare(a.Cause, b.Cause)
+	}, func(c *snap.Codec, k *profKey, v *int64) {
+		snap.Int(c, &k.Loc.Template)
+		snap.Byte(c, &k.Loc.Block)
+		snap.Int(c, &k.Loc.PC)
+		snap.Int(c, &k.Cause)
+		snap.Int(c, v)
 	})
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.I64(int64(k.Loc.Template))
-		w.U8(k.Loc.Block)
-		w.I64(int64(k.Loc.PC))
-		w.Int(int(k.Cause))
-		w.I64(p.m[k])
-	}
-}
-
-// Restore rewinds the profile to a snapshot (no-op on a nil profile,
-// whose snapshot is necessarily empty).
-func (p *Profile) Restore(r *snap.Reader) error {
-	n := r.Int()
-	if p == nil {
-		return r.Err()
-	}
-	clear(p.m)
-	for i := 0; i < n; i++ {
-		var k profKey
-		k.Loc.Template = int32(r.I64())
-		k.Loc.Block = r.U8()
-		k.Loc.PC = int32(r.I64())
-		k.Cause = Cause(r.Int())
-		p.m[k] = r.I64()
-	}
-	return r.Err()
 }

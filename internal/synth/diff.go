@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 
@@ -177,7 +178,8 @@ func runSim(sc Scenario, opt CheckOptions, prog *program.Program) (*cell.Result,
 
 // diffCheckpoint re-executes prog with a snapshot/restore seam at the
 // halfway boundary: run a donor to want.Cycles/2, capture, restore the
-// blob into a recycled machine and finish. Any difference from the
+// blob into a recycled machine, re-encode it and finish. A re-encoded
+// blob that differs from the restored one, or any difference from the
 // uninterrupted run — a number, a byte of memory — fails the check.
 func diffCheckpoint(opt CheckOptions, cfg cell.Config, prog *program.Program, want *cell.Result, wantM *cell.Machine) error {
 	div := want.Cycles / 2
@@ -212,6 +214,15 @@ func diffCheckpoint(opt CheckOptions, cfg cell.Config, prog *program.Program, wa
 		}
 		if err := fresh.RestoreSnapshot(blob, key); err != nil {
 			return fmt.Errorf("checkpoint restore: %w", err)
+		}
+		// The codec is a fixed point: the restored machine encodes to
+		// the bytes it was restored from.
+		again, err := fresh.EncodeSnapshot(key)
+		if err != nil {
+			return fmt.Errorf("checkpoint re-encode: %w", err)
+		}
+		if !bytes.Equal(again, blob) {
+			return fmt.Errorf("checkpoint re-encode: the restored machine encodes to other bytes than its blob")
 		}
 		if got, err = fresh.Run(); err != nil {
 			return fmt.Errorf("restored run: %w", err)
