@@ -48,7 +48,7 @@ func TestBadMachineFlagsRefused(t *testing.T) {
 		{[]string{"exp", "-latency", "0"}, "-latency 0: want at least 1"},
 		{[]string{"fuzz", "-latency", "0"}, "-latency 0: want at least 1"},
 		{[]string{"run", "-spes", "0"}, "-spes 0: want 1 to 64"},
-		{[]string{"snap", "-spes", "65"}, "-spes 65: want 1 to 64"},
+		{[]string{"run", "-spes", "65"}, "-spes 65: want 1 to 64"},
 		{[]string{"serve", "-workers", "-1"}, "-workers -1: want 0 or more"},
 		{[]string{"asm", "-bench", "mmul", "-check"}, "-check means nothing with -bench"},
 		{[]string{"asm", "-bench", "mmul", "-roundtrip"}, "-roundtrip means nothing with -bench"},

@@ -1,9 +1,8 @@
 // Command dta is the front door of the CellDTA reproduction: one binary
 // whose commands run a benchmark (run), regenerate the paper's
 // evaluation (exp), fuzz the prefetch transformation (fuzz), assemble
-// programs (asm), checkpoint a run (snap) and serve the harness over
-// HTTP (serve). `dta` alone lists them; `dta <command> -h` lists a
-// command's flags.
+// programs (asm) and serve the harness over HTTP (serve). `dta` alone
+// lists them; `dta <command> -h` lists a command's flags.
 //
 // A flag that several commands take (-spes, -latency, -seed, -quick,
 // -prefetch, -bench, -workers, -trace, -profile, -cpuprofile,
@@ -40,7 +39,6 @@ var commands = []command{
 	{"exp", "", "regenerate the paper's tables and figures and the ablations", setupExp},
 	{"fuzz", "", "check generated scenarios three ways: functional oracle, original and prefetched", setupFuzz},
 	{"asm", "[prog.dta]", "print a benchmark (-bench) as assembly, or check (-check) or format (-roundtrip) a file", setupAsm},
-	{"snap", "", "capture a checkpoint mid-run (-capture), or restore one and verify it (-restore)", setupSnap},
 	{"serve", "", "serve the experiment harness over HTTP (see SERVICE.md)", setupServe},
 }
 

@@ -39,8 +39,6 @@ func setupServe(fs *flag.FlagSet, sh *shared) func([]string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheSize := fs.Int("cache", service.DefaultCacheSize, "max cached result documents")
 	queueDepth := fs.Int("queue-depth", 1024, "max queued jobs")
-	ckptDir := fs.String("checkpoint-dir", "", "spill warm-up checkpoint snapshots to this directory so they survive restarts (empty = memory only)")
-	ckptBytes := fs.Int64("checkpoint-disk-bytes", 0, "byte cap for -checkpoint-dir, oldest evicted first (0 = 1 GiB)")
 	logLevel := fs.String("log-level", "info", "minimum log level (debug, info, warn, error)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof for this process on this address (e.g. localhost:6060; empty = off)")
 	return func(args []string) error {
@@ -54,12 +52,10 @@ func setupServe(fs *flag.FlagSet, sh *shared) func([]string) error {
 		logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 		svc := service.New(service.Config{
-			Workers:             sh.workers,
-			CacheSize:           *cacheSize,
-			QueueDepth:          *queueDepth,
-			CheckpointDir:       *ckptDir,
-			CheckpointDiskBytes: *ckptBytes,
-			Logger:              logger,
+			Workers:    sh.workers,
+			CacheSize:  *cacheSize,
+			QueueDepth: *queueDepth,
+			Logger:     logger,
 		})
 		// Bound what a client can hold open without sending: headers, a
 		// request body (at most 1 MiB, see service.Handler), an idle

@@ -15,13 +15,13 @@ import (
 // dtad_checkpoint_* by the service's metrics registry.
 var (
 	// CheckpointHits counts forked runs seeded from a cached snapshot
-	// (in-memory or spill) instead of simulating the warm-up prefix.
+	// instead of simulating the warm-up prefix.
 	CheckpointHits atomic.Int64
 	// CheckpointMisses counts fork requests that had to simulate the
 	// prefix cold (and then captured it for the next variant).
 	CheckpointMisses atomic.Int64
 	// CheckpointEvictions counts snapshots dropped from memory under
-	// the byte cap (spilled copies, if any, survive).
+	// the byte cap.
 	CheckpointEvictions atomic.Int64
 	// CheckpointBytes gauges the snapshot bytes currently resident in
 	// memory across all caches.
@@ -38,20 +38,6 @@ var (
 // prefixes of a full sweep with room to spare.
 const DefaultCheckpointCacheBytes = 256 << 20
 
-// CheckpointSpill is an optional second level under a CheckpointCache:
-// Put writes through to it and a memory miss consults it, so snapshots
-// survive process restarts (the dtad service provides a disk-backed
-// implementation). Implementations must tolerate concurrent use —
-// unlike the in-memory cache, one spill is typically shared by every
-// worker in the process.
-type CheckpointSpill interface {
-	// Load returns the blob stored under key, if present.
-	Load(key string) ([]byte, bool)
-	// Store persists blob under key (best effort; errors are the
-	// implementation's to swallow or log).
-	Store(key string, blob []byte)
-}
-
 // CheckpointCache holds encoded machine snapshots keyed by
 // cell.SnapshotKey, evicting least-recently-used entries beyond
 // DefaultCheckpointCacheBytes; the entry just stored is never evicted,
@@ -60,7 +46,6 @@ type CheckpointSpill interface {
 // contexts.
 type CheckpointCache struct {
 	blobs *lru.Cache[string, []byte]
-	spill CheckpointSpill
 }
 
 // NewCheckpointCache returns an empty cache.
@@ -74,12 +59,8 @@ func newCheckpointCache(capBytes int64) *CheckpointCache {
 	return &CheckpointCache{blobs: lru.New(capBytes, size, evicted)}
 }
 
-// SetSpill attaches a second-level store: Put writes through to it and
-// a memory miss consults it before reporting a miss.
-func (cc *CheckpointCache) SetSpill(s CheckpointSpill) { cc.spill = s }
-
-// Get returns the snapshot stored under key, consulting the spill on a
-// memory miss, and bills the process hit/miss counters.
+// Get returns the snapshot stored under key and bills the process
+// hit/miss counters.
 func (cc *CheckpointCache) Get(key string) ([]byte, bool) {
 	if cc == nil {
 		CheckpointMisses.Add(1)
@@ -89,27 +70,19 @@ func (cc *CheckpointCache) Get(key string) ([]byte, bool) {
 		CheckpointHits.Add(1)
 		return blob, true
 	}
-	if cc.spill != nil {
-		if blob, ok := cc.spill.Load(key); ok {
-			cc.insert(key, blob)
-			CheckpointHits.Add(1)
-			return blob, true
-		}
-	}
 	CheckpointMisses.Add(1)
 	return nil, false
 }
 
-// Put stores a snapshot under key, writes it through to the spill and
-// evicts the coldest entries beyond the byte cap.
+// Put stores a snapshot under key, evicts the coldest entries beyond
+// the byte cap and moves the bytes gauge by what both changed.
 func (cc *CheckpointCache) Put(key string, blob []byte) {
 	if cc == nil {
 		return
 	}
-	cc.insert(key, blob)
-	if cc.spill != nil {
-		cc.spill.Store(key, blob)
-	}
+	before := cc.blobs.Cost()
+	cc.blobs.Put(key, blob)
+	CheckpointBytes.Add(cc.blobs.Cost() - before)
 }
 
 // Drop removes key without counting an eviction (used when a cached
@@ -137,14 +110,6 @@ func (cc *CheckpointCache) Bytes() int64 {
 		return 0
 	}
 	return cc.blobs.Cost()
-}
-
-// insert stores blob as the most recent entry and moves the bytes gauge
-// by what the store and any evictions changed.
-func (cc *CheckpointCache) insert(key string, blob []byte) {
-	before := cc.blobs.Cost()
-	cc.blobs.Put(key, blob)
-	CheckpointBytes.Add(cc.blobs.Cost() - before)
 }
 
 // phase is a mid-run change of the machine's knobs: the machine runs

@@ -169,42 +169,3 @@ func TestCheckpointPoisonBlobDropped(t *testing.T) {
 		}
 	}
 }
-
-// memSpill is a test spill: a plain map standing in for dtad's disk
-// directory.
-type memSpill struct {
-	m      map[string][]byte
-	stores int
-}
-
-func (s *memSpill) Load(key string) ([]byte, bool) { b, ok := s.m[key]; return b, ok }
-func (s *memSpill) Store(key string, blob []byte) {
-	s.m[key] = append([]byte(nil), blob...)
-	s.stores++
-}
-
-// TestCheckpointSpill: Put writes through, and a fresh cache over the
-// same spill — a restarted process — serves the snapshot as a hit.
-func TestCheckpointSpill(t *testing.T) {
-	spill := &memSpill{m: make(map[string][]byte)}
-	cc := NewCheckpointCache()
-	cc.SetSpill(spill)
-	cc.Put("k", []byte("snapshot"))
-	if spill.stores != 1 {
-		t.Fatalf("Put wrote through %d times, want 1", spill.stores)
-	}
-
-	fresh := NewCheckpointCache()
-	fresh.SetSpill(spill)
-	hits := CheckpointHits.Load()
-	blob, ok := fresh.Get("k")
-	if !ok || string(blob) != "snapshot" {
-		t.Fatalf("Get after restart = %q, %v", blob, ok)
-	}
-	if CheckpointHits.Load() != hits+1 {
-		t.Error("spill-served Get did not count as a hit")
-	}
-	if fresh.Len() != 1 {
-		t.Error("spill-served Get did not promote the entry into memory")
-	}
-}

@@ -238,8 +238,8 @@ func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 }
 
 // SetCheckpointCache replaces this context's checkpoint cache — used
-// by long-lived workers (the dtad service) to share one cache, often
-// spill-backed, across the per-job contexts they build. Must be called
+// by long-lived workers (the dtad service) to share one cache across
+// the per-job contexts they build. Must be called
 // before the context runs anything; nil disables checkpoint sharing.
 func (c *Context) SetCheckpointCache(cc *CheckpointCache) { c.ckpts = cc }
 

@@ -1,6 +1,6 @@
 // Package lru is the repository's one least-recently-used store: the
-// dtad result cache, a worker's base contexts, the harness run cache,
-// the checkpoint cache and the disk spill's index are all a Cache.
+// dtad result cache, a worker's base contexts, the harness run cache
+// and the checkpoint cache are all a Cache.
 //
 // A Cache is bounded by a total cost: cost 1 per entry bounds the entry
 // count, cost len(blob) bounds the bytes. After a Put, the least

@@ -85,9 +85,6 @@ type CheckpointStats struct {
 	Evictions   int64 `json:"evictions"`
 	Bytes       int64 `json:"bytes"`
 	CyclesSaved int64 `json:"cycles_saved"`
-	// DiskBytes is the on-disk spill's size; 0 when no spill is
-	// configured.
-	DiskBytes int64 `json:"disk_bytes"`
 }
 
 // runRequest is the POST /v1/runs body.
@@ -284,9 +281,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		Evictions:   harness.CheckpointEvictions.Load(),
 		Bytes:       harness.CheckpointBytes.Load(),
 		CyclesSaved: harness.CheckpointCyclesSaved.Load(),
-	}
-	if s.spill != nil {
-		ckpt.DiskBytes = s.spill.Bytes()
 	}
 	writeJSON(w, http.StatusOK, StatsDoc{
 		Engine:        EngineVersion,

@@ -84,7 +84,7 @@ func (s *Service) buildRegistry() {
 		func() float64 { return float64(harness.RunCacheHits.Load()) })
 
 	reg.CounterFunc("dtad_checkpoint_hits_total",
-		"Forked runs seeded from a cached warm-up snapshot (memory or disk spill).",
+		"Forked runs seeded from a cached warm-up snapshot.",
 		func() float64 { return float64(harness.CheckpointHits.Load()) })
 	reg.CounterFunc("dtad_checkpoint_misses_total",
 		"Fork requests that simulated their warm-up prefix cold.",
@@ -98,11 +98,6 @@ func (s *Service) buildRegistry() {
 	reg.CounterFunc("dtad_checkpoint_cycles_saved_total",
 		"Simulated cycles skipped by restoring snapshots instead of re-running warm-up prefixes.",
 		func() float64 { return float64(harness.CheckpointCyclesSaved.Load()) })
-	if s.spill != nil {
-		reg.GaugeFunc("dtad_checkpoint_disk_bytes",
-			"Snapshot bytes in the on-disk checkpoint spill directory.",
-			func() float64 { return float64(s.spill.Bytes()) })
-	}
 
 	for c := stats.Cause(0); c < stats.NumCauses; c++ {
 		c := c

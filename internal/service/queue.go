@@ -68,15 +68,6 @@ type Config struct {
 	CacheSize  int // max cached result documents; <= 0 selects DefaultCacheSize
 	QueueDepth int // max jobs waiting for a worker; <= 0 selects 1024
 
-	// CheckpointDir, when set, spills harness checkpoint snapshots
-	// (shared warm-up prefixes; see harness.CheckpointCache) to disk so
-	// they survive restarts. CheckpointDiskBytes bounds the directory,
-	// oldest-by-mtime evicted first (<= 0 selects
-	// DefaultCheckpointDiskBytes). Empty disables the spill; the
-	// in-memory checkpoint caches work either way.
-	CheckpointDir       string
-	CheckpointDiskBytes int64
-
 	// JobRetention bounds how many terminal jobs stay pollable; the
 	// oldest are forgotten first (<= 0 selects 4096). Live jobs are
 	// already bounded by QueueDepth + Workers, so this caps the job
@@ -112,9 +103,6 @@ type Service struct {
 	// httpMetrics maps mux patterns to pre-registered series; "" is the
 	// catch-all for unmatched requests. Built once in buildRegistry.
 	httpMetrics map[string]*routeMetrics
-	// spill is the on-disk checkpoint store shared by every worker's
-	// checkpoint cache; nil when Config.CheckpointDir is unset.
-	spill *DiskSpill
 
 	mu          sync.Mutex
 	jobs        map[string]*Job
@@ -168,16 +156,6 @@ func New(cfg Config) *Service {
 		sweeps:   make(map[string]*Sweep),
 		inflight: make(map[string]*Job),
 		queue:    make(chan *Job, cfg.QueueDepth),
-	}
-	if cfg.CheckpointDir != "" {
-		spill, err := NewDiskSpill(cfg.CheckpointDir, cfg.CheckpointDiskBytes)
-		if err != nil {
-			// The spill is an optimisation; run memory-only rather than
-			// refuse to start.
-			logger.Error("checkpoint spill disabled", "dir", cfg.CheckpointDir, "err", err)
-		} else {
-			s.spill = spill
-		}
 	}
 	s.buildRegistry()
 	s.wg.Add(cfg.Workers)
@@ -393,13 +371,8 @@ func (s *Service) worker() {
 	defer s.wg.Done()
 	// One checkpoint cache per worker, shared across all its bases, so a
 	// sweep's variants fork from each other's warm-up prefixes even
-	// across Quick/Seed boundaries (snapshot keys are content-addressed);
-	// the spill underneath is process-wide and survives restarts.
-	ckpts := harness.NewCheckpointCache()
-	if s.spill != nil {
-		ckpts.SetSpill(s.spill)
-	}
-	b := newBases(cell.NewPool(), ckpts)
+	// across Quick/Seed boundaries (snapshot keys are content-addressed).
+	b := newBases(cell.NewPool(), harness.NewCheckpointCache())
 	for job := range s.queue {
 		s.runJob(job, b.context)
 	}
