@@ -34,7 +34,7 @@ func setupFuzz(fs *flag.FlagSet, sh *shared) func([]string) error {
 	out := fs.String("out", "synth-repro.txt", "reproducer path (with -shrink)")
 	verbose := fs.Bool("v", false, "log every seed, not just failures")
 	diffB := fs.Bool("diffburst", false, "also run every simulation single-step and fail on any burst fast-path divergence")
-	diffCkpt := fs.Bool("checkpoint", false, "also re-run every simulation through a snapshot/restore seam at its halfway boundary and fail on any divergence")
+	diffCkpt := fs.Bool("checkpoint", false, "also re-run every simulation through a snapshot/restore seam at its halfway boundary and fail on any divergence, or if the restored machine re-encodes to other bytes")
 	return func(args []string) error {
 		if len(args) > 0 {
 			return usagef("unexpected operands %q", args)

@@ -45,7 +45,7 @@ func (p *page) touch(lo, hi int) {
 // the extent [lo,hi) its writes have covered since it was mapped (the
 // main-memory twin of ls.LocalStore's dirty high-water mark). Every
 // write path grows the extent before it stores, so Reset, FirstDiff and
-// Snapshot look at the extent only and cost what the program wrote, not
+// the snapshot walk look at the extent only and cost what the program wrote, not
 // what the pages could hold. TestSparseModel proves it against a flat
 // byte slice.
 //

@@ -138,7 +138,7 @@ type Engine struct {
 	pos  []int32
 	now  Cycle
 	// ticks[i] counts component i's Tick calls since the last Reset (or
-	// Restore): the engine events a run cost, by component. A host-side
+	// snapshot restore): the engine events a run cost, by component. A host-side
 	// measure, not simulation state — nothing simulated reads it.
 	ticks []int64
 

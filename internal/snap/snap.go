@@ -64,8 +64,8 @@ func (c *Codec) Fail(format string, args ...any) {
 	}
 }
 
-// ExpectEOF fails unless the whole payload was consumed — a restore's
-// final check that the walk read what it wrote.
+// ExpectEOF fails a decoder unless it consumed the whole payload — a
+// restore's final check that the walk read what was written.
 func (c *Codec) ExpectEOF() error {
 	if c.off != len(c.buf) {
 		c.Fail("snap: %d trailing bytes", len(c.buf)-c.off)

@@ -70,9 +70,11 @@ type CheckOptions struct {
 	// DiffCheckpoint additionally re-executes every simulation with a
 	// snapshot/restore seam at its halfway boundary — capture there,
 	// restore into a recycled machine, run to completion — and fails the
-	// check unless cycles, all statistics, tokens and the final memory
-	// image are identical to the uninterrupted run: the checkpoint
-	// machinery's differential mode (see cell.Machine.Snapshot).
+	// check unless the restored machine re-encodes to the bytes it was
+	// restored from, and cycles, all statistics, tokens and the final
+	// memory image are identical to the uninterrupted run: the
+	// checkpoint machinery's differential mode (see
+	// cell.Machine.EncodeSnapshot).
 	DiffCheckpoint bool
 }
 
