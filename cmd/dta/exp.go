@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/service"
 )
 
@@ -23,8 +21,8 @@ import (
 // run in order on ONE shared context: repeated configurations hit its
 // run cache, and each experiment's mutually independent simulations run
 // on every core, each single-threaded on a machine of its own (-trace
-// and -profile too: the recordings and profiles are kept in the order
-// the runs were declared). Results stream as experiments
+// and -profile too: the observed runs are kept in the order the runs
+// were declared). Results stream as experiments
 // complete; -json prints them as NDJSON in the shape the dtad sweep
 // stream serves, so piped consumers need only one decoder. A failed
 // experiment does not abort the sweep (it is reported on stderr and in
@@ -76,31 +74,12 @@ func setupExp(fs *flag.FlagSet, sh *shared) func([]string) error {
 
 		start := time.Now()
 		ctx := harness.NewContext(opt)
-		if sh.trace != "" {
-			ctx.EnableRecording(0)
-		}
-		if sh.profile != "" {
-			ctx.EnableProfiling()
-		}
+		ctx.Observe(sh.trace != "", sh.profile != "")
 		for _, e := range selected {
 			report(harness.RunOn(ctx, e))
 		}
-		if sh.trace != "" {
-			var runs []obs.TraceRun
-			for _, rr := range ctx.Recorded() {
-				runs = append(runs, obs.TraceRun{Label: rr.Label, SPEs: rr.SPEs, Rec: rr.Rec})
-			}
-			if err := writeTrace(sh.trace, runs); err != nil {
-				failed++
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}
-		if sh.profile != "" {
-			var runs []prof.Run
-			for _, pr := range ctx.Profiled() {
-				runs = append(runs, prof.Run{Label: pr.Label, Prog: pr.Prog, Prof: pr.Prof})
-			}
-			if err := writeProfile(sh.profile, runs); err != nil {
+		if sh.trace != "" || sh.profile != "" {
+			if err := writeObserved(sh, ctx.Observed()); err != nil {
 				failed++
 				fmt.Fprintln(os.Stderr, err)
 			}

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cell"
-	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/synth"
 )
 
@@ -158,31 +156,15 @@ func shrinkFailure(seed uint64, failure error, opt synth.CheckOptions, out strin
 }
 
 // writeScenario re-runs a scenario's original and prefetch-transformed
-// simulations for -trace (timeline recording) and -profile (guest cycle
-// profiler), each pair into one file.
+// simulations, once each, for -trace (timeline recording) and -profile
+// (guest cycle profiler), each pair into one file.
 func writeScenario(sc synth.Scenario, opt synth.CheckOptions, sh *shared) error {
-	orig, pf := "sim-orig "+sc.Summary(), "sim-pf "+sc.Summary()
-	if sh.trace != "" {
-		rec, err := synth.RecordScenario(sc, opt, 0)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		if err := writeTrace(sh.trace, []obs.TraceRun{
-			{Label: orig, SPEs: rec.SPEs, Rec: rec.Orig},
-			{Label: pf, SPEs: rec.SPEs, Rec: rec.PF},
-		}); err != nil {
-			return err
-		}
+	if sh.trace == "" && sh.profile == "" {
+		return nil
 	}
-	if sh.profile != "" {
-		p, err := synth.ProfileScenario(sc, opt)
-		if err != nil {
-			return fmt.Errorf("profile: %w", err)
-		}
-		return writeProfile(sh.profile, []prof.Run{
-			{Label: orig, Prog: p.OrigProg, Prof: p.Orig},
-			{Label: pf, Prog: p.PFProg, Prof: p.PF},
-		})
+	runs, err := synth.ObserveScenario(sc, opt, sh.trace != "", sh.profile != "")
+	if err != nil {
+		return fmt.Errorf("observe: %w", err)
 	}
-	return nil
+	return writeObserved(sh, runs)
 }

@@ -23,7 +23,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/obs"
-	"repro/internal/prof"
+	"repro/internal/trace"
 )
 
 // A command is one subcommand. setup registers its flags on fs, the
@@ -235,29 +235,35 @@ func withHostProfiles(cpuPath, memPath string, fn func() error) error {
 	return err
 }
 
-// writeTrace writes runs as one Chrome trace-event document (load it in
-// Perfetto or chrome://tracing; see OBSERVABILITY.md).
-func writeTrace(path string, runs []obs.TraceRun) error {
-	return writeRuns("trace", path, len(runs), func(w io.Writer) error { return obs.WriteTrace(w, runs) })
-}
-
-// writeProfile writes runs as one gzipped pprof protobuf, each run under
-// its label as the root frame (inspect with `go tool pprof`; see
-// OBSERVABILITY.md).
-func writeProfile(path string, runs []prof.Run) error {
-	return writeRuns("profile", path, len(runs), func(w io.Writer) error { return prof.Write(w, runs) })
-}
-
-// writeRuns writes the n simulations of a -trace or -profile file.
-func writeRuns(what, path string, n int, write func(io.Writer) error) error {
-	if n == 0 {
-		return fmt.Errorf("%s: no simulations to write (every run was a cache hit?)", what)
+// writeObserved writes runs to the -trace file as one Chrome
+// trace-event document (load it in Perfetto or chrome://tracing) and to
+// the -profile file as one gzipped pprof protobuf, each run under its
+// label (inspect with `go tool pprof`), whichever of the two is set;
+// see OBSERVABILITY.md. A timeline truncated at the per-track cap is
+// reported on stderr.
+func writeObserved(sh *shared, runs []obs.Run) error {
+	if len(runs) == 0 {
+		return fmt.Errorf("observe: no simulations to write (every run was a cache hit?)")
 	}
-	if err := writeFile(path, write); err != nil {
-		return fmt.Errorf("%s: %w", what, err)
+	var errs []error
+	for _, out := range []struct {
+		what, path string
+		write      func(io.Writer, []obs.Run) error
+	}{{"trace", sh.trace, obs.WriteTrace}, {"profile", sh.profile, obs.WriteProfile}} {
+		if out.path == "" {
+			continue
+		}
+		if err := writeFile(out.path, func(w io.Writer) error { return out.write(w, runs) }); err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", out.what, err))
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "%s: wrote %d simulations to %s\n", out.what, len(runs), out.path)
 	}
-	fmt.Fprintf(os.Stderr, "%s: wrote %d simulations to %s\n", what, n, path)
-	return nil
+	if n := obs.DroppedSpans(runs); n > 0 && sh.trace != "" {
+		fmt.Fprintf(os.Stderr, "trace: %d spans over the per-track cap of %d were dropped; the timeline is truncated\n",
+			n, trace.DefaultSpanCap)
+	}
+	return errors.Join(errs...)
 }
 
 func writeFile(path string, write func(io.Writer) error) error {

@@ -76,7 +76,7 @@ func setupRun(fs *flag.FlagSet, sh *shared) func([]string) error {
 			return nil
 		}
 		label := fmt.Sprintf("%s spes=%d pf=%t lat=%d", name, sh.spes, sh.prefetch, sh.latency)
-		return writeTrace(sh.trace, []obs.TraceRun{{Label: label, SPEs: sh.spes, Rec: res.Rec}})
+		return writeObserved(sh, []obs.Run{{Label: label, SPEs: sh.spes, Prog: prog, Rec: res.Rec}})
 	}
 }
 

@@ -35,18 +35,17 @@ type Config struct {
 
 	// Record enables full timeline recording (SPU dispatch/burst
 	// windows, MFC DMA lifetimes, NoC message spans, thread lifecycle)
-	// into a trace.Recorder surfaced as Result.Rec. RecordCap bounds
-	// each span track (0 = trace.DefaultSpanCap). Both stay value types
-	// so Config remains a comparable pool key.
-	Record    bool
-	RecordCap int
+	// into a trace.Recorder surfaced as Result.Rec, each track bounded
+	// by trace.DefaultSpanCap. It stays a value type so Config remains a
+	// comparable pool key.
+	Record bool
 
 	// Profile enables the guest cycle profiler: every simulated SPU
 	// cycle is attributed to (template block, PC, stall cause) in a
-	// stats.Profile surfaced as Result.Prof (export with internal/prof).
-	// Like Record it is a value type (Config stays a comparable pool
-	// key) and it does not perturb simulation results — the profile is
-	// fed from the same charges as the stats breakdown.
+	// stats.Profile surfaced as Result.Prof (export with
+	// obs.WriteProfile). Like Record it is a value type (Config stays a
+	// comparable pool key) and it does not perturb simulation results —
+	// the profile is fed from the same charges as the stats breakdown.
 	Profile bool
 }
 

@@ -94,10 +94,8 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 
 	m := &Machine{cfg: cfg, prog: prog, code: spu.NewCode(cfg.SPU), eng: sim.NewEngine()}
 	m.code.Bind(prog)
-	var threads *trace.Buffer // the LSEs' lifecycle sink: nil unless recording
 	if cfg.Record {
-		m.rec = trace.NewRecorder(cfg.RecordCap)
-		threads = m.rec.Threads
+		m.rec = trace.NewRecorder()
 	}
 	if cfg.Profile {
 		// One shared store: the engine is single-threaded and the profile
@@ -141,7 +139,7 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		lseUnit.Attach(lseHandle)
 		m.net.Register(lseEP(i), lseUnit)
 		lseUnit.Fault = m.fail
-		lseUnit.Trace = threads
+		lseUnit.Rec = m.rec
 
 		dmaEng := mfc.New(cfg.MFC, cfg.mfcEP(i), cfg.memEP(), m.net, store)
 		mfcHandle := m.eng.Register(dmaEng)
@@ -257,7 +255,7 @@ func (m *Machine) Reset(prog *program.Program) error {
 		}
 		m.knobbed = false
 	}
-	m.rec.Reset() // clears the LSEs' lifecycle sink in place
+	m.rec.Reset()
 	// Pool safety: a reused machine must not leak the previous run's
 	// samples (Reset keeps the component wiring, clears the store).
 	m.prof.Reset()

@@ -146,7 +146,7 @@ func TestRecordedSpansMatchStats(t *testing.T) {
 		}
 	}
 
-	if len(rec.Threads.Events()) == 0 {
+	if len(rec.ThreadEvents()) == 0 {
 		t.Fatal("no thread-lifecycle events recorded")
 	}
 }

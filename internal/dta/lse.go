@@ -122,8 +122,8 @@ type LSE struct {
 	Outstanding func(tag int64) int
 	// Fault receives protocol violations.
 	Fault func(error)
-	// Trace receives thread-lifecycle events (nil disables tracing).
-	Trace *trace.Buffer
+	// Rec receives thread-lifecycle events (nil disables recording).
+	Rec *trace.Recorder
 
 	stats LSEStats
 }
@@ -253,9 +253,9 @@ func (l *LSE) NextWork(now sim.Cycle) (*Thread, WorkKind) {
 	return nil, WorkNone
 }
 
-// emit records a lifecycle event when tracing is enabled.
+// emit records a lifecycle event when recording is enabled.
 func (l *LSE) emit(now sim.Cycle, kind trace.Kind, th *Thread) {
-	l.Trace.Emit(trace.Event{
+	l.Rec.Thread(trace.Event{
 		At: now, SPE: l.spe, Kind: kind, Thread: th.Seq, Template: th.Template,
 	})
 }

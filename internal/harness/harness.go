@@ -13,10 +13,10 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/lru"
+	"repro/internal/obs"
 	"repro/internal/prefetch"
 	"repro/internal/program"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -169,43 +169,18 @@ type Context struct {
 	// workload, not on whether the run cache served it. A pointer so
 	// Sub-derived contexts bill the same counter.
 	simCycles *int64
-	// tr, once recording or profiling is enabled (nil before), collects
-	// a timeline recording and/or guest profile per simulation this
-	// context (and its Sub contexts) actually computes. Shared by pointer
-	// so derived contexts feed the same trace.
-	tr *tracing
+	// ob, once Observe asked for a timeline or a guest profile (nil
+	// before), collects one observed run per simulation this context
+	// (and its Sub contexts) actually computes. Shared by pointer so
+	// derived contexts feed the same list.
+	ob *observation
 }
 
-// RecordedRun is one machine run's timeline recording plus the label it
-// renders under in the exported trace.
-type RecordedRun struct {
-	Label string
-	SPEs  int
-	Rec   *trace.Recorder
-}
-
-// ProfiledRun is one machine run's guest cycle profile plus the program
-// that symbolizes it — exactly the inputs prof.Run wants.
-type ProfiledRun struct {
-	Label string
-	SPEs  int
-	Prog  *program.Program
-	Prof  *stats.Profile
-}
-
-// tracing is a context's recording and profiling state.
-type tracing struct {
-	record, profile bool
-	spanCap         int
-	recorded        []RecordedRun
-	profiled        []ProfiledRun
-}
-
-func (c *Context) tracing() *tracing {
-	if c.tr == nil {
-		c.tr = &tracing{}
-	}
-	return c.tr
+// observation is a context's observing state: what each simulation
+// records and the runs observed so far.
+type observation struct {
+	timeline, profile bool
+	runs              []obs.Run
 }
 
 // NewContext prepares a context with its own machine pool — the one
@@ -243,43 +218,29 @@ func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 // before the context runs anything; nil disables checkpoint sharing.
 func (c *Context) SetCheckpointCache(cc *CheckpointCache) { c.ckpts = cc }
 
-// EnableRecording makes every simulation this context computes record a
-// full component timeline (SPU/DMA/NoC/thread spans; see cell.Config
-// .Record) with the given per-track span capacity (0 = default). Each
-// recorded run gets a machine built for it and never pooled, so enable
-// this only for dedicated tracing runs — and before deriving Sub
-// contexts, which share the recordings by pointer.
-func (c *Context) EnableRecording(spanCap int) {
-	t := c.tracing()
-	t.record, t.spanCap = true, spanCap
+// Observe makes every simulation this context computes record a full
+// component timeline (SPU/DMA/NoC/thread spans; cell.Config.Record)
+// and/or a guest cycle profile (per-PC stall attribution; cell.Config
+// .Profile). Each observed run gets a machine built for it and never
+// pooled, so observe only dedicated debugging runs — and call this
+// before deriving Sub contexts, which share the observed runs by
+// pointer. Observe(false, false) turns observing off.
+func (c *Context) Observe(timeline, profile bool) {
+	c.ob = nil
+	if timeline || profile {
+		c.ob = &observation{timeline: timeline, profile: profile}
+	}
 }
 
-// Recorded returns the timeline recordings collected so far, one per
-// simulation computed while recording was enabled (cache hits replay
-// the already-recorded run and add nothing).
-func (c *Context) Recorded() []RecordedRun {
-	if c.tr == nil {
+// Observed returns the runs observed so far, one per simulation
+// computed while observing (cache hits reuse the already-observed run
+// and add nothing), in the order the runs were declared. Export them
+// with obs.WriteTrace and obs.WriteProfile.
+func (c *Context) Observed() []obs.Run {
+	if c.ob == nil {
 		return nil
 	}
-	return c.tr.recorded
-}
-
-// EnableProfiling makes every simulation this context computes collect
-// a guest cycle profile (per-PC stall attribution; see cell.Config
-// .Profile). Like a recorded run, each profiled run gets a machine of
-// its own — a pooled machine's profile is cleared on reuse — so enable
-// this only for dedicated profiling runs, before deriving Sub contexts.
-func (c *Context) EnableProfiling() { c.tracing().profile = true }
-
-// Profiled returns the guest profiles collected so far, one per
-// simulation computed while profiling was enabled (cache hits reuse
-// the already-profiled run and add nothing). Export with
-// internal/prof.Write.
-func (c *Context) Profiled() []ProfiledRun {
-	if c.tr == nil {
-		return nil
-	}
-	return c.tr.profiled
+	return c.ob.runs
 }
 
 // Sub derives a context at a different operating point that shares this
@@ -302,7 +263,7 @@ func (c *Context) Sub(opt Options) *Context {
 		pool:       c.pool,
 		ckpts:      c.ckpts,
 		simCycles:  c.simCycles,
-		tr:         c.tr,
+		ob:         c.ob,
 	}
 }
 
@@ -450,7 +411,7 @@ func (c *Context) bill(key runKey, res *cell.Result, hit bool) {
 
 // machineConfig derives the machine configuration for one run from
 // the context options and variant knobs (runSpec.machine layers the
-// recording and profiling flags on top).
+// observing switches on top).
 func (c *Context) machineConfig(spes int, v variant) cell.Config {
 	cfg := c.Opt.machineConfig(spes, v)
 	if c.SingleStep {

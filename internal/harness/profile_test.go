@@ -9,7 +9,7 @@ import (
 )
 
 // TestProfiledRunConsistentWithMetrics: profiling mmul-pf through the
-// harness yields one labelled ProfiledRun whose per-cause totals agree
+// harness yields one labelled observed run whose per-cause totals agree
 // exactly with the experiment's own cause_<slug>_cycles metrics.
 func TestProfiledRunConsistentWithMetrics(t *testing.T) {
 	exp, ok := ByID("mmul-pf")
@@ -17,12 +17,12 @@ func TestProfiledRunConsistentWithMetrics(t *testing.T) {
 		t.Fatal("mmul-pf experiment not registered")
 	}
 	ctx := NewContext(quickOpt())
-	ctx.EnableProfiling()
+	ctx.Observe(false, true)
 	res := RunOn(ctx, exp)
 	if res.Err != nil {
 		t.Fatalf("run: %v", res.Err)
 	}
-	profiled := ctx.Profiled()
+	profiled := ctx.Observed()
 	if len(profiled) != 1 {
 		t.Fatalf("profiled %d runs, want 1", len(profiled))
 	}
@@ -34,7 +34,10 @@ func TestProfiledRunConsistentWithMetrics(t *testing.T) {
 		t.Fatalf("label = %q, want the benchmark name in it", pr.Label)
 	}
 	if pr.Prog == nil {
-		t.Fatal("ProfiledRun carries no program (profiles would be unsymbolisable)")
+		t.Fatal("the observed run carries no program (profiles would be unsymbolisable)")
+	}
+	if pr.Rec != nil {
+		t.Fatal("a profile-only run carries a timeline")
 	}
 	causes := pr.Prof.Causes()
 	for c := stats.Cause(0); c < stats.NumCauses; c++ {
@@ -58,7 +61,7 @@ func TestProfilingDoesNotChangeOutcome(t *testing.T) {
 	}
 	plain := RunOn(NewContext(quickOpt()), exp)
 	profCtx := NewContext(quickOpt())
-	profCtx.EnableProfiling()
+	profCtx.Observe(false, true)
 	prof := RunOn(profCtx, exp)
 	if plain.Err != nil || prof.Err != nil {
 		t.Fatalf("errors: plain=%v profiled=%v", plain.Err, prof.Err)
@@ -76,7 +79,7 @@ func TestProfilingDoesNotChangeOutcome(t *testing.T) {
 	if rerun := RunOn(profCtx, exp); rerun.Err != nil {
 		t.Fatalf("rerun: %v", rerun.Err)
 	}
-	if n := len(profCtx.Profiled()); n != 1 {
+	if n := len(profCtx.Observed()); n != 1 {
 		t.Fatalf("cache hit added a profile: %d runs profiled", n)
 	}
 }

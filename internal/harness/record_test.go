@@ -21,12 +21,12 @@ func TestRecordedRunConsistentWithBreakdown(t *testing.T) {
 		t.Fatal("mmul-pf experiment not registered")
 	}
 	ctx := NewContext(quickOpt())
-	ctx.EnableRecording(0)
+	ctx.Observe(true, false)
 	res := RunOn(ctx, exp)
 	if res.Err != nil {
 		t.Fatalf("run: %v", res.Err)
 	}
-	recorded := ctx.Recorded()
+	recorded := ctx.Observed()
 	if len(recorded) != 1 {
 		t.Fatalf("recorded %d runs, want 1", len(recorded))
 	}
@@ -64,7 +64,10 @@ func TestRecordedRunConsistentWithBreakdown(t *testing.T) {
 	if got, want := float64(len(rr.Rec.NoCSpans())), m["noc_messages"]; got < want {
 		t.Fatalf("NoC spans = %v < %v delivered messages", got, want)
 	}
-	if len(rr.Rec.Threads.Events()) == 0 {
+	if rr.Prof != nil {
+		t.Fatal("a timeline-only run carries a guest profile")
+	}
+	if len(rr.Rec.ThreadEvents()) == 0 {
 		t.Fatal("no thread-lifecycle events recorded")
 	}
 }
@@ -79,7 +82,7 @@ func TestRecordingDoesNotChangeOutcome(t *testing.T) {
 	}
 	plain := RunOn(NewContext(quickOpt()), exp)
 	recCtx := NewContext(quickOpt())
-	recCtx.EnableRecording(0)
+	recCtx.Observe(true, false)
 	rec := RunOn(recCtx, exp)
 	if plain.Err != nil || rec.Err != nil {
 		t.Fatalf("errors: plain=%v recorded=%v", plain.Err, rec.Err)

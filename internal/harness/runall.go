@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/cell"
+	"repro/internal/obs"
 	"repro/internal/program"
 )
 
@@ -82,27 +83,27 @@ func (s *runSpec) wrap(err error) error {
 	return fmt.Errorf("%s spes=%d pf=%v: %w", s.bench, s.spes, s.prefetch, err)
 }
 
-// traced reports whether the spec's run is recorded or profiled on its
-// owner o. Hand-built machines and phase runs never are: a restored
-// phase run's prefix was never executed here.
-func (s *runSpec) traced(o *Context) bool {
-	return s.cfg == nil && s.phase == nil && o.tr != nil
+// observed reports whether the spec's run is observed on its owner o.
+// Hand-built machines and phase runs never are: a restored phase run's
+// prefix was never executed here.
+func (s *runSpec) observed(o *Context) bool {
+	return s.cfg == nil && s.phase == nil && o.ob != nil
 }
 
 // machine returns the pool the spec's machine comes from on its owner o
 // and the machine's configuration. A nil pool means a machine built for
-// this one run and never pooled: a hand-built configuration, or a
-// traced run, whose recorder or profile a pooled machine's Reset would
-// clear.
+// this one run and never pooled: a hand-built configuration, or an
+// observed run, whose recorder or profile a pooled machine's Reset
+// would clear.
 func (s *runSpec) machine(o *Context) (*cell.Pool, cell.Config) {
 	if s.cfg != nil {
 		return nil, *s.cfg
 	}
 	cfg := o.machineConfig(s.spes, s.v)
-	if !s.traced(o) {
+	if !s.observed(o) {
 		return o.pool, cfg
 	}
-	cfg.Record, cfg.RecordCap, cfg.Profile = o.tr.record, o.tr.spanCap, o.tr.profile
+	cfg.Record, cfg.Profile = o.ob.timeline, o.ob.profile
 	return nil, cfg
 }
 
@@ -148,15 +149,15 @@ var declare = (*Context).runAll
 //     checkpoint cache, and chain the missing runs by machine — one
 //     pooled machine per configuration, driven through its runs with
 //     Machine.Reset, and one never-pooled machine per hand-built or
-//     traced run;
+//     observed run;
 //  2. take each chain's machine from the pool (or build it);
 //  3. run the chains: on min(GOMAXPROCS, chains) goroutines, the caller
 //     one of them, for a context that owns its cores (NewContext), on
 //     the caller otherwise; a panic inside a simulation becomes that
 //     spec's error;
 //  4. return the machines, then in spec order write a phase run's
-//     snapshot back, keep a traced run's recording and profile, fill the
-//     run cache and bill RunsExecuted/RunCacheHits/simCycles/CauseCycles.
+//     snapshot back, keep an observed run's timeline and profile, fill
+//     the run cache and bill RunsExecuted/RunCacheHits/simCycles/CauseCycles.
 //
 // Phase runs sharing a prefix in one call all read the cache before any
 // of them captured it, so phaseMemLat declares them one at a time.
@@ -379,8 +380,8 @@ func (r *planned) simulate(m *cell.Machine) (res *cell.Result, err error) {
 
 // settle turns the raw result or error the chain step left for spec s
 // into its outcome on o, the spec's owner: phase-run snapshot traffic,
-// a traced run's recording and profile, the functional check and the
-// error naming the run.
+// an observed run's timeline and profile, the functional check and
+// the error naming the run.
 func (o *Context) settle(s *runSpec, r *planned, res *cell.Result, err error) (*cell.Result, error) {
 	if r.fork != nil {
 		r.fork.settle(o.ckpts)
@@ -388,14 +389,8 @@ func (o *Context) settle(s *runSpec, r *planned, res *cell.Result, err error) (*
 	if err != nil {
 		return nil, s.wrap(err)
 	}
-	if s.traced(o) {
-		label := s.label(o)
-		if o.tr.record {
-			o.tr.recorded = append(o.tr.recorded, RecordedRun{Label: label, SPEs: s.spes, Rec: res.Rec})
-		}
-		if o.tr.profile {
-			o.tr.profiled = append(o.tr.profiled, ProfiledRun{Label: label, SPEs: s.spes, Prog: r.prog, Prof: res.Prof})
-		}
+	if s.observed(o) {
+		o.ob.runs = append(o.ob.runs, obs.Run{Label: s.label(o), SPEs: s.spes, Prog: r.prog, Rec: res.Rec, Prof: res.Prof})
 	}
 	if res.CheckErr != nil {
 		return nil, s.wrap(fmt.Errorf("functional check: %w", res.CheckErr))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cell"
+	"repro/internal/obs"
 	"repro/internal/program"
 )
 
@@ -180,7 +181,7 @@ type tracedRuns struct {
 	labels   []string
 	spuSpans []int
 	nocSpans []int
-	profs    []ProfiledRun
+	profs    []obs.Run
 }
 
 // traceSpecs runs specs on a recording and profiling NewContext at the
@@ -189,18 +190,16 @@ func traceSpecs(t *testing.T, specs []runSpec, procs int) tracedRuns {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	ctx := NewContext(quickOpts())
-	ctx.EnableRecording(0)
-	ctx.EnableProfiling()
+	ctx.Observe(true, true)
 	if _, err := ctx.runList(specs); err != nil {
 		t.Fatal(err)
 	}
-	var tr tracedRuns
-	for _, r := range ctx.Recorded() {
+	tr := tracedRuns{profs: ctx.Observed()}
+	for _, r := range tr.profs {
 		tr.labels = append(tr.labels, r.Label)
 		tr.spuSpans = append(tr.spuSpans, len(r.Rec.SPUSpans()))
 		tr.nocSpans = append(tr.nocSpans, len(r.Rec.NoCSpans()))
 	}
-	tr.profs = ctx.Profiled()
 	return tr
 }
 
@@ -309,8 +308,7 @@ func TestRunAllOwnedContextsSpread(t *testing.T) {
 	job := quickOpts()
 	job.Latency = 1
 	traced := NewContext(quickOpts())
-	traced.EnableRecording(0)
-	traced.EnableProfiling()
+	traced.Observe(true, true)
 	for _, ctx := range []*Context{NewContext(quickOpts()), NewContext(quickOpts()).Sub(job), traced} {
 		caller, ran := checkGoroutines(t, ctx, true)
 		if !slices.ContainsFunc(ran, func(id string) bool { return id != caller }) {

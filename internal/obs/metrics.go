@@ -1,8 +1,9 @@
 // Package obs is the observability layer: a dependency-free metrics
 // registry with Prometheus text exposition (served by dtad at
-// GET /metrics) and a Chrome trace-event exporter that turns a
-// trace.Recorder's per-component spans into a Perfetto-loadable
-// timeline. See OBSERVABILITY.md.
+// GET /metrics) and the two exporters of an observed run (Run): a
+// Chrome trace-event writer that turns a trace.Recorder's
+// per-component spans into a Perfetto-loadable timeline, and a pprof
+// writer for its guest cycle profile. See OBSERVABILITY.md.
 package obs
 
 import (

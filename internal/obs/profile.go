@@ -1,8 +1,9 @@
-// Package prof exports guest cycle profiles (stats.Profile) as pprof
-// protobuf, so `go tool pprof -top/-flamegraph` works directly on a
-// simulated run. Like internal/obs it is dependency-free: profile.proto
-// is encoded by hand (varints and length-delimited submessages are the
-// only wire types the format needs).
+package obs
+
+// The guest profile writer encodes stats.Profile as pprof protobuf, so
+// `go tool pprof -top/-flamegraph` works directly on a simulated run.
+// profile.proto is encoded by hand (varints and length-delimited
+// submessages are the only wire types the format needs).
 //
 // This is the *guest* side of the repo's two profiling layers: samples
 // are simulated SPU cycles attributed to (program, template block, PC,
@@ -24,7 +25,6 @@
 // Output is deterministic: samples are emitted in stats.Profile's
 // canonical order and no timestamps are recorded, so identical runs
 // encode to identical bytes.
-package prof
 
 import (
 	"compress/gzip"
@@ -35,40 +35,22 @@ import (
 	"repro/internal/stats"
 )
 
-// Run is one profiled simulation: its cycle samples plus the program
-// that symbolizes them. Label becomes the stack root (e.g. the harness
-// run key "mmul spes=8 pf=true lat=600"); empty falls back to the
-// program name.
-type Run struct {
-	Label string
-	Prog  *program.Program
-	Prof  *stats.Profile
-}
-
-// Write encodes runs as one gzipped pprof protobuf. Multiple runs merge
-// into a single profile, distinguished by their root frames.
-func Write(w io.Writer, runs []Run) error {
-	raw, err := Marshal(runs)
-	if err != nil {
-		return err
-	}
-	zw := gzip.NewWriter(w)
-	if _, err := zw.Write(raw); err != nil {
-		return err
-	}
-	return zw.Close()
-}
-
-// Marshal encodes runs as an uncompressed pprof protobuf (pprof accepts
-// both; Write adds the conventional gzip layer).
-func Marshal(runs []Run) ([]byte, error) {
+// WriteProfile encodes the runs' guest profiles (Run.Prof, symbolized
+// by Run.Prog) as one gzipped pprof protobuf. The runs merge into a
+// single profile, distinguished by their root frames: the run label, or
+// the program name when the label is empty.
+func WriteProfile(w io.Writer, runs []Run) error {
 	e := newEncoder()
 	for _, r := range runs {
 		if err := e.addRun(r); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return e.marshal(), nil
+	zw := gzip.NewWriter(w)
+	if _, err := zw.Write(e.marshal()); err != nil {
+		return err
+	}
+	return zw.Close()
 }
 
 // encoder accumulates the deduplicated pprof tables.
@@ -151,7 +133,7 @@ func (e *encoder) loc(fn uint64, line int64) uint64 {
 // addRun appends one run's samples, building its symbol tables.
 func (e *encoder) addRun(r Run) error {
 	if r.Prog == nil {
-		return fmt.Errorf("prof: run %q has no program", r.Label)
+		return fmt.Errorf("obs: run %q has no program", r.Label)
 	}
 	label := r.Label
 	if label == "" {
@@ -167,7 +149,7 @@ func (e *encoder) addRun(r Run) error {
 		case s.Loc.Template < 0:
 			stack = []uint64{idleLoc, rootLoc}
 		case int(s.Loc.Template) >= len(r.Prog.Templates):
-			return fmt.Errorf("prof: run %q: sample template %d out of range (%d templates)",
+			return fmt.Errorf("obs: run %q: sample template %d out of range (%d templates)",
 				label, s.Loc.Template, len(r.Prog.Templates))
 		default:
 			tmpl := r.Prog.Templates[s.Loc.Template]

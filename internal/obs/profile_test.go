@@ -1,7 +1,9 @@
-package prof_test
+package obs_test
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,8 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/obs"
 	"repro/internal/prefetch"
-	"repro/internal/prof"
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -18,7 +20,7 @@ import (
 
 // profiledRun executes the prefetch-transformed mmul benchmark with the
 // guest profiler on and returns the run plus its result.
-func profiledRun(t *testing.T) (prof.Run, *cell.Result) {
+func profiledRun(t *testing.T) (obs.Run, *cell.Result) {
 	t.Helper()
 	w, ok := workloads.Get("mmul")
 	if !ok {
@@ -47,7 +49,7 @@ func profiledRun(t *testing.T) (prof.Run, *cell.Result) {
 	if res.Prof == nil || res.Prof.Len() == 0 {
 		t.Fatal("profiled run produced no samples")
 	}
-	return prof.Run{Label: "mmul-pf test run", Prog: pf, Prof: res.Prof}, res
+	return obs.Run{Label: "mmul-pf test run", SPEs: cfg.SPEs, Prog: pf, Prof: res.Prof}, res
 }
 
 // TestProfileAccountsEveryCycle: the profile is fed from the same
@@ -66,16 +68,16 @@ func TestProfileAccountsEveryCycle(t *testing.T) {
 	}
 }
 
-// TestWriteDeterministic: identical runs encode to identical bytes (no
+// TestWriteProfileDeterministic: identical runs encode to identical bytes (no
 // timestamps, canonical sample order) — profiles are diffable and
 // cache-friendly.
-func TestWriteDeterministic(t *testing.T) {
+func TestWriteProfileDeterministic(t *testing.T) {
 	run, _ := profiledRun(t)
 	var a, b bytes.Buffer
-	if err := prof.Write(&a, []prof.Run{run}); err != nil {
+	if err := obs.WriteProfile(&a, []obs.Run{run}); err != nil {
 		t.Fatal(err)
 	}
-	if err := prof.Write(&b, []prof.Run{run}); err != nil {
+	if err := obs.WriteProfile(&b, []obs.Run{run}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -83,13 +85,21 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 }
 
-// TestMarshalWireFormat decodes the emitted protobuf with a minimal
+// TestWriteProfileWireFormat decodes the emitted protobuf with a minimal
 // reader and checks the pprof invariants: sample-type count, the empty
 // string at table index 0, symbol names present, and sample values
 // summing to the simulated cycle total.
-func TestMarshalWireFormat(t *testing.T) {
+func TestWriteProfileWireFormat(t *testing.T) {
 	run, res := profiledRun(t)
-	raw, err := prof.Marshal([]prof.Run{run})
+	var gz bytes.Buffer
+	if err := obs.WriteProfile(&gz, []obs.Run{run}); err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(&gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +156,7 @@ func TestGoToolPprofTop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prof.Write(f, []prof.Run{run}); err != nil {
+	if err := obs.WriteProfile(f, []obs.Run{run}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -8,16 +8,35 @@ import (
 	"sort"
 
 	"repro/internal/noc"
+	"repro/internal/program"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// TraceRun is one recorded machine run to export. Multiple runs (e.g.
-// the original and the prefetch-transformed variant of a fuzz
-// reproducer) render as separate process groups in one timeline.
-type TraceRun struct {
+// Run is one observed machine run to export: its timeline (Rec, nil
+// unless cell.Config.Record) for WriteTrace and its guest profile
+// (Prof, nil unless cell.Config.Profile) with the program that
+// symbolizes it for WriteProfile. Multiple runs (e.g. the original and
+// the prefetch-transformed variant of a fuzz reproducer) render as
+// separate process groups in one timeline and separate root frames in
+// one profile.
+type Run struct {
 	Label string
 	SPEs  int
+	Prog  *program.Program
 	Rec   *trace.Recorder
+	Prof  *stats.Profile
+}
+
+// DroppedSpans sums the spans and events the runs' recorders dropped at
+// the per-track cap (trace.DefaultSpanCap): a timeline with any is
+// truncated.
+func DroppedSpans(runs []Run) int64 {
+	var n int64
+	for _, r := range runs {
+		n += r.Rec.DroppedSpans()
+	}
+	return n
 }
 
 // Track layout inside each trace: one "machine" process per run
@@ -65,10 +84,11 @@ func (t *traceWriter) emit(e event) {
 	t.err = t.enc.Encode(e)
 }
 
-// WriteTrace emits the runs as Chrome trace-event JSON ("JSON object
-// format": {"traceEvents": [...]}), loadable in Perfetto or
-// chrome://tracing.
-func WriteTrace(w io.Writer, runs []TraceRun) error {
+// WriteTrace emits the runs' timelines as Chrome trace-event JSON
+// ("JSON object format": {"traceEvents": [...]}), loadable in Perfetto
+// or chrome://tracing. A truncated timeline says so: when the recorders
+// dropped spans, the document carries "otherData": {"dropped_spans": N}.
+func WriteTrace(w io.Writer, runs []Run) error {
 	bw := bufio.NewWriter(w)
 	tw := &traceWriter{w: bw, enc: json.NewEncoder(bw), first: true}
 	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
@@ -82,7 +102,11 @@ func WriteTrace(w io.Writer, runs []TraceRun) error {
 	if tw.err != nil {
 		return tw.err
 	}
-	if _, err := bw.WriteString("],\"displayTimeUnit\":\"ms\"}\n"); err != nil {
+	tail := "],\"displayTimeUnit\":\"ms\"}\n"
+	if n := DroppedSpans(runs); n > 0 {
+		tail = fmt.Sprintf("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_spans\":%d}}\n", n)
+	}
+	if _, err := bw.WriteString(tail); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -92,7 +116,7 @@ func meta(pid, tid int, kind, name string) event {
 	return event{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}}
 }
 
-func writeRun(tw *traceWriter, pidBase int, run TraceRun) {
+func writeRun(tw *traceWriter, pidBase int, run Run) {
 	label := run.Label
 	if label == "" {
 		label = "run"
@@ -179,8 +203,8 @@ func writeRun(tw *traceWriter, pidBase int, run TraceRun) {
 // per-thread state spans: each event opens the state it names, closed
 // by the thread's next event. Every thread gets its own async series so
 // concurrent threads on one SPE do not fight over a track.
-func writeThreadStates(tw *traceWriter, spePid func(int) int, run TraceRun) {
-	events := run.Rec.Threads.Events()
+func writeThreadStates(tw *traceWriter, spePid func(int) int, run Run) {
+	events := run.Rec.ThreadEvents()
 	if len(events) == 0 {
 		return
 	}

@@ -26,23 +26,23 @@ type traceDoc struct {
 }
 
 func sampleRecorder() *trace.Recorder {
-	r := trace.NewRecorder(64)
+	r := trace.NewRecorder()
 	r.SPUUnit(0, trace.UnitPF, 10, 25, 1, 3)
 	r.SPUUnit(0, trace.UnitThread, 30, 80, 1, 3)
 	r.SPUBurst(1, 0, 200)
 	r.DMA(0, 0, 4096, 5, 12, 20, 170) // issued 12, launched 20, done 170
 	r.DMA(1, 1, 128, 2, 40, 40, 90)   // launched with no queue delay
 	r.NoC(1, 0, 2, 32, 15, 45)
-	r.Threads.Emit(trace.Event{At: 5, SPE: 0, Kind: trace.FrameAlloc, Thread: 1, Template: 3})
-	r.Threads.Emit(trace.Event{At: 10, SPE: 0, Kind: trace.PFDispatch, Thread: 1, Template: 3})
-	r.Threads.Emit(trace.Event{At: 30, SPE: 0, Kind: trace.Dispatch, Thread: 1, Template: 3})
-	r.Threads.Emit(trace.Event{At: 80, SPE: 0, Kind: trace.Done, Thread: 1, Template: 3})
+	r.Thread(trace.Event{At: 5, SPE: 0, Kind: trace.FrameAlloc, Thread: 1, Template: 3})
+	r.Thread(trace.Event{At: 10, SPE: 0, Kind: trace.PFDispatch, Thread: 1, Template: 3})
+	r.Thread(trace.Event{At: 30, SPE: 0, Kind: trace.Dispatch, Thread: 1, Template: 3})
+	r.Thread(trace.Event{At: 80, SPE: 0, Kind: trace.Done, Thread: 1, Template: 3})
 	return r
 }
 
 func TestWriteTraceValidJSON(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteTrace(&buf, []TraceRun{{Label: "unit", SPEs: 2, Rec: sampleRecorder()}})
+	err := WriteTrace(&buf, []Run{{Label: "unit", SPEs: 2, Rec: sampleRecorder()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWriteTraceValidJSON(t *testing.T) {
 
 func TestWriteTraceDMAAndNoCSpans(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, []TraceRun{{Label: "dma", SPEs: 2, Rec: sampleRecorder()}}); err != nil {
+	if err := WriteTrace(&buf, []Run{{Label: "dma", SPEs: 2, Rec: sampleRecorder()}}); err != nil {
 		t.Fatal(err)
 	}
 	var doc traceDoc
@@ -157,7 +157,7 @@ func TestWriteTraceDMAAndNoCSpans(t *testing.T) {
 
 func TestWriteTraceMultipleRunsDistinctPids(t *testing.T) {
 	var buf bytes.Buffer
-	runs := []TraceRun{
+	runs := []Run{
 		{Label: "sim-orig", SPEs: 2, Rec: sampleRecorder()},
 		{Label: "sim-pf", SPEs: 2, Rec: sampleRecorder()},
 	}
@@ -182,11 +182,52 @@ func TestWriteTraceMultipleRunsDistinctPids(t *testing.T) {
 
 func TestWriteTraceEmptyRecorder(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, []TraceRun{{Label: "empty", SPEs: 1, Rec: trace.NewRecorder(4)}}); err != nil {
+	if err := WriteTrace(&buf, []Run{{Label: "empty", SPEs: 1, Rec: trace.NewRecorder()}}); err != nil {
 		t.Fatal(err)
 	}
 	var doc traceDoc
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("empty-run output invalid: %v", err)
+	}
+}
+
+// TestWriteTraceReportsDroppedSpans: a timeline whose recorders dropped
+// spans at the per-track cap says so in otherData.dropped_spans, summed
+// over the runs; a complete one carries no otherData at all.
+func TestWriteTraceReportsDroppedSpans(t *testing.T) {
+	full := trace.NewRecorder()
+	for i := 0; i < trace.DefaultSpanCap+5; i++ {
+		full.NoC(0, 1, 2, 16, 0, 1)
+	}
+	full.Thread(trace.Event{At: 1, Kind: trace.Dispatch}) // its track is not full
+	runs := []Run{
+		{Label: "full", SPEs: 1, Rec: full},
+		{Label: "sample", SPEs: 2, Rec: sampleRecorder()},
+	}
+	if n := DroppedSpans(runs); n != 5 {
+		t.Fatalf("DroppedSpans = %d, want 5", n)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, runs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		OtherData struct {
+			DroppedSpans int64 `json:"dropped_spans"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("truncated timeline is not valid JSON: %v", err)
+	}
+	if doc.OtherData.DroppedSpans != 5 {
+		t.Fatalf("otherData.dropped_spans = %d, want 5", doc.OtherData.DroppedSpans)
+	}
+
+	buf.Reset()
+	if err := WriteTrace(&buf, runs[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("otherData")) {
+		t.Fatal("a complete timeline carries otherData")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/stats"
 )
 
@@ -307,12 +306,14 @@ func (s *Service) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing \"experiment\"")
 		return
 	}
-	if r.URL.Query().Get("trace") == "1" {
-		s.handleTraceRun(w, r, req)
+	q := r.URL.Query()
+	timeline, profile := q.Get("trace") == "1", q.Get("profile") == "1"
+	if timeline && profile {
+		writeError(w, http.StatusBadRequest, "?trace=1 and ?profile=1 are exclusive: the response is one document")
 		return
 	}
-	if r.URL.Query().Get("profile") == "1" {
-		s.handleProfileRun(w, r, req)
+	if timeline || profile {
+		s.handleObservedRun(w, r, req, timeline)
 		return
 	}
 	job, err := s.Submit(req.Experiment, req.Options.Harness())
@@ -357,15 +358,23 @@ func (s *Service) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	writeRaw(w, doc.Result)
 }
 
-// handleTraceRun serves POST /v1/runs?trace=1: the experiment runs
-// synchronously on the request goroutine — a context with a pool of its
-// own, which spreads nothing over the cores the workers occupy — with
-// timeline recording enabled and the response is a Chrome trace-event document for
-// Perfetto, not a ResultDoc. The run bypasses the queue and the result
-// cache — recording is a debugging path, its output is not
+// handleObservedRun serves POST /v1/runs?trace=1 (timeline set) and
+// ?profile=1: the experiment runs synchronously on the request
+// goroutine — a context with a pool of its own, which spreads nothing
+// over the cores the workers occupy — observing its simulations, and
+// the response is a Chrome trace-event document for Perfetto or a
+// gzipped pprof protobuf of the guest profile (save it and inspect with
+// `go tool pprof`), not a ResultDoc. The run bypasses the queue and the
+// result cache — observing is a debugging path, its output is not
 // content-addressed, and the simulations counter stays untouched so
-// cache accounting matches the normal submission path.
-func (s *Service) handleTraceRun(w http.ResponseWriter, r *http.Request, req runRequest) {
+// cache accounting matches the normal submission path. This profiles
+// the simulated machine; dtad's -debug-addr serves the host process's
+// own net/http/pprof.
+func (s *Service) handleObservedRun(w http.ResponseWriter, r *http.Request, req runRequest, timeline bool) {
+	what, contentType, write := "profile", "application/octet-stream", obs.WriteProfile
+	if timeline {
+		what, contentType, write = "trace", "application/json", obs.WriteTrace
+	}
 	exp, ok := s.lookup(req.Experiment)
 	if !ok {
 		writeError(w, http.StatusBadRequest, "unknown experiment %q", req.Experiment)
@@ -377,69 +386,22 @@ func (s *Service) handleTraceRun(w http.ResponseWriter, r *http.Request, req run
 		return
 	}
 	ctx := harness.NewContextWithPool(opt, cell.NewPool())
-	ctx.EnableRecording(0)
+	ctx.Observe(timeline, !timeline)
 	res := harness.RunOn(ctx, exp)
 	if res.Err != nil {
-		writeError(w, http.StatusInternalServerError, "trace run failed: %v", res.Err)
+		writeError(w, http.StatusInternalServerError, "%s run failed: %v", what, res.Err)
 		return
 	}
-	recorded := ctx.Recorded()
-	if len(recorded) == 0 {
-		writeError(w, http.StatusInternalServerError, "experiment %q recorded no simulations", req.Experiment)
+	runs := ctx.Observed()
+	if len(runs) == 0 {
+		writeError(w, http.StatusInternalServerError, "experiment %q observed no simulations", req.Experiment)
 		return
 	}
-	runs := make([]obs.TraceRun, len(recorded))
-	for i, rr := range recorded {
-		runs[i] = obs.TraceRun{Label: rr.Label, SPEs: rr.SPEs, Rec: rr.Rec}
-	}
-	s.log.Info("trace run served",
+	s.log.Info(what+" run served",
 		"request_id", requestID(r), "experiment", exp.ID, "runs", len(runs))
-	w.Header().Set("Content-Type", "application/json")
-	if err := obs.WriteTrace(w, runs); err != nil {
-		s.log.Error("trace write failed", "request_id", requestID(r), "error", err.Error())
-	}
-}
-
-// handleProfileRun serves POST /v1/runs?profile=1: the experiment runs
-// synchronously on the request goroutine with the guest cycle profiler
-// enabled and the response is a gzipped pprof protobuf (save it and
-// inspect with `go tool pprof`), not a ResultDoc. Like ?trace=1 the run
-// bypasses the queue and the result cache: profiling is a debugging
-// path and its output is not content-addressed. This profiles the
-// simulated machine; dtad's -debug-addr serves the host process's own
-// net/http/pprof.
-func (s *Service) handleProfileRun(w http.ResponseWriter, r *http.Request, req runRequest) {
-	exp, ok := s.lookup(req.Experiment)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "unknown experiment %q", req.Experiment)
-		return
-	}
-	opt := req.Options.Harness().WithDefaults()
-	if err := checkOptions(opt); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx := harness.NewContextWithPool(opt, cell.NewPool())
-	ctx.EnableProfiling()
-	res := harness.RunOn(ctx, exp)
-	if res.Err != nil {
-		writeError(w, http.StatusInternalServerError, "profile run failed: %v", res.Err)
-		return
-	}
-	profiled := ctx.Profiled()
-	if len(profiled) == 0 {
-		writeError(w, http.StatusInternalServerError, "experiment %q profiled no simulations", req.Experiment)
-		return
-	}
-	runs := make([]prof.Run, len(profiled))
-	for i, pr := range profiled {
-		runs[i] = prof.Run{Label: pr.Label, Prog: pr.Prog, Prof: pr.Prof}
-	}
-	s.log.Info("profile run served",
-		"request_id", requestID(r), "experiment", exp.ID, "runs", len(runs))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := prof.Write(w, runs); err != nil {
-		s.log.Error("profile write failed", "request_id", requestID(r), "error", err.Error())
+	w.Header().Set("Content-Type", contentType)
+	if err := write(w, runs); err != nil {
+		s.log.Error(what+" write failed", "request_id", requestID(r), "error", err.Error())
 	}
 }
 

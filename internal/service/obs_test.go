@@ -196,6 +196,17 @@ func TestTraceRunEndpoint(t *testing.T) {
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad trace run: %d %s", bad.StatusCode, badBody)
 	}
+
+	// The response is one document: asking for both is refused, not
+	// answered with the timeline alone.
+	both := postJSON(t, ts.URL+"/v1/runs?trace=1&profile=1", req)
+	bothBody := readAll(t, both)
+	if both.StatusCode != http.StatusBadRequest || !strings.Contains(string(bothBody), "exclusive") {
+		t.Fatalf("trace and profile run: %d %s, want 400", both.StatusCode, bothBody)
+	}
+	if n := s.Simulations(); n != 0 {
+		t.Fatalf("refused run bumped the simulations counter to %d", n)
+	}
 }
 
 // TestMetricsRouteLabelsStable: repeated Handler calls must not

@@ -84,7 +84,7 @@ type LocSample struct {
 }
 
 // Samples returns the per-location attribution in deterministic
-// (template, block, pc) order — the export order of internal/prof, so
+// (template, block, pc) order — the export order of obs.WriteProfile, so
 // identical runs encode to identical profiles.
 func (p *Profile) Samples() []LocSample {
 	if p == nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cell"
-	"repro/internal/stats"
 )
 
 // TestCorpusProfilerNonPerturbing is the profiler's corpus-wide
@@ -48,27 +47,43 @@ func TestCorpusBurstProfileDifferential(t *testing.T) {
 	}
 }
 
-// TestProfileScenario sanity-checks the fresh-machine profiling entry
-// point: both variants produce samples, and each profile's cause totals
-// are internally consistent with its bucket fold.
-func TestProfileScenario(t *testing.T) {
-	p, err := ProfileScenario(FromSeed(CorpusSeeds()[0]), CheckOptions{})
+// TestObserveScenario checks the fresh-machine observing entry point:
+// with both switches set, each variant carries a timeline and a guest
+// profile, each profile equals the one a profile-only call returns (so
+// recording alongside does not perturb it), and each profile's cause
+// totals agree with its bucket fold.
+func TestObserveScenario(t *testing.T) {
+	sc := FromSeed(CorpusSeeds()[0])
+	both, err := ObserveScenario(sc, CheckOptions{}, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, prof := range map[string]*stats.Profile{"orig": p.Orig, "pf": p.PF} {
-		if prof.Len() == 0 {
-			t.Errorf("%s: no samples", name)
+	profOnly, err := ObserveScenario(sc, CheckOptions{}, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(both) != 2 || len(profOnly) != 2 {
+		t.Fatalf("observed %d and %d runs, want the orig/pf pair", len(both), len(profOnly))
+	}
+	for i, r := range both {
+		if r.Rec == nil || len(r.Rec.SPUSpans()) == 0 || r.Prof == nil || r.Prog == nil {
+			t.Fatalf("%s: want a timeline, a profile and a program (rec=%v prof=%v prog=%v)",
+				r.Label, r.Rec != nil, r.Prof != nil, r.Prog != nil)
 		}
-		causes := prof.Causes()
-		if causes.Total() != prof.Total() {
-			t.Errorf("%s: cause total %d != profile total %d", name, causes.Total(), prof.Total())
+		if profOnly[i].Rec != nil {
+			t.Fatalf("%s: a profile-only run carries a timeline", profOnly[i].Label)
+		}
+		if !r.Prof.Equal(profOnly[i].Prof) {
+			t.Errorf("%s: profile differs with the timeline recorded alongside", r.Label)
+		}
+		if r.Prof.Len() == 0 {
+			t.Errorf("%s: no samples", r.Label)
+		}
+		if causes := r.Prof.Causes(); causes.Total() != r.Prof.Total() {
+			t.Errorf("%s: cause total %d != profile total %d", r.Label, causes.Total(), r.Prof.Total())
 		}
 	}
-	if p.OrigProg == nil || p.PFProg == nil {
-		t.Fatal("programs missing from Profiles")
-	}
-	if p.Orig.Equal(p.PF) {
+	if both[0].Prof.Equal(both[1].Prof) {
 		t.Error("orig and pf profiles identical — transform had no effect on attribution")
 	}
 }

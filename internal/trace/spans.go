@@ -62,84 +62,68 @@ type NoCSpan struct {
 	Delivered sim.Cycle
 }
 
-// DefaultSpanCap bounds each span track when RecordCap is unset.
+// DefaultSpanCap bounds each of a Recorder's tracks; what a track
+// receives past it is dropped and counted (DroppedSpans).
 const DefaultSpanCap = 1 << 16
 
-// Recorder collects per-component timeline spans for one machine run.
-// A nil *Recorder is a valid no-op sink: every method nil-checks, so
-// components keep a plain field and pay one predictable branch when
-// recording is off — the steady-state cycle loop stays allocation-free.
-//
-// Thread-lifecycle events are recorded through the embedded Threads
-// buffer (the existing LSE tracing path); the exporter in internal/obs
-// turns those into per-thread state tracks.
+// Recorder collects per-component timeline spans and thread-lifecycle
+// events for one machine run. A nil *Recorder is a valid no-op sink:
+// every method nil-checks, so components keep a plain field and pay one
+// predictable branch when recording is off — the steady-state cycle
+// loop stays allocation-free.
 type Recorder struct {
-	cap     int
 	spu     []SPUSpan
 	dma     []DMASpan
 	noc     []NoCSpan
+	threads []Event
 	dropped int64
-
-	// Threads receives lifecycle events (LSE wiring is unchanged: the
-	// machine points LSE.Trace at this buffer when recording).
-	Threads *Buffer
 }
 
-// NewRecorder returns a recorder holding at most capacity spans per
-// track (capacity <= 0 selects DefaultSpanCap).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultSpanCap
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
+
+// push appends v to track unless the track is full, which counts a drop.
+func push[T any](r *Recorder, track *[]T, v T) {
+	if len(*track) >= DefaultSpanCap {
+		r.dropped++
+		return
 	}
-	return &Recorder{cap: capacity, Threads: NewBuffer(capacity)}
+	*track = append(*track, v)
 }
 
 // SPUUnit records a completed SPU work unit (thread or PF block).
 func (r *Recorder) SPUUnit(spe int, unit SPUUnitKind, start, end sim.Cycle, thread int64, template int) {
-	if r == nil {
-		return
+	if r != nil {
+		push(r, &r.spu, SPUSpan{SPE: spe, Unit: unit, Start: start, End: end, Thread: thread, Template: template})
 	}
-	if len(r.spu) >= r.cap {
-		r.dropped++
-		return
-	}
-	r.spu = append(r.spu, SPUSpan{SPE: spe, Unit: unit, Start: start, End: end, Thread: thread, Template: template})
 }
 
 // SPUBurst records a burst window [start, end).
 func (r *Recorder) SPUBurst(spe int, start, end sim.Cycle) {
-	if r == nil {
-		return
+	if r != nil {
+		push(r, &r.spu, SPUSpan{SPE: spe, Unit: UnitBurst, Start: start, End: end})
 	}
-	if len(r.spu) >= r.cap {
-		r.dropped++
-		return
-	}
-	r.spu = append(r.spu, SPUSpan{SPE: spe, Unit: UnitBurst, Start: start, End: end})
 }
 
 // DMA records a completed MFC command lifetime.
 func (r *Recorder) DMA(spe int, dir uint8, size, tag int64, issued, launched, done sim.Cycle) {
-	if r == nil {
-		return
+	if r != nil {
+		push(r, &r.dma, DMASpan{SPE: spe, Dir: dir, Size: size, Tag: tag, Issued: issued, Launched: launched, Done: done})
 	}
-	if len(r.dma) >= r.cap {
-		r.dropped++
-		return
-	}
-	r.dma = append(r.dma, DMASpan{SPE: spe, Dir: dir, Size: size, Tag: tag, Issued: issued, Launched: launched, Done: done})
 }
 
 // NoC records a delivered message span.
 func (r *Recorder) NoC(src, dst int, kind uint8, bytes int, sent, delivered sim.Cycle) {
-	if r == nil {
-		return
+	if r != nil {
+		push(r, &r.noc, NoCSpan{Src: src, Dst: dst, Kind: kind, Bytes: bytes, Sent: sent, Delivered: delivered})
 	}
-	if len(r.noc) >= r.cap {
-		r.dropped++
-		return
+}
+
+// Thread records a thread-lifecycle event (the LSEs emit them).
+func (r *Recorder) Thread(e Event) {
+	if r != nil {
+		push(r, &r.threads, e)
 	}
-	r.noc = append(r.noc, NoCSpan{Src: src, Dst: dst, Kind: kind, Bytes: bytes, Sent: sent, Delivered: delivered})
 }
 
 // SPUSpans returns the recorded SPU occupancy spans in emission order.
@@ -166,7 +150,16 @@ func (r *Recorder) NoCSpans() []NoCSpan {
 	return r.noc
 }
 
-// DroppedSpans returns how many spans exceeded a track's capacity.
+// ThreadEvents returns the recorded lifecycle events in emission order.
+func (r *Recorder) ThreadEvents() []Event {
+	if r == nil {
+		return nil
+	}
+	return r.threads
+}
+
+// DroppedSpans returns how many spans and events exceeded a track's
+// capacity: a non-zero count means the timeline is truncated.
 func (r *Recorder) DroppedSpans() int64 {
 	if r == nil {
 		return 0
@@ -174,7 +167,7 @@ func (r *Recorder) DroppedSpans() int64 {
 	return r.dropped
 }
 
-// Reset clears all tracks for machine reuse, keeping capacities.
+// Reset clears all tracks for machine reuse, keeping their storage.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -182,8 +175,6 @@ func (r *Recorder) Reset() {
 	r.spu = r.spu[:0]
 	r.dma = r.dma[:0]
 	r.noc = r.noc[:0]
+	r.threads = r.threads[:0]
 	r.dropped = 0
-	if r.Threads != nil {
-		r.Threads.events = r.Threads.events[:0]
-	}
 }

@@ -1,8 +1,10 @@
-// Package trace records thread-lifecycle events — the states of paper
-// Figure 4 — into a bounded buffer, so users can watch a DTA activity
-// unfold: frame allocation, the stores that drain a synchronisation
-// counter, the Program-DMA / Wait-DMA detour added by prefetching,
-// dispatch, completion and frame reuse.
+// Package trace records a machine run's timeline into a Recorder with
+// four bounded tracks: SPU occupancy, MFC DMA lifetimes, NoC message
+// transits and thread-lifecycle events — the states of paper Figure 4,
+// so users can watch a DTA activity unfold: frame allocation, the
+// stores that drain a synchronisation counter, the Program-DMA /
+// Wait-DMA detour added by prefetching, dispatch, completion and frame
+// reuse.
 package trace
 
 import (
@@ -67,39 +69,4 @@ type Event struct {
 func (e Event) String() string {
 	return fmt.Sprintf("%8d spe%d %-12s thread=%d tmpl=%d",
 		e.At, e.SPE, e.Kind, e.Thread, e.Template)
-}
-
-// Buffer is a bounded event sink shared by all LSEs of a machine: a
-// Recorder's Threads track. A nil *Buffer is a valid no-op sink, so
-// tracing costs nothing when disabled.
-type Buffer struct {
-	cap    int
-	events []Event
-}
-
-// NewBuffer returns a sink holding at most capacity events (extra events
-// are dropped).
-func NewBuffer(capacity int) *Buffer {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &Buffer{cap: capacity}
-}
-
-// Emit records an event (no-op on a nil buffer).
-func (b *Buffer) Emit(e Event) {
-	if b == nil {
-		return
-	}
-	if len(b.events) < b.cap {
-		b.events = append(b.events, e)
-	}
-}
-
-// Events returns the recorded events in emission order.
-func (b *Buffer) Events() []Event {
-	if b == nil {
-		return nil
-	}
-	return b.events
 }

@@ -9,25 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-func TestNilBufferIsNoOp(t *testing.T) {
-	var b *trace.Buffer
-	b.Emit(trace.Event{}) // must not panic
-	if b.Events() != nil {
-		t.Fatal("nil buffer not empty")
-	}
-}
-
-func TestBufferCapacityAndDrop(t *testing.T) {
-	b := trace.NewBuffer(2)
-	for i := 0; i < 5; i++ {
-		b.Emit(trace.Event{Thread: int64(i)})
-	}
-	got := b.Events()
-	if len(got) != 2 || got[0].Thread != 0 || got[1].Thread != 1 {
-		t.Fatalf("events = %+v, want the first two emitted", got)
-	}
-}
-
 // TestLifecycleOrderMatchesFigure4 runs a prefetching thread and checks
 // the paper's state order: frame-alloc -> stores-done -> program-dma ->
 // pf-dispatch -> wait-dma -> ready -> dispatch -> done -> frame-freed.
@@ -59,7 +40,6 @@ func TestLifecycleOrderMatchesFigure4(t *testing.T) {
 	cfg.SPEs = 1
 	cfg.MaxCycles = 1_000_000
 	cfg.Record = true
-	cfg.RecordCap = 64
 	m, err := cell.New(cfg, p)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +53,7 @@ func TestLifecycleOrderMatchesFigure4(t *testing.T) {
 	}
 	var kinds []trace.Kind
 	var cycles []int64
-	for _, e := range res.Rec.Threads.Events() {
+	for _, e := range res.Rec.ThreadEvents() {
 		if e.Thread != 1 { // the root thread on SPE 0
 			continue
 		}
