@@ -55,9 +55,10 @@ func TestRecorderCapPerTrackAndReset(t *testing.T) {
 	}
 }
 
-// TestRecorderDefaultCap: past DefaultSpanCap a track keeps what it
-// already recorded, in order, and counts every later entry as dropped.
-func TestRecorderDefaultCap(t *testing.T) {
+// TestBufferOrderingAfterOverflow: overflow must not perturb what the
+// thread track already recorded — past DefaultSpanCap it keeps its
+// first events, in order, and counts every later one as dropped.
+func TestBufferOrderingAfterOverflow(t *testing.T) {
 	r := NewRecorder()
 	first := []Event{
 		{At: 1, Kind: FrameAlloc, Thread: 7},
@@ -78,6 +79,44 @@ func TestRecorderDefaultCap(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("event %d = %+v, want %+v", i, got[i], want)
 		}
+	}
+}
+
+// TestBufferDefaultCapacity: the thread track holds exactly
+// DefaultSpanCap events before the first drop.
+func TestBufferDefaultCapacity(t *testing.T) {
+	r := NewRecorder()
+	for i := 0; i < DefaultSpanCap; i++ {
+		r.Thread(Event{At: 1})
+	}
+	if len(r.ThreadEvents()) != DefaultSpanCap || r.DroppedSpans() != 0 {
+		t.Fatalf("at cap: kept %d, dropped %d; want %d and 0",
+			len(r.ThreadEvents()), r.DroppedSpans(), DefaultSpanCap)
+	}
+	r.Thread(Event{At: 1})
+	if len(r.ThreadEvents()) != DefaultSpanCap || r.DroppedSpans() != 1 {
+		t.Fatalf("past cap: kept %d, dropped %d; want %d and 1",
+			len(r.ThreadEvents()), r.DroppedSpans(), DefaultSpanCap)
+	}
+}
+
+// TestRecorderDefaultCap: every span track of a fresh recorder holds
+// exactly DefaultSpanCap spans before the first drop.
+func TestRecorderDefaultCap(t *testing.T) {
+	r := NewRecorder()
+	for i := 0; i < DefaultSpanCap; i++ {
+		c := sim.Cycle(i)
+		r.SPUBurst(0, c, c+1)
+		r.DMA(0, 0, 64, 0, c, c, c+1)
+		r.NoC(0, 1, 0, 16, c, c+1)
+	}
+	if r.DroppedSpans() != 0 {
+		t.Fatalf("dropped %d spans at the cap, want 0", r.DroppedSpans())
+	}
+	if len(r.SPUSpans()) != DefaultSpanCap || len(r.DMASpans()) != DefaultSpanCap ||
+		len(r.NoCSpans()) != DefaultSpanCap {
+		t.Fatalf("track lens = %d/%d/%d, want %d each",
+			len(r.SPUSpans()), len(r.DMASpans()), len(r.NoCSpans()), DefaultSpanCap)
 	}
 }
 

@@ -9,6 +9,33 @@ import (
 	"repro/internal/trace"
 )
 
+// TestNilBufferIsNoOp: a nil recorder's thread track takes events
+// without panicking and reports none.
+func TestNilBufferIsNoOp(t *testing.T) {
+	var r *trace.Recorder
+	r.Thread(trace.Event{}) // must not panic
+	if r.ThreadEvents() != nil || r.DroppedSpans() != 0 {
+		t.Fatal("nil recorder's thread track not empty")
+	}
+}
+
+// TestBufferCapacityAndDrop: the thread track keeps the first
+// DefaultSpanCap events emitted and counts the rest as dropped.
+func TestBufferCapacityAndDrop(t *testing.T) {
+	r := trace.NewRecorder()
+	for i := 0; i < trace.DefaultSpanCap+5; i++ {
+		r.Thread(trace.Event{Thread: int64(i)})
+	}
+	got := r.ThreadEvents()
+	if len(got) != trace.DefaultSpanCap || got[0].Thread != 0 || got[1].Thread != 1 ||
+		got[len(got)-1].Thread != trace.DefaultSpanCap-1 {
+		t.Fatalf("kept %d events, want the first %d emitted", len(got), trace.DefaultSpanCap)
+	}
+	if r.DroppedSpans() != 5 {
+		t.Fatalf("dropped = %d, want 5", r.DroppedSpans())
+	}
+}
+
 // TestLifecycleOrderMatchesFigure4 runs a prefetching thread and checks
 // the paper's state order: frame-alloc -> stores-done -> program-dma ->
 // pf-dispatch -> wait-dma -> ready -> dispatch -> done -> frame-freed.
