@@ -40,8 +40,18 @@ import (
 // in locals and reach s.st once per window, and a cycle attributes to
 // the pc it started at, per charge site when the profiler is on. On
 // entry s.accounted == t (the reference cycle before it was charged).
+//
+// Register-only issue cycles are mostly taken a run at a time. With the
+// profiler off, when pc enters a run of two or more of them (see run)
+// whose live-ins are all ready in time and whose last issue cycle falls
+// before limit, one step executes the whole run from the schedule its
+// Code worked out the first time a window reached that pc: the ALU ops
+// in order, the results' ready cycles, the issue cycles and the run's
+// own dependence stalls charged in bulk, and a taken closing branch's
+// bubble. In every other case the cycles run one at a time as described
+// above, which the run step reproduces exactly.
 func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
-	uops, pc := s.uops, s.pc
+	uops, runAt, pc := s.uops, s.runAt, s.pc
 	mask := uopBurstReg | uopBurstLS
 	if s.curKind != dta.WorkThread {
 		mask = 0 // PF block: bubbles and stalls only
@@ -51,6 +61,10 @@ func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
 	if prof != nil {
 		loc = s.curLoc()
 	}
+	// Run steps charge a whole run at once, which per-pc attribution
+	// cannot follow; the first run that does not fit before limit ends
+	// them for the window, whose rest is shorter than that run.
+	runs := prof == nil
 	bubbleEnd := s.nextIssueAt
 	penalty := 1 + sim.Cycle(s.cfg.BranchPenalty)
 	var hzn sim.Cycle
@@ -91,6 +105,32 @@ cycle:
 			}
 		}
 		f := u.flags & mask
+		if f&uopBurstReg != 0 && runs {
+			ri := runAt[pc]
+			if ri == 0 {
+				ri = s.code.schedule(uops, runAt, pc)
+			}
+			if ri > 0 {
+				r := &s.code.runs[ri-1]
+				if last := t + sim.Cycle(r.last); last >= limit {
+					runs = false
+				} else if s.runReady(r, t) {
+					n := int64(r.end) - int64(pc)
+					cycles += n
+					instrs += n
+					stalls[prodALU] += int64(r.stall)
+					if s.execRun(r, uops[pc:r.end], t) {
+						pc = int(uops[r.end-1].ins.Imm) // inside the block (program.Validate)
+						bubbleEnd = last + penalty
+						s.nextIssueAt = bubbleEnd
+					} else {
+						pc = int(r.end) // below len(uops): r's last instruction has its pair bit
+					}
+					t = last + 1
+					continue
+				}
+			}
+		}
 		if f&uopBurstReg == 0 {
 			if f == 0 {
 				break
@@ -201,7 +241,7 @@ cycle:
 			// the transition to the next block belongs to its cycle.
 			s.pc = pc
 			ok := s.skipEmptyBlocks(t - 1)
-			uops, pc = s.uops, s.pc
+			uops, runAt, pc = s.uops, s.runAt, s.pc
 			if !ok {
 				break
 			}
@@ -291,4 +331,122 @@ func (s *SPU) lsAccess(t sim.Cycle, u *uop, addr int64) {
 	if ready := s.store.Access(ls.PortSPU, t, 8); !isa.InfoOf(ins.Op).Store {
 		s.setReg(ins.Rd, v, ready, prodLS)
 	}
+}
+
+// run is the static issue schedule of a run: the uopBurstReg
+// instructions from an entry pc up to the first branch or the last one
+// whose pair bit is set, whichever comes first, at least two of them.
+// Each issues alone in its cycle (its pair partner shares the compute
+// slot or cannot join), and with no branch predictor, no reordering and
+// nothing outside the pipeline involved, the cycle it issues in depends
+// only on when its source registers become ready. Registers the run
+// writes before reading are ready on a schedule the run itself fixes;
+// the others, the live-ins, are its only dynamic input. When every
+// live-in is ready by the first cycle its first reader is considered, no
+// live-in ever stalls the run, and the run issues on the schedule below,
+// offsets counted from the cycle the entry instruction issues in.
+type run struct {
+	end   int32 // pc past the last instruction
+	last  int32 // issue offset of the last instruction
+	stall int32 // cycles spent waiting on the run's own results (prodALU)
+	// c.regs[lo:mid] are the live-ins, each with the offset of the first
+	// cycle its first reader is considered; c.regs[mid:hi] the registers
+	// written, each with the offset its last write is ready at.
+	lo, mid, hi int32
+}
+
+// regOff is a register with a cycle offset into its run.
+type regOff struct {
+	reg uint8
+	off int32
+}
+
+// schedule works out the run entered at pc of the block whose tables are
+// uops and runAt (uops[pc] carries uopBurstReg), records it, and returns
+// its runAt entry: -1 when the run would be a lone instruction, whose
+// step would save nothing over issuing it per cycle.
+func (c *Code) schedule(uops []uop, runAt []int32, pc int) int32 {
+	if uops[pc].flags&uopBranch != 0 || uops[pc+1].flags&uopBurstReg == 0 {
+		runAt[pc] = -1
+		return -1
+	}
+	r := run{lo: int32(len(c.regs))}
+	outs := c.outs[:0] // registers written so far, each with its last write's ready offset
+	at := int32(0)     // the cycle the current instruction is first considered
+	i := pc
+	for ; ; i++ {
+		u := &uops[i]
+		issue := at
+		for _, src := range u.srcs[:u.nsrc] {
+			if src == isa.RegZero {
+				continue
+			}
+			if k := regIndex(outs, src); k >= 0 {
+				issue = max(issue, outs[k].off)
+			} else if regIndex(c.regs[r.lo:], src) < 0 {
+				c.regs = append(c.regs, regOff{reg: src, off: at})
+			}
+		}
+		r.stall += issue - at
+		if rd := u.ins.Rd; u.flags&uopBranch == 0 && u.ins.Op != isa.NOP && rd != isa.RegZero {
+			if k := regIndex(outs, rd); k >= 0 {
+				outs[k].off = issue + u.lat
+			} else {
+				outs = append(outs, regOff{reg: rd, off: issue + u.lat})
+			}
+		}
+		r.last = issue
+		at = issue + 1
+		if u.flags&uopBranch != 0 || uops[i+1].flags&uopBurstReg == 0 {
+			break
+		}
+	}
+	r.end = int32(i + 1)
+	r.mid = int32(len(c.regs))
+	c.regs = append(c.regs, outs...)
+	r.hi = int32(len(c.regs))
+	c.outs = outs
+	c.runs = append(c.runs, r)
+	runAt[pc] = int32(len(c.runs))
+	return runAt[pc]
+}
+
+// regIndex returns the index of reg's entry in l, or -1.
+func regIndex(l []regOff, reg uint8) int {
+	for k := range l {
+		if l[k].reg == reg {
+			return k
+		}
+	}
+	return -1
+}
+
+// runReady reports whether every live-in of r is ready by its offset
+// from t.
+func (s *SPU) runReady(r *run, t sim.Cycle) bool {
+	for _, in := range s.code.regs[r.lo:r.mid] {
+		if s.ready[in.reg] > t+sim.Cycle(in.off) {
+			return false
+		}
+	}
+	return true
+}
+
+// execRun executes the run r whose instructions are us, entered at t,
+// and reports whether its closing branch, if any, is taken.
+func (s *SPU) execRun(r *run, us []uop, t sim.Cycle) (taken bool) {
+	for i := range us {
+		ins := &us[i].ins
+		switch {
+		case us[i].flags&uopBranch != 0:
+			taken = isa.BranchTaken(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb])
+		case ins.Op != isa.NOP && ins.Rd != isa.RegZero:
+			s.regs[ins.Rd] = isa.EvalALU(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb], int64(ins.Imm))
+		}
+	}
+	for _, out := range s.code.regs[r.mid:r.hi] {
+		s.ready[out.reg] = t + sim.Cycle(out.off)
+		s.prod[out.reg] = prodALU
+	}
+	return taken
 }

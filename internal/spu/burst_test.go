@@ -16,6 +16,9 @@ import (
 // per-SPU statistics, same guest profile, and the same final r1..r4
 // (posted as mailbox tokens). The small windows put the limit inside
 // the bubble, stall or issue group under test; 0 is the default window.
+// Every window runs with the guest profiler on and again with it off,
+// each against a reference with the same setting: the kernel steps a
+// whole register-only run at once only with the profiler off.
 
 var edgeWindows = []int{2, 3, 7, 0}
 
@@ -84,6 +87,28 @@ var kernelEdges = []kernelEdge{
 			ex.Lsrd(program.R(1), program.RegPFB, 0)
 			ex.Addi(program.R(2), program.R(1), 1)
 		},
+	},
+	{
+		// The run entered at the MUL (after a one-cycle stall on r6) has
+		// the local-store result r3 as a live-in, read first in the ADD's
+		// sources; the ADD then waits LatMUL on r5, and r3 becomes ready
+		// inside that wait. The cycles before it are LSWait, the rest
+		// DepStall. Mutant: a live-in's offset taken as its reader's
+		// issue offset instead of the first cycle the reader is
+		// considered; the run step then takes the run from the MUL and
+		// charges the whole wait as DepStall.
+		name: "local-store live-in ready inside a run's internal stall",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 7)
+			ex.Lswr8(program.R(2), program.RegPFB, 0x9000)
+			ex.Lsrd8(program.R(3), program.RegPFB, 0x9000)
+			ex.Movi(program.R(6), 3) // joins the LSRD's cycle
+			ex.Mul(program.R(5), program.R(6), program.R(6))
+			ex.Add(program.R(1), program.R(3), program.R(5))
+			ex.Addi(program.R(4), program.R(1), 1)
+			ex.Addi(program.R(2), program.R(4), 1)
+		},
+		tokens: []int64{16, 18, 7, 17},
 	},
 	{
 		name: "ALU write to RegZero",
@@ -224,7 +249,7 @@ func countedLoop(ex *program.Asm) {
 	ex.Addi(program.R(4), program.R(3), 1)
 }
 
-func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, error) {
+func (e kernelEdge) run(t *testing.T, burstMax int, profile bool) (*cell.Result, error) {
 	t.Helper()
 	b := program.NewBuilder("kernel-edge")
 	root := b.Template("root")
@@ -253,7 +278,7 @@ func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, error) {
 	}
 	cfg := oneSPE()
 	cfg.MaxCycles = 100_000
-	cfg.Profile = true
+	cfg.Profile = profile
 	if e.cfg != nil {
 		e.cfg(&cfg)
 	}
@@ -265,42 +290,50 @@ func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, error) {
 	return m.Run()
 }
 
-// check runs e at every window size against the single-step reference.
+// check runs e at every window size against the single-step reference,
+// with the profiler on and off.
 func (e kernelEdge) check(t *testing.T) {
-	ref, refErr := e.run(t, 1)
+	for _, profile := range []bool{true, false} {
+		e.checkProfile(t, profile)
+	}
+}
+
+func (e kernelEdge) checkProfile(t *testing.T, profile bool) {
+	t.Helper()
+	ref, refErr := e.run(t, 1, profile)
 	if e.wantErr == "" && refErr != nil {
-		t.Fatalf("single-step: %v", refErr)
+		t.Fatalf("single-step, profile %v: %v", profile, refErr)
 	}
 	if e.wantErr != "" && (refErr == nil || !strings.Contains(refErr.Error(), e.wantErr)) {
-		t.Fatalf("single-step: err = %v, want %q", refErr, e.wantErr)
+		t.Fatalf("single-step, profile %v: err = %v, want %q", profile, refErr, e.wantErr)
 	}
 	if e.tokens != nil && !reflect.DeepEqual(ref.Tokens, e.tokens) {
-		t.Errorf("single-step: r1..r4 = %v, want %v", ref.Tokens, e.tokens)
+		t.Errorf("single-step, profile %v: r1..r4 = %v, want %v", profile, ref.Tokens, e.tokens)
 	}
 	for _, w := range edgeWindows {
-		got, err := e.run(t, w)
+		got, err := e.run(t, w, profile)
 		if e.wantErr != "" {
 			// The fault names the cycle it happened in, so the texts agree
 			// only if the window left the faulting cycle to the engine clock.
 			if err == nil || err.Error() != refErr.Error() {
-				t.Fatalf("BurstMax %d: err = %v, single-step %v", w, err, refErr)
+				t.Fatalf("BurstMax %d, profile %v: err = %v, single-step %v", w, profile, err, refErr)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("BurstMax %d: %v", w, err)
+			t.Fatalf("BurstMax %d, profile %v: %v", w, profile, err)
 		}
 		if got.Cycles != ref.Cycles {
-			t.Errorf("BurstMax %d: end cycle %d, single-step %d", w, got.Cycles, ref.Cycles)
+			t.Errorf("BurstMax %d, profile %v: end cycle %d, single-step %d", w, profile, got.Cycles, ref.Cycles)
 		}
 		if !reflect.DeepEqual(got.Tokens, ref.Tokens) {
-			t.Errorf("BurstMax %d: r1..r4 = %v, single-step %v", w, got.Tokens, ref.Tokens)
+			t.Errorf("BurstMax %d, profile %v: r1..r4 = %v, single-step %v", w, profile, got.Tokens, ref.Tokens)
 		}
 		if !reflect.DeepEqual(got.SPUs, ref.SPUs) {
-			t.Errorf("BurstMax %d: stats\n got %+v\nwant %+v", w, got.SPUs, ref.SPUs)
+			t.Errorf("BurstMax %d, profile %v: stats\n got %+v\nwant %+v", w, profile, got.SPUs, ref.SPUs)
 		}
 		if !got.Prof.Equal(ref.Prof) {
-			t.Errorf("BurstMax %d: guest profile differs from single-step", w)
+			t.Errorf("BurstMax %d, profile %v: guest profile differs from single-step", w, profile)
 		}
 	}
 }

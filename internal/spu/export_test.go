@@ -15,18 +15,65 @@ func (s *SPU) DecodedCode() *Code { return s.code }
 // Arena returns the uops carved from the table's arena so far.
 func (c *Code) Arena() []uop { return c.arena }
 
-// CheckTables compares every table decoded so far with a decode of the
-// same block into new memory, and returns how many uops they hold.
-func (c *Code) CheckTables() (uops int, err error) {
-	for i, u := range c.tab {
-		if u == nil {
+// Runs returns how many runs have been scheduled so far.
+func (c *Code) Runs() int { return len(c.runs) }
+
+// runView is a run with its register lists resolved, comparable across
+// tables whatever order their runs were scheduled in.
+type runView struct {
+	end, last, stall int32
+	in, out          []regOff
+}
+
+func (c *Code) view(r run) runView {
+	return runView{r.end, r.last, r.stall, c.regs[r.lo:r.mid], c.regs[r.mid:r.hi]}
+}
+
+func (v runView) equal(w runView) bool {
+	return v.end == w.end && v.last == w.last && v.stall == w.stall &&
+		slices.Equal(v.in, w.in) && slices.Equal(v.out, w.out)
+}
+
+// CheckTables compares every table decoded so far, and every run
+// scheduled from one of its entries, with a decode and a schedule of the
+// same block into new memory. It returns how many uops and runs the
+// tables hold, and fails unless the runs' register lists fill the
+// table's register arena exactly.
+func (c *Code) CheckTables() (uops, runs int, err error) {
+	regs := 0
+	for i, d := range c.tab {
+		if d.uops == nil {
 			continue
 		}
 		tmpl, blk := i/int(program.NumBlocks), program.BlockKind(i%int(program.NumBlocks))
-		if want := NewCode(c.cfg).decode(c.prog.Templates[tmpl].Blocks[blk]); !slices.Equal(u, want) {
-			return 0, fmt.Errorf("template %d %s block differs from a decode into new memory", tmpl, blk)
+		fresh := NewCode(c.cfg)
+		want := fresh.decode(c.prog.Templates[tmpl].Blocks[blk])
+		if !slices.Equal(d.uops, want.uops) {
+			return 0, 0, fmt.Errorf("template %d %s block differs from a decode into new memory", tmpl, blk)
 		}
-		uops += len(u)
+		for pc, ri := range d.runAt {
+			if ri == 0 {
+				continue
+			}
+			wi := fresh.schedule(want.uops, want.runAt, pc)
+			if (ri < 0) != (wi < 0) {
+				return 0, 0, fmt.Errorf("template %d %s block: run entry %d at pc %d, a schedule into new memory %d", tmpl, blk, ri, pc, wi)
+			}
+			if ri < 0 {
+				continue
+			}
+			got := c.view(c.runs[ri-1])
+			if w := fresh.view(fresh.runs[wi-1]); !got.equal(w) {
+				return 0, 0, fmt.Errorf("template %d %s block: the run entered at pc %d is %+v, a schedule into new memory %+v",
+					tmpl, blk, pc, got, w)
+			}
+			regs += len(got.in) + len(got.out)
+			runs++
+		}
+		uops += len(d.uops)
 	}
-	return uops, nil
+	if regs != len(c.regs) {
+		return 0, 0, fmt.Errorf("the runs list %d registers, the register arena holds %d", regs, len(c.regs))
+	}
+	return uops, runs, nil
 }

@@ -56,7 +56,7 @@ func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 	if !c.Reading() || c.Err() != nil {
 		return
 	}
-	s.uops = nil
+	s.uops, s.runAt = nil, nil
 	if s.cur == nil {
 		return
 	}
@@ -64,7 +64,7 @@ func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 		c.Fail("spu%d: snapshot thread template %d out of range", s.spe, s.cur.Template)
 		return
 	}
-	s.uops = s.code.block(s.cur.Template, s.block)
+	s.uops, s.runAt = s.code.block(s.cur.Template, s.block)
 	if s.pc > len(s.uops) {
 		c.Fail("spu%d: snapshot pc %d beyond block of %d", s.spe, s.pc, len(s.uops))
 	}

@@ -188,6 +188,8 @@ type SPU struct {
 	// and the dual burst masks of the instruction pair starting at pc
 	// (see uop).
 	uops []uop
+	// runAt is the current block's run entries in code (see decoded).
+	runAt []int32
 
 	ph          phase
 	gapCause    stats.Cause // cause for cycles while sleeping
@@ -272,22 +274,36 @@ func New(code *Code, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
 	return s
 }
 
-// Code is a program decoded for one pipeline configuration, a uop table
-// per template block decoded when an SPU first reaches it. A machine's
-// SPUs share one. The tables are carved from an arena that binding
-// another program rewinds and does not free.
+// Code is a program decoded for one pipeline configuration: a uop table
+// per template block, decoded when an SPU first reaches the block, and
+// the issue schedules of its register-only runs, each worked out when a
+// kernel window first reaches the run's entry pc (see run). A machine's
+// SPUs share one. The tables are carved from arenas that binding another
+// program rewinds and does not free.
 type Code struct {
 	cfg   Config
 	prog  *program.Program
-	tab   [][]uop // by tmpl*NumBlocks + block; nil until decoded
+	tab   []decoded // by tmpl*NumBlocks + block; zero until decoded
 	arena []uop
+	runAt []int32 // in step with arena: the blocks' decoded.runAt
+	runs  []run
+	regs  []regOff // the runs' live-ins and results
+	outs  []regOff // schedule's scratch
+}
+
+// decoded is one template block's tables: its uops and, per pc, 1 + the
+// index in Code.runs of the run entered there (0 until scheduled, -1
+// where the run would be a lone instruction).
+type decoded struct {
+	uops  []uop
+	runAt []int32
 }
 
 // NewCode returns an empty decode table for pipelines configured by cfg.
 func NewCode(cfg Config) *Code { return &Code{cfg: cfg} }
 
 // Bind readies the table for prog. Binding the program it already holds
-// keeps every block decoded so far.
+// keeps every block decoded and every run scheduled so far.
 func (c *Code) Bind(prog *program.Program) {
 	if prog == c.prog {
 		return
@@ -297,26 +313,30 @@ func (c *Code) Bind(prog *program.Program) {
 	c.tab = slices.Grow(c.tab[:0], n)[:n]
 	clear(c.tab)
 	c.arena = c.arena[:0]
+	c.runAt = c.runAt[:0]
+	c.runs = c.runs[:0]
+	c.regs = c.regs[:0]
 }
 
-// block returns (decoding on first use) the uop table of one template
-// code block.
-func (c *Code) block(tmpl int, blk program.BlockKind) []uop {
+// block returns (decoding on first use) the tables of one template code
+// block.
+func (c *Code) block(tmpl int, blk program.BlockKind) (uops []uop, runAt []int32) {
 	idx := tmpl*int(program.NumBlocks) + int(blk)
-	if u := c.tab[idx]; u != nil {
-		return u
+	d := c.tab[idx]
+	if d.uops == nil {
+		d = c.decode(c.prog.Templates[tmpl].Blocks[blk])
+		c.tab[idx] = d
 	}
-	u := c.decode(c.prog.Templates[tmpl].Blocks[blk])
-	c.tab[idx] = u
-	return u
+	return d.uops, d.runAt
 }
 
 // decode decodes one code block. It is the single place the static
 // instruction metadata (operand format, issue slot, unit latency, burst
 // class) is consulted; the per-cycle paths read only the resulting
 // uops.
-func (c *Code) decode(code []isa.Instruction) []uop {
-	us := c.carve(len(code))
+func (c *Code) decode(code []isa.Instruction) decoded {
+	d := c.carve(len(code))
+	us := d.uops
 	for i, ins := range code {
 		info := isa.InfoOf(ins.Op)
 		u := &us[i]
@@ -370,16 +390,19 @@ func (c *Code) decode(code []isa.Instruction) []uop {
 			us[i].flags |= uopBurstLS
 		}
 	}
-	return us
+	return d
 }
 
-// carve takes n uops off the arena's tail. When the arena has to grow it
-// moves to a new backing array; tables carved before keep the old one,
-// which nothing writes again.
-func (c *Code) carve(n int) []uop {
+// carve takes n uops and their run entries off the arenas' tails. When
+// an arena has to grow it moves to a new backing array; tables carved
+// before keep the old one, which only their own block writes again.
+func (c *Code) carve(n int) decoded {
 	used := len(c.arena)
 	c.arena = slices.Grow(c.arena, n)[:used+n]
-	return c.arena[used:]
+	c.runAt = slices.Grow(c.runAt, n)[:used+n]
+	d := decoded{uops: c.arena[used:], runAt: c.runAt[used:]}
+	clear(d.runAt) // recycled memory
+	return d
 }
 
 // secondCannotJoin reports whether the instruction decoded as sec can
@@ -484,7 +507,7 @@ func (s *SPU) Reset() {
 	s.cur, s.curKind = nil, dta.WorkNone
 	s.block = 0
 	s.pc = 0
-	s.uops = nil
+	s.uops, s.runAt = nil, nil
 	s.ph = phIdle
 	s.gapCause = stats.CauseIdle
 	s.gapLoc = stats.IdleLoc
@@ -597,7 +620,7 @@ func (s *SPU) dispatch(now sim.Cycle) bool {
 	} else {
 		s.block = program.PL
 	}
-	s.uops = s.code.block(th.Template, s.block)
+	s.uops, s.runAt = s.code.block(th.Template, s.block)
 	s.pc = 0
 	s.skipEmptyBlocks(now)
 	s.nextIssueAt = now + sim.Cycle(s.cfg.DispatchCost)
@@ -640,7 +663,7 @@ func (s *SPU) advanceBlock(now sim.Cycle) bool {
 		s.cur = nil
 		return false
 	}
-	s.uops = s.code.block(s.cur.Template, s.block)
+	s.uops, s.runAt = s.code.block(s.cur.Template, s.block)
 	s.pc = 0
 	return true
 }
@@ -676,7 +699,11 @@ func (s *SPU) curLoc() stats.Loc {
 // Tick simulates the pipeline cycle at now through the reference path
 // and then, unless Config.BurstMax is 1, a kernel window of up to
 // burstLimit-1 further cycles (see burst), and returns the first cycle
-// not yet simulated so the engine skips the pre-executed ones.
+// not yet simulated so the engine skips the pre-executed ones. With the
+// guest profiler off, the window steps over a run of register-only
+// instructions in one go when the run's live-ins are ready by the
+// cycles its schedule assumes and it ends before the window's limit;
+// otherwise it takes those cycles one at a time, with the same result.
 //
 // What may run ahead of the engine clock is decided per cycle from the
 // decoded instruction pair at pc: straight-line register-only compute

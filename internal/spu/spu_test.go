@@ -509,13 +509,15 @@ func forkProgram(bodies ...func(ex *program.Asm)) (*program.Program, error) {
 }
 
 // TestMachineSharesOneDecode: a machine decodes its program once, into
-// one table every SPU reads, and keeps the table's arena across Reset. A
+// one table every SPU reads, and keeps the table's arenas across Reset. A
 // machine runs a small program, a larger one and the small one again,
 // then re-runs it. After each run every SPU reads the same table, every
-// decoded block equals a decode into new memory, the arena holds each
-// block once, and the run reports what a fresh machine reports. The
-// smaller program after the larger is decoded into the larger's memory,
-// and a re-run of a program decodes nothing.
+// decoded block equals a decode into new memory, every run scheduled
+// from one of its entries equals a schedule into new memory, the arenas
+// hold each block and each run once, and the run reports what a fresh
+// machine reports. The smaller program after the larger is decoded into
+// the larger's memory, and a re-run of a program decodes and schedules
+// nothing.
 func TestMachineSharesOneDecode(t *testing.T) {
 	small, err := forkProgram(loopBody(3), mulChain(10), loopBody(5), mulChain(4))
 	if err != nil {
@@ -542,6 +544,7 @@ func TestMachineSharesOneDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		decodedBefore := len(m.SPEs()[0].SPU.DecodedCode().Arena())
+		runsBefore := m.SPEs()[0].SPU.DecodedCode().Runs()
 		got, err := m.Run()
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
@@ -556,12 +559,18 @@ func TestMachineSharesOneDecode(t *testing.T) {
 				t.Fatalf("run %d: SPU %d ran no thread; the test needs every SPU to decode", i, spe.Index)
 			}
 		}
-		uops, err := code.CheckTables()
+		uops, runs, err := code.CheckTables()
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		if arena := code.Arena(); len(arena) != uops {
 			t.Errorf("run %d: the arena holds %d uops for tables of %d: a block was decoded twice, or the arena was not rewound", i, len(arena), uops)
+		}
+		if runs == 0 {
+			t.Errorf("run %d: no run was scheduled; the test needs the kernel's run step", i)
+		}
+		if code.Runs() != runs {
+			t.Errorf("run %d: %d runs were scheduled for %d entries: a run was scheduled twice, or the runs were not rewound", i, code.Runs(), runs)
 		}
 		switch i {
 		case 1:
@@ -573,6 +582,9 @@ func TestMachineSharesOneDecode(t *testing.T) {
 		case 3:
 			if len(code.Arena()) != decodedBefore {
 				t.Errorf("a re-run of the same program decoded %d uops again", len(code.Arena())-decodedBefore)
+			}
+			if code.Runs() != runsBefore {
+				t.Errorf("a re-run of the same program scheduled %d runs again", code.Runs()-runsBefore)
 			}
 		}
 

@@ -14,7 +14,7 @@ import (
 // the static classification itself.
 
 func decodeNew(code []isa.Instruction) []uop {
-	return NewCode(DefaultConfig()).decode(code)
+	return NewCode(DefaultConfig()).decode(code).uops
 }
 
 func flagsOf(t *testing.T, code []isa.Instruction, pc int) uint8 {

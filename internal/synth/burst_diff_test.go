@@ -30,9 +30,11 @@ func TestCorpusBurstDifferential(t *testing.T) {
 // default 64k-cycle window, which no corpus run fills, so the paths
 // that cut a bubble, a stall or an issue run at the limit would
 // otherwise never execute under a differential. Every seed's original
-// and prefetch-transformed program runs at BurstMax 2, 3, 5 and 17 with
-// the guest profiler on, and each must match the BurstMax -1 run in
-// every reported number, the profile and the final memory image.
+// and prefetch-transformed program runs at BurstMax 2, 3, 5 and 17,
+// once with the guest profiler on and once with it off (the kernel's
+// whole-run step is taken only with it off), and each must match the
+// BurstMax -1 run with the same profiler setting in every reported
+// number, the profile and the final memory image.
 func TestCorpusSmallWindowDifferential(t *testing.T) {
 	pool := cell.NewPool()
 	for _, seed := range CorpusSeeds() {
@@ -46,35 +48,37 @@ func TestCorpusSmallWindowDifferential(t *testing.T) {
 			t.Fatalf("seed %d: transform: %v", seed, err)
 		}
 		for name, p := range map[string]*program.Program{"orig": prog, "pf": pfProg} {
-			cfg := cell.DefaultConfig()
-			cfg.SPEs = sc.SPEs
-			cfg.Mem.Latency = 150
-			cfg.MaxCycles = 100_000_000
-			cfg.Profile = true
-			run := func(burstMax int) (*cell.Result, *cell.Machine) {
-				cfg.SPU.BurstMax = burstMax
-				m, err := pool.Get(cfg, p)
-				if err != nil {
-					t.Fatalf("seed %d %s: %v", seed, name, err)
+			for _, profile := range []bool{true, false} {
+				cfg := cell.DefaultConfig()
+				cfg.SPEs = sc.SPEs
+				cfg.Mem.Latency = 150
+				cfg.MaxCycles = 100_000_000
+				cfg.Profile = profile
+				run := func(burstMax int) (*cell.Result, *cell.Machine) {
+					cfg.SPU.BurstMax = burstMax
+					m, err := pool.Get(cfg, p)
+					if err != nil {
+						t.Fatalf("seed %d %s: %v", seed, name, err)
+					}
+					res, err := m.Run()
+					if err != nil {
+						t.Fatalf("seed %d %s BurstMax %d profile %v: %v", seed, name, burstMax, profile, err)
+					}
+					return res, m
 				}
-				res, err := m.Run()
-				if err != nil {
-					t.Fatalf("seed %d %s BurstMax %d: %v", seed, name, burstMax, err)
+				ref, refM := run(-1)
+				for _, w := range []int{2, 3, 5, 17} {
+					got, gotM := run(w)
+					if d := diffResults(got, ref); d != "" {
+						t.Errorf("seed %d %s BurstMax %d profile %v: %s", seed, name, w, profile, d)
+					}
+					if addr, equal := mem.FirstDiff(gotM.MemSparse(), refM.MemSparse()); !equal {
+						t.Errorf("seed %d %s BurstMax %d profile %v: memory diverges at %#x", seed, name, w, profile, addr)
+					}
+					pool.Put(gotM)
 				}
-				return res, m
+				pool.Put(refM)
 			}
-			ref, refM := run(-1)
-			for _, w := range []int{2, 3, 5, 17} {
-				got, gotM := run(w)
-				if d := diffResults(got, ref); d != "" {
-					t.Errorf("seed %d %s BurstMax %d: %s", seed, name, w, d)
-				}
-				if addr, equal := mem.FirstDiff(gotM.MemSparse(), refM.MemSparse()); !equal {
-					t.Errorf("seed %d %s BurstMax %d: memory diverges at %#x", seed, name, w, addr)
-				}
-				pool.Put(gotM)
-			}
-			pool.Put(refM)
 		}
 	}
 }
