@@ -129,7 +129,7 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 	// BEFORE the SPE's SPU, so a same-cycle store is always visible to
 	// the SPU's issue at that cycle, and the SPU only ever pre-executes
 	// strictly-future local-store reads under the horizon it gets from
-	// the engine plus the SetLSWriters wiring below.
+	// the engine plus the spu.LSWiring it is built with below.
 	for i := 0; i < cfg.SPEs; i++ {
 		store := ls.New(cfg.LS)
 		alloc := ls.NewAllocator(layout.HeapBase, layout.HeapBytes)
@@ -149,28 +149,26 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		dmaEng.Rec = m.rec
 		dmaEng.RecSPE = i
 
+		// The only components that ever hold a reference to this SPE's
+		// local store are its LSE, its MFC and its SPU (see the
+		// constructor calls) — plus the network, during whose Tick the
+		// MFC's and LSE's Deliver calls arrive. Everything else (other
+		// SPEs, the DSEs, the PPE, main memory) reaches this store only
+		// through a network message, which takes at least
+		// MinDeliveryLatency cycles from the sender's tick. Of the
+		// network's own deliveries only those addressed to this SPE's MFC
+		// or LSE matter; both are ticked endpoints, so the network holds
+		// their messages and can say when the first is due.
 		pipe := spu.New(m.code, cfg.spuEP(i), i, cfg.memEP(), m.net, lseUnit,
-			dmaEng, store)
+			dmaEng, store, spu.LSWiring{
+				LSEID: lseHandle.ID(), MFCID: mfcHandle.ID(), MemID: memHandle.ID(),
+				Endpoints: []int{cfg.mfcEP(i), lseEP(i)},
+			})
 		pipe.Attach(m.eng.Register(pipe))
 		m.net.RegisterTimed(cfg.spuEP(i), pipe)
 		pipe.Fault = m.fail
 		pipe.Rec = m.rec
 		pipe.Prof = m.prof
-		// The only components that ever hold a reference to this SPE's
-		// local store are its LSE, its MFC and its SPU (see the
-		// constructor calls above) — plus the network, during whose
-		// Tick the MFC's and LSE's Deliver calls arrive. Everything
-		// else (other SPEs, the DSEs, the PPE, main memory) reaches
-		// this store only through a network message, which takes at
-		// least MinDeliveryLatency cycles from the sender's tick. The
-		// touch group narrows the network term further: only deliveries
-		// addressed to this SPE's MFC or LSE matter.
-		m.net.DeclareTouchGroup(i, cfg.mfcEP(i), lseEP(i))
-		pipe.SetLSWiring(spu.LSWiring{
-			LSEID: lseHandle.ID(), MFCID: mfcHandle.ID(), MemID: memHandle.ID(),
-			TouchGroup: i,
-			ChainLat:   cfg.Noc.MinDeliveryLatency(),
-		})
 
 		// Cross-wiring.
 		lseUnit.OnWork = pipe.Wake

@@ -39,98 +39,6 @@ type Stats struct {
 	PortBusy     int64 // cycles of port occupancy, summed over ports
 }
 
-// timedRef is one entry of a msgHeap. The message itself lives in the
-// heap's slab (indexed by slot) so sifts move 24-byte refs instead of
-// whole Messages — the same slab indirection the network's delivery heap
-// uses.
-type timedRef struct {
-	at   sim.Cycle
-	seq  int64
-	slot int32
-}
-
-// Before orders entries by (cycle, sequence) for the typed min-heap.
-func (e timedRef) Before(o timedRef) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
-// msgHeap holds messages that each become due at a cycle, earliest
-// first and in sequence order within a cycle. Both of the memory's
-// queues are one: requests by (delivery cycle, network send order),
-// responses by (ready cycle, service order).
-//
-// The heap hands out slab slots, not messages, so a message is not
-// copied on its way through: a request is copied into its slot once, on
-// delivery, and serviced there; a response is built in its slot and sent
-// from it. A slot popped from the heap holds its message until release.
-// Every free slot is zero.
-type msgHeap struct {
-	refs []timedRef
-	slab []noc.Message // payloads for refs, indexed by slot
-	free []int32       // recycled slab slots
-}
-
-func (q *msgHeap) len() int { return len(q.refs) }
-
-// due reports whether the earliest entry's cycle is at or before now.
-func (q *msgHeap) due(now sim.Cycle) bool { return len(q.refs) > 0 && q.refs[0].at <= now }
-
-// push files a copy of msg under (at, seq).
-func (q *msgHeap) push(at sim.Cycle, seq int64, msg noc.Message) { *q.pushNew(at, seq) = msg }
-
-// pushNew files a zero slot under (at, seq) and returns it for the
-// caller to fill in place. The pointer is good until the next push or
-// pushNew, which may move the slab.
-func (q *msgHeap) pushNew(at sim.Cycle, seq int64) *noc.Message {
-	var slot int32
-	if n := len(q.free); n > 0 {
-		slot = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		q.slab = append(q.slab, noc.Message{})
-		slot = int32(len(q.slab) - 1)
-	}
-	sim.HeapPush(&q.refs, timedRef{at: at, seq: seq, slot: slot})
-	return &q.slab[slot]
-}
-
-// popSlot removes the earliest entry and returns its slot; the message
-// stays in it until release.
-func (q *msgHeap) popSlot() int32 { return sim.HeapPop(&q.refs).slot }
-
-// release zeroes a popped slot, dropping its payload reference, and
-// recycles it.
-func (q *msgHeap) release(slot int32) {
-	q.slab[slot] = noc.Message{}
-	q.free = append(q.free, slot)
-}
-
-// has reports whether an entry is filed under cycle at. It visits only
-// the entries at or before at.
-func (q *msgHeap) has(at sim.Cycle) bool {
-	return len(q.refs) > 0 && q.refs[0].at <= at && q.hasFrom(0, at)
-}
-
-func (q *msgHeap) hasFrom(i int, at sim.Cycle) bool {
-	for i < len(q.refs) && q.refs[i].at <= at {
-		if q.refs[i].at == at || q.hasFrom(2*i+1, at) {
-			return true
-		}
-		i = 2*i + 2
-	}
-	return false
-}
-
-func (q *msgHeap) reset() {
-	q.refs = q.refs[:0]
-	clear(q.slab) // release payload references
-	q.slab = q.slab[:0]
-	q.free = q.free[:0]
-}
-
 // Memory is the main-memory component: it services scalar and block
 // requests with port and latency modelling, backed by a functional
 // sparse store. On the interconnect it is a timed endpoint
@@ -182,10 +90,13 @@ type Memory struct {
 	store  *Sparse
 	minLat sim.Cycle // the network's MinDeliveryLatency
 
-	inbox    msgHeap // requests, by (delivery cycle, network send order)
+	// The queues hand out slab slots (noc.MsgHeap): a request is copied
+	// into its slot once, on delivery, and serviced there; a response is
+	// built in its slot and sent from it.
+	inbox    noc.MsgHeap // requests, by (delivery cycle, network send order)
 	portFree []sim.Cycle
-	out      msgHeap // responses, by (ready cycle, service order)
-	seq      int64   // service order of the responses
+	out      noc.MsgHeap // responses, by (ready cycle, service order)
+	seq      int64       // service order of the responses
 	stats    Stats
 
 	// READs serviced at hand-over: the service cycle of the latest (0 for
@@ -256,9 +167,9 @@ func (m *Memory) Stats() Stats {
 // responses, port bookings and statistics for machine reuse.
 func (m *Memory) Reset() {
 	m.store.Reset()
-	m.inbox.reset()
+	m.inbox.Reset()
 	clear(m.portFree)
-	m.out.reset()
+	m.out.Reset()
 	m.seq = 0
 	m.stats = Stats{}
 	m.forgetHandOvers()
@@ -278,7 +189,7 @@ func (m *Memory) DeliverAt(at sim.Cycle, seq int64, msg noc.Message) {
 	if m.handOver(at, &msg) {
 		return
 	}
-	m.inbox.push(at, seq, msg)
+	m.inbox.Push(at, seq, msg)
 	m.handle.Wake(m.serviceCycle(at))
 }
 
@@ -295,7 +206,7 @@ func (m *Memory) serviceCycle(at sim.Cycle) sim.Cycle {
 // service cycle is already decided (see Memory), and reports whether it
 // did.
 func (m *Memory) handOver(at sim.Cycle, msg *noc.Message) bool {
-	if msg.Kind != noc.KindMemRead32 && msg.Kind != noc.KindMemRead64 || m.inbox.len() > 0 {
+	if msg.Kind != noc.KindMemRead32 && msg.Kind != noc.KindMemRead64 || m.inbox.Len() > 0 {
 		return false
 	}
 	e := m.handle.Engine()
@@ -303,7 +214,7 @@ func (m *Memory) handOver(at sim.Cycle, msg *noc.Message) bool {
 		return false
 	}
 	s := m.serviceCycle(at)
-	if s > at && m.out.has(at) {
+	if s > at && m.out.Has(at) {
 		s = at
 	}
 	if s >= e.SliceEnd() {
@@ -325,10 +236,7 @@ func (m *Memory) handOver(at sim.Cycle, msg *noc.Message) bool {
 	m.lastHand = s
 	// The memory is always scheduled for its earliest response (Tick
 	// returns it), so only a new earliest needs a wake.
-	earliest := sim.Never
-	if m.out.len() > 0 {
-		earliest = m.out.refs[0].at
-	}
+	earliest := m.out.Earliest()
 	if ready := m.serviceRead(s, msg, v, n); ready < earliest {
 		m.handle.Wake(ready)
 	}
@@ -340,8 +248,8 @@ func (m *Memory) handOver(at sim.Cycle, msg *noc.Message) bool {
 // READ serviced at hand-over counts until its delivery cycle likewise.
 func (m *Memory) Undelivered(now sim.Cycle) int {
 	k := 0
-	for _, ref := range m.inbox.refs {
-		if ref.at > now {
+	for at := range m.inbox.All() {
+		if at > now {
 			k++
 		}
 	}
@@ -375,7 +283,7 @@ func (m *Memory) reservePort(now sim.Cycle, occupancy sim.Cycle) sim.Cycle {
 // returns its zero slot for the caller to build the message in.
 func (m *Memory) respond(at sim.Cycle) *noc.Message {
 	m.seq++
-	return m.out.pushNew(at, m.seq)
+	return m.out.PushNew(at, m.seq)
 }
 
 // occupancyFor returns the port cycles for an n-byte transfer.
@@ -392,23 +300,20 @@ func (m *Memory) occupancyFor(n int) sim.Cycle {
 // or the service cycle of the next delivery, whichever is first (see
 // Memory for the rule this makes).
 func (m *Memory) Tick(now sim.Cycle) sim.Cycle {
-	for m.inbox.due(now) {
-		slot := m.inbox.popSlot()
-		m.service(now, &m.inbox.slab[slot])
-		m.inbox.release(slot)
+	for m.inbox.Due(now) {
+		slot, req := m.inbox.Pop()
+		m.service(now, req)
+		m.inbox.Release(slot)
 	}
-	for m.out.due(now) {
-		slot := m.out.popSlot()
-		m.net.Send(now, m.out.slab[slot])
-		m.out.release(slot)
+	for m.out.Due(now) {
+		slot, resp := m.out.Pop()
+		m.net.Send(now, *resp)
+		m.out.Release(slot)
 	}
 
-	next := sim.Never
-	if m.out.len() > 0 {
-		next = m.out.refs[0].at
-	}
-	if m.inbox.len() > 0 {
-		next = min(next, m.serviceCycle(m.inbox.refs[0].at))
+	next := m.out.Earliest()
+	if m.inbox.Len() > 0 {
+		next = min(next, m.serviceCycle(m.inbox.Earliest()))
 	}
 	return next
 }
@@ -526,12 +431,11 @@ func (m *Memory) service(now sim.Cycle, msg *noc.Message) {
 // DumpState implements sim.StateDumper.
 func (m *Memory) DumpState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "inbox=%d pending-out=%d", m.inbox.len(), m.out.len())
+	fmt.Fprintf(&b, "inbox=%d pending-out=%d", m.inbox.Len(), m.out.Len())
 	// Heap order, not delivery order: a deadlock report wants to see
 	// every request under way, each with the cycle it is delivered.
-	for _, ref := range m.inbox.refs {
-		msg := m.inbox.slab[ref.slot]
-		fmt.Fprintf(&b, " [%s from %d at %d]", msg.Kind, msg.Src, ref.at)
+	for at, msg := range m.inbox.All() {
+		fmt.Fprintf(&b, " [%s from %d at %d]", msg.Kind, msg.Src, at)
 	}
 	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -23,14 +22,14 @@ import (
 type refMemory struct{ *Memory }
 
 func (r refMemory) DeliverAt(at sim.Cycle, seq int64, msg noc.Message) {
-	r.inbox.push(at, seq, msg)
+	r.inbox.Push(at, seq, msg)
 	r.handle.Wake(at + 1)
 }
 
 func (r refMemory) Undelivered(now sim.Cycle) int {
 	k := 0
-	for _, ref := range r.inbox.refs {
-		if ref.at > now {
+	for at := range r.inbox.All() {
+		if at > now {
 			k++
 		}
 	}
@@ -40,22 +39,19 @@ func (r refMemory) Undelivered(now sim.Cycle) int {
 func (r refMemory) Stats() Stats { return r.stats }
 
 func (r refMemory) Tick(now sim.Cycle) sim.Cycle {
-	for r.inbox.due(now) {
-		slot := r.inbox.popSlot()
-		r.service(now, &r.inbox.slab[slot])
-		r.inbox.release(slot)
+	for r.inbox.Due(now) {
+		slot, req := r.inbox.Pop()
+		r.service(now, req)
+		r.inbox.Release(slot)
 	}
-	for r.out.due(now) {
-		slot := r.out.popSlot()
-		r.net.Send(now, r.out.slab[slot])
-		r.out.release(slot)
+	for r.out.Due(now) {
+		slot, resp := r.out.Pop()
+		r.net.Send(now, *resp)
+		r.out.Release(slot)
 	}
-	next := sim.Never
-	if r.out.len() > 0 {
-		next = r.out.refs[0].at
-	}
-	if r.inbox.len() > 0 && r.inbox.refs[0].at+1 < next {
-		next = r.inbox.refs[0].at + 1
+	next := r.out.Earliest()
+	if r.inbox.Len() > 0 {
+		next = min(next, r.inbox.Earliest()+1)
 	}
 	return next
 }
@@ -112,9 +108,9 @@ type handOverCounter struct {
 }
 
 func (c handOverCounter) DeliverAt(at sim.Cycle, seq int64, msg noc.Message) {
-	k := c.inbox.len()
+	k := c.inbox.Len()
 	c.Memory.DeliverAt(at, seq, msg)
-	if c.inbox.len() == k {
+	if c.inbox.Len() == k {
 		*c.n++
 	}
 }
@@ -433,19 +429,15 @@ func compareMemBoundary(t *testing.T, when string, a, b *memSide) {
 }
 
 // memQueues renders everything Memory.Walk writes but the store, with
-// each heap in pop order: the two models push and pop their heaps in
-// different orders, so they may hold the same entries in different
-// layouts (which a restore does not see either).
+// each heap as its Walk writes it, in pop order: the two models push and
+// pop their heaps in different orders, so they may hold the same entries
+// in different layouts (which a restore does not see either).
 func memQueues(m *Memory) string {
 	var b strings.Builder
-	for _, q := range []*msgHeap{&m.inbox, &m.out} {
-		refs := slices.Clone(q.refs)
-		slices.SortFunc(refs, func(x, y timedRef) int { return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.seq, y.seq)) })
-		for _, r := range refs {
-			msg := q.slab[r.slot]
-			fmt.Fprintf(&b, "%d/%d %s pad=%d %x; ", r.at, r.seq, msg, msg.Pad, msg.Data)
-		}
-		b.WriteString("| ")
+	for _, q := range []*noc.MsgHeap{&m.inbox, &m.out} {
+		w := snap.NewEncoder()
+		q.Walk(w)
+		fmt.Fprintf(&b, "%x | ", w.Payload())
 	}
 	fmt.Fprintf(&b, "ports %v seq %d stats %+v", m.portFree, m.seq, m.stats)
 	return b.String()

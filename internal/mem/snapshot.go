@@ -3,7 +3,6 @@ package mem
 import (
 	"slices"
 
-	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/snap"
 )
@@ -62,27 +61,6 @@ func (m *Memory) SetLatency(cycles int) {
 // Latency returns the current access latency (for tests).
 func (m *Memory) Latency() int { return m.cfg.Latency }
 
-// walk writes or reads the heap's entries in (at, seq) order, the
-// order they pop in, so the internal layout stays behaviour-invisible.
-func (q *msgHeap) walk(c *snap.Codec) {
-	if c.Reading() {
-		q.reset()
-	}
-	snap.Heap(c, &q.refs, func(c *snap.Codec, ref *timedRef) {
-		snap.Int(c, &ref.at)
-		snap.Int(c, &ref.seq)
-		var msg noc.Message
-		if !c.Reading() {
-			msg = q.slab[ref.slot]
-		}
-		noc.WalkMessage(c, &msg)
-		if c.Reading() {
-			q.slab = append(q.slab, msg)
-			ref.slot = int32(len(q.slab) - 1)
-		}
-	})
-}
-
 // Walk writes or reads the memory component's mutable state: the
 // functional store, the requests in the inbox — delivered or still on
 // their way, each with its delivery cycle — port bookings and pending
@@ -97,9 +75,9 @@ func (m *Memory) Walk(c *snap.Codec) {
 		m.forgetHandOvers()
 	}
 	m.store.Walk(c)
-	m.inbox.walk(c)
+	m.inbox.Walk(c)
 	snap.Fixed(c, "mem: ports", m.portFree, snap.Int[sim.Cycle])
-	m.out.walk(c)
+	m.out.Walk(c)
 	st := &m.stats
 	for _, p := range []*int64{&m.seq, &st.ScalarReads, &st.ScalarWrites, &st.BlockReads, &st.BlockWrites,
 		&st.BytesRead, &st.BytesWritten, &st.PortBusy} {

@@ -1,4 +1,4 @@
-package mem
+package noc
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/snap"
 )
@@ -19,8 +18,8 @@ type heapEntry struct {
 	id  int64
 }
 
-// TestMsgHeapModel drives random push, pushNew, popSlot and release
-// sequences through a msgHeap and a sorted-slice reference. Pops must
+// TestMsgHeapModel drives random Push, PushNew, Pop and Release
+// sequences through a MsgHeap and a sorted-slice reference. Pops must
 // come out in (cycle, sequence) order with the message that went in, no
 // slot may be handed out while another live message holds it — filed in
 // the heap or popped and not yet released — a slot handed out must be
@@ -29,7 +28,7 @@ type heapEntry struct {
 func TestMsgHeapModel(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := sim.NewRand(seed)
-		var q msgHeap
+		var q MsgHeap
 		var ref []heapEntry       // filed, sorted by (at, seq)
 		held := map[int32]int64{} // popped, unreleased slot -> id
 		var seq, id int64
@@ -38,13 +37,13 @@ func TestMsgHeapModel(t *testing.T) {
 			seq++
 			id++
 			if rng.Intn(2) == 0 {
-				q.push(at, seq, noc.Message{Kind: noc.KindMemRead32, A: int64(at), B: id, Data: []byte{byte(id)}})
+				q.Push(at, seq, Message{Kind: KindMemRead32, A: int64(at), B: id, Data: []byte{byte(id)}})
 			} else {
-				m := q.pushNew(at, seq)
+				m := q.PushNew(at, seq)
 				if !reflect.ValueOf(*m).IsZero() {
-					t.Fatalf("seed %d: pushNew handed out a slot holding %s", seed, *m)
+					t.Fatalf("seed %d: PushNew handed out a slot holding %s", seed, *m)
 				}
-				m.Kind, m.A, m.B = noc.KindMemReadResp, int64(at), id
+				m.Kind, m.A, m.B = KindMemReadResp, int64(at), id
 			}
 			ref = append(ref, heapEntry{at, seq, id})
 			sort.Slice(ref, func(i, j int) bool {
@@ -60,10 +59,10 @@ func TestMsgHeapModel(t *testing.T) {
 			case op < 4:
 				file(sim.Cycle(rng.Intn(40))) // few cycles: many ties, broken by seq
 			case op < 7 && len(ref) > 0:
-				slot := q.popSlot()
+				slot, got := q.Pop()
 				want := ref[0]
 				ref = ref[1:]
-				if got := q.slab[slot]; got.B != want.id || got.A != int64(want.at) {
+				if got.B != want.id || got.A != int64(want.at) {
 					t.Fatalf("%s: popped id %d (cycle %d), want id %d (cycle %d)", when, got.B, got.A, want.id, want.at)
 				}
 				held[slot] = want.id
@@ -74,20 +73,21 @@ func TestMsgHeapModel(t *testing.T) {
 				}
 				sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
 				slot := slots[rng.Intn(len(slots))]
-				q.release(slot)
+				q.Release(slot)
 				delete(held, slot)
 			case op == 9 && len(held) == 0:
 				// Snapshots are taken between ticks, when nothing is held.
 				// Restore into a heap with a history of its own, which must
 				// go; the reference carries on unchanged.
 				w := snap.NewEncoder()
-				q.walk(w)
-				var restored msgHeap
-				restored.push(3, 1, noc.Message{B: -1, Data: []byte{1}})
-				restored.release(restored.popSlot())
-				restored.pushNew(5, 2).B = -2
+				q.Walk(w)
+				var restored MsgHeap
+				restored.Push(3, 1, Message{B: -1, Data: []byte{1}})
+				slot, _ := restored.Pop()
+				restored.Release(slot)
+				restored.PushNew(5, 2).B = -2
 				r := snap.NewDecoder(w.Payload())
-				if restored.walk(r); r.ExpectEOF() != nil {
+				if restored.Walk(r); r.ExpectEOF() != nil {
 					t.Fatalf("%s: restore: %v", when, r.Err())
 				}
 				q = restored
@@ -112,12 +112,19 @@ func TestMsgHeapModel(t *testing.T) {
 			if len(q.slab) > peak {
 				t.Fatalf("%s: slab of %d slots for at most %d live messages", when, len(q.slab), peak)
 			}
-			if q.len() != len(ref) {
-				t.Fatalf("%s: heap holds %d, reference %d", when, q.len(), len(ref))
+			if q.Len() != len(ref) {
+				t.Fatalf("%s: heap holds %d, reference %d", when, q.Len(), len(ref))
+			}
+			earliest := sim.Never
+			if len(ref) > 0 {
+				earliest = ref[0].at
+			}
+			if q.Earliest() != earliest {
+				t.Fatalf("%s: Earliest() = %d, want %d", when, q.Earliest(), earliest)
 			}
 			for now := sim.Cycle(0); now < 40; now += 13 {
-				if want := len(ref) > 0 && ref[0].at <= now; q.due(now) != want {
-					t.Fatalf("%s: due(%d) = %v, want %v", when, now, q.due(now), want)
+				if want := len(ref) > 0 && ref[0].at <= now; q.Due(now) != want {
+					t.Fatalf("%s: due(%d) = %v, want %v", when, now, q.Due(now), want)
 				}
 			}
 		}

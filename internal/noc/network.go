@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -42,8 +43,9 @@ type Endpoint interface {
 // Undelivered still count it from that tick's cycle. The memory services
 // a scalar READ this way (mem.Memory).
 //
-// The kind is fixed at registration. An endpoint in a touch group must
-// be ticked: EarliestDeliveryTo reads the network's own delivery heap.
+// The kind is fixed at registration. EarliestDeliveryTo answers only
+// for ticked endpoints: it reads the network's own delivery heap, which
+// never holds a timed endpoint's messages.
 type TimedEndpoint interface {
 	// DeliverAt takes a message at Send time. at is its delivery cycle
 	// (at least MinDeliveryLatency cycles ahead) and seq its position in
@@ -108,26 +110,6 @@ type grant struct {
 	wire int32     // bytes it puts on the bus
 }
 
-// delRef is one sent, undelivered message in the delivery heap. The
-// payload Message lives in a slab (delSlab) so heap sifts move 24-byte
-// refs instead of 72-byte messages, and the touch-group scan
-// (EarliestDeliveryTo) reads only this compact array.
-type delRef struct {
-	at   sim.Cycle
-	seq  int64
-	slot int32
-	grp  int16 // touch group of the destination (-1 unwatched)
-}
-
-// Before orders deliveries by (completion cycle, send order) for the
-// typed min-heap.
-func (d delRef) Before(o delRef) bool {
-	if d.at != o.at {
-		return d.at < o.at
-	}
-	return d.seq < o.seq
-}
-
 // port is one registered endpoint; exactly one of the two is set.
 type port struct {
 	ticked Endpoint
@@ -164,9 +146,7 @@ type Network struct {
 	// enters BusyCycles/Bytes when it leaves the ring (settle).
 	grants      []grant
 	gHead, gLen int
-	dels        []delRef
-	delSlab     []Message
-	delFree     []int32
+	dels        MsgHeap // sent messages to ticked endpoints, by (delivery cycle, send order)
 	seq         int64
 	stats       Stats
 
@@ -177,16 +157,6 @@ type Network struct {
 	// producers (memory, every MFC) already hold a *Network, and a
 	// machine is single-threaded, so a plain LIFO needs no locking.
 	bufs [][]byte
-
-	// Touch groups (DeclareTouchGroup): epGroup maps an endpoint id to
-	// its group (-1 when unwatched) and flightTo counts the sent,
-	// undelivered messages addressed to each group. The SPU's
-	// local-store burst window uses them to ask when the network will
-	// next deliver into one SPE's local store, without being clamped by
-	// traffic for every other endpoint; flightTo lets the scan
-	// short-circuit in the common no-traffic case.
-	epGroup  []int16
-	flightTo []int32
 
 	// Rec, when non-nil, receives one message-transit span per message
 	// (send -> delivery at the destination), recorded at Send.
@@ -272,9 +242,6 @@ func (n *Network) Register(id int, ep Endpoint) {
 
 // RegisterTimed binds an endpoint id to a timed receiver.
 func (n *Network) RegisterTimed(id int, ep TimedEndpoint) {
-	if n.groupOf(id) >= 0 {
-		panic(fmt.Sprintf("noc: timed endpoint %d is in a touch group", id))
-	}
 	n.bind(id, port{timed: ep})
 }
 
@@ -302,63 +269,26 @@ func (n *Network) endpoint(id int) port {
 	return n.eps[id]
 }
 
-// DeclareTouchGroup associates endpoints with a small group id so the
-// per-group message state (EarliestDeliveryTo) is tracked. The CellDTA
-// machine declares one group per SPE, holding the SPE's MFC and LSE
-// endpoints — the only endpoints whose deliveries can mutate that SPE's
-// local store. An endpoint belongs to at most one group, declared once
-// at machine construction: moving an endpoint whose messages are
-// already in flight would corrupt the per-group counters (and with them
-// the SPU burst window), so re-declaring an endpoint into a different
-// group panics.
-func (n *Network) DeclareTouchGroup(group int, eps ...int) {
-	if group < 0 {
-		panic(fmt.Sprintf("noc: negative touch group %d", group))
-	}
-	for group >= len(n.flightTo) {
-		n.flightTo = append(n.flightTo, 0)
-	}
-	for _, ep := range eps {
-		if ep < 0 {
-			panic(fmt.Sprintf("noc: negative endpoint %d in touch group", ep))
-		}
-		for ep >= len(n.epGroup) {
-			n.epGroup = append(n.epGroup, -1)
-		}
-		if g := n.epGroup[ep]; g >= 0 && g != int16(group) {
-			panic(fmt.Sprintf("noc: endpoint %d already in touch group %d", ep, g))
-		}
-		if n.endpoint(ep).timed != nil {
-			panic(fmt.Sprintf("noc: timed endpoint %d in touch group %d", ep, group))
-		}
-		n.epGroup[ep] = int16(group)
-	}
-}
-
-// groupOf returns the touch group of a destination (-1 when unwatched).
-func (n *Network) groupOf(dst int) int16 {
-	if dst < 0 || dst >= len(n.epGroup) {
-		return -1
-	}
-	return n.epGroup[dst]
-}
-
 // EarliestDeliveryTo returns the cycle of the earliest delivery to any
-// endpoint of the group among the messages sent so far, or sim.Never
-// when none is under way. Every sent message has its delivery cycle
-// fixed at Send, so the result is exact, not a bound. The per-group
-// count makes the common no-traffic case O(1).
-func (n *Network) EarliestDeliveryTo(group int) sim.Cycle {
-	if group < 0 || group >= len(n.flightTo) || n.flightTo[group] == 0 {
-		return sim.Never
-	}
-	min := sim.Never
-	for i := range n.dels {
-		if d := &n.dels[i]; d.grp == int16(group) && d.at < min {
-			min = d.at
+// of the ticked endpoints eps among the messages sent so far, or
+// sim.Never when none is under way. Every sent message has its delivery
+// cycle fixed at Send, so the result is exact, not a bound. The SPU's
+// local-store burst window asks it for its SPE's MFC and LSE, the
+// endpoints whose deliveries write that store. A timed endpoint's
+// messages never enter the delivery heap, so asking about one panics.
+func (n *Network) EarliestDeliveryTo(eps ...int) sim.Cycle {
+	for _, ep := range eps {
+		if n.endpoint(ep).timed != nil {
+			panic(fmt.Sprintf("noc: EarliestDeliveryTo on timed endpoint %d", ep))
 		}
 	}
-	return min
+	best := sim.Never
+	for _, ref := range n.dels.refs {
+		if ref.at < best && slices.Contains(eps, int(n.dels.slab[ref.slot].Dst)) {
+			best = ref.at
+		}
+	}
+	return best
 }
 
 // settle retires the bookings whose grant cycle is at or before now:
@@ -432,17 +362,9 @@ func (n *Network) Stats() Stats {
 // kept.
 func (n *Network) Reset() {
 	n.gHead, n.gLen = 0, 0
-	n.dels = n.dels[:0]
-	for i := range n.delSlab {
-		n.delSlab[i] = Message{} // release payload references
-	}
-	n.delSlab = n.delSlab[:0]
-	n.delFree = n.delFree[:0]
+	n.dels.Reset()
 	for i := range n.busFree {
 		n.busFree[i] = 0
-	}
-	for i := range n.flightTo {
-		n.flightTo[i] = 0
 	}
 	n.seq = 0
 	n.stats = Stats{}
@@ -496,26 +418,12 @@ func (n *Network) Send(now sim.Cycle, m Message) {
 		dst.timed.DeliverAt(at, n.seq, m)
 		return
 	}
-
-	g := n.groupOf(int(m.Dst))
-	if g >= 0 {
-		n.flightTo[g]++
-	}
-	var slot int32
-	if k := len(n.delFree); k > 0 {
-		slot = n.delFree[k-1]
-		n.delFree = n.delFree[:k-1]
-	} else {
-		n.delSlab = append(n.delSlab, Message{})
-		slot = int32(len(n.delSlab) - 1)
-	}
-	n.delSlab[slot] = m
 	// The network is always scheduled for its earliest delivery (Tick
 	// returns it), so only a new earliest needs a wake.
-	if len(n.dels) == 0 || at < n.dels[0].at {
+	if at < n.dels.Earliest() {
 		n.handle.Wake(at)
 	}
-	sim.HeapPush(&n.dels, delRef{at: at, seq: n.seq, slot: slot, grp: g})
+	n.dels.Push(at, n.seq, m)
 }
 
 // Tick completes the deliveries to ticked endpoints due at now, in
@@ -523,25 +431,20 @@ func (n *Network) Send(now sim.Cycle, m Message) {
 // Deliver lands at least MinDeliveryLatency cycles ahead and never joins
 // the loop that made it — and returns the next delivery cycle.
 func (n *Network) Tick(now sim.Cycle) sim.Cycle {
-	for len(n.dels) > 0 && n.dels[0].at <= now {
-		d := sim.HeapPop(&n.dels)
-		if d.grp >= 0 {
-			n.flightTo[d.grp]--
-		}
-		msg := n.delSlab[d.slot]
-		n.delSlab[d.slot] = Message{} // release Data for the GC
-		n.delFree = append(n.delFree, d.slot)
+	for n.dels.Due(now) {
+		// Copied out and released first: Deliver may Send, which may move
+		// the slab.
+		slot, m := n.dels.Pop()
+		msg := *m
+		n.dels.Release(slot)
 		n.stats.Messages++
 		n.eps[msg.Dst].ticked.Deliver(now, msg)
 	}
-	if len(n.dels) > 0 {
-		return n.dels[0].at
-	}
-	return sim.Never
+	return n.dels.Earliest()
 }
 
 // DumpState implements sim.StateDumper.
 func (n *Network) DumpState() string {
 	now := n.settleToClock()
-	return fmt.Sprintf("queued=%d in-flight=%d", n.gLen, len(n.dels)+n.undelivered(now)-n.gLen)
+	return fmt.Sprintf("queued=%d in-flight=%d", n.gLen, n.dels.Len()+n.undelivered(now)-n.gLen)
 }

@@ -263,41 +263,41 @@ func TestMinDeliveryLatency(t *testing.T) {
 	}
 }
 
-// Touch groups: the per-group delivery cycles, the network's half of the
-// SPU's local-store burst window. A message has its exact delivery
-// cycle from the moment it is sent.
-func TestTouchGroupTracking(t *testing.T) {
+// EarliestDeliveryTo: the earliest delivery to a set of ticked
+// endpoints, the network's half of the SPU's local-store burst window. A
+// message has its exact delivery cycle from the moment it is sent.
+func TestEarliestDeliveryToByEndpoint(t *testing.T) {
 	n := New(Config{Buses: 1, BytesPerCyc: 8, HopLatency: 4})
-	watched := &sink{}
-	other := &sink{}
+	watched, other := &sink{}, &sink{}
 	n.Register(1, watched)
 	n.Register(2, other)
-	n.DeclareTouchGroup(0, 1)
+	n.Register(3, watched)
 
-	if got := n.EarliestDeliveryTo(0); got != sim.Never {
+	if got := n.EarliestDeliveryTo(1, 3); got != sim.Never {
 		t.Fatalf("EarliestDeliveryTo with no traffic = %d, want Never", got)
 	}
 
 	e := sim.NewEngine()
 	n.Attach(e.Register(n))
-	// One bus, 2-cycle occupancy, hop 4: the unwatched message is granted
-	// at 1 and holds the bus until 3; the two watched ones behind it are
-	// granted at 3 and 5 and deliver at 9 and 11.
+	// One bus, 2-cycle occupancy, hop 4: the message to 2 is granted at 1
+	// and holds the bus until 3; the ones to 3 and 1 behind it are granted
+	// at 3 and 5 and deliver at 9 and 11.
 	n.Send(0, Message{Src: 1, Dst: 2, Kind: KindMemRead32})
-	if got := n.EarliestDeliveryTo(0); got != sim.Never {
-		t.Fatalf("traffic to an unwatched endpoint shows up: %d", got)
+	if got := n.EarliestDeliveryTo(1, 3); got != sim.Never {
+		t.Fatalf("traffic to another endpoint shows up: %d", got)
 	}
+	n.Send(0, Message{Src: 2, Dst: 3, Kind: KindMemRead32})
 	n.Send(0, Message{Src: 2, Dst: 1, Kind: KindMemRead32})
-	n.Send(0, Message{Src: 2, Dst: 1, Kind: KindMemRead32})
-	if got := n.EarliestDeliveryTo(0); got != 9 {
-		t.Fatalf("EarliestDeliveryTo right after Send = %d, want 9", got)
-	}
-	if got := n.EarliestDeliveryTo(5); got != sim.Never {
-		t.Fatalf("EarliestDeliveryTo(undeclared group) = %d, want Never", got)
+	for _, c := range []struct {
+		eps  []int
+		want sim.Cycle
+	}{{[]int{1, 3}, 9}, {[]int{3, 1}, 9}, {[]int{1}, 11}, {[]int{2}, 7}, {[]int{4}, sim.Never}, {nil, sim.Never}} {
+		if got := n.EarliestDeliveryTo(c.eps...); got != c.want {
+			t.Fatalf("EarliestDeliveryTo(%v) right after Send = %d, want %d", c.eps, got, c.want)
+		}
 	}
 
-	// Past the first watched delivery the second one is the answer; past
-	// both, nothing is.
+	// Past the first watched delivery the second one is the answer.
 	e.Register(&stopAt{e: e, when: 9})
 	if _, err := e.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -305,14 +305,17 @@ func TestTouchGroupTracking(t *testing.T) {
 	if len(watched.at) != 1 || watched.at[0] != 9 {
 		t.Fatalf("watched deliveries by cycle 9: %v, want [9]", watched.at)
 	}
-	if got := n.EarliestDeliveryTo(0); got != 11 {
+	if got := n.EarliestDeliveryTo(1, 3); got != 11 {
 		t.Fatalf("EarliestDeliveryTo after the first delivery = %d, want 11", got)
 	}
+	if got := n.EarliestDeliveryTo(3); got != sim.Never {
+		t.Fatalf("EarliestDeliveryTo(3) after its delivery = %d, want Never", got)
+	}
 
-	// Reset clears the per-group state.
+	// Reset clears the traffic.
 	n.Reset()
-	if got := n.EarliestDeliveryTo(0); got != sim.Never {
-		t.Fatalf("touch state survived Reset: %d", got)
+	if got := n.EarliestDeliveryTo(1, 3); got != sim.Never {
+		t.Fatalf("traffic survived Reset: %d", got)
 	}
 }
 
@@ -390,15 +393,16 @@ type delivery struct {
 }
 
 const (
-	diffSinks = 6 // endpoints 0..5 only log; 0 and 1 form touch group 0, 2 group 1
+	diffSinks = 6 // endpoints 0..5 only log; the driver asks about {0, 1} and {2}
 	diffEcho  = 6 // endpoint that sends from inside Deliver, as the PPE does
 	diffTail  = 15
 )
 
-// diffGroup is the touch group of a diff endpoint (-1 when unwatched).
-// The unwatched sinks 3, 4 and 5 may be timed endpoints: 5 always is, 3
-// and 4 by the schedule's seed.
-var diffGroup = [diffSinks + 1]int{0, 0, 1, -1, -1, -1, -1}
+// diffQuery is the index of the driver's EarliestDeliveryTo question
+// about a diff endpoint (-1 when none asks): 0 for (0, 1), 1 for (2).
+// The sinks no question asks about, 3, 4 and 5, may be timed endpoints:
+// 5 always is, 3 and 4 by the schedule's seed.
+var diffQuery = [diffSinks + 1]int{0, 0, 1, -1, -1, -1, -1}
 
 // handed is one message a timed endpoint was given at Send.
 type handed struct {
@@ -470,7 +474,7 @@ type diffDriver struct {
 	timed    [diffSinks]*timedSink // non-nil for the sinks registered as timed
 	gotNet   []delivery            // deliveries to the ticked endpoints
 	gotRef   []delivery            // the model's deliveries, to all endpoints
-	answers  [][2]sim.Cycle        // per cycle, after its sends: EarliestDeliveryTo(0), (1)
+	answers  [][2]sim.Cycle        // per cycle, after its sends: EarliestDeliveryTo(0, 1), (2)
 	sentAt   map[int64]sim.Cycle   // message id -> send cycle
 	backlog  int                   // compared cycles on which the model still had a queue
 	payloads [129][]byte           // shared zero payloads by length
@@ -555,7 +559,7 @@ func (d *diffDriver) Tick(now sim.Cycle) sim.Cycle {
 	if len(d.ref.queue) > 0 {
 		d.backlog++
 	}
-	d.answers = append(d.answers, [2]sim.Cycle{d.n.EarliestDeliveryTo(0), d.n.EarliestDeliveryTo(1)})
+	d.answers = append(d.answers, [2]sim.Cycle{d.n.EarliestDeliveryTo(0, 1), d.n.EarliestDeliveryTo(2)})
 	if now >= d.until {
 		d.e.Stop()
 		return sim.Never
@@ -588,9 +592,7 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 			d.payloads[i] = make([]byte, i)
 		}
 		for ep := 0; ep <= diffEcho; ep++ {
-			if g := diffGroup[ep]; g >= 0 {
-				d.n.DeclareTouchGroup(g, ep)
-			} else if ep == 5 || ep != diffEcho && rng.Intn(2) == 0 {
+			if diffQuery[ep] < 0 && (ep == 5 || ep != diffEcho && rng.Intn(2) == 0) {
 				d.timed[ep] = &timedSink{t: t}
 				d.n.RegisterTimed(ep, d.timed[ep])
 				continue
@@ -672,11 +674,12 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 
 		// EarliestDeliveryTo, asked after every cycle's sends, against
 		// the model's exact answer: the earliest delivery the model went
-		// on to make to the group among the messages sent by then.
+		// on to make to the endpoints asked about among the messages sent
+		// by then.
 		for c, got := range d.answers {
 			want := [2]sim.Cycle{sim.Never, sim.Never}
 			for _, del := range d.gotRef {
-				g := diffGroup[del.dst]
+				g := diffQuery[del.dst]
 				if g >= 0 && d.sentAt[del.id] <= sim.Cycle(c) && del.at > sim.Cycle(c) && del.at < want[g] {
 					want[g] = del.at
 				}
@@ -702,7 +705,6 @@ func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
 		dst, timed := &sink{}, &timedSink{t: t}
 		n.Register(1, dst)
 		n.RegisterTimed(3, timed)
-		n.DeclareTouchGroup(0, 1)
 		e := sim.NewEngine()
 		n.Attach(e.Register(n))
 		timed.h = e.Register(timed)
@@ -755,7 +757,7 @@ func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
 	if got := cp.Stats(); got != mid {
 		t.Fatalf("restored stats = %+v, want %+v", got, mid)
 	}
-	if got, want := cp.EarliestDeliveryTo(0), orig.EarliestDeliveryTo(0); got != want || got != 27 {
+	if got, want := cp.EarliestDeliveryTo(1), orig.EarliestDeliveryTo(1); got != want || got != 27 {
 		t.Fatalf("restored EarliestDeliveryTo = %d, original %d, want 27", got, want)
 	}
 	// A send after the restore queues behind the restored bookings.
@@ -786,16 +788,19 @@ func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
 }
 
 // TestEndpointKindFixedAtRegistration: an id is ticked or timed, once,
-// and a timed endpoint cannot be in a touch group (EarliestDeliveryTo
-// reads the network's own delivery heap, which never holds its messages).
+// and EarliestDeliveryTo refuses a timed endpoint (it reads the network's
+// own delivery heap, which never holds that endpoint's messages).
 func TestEndpointKindFixedAtRegistration(t *testing.T) {
 	for name, f := range map[string]func(n *Network){
 		"ticked then timed": func(n *Network) { n.Register(1, &sink{}); n.RegisterTimed(1, &timedSink{}) },
 		"timed then ticked": func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.Register(1, &sink{}) },
 		"timed twice":       func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.RegisterTimed(1, &timedSink{}) },
-		"timed into group":  func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.DeclareTouchGroup(0, 1) },
-		"group then timed":  func(n *Network) { n.DeclareTouchGroup(0, 1); n.RegisterTimed(1, &timedSink{}) },
-		"nil timed":         func(n *Network) { n.RegisterTimed(1, nil) },
+		"query timed": func(n *Network) {
+			n.Register(1, &sink{})
+			n.RegisterTimed(2, &timedSink{})
+			n.EarliestDeliveryTo(1, 2)
+		},
+		"nil timed": func(n *Network) { n.RegisterTimed(1, nil) },
 	} {
 		func() {
 			defer func() {

@@ -19,6 +19,28 @@ func WalkMessage(c *snap.Codec, m *Message) {
 	c.Bytes(&m.Data)
 }
 
+// Walk writes or reads the heap's entries in (at, seq) order, the order
+// they pop in, so the internal layout stays behaviour-invisible. It is
+// taken between ticks, when no popped slot is held.
+func (q *MsgHeap) Walk(c *snap.Codec) {
+	if c.Reading() {
+		q.Reset()
+	}
+	snap.Heap(c, &q.refs, func(c *snap.Codec, ref *timedRef) {
+		snap.Int(c, &ref.at)
+		snap.Int(c, &ref.seq)
+		var msg Message
+		if !c.Reading() {
+			msg = q.slab[ref.slot]
+		}
+		WalkMessage(c, &msg)
+		if c.Reading() {
+			q.slab = append(q.slab, msg)
+			ref.slot = int32(len(q.slab) - 1)
+		}
+	})
+}
+
 // Walk writes or reads the interconnect's mutable state: bus bookings,
 // the bookings whose grant lies beyond the engine clock, every sent,
 // undelivered message to a ticked endpoint with its delivery cycle, and
@@ -26,10 +48,9 @@ func WalkMessage(c *snap.Codec, m *Message) {
 // endpoint's to save; of it the network keeps only the send sequence and
 // the Messages count, which took it in at the hand-over (Stats asks the
 // endpoints which of those the clock has not reached).
-// Endpoint registrations, touch-group declarations and the
-// packet-buffer pool are construction-time wiring and perf caches, not
-// state, so a read needs a network of the same configuration and
-// wiring. The per-group in-flight counters are recomputed on read.
+// Endpoint registrations and the packet-buffer pool are
+// construction-time wiring and perf caches, not state, so a read needs a
+// network of the same configuration and wiring.
 func (n *Network) Walk(c *snap.Codec) {
 	if c.Reading() {
 		n.Reset()
@@ -51,22 +72,7 @@ func (n *Network) Walk(c *snap.Codec) {
 			n.pushGrant(g)
 		}
 	}
-	snap.Heap(c, &n.dels, func(c *snap.Codec, d *delRef) {
-		snap.Int(c, &d.at)
-		snap.Int(c, &d.seq)
-		var msg Message
-		if !c.Reading() {
-			msg = n.delSlab[d.slot]
-		}
-		WalkMessage(c, &msg)
-		if c.Reading() {
-			if d.grp = n.groupOf(int(msg.Dst)); d.grp >= 0 {
-				n.flightTo[d.grp]++
-			}
-			n.delSlab = append(n.delSlab, msg)
-			d.slot = int32(len(n.delSlab) - 1)
-		}
-	})
+	n.dels.Walk(c)
 	snap.Int(c, &n.seq)
 	for _, p := range []*int64{&n.stats.Messages, &n.stats.Bytes, &n.stats.BusyCycles} {
 		snap.Int(c, p)

@@ -19,7 +19,7 @@ import (
 // 32-seed synth corpus: every transformed program must be functionally
 // identical to its original (tokens and written memory, via the full
 // differential check) and must never exceed the documented cycle guard
-// band (synth.DefaultGuardRatio x original + synth.DefaultGuardSlack).
+// band (2.0 x original + 50,000 cycles, fixed in synth's diff.go).
 // A transformer change that alters results or wrecks performance on any
 // corpus shape fails here before it reaches the paper experiments.
 func TestTransformOverSynthCorpus(t *testing.T) {

@@ -207,11 +207,11 @@ func TestRunBadRequests(t *testing.T) {
 	}
 }
 
-// TestSPEsBounded: a run asking for more SPEs than cell.MaxSPEs, or for
-// a negative count, is answered 400 in the JSON error shape before it is
-// keyed or queued — on the queued path, the synchronous trace and
-// profile paths and sweeps — while 0 (the default, 8) and MaxSPEs itself
-// run.
+// TestSPEsBounded: a run asking for more SPEs than cell.MaxSPEs, for a
+// negative count or for a negative memory latency is answered 400 in the
+// JSON error shape before it is keyed or queued — on the queued path,
+// the synchronous trace and profile paths and sweeps — while 0 (the
+// default: 8 SPEs, latency 150), MaxSPEs itself and latency 1 run.
 func TestSPEsBounded(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	jobs := func() int {
@@ -220,32 +220,39 @@ func TestSPEsBounded(t *testing.T) {
 		return len(s.jobs)
 	}
 	for _, tc := range []struct {
-		spes int
-		want int
-	}{{0, http.StatusOK}, {64, http.StatusOK}, {65, http.StatusBadRequest}, {100000, http.StatusBadRequest}, {-1, http.StatusBadRequest}} {
-		run := fmt.Sprintf(`{"experiment":"mmul-orig","options":{"quick":true,"spes":%d}}`, tc.spes)
+		option string
+		value  int
+		want   int
+	}{
+		{"spes", 0, http.StatusOK}, {"spes", 64, http.StatusOK}, {"spes", 65, http.StatusBadRequest},
+		{"spes", 100000, http.StatusBadRequest}, {"spes", -1, http.StatusBadRequest},
+		{"latency", 0, http.StatusOK}, {"latency", 1, http.StatusOK},
+		{"latency", -1, http.StatusBadRequest}, {"latency", -5, http.StatusBadRequest},
+	} {
+		opts := fmt.Sprintf(`{"quick":true,%q:%d}`, tc.option, tc.value)
+		run := `{"experiment":"mmul-orig","options":` + opts + `}`
 		bodies := map[string]string{"/v1/runs": run}
 		if tc.want != http.StatusOK {
 			bodies["/v1/runs?trace=1"] = run
 			bodies["/v1/runs?profile=1"] = run
-			bodies["/v1/sweeps"] = fmt.Sprintf(`{"experiments":["mmul-orig"],"options":{"quick":true,"spes":%d}}`, tc.spes)
+			bodies["/v1/sweeps"] = `{"experiments":["mmul-orig"],"options":` + opts + `}`
 		}
 		for path, body := range bodies {
 			before := jobs()
 			resp := postJSON(t, ts.URL+path, body)
 			data := readAll(t, resp)
 			if resp.StatusCode != tc.want {
-				t.Fatalf("%s spes %d: status %d, want %d: %s", path, tc.spes, resp.StatusCode, tc.want, data)
+				t.Fatalf("%s %s %d: status %d, want %d: %s", path, tc.option, tc.value, resp.StatusCode, tc.want, data)
 			}
 			if tc.want == http.StatusOK {
 				continue
 			}
 			var doc map[string]string
-			if err := json.Unmarshal(data, &doc); err != nil || !strings.Contains(doc["error"], "spes") {
-				t.Fatalf("%s spes %d: 400 body %q does not name spes in the JSON error shape (%v)", path, tc.spes, data, err)
+			if err := json.Unmarshal(data, &doc); err != nil || !strings.Contains(doc["error"], tc.option) {
+				t.Fatalf("%s %s %d: 400 body %q does not name %s in the JSON error shape (%v)", path, tc.option, tc.value, data, tc.option, err)
 			}
 			if n := jobs(); n != before {
-				t.Fatalf("%s spes %d: a refused request created %d jobs", path, tc.spes, n-before)
+				t.Fatalf("%s %s %d: a refused request created %d jobs", path, tc.option, tc.value, n-before)
 			}
 		}
 	}

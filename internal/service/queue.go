@@ -190,10 +190,15 @@ var ErrDraining = errors.New("service is draining")
 
 // checkOptions rejects defaulted options no machine may be built for,
 // before a request costs anything. The SPE count goes from the request
-// body to cell.New, and every SPE costs memory (see cell.MaxSPEs).
+// body to cell.New, and every SPE costs memory (see cell.MaxSPEs); a
+// negative memory latency fails the machine's validation (0 defaults to
+// 150 before the check).
 func checkOptions(opt harness.Options) error {
 	if opt.SPEs < 1 || opt.SPEs > cell.MaxSPEs {
 		return fmt.Errorf("options.spes = %d outside [1, %d]", opt.SPEs, cell.MaxSPEs)
+	}
+	if opt.Latency < 0 {
+		return fmt.Errorf("options.latency = %d is negative", opt.Latency)
 	}
 	return nil
 }

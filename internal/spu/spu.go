@@ -200,11 +200,9 @@ type SPU struct {
 	resumeAt    sim.Cycle   // burst horizon: cycles below are already simulated
 
 	// lsw is the machine's wiring declaration for the LS-read burst
-	// window (SetLSWiring); lsWired gates the refined horizon — without
-	// it the SPU falls back to the component-agnostic horizon.
-	lsw     LSWiring
-	lsWired bool
-	eng     *sim.Engine
+	// window (see lsHorizon).
+	lsw LSWiring
+	eng *sim.Engine
 
 	readDst  uint8
 	reqSeq   int64
@@ -255,11 +253,11 @@ type MagicMem interface {
 
 // New creates the SPU for SPE spe, configured and programmed by code.
 func New(code *Code, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
-	dma *mfc.Engine, store *ls.LocalStore) *SPU {
+	dma *mfc.Engine, store *ls.LocalStore, w LSWiring) *SPU {
 	cfg := code.cfg
 	s := &SPU{
 		cfg: cfg, id: id, spe: spe, memID: memID,
-		net: net, lse: lseUnit, dma: dma, store: store, code: code,
+		net: net, lse: lseUnit, dma: dma, store: store, code: code, lsw: w,
 		ph:       phIdle,
 		gapCause: stats.CauseIdle,
 		gapLoc:   stats.IdleLoc,
@@ -454,8 +452,8 @@ func (s *SPU) Attach(h *sim.Handle) {
 // scheduled: the engine requires a component with pending work to be
 // scheduled no later than that work's cycle (an unscheduled one would
 // deadlock the machine today), so NextScheduled over the ids below,
-// plus the network's per-group delivery cycles, bounds the next possible
-// local-store mutation.
+// plus the network's delivery cycles to the endpoints below, bounds the
+// next possible local-store mutation.
 type LSWiring struct {
 	// LSEID, MFCID are the engine identities (Handle.ID) of this SPE's
 	// LSE and MFC — the only components whose Ticks read or write this
@@ -467,24 +465,10 @@ type LSWiring struct {
 	// one extra cycle in the chain bound — their effects land in the
 	// LSE's inbox and wait for an LSE service tick after delivery.
 	LSEID, MFCID, MemID int32
-	// TouchGroup is the network touch group (noc.DeclareTouchGroup)
-	// holding this SPE's MFC and LSE endpoints: the network's tick
-	// touches this local store only when it delivers to one of them.
-	TouchGroup int
-	// ChainLat is a lower bound on the cycles ANY other component needs
-	// from its own tick to an effect on this local store; every such
-	// path crosses the interconnect, so the machine passes
-	// noc.Config.MinDeliveryLatency.
-	ChainLat sim.Cycle
-}
-
-// SetLSWiring declares the machine wiring the LS-read burst path leans
-// on; see LSWiring. Without it the SPU uses the component-agnostic
-// quiescence horizon, which is correct but clamps on unrelated
-// components.
-func (s *SPU) SetLSWiring(w LSWiring) {
-	s.lsw = w
-	s.lsWired = true
+	// Endpoints are the network endpoint ids of this SPE's MFC and LSE:
+	// the network's tick touches this local store only when it delivers
+	// to one of them (noc.Network.EarliestDeliveryTo).
+	Endpoints []int
 }
 
 // Wake prods the SPU (used by the LSE's OnWork callback).
@@ -825,8 +809,8 @@ func (s *SPU) tick(now sim.Cycle) sim.Cycle {
 // could be touched by someone else. The kernel reads it at most once per
 // window: nothing else runs during this SPU's Tick and no instruction
 // that can wake another component executes inside a window, so the
-// schedule cannot gain entries in between. With the machine's wiring
-// declaration (SetLSWiring) it is the earliest of:
+// schedule cannot gain entries in between. From the machine's wiring
+// declaration (LSWiring) it is the earliest of:
 //
 //   - the next scheduled cycle of this SPE's LSE or MFC;
 //   - the exact cycle of the earliest network delivery to this SPE's
@@ -839,25 +823,22 @@ func (s *SPU) tick(now sim.Cycle) sim.Cycle {
 //     interconnect before it can reach this store.
 //
 // Network ticks that only serve other endpoints' traffic — including
-// this SPU's own posted WRITEs to main memory — no longer clamp the
-// window. Without wiring it degrades to the quiescence horizon alone.
+// this SPU's own posted WRITEs to main memory — do not clamp the window.
 func (s *SPU) lsHorizon() sim.Cycle {
 	h := s.handle.Horizon()
-	if s.eng == nil || !s.lsWired {
-		return h
-	}
+	chain := s.net.MinDeliveryLatency()
 	if h != sim.Never {
 		// Generic bound for every other component: it must run (no
 		// earlier than the quiescence horizon), cross the interconnect
-		// (ChainLat), and — since only main memory sends the DMA data
-		// messages whose delivery itself writes the store — its effect
-		// lands in our LSE's inbox and waits one more cycle for an LSE
-		// service tick. (If our LSE were already scheduled at the
+		// (MinDeliveryLatency), and — since only main memory sends the
+		// DMA data messages whose delivery itself writes the store — its
+		// effect lands in our LSE's inbox and waits one more cycle for an
+		// LSE service tick. (If our LSE were already scheduled at the
 		// delivery cycle, its own term below caps the window first.)
-		h += s.lsw.ChainLat + 1
+		h += chain + 1
 	}
-	if n := s.eng.NextScheduled(s.lsw.MemID); n != sim.Never && n+s.lsw.ChainLat < h {
-		h = n + s.lsw.ChainLat // memory's DMA data writes the store at delivery
+	if n := s.eng.NextScheduled(s.lsw.MemID); n != sim.Never && n+chain < h {
+		h = n + chain // memory's DMA data writes the store at delivery
 	}
 	if n := s.eng.NextScheduled(s.lsw.LSEID); n < h {
 		h = n
@@ -865,7 +846,7 @@ func (s *SPU) lsHorizon() sim.Cycle {
 	if n := s.eng.NextScheduled(s.lsw.MFCID); n < h {
 		h = n
 	}
-	if d := s.net.EarliestDeliveryTo(s.lsw.TouchGroup); d < h {
+	if d := s.net.EarliestDeliveryTo(s.lsw.Endpoints...); d < h {
 		h = d
 	}
 	return h

@@ -20,38 +20,36 @@ import (
 // at generation time) passes for both simulations, and that the
 // prefetching run respects the performance invariants below.
 
-// Guard band for the cycle invariant: the transformed program may be
-// slower than the original on tiny scenarios (DMA programming overhead
-// with almost nothing to hide — the paper's bitcnt-at-latency-1 effect)
-// but never by more than GuardRatio x plus GuardSlack cycles. Corpus
-// scenarios sit far inside this envelope; a transformer or scheduler
-// regression that serialises DMA blows through it.
 const (
-	DefaultGuardRatio = 2.0
-	DefaultGuardSlack = 50_000
+	maxCycles sim.Cycle = 100_000_000 // per-simulation cycle cap
+	maxSteps            = 50_000_000  // oracle instruction budget
+
+	// Guard band for the cycle invariant: the transformed program may be
+	// slower than the original on tiny scenarios (DMA programming
+	// overhead with almost nothing to hide — the paper's
+	// bitcnt-at-latency-1 effect) but never by more than guardRatio x
+	// plus guardSlack cycles. Corpus scenarios sit far inside this
+	// envelope; a transformer or scheduler regression that serialises
+	// DMA blows through it.
+	guardRatio = 2.0
+	guardSlack = 50_000
+
+	// stallSlack is the tolerated growth of memory-stall cycles under
+	// prefetching (absolute, on top of a 25% relative allowance); the
+	// transformed run must satisfy
+	//   pfStall <= origStall + origStall/4 + stallSlack.
+	// Untagged (non-decoupled) READs still stall in both runs and DMA
+	// traffic can delay them slightly, hence the allowance.
+	stallSlack = 2000
 )
 
 // CheckOptions configures a differential run.
 type CheckOptions struct {
-	Latency   int       // main-memory latency (0 = the paper's 150)
-	MaxCycles sim.Cycle // per-simulation cycle cap (0 = 100M)
-	MaxSteps  int64     // oracle instruction budget (0 = 50M)
+	Latency int // main-memory latency (0 = the paper's 150)
 	// Transform produces the prefetching variant (nil = prefetch.Transform).
 	// Tests inject deliberately broken transformers here to prove the
 	// checker and shrinker catch them.
 	Transform func(*program.Program) (*program.Program, error)
-	// GuardRatio/GuardSlack override the documented cycle guard band
-	// (zero values select the defaults).
-	GuardRatio float64
-	GuardSlack int64
-	// StallSlack is the tolerated growth of memory-stall cycles under
-	// prefetching (absolute, on top of a 25% relative allowance); the
-	// transformed run must satisfy
-	//   pfStall <= origStall + origStall/4 + StallSlack.
-	// Untagged (non-decoupled) READs still stall in both runs and DMA
-	// traffic can delay them slightly, hence the allowance. 0 selects
-	// 2000 cycles.
-	StallSlack int64
 	// Pool recycles machines across checks (per worker; must not be
 	// shared across goroutines). nil builds a fresh machine per run.
 	Pool *cell.Pool
@@ -82,23 +80,8 @@ func (o CheckOptions) withDefaults() CheckOptions {
 	if o.Latency == 0 {
 		o.Latency = 150
 	}
-	if o.MaxCycles == 0 {
-		o.MaxCycles = 100_000_000
-	}
-	if o.MaxSteps == 0 {
-		o.MaxSteps = 50_000_000
-	}
 	if o.Transform == nil {
 		o.Transform = prefetch.Transform
-	}
-	if o.GuardRatio == 0 {
-		o.GuardRatio = DefaultGuardRatio
-	}
-	if o.GuardSlack == 0 {
-		o.GuardSlack = DefaultGuardSlack
-	}
-	if o.StallSlack == 0 {
-		o.StallSlack = 2000
 	}
 	return o
 }
@@ -141,7 +124,7 @@ func runSim(sc Scenario, opt CheckOptions, prog *program.Program) (*cell.Result,
 	cfg := cell.DefaultConfig()
 	cfg.SPEs = sc.SPEs
 	cfg.Mem.Latency = opt.Latency
-	cfg.MaxCycles = opt.MaxCycles
+	cfg.MaxCycles = maxCycles
 	cfg.Profile = opt.Profile
 	m, err := opt.Pool.Get(cfg, prog)
 	if err != nil {
@@ -293,7 +276,7 @@ func CheckScenario(sc Scenario, opt CheckOptions) (*Report, error) {
 		return nil, diverged(sc, "generate", "%v", err)
 	}
 
-	oracleRes, err := RunOracle(prog, opt.MaxSteps)
+	oracleRes, err := RunOracle(prog, maxSteps)
 	if err != nil {
 		return nil, diverged(sc, "oracle", "%v", err)
 	}
@@ -342,16 +325,16 @@ func CheckScenario(sc Scenario, opt CheckOptions) (*Report, error) {
 	// performance contract of the transformation.
 	origStall := orig.Agg.Breakdown[stats.MemStall]
 	pfStall := pf.Agg.Breakdown[stats.MemStall]
-	if pfStall > origStall+origStall/4+opt.StallSlack {
+	if pfStall > origStall+origStall/4+stallSlack {
 		return nil, diverged(sc, "invariant",
 			"prefetch memory-stall cycles %d exceed original %d (+25%% +%d slack)",
-			pfStall, origStall, opt.StallSlack)
+			pfStall, origStall, stallSlack)
 	}
-	limit := sim.Cycle(opt.GuardRatio*float64(orig.Cycles)) + sim.Cycle(opt.GuardSlack)
+	limit := sim.Cycle(guardRatio*float64(orig.Cycles)) + guardSlack
 	if pf.Cycles > limit {
 		return nil, diverged(sc, "invariant",
 			"prefetch cycles %d exceed guard band %d (original %d, ratio %.1f, slack %d)",
-			pf.Cycles, limit, orig.Cycles, opt.GuardRatio, opt.GuardSlack)
+			pf.Cycles, limit, orig.Cycles, guardRatio, guardSlack)
 	}
 
 	// All comparisons done: the machines and the memory images (theirs

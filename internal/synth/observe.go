@@ -34,7 +34,7 @@ func ObserveScenario(sc Scenario, opt CheckOptions, timeline, profile bool) ([]o
 	cfg := cell.DefaultConfig()
 	cfg.SPEs = sc.SPEs
 	cfg.Mem.Latency = opt.Latency
-	cfg.MaxCycles = opt.MaxCycles
+	cfg.MaxCycles = maxCycles
 	cfg.Record, cfg.Profile = timeline, profile
 
 	var runs []obs.Run
