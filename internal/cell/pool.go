@@ -22,7 +22,7 @@ var (
 
 // Pool recycles built machines keyed by configuration so repeated runs
 // (parameter sweeps, fuzz campaigns, service workers) amortise machine
-// construction — component graphs, 156 kB local stores, sparse-memory
+// construction — component graphs, local-store arrays, sparse-memory
 // pages — instead of rebuilding them per run. Machines are reset on
 // acquisition, so a released machine's final state (memory image,
 // statistics) stays readable until it is handed out again.
@@ -39,8 +39,7 @@ type Pool struct {
 // configuration. A sweep worker cycles through a handful of
 // configurations with at most a few machines of each in flight, so a
 // small cap keeps reuse intact while a long-lived worker (a dtad worker,
-// a fuzz worker) cannot accumulate retired 156 kB local-store images
-// without bound.
+// a fuzz worker) cannot accumulate retired machines without bound.
 const DefaultPoolCap = 16
 
 // NewPool returns an empty machine pool.

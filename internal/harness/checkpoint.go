@@ -128,19 +128,24 @@ type phase struct {
 // checkpoint cache, and a forked run is byte-identical to a cold one
 // applying the knobs at the same boundary (see cell.TestKnobDivergence).
 func (c *Context) runPhase(bench string, spes int, knobs cell.Knobs, div sim.Cycle) (*cell.Result, error) {
+	return c.runOne(phaseSpec(bench, spes, knobs, div))
+}
+
+// phaseSpec is runPhase's spec.
+func phaseSpec(bench string, spes int, knobs cell.Knobs, div sim.Cycle) runSpec {
 	s := benchSpec(bench, spes, true)
 	s.phase = &phase{knobs, div}
-	return c.runOne(s)
+	return s
 }
 
 // forkRun is one phase run's checkpoint traffic: runAll reads the cache
-// in step 1, the chain step restores or captures the prefix, and step 4
+// in step 1, step 3 restores or captures the prefix, and step 4
 // writes back — so only the calling goroutine touches the cache.
 type forkRun struct {
 	*phase
 	key      string // the prefix's cell.SnapshotKey; "" without a checkpoint cache
 	cached   []byte // the prefix snapshot step 1 found, if any
-	captured []byte // the prefix snapshot the chain step took, for step 4 to cache
+	captured []byte // the prefix snapshot step 3 took, for step 4 to cache
 	drop     bool   // the cached snapshot failed to restore
 	saved    sim.Cycle
 }

@@ -153,9 +153,11 @@ type Context struct {
 	// — the slow path the burst differential tests compare against.
 	// Results are identical either way; only wall-clock time differs.
 	SingleStep bool
-	// spread marks a context that owns its cores, so runAll runs its
-	// chains on all of them; set by NewContext alone and inherited by Sub.
-	// Any other context runs its chains on the caller's goroutine.
+	// spread marks a context that owns its cores, so runAll spreads its
+	// runs over all of them, on up to GOMAXPROCS machines of each
+	// configuration; set by NewContext alone and inherited by Sub. Any
+	// other context runs them on the caller's goroutine, on one machine
+	// per configuration.
 	spread bool
 	cache  *lru.Cache[runKey, *cell.Result] // the run cache; see runCacheCap
 	progs  map[progKey]*program.Program

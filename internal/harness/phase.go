@@ -32,33 +32,50 @@ func phaseMemLat(ctx *Context) (*Outcome, error) {
 		Headers: []string{"benchmark", "baseline", "x1", "x2", "x4", "slowdown x4"},
 	}
 	metrics := map[string]float64{}
-	for _, bench := range benchmarks {
-		// The cold baseline first: it fixes the divergence cycle and the
-		// identity reference. Each phase run below is declared on its own,
-		// after the one before it has written its prefix snapshot back, so
-		// the x2 and x4 runs restore what the x1 run captured.
-		base, err := ctx.run(bench, ctx.Opt.SPEs, true, defaultVariant())
-		if err != nil {
-			return nil, err
+	// The cold baselines first: each fixes its benchmark's divergence
+	// cycle and identity reference.
+	specs := make([]runSpec, len(benchmarks))
+	for i, bench := range benchmarks {
+		specs[i] = benchSpec(bench, ctx.Opt.SPEs, true)
+	}
+	base, err := ctx.runList(specs)
+	if err != nil {
+		return nil, err
+	}
+	// Then the phase runs, in two lists: the x1 runs simulate each
+	// benchmark's prefix and capture it, and once runAll has written
+	// their snapshots back, the x2 and x4 runs restore them.
+	phases := func(factors ...int) ([]*cell.Result, error) {
+		var specs []runSpec
+		for i, bench := range benchmarks {
+			for _, factor := range factors {
+				knobs := cell.Knobs{MemLatency: ctx.Opt.Latency * factor}
+				specs = append(specs, phaseSpec(bench, ctx.Opt.SPEs, knobs, base[i].Cycles/2))
+			}
 		}
-		div := base.Cycles / 2
-		cells := []string{ctx.benchLabel(bench), fmt.Sprintf("%d", base.Cycles)}
-		var last *cell.Result
-		for _, factor := range []int{1, 2, 4} {
-			knobs := cell.Knobs{MemLatency: ctx.Opt.Latency * factor}
-			res, err := ctx.runPhase(bench, ctx.Opt.SPEs, knobs, div)
-			if err != nil {
-				return nil, err
-			}
-			if factor == 1 && res.Cycles != base.Cycles {
-				return nil, fmt.Errorf("%s: forked x1 run took %d cycles, cold baseline %d — checkpoint fork is not identity-preserving",
-					bench, res.Cycles, base.Cycles)
-			}
+		return ctx.runList(specs)
+	}
+	x1, err := phases(1)
+	if err != nil {
+		return nil, err
+	}
+	x24, err := phases(2, 4)
+	if err != nil {
+		return nil, err
+	}
+	for i, bench := range benchmarks {
+		if x1[i].Cycles != base[i].Cycles {
+			return nil, fmt.Errorf("%s: forked x1 run took %d cycles, cold baseline %d — checkpoint fork is not identity-preserving",
+				bench, x1[i].Cycles, base[i].Cycles)
+		}
+		cells := []string{ctx.benchLabel(bench), fmt.Sprintf("%d", base[i].Cycles)}
+		runs := []*cell.Result{x1[i], x24[2*i], x24[2*i+1]}
+		for k, factor := range []int{1, 2, 4} {
+			res := runs[k]
 			cells = append(cells, fmt.Sprintf("%d", res.Cycles))
 			metrics[fmt.Sprintf("%s_cycles_x%d", bench, factor)] = float64(res.Cycles)
-			last = res
 		}
-		slowdown := float64(last.Cycles) / float64(base.Cycles)
+		slowdown := float64(runs[2].Cycles) / float64(base[i].Cycles)
 		cells = append(cells, stats.Ratio(slowdown))
 		metrics[bench+"_slowdown_x4"] = slowdown
 		t.AddRow(cells...)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cell"
 	"repro/internal/obs"
@@ -140,35 +141,43 @@ var declare = (*Context).runAll
 // depends on how it ran: each simulation is single-threaded and
 // deterministic on a machine of its own, and a Reset machine is
 // indistinguishable from a new one. Only step 3 leaves the calling
-// goroutine, and it touches nothing but its machines — there is no lock
-// anywhere:
+// goroutine, and it touches nothing but its runs' machines, handed
+// between goroutines through one channel of idle machines per
+// configuration:
 //
 //  1. plan: resolve run-cache hits and duplicate keys (per owning
 //     context: the first is the miss, the others hit it), build the
 //     missing runs' programs, read a phase run's prefix snapshot from the
-//     checkpoint cache, and chain the missing runs by machine — one
-//     pooled machine per configuration, driven through its runs with
-//     Machine.Reset, and one never-pooled machine per hand-built or
-//     observed run;
-//  2. take each chain's machine from the pool (or build it);
-//  3. run the chains: on min(GOMAXPROCS, chains) goroutines, the caller
-//     one of them, for a context that owns its cores (NewContext), on
-//     the caller otherwise; a panic inside a simulation becomes that
-//     spec's error;
+//     checkpoint cache, and group the missing runs by machine: one group
+//     per pooled configuration, and one group of its own for each
+//     hand-built or observed run, whose machine is never pooled;
+//  2. take the machines, in spec order: a pooled group gets
+//     min(workers, its runs) machines from its pool, each readied for one
+//     of its first runs, and a never-pooled run a machine built for it —
+//     so the pool misses depend only on the spec lists and workers;
+//  3. run: min(workers, runs) goroutines, the caller one of them, take
+//     the runs in spec order from one cursor. Each takes its run's
+//     readied machine or an idle one of its group, Reset to the run's
+//     program — with step 2's counts one is always idle — and hands it
+//     back to the group when done; a panic inside a simulation becomes
+//     that spec's error. workers is GOMAXPROCS for a context that owns
+//     its cores (NewContext) and 1 for any other, which runs everything
+//     on the caller;
 //  4. return the machines, then in spec order write a phase run's
 //     snapshot back, keep an observed run's timeline and profile, fill
 //     the run cache and bill RunsExecuted/RunCacheHits/simCycles/CauseCycles.
 //
 // Phase runs sharing a prefix in one call all read the cache before any
-// of them captured it, so phaseMemLat declares them one at a time.
+// of them captured it, so phaseMemLat declares the runs that capture a
+// prefix in one list and the runs that restore it in the next.
 func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
 	p := plan{
 		runs:    make([]planned, len(specs)),
 		results: make([]*cell.Result, len(specs)),
 		errs:    make([]error, len(specs)),
 	}
-	var chains []chain
-	// Each chain's machine configuration, by chain index. The first sits
+	var groups []group
+	// Each group's machine configuration, by group index. The first sits
 	// on the stack, so a one-spec plan copies no cell.Config to the heap.
 	var cfg0 [1]cell.Config
 	cfgs := cfg0[:0]
@@ -177,7 +186,7 @@ func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
 	for i := range specs {
 		s, r := &specs[i], &p.runs[i]
 		o := s.owner(c)
-		r.from, r.next = -1, -1
+		r.from = -1
 		if s.prog == nil {
 			key := s.key(o)
 			if res, ok := o.cache.Get(key); ok {
@@ -201,25 +210,22 @@ func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
 				r.fork.cached, _ = o.ckpts.Get(r.fork.key)
 			}
 		}
-		if k := chainOf(chains, cfgs, pool, cfg); k >= 0 {
-			p.runs[chains[k].last].next, chains[k].last = i, i
-		} else {
-			chains = append(chains, chain{pool: pool, first: i, last: i})
+		if r.group = groupOf(groups, cfgs, pool, cfg); r.group < 0 {
+			r.group = len(groups)
+			groups = append(groups, group{pool: pool})
 			cfgs = append(cfgs, cfg)
 		}
+		groups[r.group].runs++
 	}
 
-	// 2. Machines out.
-	for k := range chains {
-		p.acquire(&chains[k], &cfgs[k])
-	}
-
-	// 3. Chains run, machines back.
 	workers := 1
 	if c.spread {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	runChains(p, chains, workers)
+	// 2. Machines out.
+	p.acquire(groups, cfgs, workers)
+	// 3. Runs, machines back.
+	p.runOn(groups, workers)
 
 	// 4. Results, caches and counters, in spec order.
 	for i := range specs {
@@ -238,9 +244,9 @@ func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
 }
 
 // plan is runAll's working state, by spec index. Until step 4 settles
-// them, a simulating spec's result and error are what the chain step
-// left. The specs stay out of it, so the chain step's goroutines cannot
-// move them off the caller's stack.
+// them, a simulating spec's result and error are what step 3 left. The
+// specs stay out of it, so step 3's goroutines cannot move them off the
+// caller's stack.
 type plan struct {
 	runs    []planned
 	results []*cell.Result
@@ -249,10 +255,18 @@ type plan struct {
 
 // planned is runAll's record of one spec.
 type planned struct {
-	from int              // the spec whose result it takes (itself for a run-cache hit), or -1
-	prog *program.Program // the program a simulating spec runs
-	next int              // the next spec on the same machine, or -1
-	fork *forkRun         // a phase run's checkpoint traffic
+	from  int              // the spec whose result it takes (itself for a run-cache hit), or -1
+	prog  *program.Program // the program a simulating spec runs
+	group int              // the group of the spec's machine
+	m     *cell.Machine    // the machine step 2 readied for this spec, if any
+	fork  *forkRun         // a phase run's checkpoint traffic
+}
+
+// simulates reports whether step 3 runs the spec: it misses the run
+// cache and step 1 built its program and step 2 its machine (err is the
+// spec's error so far).
+func (r *planned) simulates(err error) bool {
+	return r.from < 0 && r.prog != nil && err == nil
 }
 
 // simulatedBefore returns the first of specs (the ones planned so far)
@@ -267,100 +281,114 @@ func (p plan) simulatedBefore(c *Context, specs []runSpec, o *Context, key runKe
 	return -1
 }
 
-// chain is the missing runs of one runAll call that share a machine,
-// linked in spec order from first through planned.next.
-type chain struct {
-	pool        *cell.Pool // nil: the machine is built for the chain's one run
-	first, last int
-	m           *cell.Machine
-	ready       int // the spec m was readied for by acquire
+// group is the missing runs of one runAll call that share a machine
+// configuration, and the machines step 2 took for them.
+type group struct {
+	pool     *cell.Pool // nil: one run on a machine built for it, never pooled
+	runs     int
+	machines int
+	idle     chan *cell.Machine // the group's machines between runs
 }
 
-// chainOf returns the index of the chain that runs a pooled machine of
-// cfg from pool, or -1; cfgs holds the chains' configurations.
-func chainOf(chains []chain, cfgs []cell.Config, pool *cell.Pool, cfg cell.Config) int {
+// groupOf returns the index of the group that runs pooled machines of
+// cfg from pool, or -1; cfgs holds the groups' configurations.
+func groupOf(groups []group, cfgs []cell.Config, pool *cell.Pool, cfg cell.Config) int {
 	if pool == nil {
 		return -1
 	}
-	for k := range chains {
-		if chains[k].pool == pool && cfgs[k] == cfg {
+	for k := range groups {
+		if groups[k].pool == pool && cfgs[k] == cfg {
 			return k
 		}
 	}
 	return -1
 }
 
-// acquire readies the chain's machine, of configuration cfg, for its
-// first run. A run whose program the machine rejects keeps the error and
-// the next one is tried; m stays nil when none fits.
-func (p plan) acquire(ch *chain, cfg *cell.Config) {
-	for i := ch.first; i >= 0; i = p.runs[i].next {
-		if ch.pool != nil {
-			ch.m, p.errs[i] = ch.pool.Get(*cfg, p.runs[i].prog)
+// acquire readies min(workers, runs) machines of each group, in spec
+// order, each for the program of one run. A run whose program the
+// machine rejects keeps the error, and the next run is tried.
+func (p plan) acquire(groups []group, cfgs []cell.Config, workers int) {
+	for i := range p.runs {
+		r := &p.runs[i]
+		if !r.simulates(p.errs[i]) {
+			continue
+		}
+		g := &groups[r.group]
+		if g.machines == min(workers, g.runs) {
+			continue
+		}
+		if g.pool != nil {
+			r.m, p.errs[i] = g.pool.Get(cfgs[r.group], r.prog)
 		} else {
-			ch.m, p.errs[i] = cell.New(*cfg, p.runs[i].prog)
+			r.m, p.errs[i] = cell.New(cfgs[r.group], r.prog)
 		}
 		if p.errs[i] == nil {
-			ch.ready = i
-			return
+			g.machines++
+		}
+	}
+	for k := range groups {
+		if g := &groups[k]; g.pool != nil && g.machines > 0 {
+			g.idle = make(chan *cell.Machine, g.machines)
 		}
 	}
 }
 
-// runChains runs the chains on min(workers, chains) goroutines, the
-// caller one of them, and returns the pooled machines on every exit
-// path: the next Get resets whatever state the last run left.
-func runChains(p plan, chains []chain, workers int) {
+// runOn runs the plan's simulating specs on min(workers, runs)
+// goroutines, the caller one of them, and returns the pooled machines
+// on every exit path: the next Get resets whatever state the last run
+// left.
+func (p plan) runOn(groups []group, workers int) {
 	defer func() {
-		for k := range chains {
-			if ch := &chains[k]; ch.pool != nil && ch.m != nil {
-				ch.pool.Put(ch.m)
+		for k := range groups {
+			for g := &groups[k]; len(g.idle) > 0; {
+				g.pool.Put(<-g.idle)
 			}
 		}
 	}()
-	if workers = min(workers, len(chains)); workers <= 1 {
-		for k := range chains {
-			chains[k].run(p)
+	runs := 0
+	for i := range p.runs {
+		if p.runs[i].simulates(p.errs[i]) {
+			runs++
 		}
-		return
 	}
-	work := make(chan *chain, len(chains))
-	for k := range chains {
-		work <- &chains[k]
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(p.runs); i = int(next.Add(1) - 1) {
+			if r := &p.runs[i]; r.simulates(p.errs[i]) {
+				p.results[i], p.errs[i] = r.run(&groups[r.group])
+			}
+		}
 	}
-	close(work)
 	var wg sync.WaitGroup
-	for ; workers > 1; workers-- {
+	for workers = min(workers, runs); workers > 1; workers-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ch := range work {
-				ch.run(p)
-			}
+			work()
 		}()
 	}
-	for ch := range work {
-		ch.run(p)
-	}
+	work()
 	wg.Wait()
 }
 
-// run drives the chain's machine through its runs, writing only their
-// results and errors. It is the only code of runAll that may execute
-// off the calling goroutine.
-func (ch *chain) run(p plan) {
-	if ch.m == nil {
-		return
-	}
-	for i := ch.ready; i >= 0; i = p.runs[i].next {
-		r := &p.runs[i]
-		if i != ch.ready {
-			if p.errs[i] = ch.m.Reset(r.prog); p.errs[i] != nil {
-				continue
-			}
+// run takes the spec's machine — the one step 2 readied for it, or an
+// idle one of g Reset to its program — simulates it and hands the
+// machine back to g. It is the only code of runAll that may execute off
+// the calling goroutine.
+func (r *planned) run(g *group) (*cell.Result, error) {
+	m := r.m
+	if m == nil {
+		m = <-g.idle
+		if err := m.Reset(r.prog); err != nil {
+			g.idle <- m // a refused program leaves the machine untouched
+			return nil, err
 		}
-		p.results[i], p.errs[i] = r.simulate(ch.m)
 	}
+	res, err := r.simulate(m)
+	if g.idle != nil {
+		g.idle <- m
+	}
+	return res, err
 }
 
 // simulate runs m, readied for r's program, to the end (a phase run
@@ -378,7 +406,7 @@ func (r *planned) simulate(m *cell.Machine) (res *cell.Result, err error) {
 	return m.Run()
 }
 
-// settle turns the raw result or error the chain step left for spec s
+// settle turns the raw result or error step 3 left for spec s
 // into its outcome on o, the spec's owner: phase-run snapshot traffic,
 // an observed run's timeline and profile, the functional check and
 // the error naming the run.

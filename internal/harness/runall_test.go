@@ -92,9 +92,12 @@ func sharedSweep(t *testing.T, exps []*Experiment, procs int, serialLoop bool) s
 
 // TestRunAllMatchesSerialLoop is the identity contract of the declared-
 // runs path: the whole registry on one shared context renders the same
-// bytes and moves every counter by the same amount whether runAll takes
-// each experiment's specs one at a time or all at once, chained over 1,
-// 2 or 4 cores.
+// bytes and bills the same runs and cache hits whether runAll takes each
+// experiment's specs one at a time or all at once, spread over 1, 2 or
+// 4 cores. Pool misses follow the machines runAll takes: on one core,
+// one per configuration, as many as the serial loop builds; on more, up
+// to GOMAXPROCS per configuration, a count that depends only on the
+// spec lists and GOMAXPROCS, so two sweeps build the same number.
 func TestRunAllMatchesSerialLoop(t *testing.T) {
 	exps := All()
 	want := sharedSweep(t, exps, 1, true)
@@ -110,9 +113,17 @@ func TestRunAllMatchesSerialLoop(t *testing.T) {
 		if !reflect.DeepEqual(got.simCycles, want.simCycles) {
 			t.Fatalf("GOMAXPROCS=%d: SimCycles %v, serial loop %v", procs, got.simCycles, want.simCycles)
 		}
-		if got.executed != want.executed || got.hits != want.hits || got.poolMisses != want.poolMisses {
-			t.Fatalf("GOMAXPROCS=%d: executed/hits/pool misses = %d/%d/%d, serial loop %d/%d/%d", procs,
-				got.executed, got.hits, got.poolMisses, want.executed, want.hits, want.poolMisses)
+		if got.executed != want.executed || got.hits != want.hits {
+			t.Fatalf("GOMAXPROCS=%d: executed/hits = %d/%d, serial loop %d/%d", procs,
+				got.executed, got.hits, want.executed, want.hits)
+		}
+		wantMisses := want.poolMisses
+		if procs > 1 {
+			wantMisses = sharedSweep(t, exps, procs, false).poolMisses
+		}
+		if got.poolMisses != wantMisses || got.poolMisses < want.poolMisses {
+			t.Fatalf("GOMAXPROCS=%d: %d pool misses, then %d; the serial loop %d", procs,
+				got.poolMisses, wantMisses, want.poolMisses)
 		}
 	}
 }
@@ -146,7 +157,7 @@ func TestSimCyclesRunnerIndependent(t *testing.T) {
 
 // TestRunAllDuplicateKeys: a key declared twice in one list is simulated
 // once and billed as one miss and one hit — what two run calls in a row
-// would have billed — whether the context spreads its chains or runs
+// would have billed — whether the context spreads its runs or runs
 // them on the caller.
 func TestRunAllDuplicateKeys(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -205,7 +216,7 @@ func traceSpecs(t *testing.T, specs []runSpec, procs int) tracedRuns {
 
 // TestRunAllRecordingSpreads: a recording and profiling context runs
 // each traced spec on a machine of its own, spread over the cores like
-// any other chain, and keeps its recording and profile in spec order —
+// any other run, and keeps its recording and profile in spec order —
 // so one core and four give the same runs, and a duplicate key adds
 // nothing.
 func TestRunAllRecordingSpreads(t *testing.T) {
@@ -253,21 +264,22 @@ func goroutineID() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
 
-// checkGoroutines runs four chains on ctx — four machine configurations
-// of mmul — at GOMAXPROCS 4 and returns the caller's goroutine and the
-// goroutines the four functional checks ran on. With hold, a check on
-// the caller waits up to ten seconds for one elsewhere, so a context
-// that spreads its chains shows it however the scheduler orders them.
-func checkGoroutines(t *testing.T, ctx *Context, hold bool) (caller string, ran []string) {
+// checkGoroutines runs mmul on ctx once per SPE count in spes, each
+// run a program of its own, at GOMAXPROCS procs and returns the
+// caller's goroutine and the goroutines the functional checks ran on.
+// With hold, a check on the caller waits up to ten seconds for one
+// elsewhere, so a context that spreads its runs shows it however the
+// scheduler orders them.
+func checkGoroutines(t *testing.T, ctx *Context, hold bool, procs int, spes ...int) (caller string, ran []string) {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	caller = goroutineID()
 	var mu sync.Mutex
 	elsewhere := make(chan struct{})
 	var once sync.Once
 	var specs []runSpec
-	for _, spes := range []int{1, 2, 4, 8} {
-		prog, err := ctx.buildProgram("mmul", spes, true, true)
+	for _, n := range spes {
+		prog, err := ctx.buildProgram("mmul", n, true, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +302,7 @@ func checkGoroutines(t *testing.T, ctx *Context, hold bool) (caller string, ran 
 		if err := program.Seal(&own); err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, runSpec{spes: spes, v: defaultVariant(), prog: &own})
+		specs = append(specs, runSpec{spes: n, v: defaultVariant(), prog: &own})
 	}
 	if _, err := ctx.runList(specs); err != nil {
 		t.Fatal(err)
@@ -303,14 +315,14 @@ func checkGoroutines(t *testing.T, ctx *Context, hold bool) (caller string, ran 
 
 // TestRunAllOwnedContextsSpread: a context that owns its cores
 // (NewContext), its Sub and a recording and profiling NewContext run
-// their chains on more goroutines than the caller's.
+// four machine configurations on more goroutines than the caller's.
 func TestRunAllOwnedContextsSpread(t *testing.T) {
 	job := quickOpts()
 	job.Latency = 1
 	traced := NewContext(quickOpts())
 	traced.Observe(true, true)
 	for _, ctx := range []*Context{NewContext(quickOpts()), NewContext(quickOpts()).Sub(job), traced} {
-		caller, ran := checkGoroutines(t, ctx, true)
+		caller, ran := checkGoroutines(t, ctx, true, 4, 1, 2, 4, 8)
 		if !slices.ContainsFunc(ran, func(id string) bool { return id != caller }) {
 			t.Fatalf("latency %d (recording %v): every simulation ran on the caller, goroutine %s",
 				ctx.Opt.Latency, ctx == traced, caller)
@@ -320,19 +332,45 @@ func TestRunAllOwnedContextsSpread(t *testing.T) {
 
 // TestRunAllOuterSchedulerContextsStaySerial: a dtad worker's base
 // context (NewContextWithPool) and the per-job Sub contexts it hands
-// out start no chain goroutine — the worker's siblings already occupy
-// the cores — even with four chains and four cores on offer: every
+// out start no goroutine — the worker's siblings already occupy the
+// cores — even with four configurations and four cores on offer: every
 // simulation's functional check runs on the caller's goroutine.
 func TestRunAllOuterSchedulerContextsStaySerial(t *testing.T) {
 	base := NewContextWithPool(quickOpts(), cell.NewPool())
 	job := quickOpts()
 	job.Latency = 1
 	for _, ctx := range []*Context{base, base.Sub(job)} {
-		caller, ran := checkGoroutines(t, ctx, false)
+		caller, ran := checkGoroutines(t, ctx, false, 4, 1, 2, 4, 8)
 		for _, id := range ran {
 			if id != caller {
 				t.Fatalf("latency %d: a simulation ran on goroutine %s, the caller is %s", ctx.Opt.Latency, id, caller)
 			}
 		}
+	}
+}
+
+// TestRunAllSpreadsOneConfiguration: the runs of one machine
+// configuration spread over the cores too, each goroutine on a machine
+// of its own — min(GOMAXPROCS, runs) of them, built on an empty pool —
+// and every machine goes back to the pool.
+func TestRunAllSpreadsOneConfiguration(t *testing.T) {
+	ctx := NewContext(quickOpts())
+	misses := cell.PoolMisses.Load()
+	caller, ran := checkGoroutines(t, ctx, true, 2, 2, 2, 2)
+	if built := cell.PoolMisses.Load() - misses; built != 2 {
+		t.Fatalf("three runs of one configuration at GOMAXPROCS=2 built %d machines, want 2", built)
+	}
+	if idle := ctx.pool.Idle(ctx.machineConfig(2, defaultVariant())); idle != 2 {
+		t.Fatalf("%d machines back in the pool, want 2", idle)
+	}
+	if !slices.ContainsFunc(ran, func(id string) bool { return id != caller }) {
+		t.Fatalf("every run of the configuration ran on the caller, goroutine %s", caller)
+	}
+	// A context under an outer scheduler drives one machine through them.
+	serial := NewContextWithPool(quickOpts(), cell.NewPool())
+	misses = cell.PoolMisses.Load()
+	checkGoroutines(t, serial, false, 2, 2, 2, 2)
+	if built := cell.PoolMisses.Load() - misses; built != 1 {
+		t.Fatalf("a serial context built %d machines for three runs of one configuration, want 1", built)
 	}
 }

@@ -61,20 +61,31 @@ type Stats struct {
 // LocalStore is the functional and timing model of one SPE's local
 // store. It is passive: co-located components call Access for timing and
 // the Read*/Write* methods for data.
+//
+// Only the written prefix of the store is backed by memory: a run that
+// writes the first few kilobytes of a 156 kB store allocates a few
+// kilobytes, and every address past the prefix reads as zero.
 type LocalStore struct {
-	cfg      Config
+	cfg Config
+	// data is the written prefix: len(data) is the high-water mark of
+	// the writes since the last Reset. The array's spare capacity is
+	// kept zero, so growing within it is a reslice.
 	data     []byte
-	dirty    int // bytes [0,dirty) may be non-zero; the rest is known zero
 	portFree [NumPorts]sim.Cycle
 	stats    Stats
 }
+
+// minGrow is the smallest backing array a write allocates, so the code
+// load, which fills a store a word at a time, does not reallocate at
+// every doubling from 8 bytes.
+const minGrow = 1 << 10
 
 // New returns a zeroed local store.
 func New(cfg Config) *LocalStore {
 	if cfg.SizeBytes <= 0 || cfg.PortWidth <= 0 {
 		panic("ls: non-positive configuration")
 	}
-	return &LocalStore{cfg: cfg, data: make([]byte, cfg.SizeBytes)}
+	return &LocalStore{cfg: cfg, data: []byte{}}
 }
 
 // Size returns the capacity in bytes.
@@ -88,19 +99,26 @@ func (l *LocalStore) Stats() Stats { return l.stats }
 
 // Reset zeroes the store contents, port bookings and statistics for
 // machine reuse. The backing array is kept, and only the written
-// prefix [0,dirty) is cleared — pooled machines reset in time
-// proportional to the bytes the previous run actually touched.
+// prefix is cleared — pooled machines reset in time proportional to
+// the bytes the previous run actually touched.
 func (l *LocalStore) Reset() {
-	clear(l.data[:l.dirty])
-	l.dirty = 0
+	clear(l.data)
+	l.data = l.data[:0]
 	l.portFree = [NumPorts]sim.Cycle{}
 	l.stats = Stats{}
 }
 
-// touch grows the dirty high-water mark to end.
-func (l *LocalStore) touch(end int64) {
-	if int(end) > l.dirty {
-		l.dirty = int(end)
+// grow extends the written prefix to end bytes, which the caller has
+// checked against the store's size.
+func (l *LocalStore) grow(end int) {
+	switch {
+	case end <= len(l.data):
+	case end <= cap(l.data):
+		l.data = l.data[:end]
+	default:
+		data := make([]byte, end, min(max(end, 2*cap(l.data), minGrow), l.cfg.SizeBytes))
+		copy(data, l.data)
+		l.data = data
 	}
 }
 
@@ -124,10 +142,22 @@ func (l *LocalStore) Access(port Port, now sim.Cycle, n int) sim.Cycle {
 	return start + occ - 1 + sim.Cycle(l.cfg.Latency)
 }
 
+// check reports an access of n bytes at addr that leaves the store.
+// addr > size-n cannot overflow, unlike addr+n > size.
 func (l *LocalStore) check(addr int64, n int) error {
-	if addr < 0 || addr+int64(n) > int64(len(l.data)) {
-		return fmt.Errorf("ls: access [%#x,%#x) outside [0,%#x)", addr, addr+int64(n), len(l.data))
+	if size := int64(l.cfg.SizeBytes); addr < 0 || addr > size-int64(n) {
+		return fmt.Errorf("ls: access [%#x,+%d) outside [0,%#x)", addr, n, size)
 	}
+	return nil
+}
+
+// extend checks an n-byte write at addr and grows the written prefix
+// to cover it.
+func (l *LocalStore) extend(addr int64, n int) error {
+	if err := l.check(addr, n); err != nil {
+		return err
+	}
+	l.grow(int(addr) + n)
 	return nil
 }
 
@@ -136,55 +166,77 @@ func (l *LocalStore) ReadBytes(addr int64, buf []byte) error {
 	if err := l.check(addr, len(buf)); err != nil {
 		return err
 	}
-	copy(buf, l.data[addr:])
+	n := 0
+	if addr < int64(len(l.data)) {
+		n = copy(buf, l.data[addr:])
+	}
+	clear(buf[n:])
 	return nil
 }
 
 // WriteBytes copies data to addr.
 func (l *LocalStore) WriteBytes(addr int64, data []byte) error {
-	if err := l.check(addr, len(data)); err != nil {
+	if err := l.extend(addr, len(data)); err != nil {
 		return err
 	}
 	copy(l.data[addr:], data)
-	l.touch(addr + int64(len(data)))
 	return nil
 }
 
 // CopyFrom copies the first n bytes of src to the same addresses of l.
-func (l *LocalStore) CopyFrom(src *LocalStore, n int) error { return l.WriteBytes(0, src.data[:n]) }
+func (l *LocalStore) CopyFrom(src *LocalStore, n int) error {
+	if err := l.extend(0, n); err != nil {
+		return err
+	}
+	clear(l.data[copy(l.data[:n], src.data[:min(n, len(src.data))]):n])
+	return nil
+}
+
+// The word accessors below take a fast path for accesses inside the
+// written prefix; ReadBytes and extend handle everything else.
 
 // Read32 returns the sign-extended 32-bit word at addr.
 func (l *LocalStore) Read32(addr int64) (int64, error) {
-	if err := l.check(addr, 4); err != nil {
+	if last := len(l.data) - 4; last >= 0 && uint64(addr) <= uint64(last) {
+		return int64(int32(binary.LittleEndian.Uint32(l.data[addr:]))), nil
+	}
+	var b [4]byte
+	if err := l.ReadBytes(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return int64(int32(binary.LittleEndian.Uint32(l.data[addr:]))), nil
+	return int64(int32(binary.LittleEndian.Uint32(b[:]))), nil
 }
 
 // Read64 returns the 64-bit word at addr.
 func (l *LocalStore) Read64(addr int64) (int64, error) {
-	if err := l.check(addr, 8); err != nil {
+	if last := len(l.data) - 8; last >= 0 && uint64(addr) <= uint64(last) {
+		return int64(binary.LittleEndian.Uint64(l.data[addr:])), nil
+	}
+	var b [8]byte
+	if err := l.ReadBytes(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return int64(binary.LittleEndian.Uint64(l.data[addr:])), nil
+	return int64(binary.LittleEndian.Uint64(b[:])), nil
 }
 
 // Write32 stores the low 32 bits of v at addr.
 func (l *LocalStore) Write32(addr int64, v int64) error {
-	if err := l.check(addr, 4); err != nil {
-		return err
+	if last := len(l.data) - 4; last < 0 || uint64(addr) > uint64(last) {
+		if err := l.extend(addr, 4); err != nil {
+			return err
+		}
 	}
 	binary.LittleEndian.PutUint32(l.data[addr:], uint32(v))
-	l.touch(addr + 4)
 	return nil
 }
 
 // Write64 stores v at addr.
 func (l *LocalStore) Write64(addr int64, v int64) error {
-	if err := l.check(addr, 8); err != nil {
-		return err
+	if last := len(l.data) - 8; last < 0 || uint64(addr) > uint64(last) {
+		if err := l.extend(addr, 8); err != nil {
+			return err
+		}
 	}
 	binary.LittleEndian.PutUint64(l.data[addr:], uint64(v))
-	l.touch(addr + 8)
 	return nil
 }

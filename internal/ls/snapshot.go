@@ -6,28 +6,29 @@ import (
 	"repro/internal/snap"
 )
 
-// Walk writes or reads the local store: contents (trailing zeros
-// trimmed — a read zeroes the array first, so only the written prefix
-// costs bytes), port bookings and statistics. A read needs a store of
-// the same size.
+// Walk writes or reads the local store: size, contents (the written
+// prefix with trailing zeros trimmed, so only what a run wrote costs
+// bytes), port bookings and statistics. A read needs a store of the
+// same size.
 func (l *LocalStore) Walk(c *snap.Codec) {
-	size := len(l.data)
-	if snap.Int(c, &size); size != len(l.data) {
-		c.Fail("ls: snapshot store size %d, this store %d", size, len(l.data))
+	size := l.cfg.SizeBytes
+	if snap.Int(c, &size); size != l.cfg.SizeBytes {
+		c.Fail("ls: snapshot store size %d, this store %d", size, l.cfg.SizeBytes)
 	}
-	end := l.dirty // bytes beyond the high-water mark are known zero
+	end := len(l.data)
 	for end > 0 && l.data[end-1] == 0 {
 		end--
 	}
 	data := l.data[:end]
 	c.Bytes(&data)
 	if c.Reading() && c.Err() == nil {
-		if len(data) > len(l.data) {
-			c.Fail("ls: snapshot content %d bytes exceeds store %d", len(data), len(l.data))
+		if len(data) > size {
+			c.Fail("ls: snapshot content %d bytes exceeds store %d", len(data), size)
 		} else {
-			clear(l.data[:l.dirty])
+			clear(l.data)
+			l.data = l.data[:0]
+			l.grow(len(data))
 			copy(l.data, data)
-			l.dirty = len(data)
 		}
 	}
 	snap.Ints(c, l.portFree[:])

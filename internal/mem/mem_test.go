@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -62,6 +63,27 @@ func TestSparseBoundsChecked(t *testing.T) {
 	}
 	if _, err := s.Read64(1021); err == nil {
 		t.Fatal("straddling read accepted")
+	}
+	// addr+width overflows int64 for the last addresses: each access
+	// must still fault, and no page may be mapped for it.
+	buf := make([]byte, 4)
+	for _, tc := range []struct {
+		name   string
+		access func() error
+	}{
+		{"Read32 at MaxInt64-1", func() error { _, err := s.Read32(math.MaxInt64 - 1); return err }},
+		{"Read64 at MaxInt64-3", func() error { _, err := s.Read64(math.MaxInt64 - 3); return err }},
+		{"Write32 at MaxInt64-1", func() error { return s.Write32(math.MaxInt64-1, 1) }},
+		{"Write64 at MaxInt64-3", func() error { return s.Write64(math.MaxInt64-3, 1) }},
+		{"ReadInto at MaxInt64-1", func() error { return s.ReadInto(math.MaxInt64-1, buf) }},
+		{"WriteBytes at MaxInt64-1", func() error { return s.WriteBytes(math.MaxInt64-1, buf) }},
+	} {
+		if err := tc.access(); err == nil || !strings.HasPrefix(err.Error(), "mem: access") {
+			t.Errorf("%s: err = %v, want a mem: access fault", tc.name, err)
+		}
+	}
+	if len(s.pages) != 0 {
+		t.Fatalf("refused accesses mapped %d pages", len(s.pages))
 	}
 }
 

@@ -101,8 +101,8 @@ func (s *Sparse) Reset() {
 }
 
 func (s *Sparse) check(addr int64, n int) error {
-	if addr < 0 || addr+int64(n) > s.size {
-		return fmt.Errorf("mem: access [%#x,%#x) outside [0,%#x)", addr, addr+int64(n), s.size)
+	if addr < 0 || addr > s.size-int64(n) { // addr+n could overflow
+		return fmt.Errorf("mem: access [%#x,+%d) outside [0,%#x)", addr, n, s.size)
 	}
 	return nil
 }

@@ -303,7 +303,7 @@ func (s *SPU) lsAddr(ins *isa.Instruction, ra, rb int64) (addr int64, ok bool) {
 	case isa.LSRDX8, isa.LSWRX8:
 		addr += rb
 	}
-	return addr, addr >= 0 && addr+width <= int64(s.store.Size())
+	return addr, addr >= 0 && addr <= int64(s.store.Size())-width // addr+width could overflow
 }
 
 // lsAccess executes the local-store or frame access u to addr at cycle t

@@ -2,6 +2,7 @@ package spu_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -234,6 +235,17 @@ var kernelEdges = []kernelEdge{
 			ex.Addi(program.R(4), program.R(1), 1)
 		},
 		wantErr: "ls:",
+	},
+	{
+		name: "local-store write whose end overflows int64",
+		arg:  math.MaxInt64 - 1, // addr+4 wraps negative
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 1)
+			ex.Addi(program.R(3), program.R(2), 1)
+			ex.Lswr(program.R(2), program.R(9), 0)
+			ex.Addi(program.R(4), program.R(3), 1)
+		},
+		wantErr: "ls: access",
 	},
 }
 
