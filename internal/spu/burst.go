@@ -43,13 +43,19 @@ import (
 //
 // Register-only issue cycles are mostly taken a run at a time. With the
 // profiler off, when pc enters a run of two or more of them (see run)
-// whose live-ins are all ready in time and whose last issue cycle falls
-// before limit, one step executes the whole run from the schedule its
-// Code worked out the first time a window reached that pc: the ALU ops
-// in order, the results' ready cycles, the issue cycles and the run's
-// own dependence stalls charged in bulk, and a taken closing branch's
-// bubble. In every other case the cycles run one at a time as described
-// above, which the run step reproduces exactly.
+// whose guard, if any, is not taken, whose live-ins are all ready in
+// time and whose last issue cycle falls before limit, one step executes
+// the whole run from the schedule its Code worked out the first time a
+// window reached that pc: the ALU ops in order, the results' ready
+// cycles, the issue cycles and the run's own dependence stalls charged
+// in bulk, and a taken closing branch's bubble. When the run is a loop
+// the step goes on in place, one iteration after another with a back
+// edge's bubble between them, for as long as the next iteration's last
+// issue cycle falls before limit; the scoreboard is written once, from
+// the entry of the last iteration. A guard taken at a later iteration's
+// entry issues alone and ends the step; one taken where the step would
+// begin issues per cycle. In every other case the cycles run one at a
+// time as described above, which the run step reproduces exactly.
 func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
 	uops, runAt, pc := s.uops, s.runAt, s.pc
 	mask := uopBurstReg | uopBurstLS
@@ -112,21 +118,54 @@ cycle:
 			}
 			if ri > 0 {
 				r := &s.code.runs[ri-1]
-				if last := t + sim.Cycle(r.last); last >= limit {
+				us := uops[pc:r.end]
+				g := &us[0].ins // the guard, if r has one
+				if r.guard && isa.BranchTaken(g.Op, s.regs[g.Ra], s.regs[g.Rb]) {
+					// The guard issues alone in the per-cycle path below.
+				} else if t+sim.Cycle(r.last) >= limit {
 					runs = false
 				} else if s.runReady(r, t) {
-					n := int64(r.end) - int64(pc)
-					cycles += n
-					instrs += n
-					stalls[prodALU] += int64(r.stall)
-					if s.execRun(r, uops[pc:r.end], t) {
-						pc = int(uops[r.end-1].ins.Imm) // inside the block (program.Validate)
+					ops := us
+					if r.guard {
+						ops = us[1:] // the guard is not taken
+					}
+					n := int64(len(us))
+					at := t // the entry cycle of the iteration executed
+					for {
+						cycles += n
+						instrs += n
+						stalls[prodALU] += int64(r.stall)
+						last := at + sim.Cycle(r.last)
+						t = last + 1
+						if !s.execOps(ops) {
+							pc = int(r.end) // below len(uops): r's last instruction has its pair bit
+							break
+						}
+						pc = int(us[len(us)-1].ins.Imm) // inside the block (program.Validate)
 						bubbleEnd = last + penalty
 						s.nextIssueAt = bubbleEnd
-					} else {
-						pc = int(r.end) // below len(uops): r's last instruction has its pair bit
+						if !r.loop || bubbleEnd+sim.Cycle(r.last) >= limit {
+							break
+						}
+						// The next iteration is ready on schedule (run.loop),
+						// so it needs no runReady, and the scoreboard is
+						// written once, from the last iteration executed.
+						bubbles += int64(bubbleEnd - t)
+						if r.guard && isa.BranchTaken(g.Op, s.regs[g.Ra], s.regs[g.Rb]) {
+							// Its guard is taken: it issues alone and
+							// leaves the loop.
+							s.setOuts(r, at)
+							cycles++
+							instrs++
+							pc = int(g.Imm)
+							t = bubbleEnd + 1
+							bubbleEnd += penalty
+							s.nextIssueAt = bubbleEnd
+							continue cycle
+						}
+						at = bubbleEnd
 					}
-					t = last + 1
+					s.setOuts(r, at)
 					continue
 				}
 			}
@@ -334,17 +373,26 @@ func (s *SPU) lsAccess(t sim.Cycle, u *uop, addr int64) {
 }
 
 // run is the static issue schedule of a run: the uopBurstReg
-// instructions from an entry pc up to the first branch or the last one
-// whose pair bit is set, whichever comes first, at least two of them.
-// Each issues alone in its cycle (its pair partner shares the compute
-// slot or cannot join), and with no branch predictor, no reordering and
-// nothing outside the pipeline involved, the cycle it issues in depends
-// only on when its source registers become ready. Registers the run
-// writes before reading are ready on a schedule the run itself fixes;
-// the others, the live-ins, are its only dynamic input. When every
-// live-in is ready by the first cycle its first reader is considered, no
-// live-in ever stalls the run, and the run issues on the schedule below,
-// offsets counted from the cycle the entry instruction issues in.
+// instructions from an entry pc up to the first branch after the entry
+// or the last one whose pair bit is set, whichever comes first, at
+// least two of them. The entry may be a conditional branch, the run's
+// guard; the run is the path on which the guard is not taken. Each
+// instruction issues alone in its cycle (its pair partner shares the
+// compute slot or cannot join), and with no branch predictor, no
+// reordering and nothing outside the pipeline involved, the cycle it
+// issues in depends only on when its source registers become ready.
+// Registers the run writes before reading are ready on a schedule the
+// run itself fixes; the others, the live-ins, are its only dynamic
+// input. When every live-in is ready by the first cycle its first
+// reader is considered, no live-in ever stalls the run, and the run
+// issues on the schedule below, offsets counted from the cycle the
+// entry instruction issues in.
+//
+// A run is a loop when its closing branch targets its entry and the
+// next iteration's live-ins are ready on schedule whenever this one's
+// were: each live-in the run writes is ready, counted from this entry,
+// by last+1+BranchPenalty (the next entry) plus its own offset. Live-ins
+// the run does not write only grow more ready.
 type run struct {
 	end   int32 // pc past the last instruction
 	last  int32 // issue offset of the last instruction
@@ -353,6 +401,8 @@ type run struct {
 	// cycle its first reader is considered; c.regs[mid:hi] the registers
 	// written, each with the offset its last write is ready at.
 	lo, mid, hi int32
+	guard       bool // the entry is a conditional branch, not taken on the run
+	loop        bool // a taken closing branch re-enters the run on schedule
 }
 
 // regOff is a register with a cycle offset into its run.
@@ -364,13 +414,14 @@ type regOff struct {
 // schedule works out the run entered at pc of the block whose tables are
 // uops and runAt (uops[pc] carries uopBurstReg), records it, and returns
 // its runAt entry: -1 when the run would be a lone instruction, whose
-// step would save nothing over issuing it per cycle.
+// step would save nothing over issuing it per cycle, or would open with
+// a JMP.
 func (c *Code) schedule(uops []uop, runAt []int32, pc int) int32 {
-	if uops[pc].flags&uopBranch != 0 || uops[pc+1].flags&uopBurstReg == 0 {
+	if uops[pc].ins.Op == isa.JMP || uops[pc+1].flags&uopBurstReg == 0 {
 		runAt[pc] = -1
 		return -1
 	}
-	r := run{lo: int32(len(c.regs))}
+	r := run{lo: int32(len(c.regs)), guard: uops[pc].flags&uopBranch != 0}
 	outs := c.outs[:0] // registers written so far, each with its last write's ready offset
 	at := int32(0)     // the cycle the current instruction is first considered
 	i := pc
@@ -397,11 +448,20 @@ func (c *Code) schedule(uops []uop, runAt []int32, pc int) int32 {
 		}
 		r.last = issue
 		at = issue + 1
-		if u.flags&uopBranch != 0 || uops[i+1].flags&uopBurstReg == 0 {
+		if u.flags&uopBranch != 0 && i > pc || uops[i+1].flags&uopBurstReg == 0 {
 			break
 		}
 	}
 	r.end = int32(i + 1)
+	if u := &uops[i]; u.flags&uopBranch != 0 && int(u.ins.Imm) == pc {
+		r.loop = true
+		next := r.last + 1 + int32(c.cfg.BranchPenalty)
+		for _, in := range c.regs[r.lo:] {
+			if k := regIndex(outs, in.reg); k >= 0 && outs[k].off > next+in.off {
+				r.loop = false
+			}
+		}
+	}
 	r.mid = int32(len(c.regs))
 	c.regs = append(c.regs, outs...)
 	r.hi = int32(len(c.regs))
@@ -432,9 +492,9 @@ func (s *SPU) runReady(r *run, t sim.Cycle) bool {
 	return true
 }
 
-// execRun executes the run r whose instructions are us, entered at t,
-// and reports whether its closing branch, if any, is taken.
-func (s *SPU) execRun(r *run, us []uop, t sim.Cycle) (taken bool) {
+// execOps executes the ALU ops of a run in order, past its guard, and
+// reports whether its closing branch, if any, is taken.
+func (s *SPU) execOps(us []uop) (taken bool) {
 	for i := range us {
 		ins := &us[i].ins
 		switch {
@@ -444,9 +504,14 @@ func (s *SPU) execRun(r *run, us []uop, t sim.Cycle) (taken bool) {
 			s.regs[ins.Rd] = isa.EvalALU(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb], int64(ins.Imm))
 		}
 	}
+	return taken
+}
+
+// setOuts writes the scoreboard entries of the registers r writes, for
+// an iteration of r entered at t.
+func (s *SPU) setOuts(r *run, t sim.Cycle) {
 	for _, out := range s.code.regs[r.mid:r.hi] {
 		s.ready[out.reg] = t + sim.Cycle(out.off)
 		s.prod[out.reg] = prodALU
 	}
-	return taken
 }

@@ -247,6 +247,43 @@ var kernelEdges = []kernelEdge{
 		},
 		wantErr: "ls: access",
 	},
+	{
+		// The MUL's result is carried round the loop and read at offset
+		// 0, LatMUL = 7 after its issue, but the next entry comes
+		// last+1+BranchPenalty = 6 cycles after this one: the loop must
+		// not be iterated in place.
+		name: "loop-carried MUL result later than the back edge",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(1), 5)
+			ex.Movi(program.R(2), 3)
+			ex.Movi(program.R(3), 4)
+			ex.Label("top")
+			ex.Mul(program.R(1), program.R(1), program.R(2))
+			ex.Subi(program.R(3), program.R(3), 1)
+			ex.Bne(program.R(3), program.R(0), "top")
+			ex.Addi(program.R(4), program.R(1), 1)
+		},
+		tokens: []int64{405, 3, 0, 406},
+	},
+	{
+		// The guard leaves the loop after full iterations, so the MUL
+		// result the exit reads at once is ready from the last iteration
+		// entered, not from before the loop.
+		name: "guarded loop left by its guard, result read at once",
+		cfg:  func(c *cell.Config) { c.SPU.BranchPenalty = 0 },
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 3)
+			ex.Movi(program.R(3), 4)
+			ex.Label("head")
+			ex.Beq(program.R(3), program.R(0), "done")
+			ex.Mul(program.R(1), program.R(3), program.R(2))
+			ex.Subi(program.R(3), program.R(3), 1)
+			ex.Jmp("head")
+			ex.Label("done")
+			ex.Addi(program.R(4), program.R(1), 1)
+		},
+		tokens: []int64{3, 3, 0, 4},
+	},
 }
 
 // countedLoop takes its back edge five times; the branch is followed by
@@ -409,6 +446,67 @@ func TestBurstKernelOpcodes(t *testing.T) {
 				tokens: []int64{want, int64(o.a), int64(o.b), want},
 			}
 			t.Run(fmt.Sprintf("%s/%d,%d,%d", op, o.a, o.b, o.imm), e.check)
+		}
+	}
+}
+
+// TestBurstLoopShapes sweeps the loops the kernel's run step iterates in
+// place, each held to the single-step reference like the edge cases: a
+// loop-carried result (r1) made by producers of every latency class, read
+// first at the body's first offset or after two dependent fillers, under
+// several branch penalties, so the next iteration's first read lands
+// before, at and after the result is ready; a do-while form run once or
+// four times, and a guarded while-loop whose guard is taken at entry or
+// after one or four iterations. The exit reads r1 at once.
+func TestBurstLoopShapes(t *testing.T) {
+	producers := []struct {
+		name string
+		emit func(*program.Asm)
+	}{
+		{"ADDI", func(a *program.Asm) { a.Addi(program.R(1), program.R(1), 3) }},
+		{"SHLI", func(a *program.Asm) { a.Shli(program.R(1), program.R(1), 1) }},
+		{"MUL", func(a *program.Asm) { a.Mul(program.R(1), program.R(1), program.R(2)) }},
+		{"DIV", func(a *program.Asm) { a.Div(program.R(1), program.R(1), program.R(2)) }},
+	}
+	shapes := []struct {
+		guarded bool
+		iters   int32
+	}{{false, 1}, {false, 4}, {true, 0}, {true, 1}, {true, 4}}
+	for _, bp := range []int{0, 1, 2, 5} {
+		for _, p := range producers {
+			for _, lead := range []int{0, 2} {
+				for _, sh := range shapes {
+					e := kernelEdge{
+						cfg: func(c *cell.Config) { c.SPU.BranchPenalty = bp },
+						ex: func(ex *program.Asm) {
+							ex.Movi(program.R(1), 1_000_003)
+							ex.Movi(program.R(2), 3)
+							ex.Movi(program.R(3), sh.iters)
+							ex.Label("top")
+							if sh.guarded {
+								ex.Beq(program.R(3), program.R(0), "done")
+							}
+							for range lead {
+								ex.Addi(program.R(5), program.R(5), 1) // waits on the one before
+							}
+							p.emit(ex)
+							ex.Subi(program.R(3), program.R(3), 1)
+							if sh.guarded {
+								ex.Jmp("top")
+								ex.Label("done")
+							} else {
+								ex.Bne(program.R(3), program.R(0), "top")
+							}
+							ex.Addi(program.R(4), program.R(1), 1)
+						},
+					}
+					form := "do-while"
+					if sh.guarded {
+						form = "guarded"
+					}
+					t.Run(fmt.Sprintf("penalty%d/%s/lead%d/%s%d", bp, p.name, lead, form, sh.iters), e.check)
+				}
+			}
 		}
 	}
 }

@@ -18,19 +18,35 @@ func (c *Code) Arena() []uop { return c.arena }
 // Runs returns how many runs have been scheduled so far.
 func (c *Code) Runs() int { return len(c.runs) }
 
+// LoopRuns returns how many of the runs scheduled so far are loops
+// opened by a guard, and how many are loops without one.
+func (c *Code) LoopRuns() (guarded, plain int) {
+	for _, r := range c.runs {
+		switch {
+		case r.loop && r.guard:
+			guarded++
+		case r.loop:
+			plain++
+		}
+	}
+	return guarded, plain
+}
+
 // runView is a run with its register lists resolved, comparable across
 // tables whatever order their runs were scheduled in.
 type runView struct {
 	end, last, stall int32
+	guard, loop      bool
 	in, out          []regOff
 }
 
 func (c *Code) view(r run) runView {
-	return runView{r.end, r.last, r.stall, c.regs[r.lo:r.mid], c.regs[r.mid:r.hi]}
+	return runView{r.end, r.last, r.stall, r.guard, r.loop, c.regs[r.lo:r.mid], c.regs[r.mid:r.hi]}
 }
 
 func (v runView) equal(w runView) bool {
 	return v.end == w.end && v.last == w.last && v.stall == w.stall &&
+		v.guard == w.guard && v.loop == w.loop &&
 		slices.Equal(v.in, w.in) && slices.Equal(v.out, w.out)
 }
 

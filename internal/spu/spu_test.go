@@ -13,6 +13,7 @@ import (
 	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 // The SPU is exercised through a one-SPE machine: its contract is only
@@ -517,7 +518,9 @@ func forkProgram(bodies ...func(ex *program.Asm)) (*program.Program, error) {
 // hold each block and each run once, and the run reports what a fresh
 // machine reports. The smaller program after the larger is decoded into
 // the larger's memory, and a re-run of a program decodes and schedules
-// nothing.
+// nothing. Last the machine runs bitcnt, whose tables must hold both
+// kinds of loop the kernel iterates inside one step: a guarded one
+// (kern) and a do-while one (shiftloop, hakfold).
 func TestMachineSharesOneDecode(t *testing.T) {
 	small, err := forkProgram(loopBody(3), mulChain(10), loopBody(5), mulChain(4))
 	if err != nil {
@@ -528,13 +531,18 @@ func TestMachineSharesOneDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, _ := workloads.Get("bitcnt")
+	bitcnt, err := w.Build(workloads.Params{N: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := cell.DefaultConfig()
 	cfg.SPEs = 4
 	cfg.MaxCycles = 10_000_000
 
 	var m *cell.Machine
 	var arenaStart any // the large program's first uop
-	for i, p := range []*program.Program{small, large, small, small} {
+	for i, p := range []*program.Program{small, large, small, small, bitcnt} {
 		if m == nil {
 			m, err = cell.New(cfg, p)
 		} else {
@@ -571,6 +579,11 @@ func TestMachineSharesOneDecode(t *testing.T) {
 		}
 		if code.Runs() != runs {
 			t.Errorf("run %d: %d runs were scheduled for %d entries: a run was scheduled twice, or the runs were not rewound", i, code.Runs(), runs)
+		}
+		if p == bitcnt {
+			if guarded, plain := code.LoopRuns(); guarded == 0 || plain == 0 {
+				t.Errorf("bitcnt: %d guarded and %d do-while loop runs scheduled; the kernel's loop step needs both", guarded, plain)
+			}
 		}
 		switch i {
 		case 1:
