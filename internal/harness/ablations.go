@@ -4,11 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cell"
-	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // Ablations beyond the paper: each probes one design choice; the
@@ -64,20 +61,6 @@ func ablationVFP(ctx *Context) (*Outcome, error) {
 	// scheduler with FALLOCs. Two frame budgets: the default 64
 	// frames/LSE (little pressure) and a tight 16 frames/LSE, where
 	// blocking FALLOC round trips pile up behind frame reuse.
-	n := 10000
-	if ctx.Opt.Quick {
-		n = 400
-	}
-	w, _ := workloads.Get("bitcnt")
-	prog, err := w.Build(workloads.Params{N: n, Chains: 8, Seed: ctx.Opt.Seed})
-	if err != nil {
-		return nil, err
-	}
-	prog, err = prefetch.Transform(prog)
-	if err != nil {
-		return nil, err
-	}
-
 	rows := []struct {
 		label  string
 		vfp    bool
@@ -89,16 +72,12 @@ func ablationVFP(ctx *Context) (*Outcome, error) {
 		{"blocking FALLOC", false, 16, "blocking16"},
 		{"virtual frame pointers", true, 16, "vfp16"},
 	}
-	// Four hand-built machines, one per row, outside the pool and the
-	// run cache: the four rows simulate side by side.
 	specs := make([]runSpec, len(rows))
 	for i, row := range rows {
-		cfg := cell.DefaultConfig()
-		cfg.SPEs = ctx.Opt.SPEs
-		cfg.Mem.Latency = ctx.Opt.Latency
-		cfg.LSE.VirtualFP = row.vfp
-		cfg.LSE.NumFrames = row.frames
-		specs[i] = runSpec{prog: prog, cfg: &cfg}
+		specs[i] = ctx.spec("bitcnt", ctx.Opt.SPEs, true)
+		specs[i].build.params.Chains = 8
+		specs[i].cfg.LSE.VirtualFP = row.vfp
+		specs[i].cfg.LSE.NumFrames = row.frames
 	}
 	runs, errs := declare(ctx, specs)
 
@@ -142,8 +121,8 @@ func ablationDMALat(ctx *Context) (*Outcome, error) {
 	lats := []int{0, 15, 30, 60, 120}
 	specs := make([]runSpec, len(lats))
 	for i, lat := range lats {
-		specs[i] = benchSpec("mmul", ctx.Opt.SPEs, true)
-		specs[i].v.dmaLat = lat
+		specs[i] = ctx.spec("mmul", ctx.Opt.SPEs, true)
+		specs[i].cfg.MFC.CmdLatency = lat
 	}
 	runs, err := ctx.runList(specs)
 	if err != nil {
@@ -168,8 +147,8 @@ func ablationBuses(ctx *Context) (*Outcome, error) {
 	busCounts := []int{1, 2, 4, 8}
 	specs := make([]runSpec, len(busCounts))
 	for i, buses := range busCounts {
-		specs[i] = benchSpec("mmul", ctx.Opt.SPEs, true)
-		specs[i].v.buses = buses
+		specs[i] = ctx.spec("mmul", ctx.Opt.SPEs, true)
+		specs[i].cfg.Noc.Buses = buses
 	}
 	runs, err := ctx.runList(specs)
 	if err != nil {
@@ -199,7 +178,7 @@ func ablationMemLat(ctx *Context) (*Outcome, error) {
 	var specs []runSpec
 	for _, lat := range lats {
 		sub := NewContext(Options{SPEs: ctx.Opt.SPEs, Latency: lat, Quick: ctx.Opt.Quick, Seed: ctx.Opt.Seed})
-		orig, pf := benchSpec("mmul", sub.Opt.SPEs, false), benchSpec("mmul", sub.Opt.SPEs, true)
+		orig, pf := sub.spec("mmul", sub.Opt.SPEs, false), sub.spec("mmul", sub.Opt.SPEs, true)
 		orig.on, pf.on = sub, sub
 		specs = append(specs, orig, pf)
 	}
@@ -231,8 +210,8 @@ func ablationNodes(ctx *Context) (*Outcome, error) {
 	nodeCounts := []int{1, 2}
 	specs := make([]runSpec, len(nodeCounts))
 	for i, nodes := range nodeCounts {
-		specs[i] = benchSpec("mmul", ctx.Opt.SPEs, true)
-		specs[i].v.nodes = nodes
+		specs[i] = ctx.spec("mmul", ctx.Opt.SPEs, true)
+		specs[i].cfg.Nodes = nodes
 	}
 	runs, err := ctx.runList(specs)
 	if err != nil {
@@ -258,9 +237,9 @@ func ablationNodes(ctx *Context) (*Outcome, error) {
 }
 
 func ablationGranularity(ctx *Context) (*Outcome, error) {
-	wholeSpec := benchSpec("mmul", ctx.Opt.SPEs, true)
-	wholeSpec.unchunked = true
-	runs, err := ctx.runList([]runSpec{benchSpec("mmul", ctx.Opt.SPEs, true), wholeSpec})
+	wholeSpec := ctx.spec("mmul", ctx.Opt.SPEs, true)
+	wholeSpec.build.opt.WholeRegions = true
+	runs, err := ctx.runList([]runSpec{ctx.spec("mmul", ctx.Opt.SPEs, true), wholeSpec})
 	if err != nil {
 		return nil, err
 	}
@@ -301,20 +280,10 @@ func ablationWriteback(ctx *Context) (*Outcome, error) {
 		{"posted WRITEs (paper)", false, "posted"},
 		{"DMA write-back (A7)", true, "writeback"},
 	}
-	// Both programs are this experiment's own transforms, so the runs
-	// stay outside the run cache and the cycle accounting.
 	specs := make([]runSpec, len(rows))
 	for i, row := range rows {
-		w, _ := workloads.Get("mmul")
-		prog, err := w.Build(ctx.Opt.benchParams("mmul", ctx.Opt.SPEs))
-		if err != nil {
-			return nil, err
-		}
-		prog, err = prefetch.TransformWithOptions(prog, prefetch.Options{WriteBack: row.writeBack})
-		if err != nil {
-			return nil, err
-		}
-		specs[i] = runSpec{spes: ctx.Opt.SPEs, v: defaultVariant(), prog: prog}
+		specs[i] = ctx.spec("mmul", ctx.Opt.SPEs, true)
+		specs[i].build.opt.WriteBack = row.writeBack
 	}
 	runs, err := ctx.runList(specs)
 	if err != nil {

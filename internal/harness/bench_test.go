@@ -78,14 +78,14 @@ func benchmarkPhaseSweep(b *testing.B, cold bool) {
 			ctx.SetCheckpointCache(nil)
 		}
 		for _, bench := range benchmarks {
-			base, err := ctx.run(bench, ctx.Opt.SPEs, true, defaultVariant())
+			base, err := ctx.runOne(ctx.spec(bench, ctx.Opt.SPEs, true))
 			if err != nil {
 				b.Fatalf("%s: %v", bench, err)
 			}
 			div := base.Cycles * 3 / 4
 			for _, factor := range []int{2, 3, 4, 5, 6, 7} {
 				knobs := cell.Knobs{MemLatency: ctx.Opt.Latency * factor}
-				if _, err := ctx.runPhase(bench, ctx.Opt.SPEs, knobs, div); err != nil {
+				if _, err := ctx.runOne(ctx.phaseSpec(bench, ctx.Opt.SPEs, knobs, div)); err != nil {
 					b.Fatalf("%s x%d: %v", bench, factor, err)
 				}
 			}

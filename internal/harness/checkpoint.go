@@ -122,19 +122,14 @@ type phase struct {
 	div   sim.Cycle
 }
 
-// runPhase executes (with run-cache memoisation) one prefetching
-// benchmark run whose memory/DMA parameters change mid-run. Sibling
-// calls that differ only in knobs share the warm-up prefix through the
-// checkpoint cache, and a forked run is byte-identical to a cold one
-// applying the knobs at the same boundary (see cell.TestKnobDivergence).
-func (c *Context) runPhase(bench string, spes int, knobs cell.Knobs, div sim.Cycle) (*cell.Result, error) {
-	return c.runOne(phaseSpec(bench, spes, knobs, div))
-}
-
-// phaseSpec is runPhase's spec.
-func phaseSpec(bench string, spes int, knobs cell.Knobs, div sim.Cycle) runSpec {
-	s := benchSpec(bench, spes, true)
-	s.phase = &phase{knobs, div}
+// phaseSpec declares a prefetching run of bench on c's machine with
+// spes SPEs whose knobs change at div. Sibling runs that differ only in
+// knobs share the warm-up prefix through the checkpoint cache, and a
+// forked run is byte-identical to a cold one applying the knobs at the
+// same boundary (see cell.TestKnobDivergence).
+func (c *Context) phaseSpec(bench string, spes int, knobs cell.Knobs, div sim.Cycle) runSpec {
+	s := c.spec(bench, spes, true)
+	s.phase = phase{knobs, div}
 	return s
 }
 
@@ -142,7 +137,7 @@ func phaseSpec(bench string, spes int, knobs cell.Knobs, div sim.Cycle) runSpec 
 // in step 1, step 3 restores or captures the prefix, and step 4
 // writes back — so only the calling goroutine touches the cache.
 type forkRun struct {
-	*phase
+	phase
 	key      string // the prefix's cell.SnapshotKey; "" without a checkpoint cache
 	cached   []byte // the prefix snapshot step 1 found, if any
 	captured []byte // the prefix snapshot step 3 took, for step 4 to cache

@@ -37,7 +37,7 @@ func TestCheckpointForkMatchesCold(t *testing.T) {
 	cold := NewContext(Options{Quick: true})
 	cold.SetCheckpointCache(nil)
 	for _, bench := range benchmarks {
-		base, err := warm.run(bench, warm.Opt.SPEs, true, defaultVariant())
+		base, err := warm.runOne(warm.spec(bench, warm.Opt.SPEs, true))
 		if err != nil {
 			t.Fatalf("%s base: %v", bench, err)
 		}
@@ -49,11 +49,11 @@ func TestCheckpointForkMatchesCold(t *testing.T) {
 		} {
 			name := fmt.Sprintf("%s knobs=%+v", bench, knobs)
 			hits := CheckpointHits.Load()
-			got, err := warm.runPhase(bench, warm.Opt.SPEs, knobs, div)
+			got, err := warm.runOne(warm.phaseSpec(bench, warm.Opt.SPEs, knobs, div))
 			if err != nil {
 				t.Fatalf("%s warm: %v", name, err)
 			}
-			want, err := cold.runPhase(bench, cold.Opt.SPEs, knobs, div)
+			want, err := cold.runOne(cold.phaseSpec(bench, cold.Opt.SPEs, knobs, div))
 			if err != nil {
 				t.Fatalf("%s cold: %v", name, err)
 			}
@@ -80,12 +80,12 @@ func TestCheckpointForkMatchesCold(t *testing.T) {
 // the same semantics as a cold run whose phase change never arrives.
 func TestCheckpointForkEarlyCompletion(t *testing.T) {
 	ctx := NewContext(Options{Quick: true})
-	base, err := ctx.run("bitcnt", ctx.Opt.SPEs, true, defaultVariant())
+	base, err := ctx.runOne(ctx.spec("bitcnt", ctx.Opt.SPEs, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ctx.runPhase("bitcnt", ctx.Opt.SPEs,
-		cell.Knobs{MemLatency: ctx.Opt.Latency * 4}, base.Cycles*2)
+	got, err := ctx.runOne(ctx.phaseSpec("bitcnt", ctx.Opt.SPEs,
+		cell.Knobs{MemLatency: ctx.Opt.Latency * 4}, base.Cycles*2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,23 +139,24 @@ func TestCheckpointPoisonBlobDropped(t *testing.T) {
 	cold := NewContext(Options{Quick: true})
 	cold.SetCheckpointCache(nil)
 	spes := ctx.Opt.SPEs
-	prog, err := ctx.buildProgram("mmul", spes, true, true)
+	spec := ctx.spec("mmul", spes, true)
+	prog, err := ctx.buildProgram(spec.build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ctx.run("mmul", spes, true, defaultVariant())
+	base, err := ctx.runOne(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, div := range []sim.Cycle{base.Cycles / 2, base.Cycles * 2} {
-		key := cell.SnapshotKey(ctx.machineConfig(spes, defaultVariant()), prog, div)
+		key := cell.SnapshotKey(spec.cfg, prog, div)
 		ctx.ckpts.Put(key, []byte("poison"))
 		knobs := cell.Knobs{MemLatency: ctx.Opt.Latency * 2}
-		got, err := ctx.runPhase("mmul", spes, knobs, div)
+		got, err := ctx.runOne(ctx.phaseSpec("mmul", spes, knobs, div))
 		if err != nil {
 			t.Fatalf("div %d: %v", div, err)
 		}
-		want, err := cold.runPhase("mmul", spes, knobs, div)
+		want, err := cold.runOne(cold.phaseSpec("mmul", spes, knobs, div))
 		if err != nil {
 			t.Fatalf("div %d cold: %v", div, err)
 		}

@@ -131,7 +131,8 @@ func TestRunAllErrorContainment(t *testing.T) {
 			func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				ctx := NewContext(quickOpts())
-				good, err := ctx.buildProgram("mmul", 2, true, true)
+				badSpec := ctx.spec("mmul", 2, true) // same machine as its neighbours
+				good, err := ctx.buildProgram(badSpec.build)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,17 +141,19 @@ func TestRunAllErrorContainment(t *testing.T) {
 				if err := program.Seal(&bad); err != nil { // a copy is a program of its own
 					t.Fatal(err)
 				}
+				badSpec.build.bench = "mmul-bad" // under a build key of its own
+				ctx.progs[badSpec.build] = &bad
 				specs := []runSpec{
-					benchSpec("mmul", 2, false),
-					{spes: 2, v: defaultVariant(), prog: &bad}, // same machine as its neighbours
-					benchSpec("mmul", 4, true),
-					benchSpec("mmul", 2, true),
+					ctx.spec("mmul", 2, false),
+					badSpec,
+					ctx.spec("mmul", 4, true),
+					ctx.spec("mmul", 2, true),
 				}
 				// Warm the pool so both configurations have an idle machine.
 				if _, err := NewContextWithPool(quickOpts(), ctx.pool).runList([]runSpec{specs[0], specs[2]}); err != nil {
 					t.Fatal(err)
 				}
-				cfg2, cfg4 := ctx.machineConfig(2, defaultVariant()), ctx.machineConfig(4, defaultVariant())
+				cfg2, cfg4 := specs[0].cfg, specs[2].cfg
 				idle2, idle4 := ctx.pool.Idle(cfg2), ctx.pool.Idle(cfg4)
 				if idle2 != 1 || idle4 != 1 {
 					t.Fatalf("warm pool holds %d and %d idle machines, want 1 and 1", idle2, idle4)

@@ -164,7 +164,7 @@ func init() {
 }
 
 func singleRunExperiment(ctx *Context, bench string, pf bool) (*Outcome, error) {
-	res, err := ctx.run(bench, ctx.Opt.SPEs, pf, defaultVariant())
+	res, err := ctx.runOne(ctx.spec(bench, ctx.Opt.SPEs, pf))
 	if err != nil {
 		return nil, err
 	}
@@ -203,14 +203,14 @@ func singleRunExperiment(ctx *Context, bench string, pf bool) (*Outcome, error) 
 	return &Outcome{Tables: []*stats.Table{t, ct}, Metrics: metrics}, nil
 }
 
-// benchmarkSpecs declares one run per paper benchmark for each of the
-// given prefetch settings, benchmark-major: with (false, true) the list
-// reads bitcnt orig, bitcnt pf, mmul orig, ...
-func benchmarkSpecs(spes int, prefetch ...bool) []runSpec {
+// benchmarkSpecs declares one run per paper benchmark on c's machine for
+// each of the given prefetch settings, benchmark-major: with (false,
+// true) the list reads bitcnt orig, bitcnt pf, mmul orig, ...
+func (c *Context) benchmarkSpecs(prefetch ...bool) []runSpec {
 	var specs []runSpec
 	for _, bench := range benchmarks {
 		for _, pf := range prefetch {
-			specs = append(specs, benchSpec(bench, spes, pf))
+			specs = append(specs, c.spec(bench, c.Opt.SPEs, pf))
 		}
 	}
 	return specs
@@ -221,7 +221,7 @@ func breakdownExperiment(ctx *Context, pf bool) (*Outcome, error) {
 	if pf {
 		title = "Figure 5b — breakdown of average SPU execution time (with prefetching)"
 	}
-	runs, err := ctx.runList(benchmarkSpecs(ctx.Opt.SPEs, pf))
+	runs, err := ctx.runList(ctx.benchmarkSpecs(pf))
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +241,7 @@ func breakdownExperiment(ctx *Context, pf bool) (*Outcome, error) {
 }
 
 func table5(ctx *Context) (*Outcome, error) {
-	runs, err := ctx.runList(benchmarkSpecs(ctx.Opt.SPEs, false))
+	runs, err := ctx.runList(ctx.benchmarkSpecs(false))
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +280,7 @@ func scalabilityExperiment(ctx *Context, bench string) (*Outcome, error) {
 	// count's machine.
 	var specs []runSpec
 	for _, spes := range spesList {
-		specs = append(specs, benchSpec(bench, spes, false), benchSpec(bench, spes, true))
+		specs = append(specs, ctx.spec(bench, spes, false), ctx.spec(bench, spes, true))
 	}
 	runs, err := ctx.runList(specs)
 	if err != nil {
@@ -320,7 +320,7 @@ func scalabilityExperiment(ctx *Context, bench string) (*Outcome, error) {
 }
 
 func fig9(ctx *Context) (*Outcome, error) {
-	runs, err := ctx.runList(benchmarkSpecs(ctx.Opt.SPEs, false, true))
+	runs, err := ctx.runList(ctx.benchmarkSpecs(false, true))
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +345,7 @@ func fig9(ctx *Context) (*Outcome, error) {
 
 func lat1(ctx *Context) (*Outcome, error) {
 	sub := ctx.Sub(Options{SPEs: ctx.Opt.SPEs, Latency: 1, Quick: ctx.Opt.Quick, Seed: ctx.Opt.Seed})
-	runs, err := sub.runList(benchmarkSpecs(sub.Opt.SPEs, false, true))
+	runs, err := sub.runList(sub.benchmarkSpecs(false, true))
 	if err != nil {
 		return nil, err
 	}

@@ -160,10 +160,10 @@ type Context struct {
 	// per configuration.
 	spread bool
 	cache  *lru.Cache[runKey, *cell.Result] // the run cache; see runCacheCap
-	progs  map[progKey]*program.Program
+	progs  map[build]*program.Program
 	pool   *cell.Pool
 	// ckpts shares warm-up-prefix snapshots across phase runs (see
-	// Context.runPhase). Shared by Sub contexts exactly like the run cache.
+	// Context.phaseSpec). Shared by Sub contexts exactly like the run cache.
 	ckpts *CheckpointCache
 	// simCycles accumulates the simulated cycles this context's
 	// experiments represent — every cache request counts the result's
@@ -207,7 +207,7 @@ func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 	return &Context{
 		Opt:       opt.WithDefaults(),
 		cache:     lru.New[runKey, *cell.Result](runCacheCap, nil, nil),
-		progs:     make(map[progKey]*program.Program),
+		progs:     make(map[build]*program.Program),
 		pool:      pool,
 		ckpts:     NewCheckpointCache(),
 		simCycles: new(int64),
@@ -247,14 +247,12 @@ func (c *Context) Observed() []obs.Run {
 
 // Sub derives a context at a different operating point that shares this
 // context's machinery: machine pool, run, program and checkpoint caches
-// (run keys embed the latency and knobs that matter), core ownership
-// and the simulated-cycle counter. Experiments that re-run the sweep
-// under modified options (lat1's latency-1 study) use it so their
-// simulations are cached and counted like everyone else's, and a dtad
-// worker runs each job on a Sub of its base context for the job's
-// (Quick, Seed). opt must agree with the parent on those program-shaping
-// fields — the program cache is keyed only by benchmark, SPE count and
-// variant.
+// (a run key is the whole machine configuration and program build, so
+// any operating point may share them), core ownership and the
+// simulated-cycle counter. Experiments that re-run the sweep under
+// modified options (lat1's latency-1 study) use it so their simulations
+// are cached and counted like everyone else's, and a dtad worker runs
+// each job on a Sub of its base context.
 func (c *Context) Sub(opt Options) *Context {
 	return &Context{
 		Opt:        opt.WithDefaults(),
@@ -270,35 +268,33 @@ func (c *Context) Sub(opt Options) *Context {
 }
 
 // runCacheCap bounds a run cache, which keeps its most recently used
-// results. A sweep never reaches it — the whole registry executes 63
+// results. A sweep never reaches it — the whole registry executes 65
 // runs — but a dtad worker's base context lives as long as the worker
 // while clients choose the latency that goes into every run key.
 const runCacheCap = 4096
 
-type runKey struct {
-	bench    string
-	spes     int
-	latency  int
-	prefetch bool
-	nodes    int
-	dmaLat   int
-	buses    int
-	vfp      bool
-	frames   int
-	chunked  bool
-	// Phase-change runs (Context.runPhase): the knob values applied
-	// from phaseDiv onward. All zero for ordinary runs, so existing
-	// keys are unchanged.
-	phaseMemLat int
-	phaseMFCLat int
-	phaseDiv    int64
+// build is everything a benchmark program depends on, and so the
+// program cache's key.
+type build struct {
+	bench  string
+	params workloads.Params
+	pf     bool             // apply the prefetch transformation
+	opt    prefetch.Options // the transformation's options, with pf
 }
 
-type progKey struct {
-	bench    string
-	spes     int
-	prefetch bool
-	chunked  bool
+// program builds b's program.
+func (b build) program() (*program.Program, error) {
+	w, _ := workloads.Get(b.bench)
+	prog, err := w.Build(b.params)
+	if err != nil {
+		return nil, fmt.Errorf("build %s: %w", b.bench, err)
+	}
+	if b.pf {
+		if prog, err = prefetch.TransformWithOptions(prog, b.opt); err != nil {
+			return nil, fmt.Errorf("transform %s: %w", b.bench, err)
+		}
+	}
+	return prog, nil
 }
 
 // benchParams returns the paper's problem sizes (or quick ones).
@@ -326,33 +322,17 @@ func (o Options) benchParams(bench string, spes int) workloads.Params {
 	return p
 }
 
-// buildProgram builds (and caches) a benchmark program variant.
-func (c *Context) buildProgram(bench string, spes int, pf, chunked bool) (*program.Program, error) {
-	key := progKey{bench, spes, pf, chunked}
-	if p, ok := c.progs[key]; ok {
-		return p, nil
+// buildProgram returns b's program from the program cache, building it
+// on first use.
+func (c *Context) buildProgram(b build) (*program.Program, error) {
+	if prog, ok := c.progs[b]; ok {
+		return prog, nil
 	}
-	prog, err := build(bench, c.Opt.benchParams(bench, spes), pf, chunked)
+	prog, err := b.program()
 	if err != nil {
 		return nil, err
 	}
-	c.progs[key] = prog
-	return prog, nil
-}
-
-func build(bench string, p workloads.Params, pf, chunked bool) (*program.Program, error) {
-	w, _ := workloads.Get(bench)
-	prog, err := w.Build(p)
-	if err != nil {
-		return nil, fmt.Errorf("build %s: %w", bench, err)
-	}
-	if pf {
-		// Ablation A6 (unchunked): fetch whole regions with single DMA commands.
-		prog, err = prefetch.TransformWithOptions(prog, prefetch.Options{WholeRegions: !chunked})
-		if err != nil {
-			return nil, fmt.Errorf("transform %s: %w", bench, err)
-		}
-	}
+	c.progs[b] = prog
 	return prog, nil
 }
 
@@ -366,11 +346,11 @@ func BenchProgram(opt Options, bench string, n int, pf bool) (*program.Program, 
 		return nil, fmt.Errorf("unknown benchmark %q (have %v)", bench, workloads.Names())
 	}
 	opt = opt.WithDefaults()
-	p := opt.benchParams(bench, opt.SPEs)
+	b := build{bench: bench, params: opt.benchParams(bench, opt.SPEs), pf: pf}
 	if n > 0 {
-		p.N = n
+		b.params.N = n
 	}
-	return build(bench, p, pf, true)
+	return b.program()
 }
 
 // MachineConfig is the machine every experiment at opt runs its
@@ -379,16 +359,18 @@ func BenchProgram(opt Options, bench string, n int, pf bool) (*program.Program, 
 // latency 1.
 func MachineConfig(opt Options) cell.Config {
 	opt = opt.WithDefaults()
-	return opt.machineConfig(opt.SPEs, defaultVariant())
-}
-
-// variant describes one machine configuration knob set for run().
-type variant struct {
-	nodes  int
-	dmaLat int // -1 = default
-	buses  int // 0 = default
-	vfp    bool
-	frames int // 0 = default frame count per LSE
+	cfg := cell.DefaultConfig()
+	cfg.SPEs = opt.SPEs
+	cfg.Mem.Latency = opt.Latency
+	if opt.Latency == 1 {
+		// The paper's "all memory latencies set to one cycle" study
+		// (§4.3) models the best case "when cache accesses would always
+		// hit": READ/WRITE become 1-cycle ideal-cache accesses and the
+		// local store is idealised to match.
+		cfg.LS.Latency = 1
+		cfg.SPU.PerfectCacheLat = 1
+	}
+	return cfg
 }
 
 // bill accounts one served cache request — the single accounting point
@@ -410,50 +392,6 @@ func (c *Context) bill(key runKey, res *cell.Result, hit bool) {
 		}
 	}
 }
-
-// machineConfig derives the machine configuration for one run from
-// the context options and variant knobs (runSpec.machine layers the
-// observing switches on top).
-func (c *Context) machineConfig(spes int, v variant) cell.Config {
-	cfg := c.Opt.machineConfig(spes, v)
-	if c.SingleStep {
-		cfg.SPU.BurstMax = -1
-	}
-	return cfg
-}
-
-// machineConfig is the part of Context.machineConfig the options alone
-// decide.
-func (o Options) machineConfig(spes int, v variant) cell.Config {
-	cfg := cell.DefaultConfig()
-	cfg.SPEs = spes
-	cfg.Mem.Latency = o.Latency
-	if o.Latency == 1 {
-		// The paper's "all memory latencies set to one cycle" study
-		// (§4.3) models the best case "when cache accesses would always
-		// hit": READ/WRITE become 1-cycle ideal-cache accesses and the
-		// local store is idealised to match.
-		cfg.LS.Latency = 1
-		cfg.SPU.PerfectCacheLat = 1
-	}
-	if v.nodes > 0 {
-		cfg.Nodes = v.nodes
-	}
-	if v.dmaLat >= 0 {
-		cfg.MFC.CmdLatency = v.dmaLat
-	}
-	if v.buses > 0 {
-		cfg.Noc.Buses = v.buses
-	}
-	cfg.LSE.VirtualFP = v.vfp
-	if v.frames > 0 {
-		cfg.LSE.NumFrames = v.frames
-	}
-	return cfg
-}
-
-// defaultVariant keeps all knobs at paper values.
-func defaultVariant() variant { return variant{dmaLat: -1} }
 
 // benchmarks is the paper's evaluation set, in presentation order.
 var benchmarks = []string{"bitcnt", "mmul", "zoom"}

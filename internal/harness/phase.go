@@ -36,7 +36,7 @@ func phaseMemLat(ctx *Context) (*Outcome, error) {
 	// cycle and identity reference.
 	specs := make([]runSpec, len(benchmarks))
 	for i, bench := range benchmarks {
-		specs[i] = benchSpec(bench, ctx.Opt.SPEs, true)
+		specs[i] = ctx.spec(bench, ctx.Opt.SPEs, true)
 	}
 	base, err := ctx.runList(specs)
 	if err != nil {
@@ -50,7 +50,7 @@ func phaseMemLat(ctx *Context) (*Outcome, error) {
 		for i, bench := range benchmarks {
 			for _, factor := range factors {
 				knobs := cell.Knobs{MemLatency: ctx.Opt.Latency * factor}
-				specs = append(specs, phaseSpec(bench, ctx.Opt.SPEs, knobs, base[i].Cycles/2))
+				specs = append(specs, ctx.phaseSpec(bench, ctx.Opt.SPEs, knobs, base[i].Cycles/2))
 			}
 		}
 		return ctx.runList(specs)

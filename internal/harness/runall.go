@@ -11,37 +11,41 @@ import (
 	"repro/internal/program"
 )
 
+// runKey is everything a simulation's result depends on: the machine,
+// the program build and any mid-run phase change. It keys the run cache
+// and the dedupe of one spec list, so two runs are the same simulation
+// exactly when their keys are equal.
+type runKey struct {
+	cfg   cell.Config
+	build build
+	phase phase // the zero phase changes nothing
+}
+
 // runSpec declares one simulation an experiment needs. Experiments
 // build the list of their specs first and render rows from what runAll
 // returns, so the context sees every run before any of them starts —
 // the harness-side version of issuing the accesses ahead of their use.
+// An experiment starts from Context.spec and sets the fields of the key
+// its rows vary.
 type runSpec struct {
-	// on is the context the run belongs to: its operating point shapes
-	// the run and its caches, pool and counters serve it. nil means the
-	// context runAll is called on; ablation-memlat names its private
-	// per-latency contexts here.
-	on       *Context
-	bench    string
-	spes     int
-	prefetch bool
-	v        variant
-	// unchunked fetches whole regions with single DMA commands (A6).
-	unchunked bool
-	// prog, when set, is a program the experiment built itself, in place
-	// of the cached benchmark build. Such a run is the experiment's own:
-	// it bypasses the run cache and the cycle accounting.
-	prog *program.Program
-	// cfg, with prog, is a hand-built machine configuration: the machine
-	// is constructed for the run and never pooled (ablation-vfp).
-	cfg *cell.Config
-	// phase, when set, changes the machine's knobs mid-run
-	// (Context.runPhase).
-	phase *phase
+	runKey
+	// on is the context the run belongs to: its caches, pool and
+	// counters serve it. nil means the context runAll is called on;
+	// ablation-memlat names its private per-latency contexts here.
+	on *Context
 }
 
-// benchSpec is the common spec: one benchmark run at paper knobs.
-func benchSpec(bench string, spes int, prefetchOn bool) runSpec {
-	return runSpec{bench: bench, spes: spes, prefetch: prefetchOn, v: defaultVariant()}
+// spec declares one run of bench on c's machine with spes SPEs: the
+// paper's knobs and c's latency, problem size and seed, prefetch-
+// transformed when pf is set.
+func (c *Context) spec(bench string, spes int, pf bool) runSpec {
+	opt := c.Opt
+	opt.SPEs = spes
+	cfg := MachineConfig(opt)
+	if c.SingleStep {
+		cfg.SPU.BurstMax = -1
+	}
+	return runSpec{runKey: runKey{cfg: cfg, build: build{bench: bench, params: c.Opt.benchParams(bench, spes), pf: pf}}}
 }
 
 func (s *runSpec) owner(c *Context) *Context {
@@ -51,66 +55,58 @@ func (s *runSpec) owner(c *Context) *Context {
 	return c
 }
 
-// key is the spec's run-cache key on context c.
-func (s *runSpec) key(c *Context) runKey {
-	k := runKey{s.bench, s.spes, c.Opt.Latency, s.prefetch, s.v.nodes, s.v.dmaLat,
-		s.v.buses, s.v.vfp, s.v.frames, !s.unchunked, 0, 0, 0}
-	if p := s.phase; p != nil {
-		k.phaseMemLat, k.phaseMFCLat, k.phaseDiv = p.knobs.MemLatency, p.knobs.MFCCmdLatency, int64(p.div)
-	}
-	return k
-}
-
-// label names a run in exported timelines and profiles.
-func (s *runSpec) label(c *Context) string {
-	if s.prog != nil {
-		return fmt.Sprintf("run spes=%d", s.spes)
-	}
-	l := fmt.Sprintf("%s spes=%d pf=%v lat=%d", s.bench, s.spes, s.prefetch, c.Opt.Latency)
-	if s.unchunked {
-		l += " unchunked"
+// label names a run in exported timelines and profiles: the benchmark,
+// machine size, transformation and latency, then each knob set away
+// from the paper's value.
+func (s *runSpec) label() string {
+	b, cfg, def := &s.build, &s.cfg, cell.DefaultConfig()
+	l := fmt.Sprintf("%s spes=%d pf=%v lat=%d", b.bench, cfg.SPEs, b.pf, cfg.Mem.Latency)
+	for _, knob := range []struct {
+		set  bool
+		name string
+	}{
+		{cfg.Nodes != def.Nodes, fmt.Sprintf(" nodes=%d", cfg.Nodes)},
+		{cfg.Noc.Buses != def.Noc.Buses, fmt.Sprintf(" buses=%d", cfg.Noc.Buses)},
+		{cfg.MFC.CmdLatency != def.MFC.CmdLatency, fmt.Sprintf(" cmdlat=%d", cfg.MFC.CmdLatency)},
+		{b.opt.WholeRegions, " unchunked"},
+		{b.opt.WriteBack, " writeback"},
+		{b.params.Chains != 0, fmt.Sprintf(" chains=%d", b.params.Chains)},
+		{cfg.LSE.VirtualFP, " vfp"},
+		{cfg.LSE.NumFrames != def.LSE.NumFrames, fmt.Sprintf(" frames=%d", cfg.LSE.NumFrames)},
+	} {
+		if knob.set {
+			l += knob.name
+		}
 	}
 	return l
 }
 
 // wrap names the failing run in a simulation error.
 func (s *runSpec) wrap(err error) error {
-	switch {
-	case err == nil || s.prog != nil:
-		return err
-	case s.phase != nil:
-		return fmt.Errorf("%s spes=%d phase@%d: %w", s.bench, s.spes, s.phase.div, err)
+	if s.phase != (phase{}) {
+		return fmt.Errorf("%s phase@%d: %w", s.label(), s.phase.div, err)
 	}
-	return fmt.Errorf("%s spes=%d pf=%v: %w", s.bench, s.spes, s.prefetch, err)
+	return fmt.Errorf("%s: %w", s.label(), err)
 }
 
 // observed reports whether the spec's run is observed on its owner o.
-// Hand-built machines and phase runs never are: a restored phase run's
-// prefix was never executed here.
+// Phase runs never are: a restored phase run's prefix was never
+// executed here.
 func (s *runSpec) observed(o *Context) bool {
-	return s.cfg == nil && s.phase == nil && o.ob != nil
+	return s.phase == phase{} && o.ob != nil
 }
 
 // machine returns the pool the spec's machine comes from on its owner o
 // and the machine's configuration. A nil pool means a machine built for
-// this one run and never pooled: a hand-built configuration, or an
-// observed run, whose recorder or profile a pooled machine's Reset
-// would clear.
+// this one observed run and never pooled: a pooled machine's Reset would
+// clear its recorder and profile.
 func (s *runSpec) machine(o *Context) (*cell.Pool, cell.Config) {
-	if s.cfg != nil {
-		return nil, *s.cfg
-	}
-	cfg := o.machineConfig(s.spes, s.v)
+	cfg := s.cfg
 	if !s.observed(o) {
 		return o.pool, cfg
 	}
 	cfg.Record, cfg.Profile = o.ob.timeline, o.ob.profile
 	return nil, cfg
-}
-
-// run executes (with caching) one benchmark configuration.
-func (c *Context) run(bench string, spes int, prefetchOn bool, v variant) (*cell.Result, error) {
-	return c.runOne(runSpec{bench: bench, spes: spes, prefetch: prefetchOn, v: v})
 }
 
 // runOne is runAll of a single spec.
@@ -150,7 +146,7 @@ var declare = (*Context).runAll
 //     missing runs' programs, read a phase run's prefix snapshot from the
 //     checkpoint cache, and group the missing runs by machine: one group
 //     per pooled configuration, and one group of its own for each
-//     hand-built or observed run, whose machine is never pooled;
+//     observed run, whose machine is never pooled;
 //  2. take the machines, in spec order: a pooled group gets
 //     min(workers, its runs) machines from its pool, each readied for one
 //     of its first runs, and a never-pooled run a machine built for it —
@@ -187,23 +183,18 @@ func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
 		s, r := &specs[i], &p.runs[i]
 		o := s.owner(c)
 		r.from = -1
-		if s.prog == nil {
-			key := s.key(o)
-			if res, ok := o.cache.Get(key); ok {
-				p.results[i], r.from = res, i
-				continue
-			}
-			if r.from = p.simulatedBefore(c, specs[:i], o, key); r.from >= 0 {
-				continue
-			}
+		if res, ok := o.cache.Get(s.runKey); ok {
+			p.results[i], r.from = res, i
+			continue
 		}
-		if r.prog = s.prog; r.prog == nil {
-			if r.prog, p.errs[i] = o.buildProgram(s.bench, s.spes, s.prefetch, !s.unchunked); p.errs[i] != nil {
-				continue
-			}
+		if r.from = p.simulatedBefore(c, specs[:i], o, s.runKey); r.from >= 0 {
+			continue
+		}
+		if r.prog, p.errs[i] = o.buildProgram(s.build); p.errs[i] != nil {
+			continue
 		}
 		pool, cfg := s.machine(o)
-		if s.phase != nil {
+		if s.phase != (phase{}) {
 			r.fork = &forkRun{phase: s.phase}
 			if o.ckpts != nil {
 				r.fork.key = cell.SnapshotKey(cfg, r.prog, s.phase.div)
@@ -236,8 +227,8 @@ func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
 		} else if r.prog != nil {
 			p.results[i], p.errs[i] = o.settle(s, r, p.results[i], p.errs[i])
 		}
-		if s.prog == nil && p.errs[i] == nil {
-			o.bill(s.key(o), p.results[i], r.from >= 0)
+		if p.errs[i] == nil {
+			o.bill(s.runKey, p.results[i], r.from >= 0)
 		}
 	}
 	return p.results, p.errs
@@ -274,7 +265,7 @@ func (r *planned) simulates(err error) bool {
 func (p plan) simulatedBefore(c *Context, specs []runSpec, o *Context, key runKey) int {
 	for j := range specs {
 		s := &specs[j]
-		if p.runs[j].from < 0 && s.prog == nil && s.owner(c) == o && s.key(o) == key {
+		if p.runs[j].from < 0 && s.owner(c) == o && s.runKey == key {
 			return j
 		}
 	}
@@ -418,7 +409,7 @@ func (o *Context) settle(s *runSpec, r *planned, res *cell.Result, err error) (*
 		return nil, s.wrap(err)
 	}
 	if s.observed(o) {
-		o.ob.runs = append(o.ob.runs, obs.Run{Label: s.label(o), SPEs: s.spes, Prog: r.prog, Rec: res.Rec, Prof: res.Prof})
+		o.ob.runs = append(o.ob.runs, obs.Run{Label: s.label(), SPEs: s.cfg.SPEs, Prog: r.prog, Rec: res.Rec, Prof: res.Prof})
 	}
 	if res.CheckErr != nil {
 		return nil, s.wrap(fmt.Errorf("functional check: %w", res.CheckErr))

@@ -20,6 +20,11 @@ func quickOpts() Options {
 	return Options{SPEs: 8, Latency: 150, Quick: true, Seed: 42}
 }
 
+// quickSpec is the spec a quickOpts context declares for one run.
+func quickSpec(bench string, spes int, pf bool) runSpec {
+	return (&Context{Opt: quickOpts()}).spec(bench, spes, pf)
+}
+
 // renderResults flattens a sweep's outcomes — rendered tables, notes and
 // sorted metrics — into one byte string, so runs can be compared
 // cycle-for-cycle and stat-for-stat.
@@ -162,9 +167,9 @@ func TestSimCyclesRunnerIndependent(t *testing.T) {
 func TestRunAllDuplicateKeys(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	specs := []runSpec{
-		benchSpec("mmul", 2, true),
-		benchSpec("mmul", 4, true),
-		benchSpec("mmul", 2, true),
+		quickSpec("mmul", 2, true),
+		quickSpec("mmul", 4, true),
+		quickSpec("mmul", 2, true),
 	}
 	for _, spread := range []bool{false, true} {
 		ctx := NewContext(quickOpts())
@@ -221,11 +226,11 @@ func traceSpecs(t *testing.T, specs []runSpec, procs int) tracedRuns {
 // nothing.
 func TestRunAllRecordingSpreads(t *testing.T) {
 	specs := []runSpec{
-		benchSpec("mmul", 2, true),
-		benchSpec("mmul", 4, false),
-		benchSpec("mmul", 2, true),
-		benchSpec("zoom", 1, false),
-		benchSpec("mmul", 4, true),
+		quickSpec("mmul", 2, true),
+		quickSpec("mmul", 4, false),
+		quickSpec("mmul", 2, true),
+		quickSpec("zoom", 1, false),
+		quickSpec("mmul", 4, true),
 	}
 	want := traceSpecs(t, specs, 1)
 	wantLabels := []string{
@@ -265,7 +270,8 @@ func goroutineID() string {
 }
 
 // checkGoroutines runs mmul on ctx once per SPE count in spes, each
-// run a program of its own, at GOMAXPROCS procs and returns the
+// run a program of its own under a build key of its own, at GOMAXPROCS
+// procs and returns the
 // caller's goroutine and the goroutines the functional checks ran on.
 // With hold, a check on the caller waits up to ten seconds for one
 // elsewhere, so a context that spreads its runs shows it however the
@@ -278,8 +284,9 @@ func checkGoroutines(t *testing.T, ctx *Context, hold bool, procs int, spes ...i
 	elsewhere := make(chan struct{})
 	var once sync.Once
 	var specs []runSpec
-	for _, n := range spes {
-		prog, err := ctx.buildProgram("mmul", n, true, true)
+	for i, n := range spes {
+		spec := ctx.spec("mmul", n, true)
+		prog, err := ctx.buildProgram(spec.build)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +309,9 @@ func checkGoroutines(t *testing.T, ctx *Context, hold bool, procs int, spes ...i
 		if err := program.Seal(&own); err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, runSpec{spes: n, v: defaultVariant(), prog: &own})
+		spec.build.bench = fmt.Sprintf("mmul-own%d", i)
+		ctx.progs[spec.build] = &own
+		specs = append(specs, spec)
 	}
 	if _, err := ctx.runList(specs); err != nil {
 		t.Fatal(err)
@@ -360,7 +369,7 @@ func TestRunAllSpreadsOneConfiguration(t *testing.T) {
 	if built := cell.PoolMisses.Load() - misses; built != 2 {
 		t.Fatalf("three runs of one configuration at GOMAXPROCS=2 built %d machines, want 2", built)
 	}
-	if idle := ctx.pool.Idle(ctx.machineConfig(2, defaultVariant())); idle != 2 {
+	if idle := ctx.pool.Idle(ctx.spec("mmul", 2, true).cfg); idle != 2 {
 		t.Fatalf("%d machines back in the pool, want 2", idle)
 	}
 	if !slices.ContainsFunc(ran, func(id string) bool { return id != caller }) {

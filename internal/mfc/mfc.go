@@ -398,7 +398,8 @@ func (e *Engine) dispatch(now sim.Cycle, ev timedEvent) {
 // component's own Tick (PUT streaming reads) or during the network's
 // Tick (GET data arriving via Deliver), both of which the SPU's
 // quiescence horizon observes through the engine schedule and the
-// network's touch groups. An MFC change that mutates the store outside
+// network's by-endpoint query (noc.Network.EarliestDeliveryTo, asked
+// for this SPE's MFC). An MFC change that mutates the store outside
 // these two paths would silently break that proof — don't.
 func (e *Engine) Tick(now sim.Cycle) sim.Cycle {
 	for len(e.events) > 0 && e.events[0].at <= now {

@@ -13,10 +13,10 @@ import (
 // realistic churn.
 const baseCap = 4
 
-// baseKey is the Options fields that shape programs: jobs agreeing on
-// Quick and Seed build byte-identical programs for a given benchmark, so
-// they may share one base's run and program caches. Every other Options
-// field (latency, SPE budget) is folded into each simulation's run key.
+// baseKey is the Options fields that shape programs. Every Options
+// field is folded into each simulation's run key, so any jobs could
+// share one base; splitting the bases by Quick and Seed only bounds
+// memory, since evicting a base drops its programs and results together.
 type baseKey struct {
 	quick bool
 	seed  uint64
