@@ -66,19 +66,21 @@ func TestPaperSizeCyclePins(t *testing.T) {
 	}
 }
 
-// TestPaperSizeEventPins pins, beside the cycles, what some of those runs
-// cost the host in engine events (cell.Machine.ComponentTicks): the three
-// runs without prefetching, the blocking-READ machine every figure
-// divides by, and mmul(32) with it. A READ is a request and a response,
+// TestPaperSizeEventPins pins, beside the cycles, what those runs cost the
+// host in engine events (cell.Machine.ComponentTicks): the three runs
+// without prefetching, the blocking-READ machine every figure divides
+// by, and the three with it. A READ is a request and a response,
 // both into timed endpoints, so the network spends no event on either
 // and is ticked only for the few hundred scheduler messages. The
 // memory's count is the service-cycle rule at work and moves only with
 // the model: one tick per response, and one per request only where it
 // could not be serviced at hand-over (mem.Memory), so mmul-orig spends
 // 2.56 events per READ where the inbox-only memory spent 3.55 (232,338)
-// and the ticked network 5.56 (364,429). The prefetched total is where
-// the SPU's burst horizon shows: a stale, too-early horizon changes no
-// result, only how many ticks the SPUs take.
+// and the ticked network 5.56 (364,429). The prefetched totals are where
+// the SPU's kernel windows show: a thread reads its landed buffer, and
+// any other local-store bytes no DMA or frame store can touch, ahead of
+// the engine clock (spu.SPU.private). A rule that ended windows too
+// early would change no result, only how many ticks the SPUs take.
 func TestPaperSizeEventPins(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SPEs = 8
@@ -91,9 +93,11 @@ func TestPaperSizeEventPins(t *testing.T) {
 		maxTotal int64
 	}{
 		{"mmul", 32, false, 67299, 170000}, // inbox-only: 132,086 and 232,338
-		{"mmul", 32, true, 2104, 42317},
-		{"zoom", 32, false, 51200, 118000},       // inbox-only: 75,790 and 142,347
+		{"mmul", 32, true, 2104, 12440},
+		{"zoom", 32, false, 51200, 118000}, // inbox-only: 75,790 and 142,347
+		{"zoom", 32, true, 16330, 34750},
 		{"bitcnt", 10000, false, 100682, 294000}, // inbox-only: 190,981 and 383,838
+		{"bitcnt", 10000, true, 43234, 176000},
 	} {
 		p := Params{N: tc.n, Seed: 42}
 		if tc.bench != "bitcnt" {

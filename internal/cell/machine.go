@@ -114,56 +114,36 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 	m.net.Attach(netHandle)
 
 	m.memory = mem.New(cfg.Mem, cfg.memEP(), m.net)
-	memHandle := m.eng.Register(m.memory)
-	m.memory.Attach(memHandle)
+	m.memory.Attach(m.eng.Register(m.memory))
 	m.net.RegisterTimed(cfg.memEP(), m.memory)
 	m.memory.Fault = m.fail
 
 	lseEP := cfg.lseEP
 
 	// SPEs: LSE ticks before SPU so same-cycle dispatches work. The
-	// registration order is also a correctness contract of the SPU's
-	// local-store read bursts: every component whose Tick can touch a
-	// local store (the network delivering DMA data into it, the LSE
-	// writing frames, the MFC streaming PUTs out of it) is registered
-	// BEFORE the SPE's SPU, so a same-cycle store is always visible to
-	// the SPU's issue at that cycle, and the SPU only ever pre-executes
-	// strictly-future local-store reads under the horizon it gets from
-	// the engine plus the spu.LSWiring it is built with below.
+	// registration order also makes a same-cycle local-store write by
+	// the network (DMA data delivered to the MFC), the LSE (a frame
+	// store) or the MFC visible to the SPU's issue at that cycle. The
+	// SPU runs local-store accesses ahead of the engine clock only on
+	// bytes none of them can touch meanwhile (spu.SPU.private).
 	for i := 0; i < cfg.SPEs; i++ {
 		store := ls.New(cfg.LS)
 		alloc := ls.NewAllocator(layout.HeapBase, layout.HeapBytes)
 		lseUnit := dta.NewLSE(cfg.LSE, lseEP(i), i, cfg.dseEP(cfg.nodeOf(i)), cfg.ppeEP(),
 			m.net, store, alloc, int64(layout.FrameBase), prog, lseEP)
-		lseHandle := m.eng.Register(lseUnit)
-		lseUnit.Attach(lseHandle)
+		lseUnit.Attach(m.eng.Register(lseUnit))
 		m.net.Register(lseEP(i), lseUnit)
 		lseUnit.Fault = m.fail
 		lseUnit.Rec = m.rec
 
 		dmaEng := mfc.New(cfg.MFC, cfg.mfcEP(i), cfg.memEP(), m.net, store)
-		mfcHandle := m.eng.Register(dmaEng)
-		dmaEng.Attach(mfcHandle)
+		dmaEng.Attach(m.eng.Register(dmaEng))
 		m.net.Register(cfg.mfcEP(i), dmaEng)
 		dmaEng.Fault = m.fail
 		dmaEng.Rec = m.rec
 		dmaEng.RecSPE = i
 
-		// The only components that ever hold a reference to this SPE's
-		// local store are its LSE, its MFC and its SPU (see the
-		// constructor calls) — plus the network, during whose Tick the
-		// MFC's and LSE's Deliver calls arrive. Everything else (other
-		// SPEs, the DSEs, the PPE, main memory) reaches this store only
-		// through a network message, which takes at least
-		// MinDeliveryLatency cycles from the sender's tick. Of the
-		// network's own deliveries only those addressed to this SPE's MFC
-		// or LSE matter; both are ticked endpoints, so the network holds
-		// their messages and can say when the first is due.
-		pipe := spu.New(m.code, cfg.spuEP(i), i, cfg.memEP(), m.net, lseUnit,
-			dmaEng, store, spu.LSWiring{
-				LSEID: lseHandle.ID(), MFCID: mfcHandle.ID(), MemID: memHandle.ID(),
-				Endpoints: []int{cfg.mfcEP(i), lseEP(i)},
-			})
+		pipe := spu.New(m.code, cfg.spuEP(i), i, cfg.memEP(), m.net, lseUnit, dmaEng, store)
 		pipe.Attach(m.eng.Register(pipe))
 		m.net.RegisterTimed(cfg.spuEP(i), pipe)
 		pipe.Fault = m.fail

@@ -65,7 +65,7 @@ func (m *Machine) Knobbed() bool { return m.knobbed }
 func (m *Machine) Now() sim.Cycle { return m.eng.Now() }
 
 // RunTo advances the run to the first natural event boundary at or
-// beyond target — the quiescence-horizon capture point: Step's slice
+// beyond target — the capture point: Step's slice
 // boundaries land on engine event cycles that no component can observe
 // (see sim.Engine.RunUntil), so the machine state at the returned cycle
 // is exactly the state a run-to-completion execution passes through.

@@ -199,6 +199,12 @@ func (l *LSE) Stats() LSEStats { return l.stats }
 // FrameAddr returns the LS address of a frame slot.
 func (l *LSE) FrameAddr(slot int) int64 { return l.base + int64(slot)*FrameBytes }
 
+// FrameRegion returns the local-store byte range [lo, hi) of the frame
+// table: the only bytes the LSE ever writes.
+func (l *LSE) FrameRegion() (lo, hi int64) {
+	return l.base, l.base + int64(l.cfg.NumFrames)*FrameBytes
+}
+
 // CanAccept reports whether the SPU may hand the LSE another operation
 // this cycle (backpressure: the paper's "LSE can't keep up" stalls).
 func (l *LSE) CanAccept() bool { return len(l.inbox)-l.inboxHead < l.cfg.InboxCap }
@@ -311,16 +317,14 @@ func (l *LSE) Deliver(now sim.Cycle, msg noc.Message) {
 
 // Tick processes up to ServiceRate queued operations.
 //
-// Scheduling contract (the SPU's local-store burst window depends on
-// it): every local-store mutation the LSE performs — frame writes in
-// localFrameStore — happens inside Tick, and whenever the inbox is
-// non-empty the LSE is scheduled in the engine for the next cycle
-// (push wakes the handle, Tick returns now+1 while work remains). The
-// SPU's quiescence horizon reads that schedule via
-// sim.Engine.NextScheduled, so pending frame stores are always
-// advertised before they can land. An LSE change that writes the
-// store outside Tick, or that defers work without staying scheduled,
-// would silently break that proof — don't.
+// Local-store contract (the SPU's kernel window depends on it): the
+// LSE's only local-store access is the frame write in localFrameStore,
+// which lands inside the frame region (FrameRegion) and only in a frame
+// whose thread still waits for stores (SC > 0). A running thread's SC is
+// 0, so a store into its frame faults before it writes, and the SPU may
+// read its own frame ahead of the engine clock until it issues FFREE.
+// An LSE change that writes anything else, or writes a frame whose SC
+// is 0, would silently break that proof — don't.
 func (l *LSE) Tick(now sim.Cycle) sim.Cycle {
 	n := l.cfg.ServiceRate
 	for n > 0 && l.inboxHead < len(l.inbox) {

@@ -230,7 +230,7 @@ func TestBurstClasses(t *testing.T) {
 		// Stores that another component mediates or observes (frame
 		// stores via the LSE inbox, main-memory WRITEs) must never be
 		// burstable; the only burstable stores are the direct
-		// local-store writes, whose class carries the horizon
+		// local-store writes, whose class carries the address
 		// precondition.
 		if info.Store && cls != BurstNone && cls != BurstLSWrite {
 			t.Errorf("%s: store op in burst class %d", info.Name, cls)

@@ -289,22 +289,21 @@ const (
 	// (LSRD*/LOAD*). Their only interactions outside the register file
 	// are a functional read of the local store and a booking on the
 	// store's dedicated SPU port, which no other component shares — so
-	// they may run ahead of the engine clock exactly as far as the
-	// engine can prove no other component runs (and therefore nothing
-	// can write the local store): the caller's quiescence horizon,
-	// sim.Engine.HorizonExcluding.
+	// they may run ahead of the engine clock as far as no other
+	// component can write the bytes they read. The SPU decides that per
+	// access, from the bytes' address (spu.SPU.private).
 	BurstLSRead
 	// BurstLSWrite instructions write the SPE's local store directly
 	// (LSWR*) with no mediation by any other component: no wake is
 	// posted and no inbox is filled, only the store's bytes and its
-	// dedicated SPU port booking change. They burst under exactly the
-	// same horizon argument as BurstLSRead — until the horizon, no
-	// other component runs, so nothing (the MFC streaming a PUT, the
-	// LSE reading a frame, a network delivery) can *read* the store
-	// either, and a write simulated early is indistinguishable from
-	// one executed on the engine clock. STORE*/STOREX stay BurstNone:
-	// they go through the LSE's inbox (observable component state,
-	// possibly routed to a remote frame), not the local store.
+	// dedicated SPU port booking change. They run ahead under the same
+	// address rule as BurstLSRead: no other component reads or writes
+	// the bytes (the MFC streaming a PUT, the LSE storing a frame)
+	// before the write's own cycle, so a write simulated early is
+	// indistinguishable from one executed on the engine clock.
+	// STORE*/STOREX stay BurstNone: they go through the LSE's inbox
+	// (observable component state, possibly routed to a remote frame),
+	// not the local store.
 	BurstLSWrite
 )
 
@@ -335,12 +334,10 @@ var burstClasses = func() [opCount]BurstClass {
 	for _, op := range []Op{LSRD, LSRD8, LSRDX, LSRDX8, LOAD, LOADX} {
 		t[op] = BurstLSRead
 	}
-	// Direct local-store writes: safe ahead of the clock under the
-	// quiescence horizon, because the horizon bounds the first cycle
-	// any other component could run and hence *read* the store (the
-	// MFC's PUT streaming, the LSE's frame reads — both are scheduled
-	// components covered by the SPU's refined horizon). STORE/STOREX
-	// are frame stores through the LSE inbox and must stay BurstNone.
+	// Direct local-store writes: safe ahead of the clock on bytes no
+	// other component reads or writes meanwhile (see BurstLSWrite).
+	// STORE/STOREX are frame stores through the LSE inbox and must stay
+	// BurstNone.
 	for _, op := range []Op{LSWR, LSWR8, LSWRX, LSWRX8} {
 		t[op] = BurstLSWrite
 	}

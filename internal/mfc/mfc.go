@@ -13,6 +13,7 @@ package mfc
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ls"
 	"repro/internal/noc"
@@ -338,6 +339,28 @@ func (e *Engine) Outstanding(tag int64) int {
 	return 0
 }
 
+// Range is a half-open local-store byte range [Lo, Hi).
+type Range struct{ Lo, Hi int64 }
+
+// LiveRanges appends to dst the local-store range of every live
+// command — queued, launched, or awaiting completion — and returns it.
+// The engine touches the local store only inside these ranges: GET data
+// lands in its command's range (Deliver) and PUT packets are read from
+// theirs (launch). Only Enqueue adds a range, and a range goes when its
+// command completes. Hi saturates at math.MaxInt64.
+func (e *Engine) LiveRanges(dst []Range) []Range {
+	for i := range e.cmds {
+		if c := &e.cmds[i]; c.id != 0 {
+			hi := c.lsa + c.size // size > 0 (Enqueue)
+			if hi < c.lsa {
+				hi = math.MaxInt64
+			}
+			dst = append(dst, Range{c.lsa, hi})
+		}
+	}
+	return dst
+}
+
 // QueueDepth returns the number of commands waiting in the queue.
 func (e *Engine) QueueDepth() int { return len(e.queue) }
 
@@ -388,19 +411,13 @@ func (e *Engine) dispatch(now sim.Cycle, ev timedEvent) {
 
 // Tick processes the queue head and due events.
 //
-// Scheduling contract (the SPU's local-store burst window depends on
-// it): whenever the MFC has pending work that can touch the local
-// store — a queued command, a timer event that launches or completes a
-// transfer, PUT packets still streaming — the MFC is scheduled in the
-// engine no later than the cycle that work happens: Tick returns the
-// earliest pending event, and Enqueue/Deliver/popHead wake the engine
-// handle as they add work. The store is touched either during this
-// component's own Tick (PUT streaming reads) or during the network's
-// Tick (GET data arriving via Deliver), both of which the SPU's
-// quiescence horizon observes through the engine schedule and the
-// network's by-endpoint query (noc.Network.EarliestDeliveryTo, asked
-// for this SPE's MFC). An MFC change that mutates the store outside
-// these two paths would silently break that proof — don't.
+// Local-store contract (the SPU's kernel window depends on it): the
+// engine reads and writes the local store only inside the range of a
+// live command (LiveRanges) — GET data in Deliver, PUT packets in
+// launch — and a command is live from Enqueue, which only this SPE's
+// SPU calls, until it completes. An MFC change that touches the store
+// outside a live command's range, or after the command completed, would
+// silently break that proof — don't.
 func (e *Engine) Tick(now sim.Cycle) sim.Cycle {
 	for len(e.events) > 0 && e.events[0].at <= now {
 		ev := sim.HeapPop(&e.events)

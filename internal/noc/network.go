@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -43,9 +42,7 @@ type Endpoint interface {
 // Undelivered still count it from that tick's cycle. The memory services
 // a scalar READ this way (mem.Memory).
 //
-// The kind is fixed at registration. EarliestDeliveryTo answers only
-// for ticked endpoints: it reads the network's own delivery heap, which
-// never holds a timed endpoint's messages.
+// The kind is fixed at registration.
 type TimedEndpoint interface {
 	// DeliverAt takes a message at Send time. at is its delivery cycle
 	// (at least MinDeliveryLatency cycles ahead) and seq its position in
@@ -84,12 +81,11 @@ func (c Config) minOccupancy() sim.Cycle { return c.occupancy(HeaderBytes) }
 // at cycle c and that message's delivery: a bus is granted no earlier
 // than the cycle after injection, the bus transfer occupies at least
 // minOccupancy cycles (every message carries the HeaderBytes header),
-// and HopLatency is added on top. The SPU's local-store burst window
-// leans on this bound: an effect another component originates at or
-// after the component-agnostic quiescence horizon cannot reach a
-// local-store-writing endpoint any sooner. A change to the arbitration
-// rules or wire format that lets a message deliver faster must update
-// this bound (TestMinDeliveryLatency pins it).
+// and HopLatency is added on top. The memory's service at hand-over
+// leans on this bound (mem.Memory): no request sent later can be
+// delivered before one due this soon. A change to the arbitration rules
+// or wire format that lets a message deliver faster must update this
+// bound (TestMinDeliveryLatency pins it).
 func (c Config) MinDeliveryLatency() sim.Cycle {
 	return 1 + c.minOccupancy() + sim.Cycle(c.HopLatency)
 }
@@ -267,28 +263,6 @@ func (n *Network) endpoint(id int) port {
 		return port{}
 	}
 	return n.eps[id]
-}
-
-// EarliestDeliveryTo returns the cycle of the earliest delivery to any
-// of the ticked endpoints eps among the messages sent so far, or
-// sim.Never when none is under way. Every sent message has its delivery
-// cycle fixed at Send, so the result is exact, not a bound. The SPU's
-// local-store burst window asks it for its SPE's MFC and LSE, the
-// endpoints whose deliveries write that store. A timed endpoint's
-// messages never enter the delivery heap, so asking about one panics.
-func (n *Network) EarliestDeliveryTo(eps ...int) sim.Cycle {
-	for _, ep := range eps {
-		if n.endpoint(ep).timed != nil {
-			panic(fmt.Sprintf("noc: EarliestDeliveryTo on timed endpoint %d", ep))
-		}
-	}
-	best := sim.Never
-	for _, ref := range n.dels.refs {
-		if ref.at < best && slices.Contains(eps, int(n.dels.slab[ref.slot].Dst)) {
-			best = ref.at
-		}
-	}
-	return best
 }
 
 // settle retires the bookings whose grant cycle is at or before now:

@@ -234,11 +234,11 @@ func TestDeterministicDeliveryOrder(t *testing.T) {
 	}
 }
 
-// TestMinDeliveryLatency pins the lower bound the SPU's local-store
-// burst window leans on: no message — any size, any bus contention
-// state — delivers sooner than MinDeliveryLatency cycles after its
-// Send. If arbitration ever gets faster, this test fails and the bound
-// (and every horizon computed from it) must be revisited.
+// TestMinDeliveryLatency pins the lower bound the memory's service at
+// hand-over leans on (mem.Memory): no message — any size, any bus
+// contention state — delivers sooner than MinDeliveryLatency cycles
+// after its Send. If arbitration ever gets faster, this test fails and
+// the bound must be revisited.
 func TestMinDeliveryLatency(t *testing.T) {
 	for _, cfg := range []Config{
 		DefaultConfig(),
@@ -260,62 +260,6 @@ func TestMinDeliveryLatency(t *testing.T) {
 		if lb := sentAt + cfg.MinDeliveryLatency(); dst.at[0] < lb {
 			t.Errorf("cfg %+v: delivered at %d, bound says >= %d", cfg, dst.at[0], lb)
 		}
-	}
-}
-
-// EarliestDeliveryTo: the earliest delivery to a set of ticked
-// endpoints, the network's half of the SPU's local-store burst window. A
-// message has its exact delivery cycle from the moment it is sent.
-func TestEarliestDeliveryToByEndpoint(t *testing.T) {
-	n := New(Config{Buses: 1, BytesPerCyc: 8, HopLatency: 4})
-	watched, other := &sink{}, &sink{}
-	n.Register(1, watched)
-	n.Register(2, other)
-	n.Register(3, watched)
-
-	if got := n.EarliestDeliveryTo(1, 3); got != sim.Never {
-		t.Fatalf("EarliestDeliveryTo with no traffic = %d, want Never", got)
-	}
-
-	e := sim.NewEngine()
-	n.Attach(e.Register(n))
-	// One bus, 2-cycle occupancy, hop 4: the message to 2 is granted at 1
-	// and holds the bus until 3; the ones to 3 and 1 behind it are granted
-	// at 3 and 5 and deliver at 9 and 11.
-	n.Send(0, Message{Src: 1, Dst: 2, Kind: KindMemRead32})
-	if got := n.EarliestDeliveryTo(1, 3); got != sim.Never {
-		t.Fatalf("traffic to another endpoint shows up: %d", got)
-	}
-	n.Send(0, Message{Src: 2, Dst: 3, Kind: KindMemRead32})
-	n.Send(0, Message{Src: 2, Dst: 1, Kind: KindMemRead32})
-	for _, c := range []struct {
-		eps  []int
-		want sim.Cycle
-	}{{[]int{1, 3}, 9}, {[]int{3, 1}, 9}, {[]int{1}, 11}, {[]int{2}, 7}, {[]int{4}, sim.Never}, {nil, sim.Never}} {
-		if got := n.EarliestDeliveryTo(c.eps...); got != c.want {
-			t.Fatalf("EarliestDeliveryTo(%v) right after Send = %d, want %d", c.eps, got, c.want)
-		}
-	}
-
-	// Past the first watched delivery the second one is the answer.
-	e.Register(&stopAt{e: e, when: 9})
-	if _, err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(watched.at) != 1 || watched.at[0] != 9 {
-		t.Fatalf("watched deliveries by cycle 9: %v, want [9]", watched.at)
-	}
-	if got := n.EarliestDeliveryTo(1, 3); got != 11 {
-		t.Fatalf("EarliestDeliveryTo after the first delivery = %d, want 11", got)
-	}
-	if got := n.EarliestDeliveryTo(3); got != sim.Never {
-		t.Fatalf("EarliestDeliveryTo(3) after its delivery = %d, want Never", got)
-	}
-
-	// Reset clears the traffic.
-	n.Reset()
-	if got := n.EarliestDeliveryTo(1, 3); got != sim.Never {
-		t.Fatalf("traffic survived Reset: %d", got)
 	}
 }
 
@@ -393,16 +337,13 @@ type delivery struct {
 }
 
 const (
-	diffSinks = 6 // endpoints 0..5 only log; the driver asks about {0, 1} and {2}
+	diffSinks = 6 // endpoints 0..5 only log
 	diffEcho  = 6 // endpoint that sends from inside Deliver, as the PPE does
 	diffTail  = 15
+	// diffTicked: the sinks below it are always ticked endpoints. Of the
+	// others, 5 is always timed, and 3 and 4 are by the schedule's seed.
+	diffTicked = 3
 )
-
-// diffQuery is the index of the driver's EarliestDeliveryTo question
-// about a diff endpoint (-1 when none asks): 0 for (0, 1), 1 for (2).
-// The sinks no question asks about, 3, 4 and 5, may be timed endpoints:
-// 5 always is, 3 and 4 by the schedule's seed.
-var diffQuery = [diffSinks + 1]int{0, 0, 1, -1, -1, -1, -1}
 
 // handed is one message a timed endpoint was given at Send.
 type handed struct {
@@ -474,7 +415,6 @@ type diffDriver struct {
 	timed    [diffSinks]*timedSink // non-nil for the sinks registered as timed
 	gotNet   []delivery            // deliveries to the ticked endpoints
 	gotRef   []delivery            // the model's deliveries, to all endpoints
-	answers  [][2]sim.Cycle        // per cycle, after its sends: EarliestDeliveryTo(0, 1), (2)
 	sentAt   map[int64]sim.Cycle   // message id -> send cycle
 	backlog  int                   // compared cycles on which the model still had a queue
 	payloads [129][]byte           // shared zero payloads by length
@@ -559,7 +499,6 @@ func (d *diffDriver) Tick(now sim.Cycle) sim.Cycle {
 	if len(d.ref.queue) > 0 {
 		d.backlog++
 	}
-	d.answers = append(d.answers, [2]sim.Cycle{d.n.EarliestDeliveryTo(0, 1), d.n.EarliestDeliveryTo(2)})
 	if now >= d.until {
 		d.e.Stop()
 		return sim.Never
@@ -592,7 +531,7 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 			d.payloads[i] = make([]byte, i)
 		}
 		for ep := 0; ep <= diffEcho; ep++ {
-			if diffQuery[ep] < 0 && (ep == 5 || ep != diffEcho && rng.Intn(2) == 0) {
+			if ep >= diffTicked && (ep == 5 || ep != diffEcho && rng.Intn(2) == 0) {
 				d.timed[ep] = &timedSink{t: t}
 				d.n.RegisterTimed(ep, d.timed[ep])
 				continue
@@ -672,22 +611,6 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 			t.Fatalf("seed %d: drained: stats %+v, model %+v", seed, got, want)
 		}
 
-		// EarliestDeliveryTo, asked after every cycle's sends, against
-		// the model's exact answer: the earliest delivery the model went
-		// on to make to the endpoints asked about among the messages sent
-		// by then.
-		for c, got := range d.answers {
-			want := [2]sim.Cycle{sim.Never, sim.Never}
-			for _, del := range d.gotRef {
-				g := diffQuery[del.dst]
-				if g >= 0 && d.sentAt[del.id] <= sim.Cycle(c) && del.at > sim.Cycle(c) && del.at < want[g] {
-					want[g] = del.at
-				}
-			}
-			if got != want {
-				t.Fatalf("seed %d cycle %d: EarliestDeliveryTo = %v, model %v", seed, c, got, want)
-			}
-		}
 	}
 }
 
@@ -757,9 +680,6 @@ func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
 	if got := cp.Stats(); got != mid {
 		t.Fatalf("restored stats = %+v, want %+v", got, mid)
 	}
-	if got, want := cp.EarliestDeliveryTo(1), orig.EarliestDeliveryTo(1); got != want || got != 27 {
-		t.Fatalf("restored EarliestDeliveryTo = %d, original %d, want 27", got, want)
-	}
 	// A send after the restore queues behind the restored bookings.
 	late := Message{Src: 2, Dst: 1, Kind: KindMemRead32, B: 6}
 	orig.Send(27, late)
@@ -787,20 +707,13 @@ func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
 	}
 }
 
-// TestEndpointKindFixedAtRegistration: an id is ticked or timed, once,
-// and EarliestDeliveryTo refuses a timed endpoint (it reads the network's
-// own delivery heap, which never holds that endpoint's messages).
+// TestEndpointKindFixedAtRegistration: an id is ticked or timed, once.
 func TestEndpointKindFixedAtRegistration(t *testing.T) {
 	for name, f := range map[string]func(n *Network){
 		"ticked then timed": func(n *Network) { n.Register(1, &sink{}); n.RegisterTimed(1, &timedSink{}) },
 		"timed then ticked": func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.Register(1, &sink{}) },
 		"timed twice":       func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.RegisterTimed(1, &timedSink{}) },
-		"query timed": func(n *Network) {
-			n.Register(1, &sink{})
-			n.RegisterTimed(2, &timedSink{})
-			n.EarliestDeliveryTo(1, 2)
-		},
-		"nil timed": func(n *Network) { n.RegisterTimed(1, nil) },
+		"nil timed":         func(n *Network) { n.RegisterTimed(1, nil) },
 	} {
 		func() {
 			defer func() {

@@ -83,20 +83,11 @@ func (h *Handle) Wake(at Cycle) {
 }
 
 // ID returns the component's registration index — its identity for
-// Engine.HorizonExcluding.
+// Engine.Passed and Engine.NextScheduled.
 func (h *Handle) ID() int32 { return h.idx }
 
-// Horizon is Engine.HorizonExcluding for the handle's component.
-func (h *Handle) Horizon() Cycle {
-	if h == nil || h.e == nil {
-		return Never
-	}
-	return h.e.HorizonExcluding(h.idx)
-}
-
 // Engine returns the engine the handle belongs to (nil for a detached
-// handle) — for components that combine HorizonExcluding with
-// NextScheduled queries about specific peers.
+// handle) — for components that read the clock or ask Passed.
 func (h *Handle) Engine() *Engine {
 	if h == nil {
 		return nil
@@ -219,51 +210,12 @@ func (e *Engine) ComponentName(id int32) string { return e.comps[id].Name() }
 // NextScheduled returns the next cycle at which component id is due to
 // run: the current cycle while it is ticking or still pending on the
 // current cycle, its heap slot otherwise, and Never when it sleeps until
-// woken. Combined with HorizonExcluding it lets a component bound when a
-// *specific* peer can next act — e.g. the SPU's local-store burst
-// window, which distinguishes the components wired to its local store
-// from everyone else.
+// woken. A snapshot records it for every component.
 func (e *Engine) NextScheduled(id int32) Cycle {
 	if p := e.pos[id]; p != notQueued {
 		return e.heap[p].at
 	}
 	return Never
-}
-
-// HorizonExcluding returns the quiescence horizon of component id: the
-// earliest cycle — counting the current one — at which any component
-// other than id is scheduled to run, or Never when no other component
-// has pending work. It is asked by the ticking component about itself:
-// the components still due on the current cycle count, so it sees
-// e.Now() whenever another component runs later in the same pass (or in
-// an extra pass over the same cycle).
-//
-// The contract this buys: no component other than id can execute — and
-// therefore nothing outside id's own state can change — at any cycle t
-// in [now, horizon). Work a component performs for such cycles ahead of
-// the engine clock (the SPU's local-store read bursts) is
-// indistinguishable from having run it cycle by cycle, provided the
-// component asks again after any action of its own that may schedule
-// other components. Scheduling is the single source of truth here:
-// every component with pending future work is required to be scheduled
-// no later than that work's cycle — a component that sat unscheduled on
-// pending work would already deadlock the machine today, so the horizon
-// adds no new obligation.
-func (e *Engine) HorizonExcluding(id int32) Cycle {
-	h := e.heap
-	if len(h) == 0 {
-		return Never
-	}
-	if h[0].idx != id {
-		return h[0].at
-	}
-	// id is the root (as the ticking component always is): the earliest
-	// other entry is one of the root's children.
-	first := Never
-	for p := 1; p <= 2 && p < len(h); p++ {
-		first = min(first, h[p].at)
-	}
-	return first
 }
 
 // Reset returns the engine to cycle 0 with every registered component

@@ -61,16 +61,6 @@ func (r *refEngine) runUntil(until Cycle) (Cycle, RunStatus) {
 	return r.stopAt, RunStopped
 }
 
-func (r *refEngine) horizonExcluding(id int32) Cycle {
-	h := Never
-	for j, at := range r.next {
-		if int32(j) != id {
-			h = min(h, at)
-		}
-	}
-	return h
-}
-
 func (r *refEngine) nextScheduled(id int32) Cycle { return r.next[id] }
 func (r *refEngine) stop()                        { r.stopped, r.stopAt = true, r.clock }
 func (r *refEngine) resume()                      { r.stopped = false }
@@ -85,7 +75,6 @@ type scheduler interface {
 	stop()
 	resume()
 	now() Cycle
-	horizonExcluding(id int32) Cycle
 	nextScheduled(id int32) Cycle
 	checkpoint()
 }
@@ -101,7 +90,6 @@ func (s *engineSide) runUntil(until Cycle) (Cycle, RunStatus) { return s.e.RunUn
 func (s *engineSide) stop()                                   { s.e.Stop() }
 func (s *engineSide) resume()                                 { s.e.Resume() }
 func (s *engineSide) now() Cycle                              { return s.e.Now() }
-func (s *engineSide) horizonExcluding(id int32) Cycle         { return s.e.HorizonExcluding(id) }
 func (s *engineSide) nextScheduled(id int32) Cycle            { return s.e.NextScheduled(id) }
 
 // checkpoint round-trips the schedule through a snapshot: between Runs
@@ -117,8 +105,8 @@ func (s *engineSide) checkpoint() {
 	}
 }
 
-// Log records. A tick logs its cycle, the ticking id, its horizon and
-// every component's NextScheduled; a Run return logs its cycle and
+// Log records. A tick logs its cycle, the ticking id and every
+// component's NextScheduled; a Run return logs its cycle and
 // status.
 const (
 	logTick Cycle = -1 - iota
@@ -154,7 +142,7 @@ func (sc *script) near(now Cycle) Cycle {
 }
 
 func (sc *script) tick(id int32, now Cycle) Cycle {
-	sc.log = append(sc.log, logTick, now, Cycle(id), sc.s.horizonExcluding(id))
+	sc.log = append(sc.log, logTick, now, Cycle(id))
 	for j := 0; j < sc.n; j++ {
 		sc.log = append(sc.log, sc.s.nextScheduled(int32(j)))
 	}
@@ -203,8 +191,7 @@ func driveScheduler(seed uint64, build func(sc *script) scheduler) []Cycle {
 
 // TestEngineMatchesLinearScan holds the heap scheduler to refEngine on
 // random machines: the (cycle, id) tick log, every RunUntil return, and
-// at every Tick the ticking component's HorizonExcluding and every
-// component's NextScheduled.
+// at every Tick every component's NextScheduled.
 func TestEngineMatchesLinearScan(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {
 		got := driveScheduler(seed, func(sc *script) scheduler {

@@ -28,12 +28,14 @@ import (
 //     compute slot, so exactly the first issues and the second is never
 //     probed;
 //   - issue cycles whose pair mixes local-store accesses with compute
-//     (uopBurstLS), while t is below the quiescence horizon: the
-//     local-store op dual-issues beside the compute op in program order.
+//     (uopBurstLS), when the bytes accessed are private (see private):
+//     the local-store op dual-issues beside the compute op in program
+//     order.
 //
-// Everything else — frame stores, main memory, the LSE, the MFC, and
-// all of a PF block, whose end notifies the LSE — ends the window and
-// runs through issueCycle on the engine clock.
+// Everything else — an access to bytes that are not private, frame
+// stores, main memory, the LSE, the MFC, and all of a PF block, whose
+// end notifies the LSE — ends the window and runs through issueCycle on
+// the engine clock.
 //
 // The kernel is issueCycle + chargeCycle specialised to those cycles
 // with the per-cycle bookkeeping hoisted: pc and the issue counters live
@@ -73,8 +75,7 @@ func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
 	runs := prof == nil
 	bubbleEnd := s.nextIssueAt
 	penalty := 1 + sim.Cycle(s.cfg.BranchPenalty)
-	var hzn sim.Cycle
-	hznRead := false
+	s.liveOK = false
 	// Cycle counters of the window: issue cycles, bubbles, and scoreboard
 	// stalls by the class of the producer waited for.
 	var cycles, bubbles int64
@@ -170,21 +171,14 @@ cycle:
 				}
 			}
 		}
-		if f&uopBurstReg == 0 {
-			if f == 0 {
-				break
-			}
-			if !hznRead {
-				hzn, hznRead = s.lsHorizon(), true
-			}
-			if t >= hzn {
-				break
-			}
+		if f == 0 {
+			break
 		}
 
-		// A cycle whose local-store access would fault is not simulated:
-		// the window ends before any of it executes or is counted, and
-		// the reference cycle raises the fault on the engine clock.
+		// A cycle whose local-store access would fault, or touches bytes
+		// that are not private, is not simulated: the window ends before
+		// any of it executes or is counted, and the reference cycle runs
+		// it on the engine clock.
 		lsFirst := u.flags&uopMem != 0
 		if lsFirst {
 			// Local-store op first. Its pair bit guarantees a successor
@@ -322,7 +316,8 @@ func (s *SPU) joins(t sim.Cycle, n *uop, rd uint8, lat int32) bool {
 
 // lsAddr resolves the local-store address of access ins from its
 // register operands ra and rb, and reports whether the access stays
-// inside the store (a frame load also inside the frame).
+// inside the store (a frame load also inside the frame) and its bytes
+// are private.
 func (s *SPU) lsAddr(ins *isa.Instruction, ra, rb int64) (addr int64, ok bool) {
 	addr, width := ra+int64(ins.Imm), int64(8)
 	switch ins.Op {
@@ -342,7 +337,42 @@ func (s *SPU) lsAddr(ins *isa.Instruction, ra, rb int64) (addr int64, ok bool) {
 	case isa.LSRDX8, isa.LSWRX8:
 		addr += rb
 	}
-	return addr, addr >= 0 && addr <= int64(s.store.Size())-width // addr+width could overflow
+	// addr+width could overflow
+	return addr, addr >= 0 && addr <= int64(s.store.Size())-width && s.private(addr, width)
+}
+
+// private reports whether the width bytes at addr, inside the store, are
+// this SPU's alone until the window ends, so that an access to them at a
+// cycle ahead of the engine clock reads and writes what it would on the
+// clock. Besides the SPU only two components touch its local store (see
+// mfc.Engine.Tick and dta.LSE.Tick):
+//
+//   - the MFC, inside the range of a live command. Only this SPU
+//     enqueues commands, and MFCGET and MFCPUT end every window, so no
+//     range is added before the window ends;
+//   - the LSE, inside the frame region, and only into a frame whose SC
+//     is above 0. The running thread's SC is 0, so its own frame is
+//     private until it issues FFREE: the LSE then releases the frame,
+//     and the slot LOAD computes its address from changes on the
+//     engine clock.
+//
+// The live ranges are read at most once per window.
+func (s *SPU) private(addr, width int64) bool {
+	if lo, hi := s.lse.FrameRegion(); addr < hi && lo < addr+width {
+		own := s.lse.FrameAddr(s.cur.Slot)
+		if s.frameFreed || addr < own || addr+width > own+dta.FrameBytes {
+			return false
+		}
+	}
+	if !s.liveOK {
+		s.live, s.liveOK = s.dma.LiveRanges(s.live[:0]), true
+	}
+	for _, r := range s.live {
+		if addr < r.Hi && r.Lo < addr+width {
+			return false
+		}
+	}
+	return true
 }
 
 // lsAccess executes the local-store or frame access u to addr at cycle t

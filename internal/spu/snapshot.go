@@ -17,11 +17,10 @@ func (s *SPU) Threads(visit func(*dta.Thread)) {
 
 // Walk writes or reads the pipeline's mutable state, the current thread
 // as a reference into reg. Derived state — the decoded uop table, the
-// quiescence-horizon cache — is not serialised. A read needs an
+// kernel window's live MFC ranges — is not serialised. A read needs an
 // identically configured SPU running the same program: it rebuilds the
-// uop table from (template, block), and leaves the horizon cache to the
-// next Tick, which recomputes it from the restored engine schedule —
-// that can only shrink the first burst window, never change behaviour.
+// uop table from (template, block); the next window reads the ranges
+// afresh from the restored MFC.
 func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 	snap.Ints(c, s.regs[:])
 	snap.Ints(c, s.ready[:])
@@ -43,8 +42,12 @@ func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 	for _, p := range []*sim.Cycle{&s.accounted, &s.nextIssueAt, &s.resumeAt} {
 		snap.Int(c, p)
 	}
-	var reserved int64 // keeps the layout of blobs written before the burst kernel
-	snap.Int(c, &reserved)
+	var freed int64 // frameFreed, in the word the layout reserves for it
+	if s.frameFreed {
+		freed = 1
+	}
+	snap.Int(c, &freed)
+	s.frameFreed = freed != 0
 	snap.Byte(c, &s.readDst)
 	snap.Int(c, &s.reqSeq)
 	snap.Byte(c, &s.fallocRd)

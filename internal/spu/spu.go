@@ -23,9 +23,9 @@
 //   - the kernel window (burst, burst.go): after each reference cycle,
 //     one loop pre-executes the following cycles for as long as they
 //     are invisible outside the pipeline — bubbles, scoreboard stalls,
-//     register-only compute, and local-store accesses below the
-//     engine's quiescence horizon — and hands the engine the first
-//     cycle it could not take.
+//     register-only compute, and local-store accesses to bytes nothing
+//     else touches before the window ends (see private) — and hands the
+//     engine the first cycle it could not take.
 package spu
 
 import (
@@ -66,8 +66,8 @@ type Config struct {
 	// BurstMax bounds the burst-execution fast path: the maximum number
 	// of pipeline cycles the SPU may simulate inside one engine Tick
 	// when the upcoming instructions are straight-line register-only
-	// compute (isa.BurstReg), or local-store reads and writes under an
-	// engine-proved quiescence horizon (isa.BurstLSRead and
+	// compute (isa.BurstReg), or local-store reads and writes of bytes
+	// no other component can touch meanwhile (isa.BurstLSRead and
 	// isa.BurstLSWrite). The burst is
 	// cycle- and metric-identical to single-step execution — it only
 	// skips engine round-trips for cycles no other component can
@@ -197,12 +197,14 @@ type SPU struct {
 	accounted   sim.Cycle   // cycles < accounted are attributed
 	nextIssueAt sim.Cycle   // branch bubbles / dispatch refill
 	burstLimit  sim.Cycle   // resolved Config.BurstMax (>= 1)
-	resumeAt    sim.Cycle   // burst horizon: cycles below are already simulated
-
-	// lsw is the machine's wiring declaration for the LS-read burst
-	// window (see lsHorizon).
-	lsw LSWiring
-	eng *sim.Engine
+	resumeAt    sim.Cycle   // end of the last kernel window: cycles below are already simulated
+	// frameFreed is set when the thread in hand issues FFREE: its frame
+	// is no longer its own (see private).
+	frameFreed bool
+	// live holds the live MFC commands' local-store ranges while liveOK;
+	// a kernel window reads them at most once (see private).
+	live   []mfc.Range
+	liveOK bool
 
 	readDst  uint8
 	reqSeq   int64
@@ -253,11 +255,11 @@ type MagicMem interface {
 
 // New creates the SPU for SPE spe, configured and programmed by code.
 func New(code *Code, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
-	dma *mfc.Engine, store *ls.LocalStore, w LSWiring) *SPU {
+	dma *mfc.Engine, store *ls.LocalStore) *SPU {
 	cfg := code.cfg
 	s := &SPU{
 		cfg: cfg, id: id, spe: spe, memID: memID,
-		net: net, lse: lseUnit, dma: dma, store: store, code: code, lsw: w,
+		net: net, lse: lseUnit, dma: dma, store: store, code: code,
 		ph:       phIdle,
 		gapCause: stats.CauseIdle,
 		gapLoc:   stats.IdleLoc,
@@ -441,35 +443,7 @@ func writesRd(op isa.Op) bool {
 func (s *SPU) Name() string { return fmt.Sprintf("spu%d", s.spe) }
 
 // Attach stores the engine wake handle.
-func (s *SPU) Attach(h *sim.Handle) {
-	s.handle = h
-	s.eng = h.Engine()
-}
-
-// LSWiring is the machine's declaration of everything that can touch
-// this SPE's local store, in engine and interconnect terms. Components
-// with pending LS-mutating work advertise it simply by being
-// scheduled: the engine requires a component with pending work to be
-// scheduled no later than that work's cycle (an unscheduled one would
-// deadlock the machine today), so NextScheduled over the ids below,
-// plus the network's delivery cycles to the endpoints below, bounds the
-// next possible local-store mutation.
-type LSWiring struct {
-	// LSEID, MFCID are the engine identities (Handle.ID) of this SPE's
-	// LSE and MFC — the only components whose Ticks read or write this
-	// local store: the LSE performs frame stores, the MFC streams PUT
-	// data out, and DMA/frame traffic from everywhere else lands via a
-	// network delivery. MemID is main memory's engine identity: memory
-	// is the only sender of DMA data (the messages whose delivery writes
-	// the store with no further tick), which earns every other component
-	// one extra cycle in the chain bound — their effects land in the
-	// LSE's inbox and wait for an LSE service tick after delivery.
-	LSEID, MFCID, MemID int32
-	// Endpoints are the network endpoint ids of this SPE's MFC and LSE:
-	// the network's tick touches this local store only when it delivers
-	// to one of them (noc.Network.EarliestDeliveryTo).
-	Endpoints []int
-}
+func (s *SPU) Attach(h *sim.Handle) { s.handle = h }
 
 // Wake prods the SPU (used by the LSE's OnWork callback).
 func (s *SPU) Wake(now sim.Cycle) {
@@ -498,6 +472,7 @@ func (s *SPU) Reset() {
 	s.accounted = 0
 	s.nextIssueAt = 0
 	s.resumeAt = 0
+	s.frameFreed = false
 	s.readDst = 0
 	s.reqSeq = 0
 	s.fallocRd = 0
@@ -590,6 +565,7 @@ func (s *SPU) dispatch(now sim.Cycle) bool {
 		return false
 	}
 	s.cur, s.curKind = th, kind
+	s.frameFreed = false
 	s.unitStart = now
 	for i := range s.regs {
 		s.regs[i], s.ready[i], s.prod[i] = 0, 0, prodNone
@@ -693,15 +669,14 @@ func (s *SPU) curLoc() stats.Loc {
 // decoded instruction pair at pc: straight-line register-only compute
 // (isa.BurstReg — nothing another component can observe) always;
 // local-store reads (isa.BurstLSRead: LSRD*/LOAD*) and direct
-// local-store writes (isa.BurstLSWrite: LSWR*) for simulated cycles t
-// strictly below the quiescence horizon (lsHorizon): until t, no other
-// component runs, so nothing — no MFC write-back, LSE frame delivery,
-// or network delivery — can write this SPE's local store, and nothing —
-// no MFC PUT streaming, no LSE frame read — can observe a write landed
-// early; an access simulated at engine-time now is byte- and
-// cycle-identical to one executed at t. Anything the reference cycle
-// itself scheduled (a wake posted by an MFC, LSE or network op) is
-// already in the schedule when the window reads the horizon.
+// local-store writes (isa.BurstLSWrite: LSWR*) when the bytes accessed
+// are private (see private): no live MFC command's range overlaps them,
+// and they lie outside the frame region or in the running thread's own
+// frame before it issues FFREE. Nothing else can write those bytes, or
+// read a write landed early, at any cycle before the window ends, so an
+// access simulated at engine-time now is byte- and cycle-identical to
+// one executed at its own cycle, however far ahead that is. Any other
+// access ends the window before its cycle.
 //
 // Caveat (documented, not observable in well-formed DTA activities):
 // window cycles are simulated eagerly, so if the whole activity
@@ -715,8 +690,8 @@ func (s *SPU) curLoc() stats.Loc {
 func (s *SPU) Tick(now sim.Cycle) sim.Cycle {
 	if now < s.resumeAt {
 		// An early wake (e.g. the LSE's OnWork) landed inside a burst
-		// window whose cycles are already simulated; sleep to the
-		// horizon. Running-thread execution never depends on wakes.
+		// window whose cycles are already simulated; sleep to its end.
+		// Running-thread execution never depends on wakes.
 		return s.resumeAt
 	}
 	if s.ph == phWaitRead {
@@ -803,53 +778,6 @@ func (s *SPU) tick(now sim.Cycle) sim.Cycle {
 		t = s.burst(t, limit)
 	}
 	return t
-}
-
-// lsHorizon derives the first cycle at which this SPE's local store
-// could be touched by someone else. The kernel reads it at most once per
-// window: nothing else runs during this SPU's Tick and no instruction
-// that can wake another component executes inside a window, so the
-// schedule cannot gain entries in between. From the machine's wiring
-// declaration (LSWiring) it is the earliest of:
-//
-//   - the next scheduled cycle of this SPE's LSE or MFC;
-//   - the exact cycle of the earliest network delivery to this SPE's
-//     MFC/LSE endpoints among the messages already sent (the network
-//     fixes a message's delivery cycle when it is sent);
-//   - the component-agnostic quiescence horizon plus the
-//     interconnect's minimum delivery latency: any component outside
-//     the set above (another SPE, a DSE, the PPE, main memory) first
-//     has to run, no earlier than the horizon, and then cross the
-//     interconnect before it can reach this store.
-//
-// Network ticks that only serve other endpoints' traffic — including
-// this SPU's own posted WRITEs to main memory — do not clamp the window.
-func (s *SPU) lsHorizon() sim.Cycle {
-	h := s.handle.Horizon()
-	chain := s.net.MinDeliveryLatency()
-	if h != sim.Never {
-		// Generic bound for every other component: it must run (no
-		// earlier than the quiescence horizon), cross the interconnect
-		// (MinDeliveryLatency), and — since only main memory sends the
-		// DMA data messages whose delivery itself writes the store — its
-		// effect lands in our LSE's inbox and waits one more cycle for an
-		// LSE service tick. (If our LSE were already scheduled at the
-		// delivery cycle, its own term below caps the window first.)
-		h += chain + 1
-	}
-	if n := s.eng.NextScheduled(s.lsw.MemID); n != sim.Never && n+chain < h {
-		h = n + chain // memory's DMA data writes the store at delivery
-	}
-	if n := s.eng.NextScheduled(s.lsw.LSEID); n < h {
-		h = n
-	}
-	if n := s.eng.NextScheduled(s.lsw.MFCID); n < h {
-		h = n
-	}
-	if d := s.net.EarliestDeliveryTo(s.lsw.Endpoints...); d < h {
-		h = d
-	}
-	return h
 }
 
 // issueCycle is the reference implementation of one pipeline cycle: it
@@ -1163,6 +1091,7 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 			return false, false, stats.CauseLSEBackpressure
 		}
 		s.lse.Ffree(now, s.cur)
+		s.frameFreed = true
 		adv()
 
 	case isa.STOP:

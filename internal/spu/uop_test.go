@@ -50,7 +50,7 @@ func TestUopMaskLSReadNeedsHorizon(t *testing.T) {
 		t.Errorf("(lsrd, add) flags = %#x, want uopBurstLS", f)
 	}
 	if f&uopBurstReg != 0 {
-		t.Errorf("(lsrd, add) flags = %#x: LS read must not be horizon-free", f)
+		t.Errorf("(lsrd, add) flags = %#x: an LS read is not register-only", f)
 	}
 }
 

@@ -11,7 +11,7 @@ const (
 	// UnitPF: a prefetch (PF) block execution.
 	UnitPF
 	// UnitBurst: a burst-execution window — cycles the SPU simulated in
-	// bulk inside one engine tick under the quiescence horizon.
+	// bulk inside one engine tick, ahead of the engine clock.
 	UnitBurst
 )
 
