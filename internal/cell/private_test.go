@@ -3,7 +3,6 @@ package cell
 import (
 	"encoding/binary"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/dta"
@@ -14,9 +13,9 @@ import (
 // The SPU runs a local-store access ahead of the engine clock only when
 // its bytes are private: no live MFC command's range overlaps them, and
 // they lie outside the frame region or in the running thread's own frame
-// before it issues FFREE (spu.SPU.private). Correct programs never race
-// a DMA or read another thread's frame, so no workload, fuzz seed or pin
-// can tell an access that ran ahead from one that waited. Each guest
+// (spu.SPU.private). Correct programs never race a DMA or read another
+// thread's frame, so no workload, fuzz seed or pin can tell an access
+// that ran ahead from one that waited. Each guest
 // below does exactly that, behind a register loop long enough for the
 // other component to act while the SPU is still inside one kernel
 // window, and must end the same with the kernel on and single-step. The
@@ -202,31 +201,4 @@ func TestLSWindowRemoteFrameStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantToken(t, raceRuns(t, 2, prog(int32(layout.FrameBase))), 77)
-}
-
-// (iv) A LOAD from the thread's own frame after its FFREE. The LSE
-// releases the frame the cycle after, for another thread to take, and
-// the thread's slot, from which LOAD computes its address, goes with it:
-// the LOAD must address through the slot it finds on its own cycle, not
-// read the frame it freed. No sealed program reaches this — FFREE is
-// legal only in PS, where no local-store op is — so the guest has the
-// LOAD put into its PS after Build: the kernel's own-frame rule does not
-// lean on the block discipline.
-func TestLSWindowLoadAfterFfree(t *testing.T) {
-	b := program.NewBuilder("load-after-ffree")
-	root := b.Template("root")
-	ps := root.PS()
-	ps.Ffree()
-	ps.Movi(program.R(2), 1)
-	ps.Addi(program.R(3), program.R(2), 1)
-	ps.Addi(program.R(4), program.R(1), 1) // the LOAD goes before this
-	ps.StoreMailbox(program.R(1), program.R(9), 0).Stop()
-	b.Entry(root, 1234)
-	p := build(t, b)
-	blk := &p.Templates[0].Blocks[program.PS]
-	*blk = slices.Insert(*blk, 3, isa.Instruction{Op: isa.LOAD, Rd: 1})
-	ref := raceRuns(t, 1, p)
-	if ref.err == "" && len(ref.res.Tokens) == 1 && ref.res.Tokens[0] == 1234 {
-		t.Fatal("single-step LOAD read the freed frame: the guest does not tell the two apart")
-	}
 }

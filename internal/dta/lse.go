@@ -322,7 +322,8 @@ func (l *LSE) Deliver(now sim.Cycle, msg noc.Message) {
 // which lands inside the frame region (FrameRegion) and only in a frame
 // whose thread still waits for stores (SC > 0). A running thread's SC is
 // 0, so a store into its frame faults before it writes, and the SPU may
-// read its own frame ahead of the engine clock until it issues FFREE.
+// read its own frame ahead of the engine clock: no local-store op is
+// legal in PS, the only block that may FFREE (program.legalIn).
 // An LSE change that writes anything else, or writes a frame whose SC
 // is 0, would silently break that proof — don't.
 func (l *LSE) Tick(now sim.Cycle) sim.Cycle {

@@ -1,12 +1,8 @@
 package spu
 
 import (
-	"fmt"
-
 	"repro/internal/dta"
 	"repro/internal/isa"
-	"repro/internal/ls"
-	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -40,19 +36,20 @@ import (
 // The kernel is issueCycle + chargeCycle specialised to those cycles
 // with the per-cycle bookkeeping hoisted: pc and the issue counters live
 // in locals and reach s.st once per window, and a cycle attributes to
-// the pc it started at, per charge site when the profiler is on. On
-// entry s.accounted == t (the reference cycle before it was charged).
+// the pc it started at, in one profile Add per charge site. On entry
+// s.accounted == t (the reference cycle before it was charged).
 //
-// Register-only issue cycles are mostly taken a run at a time. With the
-// profiler off, when pc enters a run of two or more of them (see run)
-// whose guard, if any, is not taken, whose live-ins are all ready in
-// time and whose last issue cycle falls before limit, one step executes
-// the whole run from the schedule its Code worked out the first time a
-// window reached that pc: the ALU ops in order, the results' ready
-// cycles, the issue cycles and the run's own dependence stalls charged
-// in bulk, and a taken closing branch's bubble. When the run is a loop
-// the step goes on in place, one iteration after another with a back
-// edge's bubble between them, for as long as the next iteration's last
+// Register-only issue cycles are mostly taken a run at a time. When pc
+// enters a run of two or more of them (see run) whose guard, if any, is
+// not taken, whose live-ins are all ready in time and whose last issue
+// cycle falls before limit, one step executes the whole run from the
+// schedule its Code worked out the first time a window reached that pc:
+// the ALU ops in order, the results' ready cycles, the issue cycles and
+// the run's own dependence stalls charged in bulk, each at the pc that
+// per-cycle execution would charge it to, and a taken closing branch's
+// bubble. When the run is a loop the step goes on in place, one
+// iteration after another with a back edge's bubble between them,
+// charged at the entry pc, for as long as the next iteration's last
 // issue cycle falls before limit; the scoreboard is written once, from
 // the entry of the last iteration. A guard taken at a later iteration's
 // entry issues alone and ends the step; one taken where the step would
@@ -69,10 +66,9 @@ func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
 	if prof != nil {
 		loc = s.curLoc()
 	}
-	// Run steps charge a whole run at once, which per-pc attribution
-	// cannot follow; the first run that does not fit before limit ends
-	// them for the window, whose rest is shorter than that run.
-	runs := prof == nil
+	// The first run that does not fit before limit ends run steps for
+	// the window, whose rest is shorter than that run.
+	runs := true
 	bubbleEnd := s.nextIssueAt
 	penalty := 1 + sim.Cycle(s.cfg.BranchPenalty)
 	s.liveOK = false
@@ -131,8 +127,11 @@ cycle:
 						ops = us[1:] // the guard is not taken
 					}
 					n := int64(len(us))
-					at := t // the entry cycle of the iteration executed
+					entry := pc
+					at := t       // the entry cycle of the iteration executed
+					k := int64(0) // iterations executed
 					for {
+						k++
 						cycles += n
 						instrs += n
 						stalls[prodALU] += int64(r.stall)
@@ -158,6 +157,11 @@ cycle:
 							s.setOuts(r, at)
 							cycles++
 							instrs++
+							if prof != nil {
+								s.chargeRun(prof, loc, r, entry, k, k)
+								loc.PC = int32(entry)
+								prof.Add(loc, stats.CauseIssue, 1)
+							}
 							pc = int(g.Imm)
 							t = bubbleEnd + 1
 							bubbleEnd += penalty
@@ -165,6 +169,9 @@ cycle:
 							continue cycle
 						}
 						at = bubbleEnd
+					}
+					if prof != nil {
+						s.chargeRun(prof, loc, r, entry, k, k-1)
 					}
 					s.setOuts(r, at)
 					continue
@@ -184,8 +191,8 @@ cycle:
 			// Local-store op first. Its pair bit guarantees a successor
 			// in this block; a compute op there joins the cycle when its
 			// operands are ready (compute-slot ops are all register-only).
-			addr, ok := s.lsAddr(&u.ins, s.regs[u.ins.Ra], s.regs[u.ins.Rb])
-			if !ok {
+			addr, width, err := s.lsAddr(&u.ins, s.regs[u.ins.Ra], s.regs[u.ins.Rb])
+			if err != nil || !s.private(addr, width) {
 				break
 			}
 			if prof != nil {
@@ -195,7 +202,9 @@ cycle:
 			cycles++
 			instrs++
 			mix[u.cls]++
-			s.lsAccess(t, u, addr)
+			if err := s.lsAccess(t, &u.ins, addr); err != nil {
+				s.Fault(err)
+			}
 			pc++
 			u = &uops[pc]
 			if blocked, _ := s.operandsBlocked(t, u); blocked || u.flags&uopMem != 0 {
@@ -237,11 +246,11 @@ cycle:
 					if rd != isa.RegZero && n.ins.Rb == rd {
 						rb = v
 					}
-					var ok bool
-					if lsAddr, ok = s.lsAddr(&n.ins, ra, rb); !ok {
+					addr, width, err := s.lsAddr(&n.ins, ra, rb)
+					if err != nil || !s.private(addr, width) {
 						break
 					}
-					ls = n
+					ls, lsAddr = n, addr
 				}
 			}
 			if prof != nil {
@@ -265,7 +274,9 @@ cycle:
 		if ls != nil {
 			instrs++
 			mix[ls.cls]++
-			s.lsAccess(t, ls, lsAddr)
+			if err := s.lsAccess(t, &ls.ins, lsAddr); err != nil {
+				s.Fault(err)
+			}
 			pc++
 		}
 		t++
@@ -314,53 +325,32 @@ func (s *SPU) joins(t sim.Cycle, n *uop, rd uint8, lat int32) bool {
 	return true
 }
 
-// lsAddr resolves the local-store address of access ins from its
-// register operands ra and rb, and reports whether the access stays
-// inside the store (a frame load also inside the frame) and its bytes
-// are private.
-func (s *SPU) lsAddr(ins *isa.Instruction, ra, rb int64) (addr int64, ok bool) {
-	addr, width := ra+int64(ins.Imm), int64(8)
-	switch ins.Op {
-	case isa.LOAD, isa.LOADX:
-		slot := int64(ins.Imm)
-		if ins.Op == isa.LOADX {
-			slot = ra
-		}
-		if slot < 0 || slot >= program.MaxFrameSlots {
-			return 0, false
-		}
-		addr = s.lse.FrameAddr(s.cur.Slot) + slot*8
-	case isa.LSRD, isa.LSWR:
-		width = 4
-	case isa.LSRDX, isa.LSWRX:
-		addr, width = addr+rb, 4
-	case isa.LSRDX8, isa.LSWRX8:
-		addr += rb
-	}
-	// addr+width could overflow
-	return addr, addr >= 0 && addr <= int64(s.store.Size())-width && s.private(addr, width)
-}
-
-// private reports whether the width bytes at addr, inside the store, are
-// this SPU's alone until the window ends, so that an access to them at a
-// cycle ahead of the engine clock reads and writes what it would on the
-// clock. Besides the SPU only two components touch its local store (see
-// mfc.Engine.Tick and dta.LSE.Tick):
+// private reports whether the width bytes at addr lie inside the store,
+// so that an access to them cannot fault, and are this SPU's alone until
+// the window ends, so that an access to them at a cycle ahead of the
+// engine clock reads and writes what it would on the clock. Besides the
+// SPU only two components touch its local store (see mfc.Engine.Tick and
+// dta.LSE.Tick):
 //
 //   - the MFC, inside the range of a live command. Only this SPU
 //     enqueues commands, and MFCGET and MFCPUT end every window, so no
 //     range is added before the window ends;
 //   - the LSE, inside the frame region, and only into a frame whose SC
 //     is above 0. The running thread's SC is 0, so its own frame is
-//     private until it issues FFREE: the LSE then releases the frame,
-//     and the slot LOAD computes its address from changes on the
-//     engine clock.
+//     private.
 //
+// The kernel leans on the block discipline (program.legalIn): no
+// local-store op is legal in PS, the only block where FFREE is, so the
+// thread holds its frame, and its slot, at every local-store access.
 // The live ranges are read at most once per window.
 func (s *SPU) private(addr, width int64) bool {
+	// addr+width could overflow
+	if addr < 0 || addr > int64(s.store.Size())-width {
+		return false
+	}
 	if lo, hi := s.lse.FrameRegion(); addr < hi && lo < addr+width {
 		own := s.lse.FrameAddr(s.cur.Slot)
-		if s.frameFreed || addr < own || addr+width > own+dta.FrameBytes {
+		if addr < own || addr+width > own+dta.FrameBytes {
 			return false
 		}
 	}
@@ -375,31 +365,20 @@ func (s *SPU) private(addr, width int64) bool {
 	return true
 }
 
-// lsAccess executes the local-store or frame access u to addr at cycle t
-// for the burst kernel, with execute's semantics for the same opcodes;
-// it does not advance pc. The kernel checked addr with lsAddr and ended
-// the window before any cycle whose access would fault, so an error
-// here is a kernel bug.
-func (s *SPU) lsAccess(t sim.Cycle, u *uop, addr int64) {
-	ins := &u.ins
-	var v int64
-	var err error
-	switch ins.Op {
-	case isa.LSWR, isa.LSWRX:
-		err = s.store.Write32(addr, s.regs[ins.Rd])
-	case isa.LSWR8, isa.LSWRX8:
-		err = s.store.Write64(addr, s.regs[ins.Rd])
-	case isa.LSRD, isa.LSRDX:
-		v, err = s.store.Read32(addr)
-	default:
-		v, err = s.store.Read64(addr)
+// chargeRun charges k iterations of run r, entered at pc, and edges
+// back edges between or after them to the guest profile, at loc's
+// template and block: each instruction's issue cycle and its own
+// dependence stall at its pc, and the back edges' bubbles at the entry
+// pc, where per-cycle execution charges each of them. Runs never step
+// in a PF block, so no cause needs folding (causeFor).
+func (s *SPU) chargeRun(prof *stats.Profile, loc stats.Loc, r *run, pc int, k, edges int64) {
+	for i, stall := range s.code.stalls[r.sl : r.sl+r.end-int32(pc)] {
+		loc.PC = int32(pc + i)
+		prof.Add(loc, stats.CauseIssue, k)
+		prof.Add(loc, stats.CauseDepStall, k*int64(stall))
 	}
-	if err != nil {
-		panic(fmt.Sprintf("spu%d: burst %s past its address check: %v", s.spe, ins.Op, err))
-	}
-	if ready := s.store.Access(ls.PortSPU, t, 8); !isa.InfoOf(ins.Op).Store {
-		s.setReg(ins.Rd, v, ready, prodLS)
-	}
+	loc.PC = int32(pc)
+	prof.Add(loc, stats.CauseBubble, edges*int64(s.cfg.BranchPenalty))
 }
 
 // run is the static issue schedule of a run: the uopBurstReg
@@ -427,6 +406,9 @@ type run struct {
 	end   int32 // pc past the last instruction
 	last  int32 // issue offset of the last instruction
 	stall int32 // cycles spent waiting on the run's own results (prodALU)
+	// c.stalls[sl:] holds each instruction's share of stall, one per
+	// instruction from the entry to end.
+	sl int32
 	// c.regs[lo:mid] are the live-ins, each with the offset of the first
 	// cycle its first reader is considered; c.regs[mid:hi] the registers
 	// written, each with the offset its last write is ready at.
@@ -451,7 +433,7 @@ func (c *Code) schedule(uops []uop, runAt []int32, pc int) int32 {
 		runAt[pc] = -1
 		return -1
 	}
-	r := run{lo: int32(len(c.regs)), guard: uops[pc].flags&uopBranch != 0}
+	r := run{lo: int32(len(c.regs)), sl: int32(len(c.stalls)), guard: uops[pc].flags&uopBranch != 0}
 	outs := c.outs[:0] // registers written so far, each with its last write's ready offset
 	at := int32(0)     // the cycle the current instruction is first considered
 	i := pc
@@ -469,6 +451,7 @@ func (c *Code) schedule(uops []uop, runAt []int32, pc int) int32 {
 			}
 		}
 		r.stall += issue - at
+		c.stalls = append(c.stalls, issue-at)
 		if rd := u.ins.Rd; u.flags&uopBranch == 0 && u.ins.Op != isa.NOP && rd != isa.RegZero {
 			if k := regIndex(outs, rd); k >= 0 {
 				outs[k].off = issue + u.lat

@@ -18,8 +18,9 @@ import (
 // (posted as mailbox tokens). The small windows put the limit inside
 // the bubble, stall or issue group under test; 0 is the default window.
 // Every window runs with the guest profiler on and again with it off,
-// each against a reference with the same setting: the kernel steps a
-// whole register-only run at once only with the profiler off.
+// each against a reference with the same setting: the kernel takes the
+// same steps either way, and with the profiler on its run and loop steps
+// charge each instruction's issue cycles and stalls in bulk.
 
 var edgeWindows = []int{2, 3, 7, 0}
 
@@ -340,7 +341,8 @@ func (e kernelEdge) run(t *testing.T, burstMax int, profile bool) (*cell.Result,
 }
 
 // check runs e at every window size against the single-step reference,
-// with the profiler on and off.
+// with the profiler on (run steps' bulk charges against per-cycle ones)
+// and off.
 func (e kernelEdge) check(t *testing.T) {
 	for _, profile := range []bool{true, false} {
 		e.checkProfile(t, profile)

@@ -32,31 +32,34 @@ func (c *Code) LoopRuns() (guarded, plain int) {
 	return guarded, plain
 }
 
-// runView is a run with its register lists resolved, comparable across
-// tables whatever order their runs were scheduled in.
+// runView is a run entered at pc with its register lists and
+// per-instruction stalls resolved, comparable across tables whatever
+// order their runs were scheduled in.
 type runView struct {
 	end, last, stall int32
 	guard, loop      bool
 	in, out          []regOff
+	stalls           []int32
 }
 
-func (c *Code) view(r run) runView {
-	return runView{r.end, r.last, r.stall, r.guard, r.loop, c.regs[r.lo:r.mid], c.regs[r.mid:r.hi]}
+func (c *Code) view(r run, pc int) runView {
+	return runView{r.end, r.last, r.stall, r.guard, r.loop, c.regs[r.lo:r.mid], c.regs[r.mid:r.hi],
+		c.stalls[r.sl : r.sl+r.end-int32(pc)]}
 }
 
 func (v runView) equal(w runView) bool {
 	return v.end == w.end && v.last == w.last && v.stall == w.stall &&
 		v.guard == w.guard && v.loop == w.loop &&
-		slices.Equal(v.in, w.in) && slices.Equal(v.out, w.out)
+		slices.Equal(v.in, w.in) && slices.Equal(v.out, w.out) && slices.Equal(v.stalls, w.stalls)
 }
 
 // CheckTables compares every table decoded so far, and every run
 // scheduled from one of its entries, with a decode and a schedule of the
 // same block into new memory. It returns how many uops and runs the
-// tables hold, and fails unless the runs' register lists fill the
-// table's register arena exactly.
+// tables hold, and fails unless the runs' register lists and stalls
+// fill the table's register and stall arenas exactly.
 func (c *Code) CheckTables() (uops, runs int, err error) {
-	regs := 0
+	regs, stalls := 0, 0
 	for i, d := range c.tab {
 		if d.uops == nil {
 			continue
@@ -78,18 +81,22 @@ func (c *Code) CheckTables() (uops, runs int, err error) {
 			if ri < 0 {
 				continue
 			}
-			got := c.view(c.runs[ri-1])
-			if w := fresh.view(fresh.runs[wi-1]); !got.equal(w) {
+			got := c.view(c.runs[ri-1], pc)
+			if w := fresh.view(fresh.runs[wi-1], pc); !got.equal(w) {
 				return 0, 0, fmt.Errorf("template %d %s block: the run entered at pc %d is %+v, a schedule into new memory %+v",
 					tmpl, blk, pc, got, w)
 			}
 			regs += len(got.in) + len(got.out)
+			stalls += len(got.stalls)
 			runs++
 		}
 		uops += len(d.uops)
 	}
 	if regs != len(c.regs) {
 		return 0, 0, fmt.Errorf("the runs list %d registers, the register arena holds %d", regs, len(c.regs))
+	}
+	if stalls != len(c.stalls) {
+		return 0, 0, fmt.Errorf("the runs list %d stalls, the stall arena holds %d", stalls, len(c.stalls))
 	}
 	return uops, runs, nil
 }

@@ -42,12 +42,8 @@ func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 	for _, p := range []*sim.Cycle{&s.accounted, &s.nextIssueAt, &s.resumeAt} {
 		snap.Int(c, p)
 	}
-	var freed int64 // frameFreed, in the word the layout reserves for it
-	if s.frameFreed {
-		freed = 1
-	}
-	snap.Int(c, &freed)
-	s.frameFreed = freed != 0
+	var reserved int64 // keeps the layout of blobs written before the burst kernel
+	snap.Int(c, &reserved)
 	snap.Byte(c, &s.readDst)
 	snap.Int(c, &s.reqSeq)
 	snap.Byte(c, &s.fallocRd)

@@ -198,9 +198,6 @@ type SPU struct {
 	nextIssueAt sim.Cycle   // branch bubbles / dispatch refill
 	burstLimit  sim.Cycle   // resolved Config.BurstMax (>= 1)
 	resumeAt    sim.Cycle   // end of the last kernel window: cycles below are already simulated
-	// frameFreed is set when the thread in hand issues FFREE: its frame
-	// is no longer its own (see private).
-	frameFreed bool
 	// live holds the live MFC commands' local-store ranges while liveOK;
 	// a kernel window reads them at most once (see private).
 	live   []mfc.Range
@@ -226,8 +223,9 @@ type SPU struct {
 	// Prof, when non-nil, receives per-(location, cause) cycle samples
 	// from the same charge paths that feed the bucket breakdown, so
 	// profiled attribution is definitionally consistent with the stats
-	// and burst windows attribute in bulk (one Add per charge, not per
-	// cycle). Profiling off (nil Prof) costs one nil check per charge.
+	// and burst windows attribute in bulk (one Add per charge, and per
+	// instruction of a run step, not per cycle). Profiling off (nil Prof)
+	// costs one nil check per charge.
 	Prof *stats.Profile
 
 	// Fault receives execution errors (invalid addresses, bad frame
@@ -281,14 +279,15 @@ func New(code *Code, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
 // SPUs share one. The tables are carved from arenas that binding another
 // program rewinds and does not free.
 type Code struct {
-	cfg   Config
-	prog  *program.Program
-	tab   []decoded // by tmpl*NumBlocks + block; zero until decoded
-	arena []uop
-	runAt []int32 // in step with arena: the blocks' decoded.runAt
-	runs  []run
-	regs  []regOff // the runs' live-ins and results
-	outs  []regOff // schedule's scratch
+	cfg    Config
+	prog   *program.Program
+	tab    []decoded // by tmpl*NumBlocks + block; zero until decoded
+	arena  []uop
+	runAt  []int32 // in step with arena: the blocks' decoded.runAt
+	runs   []run
+	regs   []regOff // the runs' live-ins and results
+	stalls []int32  // the runs' instructions' own dependence stalls
+	outs   []regOff // schedule's scratch
 }
 
 // decoded is one template block's tables: its uops and, per pc, 1 + the
@@ -316,6 +315,7 @@ func (c *Code) Bind(prog *program.Program) {
 	c.runAt = c.runAt[:0]
 	c.runs = c.runs[:0]
 	c.regs = c.regs[:0]
+	c.stalls = c.stalls[:0]
 }
 
 // block returns (decoding on first use) the tables of one template code
@@ -472,7 +472,6 @@ func (s *SPU) Reset() {
 	s.accounted = 0
 	s.nextIssueAt = 0
 	s.resumeAt = 0
-	s.frameFreed = false
 	s.readDst = 0
 	s.reqSeq = 0
 	s.fallocRd = 0
@@ -565,7 +564,6 @@ func (s *SPU) dispatch(now sim.Cycle) bool {
 		return false
 	}
 	s.cur, s.curKind = th, kind
-	s.frameFreed = false
 	s.unitStart = now
 	for i := range s.regs {
 		s.regs[i], s.ready[i], s.prod[i] = 0, 0, prodNone
@@ -659,11 +657,11 @@ func (s *SPU) curLoc() stats.Loc {
 // Tick simulates the pipeline cycle at now through the reference path
 // and then, unless Config.BurstMax is 1, a kernel window of up to
 // burstLimit-1 further cycles (see burst), and returns the first cycle
-// not yet simulated so the engine skips the pre-executed ones. With the
-// guest profiler off, the window steps over a run of register-only
-// instructions in one go when the run's live-ins are ready by the
-// cycles its schedule assumes and it ends before the window's limit;
-// otherwise it takes those cycles one at a time, with the same result.
+// not yet simulated so the engine skips the pre-executed ones. The
+// window steps over a run of register-only instructions in one go when
+// the run's live-ins are ready by the cycles its schedule assumes and it
+// ends before the window's limit; otherwise it takes those cycles one at
+// a time, with the same result and the same guest profile.
 //
 // What may run ahead of the engine clock is decided per cycle from the
 // decoded instruction pair at pc: straight-line register-only compute
@@ -672,11 +670,11 @@ func (s *SPU) curLoc() stats.Loc {
 // local-store writes (isa.BurstLSWrite: LSWR*) when the bytes accessed
 // are private (see private): no live MFC command's range overlaps them,
 // and they lie outside the frame region or in the running thread's own
-// frame before it issues FFREE. Nothing else can write those bytes, or
-// read a write landed early, at any cycle before the window ends, so an
-// access simulated at engine-time now is byte- and cycle-identical to
-// one executed at its own cycle, however far ahead that is. Any other
-// access ends the window before its cycle.
+// frame. Nothing else can write those bytes, or read a write landed
+// early, at any cycle before the window ends, so an access simulated at
+// engine-time now is byte- and cycle-identical to one executed at its
+// own cycle, however far ahead that is. Any other access ends the window
+// before its cycle.
 //
 // Caveat (documented, not observable in well-formed DTA activities):
 // window cycles are simulated eagerly, so if the whole activity
@@ -951,23 +949,16 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 			adv()
 		}
 
-	case isa.LOAD, isa.LOADX:
-		slot := int64(ins.Imm)
-		if ins.Op == isa.LOADX {
-			slot = r(ins.Ra)
+	case isa.LOAD, isa.LOADX, isa.LSRD, isa.LSRD8, isa.LSRDX, isa.LSRDX8,
+		isa.LSWR, isa.LSWR8, isa.LSWRX, isa.LSWRX8:
+		addr, _, err := s.lsAddr(&ins, r(ins.Ra), r(ins.Rb))
+		if err == nil {
+			err = s.lsAccess(now, &ins, addr)
 		}
-		if slot < 0 || slot >= program.MaxFrameSlots {
-			s.Fault(fmt.Errorf("spu%d: frame load slot %d", s.spe, slot))
-			return true, false, stats.CauseIssue
-		}
-		addr := s.lse.FrameAddr(s.cur.Slot) + slot*8
-		v, err := s.store.Read64(addr)
 		if err != nil {
 			s.Fault(err)
 			return true, false, stats.CauseIssue
 		}
-		ready := s.store.Access(ls.PortSPU, now, 8)
-		s.setReg(ins.Rd, v, ready, prodLS)
 		adv()
 
 	case isa.STORE, isa.STOREX:
@@ -1029,44 +1020,6 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 		})
 		adv()
 
-	case isa.LSRD, isa.LSRD8, isa.LSRDX, isa.LSRDX8:
-		addr := r(ins.Ra) + int64(ins.Imm)
-		if ins.Op == isa.LSRDX || ins.Op == isa.LSRDX8 {
-			addr += r(ins.Rb)
-		}
-		var v int64
-		var err error
-		if ins.Op == isa.LSRD || ins.Op == isa.LSRDX {
-			v, err = s.store.Read32(addr)
-		} else {
-			v, err = s.store.Read64(addr)
-		}
-		if err != nil {
-			s.Fault(err)
-			return true, false, stats.CauseIssue
-		}
-		ready := s.store.Access(ls.PortSPU, now, 8)
-		s.setReg(ins.Rd, v, ready, prodLS)
-		adv()
-
-	case isa.LSWR, isa.LSWR8, isa.LSWRX, isa.LSWRX8:
-		addr := r(ins.Ra) + int64(ins.Imm)
-		if ins.Op == isa.LSWRX || ins.Op == isa.LSWRX8 {
-			addr += r(ins.Rb)
-		}
-		var err error
-		if ins.Op == isa.LSWR || ins.Op == isa.LSWRX {
-			err = s.store.Write32(addr, r(ins.Rd))
-		} else {
-			err = s.store.Write64(addr, r(ins.Rd))
-		}
-		if err != nil {
-			s.Fault(err)
-			return true, false, stats.CauseIssue
-		}
-		s.store.Access(ls.PortSPU, now, 8)
-		adv()
-
 	case isa.FALLOC, isa.FALLOCX:
 		if !s.lse.CanAccept() {
 			return false, false, stats.CauseLSEBackpressure
@@ -1091,7 +1044,6 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 			return false, false, stats.CauseLSEBackpressure
 		}
 		s.lse.Ffree(now, s.cur)
-		s.frameFreed = true
 		adv()
 
 	case isa.STOP:
@@ -1151,6 +1103,59 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 		s.skipEmptyBlocks(now)
 	}
 	return true, false, stats.CauseIssue
+}
+
+// lsAddr resolves the local-store address and width of access ins
+// (LOAD*, LSRD*, LSWR*) from its register operands ra and rb. A frame
+// load reads slot Imm (LOADX: ra) of the running thread's frame, and a
+// slot outside the frame is an error. The thread holds its frame
+// whenever a LOAD issues: LOAD is legal only in PF and PL, and FFREE,
+// which lets the LSE release the frame, only in PS (program.legalIn).
+func (s *SPU) lsAddr(ins *isa.Instruction, ra, rb int64) (addr, width int64, err error) {
+	addr, width = ra+int64(ins.Imm), 8
+	switch ins.Op {
+	case isa.LOAD, isa.LOADX:
+		slot := int64(ins.Imm)
+		if ins.Op == isa.LOADX {
+			slot = ra
+		}
+		if slot < 0 || slot >= program.MaxFrameSlots {
+			return 0, 0, fmt.Errorf("spu%d: frame load slot %d", s.spe, slot)
+		}
+		addr = s.lse.FrameAddr(s.cur.Slot) + slot*8
+	case isa.LSRD, isa.LSWR:
+		width = 4
+	case isa.LSRDX, isa.LSWRX:
+		addr, width = addr+rb, 4
+	case isa.LSRDX8, isa.LSWRX8:
+		addr += rb
+	}
+	return addr, width, nil
+}
+
+// lsAccess executes the local-store or frame access ins to addr at
+// cycle now; it does not advance pc. It returns the store's error, with
+// nothing executed, when the bytes lie outside the store.
+func (s *SPU) lsAccess(now sim.Cycle, ins *isa.Instruction, addr int64) error {
+	var v int64
+	var err error
+	switch ins.Op {
+	case isa.LSWR, isa.LSWRX:
+		err = s.store.Write32(addr, s.regs[ins.Rd])
+	case isa.LSWR8, isa.LSWRX8:
+		err = s.store.Write64(addr, s.regs[ins.Rd])
+	case isa.LSRD, isa.LSRDX:
+		v, err = s.store.Read32(addr)
+	default:
+		v, err = s.store.Read64(addr)
+	}
+	if err != nil {
+		return err
+	}
+	if ready := s.store.Access(ls.PortSPU, now, 8); !isa.InfoOf(ins.Op).Store {
+		s.setReg(ins.Rd, v, ready, prodLS)
+	}
+	return nil
 }
 
 // channelBusy stalls the pipeline for the MFC channel-interface cost

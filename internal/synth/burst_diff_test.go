@@ -31,10 +31,10 @@ func TestCorpusBurstDifferential(t *testing.T) {
 // that cut a bubble, a stall or an issue run at the limit would
 // otherwise never execute under a differential. Every seed's original
 // and prefetch-transformed program runs at BurstMax 2, 3, 5 and 17,
-// once with the guest profiler on and once with it off (the kernel's
-// whole-run step is taken only with it off), and each must match the
-// BurstMax -1 run with the same profiler setting in every reported
-// number, the profile and the final memory image.
+// once with the guest profiler on and once with it off (with it on, the
+// kernel's run and loop steps charge the profile in bulk), and each must
+// match the BurstMax -1 run with the same profiler setting in every
+// reported number, the profile and the final memory image.
 func TestCorpusSmallWindowDifferential(t *testing.T) {
 	pool := cell.NewPool()
 	for _, seed := range CorpusSeeds() {
