@@ -243,7 +243,7 @@ func withHostProfiles(cpuPath, memPath string, fn func() error) error {
 // reported on stderr.
 func writeObserved(sh *shared, runs []obs.Run) error {
 	if len(runs) == 0 {
-		return fmt.Errorf("observe: no simulations to write (every run was a cache hit?)")
+		return fmt.Errorf("observe: no simulations to write: every run was a cache hit, or only synth/* experiments ran, which record nothing (observe a corpus seed with dta fuzz -start N -seeds 1 -trace)")
 	}
 	var errs []error
 	for _, out := range []struct {

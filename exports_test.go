@@ -93,7 +93,7 @@ func deadExports(t *testing.T, root string) []string {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			if skipDir(root, p, name) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -197,6 +197,12 @@ func deadExports(t *testing.T, root string) []string {
 	}
 	sort.Strings(dead)
 	return dead
+}
+
+// skipDir reports whether a walk of the repository from root skips the
+// directory p named name: hidden and underscore directories and testdata.
+func skipDir(root, p, name string) bool {
+	return p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata")
 }
 
 // declUnits splits a file's declarations into the units a use may not

@@ -171,16 +171,12 @@ func ablationBuses(ctx *Context) (*Outcome, error) {
 
 func ablationMemLat(ctx *Context) (*Outcome, error) {
 	lats := []int{1, 25, 75, 150, 300, 600}
-	// One private context per latency, as a standalone study of that
-	// operating point would have: nothing is shared with the sweep's run
-	// cache or pool (it shows in harness.runs_executed), but the six
-	// contexts' runs are declared together so they simulate side by side.
+	// Each latency's runs are declared on a Sub, so at 150 and 1 they
+	// are fig7's and lat1's runs, served by the shared run cache.
 	var specs []runSpec
 	for _, lat := range lats {
-		sub := NewContext(Options{SPEs: ctx.Opt.SPEs, Latency: lat, Quick: ctx.Opt.Quick, Seed: ctx.Opt.Seed})
-		orig, pf := sub.spec("mmul", sub.Opt.SPEs, false), sub.spec("mmul", sub.Opt.SPEs, true)
-		orig.on, pf.on = sub, sub
-		specs = append(specs, orig, pf)
+		sub := ctx.Sub(Options{SPEs: ctx.Opt.SPEs, Latency: lat, Quick: ctx.Opt.Quick, Seed: ctx.Opt.Seed})
+		specs = append(specs, sub.spec("mmul", sub.Opt.SPEs, false), sub.spec("mmul", sub.Opt.SPEs, true))
 	}
 	runs, err := ctx.runList(specs)
 	if err != nil {

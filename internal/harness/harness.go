@@ -159,7 +159,7 @@ type Context struct {
 	// other context runs them on the caller's goroutine, on one machine
 	// per configuration.
 	spread bool
-	cache  *lru.Cache[runKey, *cell.Result] // the run cache; see runCacheCap
+	cache  *lru.Cache[runSpec, *cell.Result] // the run cache; see runCacheCap
 	progs  map[build]*program.Program
 	pool   *cell.Pool
 	// ckpts shares warm-up-prefix snapshots across phase runs (see
@@ -206,7 +206,7 @@ func NewContext(opt Options) *Context {
 func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 	return &Context{
 		Opt:       opt.WithDefaults(),
-		cache:     lru.New[runKey, *cell.Result](runCacheCap, nil, nil),
+		cache:     lru.New[runSpec, *cell.Result](runCacheCap, nil, nil),
 		progs:     make(map[build]*program.Program),
 		pool:      pool,
 		ckpts:     NewCheckpointCache(),
@@ -249,10 +249,10 @@ func (c *Context) Observed() []obs.Run {
 // context's machinery: machine pool, run, program and checkpoint caches
 // (a run key is the whole machine configuration and program build, so
 // any operating point may share them), core ownership and the
-// simulated-cycle counter. Experiments that re-run the sweep under
-// modified options (lat1's latency-1 study) use it so their simulations
-// are cached and counted like everyone else's, and a dtad worker runs
-// each job on a Sub of its base context.
+// simulated-cycle counter. Experiments that run under modified options
+// (lat1's latency-1 study, ablation-memlat's latency sweep) use it so
+// their simulations are cached, counted and observed like everyone
+// else's, and a dtad worker runs each job on a Sub of its base context.
 func (c *Context) Sub(opt Options) *Context {
 	return &Context{
 		Opt:        opt.WithDefaults(),
@@ -268,7 +268,7 @@ func (c *Context) Sub(opt Options) *Context {
 }
 
 // runCacheCap bounds a run cache, which keeps its most recently used
-// results. A sweep never reaches it — the whole registry executes 65
+// results. A sweep never reaches it — the whole registry executes 61
 // runs — but a dtad worker's base context lives as long as the worker
 // while clients choose the latency that goes into every run key.
 const runCacheCap = 4096
@@ -378,7 +378,7 @@ func MachineConfig(opt Options) cell.Config {
 // the run cache; hit or miss, the request bills the result's cycle
 // total and per-cause cycles, so the counters track the workloads
 // served, not which runner computed them.
-func (c *Context) bill(key runKey, res *cell.Result, hit bool) {
+func (c *Context) bill(key runSpec, res *cell.Result, hit bool) {
 	if hit {
 		RunCacheHits.Add(1)
 	} else {

@@ -259,7 +259,7 @@ func TestOutcomePrintIncludesNotes(t *testing.T) {
 func TestRunCacheBounded(t *testing.T) {
 	const limit = 3
 	base := NewContextWithPool(Options{Quick: true, SPEs: 2}, cell.NewPool())
-	base.cache = lru.New[runKey, *cell.Result](limit, nil, nil)
+	base.cache = lru.New[runSpec, *cell.Result](limit, nil, nil)
 	exp, _ := ByID("mmul-orig")
 	lats := []int{100, 120, 140, 160, 180, 100} // the last was evicted
 	for i, lat := range lats {

@@ -11,28 +11,19 @@ import (
 	"repro/internal/program"
 )
 
-// runKey is everything a simulation's result depends on: the machine,
-// the program build and any mid-run phase change. It keys the run cache
-// and the dedupe of one spec list, so two runs are the same simulation
-// exactly when their keys are equal.
-type runKey struct {
-	cfg   cell.Config
-	build build
-	phase phase // the zero phase changes nothing
-}
-
 // runSpec declares one simulation an experiment needs. Experiments
 // build the list of their specs first and render rows from what runAll
 // returns, so the context sees every run before any of them starts —
 // the harness-side version of issuing the accesses ahead of their use.
-// An experiment starts from Context.spec and sets the fields of the key
-// its rows vary.
+// An experiment starts from Context.spec and sets the fields its rows
+// vary. A spec is everything the run's result depends on: the machine,
+// the program build and any mid-run phase change. It keys the run cache
+// and the dedupe of one spec list, so two runs are the same simulation
+// exactly when their specs are equal.
 type runSpec struct {
-	runKey
-	// on is the context the run belongs to: its caches, pool and
-	// counters serve it. nil means the context runAll is called on;
-	// ablation-memlat names its private per-latency contexts here.
-	on *Context
+	cfg   cell.Config
+	build build
+	phase phase // the zero phase changes nothing
 }
 
 // spec declares one run of bench on c's machine with spes SPEs: the
@@ -45,14 +36,7 @@ func (c *Context) spec(bench string, spes int, pf bool) runSpec {
 	if c.SingleStep {
 		cfg.SPU.BurstMax = -1
 	}
-	return runSpec{runKey: runKey{cfg: cfg, build: build{bench: bench, params: c.Opt.benchParams(bench, spes), pf: pf}}}
-}
-
-func (s *runSpec) owner(c *Context) *Context {
-	if s.on != nil {
-		return s.on
-	}
-	return c
+	return runSpec{cfg: cfg, build: build{bench: bench, params: c.Opt.benchParams(bench, spes), pf: pf}}
 }
 
 // label names a run in exported timelines and profiles: the benchmark,
@@ -89,23 +73,22 @@ func (s *runSpec) wrap(err error) error {
 	return fmt.Errorf("%s: %w", s.label(), err)
 }
 
-// observed reports whether the spec's run is observed on its owner o.
-// Phase runs never are: a restored phase run's prefix was never
-// executed here.
-func (s *runSpec) observed(o *Context) bool {
-	return s.phase == phase{} && o.ob != nil
+// observed reports whether the spec's run is observed on c. Phase runs
+// never are: a restored phase run's prefix was never executed here.
+func (s *runSpec) observed(c *Context) bool {
+	return s.phase == phase{} && c.ob != nil
 }
 
-// machine returns the pool the spec's machine comes from on its owner o
-// and the machine's configuration. A nil pool means a machine built for
+// machine returns the pool the spec's machine comes from on c and the
+// machine's configuration. A nil pool means a machine built for
 // this one observed run and never pooled: a pooled machine's Reset would
 // clear its recorder and profile.
-func (s *runSpec) machine(o *Context) (*cell.Pool, cell.Config) {
+func (s *runSpec) machine(c *Context) (*cell.Pool, cell.Config) {
 	cfg := s.cfg
-	if !s.observed(o) {
-		return o.pool, cfg
+	if !s.observed(c) {
+		return c.pool, cfg
 	}
-	cfg.Record, cfg.Profile = o.ob.timeline, o.ob.profile
+	cfg.Record, cfg.Profile = c.ob.timeline, c.ob.profile
 	return nil, cfg
 }
 
@@ -141,12 +124,12 @@ var declare = (*Context).runAll
 // between goroutines through one channel of idle machines per
 // configuration:
 //
-//  1. plan: resolve run-cache hits and duplicate keys (per owning
-//     context: the first is the miss, the others hit it), build the
-//     missing runs' programs, read a phase run's prefix snapshot from the
-//     checkpoint cache, and group the missing runs by machine: one group
-//     per pooled configuration, and one group of its own for each
-//     observed run, whose machine is never pooled;
+//  1. plan: resolve run-cache hits and duplicate specs (the first is
+//     the miss, the others hit it), build the missing runs' programs,
+//     read a phase run's prefix snapshot from the checkpoint cache, and
+//     group the missing runs by machine: one group per pooled
+//     configuration, and one group of its own for each observed run,
+//     whose machine is never pooled;
 //  2. take the machines, in spec order: a pooled group gets
 //     min(workers, its runs) machines from its pool, each readied for one
 //     of its first runs, and a never-pooled run a machine built for it —
@@ -181,24 +164,23 @@ func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
 	// 1. Plan.
 	for i := range specs {
 		s, r := &specs[i], &p.runs[i]
-		o := s.owner(c)
 		r.from = -1
-		if res, ok := o.cache.Get(s.runKey); ok {
+		if res, ok := c.cache.Get(*s); ok {
 			p.results[i], r.from = res, i
 			continue
 		}
-		if r.from = p.simulatedBefore(c, specs[:i], o, s.runKey); r.from >= 0 {
+		if r.from = p.simulatedBefore(specs[:i], *s); r.from >= 0 {
 			continue
 		}
-		if r.prog, p.errs[i] = o.buildProgram(s.build); p.errs[i] != nil {
+		if r.prog, p.errs[i] = c.buildProgram(s.build); p.errs[i] != nil {
 			continue
 		}
-		pool, cfg := s.machine(o)
+		pool, cfg := s.machine(c)
 		if s.phase != (phase{}) {
 			r.fork = &forkRun{phase: s.phase}
-			if o.ckpts != nil {
+			if c.ckpts != nil {
 				r.fork.key = cell.SnapshotKey(cfg, r.prog, s.phase.div)
-				r.fork.cached, _ = o.ckpts.Get(r.fork.key)
+				r.fork.cached, _ = c.ckpts.Get(r.fork.key)
 			}
 		}
 		if r.group = groupOf(groups, cfgs, pool, cfg); r.group < 0 {
@@ -221,14 +203,13 @@ func (c *Context) runAll(specs []runSpec) ([]*cell.Result, []error) {
 	// 4. Results, caches and counters, in spec order.
 	for i := range specs {
 		s, r := &specs[i], &p.runs[i]
-		o := s.owner(c)
 		if r.from >= 0 {
 			p.results[i], p.errs[i] = p.results[r.from], p.errs[r.from]
 		} else if r.prog != nil {
-			p.results[i], p.errs[i] = o.settle(s, r, p.results[i], p.errs[i])
+			p.results[i], p.errs[i] = c.settle(s, r, p.results[i], p.errs[i])
 		}
 		if p.errs[i] == nil {
-			o.bill(s.runKey, p.results[i], r.from >= 0)
+			c.bill(*s, p.results[i], r.from >= 0)
 		}
 	}
 	return p.results, p.errs
@@ -261,11 +242,10 @@ func (r *planned) simulates(err error) bool {
 }
 
 // simulatedBefore returns the first of specs (the ones planned so far)
-// that simulates key on o, or -1.
-func (p plan) simulatedBefore(c *Context, specs []runSpec, o *Context, key runKey) int {
+// that simulates s, or -1.
+func (p plan) simulatedBefore(specs []runSpec, s runSpec) int {
 	for j := range specs {
-		s := &specs[j]
-		if p.runs[j].from < 0 && s.owner(c) == o && s.runKey == key {
+		if p.runs[j].from < 0 && specs[j] == s {
 			return j
 		}
 	}
@@ -398,18 +378,18 @@ func (r *planned) simulate(m *cell.Machine) (res *cell.Result, err error) {
 }
 
 // settle turns the raw result or error step 3 left for spec s
-// into its outcome on o, the spec's owner: phase-run snapshot traffic,
-// an observed run's timeline and profile, the functional check and
-// the error naming the run.
-func (o *Context) settle(s *runSpec, r *planned, res *cell.Result, err error) (*cell.Result, error) {
+// into its outcome: phase-run snapshot traffic, an observed run's
+// timeline and profile, the functional check and the error naming the
+// run.
+func (c *Context) settle(s *runSpec, r *planned, res *cell.Result, err error) (*cell.Result, error) {
 	if r.fork != nil {
-		r.fork.settle(o.ckpts)
+		r.fork.settle(c.ckpts)
 	}
 	if err != nil {
 		return nil, s.wrap(err)
 	}
-	if s.observed(o) {
-		o.ob.runs = append(o.ob.runs, obs.Run{Label: s.label(), SPEs: s.cfg.SPEs, Prog: r.prog, Rec: res.Rec, Prof: res.Prof})
+	if s.observed(c) {
+		c.ob.runs = append(c.ob.runs, obs.Run{Label: s.label(), SPEs: s.cfg.SPEs, Prog: r.prog, Rec: res.Rec, Prof: res.Prof})
 	}
 	if res.CheckErr != nil {
 		return nil, s.wrap(fmt.Errorf("functional check: %w", res.CheckErr))

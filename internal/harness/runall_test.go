@@ -137,8 +137,11 @@ func TestRunAllMatchesSerialLoop(t *testing.T) {
 // cache hits at face value, so each experiment reports the same
 // SimCycles on the sweep's shared context, where later experiments hit
 // the runs of earlier ones, as on a fresh context of its own.
+// ablation-memlat follows the sweep: its runs at other latencies are
+// declared through Subs, and it hits fig7's and lat1's.
 func TestSimCyclesRunnerIndependent(t *testing.T) {
-	exps := sweepExperiments(t)
+	memlat, _ := ByID("ablation-memlat")
+	exps := append(sweepExperiments(t), memlat)
 	shared := NewContext(quickOpts())
 	var hits, freshHits int64
 	for _, e := range exps {

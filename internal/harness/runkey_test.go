@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -105,29 +106,44 @@ func TestEqualRunsAreOneSimulation(t *testing.T) {
 	}
 }
 
-// TestAblationVFPObserved: A1's runs are observed like every other run,
-// one labelled recording per row.
+// TestAblationVFPObserved: the ablations' runs are observed like every
+// other run, one labelled recording per simulation, on a fresh context
+// each: A1's four rows, and A4's original and prefetched run at each of
+// its six latencies.
 func TestAblationVFPObserved(t *testing.T) {
-	ctx := NewContext(quickOpts())
-	ctx.Observe(true, false)
-	exp, _ := ByID("ablation-vfp")
-	if r := RunOn(ctx, exp); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	want := []string{
-		"bitcnt spes=8 pf=true lat=150 chains=8",
-		"bitcnt spes=8 pf=true lat=150 chains=8 vfp",
-		"bitcnt spes=8 pf=true lat=150 chains=8 frames=16",
-		"bitcnt spes=8 pf=true lat=150 chains=8 vfp frames=16",
-	}
-	var labels []string
-	for _, r := range ctx.Observed() {
-		labels = append(labels, r.Label)
-		if r.Rec == nil || len(r.Rec.SPUSpans()) == 0 {
-			t.Errorf("%s: empty recording", r.Label)
+	var memlat []string
+	for _, lat := range []int{1, 25, 75, 150, 300, 600} {
+		for _, pf := range []bool{false, true} {
+			memlat = append(memlat, fmt.Sprintf("mmul spes=8 pf=%v lat=%d", pf, lat))
 		}
 	}
-	if !reflect.DeepEqual(labels, want) {
-		t.Fatalf("observed %q, want %q", labels, want)
+	for _, tc := range []struct {
+		id   string
+		want []string
+	}{
+		{"ablation-vfp", []string{
+			"bitcnt spes=8 pf=true lat=150 chains=8",
+			"bitcnt spes=8 pf=true lat=150 chains=8 vfp",
+			"bitcnt spes=8 pf=true lat=150 chains=8 frames=16",
+			"bitcnt spes=8 pf=true lat=150 chains=8 vfp frames=16",
+		}},
+		{"ablation-memlat", memlat},
+	} {
+		ctx := NewContext(quickOpts())
+		ctx.Observe(true, false)
+		exp, _ := ByID(tc.id)
+		if r := RunOn(ctx, exp); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		var labels []string
+		for _, r := range ctx.Observed() {
+			labels = append(labels, r.Label)
+			if r.Rec == nil || len(r.Rec.SPUSpans()) == 0 {
+				t.Errorf("%s %s: empty recording", tc.id, r.Label)
+			}
+		}
+		if !reflect.DeepEqual(labels, tc.want) {
+			t.Fatalf("%s observed %q, want %q", tc.id, labels, tc.want)
+		}
 	}
 }
