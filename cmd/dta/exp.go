@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -78,20 +79,22 @@ func setupExp(fs *flag.FlagSet, sh *shared) func([]string) error {
 		for _, e := range selected {
 			report(harness.RunOn(ctx, e))
 		}
+		// A -trace or -profile file that cannot be written is an error of
+		// its own, not an experiment failure: the sweep line counts
+		// experiments only.
+		var observeErr error
 		if sh.trace != "" || sh.profile != "" {
-			if err := writeObserved(sh, ctx.Observed()); err != nil {
-				failed++
-				fmt.Fprintln(os.Stderr, err)
-			}
+			observeErr = writeObserved(sh, ctx.Observed())
 		}
 		if !*jsonOut {
 			fmt.Printf("==== sweep wall time %.1fs over %d experiments (%d failed)\n",
 				time.Since(start).Seconds(), len(selected), failed)
 		}
+		var sweepErr error
 		if failed > 0 {
-			return fmt.Errorf("%d failures over %d experiments", failed, len(selected))
+			sweepErr = fmt.Errorf("%d failures over %d experiments", failed, len(selected))
 		}
-		return nil
+		return errors.Join(sweepErr, observeErr)
 	}
 }
 

@@ -1,6 +1,7 @@
 package celldta
 
 import (
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -39,6 +40,37 @@ func TestDocsCiteLiveTests(t *testing.T) {
 					t.Errorf("%s:%d names %s%s, which no _test.go defines", doc, i+1, m[1], m[2])
 				}
 			}
+		}
+	}
+}
+
+// TestMutantSnippetsMatchOnce: every row of .github/mutants.json (the
+// CI step that requires each mutant to be killed by its tests) names a
+// file in which its old snippet occurs exactly once, so a change that
+// moves or rewrites the code a mutant edits fails here, not only in CI.
+func TestMutantSnippetsMatchOnce(t *testing.T) {
+	data, err := os.ReadFile(".github/mutants.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct{ Name, File, Package, Tests, Old, New string }
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatal("no mutant rows")
+	}
+	for _, r := range rows {
+		src, err := os.ReadFile(r.File)
+		if err != nil {
+			t.Errorf("mutant %q: %v", r.Name, err)
+			continue
+		}
+		if n := strings.Count(string(src), r.Old); n != 1 {
+			t.Errorf("mutant %q: its snippet occurs %d times in %s, want 1", r.Name, n, r.File)
+		}
+		if r.Package == "" || r.Tests == "" || r.Old == r.New {
+			t.Errorf("mutant %q: want a package, the tests that kill it and an edit", r.Name)
 		}
 	}
 }

@@ -104,28 +104,31 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 	}
 	m.net = noc.New(cfg.Noc)
 	m.net.Rec = m.rec
-	netHandle := m.eng.Register(m.net)
-	if netHandle.ID() != 0 {
-		// noc.Network.Send reads the arbitration-queue depth off the send
-		// cycle, which is exact only if the network has ticked before any
-		// sender in a cycle.
-		panic("cell: the network must be the engine's first component")
-	}
-	m.net.Attach(netHandle)
+
+	// The PPE is the engine's first component. It acts on a message on
+	// its delivery cycle, so first in that cycle's pass: it stores the
+	// root frame's arguments before any other component sends on the
+	// cycle, and its Stop on the last mailbox post ends the run before
+	// any other component ticks on the stop cycle.
+	m.ppe = NewPPE(cfg.ppeEP(), cfg.dseEP(0), cfg.lseEP, m.net, m.eng,
+		prog.Entry, prog.EntryArgs, prog.ExpectTokens)
+	m.ppe.Attach(m.eng.Register(m.ppe))
+	m.net.Register(cfg.ppeEP(), m.ppe)
+	m.ppe.Fault = m.fail
 
 	m.memory = mem.New(cfg.Mem, cfg.memEP(), m.net)
 	m.memory.Attach(m.eng.Register(m.memory))
-	m.net.RegisterTimed(cfg.memEP(), m.memory)
+	m.net.Register(cfg.memEP(), m.memory)
 	m.memory.Fault = m.fail
 
 	lseEP := cfg.lseEP
 
 	// SPEs: LSE ticks before SPU so same-cycle dispatches work. The
 	// registration order also makes a same-cycle local-store write by
-	// the network (DMA data delivered to the MFC), the LSE (a frame
-	// store) or the MFC visible to the SPU's issue at that cycle. The
-	// SPU runs local-store accesses ahead of the engine clock only on
-	// bytes none of them can touch meanwhile (spu.SPU.private).
+	// the LSE (a frame store) or the MFC (DMA data on its delivery
+	// cycle, a PUT packet read) visible to the SPU's issue at that
+	// cycle. The SPU runs local-store accesses ahead of the engine clock
+	// only on bytes none of them can touch meanwhile (spu.SPU.private).
 	for i := 0; i < cfg.SPEs; i++ {
 		store := ls.New(cfg.LS)
 		alloc := ls.NewAllocator(layout.HeapBase, layout.HeapBytes)
@@ -145,7 +148,7 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 
 		pipe := spu.New(m.code, cfg.spuEP(i), i, cfg.memEP(), m.net, lseUnit, dmaEng, store)
 		pipe.Attach(m.eng.Register(pipe))
-		m.net.RegisterTimed(cfg.spuEP(i), pipe)
+		m.net.Register(cfg.spuEP(i), pipe)
 		pipe.Fault = m.fail
 		pipe.Rec = m.rec
 		pipe.Prof = m.prof
@@ -181,13 +184,6 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		m.net.Register(cfg.dseEP(n), d)
 		m.dses = append(m.dses, d)
 	}
-
-	// PPE last: it observes the cycle's traffic before deciding to stop.
-	m.ppe = NewPPE(cfg.ppeEP(), cfg.dseEP(0), lseEP, m.net, m.eng,
-		prog.Entry, prog.EntryArgs, prog.ExpectTokens)
-	m.ppe.Attach(m.eng.Register(m.ppe))
-	m.net.Register(cfg.ppeEP(), m.ppe)
-	m.ppe.Fault = m.fail
 
 	// Initial memory image.
 	for _, seg := range prog.Segments {
@@ -441,7 +437,7 @@ func (m *Machine) StepUntil(until sim.Cycle) (StepStatus, error) {
 func (m *Machine) Finish() (*Result, error) {
 	end := m.endAt
 	res := &Result{Cycles: end, Tokens: m.ppe.Tokens(), Mem: m.memory.Stats(),
-		Net: m.net.Stats(), Rec: m.rec, Prof: m.prof,
+		Net: m.net.Stats(m.eng.Now()), Rec: m.rec, Prof: m.prof,
 		SPUs: make([]stats.SPU, 0, len(m.spes)), LSEs: make([]dta.LSEStats, 0, len(m.spes)),
 		MFCs: make([]mfc.Stats, 0, len(m.spes)), DSEs: make([]dta.DSEStats, 0, len(m.dses))}
 	for _, spe := range m.spes {
@@ -471,7 +467,7 @@ func (m *Machine) Run() (*Result, error) {
 
 // ComponentTicks is one engine component's event count for a run.
 type ComponentTicks struct {
-	Name  string // sim.Component.Name: "noc", "memory", "lse0", "spu0", ...
+	Name  string // sim.Component.Name: "ppe", "memory", "lse0", "spu0", ...
 	Ticks int64
 }
 

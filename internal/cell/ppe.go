@@ -24,6 +24,9 @@ type PPE struct {
 	args          []int64
 	expect        int
 
+	// arrivals holds the messages sent to the PPE, by (delivery cycle,
+	// send order), until its tick on that cycle.
+	arrivals noc.MsgHeap
 	started  bool
 	rootFP   int64
 	tokens   map[int64]int64 // slot -> value
@@ -55,6 +58,7 @@ func (p *PPE) Reset(entryTemplate int, args []int64, expect int) {
 	p.entryTemplate = entryTemplate
 	p.args = args
 	p.expect = expect
+	p.arrivals.Reset()
 	p.started = false
 	p.rootFP = 0
 	clear(p.tokens)
@@ -66,7 +70,8 @@ func (p *PPE) Reset(entryTemplate int, args []int64, expect int) {
 // Attach stores the engine wake handle.
 func (p *PPE) Attach(h *sim.Handle) { p.handle = h }
 
-// Tick starts the TLP activity on the first cycle.
+// Tick starts the TLP activity on the first cycle and acts on the
+// messages delivered by now.
 func (p *PPE) Tick(now sim.Cycle) sim.Cycle {
 	if !p.started {
 		p.started = true
@@ -75,12 +80,26 @@ func (p *PPE) Tick(now sim.Cycle) sim.Cycle {
 			A: int64(p.entryTemplate), B: int64(len(p.args)), C: 1, D: int64(p.id),
 		})
 	}
-	return sim.Never
+	for m, ok := p.arrivals.PopDue(now); ok; m, ok = p.arrivals.PopDue(now) {
+		p.deliver(now, m)
+	}
+	return p.arrivals.Earliest()
 }
 
-// Deliver implements noc.Endpoint: the root FALLOC response and mailbox
-// posts arrive here.
-func (p *PPE) Deliver(now sim.Cycle, m noc.Message) {
+// DeliverAt implements noc.Endpoint: the root FALLOC response and mailbox
+// posts arrive here. The message waits in arrivals, and the PPE wakes on
+// its delivery cycle — first in that cycle's pass, as the machine's first
+// component, so its root frame stores and its Stop come before anything
+// else on the cycle.
+func (p *PPE) DeliverAt(at sim.Cycle, seq int64, m noc.Message) {
+	p.arrivals.Push(at, seq, m)
+	p.handle.Wake(at)
+}
+
+// Undelivered implements noc.Endpoint.
+func (p *PPE) Undelivered(now sim.Cycle) int { return p.arrivals.Beyond(now) }
+
+func (p *PPE) deliver(now sim.Cycle, m noc.Message) {
 	switch m.Kind {
 	case noc.KindFallocResp:
 		p.rootFP = m.A
@@ -137,5 +156,6 @@ func (p *PPE) Tokens() []int64 {
 
 // DumpState implements sim.StateDumper.
 func (p *PPE) DumpState() string {
-	return fmt.Sprintf("tokens=%d/%d rootFP=%#x", len(p.tokens), p.expect, p.rootFP)
+	return fmt.Sprintf("tokens=%d/%d rootFP=%#x arrivals=%d%s",
+		len(p.tokens), p.expect, p.rootFP, p.arrivals.Len(), p.arrivals.Describe())
 }

@@ -2,6 +2,7 @@ package cell
 
 import (
 	"errors"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -124,6 +125,38 @@ func TestDeadlockDumpNamesComponents(t *testing.T) {
 	for _, want := range []string{"deadlock", "lse0", "frames=", "ppe"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("diagnostic missing %q:\n%v", want, err)
+		}
+	}
+}
+
+// TestDeadlockDumpNamesHeldArrivals: the network keeps no message, so a
+// message under way shows only in the report line of the endpoint that
+// holds it. Each machine is walked pass by pass and the engine's report
+// taken at every boundary, as a deadlock there would print it: the PPE,
+// an LSE, an MFC and a DSE must each, at some boundary, name a message
+// they hold with its delivery cycle.
+func TestDeadlockDumpNamesHeldArrivals(t *testing.T) {
+	held := regexp.MustCompile(`^(ppe|lse|mfc|dse)\d*: .* arrivals=[1-9]\d* \[[a-z0-9-]+ from \d+ at \d+\]`)
+	named := map[string]bool{}
+	for _, p := range []*program.Program{progForkJoin(t, 4), progManualDMA(t)} {
+		m, err := New(smallConfig(2), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for st := StepBudget; st != StepDone; {
+			for _, line := range m.eng.DeadlockError().Dumps {
+				if g := held.FindStringSubmatch(line); g != nil {
+					named[g[1]] = true
+				}
+			}
+			if st, err = m.StepUntil(m.Now() + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []string{"ppe", "lse", "mfc", "dse"} {
+		if !named[c] {
+			t.Errorf("no %s report line named a held message", c)
 		}
 	}
 }

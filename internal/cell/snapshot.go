@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is bumped whenever the machine snapshot layout
 // changes; restores of a mismatched version fail with
 // snap.VersionError instead of misdecoding.
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
 // SnapshotKey derives the content-addressed checkpoint key for (cfg,
 // prog, divergence cycle): two runs with equal keys have byte-identical
@@ -99,9 +99,11 @@ func (m *Machine) CanSnapshot() error {
 	return nil
 }
 
-// walk writes or reads the host processor's token state. Tokens go out
-// in arrival order, which restores both the map and the order slice.
+// walk writes or reads the host processor's held arrivals and token
+// state. Tokens go out in arrival order, which restores both the map and
+// the order slice.
 func (p *PPE) walk(c *snap.Codec) {
+	p.arrivals.Walk(c)
 	c.Bool(&p.started)
 	snap.Int(c, &p.rootFP)
 	if c.Reading() {
@@ -140,7 +142,7 @@ func (m *Machine) walk(c *snap.Codec) error {
 		}
 	}
 	reg.Walk(c)
-	m.net.Walk(c)
+	m.net.Walk(c, m.eng.Now())
 	m.memory.Walk(c)
 	for _, spe := range m.spes {
 		spe.LS.Walk(c)

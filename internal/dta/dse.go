@@ -41,9 +41,12 @@ type DSE struct {
 	epToIndex map[int]int
 	peers     []int // other nodes' DSE endpoints, in forwarding order
 
-	queue []noc.Message
-	rr    int
-	stats DSEStats
+	// arrivals holds the messages sent to the DSE, by (delivery cycle,
+	// send order), until its tick on or after that cycle takes them.
+	arrivals noc.MsgHeap
+	queue    []noc.Message
+	rr       int
+	stats    DSEStats
 }
 
 // NewDSE creates the DSE for node with the given LSE endpoints and their
@@ -81,35 +84,48 @@ func (d *DSE) Reset(framesPerPE int) {
 	for i := range d.freeCount {
 		d.freeCount[i] = framesPerPE
 	}
+	d.arrivals.Reset()
 	d.queue = d.queue[:0]
 	d.rr = 0
 	d.stats = DSEStats{}
 }
 
-// Deliver implements noc.Endpoint.
-func (d *DSE) Deliver(now sim.Cycle, msg noc.Message) {
-	switch msg.Kind {
-	case noc.KindFallocReq:
-		d.stats.Requests++
-		d.queue = append(d.queue, msg)
-		if len(d.queue) > d.stats.MaxQueue {
-			d.stats.MaxQueue = len(d.queue)
+// DeliverAt implements noc.Endpoint: the message waits in arrivals, and
+// the DSE wakes for the cycle after its delivery — the first on which it
+// can act on it.
+func (d *DSE) DeliverAt(at sim.Cycle, seq int64, m noc.Message) {
+	d.arrivals.Push(at, seq, m)
+	d.handle.Wake(at + 1)
+}
+
+// Undelivered implements noc.Endpoint.
+func (d *DSE) Undelivered(now sim.Cycle) int { return d.arrivals.Beyond(now) }
+
+// take acts on the messages delivered by now: a request joins the queue,
+// a freed frame counts in its PE's free-frame view (and may unblock the
+// queue head).
+func (d *DSE) take(now sim.Cycle) {
+	for msg, ok := d.arrivals.PopDue(now); ok; msg, ok = d.arrivals.PopDue(now) {
+		switch msg.Kind {
+		case noc.KindFallocReq:
+			d.stats.Requests++
+			d.queue = append(d.queue, msg)
+			if len(d.queue) > d.stats.MaxQueue {
+				d.stats.MaxQueue = len(d.queue)
+			}
+		case noc.KindFrameFreed:
+			if idx, ok := d.epToIndex[int(msg.Src)]; ok {
+				d.freeCount[idx]++
+			}
+		default:
+			panic(fmt.Sprintf("dse%d received unexpected %s", d.node, msg))
 		}
-	case noc.KindFrameFreed:
-		if idx, ok := d.epToIndex[int(msg.Src)]; ok {
-			d.freeCount[idx]++
-		}
-		// A freed frame may unblock the queue head.
-	default:
-		panic(fmt.Sprintf("dse%d received unexpected %s", d.node, msg))
-	}
-	if d.handle != nil {
-		d.handle.Wake(now + 1)
 	}
 }
 
 // Tick distributes queued FALLOC requests.
 func (d *DSE) Tick(now sim.Cycle) sim.Cycle {
+	d.take(now)
 	n := d.cfg.ServiceRate
 	for n > 0 && len(d.queue) > 0 {
 		msg := d.queue[0]
@@ -148,7 +164,9 @@ func (d *DSE) Tick(now sim.Cycle) sim.Cycle {
 		if d.canPlace() || d.canForward(d.queue[0]) {
 			return now + 1
 		}
-		return sim.Never
+	}
+	if d.arrivals.Len() > 0 {
+		return d.arrivals.Earliest() + 1
 	}
 	return sim.Never
 }
@@ -188,5 +206,5 @@ func (d *DSE) pickTarget() int {
 
 // DumpState implements sim.StateDumper.
 func (d *DSE) DumpState() string {
-	return fmt.Sprintf("queue=%d free=%v", len(d.queue), d.freeCount)
+	return fmt.Sprintf("queue=%d free=%v arrivals=%d%s", len(d.queue), d.freeCount, d.arrivals.Len(), d.arrivals.Describe())
 }

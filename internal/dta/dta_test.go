@@ -33,13 +33,28 @@ type rig struct {
 	works   [2]int          // OnWork calls per LSE
 }
 
-type ppeSink struct{ r *rig }
+// ppeSink logs mailbox posts in send order, at the hand-over.
+type ppeSink struct {
+	r  *rig
+	at []sim.Cycle // delivery cycles
+}
 
-func (p *ppeSink) Deliver(now sim.Cycle, m noc.Message) {
+func (p *ppeSink) DeliverAt(at sim.Cycle, _ int64, m noc.Message) {
 	if m.Kind != noc.KindMailboxPost {
 		panic("ppe got " + m.String())
 	}
 	p.r.mailbox = append(p.r.mailbox, m.B)
+	p.at = append(p.at, at)
+}
+
+func (p *ppeSink) Undelivered(now sim.Cycle) int {
+	k := 0
+	for _, at := range p.at {
+		if at > now {
+			k++
+		}
+	}
+	return k
 }
 
 // testProgram: template 0 has no PF block, template 1 has one (with a
@@ -66,7 +81,6 @@ func newRig(t testing.TB, cfg LSEConfig, heapBytes int) *rig {
 	r := &rig{e: sim.NewEngine(), fallocs: map[int64]int64{}}
 	r.prog = testProgram(t)
 	r.net = noc.New(noc.DefaultConfig())
-	r.net.Attach(r.e.Register(r.net))
 	lseEP := func(spe int) int { return spe } // epLSE0/1 == spe index
 	for i := 0; i < 2; i++ {
 		i := i
@@ -475,17 +489,62 @@ func TestBackpressure(t *testing.T) {
 	cfg := DefaultLSEConfig()
 	cfg.InboxCap = 2
 	r := newRig(t, cfg, 4096)
-	if !r.lses[0].CanAccept() {
+	if !r.lses[0].CanAccept(0) {
 		t.Fatal("fresh LSE should accept")
 	}
 	r.lses[0].StoreTo(0, MailboxFP, 0, 1)
 	r.lses[0].StoreTo(0, MailboxFP, 1, 2)
-	if r.lses[0].CanAccept() {
+	if r.lses[0].CanAccept(0) {
 		t.Fatal("full inbox should refuse")
 	}
 	r.runQuiet(t, 1000)
-	if !r.lses[0].CanAccept() {
+	if !r.lses[0].CanAccept(r.e.Now()) {
 		t.Fatal("drained inbox should accept again")
+	}
+}
+
+// TestArrivalAheadOfSameCycleStore: a frame store delivered at cycle t
+// to an LSE that does not tick at t (it wakes for t+1) still goes ahead
+// of an SPU StoreTo made at t: in the inbox, in MaxInbox and against
+// the inbox capacity.
+func TestArrivalAheadOfSameCycleStore(t *testing.T) {
+	// held returns a rig whose LSE 0 holds a frame store to the mailbox,
+	// delivered at the returned cycle and not taken yet.
+	held := func(inboxCap int) (*rig, sim.Cycle) {
+		cfg := DefaultLSEConfig()
+		cfg.InboxCap = inboxCap
+		r := newRig(t, cfg, 4096)
+		l := r.lses[0]
+		r.net.Send(0, noc.Message{Src: epLSE1, Dst: epLSE0, Kind: noc.KindFrameStore, A: MailboxFP, B: 111, C: 0})
+		at := l.arrivals.Earliest()
+		r.e.RunUntil(at)
+		if l.arrivals.Len() != 1 || l.Undelivered(at-1) != 1 || l.Undelivered(at) != 0 {
+			t.Fatalf("at %d: arrivals %d, undelivered %d before and %d on the delivery cycle; want the store held, delivered at %d",
+				r.e.Now(), l.arrivals.Len(), l.Undelivered(at-1), l.Undelivered(at), at)
+		}
+		return r, at
+	}
+
+	r, at := held(8)
+	l := r.lses[0]
+	l.StoreTo(at, MailboxFP, 1, 222)
+	if live := l.inbox[l.inboxHead:]; len(live) != 2 || live[0].kind != itemNet || live[1].kind != itemStore {
+		t.Fatalf("inbox %+v, want the delivered store ahead of the SPU's", live)
+	}
+	if got := l.Stats().MaxInbox; got != 2 {
+		t.Fatalf("MaxInbox %d, want 2", got)
+	}
+	r.runQuiet(t, 1000)
+	if len(r.mailbox) != 2 || r.mailbox[0] != 111 || r.mailbox[1] != 222 {
+		t.Fatalf("mailbox %v, want [111 222]", r.mailbox)
+	}
+
+	r, at = held(1)
+	if !r.lses[0].CanAccept(at - 1) {
+		t.Fatal("an undelivered message counts against the inbox")
+	}
+	if r.lses[0].CanAccept(at) {
+		t.Fatal("a message delivered this cycle does not count against the inbox")
 	}
 }
 
@@ -521,7 +580,6 @@ func TestMultiNodeForwarding(t *testing.T) {
 	// node 1.
 	e := sim.NewEngine()
 	net := noc.New(noc.DefaultConfig())
-	net.Attach(e.Register(net))
 	prog := testProgram(t)
 	const (
 		ep0, ep1       = 0, 1
@@ -576,4 +634,5 @@ func TestMultiNodeForwarding(t *testing.T) {
 
 type nullEP struct{}
 
-func (nullEP) Deliver(sim.Cycle, noc.Message) {}
+func (nullEP) DeliverAt(sim.Cycle, int64, noc.Message) {}
+func (nullEP) Undelivered(sim.Cycle) int               { return 0 }

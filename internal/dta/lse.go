@@ -109,6 +109,9 @@ type LSE struct {
 	inbox        []lseItem
 	inboxHead    int
 	pendingLocal map[int64]bool
+	// arrivals holds the messages sent to the LSE, by (delivery cycle,
+	// send order), until they join the inbox on that cycle (take).
+	arrivals noc.MsgHeap
 
 	vfps     map[int]*vfpEntry
 	vfpNext  int
@@ -183,6 +186,7 @@ func (l *LSE) Reset(prog *program.Program, base int64) {
 	}
 	l.inbox = l.inbox[:0]
 	l.inboxHead = 0
+	l.arrivals.Reset()
 	clear(l.pendingLocal)
 	clear(l.vfps)
 	l.vfpNext = 0
@@ -206,16 +210,45 @@ func (l *LSE) FrameRegion() (lo, hi int64) {
 }
 
 // CanAccept reports whether the SPU may hand the LSE another operation
-// this cycle (backpressure: the paper's "LSE can't keep up" stalls).
-func (l *LSE) CanAccept() bool { return len(l.inbox)-l.inboxHead < l.cfg.InboxCap }
+// on cycle now (backpressure: the paper's "LSE can't keep up" stalls).
+// The messages delivered by now count against the inbox.
+func (l *LSE) CanAccept(now sim.Cycle) bool {
+	l.take(now)
+	return len(l.inbox)-l.inboxHead < l.cfg.InboxCap
+}
 
+// push queues an operation behind the messages delivered by now: a
+// message goes ahead of an SPU operation of its delivery cycle, in the
+// inbox and in MaxInbox.
 func (l *LSE) push(now sim.Cycle, it lseItem) {
+	l.take(now)
+	l.add(it)
+	l.handle.Wake(now + 1)
+}
+
+func (l *LSE) add(it lseItem) {
 	l.inbox = append(l.inbox, it)
 	if q := len(l.inbox) - l.inboxHead; q > l.stats.MaxInbox {
 		l.stats.MaxInbox = q
 	}
-	if l.handle != nil {
-		l.handle.Wake(now + 1)
+}
+
+// DeliverAt implements noc.Endpoint: the message waits in arrivals, and
+// the LSE wakes for the cycle after its delivery — the first on which it
+// can serve it.
+func (l *LSE) DeliverAt(at sim.Cycle, seq int64, m noc.Message) {
+	l.arrivals.Push(at, seq, m)
+	l.handle.Wake(at + 1)
+}
+
+// Undelivered implements noc.Endpoint.
+func (l *LSE) Undelivered(now sim.Cycle) int { return l.arrivals.Beyond(now) }
+
+// take moves the messages delivered by now into the inbox. It asks for
+// no wake: DeliverAt already asked for the cycle after each delivery.
+func (l *LSE) take(now sim.Cycle) {
+	for m, ok := l.arrivals.PopDue(now); ok; m, ok = l.arrivals.PopDue(now) {
+		l.add(lseItem{kind: itemNet, msg: m})
 	}
 }
 
@@ -310,11 +343,6 @@ func (l *LSE) ready(now sim.Cycle, th *Thread) {
 	}
 }
 
-// Deliver implements noc.Endpoint.
-func (l *LSE) Deliver(now sim.Cycle, msg noc.Message) {
-	l.push(now, lseItem{kind: itemNet, msg: msg})
-}
-
 // Tick processes up to ServiceRate queued operations.
 //
 // Local-store contract (the SPU's kernel window depends on it): the
@@ -327,6 +355,7 @@ func (l *LSE) Deliver(now sim.Cycle, msg noc.Message) {
 // An LSE change that writes anything else, or writes a frame whose SC
 // is 0, would silently break that proof — don't.
 func (l *LSE) Tick(now sim.Cycle) sim.Cycle {
+	l.take(now)
 	n := l.cfg.ServiceRate
 	for n > 0 && l.inboxHead < len(l.inbox) {
 		it := l.inbox[l.inboxHead]
@@ -346,6 +375,9 @@ func (l *LSE) Tick(now sim.Cycle) sim.Cycle {
 	}
 	l.inbox = l.inbox[:0]
 	l.inboxHead = 0
+	if l.arrivals.Len() > 0 {
+		return l.arrivals.Earliest() + 1
+	}
 	return sim.Never
 }
 
@@ -645,6 +677,7 @@ func (l *LSE) DumpState() string {
 			live++
 		}
 	}
-	return fmt.Sprintf("frames=%d/%d ready=%d pf=%d waitDMA=%d drain=%d pending-buffer=%d inbox=%d",
-		live, l.cfg.NumFrames, len(l.readyQ), len(l.pfQ), len(l.waitDMA), len(l.drainWait), len(l.pfPending), len(l.inbox)-l.inboxHead)
+	return fmt.Sprintf("frames=%d/%d ready=%d pf=%d waitDMA=%d drain=%d pending-buffer=%d inbox=%d arrivals=%d%s",
+		live, l.cfg.NumFrames, len(l.readyQ), len(l.pfQ), len(l.waitDMA), len(l.drainWait), len(l.pfPending),
+		len(l.inbox)-l.inboxHead, l.arrivals.Len(), l.arrivals.Describe())
 }

@@ -130,6 +130,7 @@ func (l *LSE) Walk(c *snap.Codec, reg *Registry) {
 	if snap.Slice(c, &live, item); c.Reading() {
 		l.inbox = live
 	}
+	l.arrivals.Walk(c)
 	snap.Map(c, l.pendingLocal, cmp.Compare[int64], func(c *snap.Codec, k *int64, v *bool) {
 		snap.Int(c, k)
 		*v = true
@@ -159,10 +160,11 @@ func (l *LSE) Walk(c *snap.Codec, reg *Registry) {
 }
 
 // Walk writes or reads the DSE's mutable state: the free-frame view,
-// the request queue, the round-robin cursor and statistics. A read
-// needs an identically configured DSE.
+// the held arrivals, the request queue, the round-robin cursor and
+// statistics. A read needs an identically configured DSE.
 func (d *DSE) Walk(c *snap.Codec) {
 	snap.Fixed(c, "dta: DSE PEs", d.freeCount, snap.Int[int])
+	d.arrivals.Walk(c)
 	snap.Slice(c, &d.queue, noc.WalkMessage)
 	snap.Int(c, &d.rr)
 	snap.Int(c, &d.stats.Requests)

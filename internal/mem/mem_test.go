@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -136,35 +137,46 @@ func TestSparseMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// harness wires a memory and a recording endpoint into an engine.
+// harness wires a memory into an engine, with a recording endpoint.
 type memHarness struct {
 	e   *sim.Engine
 	net *noc.Network
 	m   *Memory
-	got []noc.Message
+	got []noc.Message // in (delivery cycle, send order)
 	at  []sim.Cycle
+	seq []int64
 }
 
-func (h *memHarness) Deliver(now sim.Cycle, msg noc.Message) {
-	h.got = append(h.got, msg)
-	h.at = append(h.at, now)
+// DeliverAt files the message in delivery order, where a receiver that
+// acts on its arrivals on their cycle would see it.
+func (h *memHarness) DeliverAt(at sim.Cycle, seq int64, msg noc.Message) {
+	i := len(h.at)
+	for i > 0 && (h.at[i-1] > at || h.at[i-1] == at && h.seq[i-1] > seq) {
+		i--
+	}
+	h.got = slices.Insert(h.got, i, msg)
+	h.at = slices.Insert(h.at, i, at)
+	h.seq = slices.Insert(h.seq, i, seq)
 }
 
-func (h *memHarness) Name() string { return "client" }
-func (h *memHarness) Tick(now sim.Cycle) sim.Cycle {
-	return sim.Never
+func (h *memHarness) Undelivered(now sim.Cycle) int {
+	k := 0
+	for _, at := range h.at {
+		if at > now {
+			k++
+		}
+	}
+	return k
 }
 
 func newMemHarness(t *testing.T, cfg Config) *memHarness {
 	t.Helper()
 	h := &memHarness{e: sim.NewEngine()}
 	h.net = noc.New(noc.Config{Buses: 4, BytesPerCyc: 8, HopLatency: 4})
-	h.net.Attach(h.e.Register(h.net))
 	h.m = New(cfg, 100, h.net)
 	h.m.Attach(h.e.Register(h.m))
-	h.net.RegisterTimed(100, h.m)
+	h.net.Register(100, h.m)
 	h.net.Register(1, h)
-	h.e.Register(h)
 	h.m.Fault = func(err error) { t.Fatalf("memory fault: %v", err) }
 	return h
 }
@@ -258,11 +270,6 @@ func TestServiceCycleRule(t *testing.T) {
 		if got := h.e.NextScheduled(h.m.handle.ID()); got != tc.nextTick {
 			t.Errorf("%s: memory next scheduled at %d after cycle %d, want %d", tc.name, got, tc.at, tc.nextTick)
 		}
-		// The network is the harness's first component; every component
-		// gets one tick at cycle 0, from its registration.
-		if got := h.e.Ticks(0); got != 1 {
-			t.Errorf("%s: the network was ticked %d times, want only its registration tick: requests into a timed endpoint cost it none", tc.name, got)
-		}
 		h.runUntilQuiet(t, 1000)
 		if len(h.at) != len(tc.responses) {
 			t.Fatalf("%s: %d responses, want %d", tc.name, len(h.at), len(tc.responses))
@@ -302,7 +309,7 @@ func TestInboxOrderedByDeliveryCycle(t *testing.T) {
 	if dump := h.m.DumpState(); !strings.Contains(dump, "mem-block-write from 1 at 23") {
 		t.Fatalf("DumpState does not show the block write under way: %s", dump)
 	}
-	if got, want := h.net.Stats().Messages, int64(1); got != want {
+	if got, want := h.net.Stats(h.e.Now()).Messages, int64(1); got != want {
 		t.Fatalf("at cycle %d the network counts %d messages delivered, want %d", h.e.Now(), got, want)
 	}
 	// Next: the READ's response at 9+lat, before the write's service tick.
@@ -319,8 +326,8 @@ func TestInboxOrderedByDeliveryCycle(t *testing.T) {
 		t.Fatalf("READ response at %d, write ack at %d; want %d (serviced at 9) and %d (serviced at 24)",
 			h.at[0], h.at[1], 9+lat+readResp, 24+lat+ackLag)
 	}
-	if got := h.net.Stats().Messages; got != 4 {
-		t.Fatalf("%d messages delivered in all, want 4", got)
+	if got := h.net.Stats(h.at[1]).Messages; got != 4 {
+		t.Fatalf("%d messages delivered by the ack's cycle, want 4", got)
 	}
 }
 

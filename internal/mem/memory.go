@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -41,8 +40,8 @@ type Stats struct {
 
 // Memory is the main-memory component: it services scalar and block
 // requests with port and latency modelling, backed by a functional
-// sparse store. On the interconnect it is a timed endpoint
-// (noc.TimedEndpoint): a request reaches it when it is sent, stamped
+// sparse store. On the interconnect it is an endpoint (noc.Endpoint):
+// a request reaches it when it is sent, stamped
 // with its delivery cycle, and waits in the inbox until a tick at or
 // after that cycle services it. When that tick comes — the service-cycle
 // rule every run's timing depends on, pinned by TestServiceCycleRule —
@@ -180,7 +179,7 @@ func (m *Memory) forgetHandOvers() {
 	m.ahead = m.ahead[:0]
 }
 
-// DeliverAt implements noc.TimedEndpoint: a READ whose service cycle is
+// DeliverAt implements noc.Endpoint: a READ whose service cycle is
 // decided is serviced on the spot (see Memory); any other request joins
 // the inbox under its delivery cycle, and the memory makes sure it ticks
 // on the cycle after — or on the delivery cycle itself, when a READ
@@ -243,16 +242,11 @@ func (m *Memory) handOver(at sim.Cycle, msg *noc.Message) bool {
 	return true
 }
 
-// Undelivered implements noc.TimedEndpoint. Requests leave the inbox
+// Undelivered implements noc.Endpoint. Requests leave the inbox
 // when they are serviced, which is never before their delivery cycle; a
 // READ serviced at hand-over counts until its delivery cycle likewise.
 func (m *Memory) Undelivered(now sim.Cycle) int {
-	k := 0
-	for at := range m.inbox.All() {
-		if at > now {
-			k++
-		}
-	}
+	k := m.inbox.Beyond(now)
 	for _, h := range m.ahead {
 		if h.at > now {
 			k++
@@ -430,12 +424,7 @@ func (m *Memory) service(now sim.Cycle, msg *noc.Message) {
 
 // DumpState implements sim.StateDumper.
 func (m *Memory) DumpState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "inbox=%d pending-out=%d", m.inbox.Len(), m.out.Len())
 	// Heap order, not delivery order: a deadlock report wants to see
 	// every request under way, each with the cycle it is delivered.
-	for at, msg := range m.inbox.All() {
-		fmt.Fprintf(&b, " [%s from %d at %d]", msg.Kind, msg.Src, at)
-	}
-	return b.String()
+	return fmt.Sprintf("inbox=%d pending-out=%d%s", m.inbox.Len(), m.out.Len(), m.inbox.Describe())
 }

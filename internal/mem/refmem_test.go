@@ -59,7 +59,7 @@ func (r refMemory) Tick(now sim.Cycle) sim.Cycle {
 // memModel is what the differential drives: Memory or refMemory.
 type memModel interface {
 	sim.Component
-	noc.TimedEndpoint
+	noc.Endpoint
 	Stats() Stats
 }
 
@@ -74,7 +74,6 @@ type diffParams struct {
 	mem       Config
 	net       noc.Config
 	sources   int
-	timed     []bool      // source i is a timed endpoint, else a ticked one
 	reads     []int       // percent of source i's requests that are READs in range
 	block     []int       // percent of its READs source i waits for
 	gap       []int       // source i sends every 1..gap cycles
@@ -117,7 +116,6 @@ func (c handOverCounter) DeliverAt(at sim.Cycle, seq int64, msg noc.Message) {
 
 func newMemSide(p *diffParams, ref bool) *memSide {
 	s := &memSide{e: sim.NewEngine(), net: noc.New(p.net), p: p}
-	s.net.Attach(s.e.Register(s.net))
 	stopper := &memStopper{e: s.e, at: p.stops}
 	if p.stopEarly {
 		s.e.Register(stopper)
@@ -130,17 +128,13 @@ func newMemSide(p *diffParams, ref bool) *memSide {
 	h := s.e.Register(s.model)
 	s.mem.Attach(h)
 	s.memID = h.ID()
-	s.net.RegisterTimed(diffMemEP, s.model)
+	s.net.Register(diffMemEP, s.model)
 	s.mem.Fault = func(err error) { s.faults = append(s.faults, fmt.Sprintf("%d: %v", s.e.Now(), err)) }
 	for i := 0; i < p.sources; i++ {
 		src := &memSource{side: s, id: int32(1 + i), rng: sim.NewRand(p.seed<<8 | uint64(i)),
-			timed: p.timed[i], reads: p.reads[i], block: p.block[i], gap: p.gap[i]}
+			reads: p.reads[i], block: p.block[i], gap: p.gap[i]}
 		src.h = s.e.Register(src)
-		if src.timed {
-			s.net.RegisterTimed(int(src.id), src)
-		} else {
-			s.net.Register(int(src.id), src)
-		}
+		s.net.Register(int(src.id), src)
 		s.srcs = append(s.srcs, src)
 	}
 	if !p.stopEarly {
@@ -157,13 +151,12 @@ type memSource struct {
 	id      int32
 	h       *sim.Handle
 	rng     *sim.Rand
-	timed   bool
 	reads   int // percent of its requests that are READs in range
 	block   int
 	gap     int
 	tag     int64
 	waiting bool
-	handed  []sim.Cycle // timed: delivery cycles of the responses handed over
+	handed  []sim.Cycle // delivery cycles of the responses handed over
 }
 
 func (s *memSource) Name() string { return fmt.Sprintf("source%d", s.id) }
@@ -230,8 +223,6 @@ func (s *memSource) receive(at sim.Cycle, m noc.Message) {
 	}
 }
 
-func (s *memSource) Deliver(now sim.Cycle, m noc.Message) { s.receive(now, m) }
-
 func (s *memSource) DeliverAt(at sim.Cycle, _ int64, m noc.Message) {
 	s.handed = append(s.handed, at)
 	s.receive(at, m)
@@ -282,7 +273,6 @@ func randomDiffParams(seed uint64) *diffParams {
 		sendUntil: sim.Cycle(300 + rng.Intn(1200)),
 	}
 	for i := 0; i < p.sources; i++ {
-		p.timed = append(p.timed, rng.Intn(2) == 0)
 		p.reads = append(p.reads, []int{50, 90, 99}[rng.Intn(3)])
 		p.block = append(p.block, []int{0, 50, 90, 100}[rng.Intn(4)])
 		p.gap = append(p.gap, 1+rng.Intn(20))
@@ -387,7 +377,7 @@ func compareMemSides(t *testing.T, when string, a, b *memSide) {
 	if got, want := a.model.Undelivered(now), b.model.Undelivered(now); got != want {
 		t.Fatalf("%s: %d requests undelivered at %d, reference %d", when, got, now, want)
 	}
-	if got, want := a.net.Stats(), b.net.Stats(); got != want {
+	if got, want := a.net.Stats(now), b.net.Stats(now); got != want {
 		t.Fatalf("%s: network stats %+v, reference %+v", when, got, want)
 	}
 	for _, logs := range [][2][]string{{a.log, b.log}, {a.faults, b.faults}} {
@@ -418,8 +408,8 @@ func compareMemBoundary(t *testing.T, when string, a, b *memSide) {
 			when, a.e.NextScheduled(a.memID), b.e.NextScheduled(b.memID))
 	}
 	wa, wb = snap.NewEncoder(), snap.NewEncoder()
-	a.net.Walk(wa)
-	b.net.Walk(wb)
+	a.net.Walk(wa, a.e.Now())
+	b.net.Walk(wb, b.e.Now())
 	if !bytes.Equal(wa.Payload(), wb.Payload()) {
 		t.Fatalf("%s: network states differ", when)
 	}

@@ -154,11 +154,14 @@ type Engine struct {
 	inflightN int  // commands launched and awaiting data/ack
 	tags      []tagEntry
 	events    []timedEvent
-	sendSlab  []noc.Message // evSend payloads, indexed by event slot
-	sendFree  []int32       // recycled sendSlab slots
-	nextGen   int64
-	seq       int64
-	stats     Stats
+	// arrivals holds the messages sent to the MFC (GET data, PUT acks),
+	// by (delivery cycle, send order), until its tick on that cycle.
+	arrivals noc.MsgHeap
+	sendSlab []noc.Message // evSend payloads, indexed by event slot
+	sendFree []int32       // recycled sendSlab slots
+	nextGen  int64
+	seq      int64
+	stats    Stats
 
 	// OnTagIdle is called when a tag group drains to zero outstanding
 	// commands; the machine wires it to the LSE.
@@ -207,6 +210,7 @@ func (e *Engine) Reset() {
 	e.inflightN = 0
 	e.tags = e.tags[:0]
 	e.events = e.events[:0]
+	e.arrivals.Reset()
 	for i := range e.sendSlab {
 		e.sendSlab[i] = noc.Message{} // release payload references
 	}
@@ -345,7 +349,7 @@ type Range struct{ Lo, Hi int64 }
 // LiveRanges appends to dst the local-store range of every live
 // command — queued, launched, or awaiting completion — and returns it.
 // The engine touches the local store only inside these ranges: GET data
-// lands in its command's range (Deliver) and PUT packets are read from
+// lands in its command's range (deliver) and PUT packets are read from
 // theirs (launch). Only Enqueue adds a range, and a range goes when its
 // command completes. Hi saturates at math.MaxInt64.
 func (e *Engine) LiveRanges(dst []Range) []Range {
@@ -413,12 +417,15 @@ func (e *Engine) dispatch(now sim.Cycle, ev timedEvent) {
 //
 // Local-store contract (the SPU's kernel window depends on it): the
 // engine reads and writes the local store only inside the range of a
-// live command (LiveRanges) — GET data in Deliver, PUT packets in
+// live command (LiveRanges) — GET data in deliver, PUT packets in
 // launch — and a command is live from Enqueue, which only this SPE's
 // SPU calls, until it completes. An MFC change that touches the store
 // outside a live command's range, or after the command completed, would
 // silently break that proof — don't.
 func (e *Engine) Tick(now sim.Cycle) sim.Cycle {
+	for msg, ok := e.arrivals.PopDue(now); ok; msg, ok = e.arrivals.PopDue(now) {
+		e.deliver(now, msg)
+	}
 	for len(e.events) > 0 && e.events[0].at <= now {
 		ev := sim.HeapPop(&e.events)
 		e.dispatch(now, ev)
@@ -427,9 +434,9 @@ func (e *Engine) Tick(now sim.Cycle) sim.Cycle {
 		e.headBusy = true
 		e.schedule(now+sim.Cycle(e.cfg.CmdLatency), timedEvent{kind: evLaunch, slot: e.queue[0]})
 	}
-	next := sim.Never
+	next := e.arrivals.Earliest()
 	if len(e.events) > 0 {
-		next = e.events[0].at
+		next = min(next, e.events[0].at)
 	}
 	return next
 }
@@ -491,9 +498,23 @@ func (e *Engine) popHead(now sim.Cycle) {
 	}
 }
 
-// Deliver implements noc.Endpoint: data packets for GETs and acks for
-// PUTs arrive here.
-func (e *Engine) Deliver(now sim.Cycle, msg noc.Message) {
+// DeliverAt implements noc.Endpoint: data packets for GETs and acks for
+// PUTs arrive here. The message waits in arrivals, and the MFC wakes on
+// its delivery cycle: DMA data lands in the local store on that cycle,
+// ahead of the SPU's tick (the machine registers each MFC before its
+// SPU). A PUT ack is seen after the LSE's tick of that cycle, so a
+// thread the LSE finishes on it is finished by the ack (TagIdle), not by
+// the LSE's own check of the tag group (Outstanding).
+func (e *Engine) DeliverAt(at sim.Cycle, seq int64, m noc.Message) {
+	e.arrivals.Push(at, seq, m)
+	e.handle.Wake(at)
+}
+
+// Undelivered implements noc.Endpoint.
+func (e *Engine) Undelivered(now sim.Cycle) int { return e.arrivals.Beyond(now) }
+
+// deliver acts on one message on its delivery cycle.
+func (e *Engine) deliver(now sim.Cycle, msg noc.Message) {
 	switch msg.Kind {
 	case noc.KindMemBlockData:
 		cmd, slot := e.lookup(msg.C)
@@ -523,9 +544,6 @@ func (e *Engine) Deliver(now sim.Cycle, msg noc.Message) {
 	default:
 		e.Fault(fmt.Errorf("mfc%d received unexpected %s", e.id, msg))
 	}
-	if e.handle != nil {
-		e.handle.Wake(now + 1)
-	}
 }
 
 func (e *Engine) complete(now sim.Cycle, slot int32) {
@@ -551,5 +569,6 @@ func (e *Engine) complete(now sim.Cycle, slot int32) {
 
 // DumpState implements sim.StateDumper.
 func (e *Engine) DumpState() string {
-	return fmt.Sprintf("queue=%d inflight=%d events=%d", len(e.queue), e.inflightN, len(e.events))
+	return fmt.Sprintf("queue=%d inflight=%d events=%d arrivals=%d%s",
+		len(e.queue), e.inflightN, len(e.events), e.arrivals.Len(), e.arrivals.Describe())
 }

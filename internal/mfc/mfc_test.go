@@ -11,7 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// rig wires an MFC, a local store, a memory and a network into an engine.
+// rig wires an MFC, a local store and a memory, talking over a network,
+// into an engine.
 type rig struct {
 	e     *sim.Engine
 	net   *noc.Network
@@ -30,10 +31,9 @@ func newRig(t *testing.T, mfcCfg Config, memCfg mem.Config) *rig {
 	}
 	r := &rig{e: sim.NewEngine()}
 	r.net = noc.New(noc.DefaultConfig())
-	r.net.Attach(r.e.Register(r.net))
 	r.m = mem.New(memCfg, 100, r.net)
 	r.m.Attach(r.e.Register(r.m))
-	r.net.RegisterTimed(100, r.m)
+	r.net.Register(100, r.m)
 	r.store = ls.New(ls.DefaultConfig())
 	r.mfc = New(mfcCfg, 1, 100, r.net, r.store)
 	r.mfc.Attach(r.e.Register(r.mfc))

@@ -22,7 +22,7 @@ func (e *Engine) CmdLatency() int { return e.cfg.CmdLatency }
 
 // Walk writes or reads the MFC's mutable state: staging channels, the
 // command slab with its free-list and queue, tag groups, pending timer
-// events and statistics. Wiring (endpoints, callbacks, recorder) is
+// events, held arrivals and statistics. Wiring (endpoints, callbacks, recorder) is
 // construction-time and not serialised; a read needs an identically
 // configured MFC.
 func (e *Engine) Walk(c *snap.Codec) {
@@ -71,6 +71,7 @@ func (e *Engine) Walk(c *snap.Codec) {
 			}
 		}
 	})
+	e.arrivals.Walk(c)
 	st := &e.stats
 	for _, p := range []*int64{&e.nextGen, &e.seq, &st.Gets, &st.Puts, &st.BytesIn, &st.BytesOut, &st.QueueFull, &st.TagWaits} {
 		snap.Int(c, p)

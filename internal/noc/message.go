@@ -6,26 +6,18 @@
 //
 // Arbitration is FIFO in send order over identical buses, so a message's
 // bus, grant cycle and delivery cycle are fixed the moment it is sent:
-// Network.Send works them out. What happens next depends on the kind of
-// the destination, fixed when it is registered:
-//
-//   - a ticked endpoint (Register, Endpoint) has its message kept in the
-//     network's delivery heap and handed to Deliver by the network's own
-//     tick on the delivery cycle — one engine event per message. The
-//     network is the engine's first component, so the Deliver runs before
-//     anything else on that cycle; the LSE, MFC, DSE and PPE need that,
-//     because their Deliver acts (writes the local store, moves an inbox
-//     high-water mark or a back-pressure threshold, sends);
-//   - a timed endpoint (RegisterTimed, TimedEndpoint) is handed the
-//     message by Send itself, stamped with its delivery cycle and send
-//     sequence, and consumes it in its own tick at or after that cycle —
-//     no network event at all. Main memory and the SPUs are timed: their
-//     delivery only ever queued the message and asked for a tick, and
-//     between them they take both legs of every blocking READ.
+// Network.Send works them out and hands the message straight to its
+// endpoint (Endpoint.DeliverAt), stamped with its delivery cycle and
+// send sequence. Every receiver — main memory, the SPUs, and the LSE,
+// MFC, DSE and PPE — holds its own arrivals and acts on them in its own
+// tick at or after that cycle, as the paper's units take what the
+// interconnect writes into them. The network itself is not an engine
+// component and posts no event.
 //
 // The tick-driven arbiter all of this replaced — one tick to grant a
 // bus, one to deliver — lives on as the reference model of the package's
-// tests, which hold both endpoint kinds against it.
+// tests, which hold the send-time arbitration and the endpoints' (cycle,
+// sequence) order against it.
 package noc
 
 import "fmt"

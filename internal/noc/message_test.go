@@ -3,8 +3,6 @@ package noc
 import (
 	"testing"
 	"unsafe"
-
-	"repro/internal/sim"
 )
 
 // TestMessageSize pins Message at 72 bytes. A blocking READ copies its
@@ -39,10 +37,8 @@ func TestOccupancyTable(t *testing.T) {
 		for _, payload := range []int{0, 1, 4, 128, len(n.occ) - HeaderBytes - 1, len(n.occ) - HeaderBytes, 1000} {
 			n := New(cfg)
 			n.Register(2, &sink{})
-			runNet(t, n, func(h *sim.Handle) {
-				n.Send(0, Message{Src: 1, Dst: 2, Kind: KindMemBlockData, Data: make([]byte, payload)})
-			}, 1000)
-			if got, want := n.Stats().BusyCycles, int64(cfg.occupancy(HeaderBytes+payload)); got != want {
+			n.Send(0, Message{Src: 1, Dst: 2, Kind: KindMemBlockData, Data: make([]byte, payload)})
+			if got, want := n.Stats(1).BusyCycles, int64(cfg.occupancy(HeaderBytes+payload)); got != want {
 				t.Fatalf("BytesPerCyc %d, %d-byte payload: Send booked %d bus cycles, rule says %d", bpc, payload, got, want)
 			}
 		}

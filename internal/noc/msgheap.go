@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"fmt"
 	"iter"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -24,10 +26,9 @@ func (e timedRef) Before(o timedRef) bool {
 }
 
 // MsgHeap holds messages that each become due at a cycle, earliest
-// first and in sequence order within a cycle. The network's deliveries
-// to ticked endpoints are one, by (delivery cycle, send order); so are
-// the memory's two queues: requests by (delivery cycle, send order),
-// responses by (ready cycle, service order).
+// first and in sequence order within a cycle. An endpoint's arrivals
+// are one, by (delivery cycle, send order); so is the memory's response
+// queue, by (ready cycle, service order).
 //
 // The heap hands out slab slots, not messages, so a message is not
 // copied on its way through: it is copied into its slot once, or built
@@ -86,6 +87,41 @@ func (q *MsgHeap) Pop() (int32, *Message) {
 func (q *MsgHeap) Release(slot int32) {
 	q.slab[slot] = Message{}
 	q.free = append(q.free, slot)
+}
+
+// PopDue removes the earliest entry if it is due at now and returns a
+// copy of its message, for a receiver that takes its arrivals by value;
+// ok is false when nothing is due.
+func (q *MsgHeap) PopDue(now sim.Cycle) (m Message, ok bool) {
+	if !q.Due(now) {
+		return Message{}, false
+	}
+	slot, p := q.Pop()
+	m = *p
+	q.Release(slot)
+	return m, true
+}
+
+// Beyond returns how many entries are filed under a cycle after now: an
+// endpoint's Undelivered, when its arrivals are the heap.
+func (q *MsgHeap) Beyond(now sim.Cycle) int {
+	k := 0
+	for _, ref := range q.refs {
+		if ref.at > now {
+			k++
+		}
+	}
+	return k
+}
+
+// Describe lists every filed message with its cycle, in heap order, for
+// a deadlock report: " [kind from src at cycle]" each.
+func (q *MsgHeap) Describe() string {
+	var b strings.Builder
+	for at, m := range q.All() {
+		fmt.Fprintf(&b, " [%s from %d at %d]", m.Kind, m.Src, at)
+	}
+	return b.String()
 }
 
 // Has reports whether an entry is filed under cycle at. It visits only

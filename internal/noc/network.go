@@ -7,33 +7,22 @@ import (
 	"repro/internal/trace"
 )
 
-// Endpoint is a ticked endpoint (Register): the network keeps its
-// messages and calls Deliver from its own Tick at the delivery cycle, in
-// (delivery cycle, send order). The network is the engine's first
-// component, so a Deliver runs before anything else on that cycle — which
-// is what an endpoint needs when its delivery acts: writes a local store,
-// moves an inbox high-water mark or a back-pressure threshold, or sends.
-type Endpoint interface {
-	Deliver(now sim.Cycle, m Message)
-}
-
-// TimedEndpoint is a timed endpoint (RegisterTimed): one whose delivery
-// would do nothing but queue the message and ask for a tick on the next
-// cycle. A message's delivery cycle is known when it is sent, so Send
-// hands such an endpoint the message on the spot and the network spends
-// no engine event on it; the endpoint must behave exactly as if
-// Deliver(at, m) had run first thing on cycle at, which comes to:
+// Endpoint is a message receiver. A message's delivery cycle is known
+// when it is sent, so Send hands the endpoint the message on the spot
+// and the network spends no engine event on it. The endpoint keeps the
+// message until its own tick on or after the delivery cycle, and that
+// tick acts on it as if the message had just arrived:
 //
-//   - keep the message, ordered by (at, seq) if it can hold several,
-//     and wake itself for at+1 — the tick a Deliver at cycle at would
-//     have asked for;
+//   - keep the message, ordered by (at, seq) if it can hold several
+//     (MsgHeap), and wake for the cycle that first acts on it: at itself
+//     when the endpoint acts on arrival (the MFC writes DMA data into the
+//     local store, the PPE stores the root frame or stops the machine),
+//     at+1 when arrival only queues the message (memory, SPU, LSE, DSE);
 //   - in any Tick(now), treat the messages with at <= now as delivered
-//     and the rest as not there yet (a tick on cycle at itself, due for
-//     some other reason, already sees the message: the network would
-//     have delivered it earlier in that pass);
-//   - never return a next-tick cycle beyond at+1 while it holds an
+//     and the rest as not there yet;
+//   - never return a next-tick cycle beyond that wake while it holds an
 //     undelivered message: a tick in between consumes the engine's one
-//     schedule slot for the component, the at+1 wake included.
+//     schedule slot for the component, the wake included.
 //
 // An endpoint may also act on a message at DeliverAt, ahead of the tick
 // that would have, when nothing can tell the two apart: what the tick
@@ -41,9 +30,7 @@ type Endpoint interface {
 // ends (sim.Engine.SliceEnd), and the endpoint's statistics and
 // Undelivered still count it from that tick's cycle. The memory services
 // a scalar READ this way (mem.Memory).
-//
-// The kind is fixed at registration.
-type TimedEndpoint interface {
+type Endpoint interface {
 	// DeliverAt takes a message at Send time. at is its delivery cycle
 	// (at least MinDeliveryLatency cycles ahead) and seq its position in
 	// the network's send order, the tie-break among equal cycles.
@@ -51,7 +38,7 @@ type TimedEndpoint interface {
 	// Undelivered returns how many messages taken through DeliverAt have
 	// a delivery cycle beyond now. The network asks when its statistics
 	// are read, so that Stats.Messages counts a message from its delivery
-	// cycle on for both endpoint kinds.
+	// cycle on.
 	Undelivered(now sim.Cycle) int
 }
 
@@ -106,24 +93,14 @@ type grant struct {
 	wire int32     // bytes it puts on the bus
 }
 
-// port is one registered endpoint; exactly one of the two is set.
-type port struct {
-	ticked Endpoint
-	timed  TimedEndpoint
-}
-
-func (p port) bound() bool { return p.ticked != nil || p.timed != nil }
-
-// Network is the interconnect component. Arbitration is FIFO in send
-// order and a grant never frees a bus, so everything about a message's
-// transit — grant cycle, bus, occupancy, delivery cycle — is already
-// decided when it is sent. Send computes it and then either hands the
-// message to a timed endpoint, which costs the network no engine event,
-// or files the delivery for a ticked one, whose only network event is
-// the Tick that delivers it.
+// Network is the interconnect. Arbitration is FIFO in send order and a
+// grant never frees a bus, so everything about a message's transit —
+// grant cycle, bus, occupancy, delivery cycle — is already decided when
+// it is sent. Send computes it and hands the message to its endpoint,
+// which holds it until then: the network is not an engine component
+// and has no events of its own.
 type Network struct {
-	cfg    Config
-	handle *sim.Handle
+	cfg Config
 	// occ[w] is cfg.occupancy(w) for every wire size w the machine's
 	// messages have (header, scalar payloads, DMA packets), so Send
 	// divides only for a message past the table's end.
@@ -131,7 +108,7 @@ type Network struct {
 	// eps is a dense slice indexed by endpoint id: the machine allocates
 	// small consecutive ids, and endpoint lookup is on the per-message
 	// hot path.
-	eps []port
+	eps []Endpoint
 	// busFree[i] is the cycle bus i finishes its last booked transfer.
 	busFree []sim.Cycle
 	// grants is a ring (power-of-two capacity, gLen entries from gHead)
@@ -142,7 +119,6 @@ type Network struct {
 	// enters BusyCycles/Bytes when it leaves the ring (settle).
 	grants      []grant
 	gHead, gLen int
-	dels        MsgHeap // sent messages to ticked endpoints, by (delivery cycle, send order)
 	seq         int64
 	stats       Stats
 
@@ -196,8 +172,7 @@ func (n *Network) PutBuf(b []byte) {
 	n.bufs = append(n.bufs, b)
 }
 
-// New creates a network with the given configuration; Attach must be
-// called with the engine handle before use.
+// New creates a network with the given configuration.
 func New(cfg Config) *Network {
 	if cfg.Buses <= 0 || cfg.BytesPerCyc <= 0 {
 		panic("noc: non-positive bus configuration")
@@ -225,42 +200,27 @@ func (n *Network) occupancy(wire int) sim.Cycle {
 	return n.cfg.occupancy(wire)
 }
 
-// Name implements sim.Component.
-func (n *Network) Name() string { return "noc" }
-
-// Attach stores the engine wake handle.
-func (n *Network) Attach(h *sim.Handle) { n.handle = h }
-
-// Register binds an endpoint id to a ticked receiver.
+// Register binds an endpoint id to its receiver.
 func (n *Network) Register(id int, ep Endpoint) {
-	n.bind(id, port{ticked: ep})
-}
-
-// RegisterTimed binds an endpoint id to a timed receiver.
-func (n *Network) RegisterTimed(id int, ep TimedEndpoint) {
-	n.bind(id, port{timed: ep})
-}
-
-func (n *Network) bind(id int, p port) {
 	if id < 0 {
 		panic(fmt.Sprintf("noc: negative endpoint %d", id))
 	}
-	if !p.bound() {
+	if ep == nil {
 		panic(fmt.Sprintf("noc: nil endpoint %d", id))
 	}
 	for id >= len(n.eps) {
-		n.eps = append(n.eps, port{})
+		n.eps = append(n.eps, nil)
 	}
-	if n.eps[id].bound() {
+	if n.eps[id] != nil {
 		panic(fmt.Sprintf("noc: duplicate endpoint %d", id))
 	}
-	n.eps[id] = p
+	n.eps[id] = ep
 }
 
-// endpoint resolves an id; the zero port when unregistered.
-func (n *Network) endpoint(id int) port {
+// endpoint resolves an id; nil when unregistered.
+func (n *Network) endpoint(id int) Endpoint {
 	if id < 0 || id >= len(n.eps) {
-		return port{}
+		return nil
 	}
 	return n.eps[id]
 }
@@ -283,24 +243,13 @@ func (n *Network) settle(now sim.Cycle) {
 	}
 }
 
-// settleToClock settles against the engine clock, for the readers that
-// have no cycle of their own to pass, and returns that cycle.
-func (n *Network) settleToClock() sim.Cycle {
-	var now sim.Cycle
-	if e := n.handle.Engine(); e != nil {
-		now = e.Now()
-		n.settle(now)
-	}
-	return now
-}
-
-// undelivered counts the messages handed to timed endpoints whose
-// delivery cycle is beyond now.
+// undelivered counts the messages handed to endpoints whose delivery
+// cycle is beyond now.
 func (n *Network) undelivered(now sim.Cycle) int {
 	k := 0
-	for _, p := range n.eps {
-		if p.timed != nil {
-			k += p.timed.Undelivered(now)
+	for _, ep := range n.eps {
+		if ep != nil {
+			k += ep.Undelivered(now)
 		}
 	}
 	return k
@@ -319,13 +268,10 @@ func (n *Network) pushGrant(g grant) {
 	n.gLen++
 }
 
-// Stats returns a copy of the statistics as of the engine's current
-// cycle: bookings granted and messages delivered at or before it. (On a
-// cycle the engine has reached but not run yet, the ticked deliveries of
-// that cycle are still to come and the timed ones already count; a run
-// is read at its stop cycle, which has run.)
-func (n *Network) Stats() Stats {
-	now := n.settleToClock()
+// Stats returns a copy of the statistics as of cycle now, the engine's
+// clock: bookings granted and messages delivered at or before it.
+func (n *Network) Stats(now sim.Cycle) Stats {
+	n.settle(now)
 	st := n.stats
 	st.Messages -= int64(n.undelivered(now))
 	return st
@@ -336,7 +282,6 @@ func (n *Network) Stats() Stats {
 // kept.
 func (n *Network) Reset() {
 	n.gHead, n.gLen = 0, 0
-	n.dels.Reset()
 	for i := range n.busFree {
 		n.busFree[i] = 0
 	}
@@ -356,13 +301,12 @@ func (n *Network) Reset() {
 //	delivery = grant + occupancy + HopLatency
 //
 // Queue depth is what such an arbiter's sender sees: this message plus
-// the earlier ones whose grant cycle is still ahead of now. That is
-// exact because the network is the engine's first component — by the
-// time anything sends at cycle now, the grants of cycle now have
-// happened (the machine asserts the registration index).
+// the earlier ones whose grant cycle is still ahead of now. (The
+// arbiter grants at the start of a cycle, before that cycle's sends, so
+// the bookings granted at now have left the queue.)
 func (n *Network) Send(now sim.Cycle, m Message) {
 	dst := n.endpoint(int(m.Dst))
-	if !dst.bound() {
+	if dst == nil {
 		panic(fmt.Sprintf("noc: send to unregistered endpoint: %s", m))
 	}
 	n.settle(now)
@@ -385,40 +329,8 @@ func (n *Network) Send(now sim.Cycle, m Message) {
 		n.Rec.NoC(int(m.Src), int(m.Dst), uint8(m.Kind), wire, now, at)
 	}
 	n.seq++
-	if dst.timed != nil {
-		// Counted here, at the hand-over; Stats takes back the ones whose
-		// delivery cycle the clock has not reached.
-		n.stats.Messages++
-		dst.timed.DeliverAt(at, n.seq, m)
-		return
-	}
-	// The network is always scheduled for its earliest delivery (Tick
-	// returns it), so only a new earliest needs a wake.
-	if at < n.dels.Earliest() {
-		n.handle.Wake(at)
-	}
-	n.dels.Push(at, n.seq, m)
-}
-
-// Tick completes the deliveries to ticked endpoints due at now, in
-// (delivery cycle, send order) — a Send made by an endpoint from inside
-// Deliver lands at least MinDeliveryLatency cycles ahead and never joins
-// the loop that made it — and returns the next delivery cycle.
-func (n *Network) Tick(now sim.Cycle) sim.Cycle {
-	for n.dels.Due(now) {
-		// Copied out and released first: Deliver may Send, which may move
-		// the slab.
-		slot, m := n.dels.Pop()
-		msg := *m
-		n.dels.Release(slot)
-		n.stats.Messages++
-		n.eps[msg.Dst].ticked.Deliver(now, msg)
-	}
-	return n.dels.Earliest()
-}
-
-// DumpState implements sim.StateDumper.
-func (n *Network) DumpState() string {
-	now := n.settleToClock()
-	return fmt.Sprintf("queued=%d in-flight=%d", n.gLen, n.dels.Len()+n.undelivered(now)-n.gLen)
+	// Counted here, at the hand-over; Stats takes back the ones whose
+	// delivery cycle the clock has not reached.
+	n.stats.Messages++
+	dst.DeliverAt(at, n.seq, m)
 }

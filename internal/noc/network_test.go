@@ -2,7 +2,6 @@ package noc
 
 import (
 	"bytes"
-	"cmp"
 	"slices"
 	"testing"
 
@@ -10,52 +9,39 @@ import (
 	"repro/internal/snap"
 )
 
-// sink records deliveries.
+// sink records what it is handed, in (delivery cycle, send order): the
+// order in which an endpoint that acts on its arrivals takes them.
 type sink struct {
 	got []Message
 	at  []sim.Cycle
+	seq []int64
 }
 
-func (s *sink) Deliver(now sim.Cycle, m Message) {
-	s.got = append(s.got, m)
-	s.at = append(s.at, now)
-}
-
-// runNet drives a network alone in an engine until quiescent.
-func runNet(t *testing.T, n *Network, inject func(h *sim.Handle), until sim.Cycle) {
-	t.Helper()
-	e := sim.NewEngine()
-	h := e.Register(n)
-	n.Attach(h)
-	inject(h)
-	stop := &stopAt{e: e, when: until}
-	e.Register(stop)
-	if _, err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
+func (s *sink) DeliverAt(at sim.Cycle, seq int64, m Message) {
+	i := len(s.at)
+	for i > 0 && (s.at[i-1] > at || s.at[i-1] == at && s.seq[i-1] > seq) {
+		i--
 	}
+	s.got = slices.Insert(s.got, i, m)
+	s.at = slices.Insert(s.at, i, at)
+	s.seq = slices.Insert(s.seq, i, seq)
 }
 
-type stopAt struct {
-	e    *sim.Engine
-	when sim.Cycle
-}
-
-func (s *stopAt) Name() string { return "stop" }
-func (s *stopAt) Tick(now sim.Cycle) sim.Cycle {
-	if now >= s.when {
-		s.e.Stop()
-		return sim.Never
+func (s *sink) Undelivered(now sim.Cycle) int {
+	k := 0
+	for _, at := range s.at {
+		if at > now {
+			k++
+		}
 	}
-	return s.when
+	return k
 }
 
 func TestSingleMessageTiming(t *testing.T) {
 	n := New(Config{Buses: 1, BytesPerCyc: 8, HopLatency: 4})
 	dst := &sink{}
 	n.Register(9, dst)
-	runNet(t, n, func(h *sim.Handle) {
-		n.Send(0, Message{Src: 1, Dst: 9, Kind: KindFrameStore, A: 7})
-	}, 100)
+	n.Send(0, Message{Src: 1, Dst: 9, Kind: KindFrameStore, A: 7})
 	if len(dst.got) != 1 {
 		t.Fatalf("delivered %d messages, want 1", len(dst.got))
 	}
@@ -63,8 +49,10 @@ func TestSingleMessageTiming(t *testing.T) {
 	if dst.at[0] != 7 {
 		t.Fatalf("delivered at %d, want 7", dst.at[0])
 	}
-	st := n.Stats()
-	if st.Messages != 1 || st.Bytes != 16 || st.BusyCycles != 2 {
+	if st := n.Stats(6); st.Messages != 0 || st.Bytes != 16 || st.BusyCycles != 2 {
+		t.Fatalf("stats before the delivery cycle = %+v", st)
+	}
+	if st := n.Stats(7); st.Messages != 1 || st.Bytes != 16 || st.BusyCycles != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -73,9 +61,7 @@ func TestPayloadExtendsOccupancy(t *testing.T) {
 	n := New(Config{Buses: 1, BytesPerCyc: 8, HopLatency: 0})
 	dst := &sink{}
 	n.Register(2, dst)
-	runNet(t, n, func(h *sim.Handle) {
-		n.Send(0, Message{Src: 1, Dst: 2, Kind: KindMemBlockData, Data: make([]byte, 128)})
-	}, 200)
+	n.Send(0, Message{Src: 1, Dst: 2, Kind: KindMemBlockData, Data: make([]byte, 128)})
 	// (16+128)/8 = 18 cycles occupancy, granted at 1 => delivered 19.
 	if dst.at[0] != 19 {
 		t.Fatalf("delivered at %d, want 19", dst.at[0])
@@ -86,11 +72,9 @@ func TestBusContentionSerialises(t *testing.T) {
 	n := New(Config{Buses: 1, BytesPerCyc: 8, HopLatency: 0})
 	dst := &sink{}
 	n.Register(2, dst)
-	runNet(t, n, func(h *sim.Handle) {
-		for i := 0; i < 4; i++ {
-			n.Send(0, Message{Src: 1, Dst: 2, Kind: KindFrameStore, B: int64(i)})
-		}
-	}, 100)
+	for i := 0; i < 4; i++ {
+		n.Send(0, Message{Src: 1, Dst: 2, Kind: KindFrameStore, B: int64(i)})
+	}
 	if len(dst.got) != 4 {
 		t.Fatalf("delivered %d, want 4", len(dst.got))
 	}
@@ -107,11 +91,9 @@ func TestParallelBusesOverlap(t *testing.T) {
 	n := New(Config{Buses: 4, BytesPerCyc: 8, HopLatency: 0})
 	dst := &sink{}
 	n.Register(2, dst)
-	runNet(t, n, func(h *sim.Handle) {
-		for i := 0; i < 4; i++ {
-			n.Send(0, Message{Src: 1, Dst: 2, Kind: KindFrameStore, B: int64(i)})
-		}
-	}, 100)
+	for i := 0; i < 4; i++ {
+		n.Send(0, Message{Src: 1, Dst: 2, Kind: KindFrameStore, B: int64(i)})
+	}
 	// Four buses: all four delivered at cycle 3.
 	for i, at := range dst.at {
 		if at != 3 {
@@ -128,13 +110,11 @@ func TestAllMessagesDeliveredNoDuplicates(t *testing.T) {
 	}
 	const total = 300
 	rng := sim.NewRand(99)
-	runNet(t, n, func(h *sim.Handle) {
-		for i := 0; i < total; i++ {
-			dst := 10 + rng.Intn(3)
-			n.Send(0, Message{Src: 1, Dst: int32(dst), Kind: KindFrameStore, B: int64(i),
-				Data: make([]byte, rng.Intn(120))})
-		}
-	}, 100000)
+	for i := 0; i < total; i++ {
+		dst := 10 + rng.Intn(3)
+		n.Send(0, Message{Src: 1, Dst: int32(dst), Kind: KindFrameStore, B: int64(i),
+			Data: make([]byte, rng.Intn(120))})
+	}
 	seen := make(map[int64]bool)
 	count := 0
 	for _, s := range sinks {
@@ -160,13 +140,11 @@ func TestBandwidthBound(t *testing.T) {
 	n.Register(2, dst)
 	const msgs = 64
 	var bytes int64
-	runNet(t, n, func(h *sim.Handle) {
-		for i := 0; i < msgs; i++ {
-			m := Message{Src: 1, Dst: 2, Kind: KindMemBlockData, Data: make([]byte, 112)}
-			bytes += int64(m.WireSize())
-			n.Send(0, m)
-		}
-	}, 100000)
+	for i := 0; i < msgs; i++ {
+		m := Message{Src: 1, Dst: 2, Kind: KindMemBlockData, Data: make([]byte, 112)}
+		bytes += int64(m.WireSize())
+		n.Send(0, m)
+	}
 	last := dst.at[len(dst.at)-1]
 	minCycles := bytes / int64(cfg.Buses*cfg.BytesPerCyc)
 	if int64(last) < minCycles {
@@ -204,18 +182,10 @@ func TestDeterministicDeliveryOrder(t *testing.T) {
 		n := New(DefaultConfig())
 		dst := &sink{}
 		n.Register(5, dst)
-		e := sim.NewEngine()
-		h := e.Register(n)
-		n.Attach(h)
 		rng := sim.NewRand(7)
 		for i := 0; i < 100; i++ {
 			n.Send(0, Message{Src: int32(rng.Intn(4)), Dst: 5, Kind: KindFrameStore,
 				B: int64(i), Data: make([]byte, rng.Intn(64))})
-		}
-		st := &stopAt{e: e, when: 10000}
-		e.Register(st)
-		if _, err := e.Run(0); err != nil {
-			panic(err)
 		}
 		var order []int64
 		for _, m := range dst.got {
@@ -250,10 +220,7 @@ func TestMinDeliveryLatency(t *testing.T) {
 		n.Register(1, dst)
 		n.Register(2, &sink{})
 		var sentAt sim.Cycle = 3
-		runNet(t, n, func(h *sim.Handle) {
-			n.Send(sentAt, Message{Src: 2, Dst: 1, Kind: KindMemRead32})
-			h.Wake(sentAt)
-		}, 100)
+		n.Send(sentAt, Message{Src: 2, Dst: 1, Kind: KindMemRead32})
 		if len(dst.got) != 1 {
 			t.Fatalf("cfg %+v: delivered %d messages, want 1", cfg, len(dst.got))
 		}
@@ -338,70 +305,57 @@ type delivery struct {
 
 const (
 	diffSinks = 6 // endpoints 0..5 only log
-	diffEcho  = 6 // endpoint that sends from inside Deliver, as the PPE does
+	diffEcho  = 6 // endpoint that sends on the delivery cycle, as the PPE does
 	diffTail  = 15
-	// diffTicked: the sinks below it are always ticked endpoints. Of the
-	// others, 5 is always timed, and 3 and 4 are by the schedule's seed.
-	diffTicked = 3
 )
 
-// handed is one message a timed endpoint was given at Send.
-type handed struct {
-	at   sim.Cycle // delivery cycle
-	seq  int64     // network send order
-	id   int64     // the message's B field
-	done bool      // a tick at or after `at` has consumed it
+// holder is an endpoint the way the machine's are: it holds what it is
+// handed in a MsgHeap, wakes lag cycles after each delivery cycle (0
+// for one that acts on arrival, 1 for one that only queues), and its
+// tick takes what has been delivered by then, in (delivery cycle, send
+// order), and re-arms for the rest. It fails the test if a message
+// waits past its wake. With act set, taking a message calls it.
+type holder struct {
+	t    *testing.T
+	h    *sim.Handle
+	lag  sim.Cycle
+	act  func(now sim.Cycle, m Message)
+	held MsgHeap
+	got  []delivery // taken, in order; at is the delivery cycle
 }
 
-// timedSink is a timed endpoint that keeps what it is handed and follows
-// the TimedEndpoint contract the way the memory does: a wake for the
-// cycle after each delivery, every tick consuming what has been
-// delivered by then and re-arming for the rest. It fails the test if a
-// message waits past the cycle after its delivery.
-type timedSink struct {
-	t   *testing.T
-	h   *sim.Handle
-	got []handed
+func (s *holder) Name() string { return "holder" }
+
+func (s *holder) DeliverAt(at sim.Cycle, seq int64, m Message) {
+	s.held.Push(at, seq, m)
+	s.h.Wake(at + s.lag)
 }
 
-func (s *timedSink) Name() string { return "timed-sink" }
+func (s *holder) Undelivered(now sim.Cycle) int { return s.held.Beyond(now) }
 
-func (s *timedSink) DeliverAt(at sim.Cycle, seq int64, m Message) {
-	s.got = append(s.got, handed{at: at, seq: seq, id: m.B})
-	s.h.Wake(at + 1)
-}
-
-func (s *timedSink) Undelivered(now sim.Cycle) int {
-	k := 0
-	for _, h := range s.got {
-		if h.at > now {
-			k++
+func (s *holder) Tick(now sim.Cycle) sim.Cycle {
+	for s.held.Due(now) {
+		at := s.held.Earliest()
+		m, _ := s.held.PopDue(now)
+		if now > at+s.lag {
+			s.t.Fatalf("message %d, delivered at %d, was still waiting at %d", m.B, at, now)
+		}
+		s.got = append(s.got, delivery{at, m.B, int(m.Dst)})
+		if s.act != nil {
+			s.act(now, m)
 		}
 	}
-	return k
-}
-
-func (s *timedSink) Tick(now sim.Cycle) sim.Cycle {
-	next := sim.Never
-	for i := range s.got {
-		h := &s.got[i]
-		switch {
-		case h.done:
-		case h.at > now:
-			next = min(next, h.at+1)
-		case now > h.at+1:
-			s.t.Fatalf("message %d, delivered at %d, was still waiting at %d", h.id, h.at, now)
-		default:
-			h.done = true
-		}
+	if s.held.Len() == 0 {
+		return sim.Never
 	}
-	return next
+	return s.held.Earliest() + s.lag
 }
 
 // diffDriver feeds one random schedule to the network (through the
-// engine, registered behind it like every real sender) and to the
-// reference model, and compares them after every cycle. It ticks every
-// cycle from 0, so cycle c is also the index of its c-th record.
+// engine, registered behind the echo endpoint as the machine's senders
+// are behind the PPE) and to the reference model, and compares them
+// after every cycle. It ticks every cycle from 0, so cycle c is also the
+// index of its c-th record.
 type diffDriver struct {
 	t     *testing.T
 	e     *sim.Engine
@@ -412,12 +366,10 @@ type diffDriver struct {
 	burst int // cycles left in the current run of back-to-back sends
 
 	nextID   int64
-	timed    [diffSinks]*timedSink // non-nil for the sinks registered as timed
-	gotNet   []delivery            // deliveries to the ticked endpoints
-	gotRef   []delivery            // the model's deliveries, to all endpoints
-	sentAt   map[int64]sim.Cycle   // message id -> send cycle
-	backlog  int                   // compared cycles on which the model still had a queue
-	payloads [129][]byte           // shared zero payloads by length
+	eps      [diffEcho + 1]*holder
+	gotRef   []delivery // the model's deliveries, to all endpoints
+	backlog  int        // compared cycles on which the model still had a queue
+	payloads [129][]byte
 }
 
 func (d *diffDriver) Name() string { return "driver" }
@@ -434,9 +386,9 @@ func (d *diffDriver) message() Message {
 		B: d.nextID, Data: d.payloads[size]}
 }
 
-// echoes are the follow-ups the echo endpoint sends from inside Deliver
-// for message id: up to three, derived from the id so the network's and
-// the model's copies agree without sharing the generator.
+// echoes are the follow-ups the echo endpoint sends on the delivery
+// cycle of message id: up to three, derived from the id so the
+// network's and the model's copies agree without sharing the generator.
 func echoes(id int64) []Message {
 	if id >= 1<<32 {
 		return nil // an echo is not echoed again
@@ -449,19 +401,7 @@ func echoes(id int64) []Message {
 	return out
 }
 
-// Deliver is the network's side: every endpoint logs, the echo endpoint
-// also sends.
-func (d *diffDriver) Deliver(now sim.Cycle, m Message) {
-	d.gotNet = append(d.gotNet, delivery{now, m.B, int(m.Dst)})
-	if m.Dst == diffEcho {
-		for _, f := range echoes(m.B) {
-			d.sentAt[f.B] = now
-			d.n.Send(now, f)
-		}
-	}
-}
-
-// refDeliver is the model's side of the same endpoints.
+// refDeliver is the model's side of the endpoints.
 func (d *diffDriver) refDeliver(now sim.Cycle, m Message) {
 	d.gotRef = append(d.gotRef, delivery{now, m.B, int(m.Dst)})
 	if m.Dst == diffEcho {
@@ -472,8 +412,8 @@ func (d *diffDriver) refDeliver(now sim.Cycle, m Message) {
 }
 
 func (d *diffDriver) Tick(now sim.Cycle) sim.Cycle {
-	// The network (component 0) has already ticked at now if it had a
-	// delivery due; the model ticks every cycle.
+	// The echo endpoint (component 0) has already ticked at now if it had
+	// a delivery due; the model ticks every cycle.
 	d.ref.tick(now, d.refDeliver)
 	sends := 0
 	switch {
@@ -489,11 +429,10 @@ func (d *diffDriver) Tick(now sim.Cycle) sim.Cycle {
 	}
 	for i := 0; i < sends; i++ {
 		m := d.message()
-		d.sentAt[m.B] = now
 		d.n.Send(now, m)
 		d.ref.send(now, m)
 	}
-	if got, want := d.n.Stats(), d.ref.stats; got != want {
+	if got, want := d.n.Stats(now), d.ref.stats; got != want {
 		d.t.Fatalf("cycle %d: stats %+v, model %+v", now, got, want)
 	}
 	if len(d.ref.queue) > 0 {
@@ -507,43 +446,46 @@ func (d *diffDriver) Tick(now sim.Cycle) sim.Cycle {
 }
 
 // TestSendTimeArbitrationMatchesTickDrivenModel drives random schedules
-// through the network and the reference arbiter, some of the endpoints
-// timed and the rest ticked. The facts the equivalence rests on each
-// fail it when broken: queue depth read off the send cycle
-// (Stats.MaxQueue, every cycle), BusyCycles/Bytes counted from the grant
-// and not from the Send (Stats, every cycle, and once more after a stop
-// that leaves messages ungranted), Messages counted from the delivery
-// cycle whether the network delivers the message or handed it over at
-// the Send (the same reads of Stats; the stop also leaves handed-over
-// messages short of their delivery cycle), and deliveries in (delivery
-// cycle, send order), also for a Send made during Deliver — for a timed
-// endpoint, the cycle and sequence number it is handed with each
-// message must sort its messages into the model's delivery order.
+// through the network and the reference arbiter. Every endpoint holds
+// what it is handed and takes it on its own tick, as the machine's do:
+// six only log, a cycle after each delivery, and one acts on the
+// delivery cycle itself and sends from there, as the PPE does. The facts
+// the equivalence rests on each fail it when broken: queue depth read
+// off the send cycle (Stats.MaxQueue, every cycle), BusyCycles/Bytes
+// counted from the grant and not from the Send (Stats, every cycle, and
+// once more after a stop that leaves messages ungranted), Messages
+// counted from the delivery cycle although the network hands every
+// message over at the Send (the same reads of Stats; the stop also
+// leaves handed-over messages short of their delivery cycle), and
+// deliveries in (delivery cycle, send order), also for a Send made on a
+// delivery cycle: the cycle and sequence number an endpoint is handed
+// with each message must sort its messages into the model's delivery
+// order.
 func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := sim.NewRand(seed)
 		cfg := Config{Buses: 1 + rng.Intn(4), BytesPerCyc: 8, HopLatency: rng.Intn(5)}
 		d := &diffDriver{t: t, e: sim.NewEngine(), n: New(cfg), rng: rng,
-			ref:    &refNet{cfg: cfg, busFree: make([]sim.Cycle, cfg.Buses)},
-			until:  sim.Cycle(300 + rng.Intn(300)),
-			sentAt: make(map[int64]sim.Cycle)}
+			ref:   &refNet{cfg: cfg, busFree: make([]sim.Cycle, cfg.Buses)},
+			until: sim.Cycle(300 + rng.Intn(300))}
 		for i := range d.payloads {
 			d.payloads[i] = make([]byte, i)
 		}
-		for ep := 0; ep <= diffEcho; ep++ {
-			if ep >= diffTicked && (ep == 5 || ep != diffEcho && rng.Intn(2) == 0) {
-				d.timed[ep] = &timedSink{t: t}
-				d.n.RegisterTimed(ep, d.timed[ep])
-				continue
+		echo := &holder{t: t, act: func(now sim.Cycle, m Message) {
+			for _, f := range echoes(m.B) {
+				d.n.Send(now, f)
 			}
-			d.n.Register(ep, d)
-		}
-		d.n.Attach(d.e.Register(d.n))
+		}}
+		echo.h = d.e.Register(echo)
 		d.e.Register(d)
-		for _, sink := range d.timed {
-			if sink != nil {
-				sink.h = d.e.Register(sink)
+		for ep := range d.eps {
+			if ep == diffEcho {
+				d.eps[ep] = echo
+			} else {
+				d.eps[ep] = &holder{t: t, lag: 1}
+				d.eps[ep].h = d.e.Register(d.eps[ep])
 			}
+			d.n.Register(ep, d.eps[ep])
 		}
 
 		stopped, err := d.e.Run(0)
@@ -556,7 +498,7 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 		if d.n.undelivered(stopped) == 0 {
 			t.Fatalf("seed %d: stopped at %d with no handed-over message short of its delivery", seed, stopped)
 		}
-		if got, want := d.n.Stats(), d.ref.stats; got != want {
+		if got, want := d.n.Stats(stopped), d.ref.stats; got != want {
 			t.Fatalf("seed %d: stopped at %d with %d ungranted: stats %+v, model %+v",
 				seed, stopped, len(d.ref.queue), got, want)
 		}
@@ -570,158 +512,118 @@ func TestSendTimeArbitrationMatchesTickDrivenModel(t *testing.T) {
 		for now := stopped + 1; len(d.ref.queue)+len(d.ref.dels) > 0; now++ {
 			d.ref.tick(now, d.refDeliver)
 		}
-		// The model's log splits into what the network delivered itself
-		// and, per timed endpoint, what it handed over.
-		var refTicked []delivery
-		var refTimed [diffSinks][]delivery
+		var refGot [diffEcho + 1][]delivery
 		for _, del := range d.gotRef {
-			if del.dst < diffSinks && d.timed[del.dst] != nil {
-				refTimed[del.dst] = append(refTimed[del.dst], del)
-			} else {
-				refTicked = append(refTicked, del)
-			}
+			refGot[del.dst] = append(refGot[del.dst], del)
 		}
-		if len(d.gotNet) != len(refTicked) || len(d.gotNet) < 100 {
-			t.Fatalf("seed %d: %d deliveries, model %d", seed, len(d.gotNet), len(refTicked))
-		}
-		for i := range d.gotNet {
-			if d.gotNet[i] != refTicked[i] {
-				t.Fatalf("seed %d: delivery %d is %+v, model %+v", seed, i, d.gotNet[i], refTicked[i])
+		for ep, h := range d.eps {
+			if len(h.got) != len(refGot[ep]) || len(h.got) < 20 {
+				t.Fatalf("seed %d: endpoint %d took %d messages, model delivered %d", seed, ep, len(h.got), len(refGot[ep]))
 			}
-		}
-		for ep, sink := range d.timed {
-			if sink == nil {
-				continue
-			}
-			got := slices.Clone(sink.got)
-			slices.SortFunc(got, func(a, b handed) int {
-				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
-			})
-			if len(got) != len(refTimed[ep]) || len(got) < 20 {
-				t.Fatalf("seed %d: timed endpoint %d was handed %d messages, model delivered %d", seed, ep, len(got), len(refTimed[ep]))
-			}
-			for i, h := range got {
-				if want := refTimed[ep][i]; h.at != want.at || h.id != want.id || !h.done {
-					t.Fatalf("seed %d: timed endpoint %d: message %d in (cycle, send order) is id %d at %d (consumed: %v), model id %d at %d",
-						seed, ep, i, h.id, h.at, h.done, want.id, want.at)
+			for i, got := range h.got {
+				if want := refGot[ep][i]; got != want {
+					t.Fatalf("seed %d: endpoint %d: message %d in (cycle, send order) is id %d at %d, model id %d at %d",
+						seed, ep, i, got.id, got.at, want.id, want.at)
 				}
 			}
 		}
-		if got, want := d.n.Stats(), d.ref.stats; got != want {
+		if got, want := d.n.Stats(d.e.Now()), d.ref.stats; got != want {
 			t.Fatalf("seed %d: drained: stats %+v, model %+v", seed, got, want)
 		}
-
 	}
 }
 
 // TestSnapshotRoundTripWithFutureGrants snapshots a backlogged network —
 // some messages on their bus, some whose grant cycle is still ahead,
-// none of which the tick-driven arbiter would have looked at yet, and one
-// handed to a timed endpoint (whose state is its own to save: the test
-// copies it) — and requires the restored copy to finish exactly like the
-// original: deliveries, statistics, and the statistics on the way (the
-// ungranted ones and the one short of its delivery cycle must not be
-// counted early on either side).
+// none of which the tick-driven arbiter would have looked at yet — and
+// requires the restored copy, with its endpoints restored from the held
+// messages they saved, to finish exactly like the original: deliveries,
+// statistics, and the statistics on the way (the ungranted ones and the
+// ones short of their delivery cycle must not be counted early on
+// either side).
 func TestSnapshotRoundTripWithFutureGrants(t *testing.T) {
-	build := func() (*Network, *sink, *timedSink, *sim.Engine) {
+	build := func() (*Network, *holder, *holder, *sim.Engine) {
 		n := New(Config{Buses: 1, BytesPerCyc: 8, HopLatency: 2})
-		dst, timed := &sink{}, &timedSink{t: t}
-		n.Register(1, dst)
-		n.RegisterTimed(3, timed)
 		e := sim.NewEngine()
-		n.Attach(e.Register(n))
-		timed.h = e.Register(timed)
-		return n, dst, timed, e
+		dst, late := &holder{t: t}, &holder{t: t, lag: 1}
+		dst.h, late.h = e.Register(dst), e.Register(late)
+		n.Register(1, dst)
+		n.Register(3, late)
+		return n, dst, late, e
 	}
-	orig, origDst, origTimed, e := build()
+	walk := func(c *snap.Codec, e *sim.Engine, n *Network, eps ...*holder) {
+		e.Walk(c)
+		n.Walk(c, e.Now())
+		for _, h := range eps {
+			h.held.Walk(c)
+		}
+	}
+	orig, origDst, origLate, e := build()
 	for i := 0; i < 6; i++ { // 8-cycle occupancy each: grants at 1, 9, 17, 25, 33, 41
 		orig.Send(0, Message{Src: 2, Dst: 1, Kind: KindMemBlockData, B: int64(i), Data: make([]byte, 48)})
 	}
 	orig.Send(0, Message{Src: 2, Dst: 3, Kind: KindMemRead32, B: 7}) // granted at 49, delivered at 53
-	if len(origTimed.got) != 1 || origTimed.got[0].at != 53 {
-		t.Fatalf("the timed endpoint was handed %+v at the Send, want one message for cycle 53", origTimed.got)
+	if origLate.held.Len() != 1 || origLate.held.Earliest() != 53 {
+		t.Fatalf("endpoint 3 was handed %d messages at the Send, the first for %d; want one for cycle 53",
+			origLate.held.Len(), origLate.held.Earliest())
 	}
 	if at, st := e.RunUntil(20); st != sim.RunBudget || at != 27 {
 		t.Fatalf("RunUntil(20) = %d, %v; want the third delivery's cycle 27", at, st)
 	}
-	mid := Stats{Messages: 2, Bytes: 4 * 64, BusyCycles: 4 * 8, MaxQueue: 7}
-	if got := orig.Stats(); got != mid {
+	mid := Stats{Messages: 3, Bytes: 4 * 64, BusyCycles: 4 * 8, MaxQueue: 7}
+	if got := orig.Stats(27); got != mid {
 		t.Fatalf("stats at the snapshot = %+v, want %+v (grants at 33, 41 and 49 lie ahead)", got, mid)
 	}
-	// Three wait for the bus — the handed-over one among them — and two
-	// are past their grant and short of their delivery.
-	if got := orig.DumpState(); got != "queued=3 in-flight=2" {
-		t.Fatalf("DumpState at the snapshot = %q", got)
+	// Endpoint 1 took the deliveries of 11 and 19 and holds four more,
+	// the one of 27 among them: the engine has reached 27 but not run it.
+	if origDst.held.Len() != 4 || len(origDst.got) != 2 {
+		t.Fatalf("endpoint 1 holds %d and took %d, want 4 and 2", origDst.held.Len(), len(origDst.got))
 	}
 	w := snap.NewEncoder()
-	e.Walk(w)
-	orig.Walk(w)
+	walk(w, e, orig, origDst, origLate)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	cp, cpDst, cpTimed, e2 := build()
-	cpTimed.got = slices.Clone(origTimed.got)
+	cp, cpDst, cpLate, e2 := build()
 	r := snap.NewDecoder(w.Payload())
-	e2.Walk(r)
-	cp.Walk(r)
+	walk(r, e2, cp, cpDst, cpLate)
 	if err := r.ExpectEOF(); err != nil {
 		t.Fatal(err)
 	}
 	w2 := snap.NewEncoder()
-	e2.Walk(w2)
-	cp.Walk(w2)
+	walk(w2, e2, cp, cpDst, cpLate)
 	if err := w2.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(w.Payload(), w2.Payload()) {
 		t.Fatal("a restored network snapshots differently")
 	}
-	if got := cp.Stats(); got != mid {
+	if got := cp.Stats(e2.Now()); got != mid {
 		t.Fatalf("restored stats = %+v, want %+v", got, mid)
 	}
 	// A send after the restore queues behind the restored bookings.
 	late := Message{Src: 2, Dst: 1, Kind: KindMemRead32, B: 6}
 	orig.Send(27, late)
 	cp.Send(27, late)
-	if st := cp.Stats(); st.MaxQueue != 7 || st != orig.Stats() {
-		t.Fatalf("after a late send: restored %+v, original %+v", st, orig.Stats())
+	if st := cp.Stats(27); st.MaxQueue != 7 || st != orig.Stats(27) {
+		t.Fatalf("after a late send: restored %+v, original %+v", st, orig.Stats(27))
 	}
 	e.RunUntil(sim.Never)
 	e2.RunUntil(sim.Never)
 	want := []sim.Cycle{27, 35, 43, 51, 55} // the late one: granted at 51, 2 cycles, hop 2
-	if len(cpDst.at) != len(want) || len(origDst.at) != 2+len(want) {
-		t.Fatalf("deliveries after the snapshot: restored %v, original %v", cpDst.at, origDst.at)
+	if len(cpDst.got) != len(want) || len(origDst.got) != 2+len(want) {
+		t.Fatalf("deliveries after the snapshot: restored %v, original %v", cpDst.got, origDst.got)
 	}
 	for i, at := range want {
-		if cpDst.at[i] != at || origDst.at[2+i] != at || cpDst.got[i].B != origDst.got[2+i].B {
-			t.Fatalf("delivery %d: restored %d (id %d), original %d (id %d), want cycle %d",
-				i, cpDst.at[i], cpDst.got[i].B, origDst.at[2+i], origDst.got[2+i].B, at)
+		if cpDst.got[i] != origDst.got[2+i] || cpDst.got[i].at != at {
+			t.Fatalf("delivery %d: restored %+v, original %+v, want cycle %d", i, cpDst.got[i], origDst.got[2+i], at)
 		}
 	}
-	if !cpTimed.got[0].done || !origTimed.got[0].done {
-		t.Fatal("the handed-over message was never consumed")
+	if len(cpLate.got) != 1 || cpLate.got[0] != origLate.got[0] {
+		t.Fatalf("endpoint 3 took %+v restored, %+v originally; want the one message", cpLate.got, origLate.got)
 	}
-	if got := cp.Stats(); got != orig.Stats() || got.Messages != 8 {
-		t.Fatalf("final stats: restored %+v, original %+v, want 8 messages", got, orig.Stats())
-	}
-}
-
-// TestEndpointKindFixedAtRegistration: an id is ticked or timed, once.
-func TestEndpointKindFixedAtRegistration(t *testing.T) {
-	for name, f := range map[string]func(n *Network){
-		"ticked then timed": func(n *Network) { n.Register(1, &sink{}); n.RegisterTimed(1, &timedSink{}) },
-		"timed then ticked": func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.Register(1, &sink{}) },
-		"timed twice":       func(n *Network) { n.RegisterTimed(1, &timedSink{}); n.RegisterTimed(1, &timedSink{}) },
-		"nil timed":         func(n *Network) { n.RegisterTimed(1, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			f(New(DefaultConfig()))
-		}()
+	if got := cp.Stats(e2.Now()); got != orig.Stats(e.Now()) || got.Messages != 8 {
+		t.Fatalf("final stats: restored %+v, original %+v, want 8 messages", got, orig.Stats(e.Now()))
 	}
 }

@@ -41,23 +41,22 @@ func (q *MsgHeap) Walk(c *snap.Codec) {
 	})
 }
 
-// Walk writes or reads the interconnect's mutable state: bus bookings,
-// the bookings whose grant lies beyond the engine clock, every sent,
-// undelivered message to a ticked endpoint with its delivery cycle, and
-// the statistics. A message handed to a timed endpoint is that
+// Walk writes or reads the interconnect's mutable state at cycle now,
+// the engine's clock: bus bookings, the bookings whose grant lies beyond
+// now, the send sequence and the statistics. A sent message is its
 // endpoint's to save; of it the network keeps only the send sequence and
 // the Messages count, which took it in at the hand-over (Stats asks the
 // endpoints which of those the clock has not reached).
 // Endpoint registrations and the packet-buffer pool are
 // construction-time wiring and perf caches, not state, so a read needs a
 // network of the same configuration and wiring.
-func (n *Network) Walk(c *snap.Codec) {
+func (n *Network) Walk(c *snap.Codec, now sim.Cycle) {
 	if c.Reading() {
 		n.Reset()
 	} else {
 		// Settling first makes the blob a function of the traffic and
 		// the clock alone, whenever Stats was or was not read.
-		n.settleToClock()
+		n.settle(now)
 	}
 	snap.Fixed(c, "noc: buses", n.busFree, snap.Int[sim.Cycle])
 	for i := range c.Len(n.gLen) {
@@ -72,7 +71,6 @@ func (n *Network) Walk(c *snap.Codec) {
 			n.pushGrant(g)
 		}
 	}
-	n.dels.Walk(c)
 	snap.Int(c, &n.seq)
 	for _, p := range []*int64{&n.stats.Messages, &n.stats.Bytes, &n.stats.BusyCycles} {
 		snap.Int(c, p)

@@ -6,8 +6,8 @@
 // component that has nothing to do can report the next cycle at which it
 // wants to run (or Never) and the engine skips dead time by advancing the
 // clock directly to the earliest pending wake-up. Components that push
-// work into one another (an SPU handing a packet to the bus, the bus
-// delivering to memory, ...) wake the consumer through its Handle.
+// work into one another (an SPU sending memory a request, an LSE
+// handing its SPU a thread, ...) wake the consumer through its Handle.
 //
 // Scheduling is one indexed min-heap keyed by (wake cycle, pass,
 // registration index). The engine ticks the heap root in place and then

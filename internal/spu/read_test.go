@@ -12,7 +12,7 @@ import (
 	"repro/internal/stats"
 )
 
-// The READ response in hand. The SPU is a timed endpoint of the
+// The READ response in hand. The SPU is an endpoint of the
 // interconnect: memory's response reaches it when memory sends it,
 // stamped with its delivery cycle `at`, and a tick at or after `at`
 // applies it (SPU.DeliverAt, SPU.Tick). Between the two the SPU can be

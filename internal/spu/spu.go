@@ -524,7 +524,7 @@ func (s *SPU) OnFallocResp(now sim.Cycle, reqID, fp int64) {
 	s.Wake(now + 1)
 }
 
-// DeliverAt implements noc.TimedEndpoint. The only message an SPU
+// DeliverAt implements noc.Endpoint. The only message an SPU
 // receives is the response to its one outstanding blocking READ; the SPU
 // keeps it with its delivery cycle and wakes for the cycle after, and
 // Tick applies it (see there). Anything else — a second response, a
@@ -540,7 +540,7 @@ func (s *SPU) DeliverAt(at sim.Cycle, _ int64, m noc.Message) {
 	s.Wake(at + 1)
 }
 
-// Undelivered implements noc.TimedEndpoint.
+// Undelivered implements noc.Endpoint.
 func (s *SPU) Undelivered(now sim.Cycle) int {
 	if s.resp.held && s.resp.at > now {
 		return 1
@@ -962,7 +962,7 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 		adv()
 
 	case isa.STORE, isa.STOREX:
-		if !s.lse.CanAccept() {
+		if !s.lse.CanAccept(now) {
 			return false, false, stats.CauseLSEBackpressure
 		}
 		slot := int64(ins.Imm)
@@ -1021,7 +1021,7 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 		adv()
 
 	case isa.FALLOC, isa.FALLOCX:
-		if !s.lse.CanAccept() {
+		if !s.lse.CanAccept(now) {
 			return false, false, stats.CauseLSEBackpressure
 		}
 		var tmpl, sc int
@@ -1040,14 +1040,14 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 		return true, true, stats.CauseIssue
 
 	case isa.FFREE:
-		if !s.lse.CanAccept() {
+		if !s.lse.CanAccept(now) {
 			return false, false, stats.CauseLSEBackpressure
 		}
 		s.lse.Ffree(now, s.cur)
 		adv()
 
 	case isa.STOP:
-		if !s.lse.CanAccept() {
+		if !s.lse.CanAccept(now) {
 			return false, false, stats.CauseLSEBackpressure
 		}
 		if s.Rec != nil {
