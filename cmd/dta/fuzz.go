@@ -157,12 +157,13 @@ func shrinkFailure(seed uint64, failure error, opt synth.CheckOptions, out strin
 
 // writeScenario re-runs a scenario's original and prefetch-transformed
 // simulations, once each, for -trace (timeline recording) and -profile
-// (guest cycle profiler), each pair into one file.
+// (the guest cycle profile every machine keeps), each pair into one
+// file.
 func writeScenario(sc synth.Scenario, opt synth.CheckOptions, sh *shared) error {
 	if sh.trace == "" && sh.profile == "" {
 		return nil
 	}
-	runs, err := synth.ObserveScenario(sc, opt, sh.trace != "", sh.profile != "")
+	runs, err := synth.ObserveScenario(sc, opt, sh.trace != "")
 	if err != nil {
 		return fmt.Errorf("observe: %w", err)
 	}

@@ -39,14 +39,6 @@ type Config struct {
 	// by trace.DefaultSpanCap. It stays a value type so Config remains a
 	// comparable pool key.
 	Record bool
-
-	// Profile enables the guest cycle profiler: every simulated SPU
-	// cycle is attributed to (template block, PC, stall cause) in a
-	// stats.Profile surfaced as Result.Prof (export with
-	// obs.WriteProfile). Like Record it is a value type (Config stays a
-	// comparable pool key) and it does not perturb simulation results —
-	// the profile is fed from the same charges as the stats breakdown.
-	Profile bool
 }
 
 // DefaultConfig returns the paper's operating point (Tables 2 and 4,

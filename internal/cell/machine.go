@@ -37,7 +37,7 @@ type Machine struct {
 	dses   []*dta.DSE
 	ppe    *PPE
 	rec    *trace.Recorder // non-nil when cfg.Record
-	prof   *stats.Profile  // non-nil when cfg.Profile; shared by all SPUs
+	prof   *stats.Profile  // the guest profile, shaped for prog; shared by all SPUs
 
 	faultErr error
 	drained  bool      // the one-shot post-completion DMA drain has run
@@ -92,15 +92,12 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 		return nil, err
 	}
 
-	m := &Machine{cfg: cfg, prog: prog, code: spu.NewCode(cfg.SPU), eng: sim.NewEngine()}
+	m := &Machine{cfg: cfg, prog: prog, code: spu.NewCode(cfg.SPU), eng: sim.NewEngine(),
+		prof: new(stats.Profile)}
 	m.code.Bind(prog)
+	m.prof.Shape(prog)
 	if cfg.Record {
 		m.rec = trace.NewRecorder()
-	}
-	if cfg.Profile {
-		// One shared store: the engine is single-threaded and the profile
-		// aggregates across SPEs (per-PC attribution is program-relative).
-		m.prof = stats.NewProfile()
 	}
 	m.net = noc.New(cfg.Noc)
 	m.net.Rec = m.rec
@@ -230,9 +227,7 @@ func (m *Machine) Reset(prog *program.Program) error {
 		m.knobbed = false
 	}
 	m.rec.Reset()
-	// Pool safety: a reused machine must not leak the previous run's
-	// samples (Reset keeps the component wiring, clears the store).
-	m.prof.Reset()
+	m.prof.Shape(prog)
 	m.net.Reset()
 	m.memory.Reset()
 	for _, spe := range m.spes {
@@ -332,7 +327,6 @@ type Result struct {
 	Mem      mem.Stats
 	Net      noc.Stats
 	Rec      *trace.Recorder // non-nil when Config.Record
-	Prof     *stats.Profile  // non-nil when Config.Profile (guest cycle profile)
 	CheckErr error           // result of the program's functional check
 }
 
@@ -437,7 +431,7 @@ func (m *Machine) StepUntil(until sim.Cycle) (StepStatus, error) {
 func (m *Machine) Finish() (*Result, error) {
 	end := m.endAt
 	res := &Result{Cycles: end, Tokens: m.ppe.Tokens(), Mem: m.memory.Stats(),
-		Net: m.net.Stats(m.eng.Now()), Rec: m.rec, Prof: m.prof,
+		Net: m.net.Stats(m.eng.Now()), Rec: m.rec,
 		SPUs: make([]stats.SPU, 0, len(m.spes)), LSEs: make([]dta.LSEStats, 0, len(m.spes)),
 		MFCs: make([]mfc.Stats, 0, len(m.spes)), DSEs: make([]dta.DSEStats, 0, len(m.dses))}
 	for _, spe := range m.spes {
@@ -484,6 +478,13 @@ func (m *Machine) ComponentTicks() []ComponentTicks {
 	}
 	return out
 }
+
+// Profile returns the machine's guest cycle profile: per (template
+// block, pc, cause), the cycles its SPUs spent there, summed over SPEs
+// (export with obs.WriteProfile). It is the machine's own store, valid
+// until the next Reset, which reshapes and empties it; a Result does not
+// carry it, so a pooled machine's next run cannot change a result.
+func (m *Machine) Profile() *stats.Profile { return m.prof }
 
 // MemReader exposes the post-run memory image.
 func (m *Machine) MemReader() program.MemReader { return mem.Reader{S: m.memory.Store()} }

@@ -29,7 +29,6 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 	for _, spes := range []int{1, 2} {
 		for _, tc := range progs {
 			cfg := smallConfig(spes)
-			cfg.Profile = true
 
 			coldM, err := New(cfg, tc.p)
 			if err != nil {
@@ -79,7 +78,7 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 				t.Fatalf("%s/%d forked functional check: %v", tc.name, spes, got.CheckErr)
 			}
 			resultsIdentical(t, want, got, tc.name+"/forked")
-			if !want.Prof.Equal(got.Prof) {
+			if !coldM.Profile().Equal(forked.Profile()) {
 				t.Errorf("%s/%d: forked profile differs from cold profile", tc.name, spes)
 			}
 			if addr, equal := mem.FirstDiff(coldM.MemSparse(), forked.MemSparse()); !equal {

@@ -10,8 +10,7 @@ import (
 )
 
 // resultView is the comparable projection of a cell.Result: everything
-// except the Trace/Rec/Prof attachments, which are pointers into
-// machine-owned buffers.
+// except the Rec attachment, a pointer into a machine-owned buffer.
 type resultView struct {
 	Cycles interface{}
 	Tokens interface{}

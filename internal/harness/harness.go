@@ -178,11 +178,11 @@ type Context struct {
 	ob *observation
 }
 
-// observation is a context's observing state: what each simulation
-// records and the runs observed so far.
+// observation is a context's observing state: whether each simulation
+// records a timeline and the runs observed so far.
 type observation struct {
-	timeline, profile bool
-	runs              []obs.Run
+	timeline bool
+	runs     []obs.Run
 }
 
 // NewContext prepares a context with its own machine pool — the one
@@ -220,17 +220,18 @@ func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 // before the context runs anything; nil disables checkpoint sharing.
 func (c *Context) SetCheckpointCache(cc *CheckpointCache) { c.ckpts = cc }
 
-// Observe makes every simulation this context computes record a full
-// component timeline (SPU/DMA/NoC/thread spans; cell.Config.Record)
-// and/or a guest cycle profile (per-PC stall attribution; cell.Config
-// .Profile). Each observed run gets a machine built for it and never
-// pooled, so observe only dedicated debugging runs — and call this
-// before deriving Sub contexts, which share the observed runs by
-// pointer. Observe(false, false) turns observing off.
+// Observe makes this context keep every simulation it computes as an
+// observed run: its guest cycle profile (per-PC stall attribution,
+// which every machine keeps) and, with timeline set, a full component
+// timeline (SPU/DMA/NoC/thread spans; cell.Config.Record). Each observed
+// run gets a machine built for it and never pooled, so observe only
+// dedicated debugging runs — and call this before deriving Sub
+// contexts, which share the observed runs by pointer. Observe(false,
+// false) turns observing off.
 func (c *Context) Observe(timeline, profile bool) {
 	c.ob = nil
 	if timeline || profile {
-		c.ob = &observation{timeline: timeline, profile: profile}
+		c.ob = &observation{timeline: timeline}
 	}
 }
 

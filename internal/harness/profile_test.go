@@ -52,8 +52,9 @@ func TestProfiledRunConsistentWithMetrics(t *testing.T) {
 }
 
 // TestProfilingDoesNotChangeOutcome is the harness-level regression
-// guard: a profiled sweep reports exactly the same tables and metrics
-// as a plain one, and a cache hit adds no second profile.
+// guard: a sweep that keeps its runs' profiles (each on a machine of its
+// own) reports exactly the same tables and metrics as a plain one, and
+// a cache hit adds no second profile.
 func TestProfilingDoesNotChangeOutcome(t *testing.T) {
 	exp, ok := ByID("mmul-pf")
 	if !ok {

@@ -82,13 +82,13 @@ func (s *runSpec) observed(c *Context) bool {
 // machine returns the pool the spec's machine comes from on c and the
 // machine's configuration. A nil pool means a machine built for
 // this one observed run and never pooled: a pooled machine's Reset would
-// clear its recorder and profile.
+// clear its recorder and profile before settle reads them.
 func (s *runSpec) machine(c *Context) (*cell.Pool, cell.Config) {
 	cfg := s.cfg
 	if !s.observed(c) {
 		return c.pool, cfg
 	}
-	cfg.Record, cfg.Profile = c.ob.timeline, c.ob.profile
+	cfg.Record = c.ob.timeline
 	return nil, cfg
 }
 
@@ -389,7 +389,7 @@ func (c *Context) settle(s *runSpec, r *planned, res *cell.Result, err error) (*
 		return nil, s.wrap(err)
 	}
 	if s.observed(c) {
-		c.ob.runs = append(c.ob.runs, obs.Run{Label: s.label(), SPEs: s.cfg.SPEs, Prog: r.prog, Rec: res.Rec, Prof: res.Prof})
+		c.ob.runs = append(c.ob.runs, obs.Run{Label: s.label(), SPEs: s.cfg.SPEs, Prog: r.prog, Rec: res.Rec, Prof: r.m.Profile()})
 	}
 	if res.CheckErr != nil {
 		return nil, s.wrap(fmt.Errorf("functional check: %w", res.CheckErr))

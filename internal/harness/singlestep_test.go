@@ -9,9 +9,9 @@ import (
 // the SPU burst fast path disabled (Context.SingleStep) and requires
 // byte-identical outcomes: every metric and every rendered table cell.
 // The burst path may only change wall-clock time, never a reported
-// number. The speedup figures run with the guest profiler on both
-// contexts, and each observed run's profile must equal its single-step
-// twin's, label for label: the kernel's run and loop steps charge the
+// number. The speedup figures' runs are observed on both contexts, and
+// each observed run's profile must equal its single-step twin's, label
+// for label: the kernel's run and loop steps charge the
 // profile in bulk, the reference cycle one cycle at a time.
 func TestExperimentsBurstDifferential(t *testing.T) {
 	ids := []string{

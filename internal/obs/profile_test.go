@@ -18,8 +18,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// profiledRun executes the prefetch-transformed mmul benchmark with the
-// guest profiler on and returns the run plus its result.
+// profiledRun executes the prefetch-transformed mmul benchmark and
+// returns the run, with its machine's guest profile, plus its result.
 func profiledRun(t *testing.T) (obs.Run, *cell.Result) {
 	t.Helper()
 	w, ok := workloads.Get("mmul")
@@ -37,7 +37,6 @@ func profiledRun(t *testing.T) (obs.Run, *cell.Result) {
 	cfg := cell.DefaultConfig()
 	cfg.SPEs = 2
 	cfg.MaxCycles = 10_000_000
-	cfg.Profile = true
 	m, err := cell.New(cfg, pf)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -46,10 +45,10 @@ func profiledRun(t *testing.T) (obs.Run, *cell.Result) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Prof == nil || res.Prof.Len() == 0 {
-		t.Fatal("profiled run produced no samples")
+	if m.Profile().Len() == 0 {
+		t.Fatal("the run profiled no samples")
 	}
-	return obs.Run{Label: "mmul-pf test run", SPEs: cfg.SPEs, Prog: pf, Prof: res.Prof}, res
+	return obs.Run{Label: "mmul-pf test run", SPEs: cfg.SPEs, Prog: pf, Prof: m.Profile()}, res
 }
 
 // TestProfileAccountsEveryCycle: the profile is fed from the same

@@ -15,7 +15,7 @@ import (
 
 // Run is one observed machine run to export: its timeline (Rec, nil
 // unless cell.Config.Record) for WriteTrace and its guest profile
-// (Prof, nil unless cell.Config.Profile) with the program that
+// (Prof, the machine's cell.Machine.Profile) with the program that
 // symbolizes it for WriteProfile. Multiple runs (e.g. the original and
 // the prefetch-transformed variant of a fuzz reproducer) render as
 // separate process groups in one timeline and separate root frames in

@@ -332,9 +332,9 @@ func (s *Service) Sweep(id string) (*Sweep, bool) {
 	return sw, ok
 }
 
-// Cancel cancels a queued job. Running simulations are single-threaded
-// compute with no preemption points, so only jobs still waiting for a
-// worker can be canceled.
+// Cancel cancels a queued job. Only jobs still waiting for a worker can
+// be canceled: a running job's experiment runs each of its simulations
+// to the end (harness runAll) and never checks for cancellation.
 func (s *Service) Cancel(jobID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

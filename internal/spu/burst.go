@@ -36,8 +36,9 @@ import (
 // The kernel is issueCycle + chargeCycle specialised to those cycles
 // with the per-cycle bookkeeping hoisted: pc and the issue counters live
 // in locals and reach s.st once per window, and a cycle attributes to
-// the pc it started at, in one profile Add per charge site. On entry
-// s.accounted == t (the reference cycle before it was charged).
+// the profile row of the pc it started at, in one profile Add per charge
+// site. On entry s.accounted == t (the reference cycle before it was
+// charged).
 //
 // Register-only issue cycles are mostly taken a run at a time. When pc
 // enters a run of two or more of them (see run) whose guard, if any, is
@@ -61,11 +62,7 @@ func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
 	if s.curKind != dta.WorkThread {
 		mask = 0 // PF block: bubbles and stalls only
 	}
-	prof := s.Prof
-	var loc stats.Loc
-	if prof != nil {
-		loc = s.curLoc()
-	}
+	prof, row0 := s.Prof, s.row0
 	// The first run that does not fit before limit ends run steps for
 	// the window, whose rest is shorter than that run.
 	runs := true
@@ -84,10 +81,7 @@ cycle:
 		if t < bubbleEnd {
 			end := min(bubbleEnd, limit)
 			bubbles += int64(end - t)
-			if prof != nil {
-				loc.PC = int32(pc)
-				prof.Add(loc, s.causeFor(stats.CauseBubble), int64(end-t))
-			}
+			prof.Add(row0+pc, s.causeFor(stats.CauseBubble), int64(end-t))
 			t = end
 			continue
 		}
@@ -98,10 +92,7 @@ cycle:
 				if s.ready[r] > t {
 					end := min(s.ready[r], limit)
 					stalls[s.prod[r]] += int64(end - t)
-					if prof != nil {
-						loc.PC = int32(pc)
-						prof.Add(loc, s.causeFor(stallCause(s.prod[r])), int64(end-t))
-					}
+					prof.Add(row0+pc, s.causeFor(stallCause(s.prod[r])), int64(end-t))
 					t = end
 					continue cycle
 				}
@@ -157,11 +148,8 @@ cycle:
 							s.setOuts(r, at)
 							cycles++
 							instrs++
-							if prof != nil {
-								s.chargeRun(prof, loc, r, entry, k, k)
-								loc.PC = int32(entry)
-								prof.Add(loc, stats.CauseIssue, 1)
-							}
+							s.chargeRun(row0, r, entry, k, k)
+							prof.Add(row0+entry, stats.CauseIssue, 1)
 							pc = int(g.Imm)
 							t = bubbleEnd + 1
 							bubbleEnd += penalty
@@ -170,9 +158,7 @@ cycle:
 						}
 						at = bubbleEnd
 					}
-					if prof != nil {
-						s.chargeRun(prof, loc, r, entry, k, k-1)
-					}
+					s.chargeRun(row0, r, entry, k, k-1)
 					s.setOuts(r, at)
 					continue
 				}
@@ -195,10 +181,7 @@ cycle:
 			if err != nil || !s.private(addr, width) {
 				break
 			}
-			if prof != nil {
-				loc.PC = int32(pc)
-				prof.Add(loc, stats.CauseIssue, 1)
-			}
+			prof.Add(row0+pc, stats.CauseIssue, 1)
 			cycles++
 			instrs++
 			mix[u.cls]++
@@ -253,10 +236,7 @@ cycle:
 					ls, lsAddr = n, addr
 				}
 			}
-			if prof != nil {
-				loc.PC = int32(pc)
-				prof.Add(loc, stats.CauseIssue, 1)
-			}
+			prof.Add(row0+pc, stats.CauseIssue, 1)
 			cycles++
 			instrs++
 		}
@@ -285,12 +265,9 @@ cycle:
 			// the transition to the next block belongs to its cycle.
 			s.pc = pc
 			ok := s.skipEmptyBlocks(t - 1)
-			uops, runAt, pc = s.uops, s.runAt, s.pc
+			uops, runAt, pc, row0 = s.uops, s.runAt, s.pc, s.row0
 			if !ok {
 				break
-			}
-			if prof != nil {
-				loc = s.curLoc()
 			}
 		}
 	}
@@ -365,20 +342,19 @@ func (s *SPU) private(addr, width int64) bool {
 	return true
 }
 
-// chargeRun charges k iterations of run r, entered at pc, and edges
-// back edges between or after them to the guest profile, at loc's
-// template and block: each instruction's issue cycle and its own
+// chargeRun charges k iterations of run r, entered at pc of the block
+// whose profile row is row0, and edges back edges between or after them
+// to the guest profile: each instruction's issue cycle and its own
 // dependence stall at its pc, and the back edges' bubbles at the entry
 // pc, where per-cycle execution charges each of them. Runs never step
 // in a PF block, so no cause needs folding (causeFor).
-func (s *SPU) chargeRun(prof *stats.Profile, loc stats.Loc, r *run, pc int, k, edges int64) {
+func (s *SPU) chargeRun(row0 int, r *run, pc int, k, edges int64) {
+	prof, row := s.Prof, row0+pc
 	for i, stall := range s.code.stalls[r.sl : r.sl+r.end-int32(pc)] {
-		loc.PC = int32(pc + i)
-		prof.Add(loc, stats.CauseIssue, k)
-		prof.Add(loc, stats.CauseDepStall, k*int64(stall))
+		prof.Add(row+i, stats.CauseIssue, k)
+		prof.Add(row+i, stats.CauseDepStall, k*int64(stall))
 	}
-	loc.PC = int32(pc)
-	prof.Add(loc, stats.CauseBubble, edges*int64(s.cfg.BranchPenalty))
+	prof.Add(row, stats.CauseBubble, edges*int64(s.cfg.BranchPenalty))
 }
 
 // run is the static issue schedule of a run: the uopBurstReg

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/stats"
 )
 
 // Edge cases of the burst kernel, each run at several window sizes and
@@ -17,10 +18,8 @@ import (
 // per-SPU statistics, same guest profile, and the same final r1..r4
 // (posted as mailbox tokens). The small windows put the limit inside
 // the bubble, stall or issue group under test; 0 is the default window.
-// Every window runs with the guest profiler on and again with it off,
-// each against a reference with the same setting: the kernel takes the
-// same steps either way, and with the profiler on its run and loop steps
-// charge each instruction's issue cycles and stalls in bulk.
+// The kernel's run and loop steps charge each instruction's issue cycles
+// and stalls to the profile in bulk, the reference one cycle at a time.
 
 var edgeWindows = []int{2, 3, 7, 0}
 
@@ -299,7 +298,7 @@ func countedLoop(ex *program.Asm) {
 	ex.Addi(program.R(4), program.R(3), 1)
 }
 
-func (e kernelEdge) run(t *testing.T, burstMax int, profile bool) (*cell.Result, error) {
+func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, *stats.Profile, error) {
 	t.Helper()
 	b := program.NewBuilder("kernel-edge")
 	root := b.Template("root")
@@ -328,7 +327,6 @@ func (e kernelEdge) run(t *testing.T, burstMax int, profile bool) (*cell.Result,
 	}
 	cfg := oneSPE()
 	cfg.MaxCycles = 100_000
-	cfg.Profile = profile
 	if e.cfg != nil {
 		e.cfg(&cfg)
 	}
@@ -337,54 +335,49 @@ func (e kernelEdge) run(t *testing.T, burstMax int, profile bool) (*cell.Result,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.Run()
+	res, err := m.Run()
+	return res, m.Profile(), err
 }
 
-// check runs e at every window size against the single-step reference,
-// with the profiler on (run steps' bulk charges against per-cycle ones)
-// and off.
+// check runs e at every window size against the single-step reference:
+// every reported number and the guest profile (the run steps' bulk
+// charges against per-cycle ones) must agree.
 func (e kernelEdge) check(t *testing.T) {
-	for _, profile := range []bool{true, false} {
-		e.checkProfile(t, profile)
-	}
-}
-
-func (e kernelEdge) checkProfile(t *testing.T, profile bool) {
 	t.Helper()
-	ref, refErr := e.run(t, 1, profile)
+	ref, refProf, refErr := e.run(t, 1)
 	if e.wantErr == "" && refErr != nil {
-		t.Fatalf("single-step, profile %v: %v", profile, refErr)
+		t.Fatalf("single-step: %v", refErr)
 	}
 	if e.wantErr != "" && (refErr == nil || !strings.Contains(refErr.Error(), e.wantErr)) {
-		t.Fatalf("single-step, profile %v: err = %v, want %q", profile, refErr, e.wantErr)
+		t.Fatalf("single-step: err = %v, want %q", refErr, e.wantErr)
 	}
 	if e.tokens != nil && !reflect.DeepEqual(ref.Tokens, e.tokens) {
-		t.Errorf("single-step, profile %v: r1..r4 = %v, want %v", profile, ref.Tokens, e.tokens)
+		t.Errorf("single-step: r1..r4 = %v, want %v", ref.Tokens, e.tokens)
 	}
 	for _, w := range edgeWindows {
-		got, err := e.run(t, w, profile)
+		got, prof, err := e.run(t, w)
 		if e.wantErr != "" {
 			// The fault names the cycle it happened in, so the texts agree
 			// only if the window left the faulting cycle to the engine clock.
 			if err == nil || err.Error() != refErr.Error() {
-				t.Fatalf("BurstMax %d, profile %v: err = %v, single-step %v", w, profile, err, refErr)
+				t.Fatalf("BurstMax %d: err = %v, single-step %v", w, err, refErr)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("BurstMax %d, profile %v: %v", w, profile, err)
+			t.Fatalf("BurstMax %d: %v", w, err)
 		}
 		if got.Cycles != ref.Cycles {
-			t.Errorf("BurstMax %d, profile %v: end cycle %d, single-step %d", w, profile, got.Cycles, ref.Cycles)
+			t.Errorf("BurstMax %d: end cycle %d, single-step %d", w, got.Cycles, ref.Cycles)
 		}
 		if !reflect.DeepEqual(got.Tokens, ref.Tokens) {
-			t.Errorf("BurstMax %d, profile %v: r1..r4 = %v, single-step %v", w, profile, got.Tokens, ref.Tokens)
+			t.Errorf("BurstMax %d: r1..r4 = %v, single-step %v", w, got.Tokens, ref.Tokens)
 		}
 		if !reflect.DeepEqual(got.SPUs, ref.SPUs) {
-			t.Errorf("BurstMax %d, profile %v: stats\n got %+v\nwant %+v", w, profile, got.SPUs, ref.SPUs)
+			t.Errorf("BurstMax %d: stats\n got %+v\nwant %+v", w, got.SPUs, ref.SPUs)
 		}
-		if !got.Prof.Equal(ref.Prof) {
-			t.Errorf("BurstMax %d, profile %v: guest profile differs from single-step", w, profile)
+		if !prof.Equal(refProf) {
+			t.Errorf("BurstMax %d: guest profile differs from single-step", w)
 		}
 	}
 }

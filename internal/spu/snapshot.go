@@ -36,9 +36,7 @@ func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 	snap.Int(c, &s.pc)
 	snap.Byte(c, &s.ph)
 	snap.Int(c, &s.gapCause)
-	snap.Int(c, &s.gapLoc.Template)
-	snap.Byte(c, &s.gapLoc.Block)
-	snap.Int(c, &s.gapLoc.PC)
+	snap.Int(c, &s.gapRow)
 	for _, p := range []*sim.Cycle{&s.accounted, &s.nextIssueAt, &s.resumeAt} {
 		snap.Int(c, p)
 	}
@@ -55,7 +53,11 @@ func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 	if !c.Reading() || c.Err() != nil {
 		return
 	}
-	s.uops, s.runAt = nil, nil
+	if s.gapRow < 0 || s.gapRow >= s.Prof.Rows() {
+		c.Fail("spu%d: snapshot profile row %d outside the program", s.spe, s.gapRow)
+		return
+	}
+	s.uops, s.runAt, s.row0 = nil, nil, 0
 	if s.cur == nil {
 		return
 	}
@@ -63,7 +65,7 @@ func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 		c.Fail("spu%d: snapshot thread template %d out of range", s.spe, s.cur.Template)
 		return
 	}
-	s.uops, s.runAt = s.code.block(s.cur.Template, s.block)
+	s.enter()
 	if s.pc > len(s.uops) {
 		c.Fail("spu%d: snapshot pc %d beyond block of %d", s.spe, s.pc, len(s.uops))
 	}

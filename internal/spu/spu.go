@@ -190,10 +190,13 @@ type SPU struct {
 	uops []uop
 	// runAt is the current block's run entries in code (see decoded).
 	runAt []int32
+	// row0 is the profile row of pc 0 of the current block: pc charges
+	// row0+pc (see Prof).
+	row0 int
 
 	ph          phase
 	gapCause    stats.Cause // cause for cycles while sleeping
-	gapLoc      stats.Loc   // guest location the sleep gap attributes to
+	gapRow      int         // profile row the sleep gap attributes to
 	accounted   sim.Cycle   // cycles < accounted are attributed
 	nextIssueAt sim.Cycle   // branch bubbles / dispatch refill
 	burstLimit  sim.Cycle   // resolved Config.BurstMax (>= 1)
@@ -220,12 +223,11 @@ type SPU struct {
 	Rec       *trace.Recorder
 	unitStart sim.Cycle
 
-	// Prof, when non-nil, receives per-(location, cause) cycle samples
-	// from the same charge paths that feed the bucket breakdown, so
-	// profiled attribution is definitionally consistent with the stats
-	// and burst windows attribute in bulk (one Add per charge, and per
-	// instruction of a run step, not per cycle). Profiling off (nil Prof)
-	// costs one nil check per charge.
+	// Prof is the machine's guest profile, shaped for the program code
+	// is bound to. Every charge of the breakdown charges it too, at the
+	// pc the cycle attributes to, so the two agree by construction; a
+	// kernel window charges in bulk (one Add per charge, and per
+	// instruction of a run step, not per cycle).
 	Prof *stats.Profile
 
 	// Fault receives execution errors (invalid addresses, bad frame
@@ -260,7 +262,6 @@ func New(code *Code, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
 		net: net, lse: lseUnit, dma: dma, store: store, code: code,
 		ph:       phIdle,
 		gapCause: stats.CauseIdle,
-		gapLoc:   stats.IdleLoc,
 		Fault:    func(err error) { panic(err) },
 	}
 	s.burstLimit = sim.Cycle(cfg.BurstMax)
@@ -465,10 +466,10 @@ func (s *SPU) Reset() {
 	s.cur, s.curKind = nil, dta.WorkNone
 	s.block = 0
 	s.pc = 0
-	s.uops, s.runAt = nil, nil
+	s.uops, s.runAt, s.row0 = nil, nil, 0
 	s.ph = phIdle
 	s.gapCause = stats.CauseIdle
-	s.gapLoc = stats.IdleLoc
+	s.gapRow = 0
 	s.accounted = 0
 	s.nextIssueAt = 0
 	s.resumeAt = 0
@@ -486,29 +487,30 @@ func (s *SPU) Finalize(end sim.Cycle) {
 	if end > s.accounted {
 		n := int64(end - s.accounted)
 		s.st.Charge(s.gapCause, n)
-		s.Prof.Add(s.gapLoc, s.gapCause, n)
+		s.Prof.Add(s.gapRow, s.gapCause, n)
 		s.accounted = end
 	}
 	s.st.Cycles = int64(end)
 }
 
 // account charges the sleep gap [s.accounted, now) to gapCause at
-// gapLoc — the PC of the instruction that entered the wait (or IdleLoc).
+// gapRow — the row of the instruction that entered the wait (or the
+// idle row).
 func (s *SPU) account(now sim.Cycle) {
 	if now > s.accounted {
 		n := int64(now - s.accounted)
 		s.st.Charge(s.gapCause, n)
-		s.Prof.Add(s.gapLoc, s.gapCause, n)
+		s.Prof.Add(s.gapRow, s.gapCause, n)
 		s.accounted = now
 	}
 }
 
-// chargeCycle attributes the single cycle `now` to cause c at loc.
-func (s *SPU) chargeCycle(now sim.Cycle, c stats.Cause, loc stats.Loc) {
+// chargeCycle attributes the single cycle `now` to cause c at row.
+func (s *SPU) chargeCycle(now sim.Cycle, c stats.Cause, row int) {
 	s.account(now)
 	if s.accounted == now {
 		s.st.Charge(c, 1)
-		s.Prof.Add(loc, c, 1)
+		s.Prof.Add(row, c, 1)
 		s.accounted = now + 1
 	}
 }
@@ -578,7 +580,7 @@ func (s *SPU) dispatch(now sim.Cycle) bool {
 	} else {
 		s.block = program.PL
 	}
-	s.uops, s.runAt = s.code.block(th.Template, s.block)
+	s.enter()
 	s.pc = 0
 	s.skipEmptyBlocks(now)
 	s.nextIssueAt = now + sim.Cycle(s.cfg.DispatchCost)
@@ -621,9 +623,16 @@ func (s *SPU) advanceBlock(now sim.Cycle) bool {
 		s.cur = nil
 		return false
 	}
-	s.uops, s.runAt = s.code.block(s.cur.Template, s.block)
+	s.enter()
 	s.pc = 0
 	return true
+}
+
+// enter makes the current thread's block s.block the one that issues:
+// its tables and its profile row.
+func (s *SPU) enter() {
+	s.uops, s.runAt = s.code.block(s.cur.Template, s.block)
+	s.row0 = s.Prof.Row(s.cur.Template, s.block)
 }
 
 // causeFor maps an execution cycle's raw cause to the attributed one:
@@ -644,14 +653,13 @@ func (s *SPU) causeFor(c stats.Cause) stats.Cause {
 	return c
 }
 
-// curLoc returns the guest location of the current PC (IdleLoc when no
-// work unit is resident). Cheap enough to compute unconditionally: the
-// profiler consumes it only when enabled.
-func (s *SPU) curLoc() stats.Loc {
+// row returns the profile row of the current pc (the idle row, 0, when
+// no work unit is resident).
+func (s *SPU) row() int {
 	if s.cur == nil {
-		return stats.IdleLoc
+		return 0
 	}
-	return stats.Loc{Template: int32(s.cur.Template), Block: uint8(s.block), PC: int32(s.pc)}
+	return s.row0 + s.pc
 }
 
 // Tick simulates the pipeline cycle at now through the reference path
@@ -736,7 +744,7 @@ func (s *SPU) tick(now sim.Cycle) sim.Cycle {
 		s.account(now)
 		if !s.dispatch(now) {
 			s.gapCause = stats.CauseIdle
-			s.gapLoc = stats.IdleLoc
+			s.gapRow = 0
 			return sim.Never
 		}
 	case phRun:
@@ -744,25 +752,20 @@ func (s *SPU) tick(now sim.Cycle) sim.Cycle {
 			s.account(now)
 			s.ph = phIdle
 			s.gapCause = stats.CauseIdle
-			s.gapLoc = stats.IdleLoc
+			s.gapRow = 0
 			return sim.Never
 		}
 	}
 	// The reference cycle: the one pipeline cycle on the engine clock,
 	// where anything may execute. It attributes to the PC it started at —
-	// the first instruction considered (issued or blocked); per-PC
-	// attribution only matters when the guest profiler is on, and the
-	// zero Loc is fine for the nil-profile sink.
-	var loc stats.Loc
-	if s.Prof != nil {
-		loc = s.curLoc()
-	}
+	// the first instruction considered (issued or blocked).
+	row := s.row()
 	if now < s.nextIssueAt {
 		// Dispatch refill, branch bubble, or MFC channel busy.
-		s.chargeCycle(now, s.causeFor(stats.CauseBubble), loc)
+		s.chargeCycle(now, s.causeFor(stats.CauseBubble), row)
 	} else {
 		cause, sleep := s.issueCycle(now)
-		s.chargeCycle(now, cause, loc)
+		s.chargeCycle(now, cause, row)
 		if sleep {
 			return sim.Never
 		}
@@ -919,7 +922,7 @@ func (c Config) latFor(u isa.Unit) sim.Cycle {
 // execute performs one instruction. ok=false means a structural stall
 // (retry next cycle, pc unchanged) with the raw stall cause; sleep=true
 // means the SPU enters a blocking wait (pc already advanced, gapCause
-// and gapLoc set to attribute the coming sleep gap). u.lat carries the
+// and gapRow set to attribute the coming sleep gap). u.lat carries the
 // executing unit's configured result latency.
 func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep bool, cause stats.Cause) {
 	r := func(i uint8) int64 { return s.regs[i] }
@@ -997,7 +1000,7 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 		s.readDst = ins.Rd
 		s.ph = phWaitRead
 		s.gapCause = s.causeFor(stats.CauseBlockingRead)
-		s.gapLoc = s.curLoc()
+		s.gapRow = s.row()
 		adv()
 		return true, true, stats.CauseIssue
 
@@ -1035,7 +1038,7 @@ func (s *SPU) execute(now sim.Cycle, ins isa.Instruction, u *uop) (ok, sleep boo
 		s.lse.RequestFalloc(now, tmpl, sc, s.reqSeq)
 		s.ph = phWaitFalloc
 		s.gapCause = s.causeFor(stats.CauseFallocWait)
-		s.gapLoc = s.curLoc()
+		s.gapRow = s.row()
 		adv()
 		return true, true, stats.CauseIssue
 

@@ -1,6 +1,10 @@
 package stats
 
-import "sort"
+import (
+	"slices"
+
+	"repro/internal/program"
+)
 
 // Loc identifies one guest program counter: a template's code block and
 // the instruction index within it. The zero Template is valid; idle
@@ -14,63 +18,109 @@ type Loc struct {
 // IdleLoc is the synthetic location idle cycles attribute to.
 var IdleLoc = Loc{Template: -1}
 
-type profKey struct {
-	Loc   Loc
-	Cause Cause
-}
-
-// Profile is the per-PC cycle store of the guest profiler: a map from
-// (location, cause) to cycles, filled by the SPU's charge paths when
-// cell.Config.Profile is set. Like trace.Recorder, a nil *Profile is a
-// valid no-op sink — every method nil-checks, so the unprofiled engine
-// pays one predictable branch per charge and allocates nothing.
+// Profile is a machine's guest cycle profile: the cycles each guest
+// location spent on each cause, charged by the SPUs beside their
+// breakdowns. All SPUs of a machine share one (the engine is
+// single-threaded), so it aggregates across SPEs.
 //
-// All SPUs of a machine share one Profile (the engine is
-// single-threaded), so a machine's profile aggregates across SPEs.
+// It is dense. Shape gives row 0 to IdleLoc and one row to every
+// instruction of the bound program, template by template, block by
+// block, in pc order — the (template, block, pc) order samples come out
+// in — and a row is NumCauses cycle counters, so a charge is one
+// indexed add. The zero Profile is shaped for no program.
 type Profile struct {
-	m map[profKey]int64
+	cells []int64 // row*NumCauses + cause; zero beyond the shaped rows
+	rows  int     // rows of the bound program
+	first []int32 // first row of each code block, by template*NumBlocks + block
 }
 
-// NewProfile returns an empty profile.
-func NewProfile() *Profile {
-	return &Profile{m: make(map[profKey]int64)}
+// Shape readies p, empty, for prog. The buffer only grows, and only
+// the rows the previous program used are zeroed.
+func (p *Profile) Shape(prog *program.Program) {
+	clear(p.used())
+	p.first = p.first[:0]
+	p.rows = 1
+	for i := range prog.Templates {
+		for _, b := range prog.Templates[i].Blocks {
+			p.first = append(p.first, int32(p.rows))
+			p.rows += len(b)
+		}
+	}
+	if n := p.rows * int(NumCauses); n > len(p.cells) {
+		p.cells = make([]int64, n)
+	}
 }
 
-// Add attributes n cycles at loc to cause c. Bulk-friendly: a burst
+// Row returns the row of pc 0 of template tmpl's block blk: the row of
+// pc n is Row(tmpl, blk) + n.
+func (p *Profile) Row(tmpl int, blk program.BlockKind) int {
+	return int(p.first[tmpl*int(program.NumBlocks)+int(blk)])
+}
+
+// Rows returns the number of rows, the idle row included.
+func (p *Profile) Rows() int { return p.rows }
+
+// Add attributes n cycles at row to cause c. Bulk-friendly: a burst
 // window charges once with the window's width, not once per cycle.
-func (p *Profile) Add(loc Loc, c Cause, n int64) {
-	if p == nil || n <= 0 {
-		return
-	}
-	p.m[profKey{Loc: loc, Cause: c}] += n
+func (p *Profile) Add(row int, c Cause, n int64) {
+	p.cells[row*int(NumCauses)+int(c)] += n
 }
 
-// Reset clears the store for machine reuse (pool safety: a pooled
-// machine must not leak a previous run's samples).
-func (p *Profile) Reset() {
-	if p == nil {
-		return
+// loc returns the guest location of row.
+func (p *Profile) loc(row int) Loc {
+	if row == 0 {
+		return IdleLoc
 	}
-	clear(p.m)
+	// The last block that starts at or before row holds it (empty
+	// blocks share their successor's first row).
+	b, _ := slices.BinarySearch(p.first, int32(row)+1)
+	b--
+	nb := int(program.NumBlocks)
+	return Loc{Template: int32(b / nb), Block: uint8(b % nb), PC: int32(row) - p.first[b]}
 }
 
-// Len returns the number of distinct (location, cause) samples.
+// rowOf returns the row of loc, or false when loc is no location of
+// the bound program.
+func (p *Profile) rowOf(loc Loc) (int, bool) {
+	if loc == IdleLoc {
+		return 0, true
+	}
+	nb := int32(program.NumBlocks)
+	b := loc.Template*nb + int32(loc.Block)
+	if loc.Template < 0 || int32(loc.Block) >= nb || int(b) >= len(p.first) || loc.PC < 0 {
+		return 0, false
+	}
+	end := int32(p.rows)
+	if int(b)+1 < len(p.first) {
+		end = p.first[b+1]
+	}
+	if row := p.first[b] + loc.PC; row < end {
+		return int(row), true
+	}
+	return 0, false
+}
+
+// used returns the cells of the bound program's rows.
+func (p *Profile) used() []int64 { return p.cells[:p.rows*int(NumCauses)] }
+
+// Len returns the number of distinct (location, cause) samples: the
+// non-zero cells.
 func (p *Profile) Len() int {
-	if p == nil {
-		return 0
+	n := 0
+	for _, v := range p.used() {
+		if v != 0 {
+			n++
+		}
 	}
-	return len(p.m)
+	return n
 }
 
 // Total returns the cycles across all samples. On a completed run this
 // equals the aggregate Breakdown total (both are fed from the same
 // charges).
 func (p *Profile) Total() int64 {
-	if p == nil {
-		return 0
-	}
 	var t int64
-	for _, v := range p.m {
+	for _, v := range p.used() {
 		t += v
 	}
 	return t
@@ -83,35 +133,19 @@ type LocSample struct {
 	Total  int64
 }
 
-// Samples returns the per-location attribution in deterministic
-// (template, block, pc) order — the export order of obs.WriteProfile, so
-// identical runs encode to identical profiles.
+// Samples returns the per-location attribution of every location with
+// cycles, in (template, block, pc) order — the export order of
+// obs.WriteProfile, so identical runs encode to identical profiles.
 func (p *Profile) Samples() []LocSample {
-	if p == nil {
-		return nil
-	}
-	byLoc := make(map[Loc]int, len(p.m))
 	var out []LocSample
-	for k, v := range p.m {
-		i, ok := byLoc[k.Loc]
-		if !ok {
-			i = len(out)
-			byLoc[k.Loc] = i
-			out = append(out, LocSample{Loc: k.Loc})
+	for row := range p.rows {
+		var s LocSample
+		copy(s.Causes[:], p.cells[row*int(NumCauses):])
+		if s.Total = s.Causes.Total(); s.Total != 0 {
+			s.Loc = p.loc(row)
+			out = append(out, s)
 		}
-		out[i].Causes[k.Cause] += v
-		out[i].Total += v
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Loc, out[j].Loc
-		if a.Template != b.Template {
-			return a.Template < b.Template
-		}
-		if a.Block != b.Block {
-			return a.Block < b.Block
-		}
-		return a.PC < b.PC
-	})
 	return out
 }
 
@@ -119,28 +153,15 @@ func (p *Profile) Samples() []LocSample {
 // metrics and tables).
 func (p *Profile) Causes() CauseBreakdown {
 	var out CauseBreakdown
-	if p == nil {
-		return out
-	}
-	for k, v := range p.m {
-		out[k.Cause] += v
+	cells := p.used()
+	for i, v := range cells {
+		out[i%int(NumCauses)] += v
 	}
 	return out
 }
 
-// Equal reports whether two profiles hold identical samples (both nil
-// or both empty count as equal) — the differential suites' comparison.
+// Equal reports whether two profiles hold identical samples — the
+// differential suites' comparison.
 func (p *Profile) Equal(o *Profile) bool {
-	if p.Len() != o.Len() {
-		return false
-	}
-	if p == nil || o == nil {
-		return true
-	}
-	for k, v := range p.m {
-		if o.m[k] != v {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(p.Samples(), o.Samples())
 }

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"cmp"
-
-	"repro/internal/snap"
-)
+import "repro/internal/snap"
 
 // Walk writes or reads one SPU's accumulated statistics.
 func (s *SPU) Walk(c *snap.Codec) {
@@ -17,31 +13,39 @@ func (s *SPU) Walk(c *snap.Codec) {
 	}
 }
 
-// Walk writes or reads the profile's samples in (template, block, pc,
-// cause) order. A nil profile has no samples, matching its no-op
-// semantics, and refuses a snapshot that has some.
+// Walk writes or reads the profile's non-zero cells in (template,
+// block, pc, cause) order, each with its location. A read needs a
+// profile shaped for the program that wrote it, and refuses a location
+// the program does not have.
 func (p *Profile) Walk(c *snap.Codec) {
-	if p == nil {
-		if c.Len(0) != 0 {
-			c.Fail("stats: snapshot has profile samples, this machine keeps no profile")
+	cell := func(loc *Loc, cause *Cause, v *int64) {
+		snap.Int(c, &loc.Template)
+		snap.Byte(c, &loc.Block)
+		snap.Int(c, &loc.PC)
+		snap.Int(c, cause)
+		snap.Int(c, v)
+	}
+	if !c.Reading() {
+		c.Len(p.Len())
+		for i, v := range p.used() {
+			if v != 0 {
+				loc, cause := p.loc(i/int(NumCauses)), Cause(i%int(NumCauses))
+				cell(&loc, &cause, &v)
+			}
 		}
 		return
 	}
-	snap.Map(c, p.m, func(a, b profKey) int {
-		switch {
-		case a.Loc.Template != b.Loc.Template:
-			return cmp.Compare(a.Loc.Template, b.Loc.Template)
-		case a.Loc.Block != b.Loc.Block:
-			return cmp.Compare(a.Loc.Block, b.Loc.Block)
-		case a.Loc.PC != b.Loc.PC:
-			return cmp.Compare(a.Loc.PC, b.Loc.PC)
+	clear(p.used())
+	for range c.Len(0) {
+		var loc Loc
+		var cause Cause
+		var v int64
+		cell(&loc, &cause, &v)
+		row, ok := p.rowOf(loc)
+		if !ok || cause < 0 || cause >= NumCauses {
+			c.Fail("stats: snapshot profile sample at %+v cause %d outside the program", loc, cause)
+			return
 		}
-		return cmp.Compare(a.Cause, b.Cause)
-	}, func(c *snap.Codec, k *profKey, v *int64) {
-		snap.Int(c, &k.Loc.Template)
-		snap.Byte(c, &k.Loc.Block)
-		snap.Int(c, &k.Loc.PC)
-		snap.Int(c, &k.Cause)
-		snap.Int(c, v)
-	})
+		p.cells[row*int(NumCauses)+int(cause)] = v
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cell"
-	"repro/internal/mem"
 	"repro/internal/prefetch"
 	"repro/internal/program"
 )
@@ -13,9 +12,10 @@ import (
 // over the pinned corpus: every seed's original AND prefetch-transformed
 // simulation runs twice — SPU burst fast path and single-step — and the
 // checker fails unless cycles, stall breakdowns, every other statistic,
-// tokens and the final memory image are identical (DiffBurst compares
-// them inside runSim). The machines come from a pool, so this also
-// exercises reuse on every run.
+// tokens, the guest profile and the final memory image are identical
+// (DiffBurst compares them inside runSim): the kernel's bulk profile
+// charges must equal per-cycle ones exactly. The machines come from a
+// pool, so this also exercises reuse on every run.
 func TestCorpusBurstDifferential(t *testing.T) {
 	opt := CheckOptions{DiffBurst: true, Pool: cell.NewPool()}
 	for _, seed := range CorpusSeeds() {
@@ -30,11 +30,10 @@ func TestCorpusBurstDifferential(t *testing.T) {
 // default 64k-cycle window, which no corpus run fills, so the paths
 // that cut a bubble, a stall or an issue run at the limit would
 // otherwise never execute under a differential. Every seed's original
-// and prefetch-transformed program runs at BurstMax 2, 3, 5 and 17,
-// once with the guest profiler on and once with it off (with it on, the
-// kernel's run and loop steps charge the profile in bulk), and each must
-// match the BurstMax -1 run with the same profiler setting in every
-// reported number, the profile and the final memory image.
+// and prefetch-transformed program runs at BurstMax 2, 3, 5 and 17, and
+// each must match the BurstMax -1 run in every reported number, the
+// guest profile (which the kernel's run and loop steps charge in bulk)
+// and the final memory image.
 func TestCorpusSmallWindowDifferential(t *testing.T) {
 	pool := cell.NewPool()
 	for _, seed := range CorpusSeeds() {
@@ -48,37 +47,31 @@ func TestCorpusSmallWindowDifferential(t *testing.T) {
 			t.Fatalf("seed %d: transform: %v", seed, err)
 		}
 		for name, p := range map[string]*program.Program{"orig": prog, "pf": pfProg} {
-			for _, profile := range []bool{true, false} {
-				cfg := cell.DefaultConfig()
-				cfg.SPEs = sc.SPEs
-				cfg.Mem.Latency = 150
-				cfg.MaxCycles = 100_000_000
-				cfg.Profile = profile
-				run := func(burstMax int) (*cell.Result, *cell.Machine) {
-					cfg.SPU.BurstMax = burstMax
-					m, err := pool.Get(cfg, p)
-					if err != nil {
-						t.Fatalf("seed %d %s: %v", seed, name, err)
-					}
-					res, err := m.Run()
-					if err != nil {
-						t.Fatalf("seed %d %s BurstMax %d profile %v: %v", seed, name, burstMax, profile, err)
-					}
-					return res, m
+			cfg := cell.DefaultConfig()
+			cfg.SPEs = sc.SPEs
+			cfg.Mem.Latency = 150
+			cfg.MaxCycles = 100_000_000
+			run := func(burstMax int) (*cell.Result, *cell.Machine) {
+				cfg.SPU.BurstMax = burstMax
+				m, err := pool.Get(cfg, p)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, name, err)
 				}
-				ref, refM := run(-1)
-				for _, w := range []int{2, 3, 5, 17} {
-					got, gotM := run(w)
-					if d := diffResults(got, ref); d != "" {
-						t.Errorf("seed %d %s BurstMax %d profile %v: %s", seed, name, w, profile, d)
-					}
-					if addr, equal := mem.FirstDiff(gotM.MemSparse(), refM.MemSparse()); !equal {
-						t.Errorf("seed %d %s BurstMax %d profile %v: memory diverges at %#x", seed, name, w, profile, addr)
-					}
-					pool.Put(gotM)
+				res, err := m.Run()
+				if err != nil {
+					t.Fatalf("seed %d %s BurstMax %d: %v", seed, name, burstMax, err)
 				}
-				pool.Put(refM)
+				return res, m
 			}
+			ref, refM := run(-1)
+			for _, w := range []int{2, 3, 5, 17} {
+				got, gotM := run(w)
+				if d := diffRuns(got, ref, gotM, refM); d != "" {
+					t.Errorf("seed %d %s BurstMax %d: %s", seed, name, w, d)
+				}
+				pool.Put(gotM)
+			}
+			pool.Put(refM)
 		}
 	}
 }

@@ -56,21 +56,17 @@ type CheckOptions struct {
 	// DiffBurst additionally runs every simulation a second time with
 	// the SPU burst fast path disabled (spu.Config.BurstMax = -1; see
 	// that field's doc comment for the canonical value semantics) and
-	// fails the check unless cycles, all statistics, tokens and the
-	// final memory image are identical — the slow-path/fast-path
-	// differential mode.
+	// fails the check unless cycles, all statistics, tokens, the guest
+	// profile and the final memory image are identical — the
+	// slow-path/fast-path differential mode.
 	DiffBurst bool
-	// Profile enables the guest cycle profiler (cell.Config.Profile) on
-	// every simulation. Profiling must not perturb results, so under
-	// DiffBurst the fast- and slow-path profiles are also required to be
-	// identical sample for sample — the profiler's own differential mode.
-	Profile bool
 	// DiffCheckpoint additionally re-executes every simulation with a
 	// snapshot/restore seam at its halfway boundary — capture there,
 	// restore into a recycled machine, run to completion — and fails the
 	// check unless the restored machine re-encodes to the bytes it was
-	// restored from, and cycles, all statistics, tokens and the final
-	// memory image are identical to the uninterrupted run: the
+	// restored from, and cycles, all statistics, tokens, the guest
+	// profile and the final memory image are identical to the
+	// uninterrupted run: the
 	// checkpoint machinery's differential mode (see
 	// cell.Machine.EncodeSnapshot).
 	DiffCheckpoint bool
@@ -125,7 +121,6 @@ func runSim(sc Scenario, opt CheckOptions, prog *program.Program) (*cell.Result,
 	cfg.SPEs = sc.SPEs
 	cfg.Mem.Latency = opt.Latency
 	cfg.MaxCycles = maxCycles
-	cfg.Profile = opt.Profile
 	m, err := opt.Pool.Get(cfg, prog)
 	if err != nil {
 		return nil, nil, err
@@ -145,11 +140,8 @@ func runSim(sc Scenario, opt CheckOptions, prog *program.Program) (*cell.Result,
 		if err != nil {
 			return nil, nil, fmt.Errorf("single-step run: %w", err)
 		}
-		if d := diffResults(res, sres); d != "" {
+		if d := diffRuns(res, sres, m, sm); d != "" {
 			return nil, nil, fmt.Errorf("burst/single-step divergence: %s", d)
-		}
-		if addr, equal := mem.FirstDiff(m.MemSparse(), sm.MemSparse()); !equal {
-			return nil, nil, fmt.Errorf("burst/single-step memory divergence at %#x", addr)
 		}
 		opt.Pool.Put(sm)
 	}
@@ -214,19 +206,17 @@ func diffCheckpoint(opt CheckOptions, cfg cell.Config, prog *program.Program, wa
 		}
 		gotM = fresh
 	}
-	if d := diffResults(want, got); d != "" {
+	if d := diffRuns(want, got, wantM, gotM); d != "" {
 		return fmt.Errorf("checkpoint divergence: %s", d)
-	}
-	if addr, equal := mem.FirstDiff(wantM.MemSparse(), gotM.MemSparse()); !equal {
-		return fmt.Errorf("checkpoint memory divergence at %#x", addr)
 	}
 	opt.Pool.Put(gotM)
 	return nil
 }
 
-// diffResults compares every reported number of two runs of the same
-// program and describes the first difference ("" when identical).
-func diffResults(a, b *cell.Result) string {
+// diffRuns compares every reported number, the guest profiles and the
+// final memory images of two runs of the same program, on machines am
+// and bm, and describes the first difference ("" when identical).
+func diffRuns(a, b *cell.Result, am, bm *cell.Machine) string {
 	switch {
 	case a.Cycles != b.Cycles:
 		return fmt.Sprintf("cycles %d vs %d", a.Cycles, b.Cycles)
@@ -246,8 +236,11 @@ func diffResults(a, b *cell.Result) string {
 		return fmt.Sprintf("memory stats %+v vs %+v", a.Mem, b.Mem)
 	case a.Net != b.Net:
 		return fmt.Sprintf("network stats %+v vs %+v", a.Net, b.Net)
-	case !a.Prof.Equal(b.Prof):
+	case !am.Profile().Equal(bm.Profile()):
 		return "guest cycle profiles differ"
+	}
+	if addr, equal := mem.FirstDiff(am.MemSparse(), bm.MemSparse()); !equal {
+		return fmt.Sprintf("memory at %#x", addr)
 	}
 	return ""
 }

@@ -10,14 +10,13 @@ import (
 
 // ObserveScenario re-runs sc's two simulations, the original program
 // and its prefetch-transformed variant, with the timeline recorder
-// (cell.Config.Record) and the guest cycle profiler (cell.Config
-// .Profile) on as asked, and returns them as the runs "sim-orig
-// <summary>" and "sim-pf <summary>" for obs.WriteTrace and
-// obs.WriteProfile. Each program is simulated once whichever switches
-// are set. The machines are fresh (never pooled: a pooled machine's
-// recorder and profile are cleared on reuse), and observing does not
-// perturb results.
-func ObserveScenario(sc Scenario, opt CheckOptions, timeline, profile bool) ([]obs.Run, error) {
+// (cell.Config.Record) on when timeline is set, and returns them as the
+// runs "sim-orig <summary>" and "sim-pf <summary>" for obs.WriteTrace
+// and obs.WriteProfile, each with the guest profile every machine
+// keeps. Each program is simulated once. The machines are fresh (never
+// pooled: a pooled machine's recorder and profile are cleared on
+// reuse), and observing does not perturb results.
+func ObserveScenario(sc Scenario, opt CheckOptions, timeline bool) ([]obs.Run, error) {
 	summary := sc.Summary()
 	sc = sc.Normalize()
 	opt = opt.withDefaults()
@@ -35,7 +34,7 @@ func ObserveScenario(sc Scenario, opt CheckOptions, timeline, profile bool) ([]o
 	cfg.SPEs = sc.SPEs
 	cfg.Mem.Latency = opt.Latency
 	cfg.MaxCycles = maxCycles
-	cfg.Record, cfg.Profile = timeline, profile
+	cfg.Record = timeline
 
 	var runs []obs.Run
 	for _, v := range []struct {
@@ -51,7 +50,7 @@ func ObserveScenario(sc Scenario, opt CheckOptions, timeline, profile bool) ([]o
 			return nil, fmt.Errorf("synth: observe %s: %w", v.name, err)
 		}
 		runs = append(runs, obs.Run{Label: v.name + " " + summary, SPEs: sc.SPEs,
-			Prog: v.prog, Rec: res.Rec, Prof: res.Prof})
+			Prog: v.prog, Rec: res.Rec, Prof: m.Profile()})
 	}
 	return runs, nil
 }
