@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // citingDocs are the documents that name tests and benchmarks as the
@@ -72,6 +74,41 @@ func TestMutantSnippetsMatchOnce(t *testing.T) {
 		if r.Package == "" || r.Tests == "" || r.Old == r.New {
 			t.Errorf("mutant %q: want a package, the tests that kill it and an edit", r.Name)
 		}
+	}
+}
+
+// TestCauseTableBuckets: OBSERVABILITY.md's stall cause table lists
+// every cause once, by its slug, under the bucket Cause.Bucket folds it
+// into.
+func TestCauseTableBuckets(t *testing.T) {
+	text, err := os.ReadFile("OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(text), "### Stall cause taxonomy\n")
+	if !ok {
+		t.Fatal("OBSERVABILITY.md has no stall cause taxonomy section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	buckets := map[string]stats.Bucket{"Working": stats.Working, "Idle": stats.Idle, "MemStall": stats.MemStall,
+		"LSStall": stats.LSStall, "LSEStall": stats.LSEStall, "Prefetch": stats.Prefetch}
+	rows := map[string]string{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(\\w+)` \\| (\\w+) \\|").FindAllStringSubmatch(section, -1) {
+		if _, dup := rows[m[1]]; dup {
+			t.Errorf("the cause table lists %s twice", m[1])
+		}
+		rows[m[1]] = m[2]
+	}
+	for c := range stats.NumCauses {
+		name, ok := rows[c.Slug()]
+		if !ok {
+			t.Errorf("the cause table has no row for %s", c.Slug())
+		} else if b, ok := buckets[name]; !ok || b != c.Bucket() {
+			t.Errorf("the cause table puts %s under %s, Cause.Bucket under %v", c.Slug(), name, c.Bucket())
+		}
+	}
+	if len(rows) != int(stats.NumCauses) {
+		t.Errorf("the cause table has %d rows, there are %d causes", len(rows), stats.NumCauses)
 	}
 }
 

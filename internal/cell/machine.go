@@ -95,7 +95,7 @@ func New(cfg Config, prog *program.Program) (*Machine, error) {
 	m := &Machine{cfg: cfg, prog: prog, code: spu.NewCode(cfg.SPU), eng: sim.NewEngine(),
 		prof: new(stats.Profile)}
 	m.code.Bind(prog)
-	m.prof.Shape(prog)
+	m.prof.Shape(prog, cfg.SPEs)
 	if cfg.Record {
 		m.rec = trace.NewRecorder()
 	}
@@ -227,7 +227,7 @@ func (m *Machine) Reset(prog *program.Program) error {
 		m.knobbed = false
 	}
 	m.rec.Reset()
-	m.prof.Shape(prog)
+	m.prof.Shape(prog, m.cfg.SPEs)
 	m.net.Reset()
 	m.memory.Reset()
 	for _, spe := range m.spes {

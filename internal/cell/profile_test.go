@@ -57,10 +57,11 @@ func profileRuns(t *testing.T) []profileRun {
 }
 
 // TestProfileMatchesStats cross-checks the profile every machine keeps
-// against the machine's own counters: both are fed from the same charge
-// sites, so they must agree exactly per cause, the idle row must hold
-// exactly the idle cycles, and a prefetch-transformed run must
-// attribute cycles to PF blocks.
+// against the statistics each SPU folds from it: the SPEs' folded
+// causes must sum to the profile's rows per cause, the folded buckets
+// must be the causes' fold, the idle row must hold exactly the idle
+// cycles, and a prefetch-transformed run must attribute cycles to PF
+// blocks.
 func TestProfileMatchesStats(t *testing.T) {
 	pool := cell.NewPool()
 	for _, r := range profileRuns(t) {

@@ -34,10 +34,10 @@ import (
 // the engine clock.
 //
 // The kernel is issueCycle + chargeCycle specialised to those cycles
-// with the per-cycle bookkeeping hoisted: pc and the issue counters live
-// in locals and reach s.st once per window, and a cycle attributes to
-// the profile row of the pc it started at, in one profile Add per charge
-// site. On entry s.accounted == t (the reference cycle before it was
+// with the per-cycle bookkeeping hoisted: pc lives in a local, a cycle
+// attributes to the profile row of the pc it started at, in one profile
+// Add per charge site, and an issued instruction counts at its own pc.
+// On entry s.accounted == t (the reference cycle before it was
 // charged).
 //
 // Register-only issue cycles are mostly taken a run at a time. When pc
@@ -62,26 +62,19 @@ func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
 	if s.curKind != dta.WorkThread {
 		mask = 0 // PF block: bubbles and stalls only
 	}
-	prof, row0 := s.Prof, s.row0
+	prof, spe, row0 := s.Prof, s.spe, s.row0
 	// The first run that does not fit before limit ends run steps for
 	// the window, whose rest is shorter than that run.
 	runs := true
 	bubbleEnd := s.nextIssueAt
 	penalty := 1 + sim.Cycle(s.cfg.BranchPenalty)
 	s.liveOK = false
-	// Cycle counters of the window: issue cycles, bubbles, and scoreboard
-	// stalls by the class of the producer waited for.
-	var cycles, bubbles int64
-	var stalls [prodMFC + 1]int64
-	var instrs int64
-	var mix [iclsLSDir + 1]int64 // local-store ops issued, by instruction class
 
 cycle:
 	for t < limit {
 		if t < bubbleEnd {
 			end := min(bubbleEnd, limit)
-			bubbles += int64(end - t)
-			prof.Add(row0+pc, s.causeFor(stats.CauseBubble), int64(end-t))
+			prof.Add(spe, row0+pc, s.causeFor(stats.CauseBubble), int64(end-t))
 			t = end
 			continue
 		}
@@ -91,8 +84,7 @@ cycle:
 			for _, r := range u.srcs {
 				if s.ready[r] > t {
 					end := min(s.ready[r], limit)
-					stalls[s.prod[r]] += int64(end - t)
-					prof.Add(row0+pc, s.causeFor(stallCause(s.prod[r])), int64(end-t))
+					prof.Add(spe, row0+pc, s.causeFor(stallCause(s.prod[r])), int64(end-t))
 					t = end
 					continue cycle
 				}
@@ -117,15 +109,11 @@ cycle:
 					if r.guard {
 						ops = us[1:] // the guard is not taken
 					}
-					n := int64(len(us))
 					entry := pc
 					at := t       // the entry cycle of the iteration executed
 					k := int64(0) // iterations executed
 					for {
 						k++
-						cycles += n
-						instrs += n
-						stalls[prodALU] += int64(r.stall)
 						last := at + sim.Cycle(r.last)
 						t = last + 1
 						if !s.execOps(ops) {
@@ -141,15 +129,13 @@ cycle:
 						// The next iteration is ready on schedule (run.loop),
 						// so it needs no runReady, and the scoreboard is
 						// written once, from the last iteration executed.
-						bubbles += int64(bubbleEnd - t)
 						if r.guard && isa.BranchTaken(g.Op, s.regs[g.Ra], s.regs[g.Rb]) {
 							// Its guard is taken: it issues alone and
 							// leaves the loop.
 							s.setOuts(r, at)
-							cycles++
-							instrs++
 							s.chargeRun(row0, r, entry, k, k)
-							prof.Add(row0+entry, stats.CauseIssue, 1)
+							prof.Add(spe, row0+entry, stats.CauseIssue, 1)
+							prof.AddInstr(spe, row0+entry, 1)
 							pc = int(g.Imm)
 							t = bubbleEnd + 1
 							bubbleEnd += penalty
@@ -181,10 +167,8 @@ cycle:
 			if err != nil || !s.private(addr, width) {
 				break
 			}
-			prof.Add(row0+pc, stats.CauseIssue, 1)
-			cycles++
-			instrs++
-			mix[u.cls]++
+			prof.Add(spe, row0+pc, stats.CauseIssue, 1)
+			prof.AddInstr(spe, row0+pc, 1)
 			if err := s.lsAccess(t, &u.ins, addr); err != nil {
 				s.Fault(err)
 			}
@@ -194,7 +178,7 @@ cycle:
 				t++
 				continue
 			}
-			instrs++
+			prof.AddInstr(spe, row0+pc, 1)
 		}
 
 		// Compute slot: ALU op, branch or NOP at pc.
@@ -236,9 +220,8 @@ cycle:
 					ls, lsAddr = n, addr
 				}
 			}
-			prof.Add(row0+pc, stats.CauseIssue, 1)
-			cycles++
-			instrs++
+			prof.Add(spe, row0+pc, stats.CauseIssue, 1)
+			prof.AddInstr(spe, row0+pc, 1)
 		}
 		pc++
 		if taken {
@@ -252,8 +235,7 @@ cycle:
 			s.prod[rd] = prodALU
 		}
 		if ls != nil {
-			instrs++
-			mix[ls.cls]++
+			prof.AddInstr(spe, row0+pc, 1)
 			if err := s.lsAccess(t, &ls.ins, lsAddr); err != nil {
 				s.Fault(err)
 			}
@@ -274,15 +256,6 @@ cycle:
 
 	s.pc = pc
 	s.accounted = t
-	s.st.Charge(stats.CauseIssue, cycles)
-	s.st.Charge(s.causeFor(stats.CauseBubble), bubbles)
-	for p, n := range stalls {
-		s.st.Charge(s.causeFor(stallCause(prodClass(p))), n)
-	}
-	s.st.IssuedSlots += instrs
-	s.st.Instr.Total += instrs
-	s.st.Instr.Load += mix[iclsLoad]
-	s.st.Instr.LSDir += mix[iclsLSDir]
 	return t
 }
 
@@ -344,17 +317,19 @@ func (s *SPU) private(addr, width int64) bool {
 
 // chargeRun charges k iterations of run r, entered at pc of the block
 // whose profile row is row0, and edges back edges between or after them
-// to the guest profile: each instruction's issue cycle and its own
-// dependence stall at its pc, and the back edges' bubbles at the entry
-// pc, where per-cycle execution charges each of them. Runs never step
-// in a PF block, so no cause needs folding (causeFor).
+// to the guest profile: each instruction's issue cycle, its own
+// dependence stall and its k executions at its pc, and the back edges'
+// bubbles at the entry pc, where per-cycle execution charges each of
+// them. Runs never step in a PF block, so no cause needs folding
+// (causeFor).
 func (s *SPU) chargeRun(row0 int, r *run, pc int, k, edges int64) {
-	prof, row := s.Prof, row0+pc
+	prof, spe, row := s.Prof, s.spe, row0+pc
 	for i, stall := range s.code.stalls[r.sl : r.sl+r.end-int32(pc)] {
-		prof.Add(row+i, stats.CauseIssue, k)
-		prof.Add(row+i, stats.CauseDepStall, k*int64(stall))
+		prof.Add(spe, row+i, stats.CauseIssue, k)
+		prof.Add(spe, row+i, stats.CauseDepStall, k*int64(stall))
+		prof.AddInstr(spe, row+i, k)
 	}
-	prof.Add(row, stats.CauseBubble, edges*int64(s.cfg.BranchPenalty))
+	prof.Add(spe, row, stats.CauseBubble, edges*int64(s.cfg.BranchPenalty))
 }
 
 // run is the static issue schedule of a run: the uopBurstReg

@@ -40,8 +40,6 @@ func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 	for _, p := range []*sim.Cycle{&s.accounted, &s.nextIssueAt, &s.resumeAt} {
 		snap.Int(c, p)
 	}
-	var reserved int64 // keeps the layout of blobs written before the burst kernel
-	snap.Int(c, &reserved)
 	snap.Byte(c, &s.readDst)
 	snap.Int(c, &s.reqSeq)
 	snap.Byte(c, &s.fallocRd)

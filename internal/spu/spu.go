@@ -141,22 +141,7 @@ type uop struct {
 	srcs  [3]uint8 // registers the scoreboard must clear before issue; slots past nsrc stay RegZero (always ready)
 	nsrc  uint8
 	flags uint8
-	cls   uint8 // instruction-mix class for stats.InstrCounts (icls*)
 }
-
-// Instruction-mix classes, precomputed per opcode so the per-issue
-// statistics update is an indexed switch instead of a 40-way opcode
-// dispatch.
-const (
-	iclsOther uint8 = iota
-	iclsLoad
-	iclsStore
-	iclsRead
-	iclsWrite
-	iclsLSDir
-	iclsDTA
-	iclsMFC
-)
 
 // SPU is one processing element's pipeline.
 type SPU struct {
@@ -214,6 +199,8 @@ type SPU struct {
 	// its delivery cycle.
 	resp readResp
 
+	// st holds the counts the SPU keeps itself; Finalize folds the cycle
+	// and instruction counts into it from Prof.
 	st stats.SPU
 
 	// Rec, when non-nil, receives SPU occupancy spans (dispatched work
@@ -224,8 +211,9 @@ type SPU struct {
 	unitStart sim.Cycle
 
 	// Prof is the machine's guest profile, shaped for the program code
-	// is bound to. Every charge of the breakdown charges it too, at the
-	// pc the cycle attributes to, so the two agree by construction; a
+	// is bound to, and the only store the SPU charges: each cycle at the
+	// pc it attributes to, each issued instruction at its own pc.
+	// Finalize folds the SPU's breakdown and instruction mix from it. A
 	// kernel window charges in bulk (one Add per charge, and per
 	// instruction of a run step, not per cycle).
 	Prof *stats.Profile
@@ -341,7 +329,7 @@ func (c *Code) decode(code []isa.Instruction) decoded {
 	for i, ins := range code {
 		info := isa.InfoOf(ins.Op)
 		u := &us[i]
-		*u = uop{ins: ins, cls: instrClass(ins.Op)} // recycled memory: set every field
+		*u = uop{ins: ins} // recycled memory: set every field
 		switch info.Fmt {
 		case isa.FmtRa, isa.FmtRdRa, isa.FmtRdRaImm:
 			u.srcs[0], u.nsrc = ins.Ra, 1
@@ -482,14 +470,11 @@ func (s *SPU) Reset() {
 }
 
 // Finalize charges the trailing sleep gap up to end (call once when the
-// run stops) and records the run length.
+// run stops), folds the SPU's cycle and instruction counts from the
+// profile and records the run length.
 func (s *SPU) Finalize(end sim.Cycle) {
-	if end > s.accounted {
-		n := int64(end - s.accounted)
-		s.st.Charge(s.gapCause, n)
-		s.Prof.Add(s.gapRow, s.gapCause, n)
-		s.accounted = end
-	}
+	s.account(end)
+	s.Prof.Fold(s.spe, s.code.prog, &s.st)
 	s.st.Cycles = int64(end)
 }
 
@@ -498,9 +483,7 @@ func (s *SPU) Finalize(end sim.Cycle) {
 // idle row).
 func (s *SPU) account(now sim.Cycle) {
 	if now > s.accounted {
-		n := int64(now - s.accounted)
-		s.st.Charge(s.gapCause, n)
-		s.Prof.Add(s.gapRow, s.gapCause, n)
+		s.Prof.Add(s.spe, s.gapRow, s.gapCause, int64(now-s.accounted))
 		s.accounted = now
 	}
 }
@@ -509,8 +492,7 @@ func (s *SPU) account(now sim.Cycle) {
 func (s *SPU) chargeCycle(now sim.Cycle, c stats.Cause, row int) {
 	s.account(now)
 	if s.accounted == now {
-		s.st.Charge(c, 1)
-		s.Prof.Add(row, c, 1)
+		s.Prof.Add(s.spe, row, c, 1)
 		s.accounted = now + 1
 	}
 }
@@ -810,6 +792,7 @@ func (s *SPU) issueCycle(now sim.Cycle) (stats.Cause, bool) {
 			}
 			break
 		}
+		row := s.row0 + s.pc // execute may move the pc, the block or the thread
 		ok, sleep, cause := s.execute(now, ins, u)
 		if !ok {
 			// Structural stall outside the pipeline (LSE/MFC full).
@@ -819,8 +802,7 @@ func (s *SPU) issueCycle(now sim.Cycle) (stats.Cause, bool) {
 			break
 		}
 		issued++
-		s.st.IssuedSlots++
-		s.countInstr(u.cls)
+		s.Prof.AddInstr(s.spe, row, 1)
 		if isMem {
 			memUsed = true
 		} else {
@@ -861,50 +843,6 @@ func stallCause(p prodClass) stats.Cause {
 		return stats.CauseMFCWait
 	}
 	return stats.CauseDepStall
-}
-
-func (s *SPU) countInstr(cls uint8) {
-	s.st.Instr.Total++
-	switch cls {
-	case iclsLoad:
-		s.st.Instr.Load++
-	case iclsStore:
-		s.st.Instr.Store++
-	case iclsRead:
-		s.st.Instr.Read++
-	case iclsWrite:
-		s.st.Instr.Write++
-	case iclsLSDir:
-		s.st.Instr.LSDir++
-	case iclsDTA:
-		s.st.Instr.DTA++
-	case iclsMFC:
-		s.st.Instr.MFC++
-	}
-}
-
-// instrClass maps an opcode to its stats.InstrCounts class (the
-// decode-time half of countInstr).
-func instrClass(op isa.Op) uint8 {
-	switch op {
-	case isa.LOAD, isa.LOADX:
-		return iclsLoad
-	case isa.STORE, isa.STOREX:
-		return iclsStore
-	case isa.READ, isa.READ8:
-		return iclsRead
-	case isa.WRITE, isa.WRITE8:
-		return iclsWrite
-	case isa.LSRD, isa.LSRD8, isa.LSWR, isa.LSWR8, isa.LSRDX, isa.LSRDX8,
-		isa.LSWRX, isa.LSWRX8:
-		return iclsLSDir
-	case isa.FALLOC, isa.FALLOCX, isa.FFREE, isa.STOP:
-		return iclsDTA
-	case isa.MFCLSA, isa.MFCEA, isa.MFCSZ, isa.MFCTAG, isa.MFCGET, isa.MFCPUT,
-		isa.MFCSTAT:
-		return iclsMFC
-	}
-	return iclsOther
 }
 
 func (c Config) latFor(u isa.Unit) sim.Cycle {

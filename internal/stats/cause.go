@@ -10,10 +10,9 @@ import "fmt"
 // DMA-programming vs DMA-wait vs MFC-queue-full, so a profile can answer
 // *why* a bucket filled, not just that it did.
 //
-// The mapping is total and static: summing a CauseBreakdown by
-// Cause.Bucket() reproduces the Breakdown byte-for-byte (the cause
-// refactor of internal/spu derives the bucket charge from the cause, so
-// the two can never drift).
+// The mapping is total and static. The SPU charges causes only, to the
+// guest profile, and an SPU's Breakdown is its Causes folded by
+// Cause.Bucket() (CauseBreakdown.Buckets), so the two never drift.
 type Cause int
 
 const (
@@ -129,9 +128,8 @@ func (b *CauseBreakdown) Merge(o CauseBreakdown) {
 	}
 }
 
-// Buckets folds the cause counts back into the Figure-5 buckets. By
-// construction (the SPU charges both from the same cause) this equals
-// the SPU's Breakdown.
+// Buckets folds the cause counts into the Figure-5 buckets: an SPU's
+// Breakdown is its Causes folded here (Profile.Fold).
 func (b CauseBreakdown) Buckets() Breakdown {
 	var out Breakdown
 	for c := Cause(0); c < NumCauses; c++ {

@@ -42,25 +42,6 @@ func TestCauseBucketMappingTotal(t *testing.T) {
 	}
 }
 
-// TestSPUChargeKeepsBreakdownsInSync: Charge updates bucket and cause
-// stores from the same increment; Merge preserves the invariant.
-func TestSPUChargeKeepsBreakdownsInSync(t *testing.T) {
-	var a, b SPU
-	a.Charge(CauseIssue, 10)
-	a.Charge(CauseBlockingRead, 7)
-	a.Charge(CauseDMAProgram, 3)
-	b.Charge(CauseFallocWait, 5)
-	b.Charge(CauseIssue, 2)
-	a.Merge(b)
-	if a.Breakdown != a.Causes.Buckets() {
-		t.Fatalf("breakdown %v out of sync with causes %v", a.Breakdown, a.Causes)
-	}
-	if a.Breakdown[Working] != 12 || a.Breakdown[MemStall] != 7 ||
-		a.Breakdown[Prefetch] != 3 || a.Breakdown[LSEStall] != 5 {
-		t.Fatalf("unexpected breakdown %v", a.Breakdown)
-	}
-}
-
 // TestBreakdownPercentZeroTotal guards the empty-run rendering path: an
 // all-zero breakdown must report 0%, never NaN, for every bucket and
 // for StallPct.

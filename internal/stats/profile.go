@@ -18,25 +18,33 @@ type Loc struct {
 // IdleLoc is the synthetic location idle cycles attribute to.
 var IdleLoc = Loc{Template: -1}
 
-// Profile is a machine's guest cycle profile: the cycles each guest
-// location spent on each cause, charged by the SPUs beside their
-// breakdowns. All SPUs of a machine share one (the engine is
-// single-threaded), so it aggregates across SPEs.
+// Profile is a machine's guest cycle profile and the only store its
+// SPUs charge: the cycles each guest location spent on each cause, each
+// SPE's cycles by cause, and the instructions each SPE executed at each
+// location. All SPUs of a machine share one (the engine is
+// single-threaded); each folds its stats.SPU from it when the run ends
+// (Fold), so the breakdowns are views of the profile, not a second
+// ledger.
 //
 // It is dense. Shape gives row 0 to IdleLoc and one row to every
 // instruction of the bound program, template by template, block by
 // block, in pc order — the (template, block, pc) order samples come out
-// in — and a row is NumCauses cycle counters, so a charge is one
-// indexed add. The zero Profile is shaped for no program.
+// in — and a row is NumCauses cycle counters, summed over SPEs, so a
+// charge is one indexed add there and one in the SPE's total. The zero
+// Profile is shaped for no program.
 type Profile struct {
-	cells []int64 // row*NumCauses + cause; zero beyond the shaped rows
-	rows  int     // rows of the bound program
-	first []int32 // first row of each code block, by template*NumBlocks + block
+	cells []int64          // row*NumCauses + cause; zero beyond the shaped rows
+	spe   []CauseBreakdown // each SPE's cycles by cause
+	instr []int64          // row*spes + spe: instructions the SPE executed at row
+	rows  int              // rows of the bound program
+	spes  int              // SPEs charging it
+	first []int32          // first row of each code block, by template*NumBlocks + block
 }
 
-// Shape readies p, empty, for prog. The buffer only grows, and only
-// the rows the previous program used are zeroed.
-func (p *Profile) Shape(prog *program.Program) {
+// Shape readies p, empty, for prog on spes SPEs. The buffers only grow,
+// and only the rows the previous program used are zeroed.
+func (p *Profile) Shape(prog *program.Program, spes int) {
+	clear(p.instr[:p.rows*p.spes])
 	clear(p.used())
 	p.first = p.first[:0]
 	p.rows = 1
@@ -49,6 +57,12 @@ func (p *Profile) Shape(prog *program.Program) {
 	if n := p.rows * int(NumCauses); n > len(p.cells) {
 		p.cells = make([]int64, n)
 	}
+	if n := p.rows * spes; n > len(p.instr) {
+		p.instr = make([]int64, n)
+	}
+	p.spes = spes
+	p.spe = slices.Grow(p.spe[:0], spes)[:spes]
+	clear(p.spe)
 }
 
 // Row returns the row of pc 0 of template tmpl's block blk: the row of
@@ -60,10 +74,35 @@ func (p *Profile) Row(tmpl int, blk program.BlockKind) int {
 // Rows returns the number of rows, the idle row included.
 func (p *Profile) Rows() int { return p.rows }
 
-// Add attributes n cycles at row to cause c. Bulk-friendly: a burst
-// window charges once with the window's width, not once per cycle.
-func (p *Profile) Add(row int, c Cause, n int64) {
+// Add attributes n cycles of SPE spe at row to cause c. Bulk-friendly: a
+// burst window charges once with the window's width, not once per cycle.
+func (p *Profile) Add(spe, row int, c Cause, n int64) {
 	p.cells[row*int(NumCauses)+int(c)] += n
+	p.spe[spe][c] += n
+}
+
+// AddInstr counts n instructions SPE spe executed at row.
+func (p *Profile) AddInstr(spe, row int, n int64) {
+	p.instr[row*p.spes+spe] += n
+}
+
+// Fold sets the cycle and instruction counts of SPE spe's statistics s
+// from the profile, shaped for prog: Causes, Breakdown, Instr and
+// IssuedSlots. The other fields of s are the SPU's own.
+func (p *Profile) Fold(spe int, prog *program.Program, s *SPU) {
+	s.Causes = p.spe[spe]
+	s.Breakdown = s.Causes.Buckets()
+	s.Instr = InstrCounts{}
+	row := 1
+	for _, t := range prog.Templates {
+		for _, b := range t.Blocks {
+			for _, ins := range b {
+				s.Instr.Add(ins.Op, p.instr[row*p.spes+spe])
+				row++
+			}
+		}
+	}
+	s.IssuedSlots = s.Instr.Total
 }
 
 // loc returns the guest location of row.
@@ -116,8 +155,8 @@ func (p *Profile) Len() int {
 }
 
 // Total returns the cycles across all samples. On a completed run this
-// equals the aggregate Breakdown total (both are fed from the same
-// charges).
+// equals the aggregate Breakdown total, which the SPUs fold from the
+// same charges.
 func (p *Profile) Total() int64 {
 	var t int64
 	for _, v := range p.used() {

@@ -2,22 +2,25 @@ package stats
 
 import "repro/internal/snap"
 
-// Walk writes or reads one SPU's accumulated statistics.
+// Walk writes or reads the statistics an SPU counts itself mid-run;
+// the rest are folded from the profile when the run ends.
 func (s *SPU) Walk(c *snap.Codec) {
-	snap.Ints(c, s.Breakdown[:])
-	snap.Ints(c, s.Causes[:])
-	in := &s.Instr
-	for _, p := range []*int64{&in.Total, &in.Load, &in.Store, &in.Read, &in.Write, &in.LSDir, &in.DTA, &in.MFC,
-		&s.IssuedSlots, &s.Cycles, &s.Threads, &s.PFBlocks} {
-		snap.Int(c, p)
-	}
+	snap.Int(c, &s.Threads)
+	snap.Int(c, &s.PFBlocks)
 }
 
 // Walk writes or reads the profile's non-zero cells in (template,
-// block, pc, cause) order, each with its location. A read needs a
-// profile shaped for the program that wrote it, and refuses a location
-// the program does not have.
+// block, pc, cause) order, each with its location, then the SPE totals
+// and the instruction column. A read needs a profile shaped for the
+// program and the SPE count that wrote it, and refuses a location the
+// program does not have and totals or a column of another shape.
 func (p *Profile) Walk(c *snap.Codec) {
+	p.walkCells(c)
+	snap.Fixed(c, "stats: profile SPEs", p.spe, func(c *snap.Codec, b *CauseBreakdown) { snap.Ints(c, b[:]) })
+	snap.Fixed(c, "stats: profile instruction column", p.instr[:p.rows*p.spes], snap.Int[int64])
+}
+
+func (p *Profile) walkCells(c *snap.Codec) {
 	cell := func(loc *Loc, cause *Cause, v *int64) {
 		snap.Int(c, &loc.Template)
 		snap.Byte(c, &loc.Block)

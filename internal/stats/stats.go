@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/isa"
 )
 
 // Bucket is one category of the SPU execution-time breakdown.
@@ -79,6 +81,29 @@ type InstrCounts struct {
 	MFC   int64 // MFC channel/enqueue/status instructions
 }
 
+// Add counts n executions of op in the total and in op's class.
+func (c *InstrCounts) Add(op isa.Op, n int64) {
+	c.Total += n
+	switch op {
+	case isa.LOAD, isa.LOADX:
+		c.Load += n
+	case isa.STORE, isa.STOREX:
+		c.Store += n
+	case isa.READ, isa.READ8:
+		c.Read += n
+	case isa.WRITE, isa.WRITE8:
+		c.Write += n
+	case isa.LSRD, isa.LSRD8, isa.LSWR, isa.LSWR8, isa.LSRDX, isa.LSRDX8,
+		isa.LSWRX, isa.LSWRX8:
+		c.LSDir += n
+	case isa.FALLOC, isa.FALLOCX, isa.FFREE, isa.STOP:
+		c.DTA += n
+	case isa.MFCLSA, isa.MFCEA, isa.MFCSZ, isa.MFCTAG, isa.MFCGET, isa.MFCPUT,
+		isa.MFCSTAT:
+		c.MFC += n
+	}
+}
+
 // Merge adds o into c.
 func (c *InstrCounts) Merge(o InstrCounts) {
 	c.Total += o.Total
@@ -91,7 +116,11 @@ func (c *InstrCounts) Merge(o InstrCounts) {
 	c.MFC += o.MFC
 }
 
-// SPU aggregates one SPU's activity for a run.
+// SPU aggregates one SPU's activity for a run. The cycle and
+// instruction counts — Breakdown, Causes, Instr, IssuedSlots — are
+// folded from the machine's guest profile when the run ends
+// (Profile.Fold), so Breakdown == Causes.Buckets() and IssuedSlots ==
+// Instr.Total hold by construction; the SPU counts the rest itself.
 type SPU struct {
 	Breakdown   Breakdown
 	Causes      CauseBreakdown // fine-grained refinement of Breakdown (see Cause)
@@ -100,14 +129,6 @@ type SPU struct {
 	Cycles      int64 // cycles the SPU was simulated (run length)
 	Threads     int64 // thread executions completed
 	PFBlocks    int64 // PF blocks executed
-}
-
-// Charge attributes n cycles to cause c, updating the bucket breakdown
-// and the cause refinement from the same charge so they can never
-// drift: Breakdown == Causes.Buckets() by construction.
-func (s *SPU) Charge(c Cause, n int64) {
-	s.Breakdown[c.Bucket()] += n
-	s.Causes[c] += n
 }
 
 // PipelineUsage returns the fraction of issue slots used (paper Fig. 9):
