@@ -441,7 +441,8 @@ func (s *SPU) Wake(now sim.Cycle) {
 	}
 }
 
-// Stats returns the accumulated statistics.
+// Stats returns the statistics; the cycle and instruction counts are
+// those Finalize folded from the profile.
 func (s *SPU) Stats() stats.SPU { return s.st }
 
 // Reset returns the pipeline to its post-construction state for
