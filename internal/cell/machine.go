@@ -483,8 +483,19 @@ func (m *Machine) ComponentTicks() []ComponentTicks {
 // block, pc, cause), the cycles its SPUs spent there, summed over SPEs
 // (export with obs.WriteProfile). It is the machine's own store, valid
 // until the next Reset, which reshapes and empties it; a Result does not
-// carry it, so a pooled machine's next run cannot change a result.
-func (m *Machine) Profile() *stats.Profile { return m.prof }
+// carry it, so a pooled machine's next run cannot change a result. The
+// SPUs' run steps are charged to it first.
+func (m *Machine) Profile() *stats.Profile {
+	m.chargeRuns()
+	return m.prof
+}
+
+// chargeRuns charges every SPU's run steps to the profile.
+func (m *Machine) chargeRuns() {
+	for _, spe := range m.spes {
+		spe.SPU.ChargeRuns()
+	}
+}
 
 // MemReader exposes the post-run memory image.
 func (m *Machine) MemReader() program.MemReader { return mem.Reader{S: m.memory.Store()} }

@@ -202,3 +202,25 @@ func TestLSWindowRemoteFrameStore(t *testing.T) {
 	}
 	wantToken(t, raceRuns(t, 2, prog(int32(layout.FrameBase))), 77)
 }
+
+// (iv) A loop of LSRD8s striding up to the buffer of its own MFCGET,
+// stepped in place while the GET is in flight: the iterations before
+// the buffer read private bytes, but the one that reaches it must leave
+// the step, wait for its cycle, after the GET landed, and read the data.
+func TestLSWindowLoopReachesGet(t *testing.T) {
+	const n = 64 // iterations
+	b := program.NewBuilder("loop-reaches-get")
+	root := b.Template("root")
+	dmaPF(root.Block(program.PF), isa.MFCGET)
+	ex := root.EX()
+	ex.Movi(program.R(2), raceBuf-8*(n-1)).Movi(program.R(3), raceBuf)
+	ex.Label("read")
+	ex.Lsrd8(program.R(5), program.R(2), 0)
+	ex.Addi(program.R(2), program.R(2), 8)
+	ex.Bge(program.R(3), program.R(2), "read")
+	ex.Addi(program.R(6), program.R(5), 1)
+	root.PS().StoreMailbox(program.R(5), program.R(9), 0).Ffree().Stop()
+	b.Entry(root, raceMem)
+	b.Segment(raceMem, binary.LittleEndian.AppendUint64(nil, 4242))
+	wantToken(t, raceRuns(t, 1, build(t, b)), 4242)
+}

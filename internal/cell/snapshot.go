@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is bumped whenever the machine snapshot layout
 // changes; restores of a mismatched version fail with
 // snap.VersionError instead of misdecoding.
-const SnapshotVersion = 6
+const SnapshotVersion = 7
 
 // SnapshotKey derives the content-addressed checkpoint key for (cfg,
 // prog, divergence cycle): two runs with equal keys have byte-identical
@@ -166,7 +166,10 @@ func (m *Machine) walk(c *snap.Codec) error {
 
 // EncodeSnapshot captures the machine into a self-describing,
 // checksummed envelope carrying key as its identity (use SnapshotKey).
+// The SPUs' run steps are charged to the profile first, so the blob's
+// profile is complete.
 func (m *Machine) EncodeSnapshot(key string) ([]byte, error) {
+	m.chargeRuns()
 	c := snap.NewEncoder()
 	if err := m.walk(c); err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/program"
 	"repro/internal/snap"
+	"repro/internal/spu"
 )
 
 // TestSnapshotRestoreIdentity is the checkpoint contract: running to a
@@ -92,6 +93,71 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 			}
 			resultsIdentical(t, want, donorRes, tc.name+"/donor")
 		}
+	}
+}
+
+// TestSnapshotBetweenRunSteps captures a run between two kernel windows
+// of one local-store loop, which the SPU iterates in place: the steps
+// taken before the capture are counts the SPU charges to the profile
+// later, so the blob must carry them charged. Restored into a fresh
+// machine and finished, the run must end with the cold run's profile
+// and statistics.
+func TestSnapshotBetweenRunSteps(t *testing.T) {
+	b := program.NewBuilder("ls-loop")
+	root := b.Template("root")
+	root.PL().Load(program.R(1), 0) // iterations
+	ex := root.EX()
+	ex.Addi(program.R(6), program.RegPFB, 0x9000)
+	ex.Label("top")
+	ex.Lswr8(program.R(1), program.R(6), 0)
+	ex.Lsrd8(program.R(5), program.R(6), 0)
+	ex.Add(program.R(2), program.R(2), program.R(5))
+	ex.Subi(program.R(1), program.R(1), 1)
+	ex.Bne(program.R(1), program.R(0), "top")
+	ex.Addi(program.R(3), program.R(2), 1)
+	root.PS().StoreMailbox(program.R(2), program.R(4), 0).Ffree().Stop()
+	b.Entry(root, 20_000)
+	p := build(t, b)
+	cfg := smallConfig(1)
+
+	cold, err := New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Cycles < 3*spu.DefaultBurstMax {
+		t.Fatalf("the run takes %d cycles; the test needs it to span several kernel windows", want.Cycles)
+	}
+	donor, err := New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	div := want.Cycles / 2
+	if _, st, err := donor.RunTo(div); err != nil || st == StepDone {
+		t.Fatalf("RunTo(%d): %v, %v", div, st, err)
+	}
+	key := SnapshotKey(cfg, p, div)
+	blob, err := donor.EncodeSnapshot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked, err := New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := forked.RestoreSnapshot(blob, key); err != nil {
+		t.Fatal(err)
+	}
+	got, err := forked.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsIdentical(t, want, got, "forked")
+	if !cold.Profile().Equal(forked.Profile()) {
+		t.Error("forked profile differs from cold profile")
 	}
 }
 

@@ -51,13 +51,6 @@ func DefaultConfig() Config {
 	return Config{SizeBytes: 156 * 1024, Latency: 6, PortWidth: 16}
 }
 
-// Stats aggregates local-store activity.
-type Stats struct {
-	Accesses   [NumPorts]int64
-	Bytes      [NumPorts]int64
-	Contention [NumPorts]int64 // cycles requests waited for a busy port
-}
-
 // LocalStore is the functional and timing model of one SPE's local
 // store. It is passive: co-located components call Access for timing and
 // the Read*/Write* methods for data.
@@ -72,7 +65,6 @@ type LocalStore struct {
 	// kept zero, so growing within it is a reslice.
 	data     []byte
 	portFree [NumPorts]sim.Cycle
-	stats    Stats
 }
 
 // minGrow is the smallest backing array a write allocates, so the code
@@ -94,18 +86,19 @@ func (l *LocalStore) Size() int { return l.cfg.SizeBytes }
 // Latency returns the configured access latency.
 func (l *LocalStore) Latency() int { return l.cfg.Latency }
 
-// Stats returns a copy of the accumulated statistics.
-func (l *LocalStore) Stats() Stats { return l.stats }
+// Occupancy returns the cycles an n-byte access holds its port.
+func (l *LocalStore) Occupancy(n int) sim.Cycle {
+	return max(sim.Cycle((n+l.cfg.PortWidth-1)/l.cfg.PortWidth), 1)
+}
 
-// Reset zeroes the store contents, port bookings and statistics for
-// machine reuse. The backing array is kept, and only the written
-// prefix is cleared — pooled machines reset in time proportional to
-// the bytes the previous run actually touched.
+// Reset zeroes the store contents and port bookings for machine reuse.
+// The backing array is kept, and only the written prefix is cleared —
+// pooled machines reset in time proportional to the bytes the previous
+// run actually touched.
 func (l *LocalStore) Reset() {
 	clear(l.data)
 	l.data = l.data[:0]
 	l.portFree = [NumPorts]sim.Cycle{}
-	l.stats = Stats{}
 }
 
 // grow extends the written prefix to end bytes, which the caller has
@@ -125,20 +118,11 @@ func (l *LocalStore) grow(end int) {
 // Access books an n-byte access on port starting no earlier than now and
 // returns the cycle at which the data is available (for reads) or
 // durably written (for writes). Port occupancy is ceil(n/PortWidth)
-// cycles; the pipeline latency is added on top.
+// cycles (Occupancy); the pipeline latency is added on top.
 func (l *LocalStore) Access(port Port, now sim.Cycle, n int) sim.Cycle {
-	occ := sim.Cycle((n + l.cfg.PortWidth - 1) / l.cfg.PortWidth)
-	if occ < 1 {
-		occ = 1
-	}
-	start := now
-	if l.portFree[port] > start {
-		l.stats.Contention[port] += int64(l.portFree[port] - start)
-		start = l.portFree[port]
-	}
+	occ := l.Occupancy(n)
+	start := max(now, l.portFree[port])
 	l.portFree[port] = start + occ
-	l.stats.Accesses[port]++
-	l.stats.Bytes[port] += int64(n)
 	return start + occ - 1 + sim.Cycle(l.cfg.Latency)
 }
 

@@ -30,8 +30,8 @@ func TestPortContentionQueues(t *testing.T) {
 	if second <= first-2 {
 		t.Fatalf("second access at %d did not queue behind first (%d)", second, first)
 	}
-	if got := l.Stats().Contention[PortSPU]; got != 3 {
-		t.Fatalf("contention = %d, want 3", got)
+	if second != 4+6 {
+		t.Fatalf("second access ready at %d, want %d: it starts when the port frees at 4", second, 4+6)
 	}
 }
 
@@ -42,8 +42,9 @@ func TestPortsAreIndependent(t *testing.T) {
 	if ready != 6 {
 		t.Fatalf("MFC access ready at %d, want 6", ready)
 	}
-	if l.Stats().Contention[PortMFC] != 0 {
-		t.Fatal("unexpected cross-port contention")
+	// The SPU port queues behind its own booking (busy until 4) only.
+	if ready := l.Access(PortSPU, 1, 8); ready != 4+6 {
+		t.Fatalf("SPU access ready at %d, want %d", ready, 4+6)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Walk writes or reads the local store: size, contents (the written
 // prefix with trailing zeros trimmed, so only what a run wrote costs
-// bytes), port bookings and statistics. A read needs a store of the
+// bytes) and port bookings. A read needs a store of the
 // same size.
 func (l *LocalStore) Walk(c *snap.Codec) {
 	size := l.cfg.SizeBytes
@@ -32,9 +32,6 @@ func (l *LocalStore) Walk(c *snap.Codec) {
 		}
 	}
 	snap.Ints(c, l.portFree[:])
-	snap.Ints(c, l.stats.Accesses[:])
-	snap.Ints(c, l.stats.Bytes[:])
-	snap.Ints(c, l.stats.Contention[:])
 }
 
 // Walk writes or reads the allocator: region, free list and live

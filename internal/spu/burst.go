@@ -3,6 +3,7 @@ package spu
 import (
 	"repro/internal/dta"
 	"repro/internal/isa"
+	"repro/internal/ls"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -40,22 +41,27 @@ import (
 // On entry s.accounted == t (the reference cycle before it was
 // charged).
 //
-// Register-only issue cycles are mostly taken a run at a time. When pc
-// enters a run of two or more of them (see run) whose guard, if any, is
-// not taken, whose live-ins are all ready in time and whose last issue
+// Issue cycles are mostly taken a run at a time. When pc enters a run
+// of two or more instructions (see run) whose guard, if any, is not
+// taken, whose live-ins are all ready in time, whose local-store
+// accesses are all private at the entry registers and whose last issue
 // cycle falls before limit, one step executes the whole run from the
 // schedule its Code worked out the first time a window reached that pc:
-// the ALU ops in order, the results' ready cycles, the issue cycles and
-// the run's own dependence stalls charged in bulk, each at the pc that
-// per-cycle execution would charge it to, and a taken closing branch's
-// bubble. When the run is a loop the step goes on in place, one
-// iteration after another with a back edge's bubble between them,
-// charged at the entry pc, for as long as the next iteration's last
-// issue cycle falls before limit; the scoreboard is written once, from
-// the entry of the last iteration. A guard taken at a later iteration's
-// entry issues alone and ends the step; one taken where the step would
-// begin issues per cycle. In every other case the cycles run one at a
-// time as described above, which the run step reproduces exactly.
+// the ops in program order (ALU ops through isa.EvalALU, local-store
+// ops through the store), the results' ready cycles and a taken closing
+// branch's bubble. When the run is a loop the step goes on in place,
+// one iteration after another with a back edge's bubble between them,
+// for as long as the next iteration's last issue cycle falls before
+// limit and its local-store accesses, resolved from the registers at its
+// entry, are private; the scoreboard is written once, from the entry of
+// the last iteration, and so is the local-store port. A guard taken at
+// a later iteration's entry issues alone and ends the step; one taken
+// where the step would begin issues per cycle. A step's profile charge
+// is O(1): the back edges' bubbles in one Add at the entry pc, and its
+// iterations added to the run's counter (steps), which ChargeRuns
+// expands into the issue cycles, waits and executions per-cycle
+// execution charges at each pc. In every other case the cycles run one
+// at a time as described above, which the run step reproduces exactly.
 func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
 	uops, runAt, pc := s.uops, s.runAt, s.pc
 	mask := uopBurstReg | uopBurstLS
@@ -91,10 +97,10 @@ cycle:
 			}
 		}
 		f := u.flags & mask
-		if f&uopBurstReg != 0 && runs {
+		if f != 0 && runs {
 			ri := runAt[pc]
 			if ri == 0 {
-				ri = s.code.schedule(uops, runAt, pc)
+				ri = s.code.schedule(uops, runAt, pc, row0+pc, s.lsLat)
 			}
 			if ri > 0 {
 				r := &s.code.runs[ri-1]
@@ -104,12 +110,11 @@ cycle:
 					// The guard issues alone in the per-cycle path below.
 				} else if t+sim.Cycle(r.last) >= limit {
 					runs = false
-				} else if s.runReady(r, t) {
+				} else if s.runReady(r, t) && s.runPrivate(r, us) {
 					ops := us
 					if r.guard {
 						ops = us[1:] // the guard is not taken
 					}
-					entry := pc
 					at := t       // the entry cycle of the iteration executed
 					k := int64(0) // iterations executed
 					for {
@@ -133,19 +138,23 @@ cycle:
 							// Its guard is taken: it issues alone and
 							// leaves the loop.
 							s.setOuts(r, at)
-							s.chargeRun(row0, r, entry, k, k)
-							prof.Add(spe, row0+entry, stats.CauseIssue, 1)
-							prof.AddInstr(spe, row0+entry, 1)
+							s.endRun(ri, at, k, k)
+							// pc is the entry again.
+							prof.Add(spe, row0+pc, stats.CauseIssue, 1)
+							prof.AddInstr(spe, row0+pc, 1)
 							pc = int(g.Imm)
 							t = bubbleEnd + 1
 							bubbleEnd += penalty
 							s.nextIssueAt = bubbleEnd
 							continue cycle
 						}
+						if !s.runPrivate(r, us) {
+							break // the per-cycle path takes the next iteration
+						}
 						at = bubbleEnd
 					}
-					s.chargeRun(row0, r, entry, k, k-1)
 					s.setOuts(r, at)
+					s.endRun(ri, at, k, k-1)
 					continue
 				}
 			}
@@ -315,38 +324,71 @@ func (s *SPU) private(addr, width int64) bool {
 	return true
 }
 
-// chargeRun charges k iterations of run r, entered at pc of the block
-// whose profile row is row0, and edges back edges between or after them
-// to the guest profile: each instruction's issue cycle, its own
-// dependence stall and its k executions at its pc, and the back edges'
-// bubbles at the entry pc, where per-cycle execution charges each of
-// them. Runs never step in a PF block, so no cause needs folding
-// (causeFor).
-func (s *SPU) chargeRun(row0 int, r *run, pc int, k, edges int64) {
-	prof, spe, row := s.Prof, s.spe, row0+pc
-	for i, stall := range s.code.stalls[r.sl : r.sl+r.end-int32(pc)] {
-		prof.Add(spe, row+i, stats.CauseIssue, k)
-		prof.Add(spe, row+i, stats.CauseDepStall, k*int64(stall))
-		prof.AddInstr(spe, row+i, k)
+// endRun ends a run step of k iterations of the run at runAt entry ri,
+// the last one entered at cycle at, with edges back edges between or
+// after them: it books the local-store port as that iteration's last
+// access did, charges the back edges' bubbles at the entry pc, where
+// per-cycle execution charges them, and adds k to the run's counter,
+// which ChargeRuns expands.
+func (s *SPU) endRun(ri int32, at sim.Cycle, k, edges int64) {
+	r := &s.code.runs[ri-1]
+	if r.ls >= 0 {
+		// One memory-slot op issues per cycle and an access holds the
+		// port one cycle (lsLat), so the port is free at every access
+		// and only the last one's booking remains.
+		s.store.Access(ls.PortSPU, at+sim.Cycle(r.ls), 8)
 	}
-	prof.Add(spe, row, stats.CauseBubble, edges*int64(s.cfg.BranchPenalty))
+	if int(ri) > len(s.steps) {
+		s.steps = append(s.steps, make([]int64, len(s.code.runs)-len(s.steps))...)
+	}
+	s.steps[ri-1] += k
+	if edges > 0 {
+		s.Prof.Add(s.spe, int(r.row), stats.CauseBubble, edges*int64(s.cfg.BranchPenalty))
+	}
 }
 
-// run is the static issue schedule of a run: the uopBurstReg
-// instructions from an entry pc up to the first branch after the entry
-// or the last one whose pair bit is set, whichever comes first, at
-// least two of them. The entry may be a conditional branch, the run's
-// guard; the run is the path on which the guard is not taken. Each
-// instruction issues alone in its cycle (its pair partner shares the
-// compute slot or cannot join), and with no branch predictor, no
-// reordering and nothing outside the pipeline involved, the cycle it
-// issues in depends only on when its source registers become ready.
-// Registers the run writes before reading are ready on a schedule the
-// run itself fixes; the others, the live-ins, are its only dynamic
-// input. When every live-in is ready by the first cycle its first
-// reader is considered, no live-in ever stalls the run, and the run
-// issues on the schedule below, offsets counted from the cycle the
-// entry instruction issues in.
+// ChargeRuns charges the run steps' iterations counted so far to the
+// guest profile and zeroes the counts: per iteration, each
+// instruction's issue cycle, its own waits by cause and one execution at
+// its pc, where per-cycle execution charges each of them. Runs never
+// step in a PF block, so no cause needs folding (causeFor). Finalize
+// calls it; so does any reader of the profile before then.
+func (s *SPU) ChargeRuns() {
+	prof, spe := s.Prof, s.spe
+	for i, k := range s.steps {
+		if k == 0 {
+			continue
+		}
+		r := &s.code.runs[i]
+		for j, c := range s.code.costs[r.sl : r.sl+r.end-r.pc] {
+			row := int(r.row) + j
+			prof.Add(spe, row, stats.CauseIssue, k*int64(c.issue))
+			prof.Add(spe, row, stats.CauseDepStall, k*int64(c.dep))
+			prof.Add(spe, row, stats.CauseLSWait, k*int64(c.ls))
+			prof.AddInstr(spe, row, k)
+		}
+		s.steps[i] = 0
+	}
+}
+
+// run is the static issue schedule of a run: the instructions from an
+// entry pc up to the first branch after the entry, or up to the last one
+// that can end the run (see schedule), at least two of them. Each
+// carries its pair bit (uopBurstLS): it is register-only compute, a
+// branch, or a local-store access (LSRD*, LSWR*, LOAD*) whose address
+// registers no earlier instruction of the run writes, so that each
+// iteration's addresses are known at its entry. The entry may be a
+// conditional branch, the run's guard; the run is the path on which the
+// guard is not taken. With no branch predictor, no reordering, a
+// local-store port that is free at every access (lsLat) and nothing
+// outside the pipeline involved, the cycle an instruction issues in, and
+// whether it pairs with its predecessor, depends only on when its
+// source registers become ready. Registers the run writes before reading
+// are ready on a schedule the run itself fixes; the others, the
+// live-ins, are its only dynamic input. When every live-in is ready by
+// the first cycle its first reader is considered, no live-in ever stalls
+// the run, and the run issues on the schedule below, offsets counted
+// from the cycle the entry instruction issues in.
 //
 // A run is a loop when its closing branch targets its entry and the
 // next iteration's live-ins are ready on schedule whenever this one's
@@ -354,65 +396,135 @@ func (s *SPU) chargeRun(row0 int, r *run, pc int, k, edges int64) {
 // by last+1+BranchPenalty (the next entry) plus its own offset. Live-ins
 // the run does not write only grow more ready.
 type run struct {
-	end   int32 // pc past the last instruction
-	last  int32 // issue offset of the last instruction
-	stall int32 // cycles spent waiting on the run's own results (prodALU)
-	// c.stalls[sl:] holds each instruction's share of stall, one per
-	// instruction from the entry to end.
+	pc, end int32 // the entry pc and the pc past the last instruction
+	row     int32 // the profile row of the entry
+	last    int32 // issue offset of the last instruction
+	ls      int32 // issue offset of the last local-store op, or -1: none
+	lsEnd   int32 // instructions from the entry to past the last local-store op
+	// c.costs[sl:] holds each instruction's cycles, one per instruction
+	// from the entry to end.
 	sl int32
 	// c.regs[lo:mid] are the live-ins, each with the offset of the first
 	// cycle its first reader is considered; c.regs[mid:hi] the registers
-	// written, each with the offset its last write is ready at.
+	// written, each with the offset its last write is ready at and that
+	// write's producer class.
 	lo, mid, hi int32
 	guard       bool // the entry is a conditional branch, not taken on the run
 	loop        bool // a taken closing branch re-enters the run on schedule
 }
 
-// regOff is a register with a cycle offset into its run.
+// cost is what per-cycle execution charges at one instruction's pc per
+// iteration of its run: its issue cycle (0 when it pairs as the second
+// of its cycle, whose cycle is charged at the first's pc) and the cycles
+// it waits on results of the run's ALU ops and of its local-store ops.
+type cost struct{ issue, dep, ls int32 }
+
+// regOff is a register with a cycle offset into its run and, for a
+// register the run writes, the class of its last producer.
 type regOff struct {
-	reg uint8
-	off int32
+	reg  uint8
+	prod prodClass
+	off  int32
 }
 
 // schedule works out the run entered at pc of the block whose tables are
-// uops and runAt (uops[pc] carries uopBurstReg), records it, and returns
-// its runAt entry: -1 when the run would be a lone instruction, whose
-// step would save nothing over issuing it per cycle, or would open with
-// a JMP.
-func (c *Code) schedule(uops []uop, runAt []int32, pc int) int32 {
-	if uops[pc].ins.Op == isa.JMP || uops[pc+1].flags&uopBurstReg == 0 {
+// uops and runAt (uops[pc] carries its pair bit), at profile row row,
+// for local-store results ready lsLat cycles after their issue (-1: no
+// local-store op joins a run), records it, and returns its runAt entry:
+// -1 when the run would be a lone instruction, whose step would save
+// nothing over issuing it per cycle, or would open with a JMP.
+func (c *Code) schedule(uops []uop, runAt []int32, pc, row int, lsLat int32) int32 {
+	if uops[pc].ins.Op == isa.JMP || !admits(&uops[pc], nil, lsLat) {
 		runAt[pc] = -1
 		return -1
 	}
-	r := run{lo: int32(len(c.regs)), sl: int32(len(c.stalls)), guard: uops[pc].flags&uopBranch != 0}
+	r, safe := c.lay(uops, pc, len(uops), lsLat)
+	if int(r.end) != safe {
+		// The run cannot end at its last instruction: cut it back to
+		// the last one it can end at, scheduled afresh.
+		c.regs, c.costs = c.regs[:r.lo], c.costs[:r.sl]
+		if safe < pc+2 {
+			runAt[pc] = -1
+			return -1
+		}
+		r, _ = c.lay(uops, pc, safe, lsLat)
+	}
+	r.row = int32(row)
+	c.runs = append(c.runs, r)
+	runAt[pc] = int32(len(c.runs))
+	return runAt[pc]
+}
+
+// lay schedules the longest run entered at pc that ends before stop,
+// appending its live-ins, results and costs to the arenas, and returns
+// it with the end of its longest prefix of two or more instructions that
+// can end a run (0: none). A run can end at an instruction when the next
+// one cannot issue in the same cycle: the instruction pairs as the
+// second of its cycle, or the next one competes for its slot or waits
+// on a result of the run at that cycle. Otherwise the next one would
+// pair with it as issueCycle pairs them whenever its live-ins are ready,
+// inside the run's last cycle.
+func (c *Code) lay(uops []uop, pc, stop int, lsLat int32) (run, int) {
+	r := run{pc: int32(pc), ls: -1, lo: int32(len(c.regs)), sl: int32(len(c.costs)),
+		guard: uops[pc].flags&uopBranch != 0}
 	outs := c.outs[:0] // registers written so far, each with its last write's ready offset
-	at := int32(0)     // the cycle the current instruction is first considered
+	at := int32(0)     // the cycle the current instruction is first considered in as the first of its cycle
+	probe := false     // ... or the cycle before, as the second of its predecessor's
+	paired := false    // the current instruction issued as the second of its cycle
+	safe := 0
 	i := pc
 	for ; ; i++ {
 		u := &uops[i]
-		issue := at
+		first := at
+		if probe {
+			first = at - 1
+		}
 		for _, src := range u.srcs[:u.nsrc] {
-			if src == isa.RegZero {
-				continue
-			}
-			if k := regIndex(outs, src); k >= 0 {
-				issue = max(issue, outs[k].off)
-			} else if regIndex(c.regs[r.lo:], src) < 0 {
-				c.regs = append(c.regs, regOff{reg: src, off: at})
+			if src != isa.RegZero && regIndex(outs, src) < 0 && regIndex(c.regs[r.lo:], src) < 0 {
+				c.regs = append(c.regs, regOff{reg: src, off: first})
 			}
 		}
-		r.stall += issue - at
-		c.stalls = append(c.stalls, issue-at)
-		if rd := u.ins.Rd; u.flags&uopBranch == 0 && u.ins.Op != isa.NOP && rd != isa.RegZero {
-			if k := regIndex(outs, rd); k >= 0 {
-				outs[k].off = issue + u.lat
-			} else {
-				outs = append(outs, regOff{reg: rd, off: issue + u.lat})
+		issue, cs := at, cost{issue: 1}
+		if paired = probe && waitOn(outs, u, first) < 0; paired {
+			issue, cs.issue = first, 0
+		} else {
+			// Wait on one source at a time, the first not ready in
+			// operand order, as the scoreboard does.
+			for k := waitOn(outs, u, issue); k >= 0; k = waitOn(outs, u, issue) {
+				if outs[k].prod == prodLS {
+					cs.ls += outs[k].off - issue
+				} else {
+					cs.dep += outs[k].off - issue
+				}
+				issue = outs[k].off
 			}
+		}
+		c.costs = append(c.costs, cs)
+		mem := u.flags&uopMem != 0
+		if rd := u.ins.Rd; u.flags&uopBranch == 0 && u.ins.Op != isa.NOP && rd != isa.RegZero && !isa.InfoOf(u.ins.Op).Store {
+			o := regOff{reg: rd, prod: prodALU, off: issue + u.lat}
+			if mem {
+				o.prod, o.off = prodLS, issue+lsLat
+			}
+			if k := regIndex(outs, rd); k >= 0 {
+				outs[k] = o
+			} else {
+				outs = append(outs, o)
+			}
+		}
+		if mem {
+			r.ls, r.lsEnd = issue, int32(i-pc+1)
 		}
 		r.last = issue
+		// The next instruction is probed in this cycle when this one
+		// issued first in it and they sit in different slots.
+		n := &uops[i+1]
+		probe = !paired && mem != (n.flags&uopMem != 0)
 		at = issue + 1
-		if u.flags&uopBranch != 0 && i > pc || uops[i+1].flags&uopBurstReg == 0 {
+		if i > pc && (!probe || waitOn(outs, n, issue) >= 0) {
+			safe = i + 1
+		}
+		if u.flags&uopBranch != 0 && i > pc || i+1 == stop || !admits(n, outs, lsLat) {
 			break
 		}
 	}
@@ -430,9 +542,39 @@ func (c *Code) schedule(uops []uop, runAt []int32, pc int) int32 {
 	c.regs = append(c.regs, outs...)
 	r.hi = int32(len(c.regs))
 	c.outs = outs
-	c.runs = append(c.runs, r)
-	runAt[pc] = int32(len(c.runs))
-	return runAt[pc]
+	return r, safe
+}
+
+// admits reports whether u may join a run whose results so far are
+// outs: it carries its pair bit and, if it accesses the local store, the
+// accesses are timed (lsLat >= 0) and no earlier instruction of the run
+// writes its address registers.
+func admits(u *uop, outs []regOff, lsLat int32) bool {
+	if u.flags&uopBurstLS == 0 {
+		return false
+	}
+	if u.flags&uopMem == 0 {
+		return true
+	}
+	if lsLat < 0 || regIndex(outs, u.ins.Ra) >= 0 {
+		return false
+	}
+	switch u.ins.Op {
+	case isa.LSRDX, isa.LSRDX8, isa.LSWRX, isa.LSWRX8:
+		return regIndex(outs, u.ins.Rb) < 0
+	}
+	return true
+}
+
+// waitOn returns the index in outs of the first source of u, in operand
+// order, that the run writes and that is not ready by offset at, or -1.
+func waitOn(outs []regOff, u *uop, at int32) int {
+	for _, src := range u.srcs[:u.nsrc] {
+		if k := regIndex(outs, src); k >= 0 && outs[k].off > at {
+			return k
+		}
+	}
+	return -1
 }
 
 // regIndex returns the index of reg's entry in l, or -1.
@@ -456,14 +598,42 @@ func (s *SPU) runReady(r *run, t sim.Cycle) bool {
 	return true
 }
 
-// execOps executes the ALU ops of a run in order, past its guard, and
-// reports whether its closing branch, if any, is taken.
+// runPrivate resolves the local-store accesses of the run us from the
+// registers at an iteration's entry into c.addrs, in program order, and
+// reports whether every one is to private bytes (see private), so that
+// the iteration may run ahead of the engine clock.
+func (s *SPU) runPrivate(r *run, us []uop) bool {
+	if r.ls < 0 {
+		return true
+	}
+	addrs := s.code.addrs[:0]
+	for i := range us[:r.lsEnd] {
+		if us[i].flags&uopMem != 0 {
+			ins := &us[i].ins
+			addr, width, err := s.lsAddr(ins, s.regs[ins.Ra], s.regs[ins.Rb])
+			if err != nil || !s.private(addr, width) {
+				return false
+			}
+			addrs = append(addrs, addr)
+		}
+	}
+	s.code.addrs = addrs
+	return true
+}
+
+// execOps executes the ops of a run in program order, past its guard,
+// its local-store accesses at c.addrs (runPrivate), and reports whether
+// its closing branch, if any, is taken.
 func (s *SPU) execOps(us []uop) (taken bool) {
+	addrs := s.code.addrs
 	for i := range us {
 		ins := &us[i].ins
 		switch {
 		case us[i].flags&uopBranch != 0:
 			taken = isa.BranchTaken(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb])
+		case us[i].flags&uopMem != 0:
+			s.lsData(ins, addrs[0]) // private, so inside the store
+			addrs = addrs[1:]
 		case ins.Op != isa.NOP && ins.Rd != isa.RegZero:
 			s.regs[ins.Rd] = isa.EvalALU(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb], int64(ins.Imm))
 		}
@@ -476,6 +646,6 @@ func (s *SPU) execOps(us []uop) (taken bool) {
 func (s *SPU) setOuts(r *run, t sim.Cycle) {
 	for _, out := range s.code.regs[r.mid:r.hi] {
 		s.ready[out.reg] = t + sim.Cycle(out.off)
-		s.prod[out.reg] = prodALU
+		s.prod[out.reg] = out.prod
 	}
 }

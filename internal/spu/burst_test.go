@@ -248,6 +248,24 @@ var kernelEdges = []kernelEdge{
 		wantErr: "ls: access",
 	},
 	{
+		// The LSRD's address register is written inside the run, to an
+		// address outside the store: the run ends before the LSRD, whose
+		// access faults on the engine clock. Mutant: the LSRD joins the
+		// run, whose step resolves its address from the entry registers
+		// and reads bytes inside the store instead of faulting.
+		name: "local-store address written inside a run",
+		ex: func(ex *program.Asm) {
+			ex.Addi(program.R(2), program.RegPFB, 0x9000)
+			ex.Movi(program.R(3), 1)
+			ex.Shli(program.R(3), program.R(3), 40)
+			ex.Addi(program.R(1), program.R(1), 1)
+			ex.Add(program.R(2), program.R(2), program.R(3))
+			ex.Lsrd8(program.R(4), program.R(2), 0)
+			ex.Addi(program.R(4), program.R(4), 1)
+		},
+		wantErr: "ls:",
+	},
+	{
 		// The MUL's result is carried round the loop and read at offset
 		// 0, LatMUL = 7 after its issue, but the next entry comes
 		// last+1+BranchPenalty = 6 cycles after this one: the loop must
@@ -452,7 +470,11 @@ func TestBurstKernelOpcodes(t *testing.T) {
 // several branch penalties, so the next iteration's first read lands
 // before, at and after the result is ready; a do-while form run once or
 // four times, and a guarded while-loop whose guard is taken at entry or
-// after one or four iterations. The exit reads r1 at once.
+// after one or four iterations. The exit reads r1 at once. Two producers
+// go through the local store: one writes r1 at a base (r6) that strides
+// by 8 plus an invariant delta (r7), reads the same bytes back and uses
+// the result at once; the other pairs a compute op with each of its
+// local-store ops, and uses what it read after a filler.
 func TestBurstLoopShapes(t *testing.T) {
 	producers := []struct {
 		name string
@@ -462,6 +484,19 @@ func TestBurstLoopShapes(t *testing.T) {
 		{"SHLI", func(a *program.Asm) { a.Shli(program.R(1), program.R(1), 1) }},
 		{"MUL", func(a *program.Asm) { a.Mul(program.R(1), program.R(1), program.R(2)) }},
 		{"DIV", func(a *program.Asm) { a.Div(program.R(1), program.R(1), program.R(2)) }},
+		{"LSRDX8", func(a *program.Asm) {
+			a.Emit(isa.Instruction{Op: isa.LSWRX8, Rd: 1, Ra: 6, Rb: 7})
+			a.Emit(isa.Instruction{Op: isa.LSRDX8, Rd: 1, Ra: 6, Rb: 7}) // the bytes just written
+			a.Addi(program.R(1), program.R(1), 3)
+			a.Addi(program.R(6), program.R(6), 8)
+		}},
+		{"LSRD8-paired", func(a *program.Asm) {
+			a.Addi(program.R(8), program.R(8), 1) // the LSWR joins its cycle
+			a.Lswr8(program.R(1), program.R(6), 0)
+			a.Lsrd8(program.R(9), program.R(6), 0)
+			a.Addi(program.R(10), program.R(10), 1) // joins the LSRD's cycle
+			a.Add(program.R(1), program.R(9), program.R(2))
+		}},
 	}
 	shapes := []struct {
 		guarded bool
@@ -477,6 +512,8 @@ func TestBurstLoopShapes(t *testing.T) {
 							ex.Movi(program.R(1), 1_000_003)
 							ex.Movi(program.R(2), 3)
 							ex.Movi(program.R(3), sh.iters)
+							ex.Addi(program.R(6), program.RegPFB, 0x9000)
+							ex.Movi(program.R(7), 8)
 							ex.Label("top")
 							if sh.guarded {
 								ex.Beq(program.R(3), program.R(0), "done")

@@ -19,8 +19,9 @@ func (c *Code) Arena() []uop { return c.arena }
 func (c *Code) Runs() int { return len(c.runs) }
 
 // LoopRuns returns how many of the runs scheduled so far are loops
-// opened by a guard, and how many are loops without one.
-func (c *Code) LoopRuns() (guarded, plain int) {
+// opened by a guard, how many are loops without one, and how many of
+// either kind access the local store.
+func (c *Code) LoopRuns() (guarded, plain, ls int) {
 	for _, r := range c.runs {
 		switch {
 		case r.loop && r.guard:
@@ -28,38 +29,42 @@ func (c *Code) LoopRuns() (guarded, plain int) {
 		case r.loop:
 			plain++
 		}
+		if r.loop && r.ls >= 0 {
+			ls++
+		}
 	}
-	return guarded, plain
+	return guarded, plain, ls
 }
 
 // runView is a run entered at pc with its register lists and
 // per-instruction stalls resolved, comparable across tables whatever
 // order their runs were scheduled in.
 type runView struct {
-	end, last, stall int32
-	guard, loop      bool
-	in, out          []regOff
-	stalls           []int32
+	pc, end, row, last, ls, lsEnd int32
+	guard, loop                   bool
+	in, out                       []regOff
+	costs                         []cost
 }
 
-func (c *Code) view(r run, pc int) runView {
-	return runView{r.end, r.last, r.stall, r.guard, r.loop, c.regs[r.lo:r.mid], c.regs[r.mid:r.hi],
-		c.stalls[r.sl : r.sl+r.end-int32(pc)]}
+func (c *Code) view(r run) runView {
+	return runView{r.pc, r.end, r.row, r.last, r.ls, r.lsEnd, r.guard, r.loop, c.regs[r.lo:r.mid], c.regs[r.mid:r.hi],
+		c.costs[r.sl : r.sl+r.end-r.pc]}
 }
 
 func (v runView) equal(w runView) bool {
-	return v.end == w.end && v.last == w.last && v.stall == w.stall &&
+	return v.pc == w.pc && v.end == w.end && v.row == w.row && v.last == w.last && v.ls == w.ls && v.lsEnd == w.lsEnd &&
 		v.guard == w.guard && v.loop == w.loop &&
-		slices.Equal(v.in, w.in) && slices.Equal(v.out, w.out) && slices.Equal(v.stalls, w.stalls)
+		slices.Equal(v.in, w.in) && slices.Equal(v.out, w.out) && slices.Equal(v.costs, w.costs)
 }
 
-// CheckTables compares every table decoded so far, and every run
-// scheduled from one of its entries, with a decode and a schedule of the
-// same block into new memory. It returns how many uops and runs the
-// tables hold, and fails unless the runs' register lists and stalls
-// fill the table's register and stall arenas exactly.
-func (c *Code) CheckTables() (uops, runs int, err error) {
-	regs, stalls := 0, 0
+// CheckTables compares every table of the SPU's Code decoded so far, and
+// every run scheduled from one of its entries, with a decode and a
+// schedule of the same block into new memory. It returns how many uops
+// and runs the tables hold, and fails unless the runs' register lists
+// and costs fill the table's register and cost arenas exactly.
+func (s *SPU) CheckTables() (uops, runs int, err error) {
+	c, lsLat := s.code, s.lsLat
+	regs, costs := 0, 0
 	for i, d := range c.tab {
 		if d.uops == nil {
 			continue
@@ -74,20 +79,20 @@ func (c *Code) CheckTables() (uops, runs int, err error) {
 			if ri == 0 {
 				continue
 			}
-			wi := fresh.schedule(want.uops, want.runAt, pc)
+			wi := fresh.schedule(want.uops, want.runAt, pc, s.Prof.Row(tmpl, blk)+pc, lsLat)
 			if (ri < 0) != (wi < 0) {
 				return 0, 0, fmt.Errorf("template %d %s block: run entry %d at pc %d, a schedule into new memory %d", tmpl, blk, ri, pc, wi)
 			}
 			if ri < 0 {
 				continue
 			}
-			got := c.view(c.runs[ri-1], pc)
-			if w := fresh.view(fresh.runs[wi-1], pc); !got.equal(w) {
+			got := c.view(c.runs[ri-1])
+			if w := fresh.view(fresh.runs[wi-1]); !got.equal(w) {
 				return 0, 0, fmt.Errorf("template %d %s block: the run entered at pc %d is %+v, a schedule into new memory %+v",
 					tmpl, blk, pc, got, w)
 			}
 			regs += len(got.in) + len(got.out)
-			stalls += len(got.stalls)
+			costs += len(got.costs)
 			runs++
 		}
 		uops += len(d.uops)
@@ -95,8 +100,8 @@ func (c *Code) CheckTables() (uops, runs int, err error) {
 	if regs != len(c.regs) {
 		return 0, 0, fmt.Errorf("the runs list %d registers, the register arena holds %d", regs, len(c.regs))
 	}
-	if stalls != len(c.stalls) {
-		return 0, 0, fmt.Errorf("the runs list %d stalls, the stall arena holds %d", stalls, len(c.stalls))
+	if costs != len(c.costs) {
+		return 0, 0, fmt.Errorf("the runs list %d costs, the cost arena holds %d", costs, len(c.costs))
 	}
 	return uops, runs, nil
 }

@@ -17,10 +17,12 @@ func (s *SPU) Threads(visit func(*dta.Thread)) {
 
 // Walk writes or reads the pipeline's mutable state, the current thread
 // as a reference into reg. Derived state — the decoded uop table, the
-// kernel window's live MFC ranges — is not serialised. A read needs an
-// identically configured SPU running the same program: it rebuilds the
-// uop table from (template, block); the next window reads the ranges
-// afresh from the restored MFC.
+// kernel window's live MFC ranges — is not serialised, and neither are
+// the run steps' counts, which a write expects charged to the profile
+// (ChargeRuns) and a read zeroes. A read needs an identically
+// configured SPU running the same program: it rebuilds the uop table
+// from (template, block); the next window reads the ranges afresh from
+// the restored MFC.
 func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 	snap.Ints(c, s.regs[:])
 	snap.Ints(c, s.ready[:])
@@ -51,6 +53,7 @@ func (s *SPU) Walk(c *snap.Codec, reg *dta.Registry) {
 	if !c.Reading() || c.Err() != nil {
 		return
 	}
+	clear(s.steps)
 	if s.gapRow < 0 || s.gapRow >= s.Prof.Rows() {
 		c.Fail("spu%d: snapshot profile row %d outside the program", s.spe, s.gapRow)
 		return

@@ -190,6 +190,14 @@ type SPU struct {
 	// a kernel window reads them at most once (see private).
 	live   []mfc.Range
 	liveOK bool
+	// lsLat is the cycles from a local-store op's issue to its result on
+	// a free port: the store's latency, or -1 when an access holds the
+	// port more than one cycle, so that back-to-back accesses queue and
+	// no local-store op joins a run (see run).
+	lsLat int32
+	// steps counts, by run of code, the iterations of run steps not yet
+	// charged to Prof (see ChargeRuns).
+	steps []int64
 
 	readDst  uint8
 	reqSeq   int64
@@ -214,8 +222,9 @@ type SPU struct {
 	// is bound to, and the only store the SPU charges: each cycle at the
 	// pc it attributes to, each issued instruction at its own pc.
 	// Finalize folds the SPU's breakdown and instruction mix from it. A
-	// kernel window charges in bulk (one Add per charge, and per
-	// instruction of a run step, not per cycle).
+	// kernel window charges in bulk (one Add per charge, not per cycle),
+	// and a run step only counts itself in steps, which ChargeRuns
+	// expands before anything reads the profile.
 	Prof *stats.Profile
 
 	// Fault receives execution errors (invalid addresses, bad frame
@@ -252,6 +261,10 @@ func New(code *Code, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
 		gapCause: stats.CauseIdle,
 		Fault:    func(err error) { panic(err) },
 	}
+	s.lsLat = -1
+	if store.Occupancy(8) == 1 {
+		s.lsLat = int32(store.Latency())
+	}
 	s.burstLimit = sim.Cycle(cfg.BurstMax)
 	if cfg.BurstMax == 0 {
 		s.burstLimit = DefaultBurstMax
@@ -263,20 +276,21 @@ func New(code *Code, id, spe, memID int, net *noc.Network, lseUnit *dta.LSE,
 
 // Code is a program decoded for one pipeline configuration: a uop table
 // per template block, decoded when an SPU first reaches the block, and
-// the issue schedules of its register-only runs, each worked out when a
-// kernel window first reaches the run's entry pc (see run). A machine's
-// SPUs share one. The tables are carved from arenas that binding another
+// the issue schedules of its runs, each worked out when a kernel window
+// first reaches the run's entry pc (see run). A machine's SPUs share
+// one. The tables are carved from arenas that binding another
 // program rewinds and does not free.
 type Code struct {
-	cfg    Config
-	prog   *program.Program
-	tab    []decoded // by tmpl*NumBlocks + block; zero until decoded
-	arena  []uop
-	runAt  []int32 // in step with arena: the blocks' decoded.runAt
-	runs   []run
-	regs   []regOff // the runs' live-ins and results
-	stalls []int32  // the runs' instructions' own dependence stalls
-	outs   []regOff // schedule's scratch
+	cfg   Config
+	prog  *program.Program
+	tab   []decoded // by tmpl*NumBlocks + block; zero until decoded
+	arena []uop
+	runAt []int32 // in step with arena: the blocks' decoded.runAt
+	runs  []run
+	regs  []regOff // the runs' live-ins and results
+	costs []cost   // the runs' instructions' cycles
+	outs  []regOff // schedule's scratch
+	addrs []int64  // a run step's local-store addresses (runPrivate's scratch)
 }
 
 // decoded is one template block's tables: its uops and, per pc, 1 + the
@@ -304,7 +318,7 @@ func (c *Code) Bind(prog *program.Program) {
 	c.runAt = c.runAt[:0]
 	c.runs = c.runs[:0]
 	c.regs = c.regs[:0]
-	c.stalls = c.stalls[:0]
+	c.costs = c.costs[:0]
 }
 
 // block returns (decoding on first use) the tables of one template code
@@ -468,13 +482,15 @@ func (s *SPU) Reset() {
 	s.resp = readResp{}
 	s.unitStart = 0
 	s.st = stats.SPU{}
+	clear(s.steps)
 }
 
 // Finalize charges the trailing sleep gap up to end (call once when the
-// run stops), folds the SPU's cycle and instruction counts from the
-// profile and records the run length.
+// run stops) and the run steps, folds the SPU's cycle and instruction
+// counts from the profile and records the run length.
 func (s *SPU) Finalize(end sim.Cycle) {
 	s.account(end)
+	s.ChargeRuns()
 	s.Prof.Fold(s.spe, s.code.prog, &s.st)
 	s.st.Cycles = int64(end)
 }
@@ -649,10 +665,11 @@ func (s *SPU) row() int {
 // and then, unless Config.BurstMax is 1, a kernel window of up to
 // burstLimit-1 further cycles (see burst), and returns the first cycle
 // not yet simulated so the engine skips the pre-executed ones. The
-// window steps over a run of register-only instructions in one go when
-// the run's live-ins are ready by the cycles its schedule assumes and it
-// ends before the window's limit; otherwise it takes those cycles one at
-// a time, with the same result and the same guest profile.
+// window steps over a run of compute and local-store instructions in one
+// go when the run's live-ins are ready by the cycles its schedule
+// assumes, its local-store bytes are private and it ends before the
+// window's limit; otherwise it takes those cycles one at a time, with
+// the same result and the same guest profile.
 //
 // What may run ahead of the engine clock is decided per cycle from the
 // decoded instruction pair at pc: straight-line register-only compute
@@ -1079,25 +1096,36 @@ func (s *SPU) lsAddr(ins *isa.Instruction, ra, rb int64) (addr, width int64, err
 // cycle now; it does not advance pc. It returns the store's error, with
 // nothing executed, when the bytes lie outside the store.
 func (s *SPU) lsAccess(now sim.Cycle, ins *isa.Instruction, addr int64) error {
+	read, err := s.lsData(ins, addr)
+	if err != nil {
+		return err
+	}
+	if ready := s.store.Access(ls.PortSPU, now, 8); read && ins.Rd != isa.RegZero {
+		s.ready[ins.Rd], s.prod[ins.Rd] = ready, prodLS
+	}
+	return nil
+}
+
+// lsData moves the bytes of the local-store or frame access ins to
+// addr: a write stores its value register Rd, a read loads Rd (RegZero
+// discards it). It reports whether ins reads, and returns the store's
+// error, with nothing moved, when the bytes lie outside the store.
+func (s *SPU) lsData(ins *isa.Instruction, addr int64) (read bool, err error) {
 	var v int64
-	var err error
 	switch ins.Op {
 	case isa.LSWR, isa.LSWRX:
-		err = s.store.Write32(addr, s.regs[ins.Rd])
+		return false, s.store.Write32(addr, s.regs[ins.Rd])
 	case isa.LSWR8, isa.LSWRX8:
-		err = s.store.Write64(addr, s.regs[ins.Rd])
+		return false, s.store.Write64(addr, s.regs[ins.Rd])
 	case isa.LSRD, isa.LSRDX:
 		v, err = s.store.Read32(addr)
 	default:
 		v, err = s.store.Read64(addr)
 	}
-	if err != nil {
-		return err
+	if err == nil && ins.Rd != isa.RegZero {
+		s.regs[ins.Rd] = v
 	}
-	if ready := s.store.Access(ls.PortSPU, now, 8); !isa.InfoOf(ins.Op).Store {
-		s.setReg(ins.Rd, v, ready, prodLS)
-	}
-	return nil
+	return true, err
 }
 
 // channelBusy stalls the pipeline for the MFC channel-interface cost

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/isa"
+	"repro/internal/prefetch"
 	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -567,7 +568,7 @@ func TestMachineSharesOneDecode(t *testing.T) {
 				t.Fatalf("run %d: SPU %d ran no thread; the test needs every SPU to decode", i, spe.Index)
 			}
 		}
-		uops, runs, err := code.CheckTables()
+		uops, runs, err := m.SPEs()[0].SPU.CheckTables()
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -581,7 +582,7 @@ func TestMachineSharesOneDecode(t *testing.T) {
 			t.Errorf("run %d: %d runs were scheduled for %d entries: a run was scheduled twice, or the runs were not rewound", i, code.Runs(), runs)
 		}
 		if p == bitcnt {
-			if guarded, plain := code.LoopRuns(); guarded == 0 || plain == 0 {
+			if guarded, plain, _ := code.LoopRuns(); guarded == 0 || plain == 0 {
 				t.Errorf("bitcnt: %d guarded and %d do-while loop runs scheduled; the kernel's loop step needs both", guarded, plain)
 			}
 		}
@@ -614,5 +615,42 @@ func TestMachineSharesOneDecode(t *testing.T) {
 			t.Errorf("run %d: the reused machine reports %d cycles, tokens %v; a fresh one %d, %v",
 				i, got.Cycles, got.Tokens, want.Cycles, want.Tokens)
 		}
+	}
+}
+
+// TestMmulPrefetchStepsLocalStoreLoop: after the paper's transformation
+// mmul's inner loop reads both operands from the local store (two
+// LSRDXs and six ALU ops). The kernel must schedule it as a loop run it
+// iterates in place, and the run must keep the single-step numbers.
+func TestMmulPrefetchStepsLocalStoreLoop(t *testing.T) {
+	w, _ := workloads.Get("mmul")
+	p, err := w.Build(workloads.Params{N: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err = prefetch.Transform(p); err != nil {
+		t.Fatal(err)
+	}
+	var res [2]*cell.Result
+	for i, burstMax := range []int{1, 0} {
+		cfg := cell.DefaultConfig()
+		cfg.SPEs = 2
+		cfg.SPU.BurstMax = burstMax
+		m, err := cell.New(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[i], err = m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if burstMax == 1 {
+			continue
+		}
+		if _, _, ls := m.SPEs()[0].SPU.DecodedCode().LoopRuns(); ls == 0 {
+			t.Error("mmul-pf: no loop run with local-store ops was scheduled")
+		}
+	}
+	if res[0].Cycles != res[1].Cycles || !reflect.DeepEqual(res[0].SPUs, res[1].SPUs) {
+		t.Errorf("kernel: %d cycles, %+v; single-step %d cycles, %+v", res[1].Cycles, res[1].SPUs, res[0].Cycles, res[0].SPUs)
 	}
 }
