@@ -10,17 +10,18 @@ import (
 	"repro/internal/program"
 )
 
-// The SPU runs a local-store access ahead of the engine clock only when
-// its bytes are private: no live MFC command's range overlaps them, and
-// they lie outside the frame region or in the running thread's own frame
-// (spu.SPU.private). Correct programs never race a DMA or read another
-// thread's frame, so no workload, fuzz seed or pin can tell an access
-// that ran ahead from one that waited. Each guest
-// below does exactly that, behind a register loop long enough for the
-// other component to act while the SPU is still inside one kernel
-// window, and must end the same with the kernel on and single-step. The
-// DMA guests program their commands under a tag other than the thread's
-// own, so the thread does not wait for them to drain.
+// The SPU runs a local-store access ahead of the engine clock, always
+// inside a run step, only when its bytes are private: no live MFC
+// command's range overlaps them, and they lie outside the frame region
+// or in the running thread's own frame (spu.SPU.private). Correct
+// programs never race a DMA or read another thread's frame, so no
+// workload, fuzz seed or pin can tell an access that ran ahead from one
+// that waited. Each guest below does exactly that, behind a register
+// loop long enough for the other component to act while the SPU is
+// still inside one kernel window, which then reaches the access in a
+// run (raceRun), and must end the same with the kernel on and
+// single-step. The DMA guests program their commands under a tag other
+// than the thread's own, so the thread does not wait for them to drain.
 
 const (
 	raceBuf = 0x20000  // local-store buffer of the DMA guests, above the frames and code
@@ -35,6 +36,19 @@ func spin(a *program.Asm, n int32) {
 	a.Label("spin")
 	a.Addi(program.R(20), program.R(20), 1)
 	a.Blt(program.R(20), program.R(21), "spin")
+}
+
+// raceRun emits the racing access, op r5 at [r2], inside a run the
+// kernel steps (see spu's run): an ADDI the spin's closing branch cannot
+// pair with, so that the spin is a loop step and the window goes on to
+// the run; the access; and an ADDI reading r5, which a last ADDI
+// follows so that it carries its pair bit. r2 is set before the spin,
+// so the run's live-ins are ready when the window reaches it.
+func raceRun(a *program.Asm, op func(rd, ra program.Reg, imm int32) *program.Asm) {
+	a.Addi(program.R(8), program.R(8), 1)
+	op(program.R(5), program.R(2), 0)
+	a.Addi(program.R(6), program.R(5), 1)
+	a.Addi(program.R(7), program.R(6), 1)
 }
 
 // raceOutcome is how a run ended: its result and the main-memory word
@@ -123,10 +137,9 @@ func TestLSWindowGetInFlight(t *testing.T) {
 	root := b.Template("root")
 	dmaPF(root.Block(program.PF), isa.MFCGET)
 	ex := root.EX()
-	spin(ex, 200)
 	ex.Movi(program.R(2), raceBuf)
-	ex.Lsrd8(program.R(5), program.R(2), 0)
-	ex.Addi(program.R(6), program.R(5), 1)
+	spin(ex, 200)
+	raceRun(ex, ex.Lsrd8)
 	root.PS().StoreMailbox(program.R(5), program.R(9), 0).Ffree().Stop()
 	b.Entry(root, raceMem)
 	b.Segment(raceMem, binary.LittleEndian.AppendUint64(nil, 4242))
@@ -142,10 +155,9 @@ func TestLSWindowPutQueued(t *testing.T) {
 	dmaPF(root.Block(program.PF), isa.MFCPUT)
 	ex := root.EX()
 	ex.Movi(program.R(5), 22)
-	spin(ex, 50)
 	ex.Movi(program.R(2), raceBuf)
-	ex.Lswr8(program.R(5), program.R(2), 0)
-	ex.Addi(program.R(6), program.R(5), 1)
+	spin(ex, 50)
+	raceRun(ex, ex.Lswr8)
 	root.PS().StoreMailbox(program.R(5), program.R(9), 0).Ffree().Stop()
 	b.Entry(root, raceMem)
 	b.Segment(raceMem, binary.LittleEndian.AppendUint64(nil, 5555))
@@ -181,8 +193,7 @@ func TestLSWindowRemoteFrameStore(t *testing.T) {
 		ex.Movi(program.R(3), frameBase)
 		ex.Add(program.R(2), program.R(2), program.R(3))
 		spin(ex, 300)
-		ex.Lsrd8(program.R(5), program.R(2), 0)
-		ex.Addi(program.R(6), program.R(5), 1)
+		raceRun(ex, ex.Lsrd8)
 		reader.PS().Store(program.R(5), program.R(1), 1).Ffree().Stop()
 
 		writer.PL().Load(program.R(1), 0)

@@ -197,25 +197,21 @@ func TestMustInfoPanicsOnUndefined(t *testing.T) {
 }
 
 func TestBurstClasses(t *testing.T) {
-	// The LS-read class is exactly the local-store/frame reads, the
-	// LS-write class exactly the direct local-store writes; the
-	// register class is exactly the compute/control ops; everything
-	// that talks to another component (frame stores through the LSE,
-	// main-memory traffic, DMA) is BurstNone.
+	// The local-store class is exactly the local-store/frame reads and
+	// the direct local-store writes; the register class is exactly the
+	// compute/control ops; everything that talks to another component
+	// (frame stores through the LSE, main-memory traffic, DMA) is
+	// BurstNone.
 	wantLS := map[Op]bool{LSRD: true, LSRD8: true, LSRDX: true, LSRDX8: true,
-		LOAD: true, LOADX: true}
-	wantLSW := map[Op]bool{LSWR: true, LSWR8: true, LSWRX: true, LSWRX8: true}
+		LOAD: true, LOADX: true, LSWR: true, LSWR8: true, LSWRX: true, LSWRX8: true}
 	for op := Op(0); int(op) < OpCount; op++ {
 		info, ok := Lookup(op)
 		if !ok {
 			continue
 		}
 		cls := ClassOf(op)
-		if wantLS[op] != (cls == BurstLSRead) {
-			t.Errorf("%s: class %d, want BurstLSRead=%v", info.Name, cls, wantLS[op])
-		}
-		if wantLSW[op] != (cls == BurstLSWrite) {
-			t.Errorf("%s: class %d, want BurstLSWrite=%v", info.Name, cls, wantLSW[op])
+		if wantLS[op] != (cls == BurstLS) {
+			t.Errorf("%s: class %d, want BurstLS=%v", info.Name, cls, wantLS[op])
 		}
 		switch info.Unit {
 		case UnitFX, UnitSH, UnitMUL, UnitDIV, UnitCTL:
@@ -232,11 +228,8 @@ func TestBurstClasses(t *testing.T) {
 		// burstable; the only burstable stores are the direct
 		// local-store writes, whose class carries the address
 		// precondition.
-		if info.Store && cls != BurstNone && cls != BurstLSWrite {
+		if info.Store && cls != BurstNone && cls != BurstLS {
 			t.Errorf("%s: store op in burst class %d", info.Name, cls)
-		}
-		if Burstable(op) != (cls == BurstReg) {
-			t.Errorf("%s: Burstable=%v disagrees with class %d", info.Name, Burstable(op), cls)
 		}
 	}
 	if ClassOf(Op(250)) != BurstNone {

@@ -285,26 +285,18 @@ const (
 	// qualifies — branch conditions and targets live entirely in the
 	// pipeline.
 	BurstReg
-	// BurstLSRead instructions additionally read the SPE's local store
-	// (LSRD*/LOAD*). Their only interactions outside the register file
-	// are a functional read of the local store and a booking on the
-	// store's dedicated SPU port, which no other component shares — so
-	// they may run ahead of the engine clock as far as no other
-	// component can write the bytes they read. The SPU decides that per
-	// access, from the bytes' address (spu.SPU.private).
-	BurstLSRead
-	// BurstLSWrite instructions write the SPE's local store directly
-	// (LSWR*) with no mediation by any other component: no wake is
-	// posted and no inbox is filled, only the store's bytes and its
-	// dedicated SPU port booking change. They run ahead under the same
-	// address rule as BurstLSRead: no other component reads or writes
-	// the bytes (the MFC streaming a PUT, the LSE storing a frame)
-	// before the write's own cycle, so a write simulated early is
-	// indistinguishable from one executed on the engine clock.
-	// STORE*/STOREX stay BurstNone: they go through the LSE's inbox
-	// (observable component state, possibly routed to a remote frame),
-	// not the local store.
-	BurstLSWrite
+	// BurstLS instructions additionally access the SPE's local store
+	// directly: the reads LSRD*/LOAD* and the writes LSWR*. Besides the
+	// register file they touch only the store's bytes and its dedicated
+	// SPU port, which no other component shares, and post no wake and
+	// fill no inbox. So they may run ahead of the engine clock as far
+	// as no other component reads or writes the bytes they access (the
+	// MFC streaming a DMA, the LSE storing a frame) before their own
+	// cycle; the SPU decides that per access, from the bytes' address
+	// (spu.SPU.private). STORE*/STOREX stay BurstNone: they go through
+	// the LSE's inbox (observable component state, possibly routed to a
+	// remote frame), not the local store.
+	BurstLS
 )
 
 // ClassOf returns the burst class of op (BurstNone for undefined
@@ -316,12 +308,6 @@ func ClassOf(op Op) BurstClass {
 	return burstClasses[op]
 }
 
-// Burstable reports whether op is register-only compute (BurstReg) —
-// burstable with no precondition.
-func Burstable(op Op) bool {
-	return ClassOf(op) == BurstReg
-}
-
 var burstClasses = func() [opCount]BurstClass {
 	var t [opCount]BurstClass
 	for op := Op(0); op < opCount; op++ {
@@ -330,16 +316,8 @@ var burstClasses = func() [opCount]BurstClass {
 			t[op] = BurstReg
 		}
 	}
-	// Local-store and frame reads.
-	for _, op := range []Op{LSRD, LSRD8, LSRDX, LSRDX8, LOAD, LOADX} {
-		t[op] = BurstLSRead
-	}
-	// Direct local-store writes: safe ahead of the clock on bytes no
-	// other component reads or writes meanwhile (see BurstLSWrite).
-	// STORE/STOREX are frame stores through the LSE inbox and must stay
-	// BurstNone.
-	for _, op := range []Op{LSWR, LSWR8, LSWRX, LSWRX8} {
-		t[op] = BurstLSWrite
+	for _, op := range []Op{LSRD, LSRD8, LSRDX, LSRDX8, LOAD, LOADX, LSWR, LSWR8, LSWRX, LSWRX8} {
+		t[op] = BurstLS
 	}
 	return t
 }()

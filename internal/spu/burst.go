@@ -20,19 +20,19 @@ import (
 //     before the bubble or the producer's ready cycle ends. They are
 //     charged in bulk, cut at limit; re-checking at the end reproduces
 //     single-step behaviour exactly (a later source may block in turn);
-//   - issue cycles whose instruction pair (pc, pc+1) — the furthest one
-//     cycle can reach — is register-only (uopBurstReg): both sit in the
-//     compute slot, so exactly the first issues and the second is never
-//     probed;
-//   - issue cycles whose pair mixes local-store accesses with compute
-//     (uopBurstLS), when the bytes accessed are private (see private):
-//     the local-store op dual-issues beside the compute op in program
-//     order.
+//   - the cycles of a run step (below), the only way the window executes
+//     a local-store op, when the bytes accessed are private (see
+//     private);
+//   - outside a run step, one issue cycle at a time whose instruction
+//     pair (pc, pc+1) — the furthest one cycle can reach — is
+//     register-only (uopBurstReg): both sit in the compute slot, so
+//     exactly the first issues and the second is never probed.
 //
-// Everything else — an access to bytes that are not private, frame
-// stores, main memory, the LSE, the MFC, and all of a PF block, whose
-// end notifies the LSE — ends the window and runs through issueCycle on
-// the engine clock.
+// Everything else — a local-store op outside a run step, an access to
+// bytes that are not private, frame stores, main memory, the LSE, the
+// MFC, and all of a PF block, whose end notifies the LSE — ends the
+// window and runs through issueCycle on the engine clock. A block's last
+// instruction has no pair bit, so the window never crosses a block end.
 //
 // The kernel is issueCycle + chargeCycle specialised to those cycles
 // with the per-cycle bookkeeping hoisted: pc lives in a local, a cycle
@@ -56,12 +56,13 @@ import (
 // entry, are private; the scoreboard is written once, from the entry of
 // the last iteration, and so is the local-store port. A guard taken at
 // a later iteration's entry issues alone and ends the step; one taken
-// where the step would begin issues per cycle. A step's profile charge
-// is O(1): the back edges' bubbles in one Add at the entry pc, and its
+// where the step would begin is a register-only cycle, or ends the
+// window when a local-store op follows it. A step's profile charge is
+// O(1): the back edges' bubbles in one Add at the entry pc, and its
 // iterations added to the run's counter (steps), which ChargeRuns
 // expands into the issue cycles, waits and executions per-cycle
-// execution charges at each pc. In every other case the cycles run one
-// at a time as described above, which the run step reproduces exactly.
+// execution charges at each pc. Register-only cycles outside a run step
+// run one at a time, which the run step reproduces exactly.
 func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
 	uops, runAt, pc := s.uops, s.runAt, s.pc
 	mask := uopBurstReg | uopBurstLS
@@ -107,7 +108,8 @@ cycle:
 				us := uops[pc:r.end]
 				g := &us[0].ins // the guard, if r has one
 				if r.guard && isa.BranchTaken(g.Op, s.regs[g.Ra], s.regs[g.Rb]) {
-					// The guard issues alone in the per-cycle path below.
+					// The guard issues alone below, if its pair is
+					// register-only.
 				} else if t+sim.Cycle(r.last) >= limit {
 					runs = false
 				} else if s.runReady(r, t) && s.runPrivate(r, us) {
@@ -159,38 +161,11 @@ cycle:
 				}
 			}
 		}
-		if f == 0 {
+		if f&uopBurstReg == 0 {
 			break
 		}
 
-		// A cycle whose local-store access would fault, or touches bytes
-		// that are not private, is not simulated: the window ends before
-		// any of it executes or is counted, and the reference cycle runs
-		// it on the engine clock.
-		lsFirst := u.flags&uopMem != 0
-		if lsFirst {
-			// Local-store op first. Its pair bit guarantees a successor
-			// in this block; a compute op there joins the cycle when its
-			// operands are ready (compute-slot ops are all register-only).
-			addr, width, err := s.lsAddr(&u.ins, s.regs[u.ins.Ra], s.regs[u.ins.Rb])
-			if err != nil || !s.private(addr, width) {
-				break
-			}
-			prof.Add(spe, row0+pc, stats.CauseIssue, 1)
-			prof.AddInstr(spe, row0+pc, 1)
-			if err := s.lsAccess(t, &u.ins, addr); err != nil {
-				s.Fault(err)
-			}
-			pc++
-			u = &uops[pc]
-			if blocked, _ := s.operandsBlocked(t, u); blocked || u.flags&uopMem != 0 {
-				t++
-				continue
-			}
-			prof.AddInstr(spe, row0+pc, 1)
-		}
-
-		// Compute slot: ALU op, branch or NOP at pc.
+		// One register-only instruction: an ALU op, a branch or a NOP.
 		ins := &u.ins
 		rd := ins.Rd
 		var v int64
@@ -204,34 +179,10 @@ cycle:
 		default:
 			v = isa.EvalALU(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb], int64(ins.Imm))
 		}
-		var ls *uop // a local-store op that joins the compute op first
-		var lsAddr int64
-		if !lsFirst {
-			if f&uopBurstReg == 0 && !taken {
-				// Compute op first in a local-store pair, not a taken
-				// branch (which ends the issue group): a local-store op
-				// behind it takes the memory slot when its operands are
-				// ready, the compute result forwarded at latency 0. Any
-				// other memory-slot op there was proved unable to join at
-				// decode (secondCannotJoin).
-				if n := &uops[pc+1]; n.flags&uopMem != 0 && s.joins(t, n, rd, u.lat) {
-					ra, rb := s.regs[n.ins.Ra], s.regs[n.ins.Rb]
-					if rd != isa.RegZero && n.ins.Ra == rd {
-						ra = v
-					}
-					if rd != isa.RegZero && n.ins.Rb == rd {
-						rb = v
-					}
-					addr, width, err := s.lsAddr(&n.ins, ra, rb)
-					if err != nil || !s.private(addr, width) {
-						break
-					}
-					ls, lsAddr = n, addr
-				}
-			}
-			prof.Add(spe, row0+pc, stats.CauseIssue, 1)
-			prof.AddInstr(spe, row0+pc, 1)
-		}
+		prof.Add(spe, row0+pc, stats.CauseIssue, 1)
+		prof.AddInstr(spe, row0+pc, 1)
+		// The pair bit guarantees a successor in this block, and a taken
+		// branch's target is inside it (program.Validate).
 		pc++
 		if taken {
 			pc = int(ins.Imm)
@@ -243,45 +194,12 @@ cycle:
 			s.ready[rd] = t + sim.Cycle(u.lat)
 			s.prod[rd] = prodALU
 		}
-		if ls != nil {
-			prof.AddInstr(spe, row0+pc, 1)
-			if err := s.lsAccess(t, &ls.ins, lsAddr); err != nil {
-				s.Fault(err)
-			}
-			pc++
-		}
 		t++
-		if pc >= len(uops) {
-			// The second instruction of the pair was the block's last:
-			// the transition to the next block belongs to its cycle.
-			s.pc = pc
-			ok := s.skipEmptyBlocks(t - 1)
-			uops, runAt, pc, row0 = s.uops, s.runAt, s.pc, s.row0
-			if !ok {
-				break
-			}
-		}
 	}
 
 	s.pc = pc
 	s.accounted = t
 	return t
-}
-
-// joins reports whether the memory-slot op n has its operands ready at
-// t behind a compute op that writes rd (RegZero: nothing) with latency
-// lat in the same cycle — what the scoreboard says once that op issued.
-func (s *SPU) joins(t sim.Cycle, n *uop, rd uint8, lat int32) bool {
-	for _, r := range n.srcs[:n.nsrc] {
-		if r == rd && rd != isa.RegZero {
-			if lat > 0 {
-				return false
-			}
-		} else if s.ready[r] > t {
-			return false
-		}
-	}
-	return true
 }
 
 // private reports whether the width bytes at addr lie inside the store,
@@ -386,15 +304,18 @@ func (s *SPU) ChargeRuns() {
 // source registers become ready. Registers the run writes before reading
 // are ready on a schedule the run itself fixes; the others, the
 // live-ins, are its only dynamic input. When every live-in is ready by
-// the first cycle its first reader is considered, no live-in ever stalls
-// the run, and the run issues on the schedule below, offsets counted
-// from the cycle the entry instruction issues in.
+// the first cycle its first reader is considered, or by that reader's
+// issue when the reader waits that long on the run's results of the
+// live-in's producer class (see regOff), no live-in ever moves an issue
+// cycle or a wait's cause, and the run issues on the schedule below,
+// offsets counted from the cycle the entry instruction issues in.
 //
 // A run is a loop when its closing branch targets its entry and the
 // next iteration's live-ins are ready on schedule whenever this one's
 // were: each live-in the run writes is ready, counted from this entry,
-// by last+1+BranchPenalty (the next entry) plus its own offset. Live-ins
-// the run does not write only grow more ready.
+// by last+1+BranchPenalty (the next entry) plus its own offset, not its
+// late one. Live-ins the run does not write are ready by this
+// iteration's last issue, before the next entry.
 type run struct {
 	pc, end int32 // the entry pc and the pc past the last instruction
 	row     int32 // the profile row of the entry
@@ -420,11 +341,16 @@ type run struct {
 type cost struct{ issue, dep, ls int32 }
 
 // regOff is a register with a cycle offset into its run and, for a
-// register the run writes, the class of its last producer.
+// register the run writes, the class of its last producer. A live-in
+// whose first reader waits on the run's results of one class, and so
+// does not pair, may be ready as late as that reader's issue offset
+// (late) when its own producer is of that class (prod): the reader's
+// wait then takes the same cycles, charged to the same cause. For any
+// other live-in late is off.
 type regOff struct {
-	reg  uint8
-	prod prodClass
-	off  int32
+	reg       uint8
+	prod      prodClass
+	off, late int32
 }
 
 // schedule works out the run entered at pc of the block whose tables are
@@ -479,9 +405,10 @@ func (c *Code) lay(uops []uop, pc, stop int, lsLat int32) (run, int) {
 		if probe {
 			first = at - 1
 		}
+		own := len(c.regs) // the live-ins u reads first start here
 		for _, src := range u.srcs[:u.nsrc] {
 			if src != isa.RegZero && regIndex(outs, src) < 0 && regIndex(c.regs[r.lo:], src) < 0 {
-				c.regs = append(c.regs, regOff{reg: src, off: first})
+				c.regs = append(c.regs, regOff{reg: src, off: first, late: first})
 			}
 		}
 		issue, cs := at, cost{issue: 1}
@@ -497,6 +424,18 @@ func (c *Code) lay(uops []uop, pc, stop int, lsLat int32) (run, int) {
 					cs.dep += outs[k].off - issue
 				}
 				issue = outs[k].off
+			}
+		}
+		if (cs.ls == 0) != (cs.dep == 0) {
+			// u waits on the run's results of one producer class until
+			// issue: a live-in of that class may be ready as late, its
+			// cycles charged to the same cause at the same pc.
+			p := prodALU
+			if cs.ls > 0 {
+				p = prodLS
+			}
+			for k := own; k < len(c.regs); k++ {
+				c.regs[k].prod, c.regs[k].late = p, issue
 			}
 		}
 		c.costs = append(c.costs, cs)
@@ -588,10 +527,11 @@ func regIndex(l []regOff, reg uint8) int {
 }
 
 // runReady reports whether every live-in of r is ready by its offset
-// from t.
+// from t, or by its late offset when its producer is of the class its
+// first reader waits on (see regOff).
 func (s *SPU) runReady(r *run, t sim.Cycle) bool {
 	for _, in := range s.code.regs[r.lo:r.mid] {
-		if s.ready[in.reg] > t+sim.Cycle(in.off) {
+		if at := s.ready[in.reg]; at > t+sim.Cycle(in.off) && (at > t+sim.Cycle(in.late) || s.prod[in.reg] != in.prod) {
 			return false
 		}
 	}

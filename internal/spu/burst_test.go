@@ -10,6 +10,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -32,6 +33,10 @@ type kernelEdge struct {
 	ex      func(*program.Asm)
 	tokens  []int64 // the expected r1..r4, if set
 	wantErr string  // single-step must fail with this, and every window size with the same error
+	// entry, if set, is the EX pc of a run entry, and steps whether the
+	// default window must step that run at least once or never.
+	entry int
+	steps bool
 }
 
 var kernelEdges = []kernelEdge{
@@ -110,6 +115,68 @@ var kernelEdges = []kernelEdge{
 			ex.Addi(program.R(2), program.R(4), 1)
 		},
 		tokens: []int64{16, 18, 7, 17},
+	},
+	{
+		// The run entered at the second LSRD8 (the first ends the run
+		// before it, which writes its address register r7) has the first
+		// LSRD8's r3 as a live-in, read first by the ADD, which waits on
+		// the second's r4 until offset 6. r3 is late, but ready by then
+		// and of the class the ADD waits on, so the run steps and the
+		// wait is LSWait throughout, as single-step charges it.
+		name: "late local-store live-in read beside a local-store wait",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 7)
+			ex.Lswr8(program.R(2), program.RegPFB, 0x9000)
+			ex.Lswr8(program.R(2), program.RegPFB, 0x9008)
+			ex.Addi(program.R(7), program.RegPFB, 0x9008)
+			ex.Lsrd8(program.R(3), program.RegPFB, 0x9000)
+			ex.Lsrd8(program.R(4), program.R(7), 0) // the entry
+			ex.Add(program.R(1), program.R(3), program.R(4))
+			ex.Addi(program.R(2), program.R(1), 1)
+			ex.Addi(program.R(3), program.R(2), 1)
+		},
+		tokens: []int64{14, 15, 16, 7},
+		entry:  5,
+		steps:  true,
+	},
+	{
+		// As above, but r3 comes from a MUL: single-step charges the
+		// ADD's first cycles to DepStall, then LSWait, so the run must
+		// not step. Mutant: a late live-in accepted whatever its
+		// producer class; the step charges the whole wait as LSWait.
+		name: "late ALU live-in read beside a local-store wait",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 7)
+			ex.Lswr8(program.R(2), program.RegPFB, 0x9008)
+			ex.Mul(program.R(3), program.R(2), program.R(2))
+			ex.Addi(program.R(7), program.RegPFB, 0x9008)
+			ex.Lsrd8(program.R(4), program.R(7), 0) // the entry
+			ex.Add(program.R(1), program.R(3), program.R(4))
+			ex.Addi(program.R(2), program.R(1), 1)
+			ex.Addi(program.R(3), program.R(2), 1)
+		},
+		tokens: []int64{56, 57, 58, 7},
+		entry:  4,
+	},
+	{
+		// The ADD reads the DIV's r3, a live-in of the run entered at
+		// the LSRD8, first and waits on the run's r5 until offset 2; r3
+		// is of that class but ready long after, so the run must not
+		// step. Mutant: a late live-in accepted past its reader's issue;
+		// the step issues the ADD before r3 is ready.
+		name: "live-in of the reader's wait class later than its issue",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 7)
+			ex.Addi(program.R(7), program.RegPFB, 0x9000)
+			ex.Div(program.R(3), program.R(2), program.R(2))
+			ex.Lsrd8(program.R(4), program.R(7), 0) // the entry
+			ex.Addi(program.R(5), program.R(2), 1)
+			ex.Add(program.R(1), program.R(3), program.R(5))
+			ex.Addi(program.R(2), program.R(1), 1)
+			ex.Addi(program.R(3), program.R(2), 1)
+		},
+		tokens: []int64{9, 10, 11, 0},
+		entry:  3,
 	},
 	{
 		name: "ALU write to RegZero",
@@ -192,7 +259,7 @@ var kernelEdges = []kernelEdge{
 			ex.Movi(program.R(2), 1)
 			ex.Addi(program.R(2), program.R(2), 1)
 			ex.Addi(program.R(3), program.R(2), 1)
-			ex.Lsrd(program.R(1), program.R(9), 0) // pre-executed at every window > 1
+			ex.Lsrd(program.R(1), program.R(9), 0) // every window stops before it (private)
 			ex.Addi(program.R(4), program.R(1), 1)
 		},
 		wantErr: "ls:",
@@ -204,7 +271,7 @@ var kernelEdges = []kernelEdge{
 			pl.Movi(program.R(2), 1000) // far outside the frame
 			pl.Addi(program.R(3), program.R(2), 1)
 			pl.Addi(program.R(4), program.R(3), 1)
-			pl.Loadx(program.R(1), program.R(2)) // pre-executed at every window > 1
+			pl.Loadx(program.R(1), program.R(2)) // every window stops before it
 			pl.Addi(program.R(4), program.R(1), 1)
 		},
 		ex:      func(ex *program.Asm) { ex.Addi(program.R(1), program.R(1), 1) },
@@ -316,7 +383,7 @@ func countedLoop(ex *program.Asm) {
 	ex.Addi(program.R(4), program.R(3), 1)
 }
 
-func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, *stats.Profile, error) {
+func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, *stats.Profile, int64, error) {
 	t.Helper()
 	b := program.NewBuilder("kernel-edge")
 	root := b.Template("root")
@@ -353,8 +420,12 @@ func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, *stats.Profil
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run()
-	return res, m.Profile(), err
+	if _, err := m.Step(sim.Never); err != nil {
+		return nil, m.Profile(), 0, err
+	}
+	steps := m.SPEs()[0].SPU.RunSteps(0, program.EX, e.entry) // before Finish charges them
+	res, err := m.Finish()
+	return res, m.Profile(), steps, err
 }
 
 // check runs e at every window size against the single-step reference:
@@ -362,7 +433,7 @@ func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, *stats.Profil
 // charges against per-cycle ones) must agree.
 func (e kernelEdge) check(t *testing.T) {
 	t.Helper()
-	ref, refProf, refErr := e.run(t, 1)
+	ref, refProf, _, refErr := e.run(t, 1)
 	if e.wantErr == "" && refErr != nil {
 		t.Fatalf("single-step: %v", refErr)
 	}
@@ -373,7 +444,7 @@ func (e kernelEdge) check(t *testing.T) {
 		t.Errorf("single-step: r1..r4 = %v, want %v", ref.Tokens, e.tokens)
 	}
 	for _, w := range edgeWindows {
-		got, prof, err := e.run(t, w)
+		got, prof, steps, err := e.run(t, w)
 		if e.wantErr != "" {
 			// The fault names the cycle it happened in, so the texts agree
 			// only if the window left the faulting cycle to the engine clock.
@@ -396,6 +467,9 @@ func (e kernelEdge) check(t *testing.T) {
 		}
 		if !prof.Equal(refProf) {
 			t.Errorf("BurstMax %d: guest profile differs from single-step", w)
+		}
+		if e.entry != 0 && w == 0 && (steps > 0) != e.steps {
+			t.Errorf("BurstMax 0: the run entered at EX pc %d stepped %d times, want stepping %v", e.entry, steps, e.steps)
 		}
 	}
 }

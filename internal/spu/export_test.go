@@ -36,6 +36,17 @@ func (c *Code) LoopRuns() (guarded, plain, ls int) {
 	return guarded, plain, ls
 }
 
+// RunSteps returns the iterations that run steps of the run entered at
+// pc of template tmpl's block blk took and ChargeRuns has not charged
+// yet: 0 when no run is scheduled there.
+func (s *SPU) RunSteps(tmpl int, blk program.BlockKind, pc int) int64 {
+	runAt := s.code.tab[tmpl*int(program.NumBlocks)+int(blk)].runAt
+	if pc >= len(runAt) || runAt[pc] <= 0 || int(runAt[pc]) > len(s.steps) {
+		return 0
+	}
+	return s.steps[runAt[pc]-1]
+}
+
 // runView is a run entered at pc with its register lists and
 // per-instruction stalls resolved, comparable across tables whatever
 // order their runs were scheduled in.

@@ -23,9 +23,9 @@
 //   - the kernel window (burst, burst.go): after each reference cycle,
 //     one loop pre-executes the following cycles for as long as they
 //     are invisible outside the pipeline — bubbles, scoreboard stalls,
-//     register-only compute, and local-store accesses to bytes nothing
-//     else touches before the window ends (see private) — and hands the
-//     engine the first cycle it could not take.
+//     register-only compute, and runs whose local-store accesses touch
+//     bytes nothing else touches before the window ends (see private) —
+//     and hands the engine the first cycle it could not take.
 package spu
 
 import (
@@ -66,9 +66,9 @@ type Config struct {
 	// BurstMax bounds the burst-execution fast path: the maximum number
 	// of pipeline cycles the SPU may simulate inside one engine Tick
 	// when the upcoming instructions are straight-line register-only
-	// compute (isa.BurstReg), or local-store reads and writes of bytes
-	// no other component can touch meanwhile (isa.BurstLSRead and
-	// isa.BurstLSWrite). The burst is
+	// compute (isa.BurstReg), or runs that mix it with local-store
+	// reads and writes of bytes no other component can touch meanwhile
+	// (isa.BurstLS). The burst is
 	// cycle- and metric-identical to single-step execution — it only
 	// skips engine round-trips for cycles no other component can
 	// observe.
@@ -123,7 +123,7 @@ const (
 	uopMem      uint8 = 1 << iota // issues in the memory slot of the dual-issue pipeline
 	uopBranch                     // control transfer (JMP / conditional branches)
 	uopBurstReg                   // this and the next instruction are isa.BurstReg
-	uopBurstLS                    // this and the next instruction are isa.BurstReg, isa.BurstLSRead or isa.BurstLSWrite
+	uopBurstLS                    // this and the next instruction are isa.BurstReg or isa.BurstLS: this one may be in a run (see run)
 )
 
 // uop is the decoded, SPU-resident form of one instruction: the
@@ -668,18 +668,19 @@ func (s *SPU) row() int {
 // window steps over a run of compute and local-store instructions in one
 // go when the run's live-ins are ready by the cycles its schedule
 // assumes, its local-store bytes are private and it ends before the
-// window's limit; otherwise it takes those cycles one at a time, with
-// the same result and the same guest profile.
+// window's limit; otherwise it takes register-only cycles one at a
+// time, with the same result and the same guest profile, and ends at
+// any other.
 //
-// What may run ahead of the engine clock is decided per cycle from the
-// decoded instruction pair at pc: straight-line register-only compute
+// What may run ahead of the engine clock is decided from the decoded
+// instruction pair at pc: straight-line register-only compute
 // (isa.BurstReg — nothing another component can observe) always;
-// local-store reads (isa.BurstLSRead: LSRD*/LOAD*) and direct
-// local-store writes (isa.BurstLSWrite: LSWR*) when the bytes accessed
-// are private (see private): no live MFC command's range overlaps them,
-// and they lie outside the frame region or in the running thread's own
-// frame. Nothing else can write those bytes, or read a write landed
-// early, at any cycle before the window ends, so an access simulated at
+// local-store reads (LSRD*/LOAD*) and direct local-store writes (LSWR*)
+// (isa.BurstLS) inside a run step, when the bytes accessed are private
+// (see private): no live MFC command's range overlaps them, and they lie
+// outside the frame region or in the running thread's own frame.
+// Nothing else can write those bytes, or read a write landed early, at
+// any cycle before the window ends, so an access simulated at
 // engine-time now is byte- and cycle-identical to one executed at its
 // own cycle, however far ahead that is. Any other access ends the window
 // before its cycle.

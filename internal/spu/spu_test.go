@@ -621,7 +621,11 @@ func TestMachineSharesOneDecode(t *testing.T) {
 // TestMmulPrefetchStepsLocalStoreLoop: after the paper's transformation
 // mmul's inner loop reads both operands from the local store (two
 // LSRDXs and six ALU ops). The kernel must schedule it as a loop run it
-// iterates in place, and the run must keep the single-step numbers.
+// iterates in place, and the run must keep the single-step numbers. On
+// the loop's first entry the reference cycle issues the first LSRDX,
+// and the run entered at the second, LSRDX r21, must step: its live-in
+// r20 is late, but a local-store result the MUL reads beside r21, which
+// it waits on longer.
 func TestMmulPrefetchStepsLocalStoreLoop(t *testing.T) {
 	w, _ := workloads.Get("mmul")
 	p, err := w.Build(workloads.Params{N: 8, Seed: 1})
@@ -630,6 +634,17 @@ func TestMmulPrefetchStepsLocalStoreLoop(t *testing.T) {
 	}
 	if p, err = prefetch.Transform(p); err != nil {
 		t.Fatal(err)
+	}
+	worker, at := -1, -1 // the template and EX pc of LSRDX r21
+	for i, tp := range p.Templates {
+		for pc, ins := range tp.Blocks[program.EX] {
+			if tp.Name == "worker" && ins.Op == isa.LSRDX && ins.Rd == 21 {
+				worker, at = i, pc
+			}
+		}
+	}
+	if at < 0 {
+		t.Fatal("mmul-pf: the worker's EX block has no LSRDX r21")
 	}
 	var res [2]*cell.Result
 	for i, burstMax := range []int{1, 0} {
@@ -640,7 +655,14 @@ func TestMmulPrefetchStepsLocalStoreLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res[i], err = m.Run(); err != nil {
+		if _, err := m.Step(sim.Never); err != nil {
+			t.Fatal(err)
+		}
+		steps := int64(0) // read before Finish charges them
+		for _, spe := range m.SPEs() {
+			steps += spe.SPU.RunSteps(worker, program.EX, at)
+		}
+		if res[i], err = m.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		if burstMax == 1 {
@@ -648,6 +670,9 @@ func TestMmulPrefetchStepsLocalStoreLoop(t *testing.T) {
 		}
 		if _, _, ls := m.SPEs()[0].SPU.DecodedCode().LoopRuns(); ls == 0 {
 			t.Error("mmul-pf: no loop run with local-store ops was scheduled")
+		}
+		if steps == 0 {
+			t.Errorf("mmul-pf: the run entered at the worker's LSRDX r21 (EX pc %d) never stepped", at)
 		}
 	}
 	if res[0].Cycles != res[1].Cycles || !reflect.DeepEqual(res[0].SPUs, res[1].SPUs) {
