@@ -165,35 +165,13 @@ cycle:
 			break
 		}
 
-		// One register-only instruction: an ALU op, a branch or a NOP.
-		ins := &u.ins
-		rd := ins.Rd
-		var v int64
-		taken := false
-		switch ins.Op {
-		case isa.NOP:
-			rd = isa.RegZero
-		case isa.JMP, isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
-			rd = isa.RegZero
-			taken = isa.BranchTaken(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb])
-		default:
-			v = isa.EvalALU(ins.Op, s.regs[ins.Ra], s.regs[ins.Rb], int64(ins.Imm))
-		}
-		prof.Add(spe, row0+pc, stats.CauseIssue, 1)
-		prof.AddInstr(spe, row0+pc, 1)
-		// The pair bit guarantees a successor in this block, and a taken
-		// branch's target is inside it (program.Validate).
-		pc++
-		if taken {
-			pc = int(ins.Imm)
-			bubbleEnd = t + penalty
-			s.nextIssueAt = bubbleEnd
-		}
-		if rd != isa.RegZero {
-			s.regs[rd] = v
-			s.ready[rd] = t + sim.Cycle(u.lat)
-			s.prod[rd] = prodALU
-		}
+		// One register-only instruction, which issues alone in its cycle
+		// (uopBurstReg): the reference cycle, charged at the pc it starts
+		// at.
+		s.pc = pc
+		cause, _ := s.issueCycle(t)
+		prof.Add(spe, row0+pc, cause, 1)
+		pc, bubbleEnd = s.pc, s.nextIssueAt
 		t++
 	}
 
