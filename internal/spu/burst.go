@@ -55,9 +55,9 @@ import (
 // limit and its local-store accesses, resolved from the registers at its
 // entry, are private; the scoreboard is written once, from the entry of
 // the last iteration, and so is the local-store port. A guard taken at
-// a later iteration's entry issues alone and ends the step; one taken
-// where the step would begin is a register-only cycle, or ends the
-// window when a local-store op follows it. A step's profile charge is
+// a later iteration's entry ends the step; it issues alone, one cycle
+// at a time, as does one taken where a step would begin. A step's
+// profile charge is
 // O(1): the back edges' bubbles in one Add at the entry pc, and its
 // iterations added to the run's counter (steps), which ChargeRuns
 // expands into the issue cycles, waits and executions per-cycle
@@ -108,8 +108,7 @@ cycle:
 				us := uops[pc:r.end]
 				g := &us[0].ins // the guard, if r has one
 				if r.guard && isa.BranchTaken(g.Op, s.regs[g.Ra], s.regs[g.Rb]) {
-					// The guard issues alone below, if its pair is
-					// register-only.
+					// The guard issues alone below.
 				} else if t+sim.Cycle(r.last) >= limit {
 					runs = false
 				} else if s.runReady(r, t) && s.runPrivate(r, us) {
@@ -130,38 +129,26 @@ cycle:
 						pc = int(us[len(us)-1].ins.Imm) // inside the block (program.Validate)
 						bubbleEnd = last + penalty
 						s.nextIssueAt = bubbleEnd
-						if !r.loop || bubbleEnd+sim.Cycle(r.last) >= limit {
-							break
-						}
 						// The next iteration is ready on schedule (run.loop),
 						// so it needs no runReady, and the scoreboard is
 						// written once, from the last iteration executed.
-						if r.guard && isa.BranchTaken(g.Op, s.regs[g.Ra], s.regs[g.Rb]) {
-							// Its guard is taken: it issues alone and
-							// leaves the loop.
-							s.setOuts(r, at)
-							s.endRun(ri, at, k, k)
-							// pc is the entry again.
-							prof.Add(spe, row0+pc, stats.CauseIssue, 1)
-							prof.AddInstr(spe, row0+pc, 1)
-							pc = int(g.Imm)
-							t = bubbleEnd + 1
-							bubbleEnd += penalty
-							s.nextIssueAt = bubbleEnd
-							continue cycle
-						}
-						if !s.runPrivate(r, us) {
-							break // the per-cycle path takes the next iteration
+						// One whose guard is taken, or whose accesses are not
+						// private, is left to the per-cycle path.
+						if !r.loop || bubbleEnd+sim.Cycle(r.last) >= limit ||
+							r.guard && isa.BranchTaken(g.Op, s.regs[g.Ra], s.regs[g.Rb]) || !s.runPrivate(r, us) {
+							break
 						}
 						at = bubbleEnd
 					}
 					s.setOuts(r, at)
-					s.endRun(ri, at, k, k-1)
+					s.endRun(ri, at, k)
 					continue
 				}
 			}
 		}
-		if f&uopBurstReg == 0 {
+		// A taken branch issues alone, and its target is in the block
+		// (program.Validate).
+		if f&uopBurstReg == 0 && (f == 0 || u.flags&uopBranch == 0 || !isa.BranchTaken(u.ins.Op, s.regs[u.ins.Ra], s.regs[u.ins.Rb])) {
 			break
 		}
 
@@ -221,12 +208,12 @@ func (s *SPU) private(addr, width int64) bool {
 }
 
 // endRun ends a run step of k iterations of the run at runAt entry ri,
-// the last one entered at cycle at, with edges back edges between or
-// after them: it books the local-store port as that iteration's last
-// access did, charges the back edges' bubbles at the entry pc, where
-// per-cycle execution charges them, and adds k to the run's counter,
-// which ChargeRuns expands.
-func (s *SPU) endRun(ri int32, at sim.Cycle, k, edges int64) {
+// the last one entered at cycle at: it books the local-store port as
+// that iteration's last access did, charges the bubbles of the k-1 back
+// edges between them at the entry pc, where per-cycle execution charges
+// them, and adds k to the run's counter, which ChargeRuns expands. The
+// bubble after the last iteration is the window's to charge.
+func (s *SPU) endRun(ri int32, at sim.Cycle, k int64) {
 	r := &s.code.runs[ri-1]
 	if r.ls >= 0 {
 		// One memory-slot op issues per cycle and an access holds the
@@ -238,8 +225,8 @@ func (s *SPU) endRun(ri int32, at sim.Cycle, k, edges int64) {
 		s.steps = append(s.steps, make([]int64, len(s.code.runs)-len(s.steps))...)
 	}
 	s.steps[ri-1] += k
-	if edges > 0 {
-		s.Prof.Add(s.spe, int(r.row), stats.CauseBubble, edges*int64(s.cfg.BranchPenalty))
+	if k > 1 {
+		s.Prof.Add(s.spe, int(r.row), stats.CauseBubble, (k-1)*int64(s.cfg.BranchPenalty))
 	}
 }
 
