@@ -42,8 +42,9 @@ func spin(a *program.Asm, n int32) {
 // kernel steps (see spu's run): an ADDI the spin's closing branch cannot
 // pair with, so that the spin is a loop step and the window goes on to
 // the run; the access; and an ADDI reading r5, which a last ADDI
-// follows so that it carries its pair bit. r2 is set before the spin,
-// so the run's live-ins are ready when the window reaches it.
+// follows so that the run holds it even when the last ADDI is the
+// block's last instruction, which no run holds. r2 is set before the
+// spin, so the run's live-ins are ready when the window reaches it.
 func raceRun(a *program.Asm, op func(rd, ra program.Reg, imm int32) *program.Asm) {
 	a.Addi(program.R(8), program.R(8), 1)
 	op(program.R(5), program.R(2), 0)

@@ -218,12 +218,19 @@ func TestSnapshotRoundTripReadInFlight(t *testing.T) {
 		ex.Movi(program.R(6), 0x100000)
 		ex.Movi(program.R(7), 0)
 		ex.Movi(program.R(8), 5)
+		ex.Addi(program.R(13), program.RegPFB, 0x9000)
+		ex.Lswr8(program.R(13), program.R(13), 0) // a local-store word that points to itself
 		ex.Label("rd")
 		// A delay of `value` iterations, different per worker, so that one
 		// SPU computes (and the engine has events) while another's READ
-		// is in the interconnect.
+		// is in the interconnect. Each iteration chases the pointer: the
+		// second read's address is the first's result, so no run holds
+		// both, and the first, a local-store op outside a run, ends the
+		// SPU's kernel window and issues on the engine clock.
 		ex.Movi(program.R(10), 0)
 		ex.Label("delay")
+		ex.Lsrd8(program.R(12), program.R(13), 0)
+		ex.Lsrd8(program.R(11), program.R(12), 0)
 		ex.Addi(program.R(10), program.R(10), 1)
 		ex.Blt(program.R(10), program.R(1), "delay")
 		ex.Read(program.R(5), program.R(6), 0)

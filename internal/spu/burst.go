@@ -23,23 +23,20 @@ import (
 //   - the cycles of a run step (below), the only way the window executes
 //     a local-store op, when the bytes accessed are private (see
 //     private);
-//   - outside a run step, one issue cycle at a time whose instruction
-//     pair (pc, pc+1) — the furthest one cycle can reach — is
-//     register-only (uopBurstReg): both sit in the compute slot, so
-//     exactly the first issues and the second is never probed.
+//   - outside a run step, a cycle whose register-only instruction
+//     issues alone (see alone), which issueCycle, the reference cycle,
+//     simulates: a cycle the kernel takes decides nothing about dual
+//     issue that the cycle itself does not.
 //
 // Everything else — a local-store op outside a run step, an access to
 // bytes that are not private, frame stores, main memory, the LSE, the
 // MFC, and all of a PF block, whose end notifies the LSE — ends the
-// window and runs through issueCycle on the engine clock. A block's last
-// instruction has no pair bit, so the window never crosses a block end.
-//
-// The kernel is issueCycle + chargeCycle specialised to those cycles
-// with the per-cycle bookkeeping hoisted: pc lives in a local, a cycle
-// attributes to the profile row of the pc it started at, in one profile
-// Add per charge site, and an issued instruction counts at its own pc.
-// On entry s.accounted == t (the reference cycle before it was
-// charged).
+// window and runs through issueCycle on the engine clock. A cycle that
+// would move to the next block is never alone and no run holds a
+// block's last instruction, so the window never crosses a block end.
+// A cycle attributes to the profile row of the pc it started at, in one
+// profile Add per charge site. On entry s.accounted == t (the reference
+// cycle before it was charged).
 //
 // Issue cycles are mostly taken a run at a time. When pc enters a run
 // of two or more instructions (see run) whose guard, if any, is not
@@ -51,21 +48,19 @@ import (
 // ops through the store), the results' ready cycles and a taken closing
 // branch's bubble. When the run is a loop the step goes on in place,
 // one iteration after another with a back edge's bubble between them,
-// for as long as the next iteration's last issue cycle falls before
-// limit and its local-store accesses, resolved from the registers at its
-// entry, are private; the scoreboard is written once, from the entry of
-// the last iteration, and so is the local-store port. A guard taken at
-// a later iteration's entry ends the step; it issues alone, one cycle
-// at a time, as does one taken where a step would begin. A step's
-// profile charge is
-// O(1): the back edges' bubbles in one Add at the entry pc, and its
-// iterations added to the run's counter (steps), which ChargeRuns
-// expands into the issue cycles, waits and executions per-cycle
-// execution charges at each pc. Register-only cycles outside a run step
-// run one at a time, which the run step reproduces exactly.
+// for as long as the next iteration's guard, if any, is not taken, its
+// last issue cycle falls before limit and its local-store accesses,
+// resolved from the registers at its entry, are private; the scoreboard
+// is written once, from the entry of the last iteration, and so is the
+// local-store port. A guard taken where a step would begin, or at a
+// later iteration's entry, issues alone, one cycle. A step's profile
+// charge is O(1): the back edges' bubbles in one Add at the entry pc,
+// and its iterations added to the run's counter (steps), which
+// ChargeRuns expands into the issue cycles, waits and executions
+// per-cycle execution charges at each pc.
 func (s *SPU) burst(t, limit sim.Cycle) sim.Cycle {
 	uops, runAt, pc := s.uops, s.runAt, s.pc
-	mask := uopBurstReg | uopBurstLS
+	mask := uopReg | uopLS
 	if s.curKind != dta.WorkThread {
 		mask = 0 // PF block: bubbles and stalls only
 	}
@@ -123,7 +118,7 @@ cycle:
 						last := at + sim.Cycle(r.last)
 						t = last + 1
 						if !s.execOps(ops) {
-							pc = int(r.end) // below len(uops): r's last instruction has its pair bit
+							pc = int(r.end) // below len(uops): r never holds the block's last instruction
 							break
 						}
 						pc = int(us[len(us)-1].ins.Imm) // inside the block (program.Validate)
@@ -146,15 +141,13 @@ cycle:
 				}
 			}
 		}
-		// A taken branch issues alone, and its target is in the block
-		// (program.Validate).
-		if f&uopBurstReg == 0 && (f == 0 || u.flags&uopBranch == 0 || !isa.BranchTaken(u.ins.Op, s.regs[u.ins.Ra], s.regs[u.ins.Rb])) {
+		// A register-only instruction whose cycle issues it alone: a
+		// successor in the compute slot waits for the next cycle, and
+		// alone decides the rest.
+		if f&uopReg == 0 || (pc+1 == len(uops) || uops[pc+1].flags&uopMem != 0) && !s.alone(pc, t) {
 			break
 		}
-
-		// One register-only instruction, which issues alone in its cycle
-		// (uopBurstReg): the reference cycle, charged at the pc it starts
-		// at.
+		// The reference cycle, charged at the pc it starts at.
 		s.pc = pc
 		cause, _ := s.issueCycle(t)
 		prof.Add(spe, row0+pc, cause, 1)
@@ -165,6 +158,39 @@ cycle:
 	s.pc = pc
 	s.accounted = t
 	return t
+}
+
+// alone reports whether the register-only instruction at pc, whose
+// operands are ready at t and whose successor, if any, sits in the
+// memory slot (burst tests the compute slot inline), issues alone in
+// cycle t: it is a taken branch, which ends its issue group and whose
+// target is in the block (program.Validate), or its successor in the
+// block waits on an operand at t, counting the instruction's own result.
+// Otherwise issueCycle could issue the successor in the same cycle, or,
+// past the block's last instruction, move to the next block.
+func (s *SPU) alone(pc int, t sim.Cycle) bool {
+	u := &s.uops[pc]
+	if u.flags&uopBranch != 0 && isa.BranchTaken(u.ins.Op, s.regs[u.ins.Ra], s.regs[u.ins.Rb]) {
+		return true
+	}
+	if pc+1 == len(s.uops) {
+		return false
+	}
+	n := &s.uops[pc+1]
+	rd := u.ins.Rd // the register u writes: none for a branch or a NOP
+	if u.flags&uopBranch != 0 || u.ins.Op == isa.NOP {
+		rd = isa.RegZero
+	}
+	for _, r := range n.srcs {
+		ready := s.ready[r]
+		if r == rd && r != isa.RegZero {
+			ready = t + sim.Cycle(u.lat) // u's own result
+		}
+		if ready > t {
+			return true
+		}
+	}
+	return false
 }
 
 // private reports whether the width bytes at addr lie inside the store,
@@ -256,11 +282,11 @@ func (s *SPU) ChargeRuns() {
 
 // run is the static issue schedule of a run: the instructions from an
 // entry pc up to the first branch after the entry, or up to the last one
-// that can end the run (see schedule), at least two of them. Each
-// carries its pair bit (uopBurstLS): it is register-only compute, a
-// branch, or a local-store access (LSRD*, LSWR*, LOAD*) whose address
-// registers no earlier instruction of the run writes, so that each
-// iteration's addresses are known at its entry. The entry may be a
+// that can end the run (see lay), at least two of them and never the
+// block's last. Each is register-only compute, a branch, or a
+// local-store access (LSRD*, LSWR*, LOAD*) whose address registers no
+// earlier instruction of the run writes, so that each iteration's
+// addresses are known at its entry (admits). The entry may be a
 // conditional branch, the run's guard; the run is the path on which the
 // guard is not taken. With no branch predictor, no reordering, a
 // local-store port that is free at every access (lsLat) and nothing
@@ -319,17 +345,19 @@ type regOff struct {
 }
 
 // schedule works out the run entered at pc of the block whose tables are
-// uops and runAt (uops[pc] carries its pair bit), at profile row row,
-// for local-store results ready lsLat cycles after their issue (-1: no
-// local-store op joins a run), records it, and returns its runAt entry:
-// -1 when the run would be a lone instruction, whose step would save
-// nothing over issuing it per cycle, or would open with a JMP.
+// uops and runAt, at profile row row, for local-store results ready
+// lsLat cycles after their issue (-1: no local-store op joins a run),
+// records it, and returns its runAt entry: -1 when uops[pc] may not
+// open a run (admits), or is a JMP, or the run would be a lone
+// instruction, whose step would save nothing over issuing it per cycle.
 func (c *Code) schedule(uops []uop, runAt []int32, pc, row int, lsLat int32) int32 {
-	if uops[pc].ins.Op == isa.JMP || !admits(&uops[pc], nil, lsLat) {
+	if pc+2 >= len(uops) || uops[pc].ins.Op == isa.JMP || !admits(&uops[pc], nil, lsLat) {
 		runAt[pc] = -1
 		return -1
 	}
-	r, safe := c.lay(uops, pc, len(uops), lsLat)
+	// No run holds the block's last instruction: the cycle after it
+	// moves to another block.
+	r, safe := c.lay(uops, pc, len(uops)-1, lsLat)
 	if int(r.end) != safe {
 		// The run cannot end at its last instruction: cut it back to
 		// the last one it can end at, scheduled afresh.
@@ -450,15 +478,15 @@ func (c *Code) lay(uops []uop, pc, stop int, lsLat int32) (run, int) {
 }
 
 // admits reports whether u may join a run whose results so far are
-// outs: it carries its pair bit and, if it accesses the local store, the
+// outs: it is register-only or, if it accesses the local store, the
 // accesses are timed (lsLat >= 0) and no earlier instruction of the run
 // writes its address registers.
 func admits(u *uop, outs []regOff, lsLat int32) bool {
-	if u.flags&uopBurstLS == 0 {
-		return false
-	}
-	if u.flags&uopMem == 0 {
+	if u.flags&uopReg != 0 {
 		return true
+	}
+	if u.flags&uopLS == 0 {
+		return false
 	}
 	if lsLat < 0 || regIndex(outs, u.ins.Ra) >= 0 {
 		return false

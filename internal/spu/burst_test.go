@@ -21,6 +21,9 @@ import (
 // the bubble, stall or issue group under test; 0 is the default window.
 // The kernel's run and loop steps charge each instruction's issue cycles
 // and stalls to the profile in bulk, the reference one cycle at a time.
+// Where a row pins the SPU's engine ticks, it also pins how far the
+// windows reach: a window that ends early costs a tick and changes no
+// result.
 
 var edgeWindows = []int{2, 3, 7, 0}
 
@@ -37,6 +40,7 @@ type kernelEdge struct {
 	// default window must step that run at least once or never.
 	entry int
 	steps bool
+	ticks int64 // the SPU's engine ticks at the default window, if set
 }
 
 var kernelEdges = []kernelEdge{
@@ -187,6 +191,130 @@ var kernelEdges = []kernelEdge{
 			ex.Mul(program.R(0), program.R(2), program.R(2))
 			ex.Add(program.R(3), program.R(0), program.R(1)) // must not wait LatMUL
 		},
+	},
+	// The pairing rule (SPU.alone): a window issues a register-only
+	// instruction outside a run step only when its cycle issues it alone.
+	// Each EX below opens with a taken JMP, which issues alone, so that
+	// the window reaches the instruction under test outside a run.
+	{
+		name: "compute pair before the block's last instruction",
+		ex: func(ex *program.Asm) {
+			ex.Jmp("a")
+			ex.Label("a")
+			ex.Addi(program.R(1), program.R(1), 1)
+			ex.Muli(program.R(2), program.R(1), 3) // same slot: the ADDI issues alone
+			ex.Addi(program.R(3), program.R(2), 1) // the block's last: the window ends before it
+		},
+		ticks: 11,
+	},
+	{
+		name: "LSRD then a reader of its result",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 7)
+			ex.Lswr8(program.R(2), program.RegPFB, 0x9000)
+			ex.Jmp("a")
+			ex.Label("a")
+			ex.Lsrd(program.R(1), program.RegPFB, 0x9000)
+			ex.Add(program.R(3), program.R(1), program.R(1)) // waits on the LSRD
+			ex.Addi(program.R(4), program.R(3), 1)
+			ex.Addi(program.R(2), program.R(4), 1)
+		},
+		ticks: 11,
+	},
+	{
+		name: "ADDI then a WRITE to its result",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(5), 0x100000)
+			ex.Movi(program.R(2), 42)
+			ex.Jmp("a")
+			ex.Label("a")
+			ex.Addi(program.R(4), program.R(5), 64) // issues alone: the WRITE waits on r4
+			ex.Write(program.R(2), program.R(4), 0)
+			ex.Addi(program.R(1), program.R(4), 1)
+		},
+		ticks: 11,
+	},
+	{
+		name: "ADDI then an independent WRITE",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(5), 0x100000)
+			ex.Movi(program.R(2), 42)
+			ex.Jmp("a")
+			ex.Label("a")
+			ex.Addi(program.R(4), program.R(2), 1) // pairs with the WRITE, on the engine clock
+			ex.Write(program.R(2), program.R(5), 0)
+			ex.Addi(program.R(1), program.R(4), 1)
+		},
+		ticks: 12,
+	},
+	{
+		name: "ADDI then a WRITE waiting on an older result",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(5), 0x100000)
+			ex.Movi(program.R(2), 42)
+			ex.Mul(program.R(4), program.R(5), program.R(2))
+			ex.Jmp("a")
+			ex.Label("a")
+			ex.Addi(program.R(1), program.R(2), 1) // issues alone: the WRITE waits on the MUL
+			ex.Write(program.R(2), program.R(4), 0)
+			ex.Addi(program.R(3), program.R(1), 1)
+		},
+		ticks: 11,
+	},
+	{
+		name: "LSRD then LSWR",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 7)
+			ex.Lswr(program.R(2), program.RegPFB, 0x9000)
+			ex.Jmp("a")
+			ex.Label("a")
+			ex.Lsrd(program.R(1), program.RegPFB, 0x9000)
+			ex.Lswr(program.R(1), program.RegPFB, 0x9008) // same slot as the LSRD
+			ex.Addi(program.R(3), program.R(1), 1)
+			ex.Addi(program.R(4), program.R(3), 1)
+		},
+		ticks: 11,
+	},
+	{
+		name: "RegZero write then a WRITE reading RegZero",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(2), 42)
+			ex.Jmp("a")
+			ex.Label("a")
+			ex.Add(program.R(0), program.R(2), program.R(2)) // writes nothing: the WRITE joins its cycle
+			ex.Write(program.R(2), program.R(0), 0x100000)
+			ex.Addi(program.R(1), program.R(2), 1)
+		},
+		ticks: 12,
+	},
+	{
+		name: "not-taken branch then a WRITE",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(5), 0x100000)
+			ex.Movi(program.R(2), 42)
+			ex.Jmp("a")
+			ex.Label("a")
+			ex.Beq(program.R(2), program.R(0), "a") // not taken: the WRITE joins its cycle
+			ex.Write(program.R(2), program.R(5), 0)
+			ex.Addi(program.R(1), program.R(2), 1)
+		},
+		ticks: 12,
+	},
+	{
+		// The spin's closing branch could pair with the LSRD8 when not
+		// taken, so the spin is no loop step, but each taken branch
+		// issues alone and the spin stays in one window.
+		name: "spin closed before a local-store op",
+		ex: func(ex *program.Asm) {
+			ex.Movi(program.R(21), 40)
+			ex.Label("spin")
+			ex.Addi(program.R(20), program.R(20), 1)
+			ex.Blt(program.R(20), program.R(21), "spin")
+			ex.Lsrd8(program.R(1), program.RegPFB, 0x9000)
+			ex.Addi(program.R(2), program.R(1), 1)
+			ex.Addi(program.R(3), program.R(20), 1)
+		},
+		ticks: 11,
 	},
 	{
 		name: "LSRD + ALU dual issue",
@@ -383,7 +511,7 @@ func countedLoop(ex *program.Asm) {
 	ex.Addi(program.R(4), program.R(3), 1)
 }
 
-func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, *stats.Profile, int64, error) {
+func (e kernelEdge) run(t *testing.T, burstMax int) (res *cell.Result, prof *stats.Profile, steps, ticks int64, err error) {
 	t.Helper()
 	b := program.NewBuilder("kernel-edge")
 	root := b.Template("root")
@@ -421,11 +549,16 @@ func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, *stats.Profil
 		t.Fatal(err)
 	}
 	if _, err := m.Step(sim.Never); err != nil {
-		return nil, m.Profile(), 0, err
+		return nil, m.Profile(), 0, 0, err
 	}
-	steps := m.SPEs()[0].SPU.RunSteps(0, program.EX, e.entry) // before Finish charges them
-	res, err := m.Finish()
-	return res, m.Profile(), steps, err
+	steps = m.SPEs()[0].SPU.RunSteps(0, program.EX, e.entry) // before Finish charges them
+	for _, c := range m.ComponentTicks() {
+		if c.Name == "spu0" {
+			ticks = c.Ticks
+		}
+	}
+	res, err = m.Finish()
+	return res, m.Profile(), steps, ticks, err
 }
 
 // check runs e at every window size against the single-step reference:
@@ -433,7 +566,7 @@ func (e kernelEdge) run(t *testing.T, burstMax int) (*cell.Result, *stats.Profil
 // charges against per-cycle ones) must agree.
 func (e kernelEdge) check(t *testing.T) {
 	t.Helper()
-	ref, refProf, _, refErr := e.run(t, 1)
+	ref, refProf, _, _, refErr := e.run(t, 1)
 	if e.wantErr == "" && refErr != nil {
 		t.Fatalf("single-step: %v", refErr)
 	}
@@ -444,7 +577,7 @@ func (e kernelEdge) check(t *testing.T) {
 		t.Errorf("single-step: r1..r4 = %v, want %v", ref.Tokens, e.tokens)
 	}
 	for _, w := range edgeWindows {
-		got, prof, steps, err := e.run(t, w)
+		got, prof, steps, ticks, err := e.run(t, w)
 		if e.wantErr != "" {
 			// The fault names the cycle it happened in, so the texts agree
 			// only if the window left the faulting cycle to the engine clock.
@@ -470,6 +603,9 @@ func (e kernelEdge) check(t *testing.T) {
 		}
 		if e.entry != 0 && w == 0 && (steps > 0) != e.steps {
 			t.Errorf("BurstMax 0: the run entered at EX pc %d stepped %d times, want stepping %v", e.entry, steps, e.steps)
+		}
+		if e.ticks != 0 && w == 0 && ticks != e.ticks {
+			t.Errorf("BurstMax 0: the SPU ticked %d times, want %d", ticks, e.ticks)
 		}
 	}
 }

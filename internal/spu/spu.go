@@ -120,21 +120,21 @@ const (
 
 // uop flag bits.
 const (
-	uopMem      uint8 = 1 << iota // issues in the memory slot of the dual-issue pipeline
-	uopBranch                     // control transfer (JMP / conditional branches)
-	uopBurstReg                   // this and the next instruction are isa.BurstReg
-	uopBurstLS                    // this and the next instruction are isa.BurstReg or isa.BurstLS: this one may be in a run (see run)
+	uopMem    uint8 = 1 << iota // issues in the memory slot of the dual-issue pipeline
+	uopBranch                   // control transfer (JMP / conditional branches)
+	uopReg                      // isa.BurstReg: register-only, in the compute slot
+	uopLS                       // isa.BurstLS: a local-store access, in the memory slot
 )
 
 // uop is the decoded, SPU-resident form of one instruction: the
 // instruction word itself plus the static per-instruction facts the
 // issue path needs every cycle, precomputed once per template block so
 // the hot loop does no isa.Info lookups or format dispatch and touches
-// a single cache-friendly record per pc. The two burst bits describe
-// the instruction *pair* at (pc, pc+1) — the furthest one issue cycle
-// can reach — mirroring the burst-mask convention: the last instruction
-// of a block carries neither bit, so block transitions always run on
-// the engine clock.
+// a single cache-friendly record per pc. The class bits (uopReg, uopLS)
+// say what the instruction is, not whether its cycle may run ahead of
+// the engine clock: whether it pairs with its successor depends on the
+// scoreboard, and the kernel decides that when it gets there (see
+// SPU.alone and run).
 type uop struct {
 	ins   isa.Instruction
 	lat   int32    // cfg-resolved result latency of the executing unit
@@ -169,9 +169,8 @@ type SPU struct {
 	// uops is the current code block's table in code: uops[pc] carries
 	// the instruction plus everything the per-cycle issue path would
 	// otherwise re-derive from isa.Info on every visit — scoreboard
-	// sources, issue slot, branchness, the configured result latency —
-	// and the dual burst masks of the instruction pair starting at pc
-	// (see uop).
+	// sources, issue slot, branchness, burst class, the configured result
+	// latency (see uop).
 	uops []uop
 	// runAt is the current block's run entries in code (see decoded).
 	runAt []int32
@@ -362,36 +361,13 @@ func (c *Code) decode(code []isa.Instruction) decoded {
 		if info.Branch {
 			u.flags |= uopBranch
 		}
+		switch isa.ClassOf(ins.Op) {
+		case isa.BurstReg:
+			u.flags |= uopReg
+		case isa.BurstLS:
+			u.flags |= uopLS
+		}
 		u.lat = int32(c.cfg.latFor(info.Unit))
-	}
-	for i := 0; i+1 < len(code); i++ {
-		a, b := isa.ClassOf(code[i].Op), isa.ClassOf(code[i+1].Op)
-		if a == isa.BurstNone {
-			continue
-		}
-		if b == isa.BurstNone {
-			// The second instruction of the would-be issue pair is not
-			// burst-safe, but the cycle starting at i is still safe to
-			// pre-execute when the second instruction provably cannot
-			// join it: either both compete for the same issue slot
-			// (structural), or the second reads the first's destination
-			// register, whose result lands at least one cycle later
-			// (data dependence — the scoreboard blocks it exactly as in
-			// single-step execution). The pre-executed cycle then issues
-			// only the first instruction, and the burst loop stops at
-			// the second, which runs on the engine clock.
-			if !secondCannotJoin(&us[i], &us[i+1], code[i]) {
-				continue
-			}
-			// Only the first instruction executes in this cycle, so the
-			// cycle's burst class is the first's alone.
-			b = isa.BurstReg
-		}
-		if a == isa.BurstReg && b == isa.BurstReg {
-			us[i].flags |= uopBurstReg | uopBurstLS
-		} else {
-			us[i].flags |= uopBurstLS
-		}
 	}
 	return d
 }
@@ -406,40 +382,6 @@ func (c *Code) carve(n int) decoded {
 	d := decoded{uops: c.arena[used:], runAt: c.runAt[used:]}
 	clear(d.runAt) // recycled memory
 	return d
-}
-
-// secondCannotJoin reports whether the instruction decoded as sec can
-// never issue in the same cycle as fst (the instruction word insFst,
-// already issued first): they compete for the same slot, or sec reads
-// insFst's destination register and insFst's result latency is at
-// least one cycle, so the scoreboard blocks sec until after this
-// cycle. Both facts are static: registers come from the encodings and
-// the latency from the decoded uop. RegZero writes are discarded (no
-// scoreboard entry), so they prove nothing.
-func secondCannotJoin(fst, sec *uop, insFst isa.Instruction) bool {
-	if fst.flags&uopMem == sec.flags&uopMem {
-		return true // structural: one memory and one compute slot per cycle
-	}
-	if insFst.Rd == isa.RegZero || fst.lat < 1 || !writesRd(insFst.Op) {
-		return false
-	}
-	for k := uint8(0); k < sec.nsrc; k++ {
-		if sec.srcs[k] == insFst.Rd {
-			return true
-		}
-	}
-	return false
-}
-
-// writesRd reports whether op architecturally writes its Rd field (true
-// for every burstable op whose format carries a destination; branches,
-// JMP and NOP carry none).
-func writesRd(op isa.Op) bool {
-	switch isa.InfoOf(op).Fmt {
-	case isa.FmtRdImm, isa.FmtRdRa, isa.FmtRdRaRb, isa.FmtRdRaImm, isa.FmtRdRaRbIm:
-		return !isa.InfoOf(op).Store
-	}
-	return false
 }
 
 // Name implements sim.Component.
@@ -668,22 +610,23 @@ func (s *SPU) row() int {
 // window steps over a run of compute and local-store instructions in one
 // go when the run's live-ins are ready by the cycles its schedule
 // assumes, its local-store bytes are private and it ends before the
-// window's limit; otherwise it takes register-only cycles one at a
-// time, with the same result and the same guest profile, and ends at
-// any other.
+// window's limit; otherwise it issues a register-only instruction that
+// issues alone in its cycle through issueCycle, one cycle at a time,
+// with the same result and the same guest profile, and ends at any
+// other cycle.
 //
-// What may run ahead of the engine clock is decided from the decoded
-// instruction pair at pc: straight-line register-only compute
-// (isa.BurstReg — nothing another component can observe) always;
-// local-store reads (LSRD*/LOAD*) and direct local-store writes (LSWR*)
-// (isa.BurstLS) inside a run step, when the bytes accessed are private
-// (see private): no live MFC command's range overlaps them, and they lie
-// outside the frame region or in the running thread's own frame.
-// Nothing else can write those bytes, or read a write landed early, at
-// any cycle before the window ends, so an access simulated at
+// What may run ahead of the engine clock: register-only compute and
+// branches (isa.BurstReg — nothing another component can observe)
+// always; local-store reads (LSRD*/LOAD*) and direct local-store writes
+// (LSWR*) (isa.BurstLS) inside a run step, when the bytes accessed are
+// private (see private): no live MFC command's range overlaps them, and
+// they lie outside the frame region or in the running thread's own
+// frame. Nothing else can write those bytes, or read a write landed
+// early, at any cycle before the window ends, so an access simulated at
 // engine-time now is byte- and cycle-identical to one executed at its
 // own cycle, however far ahead that is. Any other access ends the window
-// before its cycle.
+// before its cycle, and so does a cycle in which it could issue beside
+// a register-only instruction (see alone).
 //
 // Caveat (documented, not observable in well-formed DTA activities):
 // window cycles are simulated eagerly, so if the whole activity
