@@ -58,12 +58,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// MaxSPEs bounds Config.SPEs. Building a machine allocates about 172 KB
-// per SPE (1.5 MB at 8, 11 MB at 64, 44 MB at 256), and the count
+// MaxSPEs bounds Config.SPEs. A local store is backed only by the prefix
+// a run has written, so building a machine is cheap (New allocates 209
+// KiB for mmul(32) at 8 SPEs, 687 KiB at 64), but a run can grow each
+// SPE's store to its full 156 kB: about 10 MB at 64 SPEs. The count
 // reaches New straight from a dtad request body, so without a bound one
-// request could ask a worker for gigabytes (17 GB at 100000). 64 is
-// eight times the paper's machine; nothing in the repository uses more
-// than 16.
+// request could ask a worker for gigabytes (16 GB of local store at
+// 100000). 64 is eight times the paper's machine; nothing in the
+// repository uses more than 16.
 const MaxSPEs = 64
 
 // Validate checks structural sanity of the configuration.

@@ -610,8 +610,8 @@ func (s *SPU) row() int {
 // window steps over a run of compute and local-store instructions in one
 // go when the run's live-ins are ready by the cycles its schedule
 // assumes, its local-store bytes are private and it ends before the
-// window's limit; otherwise it issues a register-only instruction that
-// issues alone in its cycle through issueCycle, one cycle at a time,
+// window's limit; otherwise it takes, one at a time through
+// issueCycle, each cycle whose register-only instruction issues alone,
 // with the same result and the same guest profile, and ends at any
 // other cycle.
 //

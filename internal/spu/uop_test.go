@@ -18,8 +18,14 @@ func TestUopOperandAndSlotMetadata(t *testing.T) {
 	code := []isa.Instruction{
 		{Op: isa.STORE, Rd: 7, Ra: 8, Imm: 2}, // stores read Rd too
 		{Op: isa.MULI, Rd: 2, Ra: 1, Imm: 3},
+		{Op: isa.LSRD, Rd: 3, Ra: 1},
 	}
 	us := decodeNew(code)
+	for pc, want := range []uint8{0, uopReg, uopLS} { // a store is no burst class
+		if got := us[pc].flags & (uopReg | uopLS); got != want {
+			t.Errorf("%s class bits = %#x, want %#x", us[pc].ins.Op, got, want)
+		}
+	}
 	if us[0].nsrc != 2 || us[0].srcs[0] != 8 || us[0].srcs[1] != 7 {
 		t.Errorf("store sources = %v x%d, want [8 7]", us[0].srcs, us[0].nsrc)
 	}
